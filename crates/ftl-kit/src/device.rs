@@ -20,7 +20,7 @@ use crate::request::{HostOp, HostRequest, TenantId};
 use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec};
 use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
 use dloop_simkit::trace::{FlightRecorder, QueueDepthProbe, RingSink, SpanPhase, TraceSink};
-use dloop_simkit::{EventQueue, Histogram, OnlineStats, PendingQueue, SimTime};
+use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, PendingQueue, SimTime};
 
 /// Default reorder-window size for [`ReplayMode::Ncq`] — SATA NCQ's
 /// 32-entry command queue.
@@ -280,16 +280,25 @@ pub(crate) struct ReplayStats {
 }
 
 impl ReplayStats {
-    pub(crate) fn new() -> Self {
+    /// An empty accumulator with its two per-run logs sized up front: one
+    /// completion record per request, `units` queue-probe records.
+    pub(crate) fn with_capacity(requests: usize, units: usize) -> Self {
         ReplayStats {
             response_ms: OnlineStats::new(),
             hist: Histogram::new(1.0, 40),
             pages_read: 0,
             pages_written: 0,
             sim_end: SimTime::ZERO,
-            completions: Vec::new(),
-            queue: QueueDepthProbe::new(),
+            completions: Vec::with_capacity(requests),
+            queue: QueueDepthProbe::with_capacity(units),
         }
+    }
+
+    /// Sized for a queueing driver, whose probe tracks page operations
+    /// (and one instant record per zero-page request).
+    fn for_queued(requests: &[HostRequest]) -> Self {
+        let units = requests.iter().map(|r| r.pages.max(1) as usize).sum();
+        Self::with_capacity(requests.len(), units)
     }
 
     /// Count one page operation of kind `op`.
@@ -327,6 +336,58 @@ struct QueuedOp {
     tenant: TenantId,
 }
 
+/// The event source of the queueing schedulers: a cursor over the trace in
+/// canonical `(arrival, index)` order, merged with a heap that holds
+/// *only* wakes — a handful of entries however long the trace is.
+struct WakeClock<'a> {
+    requests: &'a [HostRequest],
+    order: ArrivalOrder,
+    /// Position in `order` of the next arrival.
+    next: usize,
+    /// Resource-release instants still ahead (no payload: a wake only
+    /// says "look again").
+    wakes: EventQueue<()>,
+    now: SimTime,
+}
+
+impl<'a> WakeClock<'a> {
+    fn new(requests: &'a [HostRequest]) -> Self {
+        WakeClock {
+            requests,
+            order: ArrivalOrder::new(requests, |r| r.arrival),
+            next: 0,
+            wakes: EventQueue::new(),
+            now: SimTime::ZERO,
+        }
+    }
+
+    /// The next event: `(instant, Some(request index))` for an arrival,
+    /// `(instant, None)` for *all* wakes due at that instant, retired
+    /// together — after the first scheduler pass at an instant nothing has
+    /// changed for a second one to act on. At equal instants arrivals fire
+    /// first (in canonical order, one event each), then the wakes.
+    fn pop(&mut self) -> Option<(SimTime, Option<usize>)> {
+        let arrival = self.order.get(self.next);
+        let arrival_at = arrival.map(|i| self.requests[i].arrival);
+        let wake_at = self.wakes.peek_time();
+        let at = match (arrival_at, wake_at) {
+            (Some(a), Some(w)) => a.min(w),
+            (a, w) => a.or(w)?,
+        };
+        // The wake heap's own past-check never sees arrivals.
+        debug_assert!(at >= self.now, "clock ran backwards: {at} < {}", self.now);
+        self.now = at;
+        if arrival_at == Some(at) {
+            self.next += 1;
+            return Some((at, arrival));
+        }
+        while self.wakes.peek_time() == Some(at) {
+            self.wakes.pop();
+        }
+        Some((at, None))
+    }
+}
+
 /// A simulated SSD: flash state + hardware timing + one FTL.
 pub struct SsdDevice {
     pub(crate) config: SsdConfig,
@@ -335,9 +396,9 @@ pub struct SsdDevice {
     pub(crate) hw: HardwareModel,
     pub(crate) ftl: Box<dyn Ftl>,
     pub(crate) plane_counts: Vec<u64>,
-    host_chain: OpChain,
-    gc_chain: OpChain,
-    scan_chain: OpChain,
+    /// Played-out chains whose allocations the next
+    /// [`SsdDevice::translate_page_op`] reuses.
+    free_chains: Vec<OpChain>,
     /// Flash totals at the last measurement reset, so reports cover only
     /// the measured window (warm-up traffic is excluded).
     baseline: (u64, u64, u64),
@@ -370,9 +431,7 @@ impl SsdDevice {
             hw,
             ftl,
             plane_counts: vec![0; planes],
-            host_chain: OpChain::new(),
-            gc_chain: OpChain::new(),
-            scan_chain: OpChain::new(),
+            free_chains: Vec::new(),
             baseline: (0, 0, 0),
             media_baseline: MediaCounters::default(),
             ftl_baseline: FtlCounters::default(),
@@ -565,12 +624,7 @@ impl SsdDevice {
         queue_depth: Option<usize>,
     ) -> RunReport {
         let lpn_space = self.flash.geometry().user_pages();
-        let mut queue: EventQueue<usize> = EventQueue::with_capacity(requests.len());
-        for (i, r) in requests.iter().enumerate() {
-            queue.push(r.arrival, i);
-        }
-
-        let mut stats = ReplayStats::new();
+        let mut stats = ReplayStats::with_capacity(requests.len(), requests.len());
         // Completion times of in-flight requests, earliest first (closed
         // mode only).
         // Capacity capped at the request count: a `usize::MAX` depth is a
@@ -580,8 +634,8 @@ impl SsdDevice {
                 queue_depth.unwrap_or(0).min(requests.len()),
             );
 
-        while let Some(ev) = queue.pop() {
-            let req = &requests[ev.event];
+        for i in ArrivalOrder::new(requests, |r| r.arrival).iter() {
+            let req = &requests[i];
             let mut issue = req.arrival;
             if req.pages > 0 {
                 if let Some(depth) = queue_depth {
@@ -610,7 +664,7 @@ impl SsdDevice {
             }
             let mut req_done = issue;
             for lpn in req.wrapped_page_ops(lpn_space) {
-                let done = self.serve_page_op(lpn, req.op, issue, ev.event as u64);
+                let done = self.serve_page_op(lpn, req.op, issue, i as u64);
                 req_done = req_done.max(done);
                 stats.count_page(req.op);
             }
@@ -618,7 +672,7 @@ impl SsdDevice {
                 in_flight.push(std::cmp::Reverse(req_done));
             }
             stats.queue.track(req.tenant, req.arrival, issue, req_done);
-            stats.complete(ev.event as u64, req.arrival, req_done);
+            stats.complete(i as u64, req.arrival, req_done);
         }
 
         self.finish_report(requests.len() as u64, stats)
@@ -637,7 +691,6 @@ impl SsdDevice {
         self.hw
             .set_span_context(SpanPhase::Scan, Some(lpn), Some(req));
         self.play_chain(&scan_chain, arrival, false);
-        self.scan_chain = scan_chain;
         self.hw
             .set_span_context(SpanPhase::Host, Some(lpn), Some(req));
         let (host_start, host_done) = self.play_chain_spans(&host_chain, arrival, true);
@@ -647,7 +700,6 @@ impl SsdDevice {
             self.service_ms
                 .push(host_done.saturating_since(host_start).as_millis_f64());
         }
-        self.host_chain = host_chain;
         self.hw
             .set_span_context(SpanPhase::Gc, Some(lpn), Some(req));
         let response = if self.config.background_gc {
@@ -669,20 +721,20 @@ impl SsdDevice {
             }
             done
         };
-        self.gc_chain = gc_chain;
+        self.recycle_chains(host_chain, gc_chain, scan_chain);
         response
     }
 
-    /// Hand previously-translated chains (with their allocations) back to
-    /// the device so the next [`SsdDevice::translate_page_op`] can reuse
-    /// them instead of allocating. The sequential drivers do this
-    /// implicitly by re-storing the chains after playing them; the sharded
-    /// engine moves chains into its job windows and recycles them here
-    /// once a window is folded.
-    pub(crate) fn prime_chains(&mut self, host: OpChain, gc: OpChain, scan: OpChain) {
-        self.host_chain = host;
-        self.gc_chain = gc;
-        self.scan_chain = scan;
+    /// Hand played-out chains back so the next
+    /// [`SsdDevice::translate_page_op`] reuses their allocations. Every
+    /// driver does this once an op's chains have been played: the
+    /// reserving loop right after serving the op, the queueing schedulers
+    /// when they issue it, the sharded engine when a window is folded.
+    pub(crate) fn recycle_chains(&mut self, host: OpChain, gc: OpChain, scan: OpChain) {
+        // Popped in reverse: the next op's host chain is this op's.
+        self.free_chains.push(scan);
+        self.free_chains.push(gc);
+        self.free_chains.push(host);
     }
 
     /// Translate one page operation through the FTL — state effects are
@@ -695,26 +747,25 @@ impl SsdDevice {
         lpn: u64,
         op: HostOp,
     ) -> (OpChain, OpChain, OpChain) {
-        self.host_chain.clear();
-        self.gc_chain.clear();
-        self.scan_chain.clear();
+        let mut blank = || {
+            let mut chain = self.free_chains.pop().unwrap_or_default();
+            chain.clear();
+            chain
+        };
+        let (mut host, mut gc, mut scan) = (blank(), blank(), blank());
         let mut ctx = FtlContext {
             flash: &mut self.flash,
             dir: &mut self.dir,
-            host_chain: &mut self.host_chain,
-            gc_chain: &mut self.gc_chain,
-            scan_chain: &mut self.scan_chain,
+            host_chain: &mut host,
+            gc_chain: &mut gc,
+            scan_chain: &mut scan,
             phase: Phase::Host,
         };
         match op {
             HostOp::Read => self.ftl.read(lpn, &mut ctx),
             HostOp::Write => self.ftl.write(lpn, &mut ctx),
         }
-        (
-            std::mem::take(&mut self.host_chain),
-            std::mem::take(&mut self.gc_chain),
-            std::mem::take(&mut self.scan_chain),
-        )
+        (host, gc, scan)
     }
 
     /// Reserve resources for each step of `chain`, starting no earlier
@@ -800,20 +851,16 @@ impl SsdDevice {
     /// resource before its work begins.
     fn run_gated(&mut self, requests: &[HostRequest]) -> RunReport {
         let lpn_space = self.flash.geometry().user_pages();
-        let mut events: EventQueue<Option<usize>> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            events.push(r.arrival, Some(i));
-        }
+        let mut clock = WakeClock::new(requests);
 
         let mut pending: PendingQueue<QueuedOp> = PendingQueue::new();
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
         let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
 
-        let mut stats = ReplayStats::new();
+        let mut stats = ReplayStats::for_queued(requests);
 
-        while let Some(ev) = events.pop() {
-            let now = ev.at;
-            if let Some(i) = ev.event {
+        while let Some((now, arrived)) = clock.pop() {
+            if let Some(i) = arrived {
                 // Arrival: translate every page op now (state effects are
                 // immediate, as in FlashSim) and queue its chains.
                 let req = &requests[i];
@@ -869,13 +916,35 @@ impl SsdDevice {
                     &mut stats,
                     &mut req_done,
                     &mut req_ops_left,
-                    &mut events,
+                    &mut clock.wakes,
                 );
             }
         }
-        assert!(pending.is_empty(), "ops left unissued at end of trace");
+        self.assert_drained(pending.len(), pending.get(0), clock.now);
 
         self.finish_report(requests.len() as u64, stats)
+    }
+
+    /// The end-of-trace check of the queueing schedulers: with no event
+    /// left, nothing may still be pending. An op stuck here means some
+    /// resource-busy interval ended without a wake (the wake-event
+    /// contract below), so the message names what the first stuck op was
+    /// waiting for.
+    fn assert_drained(&self, stuck: usize, first: Option<&QueuedOp>, now: SimTime) {
+        let Some(op) = first else { return };
+        let waiting_on = match op.host.steps().first().map(|s| s.planes().0) {
+            Some(p) => format!(
+                "plane {p} (plane ready at {}, channel ready at {})",
+                self.hw.plane_ready_at(p),
+                self.hw.channel_ready_at(p)
+            ),
+            None => "no resource (chain-less op)".to_string(),
+        };
+        panic!(
+            "{stuck} ops left unissued at end of trace: first is request {} lpn {} waiting on \
+             {waiting_on}; final now = {now}",
+            op.req, op.lpn
+        );
     }
 
     /// Issue one queued page operation at `now`: play its chains (host
@@ -903,7 +972,7 @@ impl SsdDevice {
         stats: &mut ReplayStats,
         req_done: &mut [SimTime],
         req_ops_left: &mut [u32],
-        events: &mut EventQueue<Option<usize>>,
+        wakes: &mut EventQueue<()>,
     ) -> SimTime {
         self.hw
             .set_span_context(SpanPhase::Host, Some(op.lpn), Some(op.req as u64));
@@ -921,7 +990,7 @@ impl SsdDevice {
             .set_span_context(SpanPhase::Scan, Some(op.lpn), Some(op.req as u64));
         let scan_release = self.play_chain(&op.scan, now, false);
         if scan_release > now {
-            events.push(scan_release, None);
+            wakes.push(scan_release, ());
         }
         self.hw
             .set_span_context(SpanPhase::Gc, Some(op.lpn), Some(op.req as u64));
@@ -929,7 +998,7 @@ impl SsdDevice {
         let done = if self.config.background_gc {
             let gc_release = self.play_chain(&op.gc, host_done, false);
             if gc_release > now {
-                events.push(gc_release, None);
+                wakes.push(gc_release, ());
             }
             release = release.max(gc_release);
             host_done
@@ -949,8 +1018,9 @@ impl SsdDevice {
         }
         // Wake the scheduler when this op's work completes.
         if done > now {
-            events.push(done, None);
+            wakes.push(done, ());
         }
+        self.recycle_chains(op.host, op.gc, op.scan);
         release.max(done)
     }
 
@@ -1058,28 +1128,28 @@ impl SsdDevice {
 
         let lpn_space = self.flash.geometry().user_pages();
         let planes = self.flash.geometry().total_planes() as usize;
-        let mut events: EventQueue<Option<usize>> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            events.push(r.arrival, Some(i));
-        }
+        let mut clock = WakeClock::new(requests);
 
         let mut pending: PendingQueue<NcqOp> = PendingQueue::new();
         // Readiness index: lane `p` holds the pending ops whose first host
-        // step starts on plane `p`, sorted by `(lane_key, seq)`;
+        // step starts on plane `p`, sorted by `(lane_key, seq)`; `live`
+        // lists the non-empty lanes in ascending plane order, so a
+        // scheduling decision walks only planes that have work;
         // `chainless` holds ops with no host steps, which need no
         // resources at all.
         let mut lanes: Vec<Vec<LaneEntry>> = (0..planes).map(|_| Vec::new()).collect();
+        let mut live: Vec<usize> = Vec::with_capacity(planes);
         let mut chainless: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
         let mut next_seq = 0u64;
 
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
         let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
 
-        let mut stats = ReplayStats::new();
+        let mut stats = ReplayStats::for_queued(requests);
+        let mut ticked: Option<SimTime> = None;
 
-        while let Some(ev) = events.pop() {
-            let now = ev.at;
-            if let Some(i) = ev.event {
+        while let Some((now, arrived)) = clock.pop() {
+            if let Some(i) = arrived {
                 let req = &requests[i];
                 if req.pages == 0 {
                     stats
@@ -1105,7 +1175,11 @@ impl SsdDevice {
                                 draw_uw,
                             };
                             let key = policy.lane_key(&cand);
-                            let lane = &mut lanes[step.planes().0 as usize];
+                            let plane = cand.plane as usize;
+                            let lane = &mut lanes[plane];
+                            if lane.is_empty() {
+                                live.insert(live.partition_point(|&l| l < plane), plane);
+                            }
                             let pos =
                                 lane.partition_point(|e| (e.key, e.cand.seq) < (key, next_seq));
                             lane.insert(
@@ -1138,7 +1212,10 @@ impl SsdDevice {
             // `queue_depth` pending ops; `horizon` is the youngest
             // sequence number inside it. Re-computed each iteration: an
             // issue shrinks the pending list and slides the window.
-            policy.tick(now);
+            if ticked != Some(now) {
+                ticked = Some(now);
+                policy.tick(now);
+            }
             loop {
                 let window = pending.len().min(queue_depth);
                 if window == 0 {
@@ -1160,20 +1237,21 @@ impl SsdDevice {
                             &mut stats,
                             &mut req_done,
                             &mut req_ops_left,
-                            &mut events,
+                            &mut clock.wakes,
                         );
                         continue;
                     }
                 }
-                // Each lane offers its first in-window entry (in lane-key
-                // order) whose first step's resources are all idle now;
-                // among the offers, pick the lowest
+                // Each live lane offers its first in-window entry (in
+                // lane-key order) whose first step's resources are all
+                // idle now; among the offers, pick the lowest
                 // `(rank, plane_ready_at, seq)`. Lanes are visited in
                 // plane order and keys are totally ordered, so selection
-                // is deterministic.
+                // is deterministic. `best` remembers the winner's slot in
+                // `live` and its position in the lane.
                 let mut best: Option<((u64, u64, SimTime, u64), usize, usize)> = None;
-                for (lane, entries) in lanes.iter().enumerate() {
-                    let Some((pos, entry)) = entries
+                for (slot, &lane) in live.iter().enumerate() {
+                    let Some((pos, entry)) = lanes[lane]
                         .iter()
                         .enumerate()
                         .find(|(_, e)| e.cand.seq <= horizon)
@@ -1194,13 +1272,17 @@ impl SsdDevice {
                     let (r0, r1) = policy.rank(now, &entry.cand);
                     let key = (r0, r1, self.hw.plane_ready_at(p), entry.cand.seq);
                     if best.map_or(true, |(k, _, _)| key < k) {
-                        best = Some((key, lane, pos));
+                        best = Some((key, slot, pos));
                     }
                 }
-                let Some((_, lane, pos)) = best else {
+                let Some((_, slot, pos)) = best else {
                     break;
                 };
-                let entry = lanes[lane].remove(pos);
+                let lane = &mut lanes[live[slot]];
+                let entry = lane.remove(pos);
+                if lane.is_empty() {
+                    live.remove(slot);
+                }
                 policy.on_issue(now, &entry.cand);
                 let idx = pending
                     .binary_search_by_key(&entry.cand.seq, |o| o.seq)
@@ -1212,7 +1294,7 @@ impl SsdDevice {
                     &mut stats,
                     &mut req_done,
                     &mut req_ops_left,
-                    &mut events,
+                    &mut clock.wakes,
                 );
                 // Throttling policies track the committed draw until its
                 // last resource hold ends (the release wake scheduled by
@@ -1220,7 +1302,7 @@ impl SsdDevice {
                 policy.note_release(now, &entry.cand, release);
             }
         }
-        assert!(pending.is_empty(), "ops left unissued at end of trace");
+        self.assert_drained(pending.len(), pending.get(0).map(|o| &o.op), clock.now);
 
         self.finish_report(requests.len() as u64, stats)
     }
@@ -1252,7 +1334,7 @@ impl SsdDevice {
         CommandSession {
             device: self,
             lpn_space,
-            stats: ReplayStats::new(),
+            stats: ReplayStats::with_capacity(0, 0),
             submitted: 0,
             last_issue: SimTime::ZERO,
         }

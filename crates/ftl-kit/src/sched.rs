@@ -28,7 +28,7 @@
 //!    `tests/replay_modes.rs`).
 //!
 //! Two optional hooks carry state: [`QosPolicy::tick`] runs once per
-//! scheduler wake (before any selection), and [`QosPolicy::on_issue`] runs
+//! distinct scheduler instant (before any selection), and [`QosPolicy::on_issue`] runs
 //! after each selected operation (the fair-share policy charges its token
 //! bucket there).
 //!
@@ -106,8 +106,10 @@ pub trait QosPolicy {
         c.seq
     }
 
-    /// Called once per scheduler wake at simulated time `now`, before any
-    /// candidate is ranked.
+    /// Called once per distinct scheduler instant `now`, before any
+    /// candidate is ranked there: however many arrivals and wakes share
+    /// the instant, the policy is ticked once (same-instant wakes are
+    /// coalesced into a single scheduler pass anyway).
     fn tick(&mut self, now: SimTime) {
         let _ = now;
     }
@@ -482,9 +484,12 @@ impl PowerCapPolicy {
         self.admitted
     }
 
-    /// Admission refusals (one per *offer*, not per operation — a queued
-    /// op deferred across `n` scheduling rounds counts `n` times). A
-    /// nonzero value is the witness that the cap actually throttled.
+    /// Admission refusals, counted per scheduler pass (one per *offer*,
+    /// not per operation — a queued op deferred across `n` passes counts
+    /// `n` times). All wakes due at one instant share a single pass, so
+    /// the count says how often the scheduler looked, not how many events
+    /// fired; it is a diagnostic, in no fingerprint or CSV. A nonzero
+    /// value is the witness that the cap actually throttled.
     pub fn deferrals(&self) -> u64 {
         self.deferrals
     }

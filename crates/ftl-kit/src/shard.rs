@@ -38,9 +38,9 @@
 //! The engine is *bit-identical* to the sequential loop (claim C15), not
 //! merely statistically equivalent:
 //!
-//! * **Translation order** is canonical: requests sorted by `(arrival,
-//!   index)` — exactly the [`EventQueue`](dloop_simkit::EventQueue) pop
-//!   order — and page ops in request order. The FTL, flash state and media
+//! * **Translation order** is canonical: requests in `(arrival, index)`
+//!   order — the [`ArrivalOrder`] every sequential driver walks — and page
+//!   ops in request order. The FTL, flash state and media
 //!   fault counters therefore see the identical op sequence.
 //! * **Playback partitions**: a job whose chains touch a single shard's
 //!   planes is played by that shard's worker, in translation order within
@@ -94,7 +94,7 @@ use crate::metrics::{RunReport, ShardTiming};
 use crate::request::{HostOp, HostRequest, TenantId};
 use dloop_nand::{FlashState, HardwareModel, PlaneId};
 use dloop_simkit::trace::{BufferSink, SpanPhase};
-use dloop_simkit::SimTime;
+use dloop_simkit::{ArrivalOrder, SimTime};
 
 /// Maximum page jobs buffered before a window is flushed. Large enough to
 /// amortise the per-window thread spawn, small enough to keep the job
@@ -375,9 +375,6 @@ struct Engine {
     entries: Vec<Entry>,
     jobs: Vec<Job>,
     outs: Vec<JobOut>,
-    /// Recycled chain allocations, handed back to the device before each
-    /// translation (the sequential loop gets this reuse for free).
-    pool: Vec<OpChain>,
     tracing: bool,
     background_gc: bool,
     closed: bool,
@@ -446,9 +443,7 @@ impl Engine {
 
         self.entries.clear();
         for job in self.jobs.drain(..) {
-            self.pool.push(job.host);
-            self.pool.push(job.gc);
-            self.pool.push(job.scan);
+            dev.recycle_chains(job.host, job.gc, job.scan);
         }
     }
 
@@ -727,18 +722,14 @@ fn run_plane_local(
     let nshards = map.nshards;
     let t_start = std::time::Instant::now();
 
-    // Canonical replay order (see `run_sharded`).
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by_key(|&i| requests[i].arrival);
-
     // Route every page op to its home shard, preserving canonical order
     // within each shard; `job_refs` remembers each op's (shard, slot) so
     // the fold can walk results in global canonical order.
-    let mut stats = ReplayStats::new();
+    let mut stats = ReplayStats::with_capacity(requests.len(), requests.len());
     let mut shard_jobs: Vec<Vec<PlaneJob>> = (0..nshards).map(|_| Vec::new()).collect();
     let mut job_refs: Vec<(u32, u32)> = Vec::new();
-    let mut entries: Vec<Entry> = Vec::with_capacity(order.len());
-    for &idx in &order {
+    let mut entries: Vec<Entry> = Vec::with_capacity(requests.len());
+    for idx in ArrivalOrder::new(requests, |r| r.arrival).iter() {
         let req = &requests[idx];
         // Open mode: admission is the arrival itself.
         let issue = req.arrival;
@@ -1018,23 +1009,16 @@ pub(crate) fn run_sharded(
         entries: Vec::new(),
         jobs: Vec::with_capacity(WINDOW_JOB_CAP),
         outs: Vec::with_capacity(WINDOW_JOB_CAP),
-        pool: Vec::new(),
         tracing,
         background_gc: dev.config.background_gc,
         closed: queue_depth.is_some(),
     };
 
-    // Canonical replay order: (arrival, index) — the EventQueue pop order
-    // of the sequential loop (its FIFO tie-break is push order, and
-    // requests are pushed in index order).
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by_key(|&i| requests[i].arrival);
-
-    let mut stats = ReplayStats::new();
+    let mut stats = ReplayStats::with_capacity(requests.len(), requests.len());
     let mut known: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
     let mut unknown: usize = 0;
 
-    for &idx in &order {
+    for idx in ArrivalOrder::new(requests, |r| r.arrival).iter() {
         let req = &requests[idx];
         let mut issue = req.arrival;
         if req.pages > 0 {
@@ -1058,14 +1042,6 @@ pub(crate) fn run_sharded(
         }
         let jobs_from = engine.jobs.len();
         for lpn in req.wrapped_page_ops(lpn_space) {
-            if engine.pool.len() >= 3 {
-                let (h, g, s) = (
-                    engine.pool.pop().expect("len checked"),
-                    engine.pool.pop().expect("len checked"),
-                    engine.pool.pop().expect("len checked"),
-                );
-                dev.prime_chains(h, g, s);
-            }
             let (host, gc, scan) = dev.translate_page_op(lpn, req.op);
             stats.count_page(req.op);
             let (shard, crossing) = engine.map.assign(&host, &gc, &scan);

@@ -48,7 +48,7 @@ use dloop_ftl_kit::device::{CommandSession, ReplayMode, RunConfig, SsdDevice};
 use dloop_ftl_kit::metrics::RunReport;
 use dloop_ftl_kit::request::{HostOp, HostRequest};
 use dloop_simkit::trace::{QueueDepthProbe, Span, SpanKind, SpanPhase};
-use dloop_simkit::{SimDuration, SimTime};
+use dloop_simkit::{ArrivalOrder, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -417,7 +417,9 @@ impl HostStack {
             forwarded,
             nq,
             depth: cfg.queue_depth.map(|d| d as usize),
-            heap: BinaryHeap::with_capacity(2 * n + 1),
+            rings: ArrivalOrder::new(forwarded, |c| c.req.arrival),
+            next_ring: 0,
+            heap: BinaryHeap::new(),
             backlog: vec![VecDeque::new(); nq],
             in_flight: vec![0; nq],
             cqs: (0..nq)
@@ -431,10 +433,6 @@ impl HostStack {
             delivered: Vec::new(),
             now_max: SimTime::ZERO,
         };
-        for (i, cmd) in forwarded.iter().enumerate() {
-            lp.heap
-                .push(Reverse((cmd.req.arrival, Ev::Ready { cmd: i as u32 })));
-        }
         lp.run();
         DeviceOutcome {
             interrupts: lp.cqs.iter().map(|c| c.interrupts).sum(),
@@ -609,7 +607,9 @@ impl HostStack {
 /// completions (reproducing the push-driven coalescer's `expiry <= done`
 /// pre-push check), completions free slots before same-instant doorbell
 /// rings claim them, and each variant breaks remaining ties by its
-/// payload, so the heap order is total and the loop deterministic.
+/// payload, so the order is total and the loop deterministic. Only timers
+/// and completions live in the heap; doorbell rings are known up front
+/// and come from a cursor over the commands in `(arrival, cmd)` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A CQ coalescing timeout armed in `epoch` expires.
@@ -632,6 +632,10 @@ struct InterleavedLoop<'a, 'd> {
     forwarded: &'a [Command],
     nq: usize,
     depth: Option<usize>,
+    /// The commands in doorbell-ring order, and the cursor's position.
+    rings: ArrivalOrder,
+    next_ring: usize,
+    /// Pending `Done` and `CqTimer` events (never `Ready`).
     heap: BinaryHeap<Reverse<(SimTime, Ev)>>,
     /// Per queue: commands rung but not yet admitted, ring order.
     backlog: Vec<VecDeque<u32>>,
@@ -654,9 +658,24 @@ impl InterleavedLoop<'_, '_> {
         self.forwarded[cmd].req.tenant as usize % self.nq
     }
 
+    /// The next event in `(time, Ev)` order: the earlier of the next
+    /// doorbell ring and the heap's top, the heap winning ties (timers and
+    /// completions sort before rings).
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        if let Some(cmd) = self.rings.get(self.next_ring) {
+            let at = self.forwarded[cmd].req.arrival;
+            if self.heap.peek().is_none_or(|&Reverse((top, _))| at < top) {
+                self.next_ring += 1;
+                return Some((at, Ev::Ready { cmd: cmd as u32 }));
+            }
+        }
+        self.heap.pop().map(|Reverse(ev)| ev)
+    }
+
     fn run(&mut self) {
         loop {
-            while let Some(Reverse((now, ev))) = self.heap.pop() {
+            while let Some((now, ev)) = self.pop() {
+                debug_assert!(now >= self.now_max, "host clock ran backwards");
                 self.now_max = now;
                 match ev {
                     Ev::Ready { cmd } => {

@@ -137,9 +137,65 @@ impl<E> EventQueue<E> {
     }
 }
 
+/// The canonical replay order of a batch of timestamped items: by
+/// `(time, index)` — the order an [`EventQueue`] loaded with the items in
+/// index order would pop them in (its tie-break is push order).
+///
+/// Replay drivers walk this with a cursor instead of loading every arrival
+/// into the heap. A batch that is already in time order — what every trace
+/// generator and parser emits — costs one comparison pass and no memory;
+/// only an out-of-order batch pays for a (stable) sort and an index vector.
+#[derive(Debug, Clone)]
+pub struct ArrivalOrder {
+    /// `None` when the items were already in order.
+    perm: Option<Vec<usize>>,
+    len: usize,
+}
+
+impl ArrivalOrder {
+    /// The order of `items` by the time `at` extracts from each.
+    pub fn new<T>(items: &[T], at: impl Fn(&T) -> SimTime) -> Self {
+        let sorted = items.windows(2).all(|w| at(&w[0]) <= at(&w[1]));
+        let perm = (!sorted).then(|| {
+            let mut perm: Vec<usize> = (0..items.len()).collect();
+            perm.sort_by_key(|&i| at(&items[i]));
+            perm
+        });
+        ArrivalOrder {
+            perm,
+            len: items.len(),
+        }
+    }
+
+    /// Index (into the batch) of the `k`-th item in replay order.
+    pub fn get(&self, k: usize) -> Option<usize> {
+        (k < self.len).then(|| self.perm.as_ref().map_or(k, |p| p[k]))
+    }
+
+    /// Indices into the batch, in replay order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).filter_map(|k| self.get(k))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arrival_order_is_the_heap_pop_order() {
+        let us = SimTime::from_micros;
+        for times in [vec![], vec![3, 3, 5, 9], vec![9, 3, 5, 3, 9, 0]] {
+            let order = ArrivalOrder::new(&times, |&t| us(t));
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(us(t), i);
+            }
+            let popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+            assert_eq!(order.iter().collect::<Vec<_>>(), popped);
+            assert_eq!(order.get(times.len()), None);
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

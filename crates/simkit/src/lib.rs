@@ -47,7 +47,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use events::{EventQueue, ScheduledEvent};
+pub use events::{ArrivalOrder, EventQueue, ScheduledEvent};
 pub use queue::PendingQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};

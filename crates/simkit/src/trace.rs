@@ -1288,6 +1288,14 @@ impl QueueDepthProbe {
         Self::default()
     }
 
+    /// An empty probe with room for `units` records (a replay driver knows
+    /// how many it will track before it starts).
+    pub fn with_capacity(units: usize) -> Self {
+        QueueDepthProbe {
+            tracked: Vec::with_capacity(units),
+        }
+    }
+
     /// Track one unit of work for `tenant` that arrived at `arrival`, was
     /// admitted (issued to the device) at `issue`, and completed at `done`.
     /// Times may be recorded out of order across units; the CSV export

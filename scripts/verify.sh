@@ -8,7 +8,9 @@
 #
 # Usage: scripts/verify.sh [--with-bench]
 #   --with-bench  additionally smoke-run the micro-benchmarks with a
-#                 reduced sample count (SIMKIT_BENCH_SAMPLES=3).
+#                 reduced sample count (SIMKIT_BENCH_SAMPLES=3) and run
+#                 the self-test of the benchmark/ harness (its own
+#                 workspace, so `--workspace` above does not reach it).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -259,6 +261,9 @@ done
 if [[ "${1:-}" == "--with-bench" ]]; then
     echo "==> cargo bench -p dloop-bench (smoke: SIMKIT_BENCH_SAMPLES=3)"
     SIMKIT_BENCH_SAMPLES=3 cargo bench --offline -p dloop-bench
+
+    echo "==> benchmark/ harness self-test (BENCHMARK.json <-> code, every workload at --quick size)"
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
 fi
 
 echo "verify: OK"

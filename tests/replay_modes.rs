@@ -1233,3 +1233,292 @@ fn qos_policies_are_deterministic_across_reruns() {
         Ok(())
     });
 }
+
+/// FNV-1a over a string — a stable 64-bit name for a flash digest.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Bursts of eight same-instant single-page ops, all on LPNs ≡ 0 mod 4 —
+/// one DLOOP plane of the micro device — with 40 hot pages, so every
+/// scheduler decision is a tie-break or a wait on that plane, and the
+/// collector runs. Every third burst reads.
+fn single_plane_burst() -> Vec<HostRequest> {
+    (0..2000u64)
+        .map(|i| HostRequest {
+            arrival: SimTime::from_micros(400 * (i / 8)),
+            lpn: 4 * ((i * 7) % 40),
+            pages: 1,
+            op: if (i / 8) % 3 == 2 {
+                HostOp::Read
+            } else {
+                HostOp::Write
+            },
+            tenant: 1 + (i % 3) as u16,
+            deadline: (i % 3 == 0).then(|| SimTime::from_micros(400 * (i / 8) + 2_000)),
+        })
+        .collect()
+}
+
+/// The golden corpus: `(label, report_fingerprint, fnv(flash_digest))` of
+/// two traces × every admission discipline on micro devices. The rows
+/// were recorded at the commit *before* the replay drivers moved from a
+/// pre-loaded event heap to an arrival cursor merged with a wake-only
+/// heap; a scheduler rewrite must leave every one of them unchanged.
+fn golden_rows() -> Vec<(String, u64, u64)> {
+    use dloop_repro::host::report_fingerprint;
+    use dloop_repro::nand::energy::EnergyConfig;
+    let base = SsdConfig::micro_gc_test();
+    let traces = [
+        (
+            "mix",
+            dloop_repro::workloads::qos_mix(7, 2048, 600, 1 << 21).requests,
+        ),
+        ("burst", single_plane_burst()),
+    ];
+    let mut rows = Vec::new();
+    for (tname, reqs) in &traces {
+        let mut row = |label: String, config: &SsdConfig, run: RunConfig| {
+            let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, config));
+            // The micro device has too few spares to survive a fault plan
+            // for the whole trace; a third of it retires blocks already.
+            let reqs = match config.fault.is_null() {
+                true => &reqs[..],
+                false => &reqs[..reqs.len() / 3],
+            };
+            let r = d.run_with(reqs, run);
+            d.audit().expect("audit");
+            rows.push((
+                format!("{tname}/{label}"),
+                report_fingerprint(&r),
+                fnv(&flash_digest(&d)),
+            ));
+        };
+        let modes =
+            |gc: &str, config: &SsdConfig, row: &mut dyn FnMut(String, &SsdConfig, RunConfig)| {
+                row(format!("{gc}/open"), config, RunConfig::open());
+                row(format!("{gc}/gated"), config, RunConfig::gated());
+                row(format!("{gc}/closed4"), config, RunConfig::closed(4));
+                for depth in [1, 4, 32] {
+                    row(format!("{gc}/ncq{depth}"), config, RunConfig::ncq(depth));
+                }
+            };
+        modes("fg", &base, &mut row);
+        let lit = base.clone().with_energy(EnergyConfig::paper_default());
+        for spec in QosSpec::all() {
+            row(
+                format!("fg/qos8/{}", spec.name()),
+                &base,
+                RunConfig::qos(spec).queue_depth(8),
+            );
+        }
+        let cap = QosSpec::PowerCap { budget_uw: 200_000 };
+        row(
+            "fg/qos8/power-cap".into(),
+            &lit,
+            RunConfig::qos(cap).queue_depth(8),
+        );
+        let bg = SsdConfig {
+            background_gc: true,
+            ..base.clone()
+        };
+        modes("bg", &bg, &mut row);
+        let bg_lit = bg.clone().with_energy(EnergyConfig::paper_default());
+        row(
+            "bg/qos8/power-cap".into(),
+            &bg_lit,
+            RunConfig::qos(cap).queue_depth(8),
+        );
+        row(
+            "bg/qos8/deadline".into(),
+            &bg,
+            RunConfig::qos(QosSpec::Deadline).queue_depth(8),
+        );
+        let faulty = base.clone().with_fault(FaultConfig::light(11));
+        row("fault/gated".into(), &faulty, RunConfig::gated());
+        row("fault/ncq32".into(), &faulty, RunConfig::ncq(32));
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("mix/fg/open", 0xa3100ed2592b7beb, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/gated", 0x441ba82f492a2dd6, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/closed4", 0x70d3be31637ccc15, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/ncq1", 0x56468af6390346d1, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/ncq4", 0x560030d656cb24f4, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/ncq32", 0x82c85427886116a2, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/window-fifo", 0xa306e9ae0656a837, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/ncq", 0x4d6ebf1a33aa558c, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/priority", 0x07cf4f78521ba251, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/deadline", 0x816546c4e479e9d4, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/fair-share", 0xafb678975adc6a28, 0x4e23dbbe0a2fbb95),
+    ("mix/fg/qos8/power-cap", 0xdb1eae1cfa7f77d0, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/open", 0x3105ee54aadf3d36, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/gated", 0xd36250f8de051367, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/closed4", 0x489b2bc4e83f0c02, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/ncq1", 0xceb5d5327e8d0e40, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/ncq4", 0x9886a29c703bfda2, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/ncq32", 0xa38a7c5dfe299ea8, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/qos8/power-cap", 0x055b09c6fa066e77, 0x4e23dbbe0a2fbb95),
+    ("mix/bg/qos8/deadline", 0x0f4927c58bad03dc, 0x4e23dbbe0a2fbb95),
+    ("mix/fault/gated", 0x51bc31013141cf55, 0x0b6f941fa483c64d),
+    ("mix/fault/ncq32", 0xd4d2ab1bea49dde2, 0x0b6f941fa483c64d),
+    ("burst/fg/open", 0xab7206fe80bda89e, 0xf893fcef2faeb949),
+    ("burst/fg/gated", 0x450c9c3dc5b1e2bd, 0xf893fcef2faeb949),
+    ("burst/fg/closed4", 0x83cecbca4808c67b, 0xf893fcef2faeb949),
+    ("burst/fg/ncq1", 0x73d7ce433d236a0d, 0xf893fcef2faeb949),
+    ("burst/fg/ncq4", 0x681c35c828f070b6, 0xf893fcef2faeb949),
+    ("burst/fg/ncq32", 0x450c9c3dc5b1e2bd, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/window-fifo", 0x407c78e1c56253de, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/ncq", 0x407c78e1c56253de, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/priority", 0x407c78e1c56253de, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/deadline", 0xafdff9803a42b01c, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/fair-share", 0x407c78e1c56253de, 0xf893fcef2faeb949),
+    ("burst/fg/qos8/power-cap", 0x25a2fb6c4df3c1bd, 0xf893fcef2faeb949),
+    ("burst/bg/open", 0xde70dacd834da6cf, 0xf893fcef2faeb949),
+    ("burst/bg/gated", 0x6ffacfe14454c5f4, 0xf893fcef2faeb949),
+    ("burst/bg/closed4", 0x1e14db1dc1041a0b, 0xf893fcef2faeb949),
+    ("burst/bg/ncq1", 0xd23d1e962b8b134e, 0xf893fcef2faeb949),
+    ("burst/bg/ncq4", 0x6d3575b656d72e6d, 0xf893fcef2faeb949),
+    ("burst/bg/ncq32", 0x6ffacfe14454c5f4, 0xf893fcef2faeb949),
+    ("burst/bg/qos8/power-cap", 0x698dacea167cf4f1, 0xf893fcef2faeb949),
+    ("burst/bg/qos8/deadline", 0xa579a57836f0c78d, 0xf893fcef2faeb949),
+    ("burst/fault/gated", 0xa06ada5922879eb1, 0x340ccf2887ead48a),
+    ("burst/fault/ncq32", 0xa06ada5922879eb1, 0x340ccf2887ead48a),
+];
+
+#[test]
+fn golden_fingerprints_hold_across_the_scheduler_rewrite() {
+    let rows = golden_rows();
+    let mut table = String::new();
+    for (label, fp, digest) in &rows {
+        let _ = writeln!(table, "    (\"{label}\", {fp:#018x}, {digest:#018x}),");
+    }
+    let same = rows.len() == GOLDEN.len()
+        && rows
+            .iter()
+            .zip(GOLDEN)
+            .all(|((l, f, d), (gl, gf, gd))| l == gl && f == gf && d == gd);
+    assert!(same, "golden corpus moved; this run computed:\n{table}");
+}
+
+fn page_req(at: SimTime, lpn: u64, op: HostOp) -> HostRequest {
+    HostRequest {
+        arrival: at,
+        lpn,
+        pages: 1,
+        op,
+        ..HostRequest::default()
+    }
+}
+
+fn run_dloop_micro(reqs: &[HostRequest], run: RunConfig) -> RunReport {
+    let config = SsdConfig::micro_gc_test();
+    SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config)).run_with(reqs, run)
+}
+
+fn done_of(report: &RunReport, req: u64) -> SimTime {
+    let &(_, _, done) = report
+        .completions
+        .iter()
+        .find(|&&(r, _, _)| r == req)
+        .expect("request completed");
+    done
+}
+
+/// The tie rule of the merged clock: at one instant, arrivals fire before
+/// wakes. Write A holds plane 0 until `t`; B queues behind it with no
+/// deadline; C arrives at exactly `t` — the instant A's completion wake is
+/// due — with a deadline. Arrivals-first means C is already in the lane
+/// when the scheduler next looks, so EDF issues it ahead of the older B;
+/// wake-first would have issued B into the freed plane before C existed.
+#[test]
+fn an_arrival_coinciding_with_a_wake_fires_first() {
+    use dloop_repro::host::report_fingerprint;
+    let edf = || RunConfig::qos(QosSpec::Deadline).queue_depth(8);
+    let a = page_req(SimTime::ZERO, 0, HostOp::Write);
+    let t = done_of(&run_dloop_micro(&[a], edf()), 0);
+    let b = page_req(SimTime::from_micros(10), 4, HostOp::Write);
+    let c = HostRequest {
+        deadline: Some(t + SimDuration::from_millis(1)),
+        ..page_req(t, 8, HostOp::Write)
+    };
+    let report = run_dloop_micro(&[a, b, c], edf());
+    assert_eq!(done_of(&report, 0), t, "A is undisturbed");
+    assert!(
+        done_of(&report, 2) < done_of(&report, 1),
+        "the coinciding arrival must be ranked before the wake's pass"
+    );
+    assert_eq!(report_fingerprint(&report), GOLDEN_COINCIDE);
+}
+
+/// Equal arrivals fire in slice order, and an unsorted slice replays in
+/// `(arrival, index)` order: the same requests shuffled — ties keeping
+/// their relative order — produce the sorted slice's report, with only the
+/// request indices of the completion log permuted.
+#[test]
+fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
+    use dloop_repro::host::report_fingerprint;
+    // Four same-instant writes to one plane (LPNs ≡ 0 mod 4), twice, then
+    // same-instant reads of them; a straggler on another plane.
+    let us = SimTime::from_micros;
+    let sorted: Vec<HostRequest> = vec![
+        page_req(us(0), 0, HostOp::Write),
+        page_req(us(0), 4, HostOp::Write),
+        page_req(us(0), 8, HostOp::Write),
+        page_req(us(0), 12, HostOp::Write),
+        page_req(us(300), 1, HostOp::Write),
+        page_req(us(2_000), 12, HostOp::Read),
+        page_req(us(2_000), 8, HostOp::Read),
+        page_req(us(2_000), 4, HostOp::Read),
+        page_req(us(2_000), 0, HostOp::Read),
+    ];
+    // `perm[k]` = position in `sorted` of the k-th request of the shuffled
+    // slice; equal-arrival requests keep their relative order.
+    let perm = [5usize, 0, 6, 4, 1, 7, 2, 8, 3];
+    let shuffled: Vec<HostRequest> = perm.iter().map(|&k| sorted[k]).collect();
+    for (name, run, golden) in [
+        (
+            "gated",
+            RunConfig::gated as fn() -> RunConfig,
+            GOLDEN_TIES[0],
+        ),
+        ("ncq4", || RunConfig::ncq(4), GOLDEN_TIES[1]),
+        ("open", RunConfig::open, GOLDEN_TIES[2]),
+        ("closed2", || RunConfig::closed(2), GOLDEN_TIES[3]),
+    ] {
+        let want = run_dloop_micro(&sorted, run());
+        // Slice order among ties: one plane serves the four writes (and
+        // the four reads) strictly in index order.
+        for w in [[0, 1], [1, 2], [2, 3], [5, 6], [6, 7], [7, 8]] {
+            assert!(
+                done_of(&want, w[0]) < done_of(&want, w[1]),
+                "{name}: request {} must finish before {}",
+                w[0],
+                w[1]
+            );
+        }
+        assert_eq!(report_fingerprint(&want), golden, "{name}: sorted slice");
+        let got = run_dloop_micro(&shuffled, run());
+        assert_eq!(got.csv_row(), want.csv_row(), "{name}");
+        assert_eq!(got.queue_log, want.queue_log, "{name}");
+        let mapped: Vec<_> = got
+            .completions
+            .iter()
+            .map(|&(r, a, d)| (perm[r as usize] as u64, a, d))
+            .collect();
+        assert_eq!(mapped, want.completions, "{name}");
+    }
+}
+
+const GOLDEN_COINCIDE: u64 = 0x9012_c19c_933d_9e9b;
+const GOLDEN_TIES: [u64; 4] = [
+    0xe5e0_e7a7_be89_5b1b,
+    0x6d5d_cbe7_24dd_6034,
+    0x8e05_be37_c4e6_d210,
+    0x2ef9_3822_b9df_b420,
+];
