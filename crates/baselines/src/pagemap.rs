@@ -45,12 +45,13 @@ impl IdealPageMapFtl {
     }
 
     fn maybe_gc(&mut self, ctx: &mut FtlContext<'_>) {
+        let mut touched = Vec::new();
         loop {
-            let touched = self.alloc.take_touched();
+            self.alloc.take_touched(&mut touched);
             if touched.is_empty() {
                 break;
             }
-            for plane in touched {
+            for &plane in &touched {
                 while ctx.flash.free_blocks(plane) < self.gc_threshold {
                     if !self.collect_one(plane, ctx) {
                         break;

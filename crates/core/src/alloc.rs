@@ -26,6 +26,22 @@ pub enum BlockClass {
     Translation = 1,
 }
 
+/// The blocks GC must leave alone on one plane: at most one active block
+/// per [`BlockClass`]. Dereferences to the slice of block indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Exclusions {
+    blocks: [u32; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Exclusions {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.blocks[..self.len]
+    }
+}
+
 /// Per-plane active-block allocator with parity-aware placement.
 #[derive(Debug, Clone)]
 pub struct PlaneAllocator {
@@ -52,20 +68,27 @@ impl PlaneAllocator {
 
     /// Blocks GC must never pick as victims on `plane` (the active
     /// blocks of both classes).
-    pub fn exclusions(&self, plane: PlaneId) -> Vec<u32> {
-        self.active
-            .iter()
-            .filter_map(|v| v[plane as usize].map(|b| b.index))
-            .collect()
+    pub fn exclusions(&self, plane: PlaneId) -> Exclusions {
+        let mut out = Exclusions {
+            blocks: [0; 2],
+            len: 0,
+        };
+        for block in self.active.iter().filter_map(|v| v[plane as usize]) {
+            out.blocks[out.len] = block.index;
+            out.len += 1;
+        }
+        out
     }
 
     /// Planes on which this allocator pulled new blocks from the pool since
     /// the last call — the set the FTL must re-check against the GC
-    /// threshold. Deduplicated, drained.
-    pub fn take_touched(&mut self) -> Vec<PlaneId> {
+    /// threshold. Replaces the contents of `out` with the deduplicated,
+    /// ascending set and drains it here; both buffers keep their capacity.
+    pub fn take_touched(&mut self, out: &mut Vec<PlaneId>) {
+        out.clear();
         self.touched.sort_unstable();
         self.touched.dedup();
-        std::mem::take(&mut self.touched)
+        out.append(&mut self.touched);
     }
 
     /// A worker's fork for plane-sharded translation: identical per-plane
@@ -103,7 +126,7 @@ impl PlaneAllocator {
             Some(b) => flash.plane(plane).block(b.index).is_full(),
         };
         if need_new {
-            let excluded: Vec<u32> = self.exclusions(plane);
+            let excluded = self.exclusions(plane);
             // Under extreme pressure (pool empty mid-GC), overflow into the
             // other class's active block rather than failing: lifetime
             // mixing is a last resort, not a policy.
@@ -266,6 +289,12 @@ mod tests {
         FlashState::new(Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2))
     }
 
+    fn touched(a: &mut PlaneAllocator) -> Vec<PlaneId> {
+        let mut out = vec![99];
+        a.take_touched(&mut out);
+        out
+    }
+
     #[test]
     fn sequential_placement_within_plane() {
         let mut f = flash();
@@ -273,8 +302,8 @@ mod tests {
         let p0 = a.place(0, BlockClass::Data, &mut f);
         let p1 = a.place(0, BlockClass::Data, &mut f);
         assert_eq!((p0.block, p0.page), (p1.block, p1.page - 1));
-        assert_eq!(a.take_touched(), vec![0]);
-        assert!(a.take_touched().is_empty());
+        assert_eq!(touched(&mut a), vec![0]);
+        assert!(touched(&mut a).is_empty());
     }
 
     #[test]
@@ -287,7 +316,7 @@ mod tests {
         }
         let next = a.place(1, BlockClass::Data, &mut f);
         assert_eq!(next.page, 0);
-        assert_eq!(a.take_touched(), vec![1]);
+        assert_eq!(touched(&mut a), vec![1]);
     }
 
     #[test]
@@ -335,9 +364,7 @@ mod tests {
         assert_eq!(p0.page, 0);
         assert_eq!(p1.page, 0);
         assert_ne!(p0.plane, p1.plane);
-        let mut t = a.take_touched();
-        t.sort_unstable();
-        assert_eq!(t, vec![0, 1]);
+        assert_eq!(touched(&mut a), vec![0, 1]);
     }
 
     #[test]
@@ -346,6 +373,6 @@ mod tests {
         let mut a = PlaneAllocator::new(f.geometry().total_planes());
         assert!(a.exclusions(0).is_empty());
         let p = a.place(0, BlockClass::Data, &mut f);
-        assert_eq!(a.exclusions(0), vec![p.block]);
+        assert_eq!(*a.exclusions(0), [p.block]);
     }
 }

@@ -55,6 +55,11 @@ pub struct DloopFtl {
     pub(crate) gc: GcEngine,
     pub(crate) counters: FtlCounters,
     pub(crate) cfg: DloopConfig,
+    /// `maybe_gc`'s working lists, kept so a page operation does not
+    /// allocate: the planes to check this round, and those already
+    /// collected for the current operation.
+    gc_round: Vec<PlaneId>,
+    gc_done: Vec<PlaneId>,
 }
 
 impl DloopFtl {
@@ -73,6 +78,8 @@ impl DloopFtl {
             counters: FtlCounters::default(),
             cfg,
             geometry,
+            gc_round: Vec::new(),
+            gc_done: Vec::new(),
         }
     }
 
@@ -166,19 +173,15 @@ impl DloopFtl {
     /// plane rewrites translation pages on others, so unbounded ping-pong
     /// is otherwise possible when the device runs nearly full.
     fn maybe_gc(&mut self, ctx: &mut FtlContext<'_>) {
-        let mut processed = vec![false; self.geometry.total_planes() as usize];
+        self.gc_done.clear();
         loop {
-            let touched: Vec<PlaneId> = self
-                .alloc
-                .take_touched()
-                .into_iter()
-                .filter(|&p| !processed[p as usize])
-                .collect();
-            if touched.is_empty() {
+            self.alloc.take_touched(&mut self.gc_round);
+            self.gc_round.retain(|p| !self.gc_done.contains(p));
+            if self.gc_round.is_empty() {
                 break;
             }
-            for plane in touched {
-                processed[plane as usize] = true;
+            for &plane in &self.gc_round {
+                self.gc_done.push(plane);
                 self.gc.collect_until_healthy(
                     plane,
                     &mut self.dm,
@@ -275,9 +278,11 @@ impl Ftl for DloopFtl {
                 .shard_fork(&|lpn| planes.contains(&geometry.dloop_plane_of_lpn(lpn))),
             geometry,
             alloc: self.alloc.shard_fork(),
-            gc: self.gc,
+            gc: GcEngine::new(self.cfg.gc_threshold, self.cfg.copyback_enabled),
             counters: FtlCounters::default(),
             cfg: self.cfg,
+            gc_round: Vec::new(),
+            gc_done: Vec::new(),
         }))
     }
 

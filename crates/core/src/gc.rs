@@ -20,13 +20,24 @@ use crate::ftl::DloopFtl;
 use dloop_ftl_kit::demand::DemandMap;
 use dloop_ftl_kit::dir::PageOwner;
 use dloop_ftl_kit::ftl::{FlashStep, FtlContext, FtlCounters};
-use dloop_nand::{BlockAddr, PageAddr, PlaneId};
+use dloop_nand::{BlockAddr, PageAddr, PlaneId, Ppn};
+use std::collections::VecDeque;
 
 /// The per-plane collector.
-#[derive(Debug, Clone, Copy)]
+///
+/// The three work lists of a pass are kept between passes, so once they
+/// have grown to a block's worth a collection allocates nothing.
+#[derive(Debug, Clone)]
 pub struct GcEngine {
     threshold: u32,
     copyback: bool,
+    /// Fully-invalid blocks found by the victim scan.
+    sweep: Vec<u32>,
+    /// The victim's live pages awaiting relocation as `(offset, ppn,
+    /// owner)`, one queue per offset parity.
+    moves: [VecDeque<(u32, Ppn, PageOwner)>; 2],
+    /// Translation pages in the victim that are rewritten instead of moved.
+    rewrite_now: Vec<u64>,
 }
 
 impl GcEngine {
@@ -36,6 +47,9 @@ impl GcEngine {
         GcEngine {
             threshold,
             copyback,
+            sweep: Vec::new(),
+            moves: Default::default(),
+            rewrite_now: Vec::new(),
         }
     }
 
@@ -48,7 +62,7 @@ impl GcEngine {
     /// block can be profitably collected).
     #[allow(clippy::too_many_arguments)]
     pub fn collect_until_healthy(
-        &self,
+        &mut self,
         plane: PlaneId,
         dm: &mut DemandMap,
         alloc: &mut PlaneAllocator,
@@ -81,7 +95,7 @@ impl GcEngine {
     /// with reclaimable (invalid) pages exists.
     #[allow(clippy::too_many_arguments)]
     pub fn collect_one(
-        &self,
+        &mut self,
         plane: PlaneId,
         dm: &mut DemandMap,
         alloc: &mut PlaneAllocator,
@@ -91,26 +105,33 @@ impl GcEngine {
     ) -> bool {
         let exclude = alloc.exclusions(plane);
 
+        // One pass over the plane's blocks finds both the fully-invalid
+        // blocks and the block with the most invalid pages (lowest index on
+        // ties). Neither may be an active block, pooled or pristine.
+        self.sweep.clear();
+        let mut victim: Option<(u32, u32)> = None; // (invalid pages, index)
+        let blocks = ctx.flash.plane(plane);
+        for (i, b) in blocks.blocks() {
+            if b.is_pristine() || exclude.contains(&i) || blocks.in_free_pool(i) {
+                continue;
+            }
+            if b.valid_pages() == 0 {
+                self.sweep.push(i);
+            }
+            let invalid = b.invalid_pages();
+            if victim.is_none_or(|(most, _)| invalid > most) {
+                victim = Some((invalid, i));
+            }
+        }
+
         // §III.C's "most desirable case": victims with no valid pages are
         // reclaimed by a bare erase. Sweep all of them first — they are
         // pure gain and keep the pool from starving while move-based
         // collections are in flight (rewrites keep minting fully-invalid
         // translation blocks).
-        let fully_invalid: Vec<u32> = ctx
-            .flash
-            .plane(plane)
-            .blocks()
-            .filter(|(i, b)| {
-                !exclude.contains(i)
-                    && !ctx.flash.plane(plane).in_free_pool(*i)
-                    && !b.is_pristine()
-                    && b.valid_pages() == 0
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !fully_invalid.is_empty() {
+        if !self.sweep.is_empty() {
             counters.gc_invocations += 1;
-            for index in fully_invalid {
+            for &index in &self.sweep {
                 ctx.push(FlashStep::Erase { plane });
                 // An erase failure retires the block (grown bad) instead
                 // of pooling it — still reclaimed from GC's perspective.
@@ -122,10 +143,10 @@ impl GcEngine {
             return true;
         }
 
-        let Some(victim) = ctx.flash.plane(plane).victim_with_max_invalid(&exclude) else {
+        let Some((victim_invalid, victim)) = victim else {
             return false;
         };
-        if ctx.flash.plane(plane).block(victim).invalid_pages() == 0 {
+        if victim_invalid == 0 {
             // Everything is live; collecting would reclaim nothing.
             return false;
         }
@@ -137,8 +158,7 @@ impl GcEngine {
         let geometry = ctx.flash.geometry().clone();
         let ppb = geometry.pages_per_block;
         let victim_valid = ctx.flash.plane(plane).block(victim).valid_pages();
-        let active_free: u32 = alloc
-            .exclusions(plane)
+        let active_free: u32 = exclude
             .iter()
             .map(|&i| ctx.flash.plane(plane).block(i).free_pages())
             .sum();
@@ -149,21 +169,12 @@ impl GcEngine {
         }
         counters.gc_invocations += 1;
 
-        let offsets: Vec<u32> = ctx
-            .flash
-            .plane(plane)
-            .block(victim)
-            .valid_offsets()
-            .collect();
-
         // Classify the victim's live pages. Data pages move by copy-back;
         // translation pages move too, unless they carry pending (deferred)
         // updates, in which case a read-modify-write both relocates and
         // persists them in one go.
-        let mut queues: [std::collections::VecDeque<(u32, dloop_nand::Ppn, PageOwner)>; 2] =
-            [Default::default(), Default::default()];
-        let mut rewrite_now: Vec<u64> = Vec::new();
-        for off in offsets {
+        debug_assert!(self.moves.iter().all(|q| q.is_empty()) && self.rewrite_now.is_empty());
+        for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
             let ppn = geometry.ppn_of(PageAddr {
                 plane,
                 block: victim,
@@ -177,11 +188,11 @@ impl GcEngine {
                 // translation pages to plane 0 forever while the rewrite
                 // path can spill to planes with room.
                 if dm.pending_count(tvpn) > 0 || !spread_translation {
-                    rewrite_now.push(tvpn);
+                    self.rewrite_now.push(tvpn);
                     continue;
                 }
             }
-            queues[(off & 1) as usize].push_back((off, ppn, owner));
+            self.moves[(off & 1) as usize].push_back((off, ppn, owner));
         }
 
         // Relocate. Moves are reordered so that source parity matches the
@@ -197,7 +208,7 @@ impl GcEngine {
         // pages. Without the bound, the paper's "extreme case [that]
         // rarely happens" becomes systematic.
         let mut waste_budget = geometry.pages_per_block / 8;
-        while queues.iter().any(|q| !q.is_empty()) {
+        while self.moves.iter().any(|q| !q.is_empty()) {
             // Moves land in the destination stream matching what they
             // carry: relocated data goes to the data active block,
             // relocated translation pages to the translation active block
@@ -205,10 +216,10 @@ impl GcEngine {
             // stream, which dominates.
             let (job, forced_external) = if self.copyback {
                 let want = alloc.next_parity(plane, BlockClass::Data, ctx.flash) as usize;
-                match queues[want].pop_front() {
+                match self.moves[want].pop_front() {
                     Some(job) => (job, false),
                     None => {
-                        let job = queues[want ^ 1].pop_front().expect("non-empty");
+                        let job = self.moves[want ^ 1].pop_front().expect("non-empty");
                         if waste_budget > 0 {
                             waste_budget -= 1;
                             (job, false) // copy-back; place_with_parity wastes one page
@@ -218,8 +229,8 @@ impl GcEngine {
                     }
                 }
             } else {
-                let q = if queues[0].is_empty() { 1 } else { 0 };
-                (queues[q].pop_front().expect("non-empty"), true)
+                let q = if self.moves[0].is_empty() { 1 } else { 0 };
+                (self.moves[q].pop_front().expect("non-empty"), true)
             };
             let (off, old_ppn, owner) = job;
             let class = match owner {
@@ -270,7 +281,7 @@ impl GcEngine {
             let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
                 DloopFtl::place_translation(alloc, spread_translation, planes_total, ctx, tvpn)
             };
-            for tvpn in rewrite_now {
+            for tvpn in self.rewrite_now.drain(..) {
                 dm.rewrite_translation_page(tvpn, ctx, &mut place);
             }
         }

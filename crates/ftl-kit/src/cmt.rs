@@ -12,14 +12,49 @@
 //!
 //! Dirty entries (mappings changed since they were loaded) must be written
 //! back to their translation page on eviction; the CMT keeps a per-
-//! translation-page dirty index so the FTL can batch-flush all dirty
+//! translation-page dirty list so the FTL can batch-flush all dirty
 //! siblings of the victim with one translation-page rewrite (the classic
 //! DFTL "batch update" optimisation).
+//!
+//! # Representation
+//!
+//! Everything lives in three flat vectors; no operation hashes with
+//! SipHash, chases a second table or allocates.
+//!
+//! * **Nodes** — one 40-byte record per cached entry (LPN, PPN, the two
+//!   recency links, the two dirty-list links, dirty flag, segment), in a
+//!   `Vec` indexed by `u32`. Unused records are chained through `next`
+//!   into a free list.
+//! * **Index** — an open-addressed table of node indices with a power of
+//!   two ≥ 2 × capacity slots, so it is never more than half full. An LPN's
+//!   home slot is the top bits of `lpn × 2⁶⁴/φ` (multiplicative hashing
+//!   spreads the sequential and strided LPNs real traces are made of);
+//!   a collision probes linearly. A slot holds no key: the probe compares
+//!   against `nodes[idx].lpn`, the record the caller is about to touch
+//!   anyway. Deletion shifts the rest of the probe run backwards into the
+//!   hole (an entry moves when its home slot does not lie cyclically
+//!   between the hole and its current slot), so there are no tombstones and
+//!   probe lengths do not degrade under eviction churn.
+//! * **Dirty lists** — the dirty entries of one translation page form a
+//!   doubly-linked list threaded through the nodes (`dprev`/`dnext`), with
+//!   one head per translation page in a `Vec<u32>` that grows to the
+//!   highest translation page ever dirtied (8 Ki heads on a 4 GB device).
+//!   The list is intrusive because a clean→dirty transition is the most
+//!   frequent mutation (every first overwrite and most GC moves): linking
+//!   a node the caller already holds costs two stores, where a keyed set
+//!   per translation page costs a second lookup and an allocation.
+//!
+//! Per entry at 512 Ki entries this is 40 B of node plus 8 B of index
+//! (≈ 48 B), down from ≈ 80 B with the former `HashMap` index (32 B node,
+//! two 17-byte buckets of a half-full hash table, and a `BTreeSet` slot per
+//! dirty entry).
 
 use dloop_nand::{Lpn, Ppn};
-use std::collections::{BTreeSet, HashMap};
 
 const NIL: u32 = u32::MAX;
+
+/// 2⁶⁴ / φ, the multiplicative-hashing constant.
+const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -31,17 +66,28 @@ enum Segment {
 struct Node {
     lpn: Lpn,
     ppn: Ppn,
+    prev: u32,
+    /// Towards the LRU end; on the free list, the next free record.
+    next: u32,
+    dprev: u32,
+    dnext: u32,
     dirty: bool,
     seg: Segment,
-    prev: u32,
-    next: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct ListEnds {
     head: u32, // MRU
     tail: u32, // LRU
     len: usize,
+}
+
+impl ListEnds {
+    const EMPTY: ListEnds = ListEnds {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
 }
 
 /// An entry evicted from the CMT.
@@ -71,14 +117,18 @@ pub struct Evicted {
 #[derive(Debug, Clone)]
 pub struct CachedMappingTable {
     nodes: Vec<Node>,
-    free: Vec<u32>,
-    index: HashMap<Lpn, u32>,
+    free_head: u32,
+    /// The index: node indices, `NIL` for an empty slot.
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: the hash keeps its top bits.
+    hash_shift: u32,
     probation: ListEnds,
     protected: ListEnds,
     capacity: usize,
     protected_cap: usize,
     mappings_per_tpage: u64,
-    dirty_index: HashMap<u64, BTreeSet<Lpn>>,
+    /// Head of each translation page's dirty list, indexed by tvpn.
+    dirty_heads: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -89,25 +139,23 @@ impl CachedMappingTable {
     /// groups entries by translation page for batched write-back.
     pub fn new(capacity: usize, mappings_per_tpage: u64) -> Self {
         assert!(capacity >= 2, "CMT needs at least two entries");
+        assert!(
+            capacity <= (NIL / 2) as usize,
+            "CMT node indices are 32-bit"
+        );
         assert!(mappings_per_tpage > 0);
+        let slots = (2 * capacity).next_power_of_two();
         CachedMappingTable {
             nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            index: HashMap::with_capacity(capacity),
-            probation: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            protected: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
+            free_head: NIL,
+            slots: vec![NIL; slots],
+            hash_shift: 64 - slots.trailing_zeros(),
+            probation: ListEnds::EMPTY,
+            protected: ListEnds::EMPTY,
             capacity,
             protected_cap: capacity / 2,
             mappings_per_tpage,
-            dirty_index: HashMap::new(),
+            dirty_heads: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -120,12 +168,12 @@ impl CachedMappingTable {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.probation.len + self.protected.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Configured capacity.
@@ -152,49 +200,38 @@ impl CachedMappingTable {
         self.misses += misses;
     }
 
-    /// Every cached entry as `(lpn, ppn, dirty)`, in unspecified order —
-    /// the sharded merge walks a worker's entries and adopts the ones the
-    /// worker owned.
+    /// The nodes of one recency list, LRU first.
+    fn lru_first(&self, list: ListEnds) -> impl Iterator<Item = &Node> + '_ {
+        let node = move |idx: u32| (idx != NIL).then(|| &self.nodes[idx as usize]);
+        std::iter::successors(node(list.tail), move |n| node(n.prev))
+    }
+
+    /// Every cached entry as `(lpn, ppn, dirty)` in **eviction order**: the
+    /// probation segment from its LRU to its MRU, then the protected
+    /// segment likewise. The order is a function of the operations applied
+    /// and nothing else, so two tables fed the same operations yield the
+    /// same sequence; [`CachedMappingTable::adopt`]ing it into an empty
+    /// table reproduces the sequence (with every entry on probation).
     pub fn iter_entries(&self) -> impl Iterator<Item = (Lpn, Ppn, bool)> + '_ {
-        self.index.values().map(|&i| {
-            let n = &self.nodes[i as usize];
-            (n.lpn, n.ppn, n.dirty)
-        })
+        self.lru_first(self.probation)
+            .chain(self.lru_first(self.protected))
+            .map(|n| (n.lpn, n.ppn, n.dirty))
     }
 
     /// A partial fork for one sharded worker: a fresh table with the same
     /// capacity and translation-page grouping, seeded with exactly the
-    /// entries whose LPN the worker `owns`. In the fully-resident regime
-    /// the recency order is never consulted, so presence alone makes the
-    /// fork behave identically to the full table for owned LPNs — at a
-    /// fraction of the clone cost and of the worker's working set.
-    /// Hit/miss counters start at zero (the fork counts pure deltas).
+    /// entries whose LPN the worker `owns`, adopted in
+    /// [`CachedMappingTable::iter_entries`] order (so the fork's own
+    /// sequence is this table's, restricted to the owned LPNs). In the
+    /// fully-resident regime presence alone makes the fork behave
+    /// identically to the full table for owned LPNs — at a fraction of the
+    /// clone cost and of the worker's working set. Hit/miss counters start
+    /// at zero (the fork counts pure deltas).
     pub fn shard_fork_owned(&self, owns: &dyn Fn(Lpn) -> bool) -> CachedMappingTable {
-        let mut fork = CachedMappingTable {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            probation: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            protected: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            capacity: self.capacity,
-            protected_cap: self.protected_cap,
-            mappings_per_tpage: self.mappings_per_tpage,
-            dirty_index: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        };
-        for (&lpn, &idx) in &self.index {
+        let mut fork = CachedMappingTable::new(self.capacity, self.mappings_per_tpage);
+        for (lpn, ppn, dirty) in self.iter_entries() {
             if owns(lpn) {
-                let n = &self.nodes[idx as usize];
-                fork.adopt(lpn, n.ppn, n.dirty);
+                fork.adopt(lpn, ppn, dirty);
             }
         }
         fork
@@ -202,31 +239,79 @@ impl CachedMappingTable {
 
     /// Adopt a worker fork's entry at the sharded merge: update the cached
     /// mapping and dirty flag *without* recency promotion or hit/miss
-    /// accounting, inserting if absent. Recency order is deliberately not
-    /// reconstructed — the merge only runs in the fully-resident regime
-    /// (capacity ≥ LPN space), where eviction order is never consulted.
+    /// accounting; an absent entry is inserted as the probation MRU, so
+    /// entries adopted in [`CachedMappingTable::iter_entries`] order come
+    /// out of `iter_entries` in that order again. The merge only runs in
+    /// the fully-resident regime (capacity ≥ LPN space), where eviction
+    /// order is never consulted, but it is deterministic all the same.
     ///
     /// Panics if an insert would require an eviction.
     pub fn adopt(&mut self, lpn: Lpn, ppn: Ppn, dirty: bool) {
-        if let Some(&idx) = self.index.get(&lpn) {
-            let node = &mut self.nodes[idx as usize];
-            node.ppn = ppn;
-            let was_dirty = node.dirty;
-            node.dirty = dirty;
-            if dirty && !was_dirty {
-                self.mark_dirty(lpn);
-            } else if !dirty && was_dirty {
-                self.unmark_dirty(lpn);
+        if let Some(idx) = self.find(lpn) {
+            self.nodes[idx as usize].ppn = ppn;
+            if dirty {
+                self.mark_dirty(idx);
+            } else {
+                self.mark_clean(idx);
             }
         } else {
             assert!(
-                self.index.len() < self.capacity,
+                self.len() < self.capacity,
                 "adopt into a full CMT would evict"
             );
             let evicted = self.insert(lpn, ppn, dirty);
             debug_assert!(evicted.is_none());
         }
     }
+
+    // --- the index ---
+
+    fn home_slot(&self, lpn: Lpn) -> usize {
+        (lpn.wrapping_mul(HASH_MULTIPLIER) >> self.hash_shift) as usize
+    }
+
+    /// Walk `lpn`'s probe run: the slot that holds it and its node index,
+    /// or the empty slot that ends the run and `NIL`. The table is at most
+    /// half full, so the run always ends.
+    fn probe(&self, lpn: Lpn) -> (usize, u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home_slot(lpn);
+        loop {
+            let idx = self.slots[slot];
+            if idx == NIL || self.nodes[idx as usize].lpn == lpn {
+                return (slot, idx);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn find(&self, lpn: Lpn) -> Option<u32> {
+        let (_, idx) = self.probe(lpn);
+        (idx != NIL).then_some(idx)
+    }
+
+    /// Empty `hole` and close the gap: each later entry of the probe run
+    /// moves back into the hole unless that would put it before its home
+    /// slot, which would make it unreachable.
+    fn vacate_slot(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let idx = self.slots[slot];
+            if idx == NIL {
+                break;
+            }
+            let home = self.home_slot(self.nodes[idx as usize].lpn);
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.slots[hole] = idx;
+                hole = slot;
+            }
+        }
+        self.slots[hole] = NIL;
+    }
+
+    // --- the recency lists ---
 
     fn list(&mut self, seg: Segment) -> &mut ListEnds {
         match seg {
@@ -275,25 +360,74 @@ impl CachedMappingTable {
         l.len += 1;
     }
 
-    fn mark_dirty(&mut self, lpn: Lpn) {
-        let tvpn = self.tvpn_of(lpn);
-        self.dirty_index.entry(tvpn).or_default().insert(lpn);
+    // --- the dirty lists ---
+
+    /// Set the dirty flag and link the node at the head of its translation
+    /// page's dirty list; no-op on an already dirty node.
+    fn mark_dirty(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        if node.dirty {
+            return;
+        }
+        let tvpn = usize::try_from(self.tvpn_of(node.lpn)).expect("tvpn exceeds the address space");
+        if tvpn >= self.dirty_heads.len() {
+            self.dirty_heads.resize(tvpn + 1, NIL);
+        }
+        let old_head = std::mem::replace(&mut self.dirty_heads[tvpn], idx);
+        if old_head != NIL {
+            self.nodes[old_head as usize].dprev = idx;
+        }
+        let node = &mut self.nodes[idx as usize];
+        node.dirty = true;
+        node.dprev = NIL;
+        node.dnext = old_head;
     }
 
-    fn unmark_dirty(&mut self, lpn: Lpn) {
-        let tvpn = self.tvpn_of(lpn);
-        if let Some(set) = self.dirty_index.get_mut(&tvpn) {
-            set.remove(&lpn);
-            if set.is_empty() {
-                self.dirty_index.remove(&tvpn);
-            }
+    /// Clear the dirty flag and unlink the node from its dirty list; no-op
+    /// on a clean node.
+    fn mark_clean(&mut self, idx: u32) {
+        let node = &mut self.nodes[idx as usize];
+        if !node.dirty {
+            return;
+        }
+        node.dirty = false;
+        let (lpn, dprev, dnext) = (node.lpn, node.dprev, node.dnext);
+        if dnext != NIL {
+            self.nodes[dnext as usize].dprev = dprev;
+        }
+        if dprev != NIL {
+            self.nodes[dprev as usize].dnext = dnext;
+        } else {
+            let tvpn = self.tvpn_of(lpn) as usize;
+            self.dirty_heads[tvpn] = dnext;
         }
     }
+
+    /// Detach translation page `tvpn`'s whole dirty list, clearing each
+    /// node's flag after showing it to `visit`.
+    fn drain_dirty(&mut self, tvpn: u64, mut visit: impl FnMut(Lpn, Ppn)) {
+        let Some(head) = usize::try_from(tvpn)
+            .ok()
+            .and_then(|t| self.dirty_heads.get_mut(t))
+        else {
+            return;
+        };
+        let mut idx = std::mem::replace(head, NIL);
+        while idx != NIL {
+            let node = &mut self.nodes[idx as usize];
+            debug_assert!(node.dirty);
+            node.dirty = false;
+            visit(node.lpn, node.ppn);
+            idx = node.dnext;
+        }
+    }
+
+    // --- operations ---
 
     /// A referencing lookup: on hit, promote to the protected segment and
     /// return the mapping. Counts toward hit/miss statistics.
     pub fn lookup(&mut self, lpn: Lpn) -> Option<Ppn> {
-        let Some(&idx) = self.index.get(&lpn) else {
+        let Some(idx) = self.find(lpn) else {
             self.misses += 1;
             return None;
         };
@@ -316,9 +450,10 @@ impl CachedMappingTable {
 
     /// Non-referencing read of a cached mapping (no promotion, no stats).
     pub fn peek(&self, lpn: Lpn) -> Option<(Ppn, bool)> {
-        self.index
-            .get(&lpn)
-            .map(|&i| (self.nodes[i as usize].ppn, self.nodes[i as usize].dirty))
+        self.find(lpn).map(|idx| {
+            let n = &self.nodes[idx as usize];
+            (n.ppn, n.dirty)
+        })
     }
 
     /// Update the mapping of an LPN that is already cached (a write hit):
@@ -326,13 +461,9 @@ impl CachedMappingTable {
     ///
     /// Panics if the LPN is not cached — callers must `lookup` first.
     pub fn update(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        let &idx = self.index.get(&lpn).expect("update of uncached mapping");
-        let node = &mut self.nodes[idx as usize];
-        node.ppn = new_ppn;
-        if !node.dirty {
-            node.dirty = true;
-            self.mark_dirty(lpn);
-        }
+        let idx = self.find(lpn).expect("update of uncached mapping");
+        self.nodes[idx as usize].ppn = new_ppn;
+        self.mark_dirty(idx);
         self.promote(idx);
     }
 
@@ -342,15 +473,11 @@ impl CachedMappingTable {
     ///
     /// No-op if the LPN is not cached (GC moves uncached pages too).
     pub fn update_in_place(&mut self, lpn: Lpn, new_ppn: Ppn) -> bool {
-        let Some(&idx) = self.index.get(&lpn) else {
+        let Some(idx) = self.find(lpn) else {
             return false;
         };
-        let node = &mut self.nodes[idx as usize];
-        node.ppn = new_ppn;
-        if !node.dirty {
-            node.dirty = true;
-            self.mark_dirty(lpn);
-        }
+        self.nodes[idx as usize].ppn = new_ppn;
+        self.mark_dirty(idx);
         true
     }
 
@@ -360,42 +487,35 @@ impl CachedMappingTable {
     /// Panics if the LPN is already cached.
     pub fn insert(&mut self, lpn: Lpn, ppn: Ppn, dirty: bool) -> Option<Evicted> {
         assert!(
-            !self.index.contains_key(&lpn),
+            self.find(lpn).is_none(),
             "insert of already-cached lpn {lpn}"
         );
-        let evicted = if self.index.len() >= self.capacity {
-            Some(self.evict_one())
+        let evicted = (self.len() >= self.capacity).then(|| self.evict_one());
+        let node = Node {
+            lpn,
+            ppn,
+            prev: NIL,
+            next: NIL,
+            dprev: NIL,
+            dnext: NIL,
+            dirty: false,
+            seg: Segment::Probation,
+        };
+        let idx = if self.free_head != NIL {
+            let idx = self.free_head;
+            self.free_head = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+            idx
         } else {
-            None
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Node {
-                    lpn,
-                    ppn,
-                    dirty,
-                    seg: Segment::Probation,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    lpn,
-                    ppn,
-                    dirty,
-                    seg: Segment::Probation,
-                    prev: NIL,
-                    next: NIL,
-                });
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        self.index.insert(lpn, idx);
+        // Probed after the eviction: closing the victim's gap may have
+        // moved the end of this LPN's run.
+        let (slot, _) = self.probe(lpn);
+        self.slots[slot] = idx;
         self.attach_front(idx, Segment::Probation);
         if dirty {
-            self.mark_dirty(lpn);
+            self.mark_dirty(idx);
         }
         evicted
     }
@@ -420,63 +540,65 @@ impl CachedMappingTable {
             ppn: node.ppn,
             dirty: node.dirty,
         };
-        self.index.remove(&ev.lpn);
-        if ev.dirty {
-            self.unmark_dirty(ev.lpn);
-        }
-        self.free.push(idx);
+        self.mark_clean(idx);
+        let (slot, found) = self.probe(ev.lpn);
+        debug_assert_eq!(found, idx, "index desync");
+        self.vacate_slot(slot);
+        self.nodes[idx as usize].next = self.free_head;
+        self.free_head = idx;
         ev
     }
 
     /// Remove a specific cached entry (e.g. when GC relocates its
     /// translation page and the FTL re-materialises mappings).
     pub fn remove(&mut self, lpn: Lpn) -> Option<Evicted> {
-        let &idx = self.index.get(&lpn)?;
+        let idx = self.find(lpn)?;
         Some(self.remove_node(idx))
     }
 
     /// Drain and clean every *dirty* cached mapping belonging to
-    /// translation page `tvpn`, returning (lpn, ppn) pairs. The entries
-    /// stay cached but are no longer dirty — the caller is about to write
-    /// them all into the translation page in one batch.
+    /// translation page `tvpn`, returning (lpn, ppn) pairs in ascending
+    /// LPN order. The entries stay cached but are no longer dirty — the
+    /// caller is about to write them all into the translation page in one
+    /// batch.
     pub fn flush_translation_page(&mut self, tvpn: u64) -> Vec<(Lpn, Ppn)> {
-        let Some(set) = self.dirty_index.remove(&tvpn) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(set.len());
-        for lpn in set {
-            let &idx = self.index.get(&lpn).expect("dirty index desync");
-            let node = &mut self.nodes[idx as usize];
-            debug_assert!(node.dirty);
-            node.dirty = false;
-            out.push((lpn, node.ppn));
-        }
+        let mut out = Vec::new();
+        self.drain_dirty(tvpn, |lpn, ppn| out.push((lpn, ppn)));
+        out.sort_unstable();
         out
     }
 
-    /// All dirty entries grouped by translation page — used when shutting
-    /// down a run to account for outstanding state (and in audits).
-    pub fn dirty_tvpns(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.dirty_index.keys().copied().collect();
-        v.sort_unstable();
-        v
+    /// [`CachedMappingTable::flush_translation_page`] for a caller that
+    /// does not need the pairs: cleans the same entries, allocates nothing.
+    pub fn clean_translation_page(&mut self, tvpn: u64) {
+        self.drain_dirty(tvpn, |_, _| {});
     }
 
-    /// Audit internal consistency: index ↔ lists ↔ dirty-index agreement.
+    /// The translation pages that have dirty entries, ascending — used
+    /// when shutting down a run to account for outstanding state (and in
+    /// audits).
+    pub fn dirty_tvpns(&self) -> Vec<u64> {
+        self.dirty_heads
+            .iter()
+            .enumerate()
+            .filter(|(_, &head)| head != NIL)
+            .map(|(tvpn, _)| tvpn as u64)
+            .collect()
+    }
+
+    /// Audit internal consistency: recency lists ↔ index ↔ dirty lists.
     pub fn check(&self) -> Result<(), String> {
-        if self.probation.len + self.protected.len != self.index.len() {
-            return Err("segment lengths disagree with index".into());
-        }
-        if self.index.len() > self.capacity {
+        if self.len() > self.capacity {
             return Err("over capacity".into());
         }
-        let mut seen = 0usize;
+        let mut dirty_nodes = 0usize;
         for (ends, seg) in [
             (self.probation, Segment::Probation),
             (self.protected, Segment::Protected),
         ] {
             let mut idx = ends.head;
             let mut prev = NIL;
+            let mut seen = 0usize;
             while idx != NIL {
                 let n = &self.nodes[idx as usize];
                 if n.seg != seg {
@@ -485,16 +607,10 @@ impl CachedMappingTable {
                 if n.prev != prev {
                     return Err("broken prev link".into());
                 }
-                if self.index.get(&n.lpn) != Some(&idx) {
-                    return Err("index desync".into());
+                if self.find(n.lpn) != Some(idx) {
+                    return Err(format!("index desync for lpn {}", n.lpn));
                 }
-                let dirty_indexed = self
-                    .dirty_index
-                    .get(&self.tvpn_of(n.lpn))
-                    .is_some_and(|s| s.contains(&n.lpn));
-                if n.dirty != dirty_indexed {
-                    return Err(format!("dirty index desync for lpn {}", n.lpn));
-                }
+                dirty_nodes += n.dirty as usize;
                 prev = idx;
                 idx = n.next;
                 seen += 1;
@@ -502,9 +618,43 @@ impl CachedMappingTable {
             if ends.tail != prev {
                 return Err("tail mismatch".into());
             }
+            if seen != ends.len {
+                return Err("segment length disagrees with its list".into());
+            }
         }
-        if seen != self.index.len() {
+        let occupied = self.slots.iter().filter(|&&s| s != NIL).count();
+        if occupied != self.len() {
             return Err("orphan index entries".into());
+        }
+        // Every listed node is dirty and on its own translation page's
+        // list; together with the count, every dirty node is listed.
+        let mut listed = 0usize;
+        for (tvpn, &head) in self.dirty_heads.iter().enumerate() {
+            let mut idx = head;
+            let mut dprev = NIL;
+            while idx != NIL {
+                let n = &self.nodes[idx as usize];
+                if !n.dirty || self.find(n.lpn) != Some(idx) {
+                    return Err(format!("dirty list {tvpn} holds a clean or dead node"));
+                }
+                if self.tvpn_of(n.lpn) != tvpn as u64 {
+                    return Err(format!("lpn {} on dirty list {tvpn}", n.lpn));
+                }
+                if n.dprev != dprev {
+                    return Err(format!("broken dprev link for lpn {}", n.lpn));
+                }
+                dprev = idx;
+                idx = n.dnext;
+                listed += 1;
+                if listed > dirty_nodes {
+                    return Err("dirty lists hold more nodes than are dirty".into());
+                }
+            }
+        }
+        if listed != dirty_nodes {
+            return Err(format!(
+                "{dirty_nodes} dirty nodes but {listed} on the dirty lists"
+            ));
         }
         Ok(())
     }
@@ -643,6 +793,89 @@ mod tests {
         // Uncached lpn is a no-op.
         assert!(!c.update_in_place(99, 1));
         c.check().unwrap();
+    }
+
+    #[test]
+    fn backward_shift_keeps_a_shared_probe_run_findable() {
+        // 8 entries in 16 slots: five LPNs homed on one slot and three on
+        // the next, so the run is one 8-slot cluster with every entry but
+        // the first displaced.
+        let probe = cmt(8);
+        let homed_at = |slot: usize, n: usize| -> Vec<u64> {
+            (0u64..)
+                .filter(|&l| probe.home_slot(l) == slot)
+                .take(n)
+                .collect()
+        };
+        let slots = probe.slots.len();
+        let mut lpns = homed_at(slots - 2, 5); // the run wraps around the table
+        lpns.extend(homed_at(slots - 1, 3));
+        for rotate in 0..lpns.len() {
+            for reverse in [false, true] {
+                let mut c = cmt(8);
+                for &l in &lpns {
+                    c.insert(l, l + 1, l % 2 == 0);
+                }
+                let mut order = lpns.clone();
+                order.rotate_left(rotate);
+                if reverse {
+                    order.reverse();
+                }
+                for (gone, &l) in order.iter().enumerate() {
+                    assert_eq!(c.remove(l).map(|e| e.ppn), Some(l + 1));
+                    assert_eq!(c.peek(l), None);
+                    for &s in &order[gone + 1..] {
+                        assert_eq!(c.peek(s), Some((s + 1, s % 2 == 0)), "lost lpn {s}");
+                    }
+                    c.check().unwrap();
+                }
+                assert!(c.slots.iter().all(|&s| s == NIL));
+            }
+        }
+    }
+
+    #[test]
+    fn clean_translation_page_matches_flush() {
+        let mut c = cmt(8);
+        for l in [5, 3, 300, 4] {
+            c.insert(l, l + 100, true);
+        }
+        let mut flushed = c.clone();
+        assert_eq!(
+            flushed.flush_translation_page(0),
+            vec![(3, 103), (4, 104), (5, 105)]
+        );
+        c.clean_translation_page(0);
+        c.clean_translation_page(77); // never dirtied: no-op
+        assert_eq!(
+            c.iter_entries().collect::<Vec<_>>(),
+            flushed.iter_entries().collect::<Vec<_>>()
+        );
+        assert_eq!(c.dirty_tvpns(), vec![1]);
+        c.check().unwrap();
+    }
+
+    #[test]
+    fn fork_and_adopt_preserve_eviction_order() {
+        let mut c = cmt(6);
+        for l in 0..6 {
+            c.insert(l, l * 10, l % 2 == 1);
+        }
+        c.lookup(4);
+        c.lookup(1);
+        let fork = c.shard_fork_owned(&|_| true);
+        fork.check().unwrap();
+        assert_eq!(
+            fork.iter_entries().collect::<Vec<_>>(),
+            c.iter_entries().collect::<Vec<_>>()
+        );
+        let odd = c.shard_fork_owned(&|l| l % 2 == 1);
+        assert_eq!(
+            odd.iter_entries().collect::<Vec<_>>(),
+            c.iter_entries()
+                .filter(|e| e.0 % 2 == 1)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

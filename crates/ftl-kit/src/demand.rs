@@ -140,7 +140,10 @@ impl DemandMap {
     /// mappings and cached entries for the LPNs `owns` selects (the
     /// worker's home planes), and add its hit/miss deltas. Only valid in
     /// the plane-pure regime, where the worker generated no translation
-    /// traffic and cached-entry recency is never consulted.
+    /// traffic and cached-entry recency is never consulted. Entries are
+    /// adopted in the worker table's eviction order
+    /// ([`CachedMappingTable::iter_entries`]), so merging workers in plane
+    /// order leaves the same recency lists on every run.
     pub fn shard_absorb(&mut self, worker: &DemandMap, owns: &dyn Fn(Lpn) -> bool) {
         debug_assert_eq!(
             worker.counters,
@@ -283,7 +286,7 @@ impl DemandMap {
         self.gtd.update(tvpn, new_ppn);
         // All dirty siblings and pending GC updates are persisted by this
         // write.
-        let _ = self.cmt.flush_translation_page(tvpn);
+        self.cmt.clean_translation_page(tvpn);
         if let Some(c) = self.pending.remove(&tvpn) {
             self.pending_total -= c as u64;
         }
@@ -315,8 +318,14 @@ impl DemandMap {
         self.cmt.check()?;
         // Every cached entry must equal the authoritative mapping (we keep
         // them in lock-step; dirtiness only describes the on-flash copy).
-        // Sampling the dirty set suffices for the cheap audit; integration
-        // tests do full scans.
+        for (lpn, ppn, _) in self.cmt.iter_entries() {
+            let authoritative = self.map.get(lpn as usize).copied();
+            if authoritative != Some(ppn) {
+                return Err(format!(
+                    "lpn {lpn} cached at ppn {ppn}, authoritative map says {authoritative:?}"
+                ));
+            }
+        }
         for tvpn in self.cmt.dirty_tvpns() {
             if tvpn as usize >= self.gtd.len() {
                 return Err(format!("dirty tvpn {tvpn} out of GTD range"));
@@ -344,9 +353,13 @@ mod tests {
         active: Option<BlockAddr>,
     }
 
+    fn geometry() -> dloop_nand::Geometry {
+        dloop_nand::Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2)
+    }
+
     impl Rig {
         fn new(cmt_cap: usize) -> Self {
-            let g = dloop_nand::Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2);
+            let g = geometry();
             Rig {
                 flash: FlashState::new(g.clone()),
                 dir: PageDirectory::new(&g),
@@ -522,6 +535,56 @@ mod tests {
             dm.flush_pending_over_budget(ctx, &mut allow, place);
         });
         assert!(rig.dm.pending_total() <= 2);
+    }
+
+    /// One sharded round trip in the resident regime: two workers fork by
+    /// LPN parity, each overwrites some owned mappings and caches new ones,
+    /// and both merge back in worker order.
+    fn sharded_round_trip() -> Vec<(Lpn, Ppn, bool)> {
+        let mut rig = Rig::new(geometry().user_pages() as usize);
+        assert!(rig.dm.plane_pure());
+        rig.run(|dm, ctx, place| {
+            for lpn in (0..200u64).map(|i| (i * 37) % 512) {
+                dm.ensure_cached(lpn, ctx, place);
+                dm.commit_write(lpn, 10_000 + lpn);
+            }
+        });
+        let owners: [&dyn Fn(Lpn) -> bool; 2] = [&|l| l % 2 == 0, &|l| l % 2 == 1];
+        let mut workers: Vec<DemandMap> = owners.iter().map(|o| rig.dm.shard_fork(o)).collect();
+        for (w, worker) in workers.iter_mut().enumerate() {
+            rig.run(|_, ctx, place| {
+                // Half of these LPNs are new to the cache.
+                for lpn in (0..300u64).map(|i| (i * 53) % 1024 * 2 + w as u64) {
+                    worker.ensure_cached(lpn, ctx, place);
+                    worker.commit_write(lpn, 20_000 + lpn);
+                }
+            });
+        }
+        for (worker, owns) in workers.iter().zip(owners) {
+            rig.dm.shard_absorb(worker, owns);
+        }
+        rig.dm.check().unwrap();
+        rig.dm.cmt.iter_entries().collect()
+    }
+
+    #[test]
+    fn sharded_merge_order_is_deterministic() {
+        let first = sharded_round_trip();
+        assert!(first.len() > 200, "the workers cached new entries");
+        assert_eq!(first, sharded_round_trip());
+    }
+
+    #[test]
+    fn check_compares_cached_entries_with_the_map() {
+        let mut rig = Rig::new(4);
+        rig.run(|dm, ctx, place| {
+            dm.ensure_cached(9, ctx, place);
+            dm.commit_write(9, 50);
+        });
+        rig.dm.check().unwrap();
+        rig.dm.map[9] = 51;
+        let err = rig.dm.check().unwrap_err();
+        assert!(err.contains("lpn 9"), "{err}");
     }
 
     #[test]

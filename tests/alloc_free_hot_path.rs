@@ -1,0 +1,167 @@
+//! Zero-allocation witness for the two per-plane hot paths: a DLOOP page
+//! write (translation, placement, copy-back collection) and a CMT miss with
+//! a dirty eviction. A counting global allocator tallies heap allocations
+//! per thread; once the working buffers have grown during a warm-up, a
+//! further stretch of operations must not allocate at all.
+
+use dloop_repro::dloop_ftl::{DloopConfig, DloopFtl};
+use dloop_repro::ftl_kit::cmt::CachedMappingTable;
+use dloop_repro::ftl_kit::config::SsdConfig;
+use dloop_repro::ftl_kit::dir::PageDirectory;
+use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, OpChain, Phase};
+use dloop_repro::nand::FlashState;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations and growing reallocations made by this thread (the
+    /// harness runs the two tests on separate threads).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // A thread that is being torn down no longer counts.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it never allocates
+// or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller guarantees `ptr` came from this allocator with
+        // `layout`, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(|n| n.get())
+}
+
+/// A chain whose buffer already holds `steps` steps' worth of capacity.
+fn roomy_chain(steps: usize) -> OpChain {
+    let mut chain = OpChain::new();
+    for _ in 0..steps {
+        chain.push(FlashStep::Read { plane: 0 });
+    }
+    chain.clear();
+    chain
+}
+
+// Parent commit (`BTreeSet` dirty index, per-pass and per-op vectors):
+// 7 037 allocations inside `Ftl::write` over the same measured window.
+#[test]
+fn dloop_writes_with_copyback_collections_do_not_allocate() {
+    let config = SsdConfig::micro_gc_test();
+    let geometry = config.geometry();
+    let mut flash = FlashState::new(geometry.clone());
+    let mut dir = PageDirectory::new(&geometry);
+    let mut ftl = DloopFtl::with_geometry(geometry.clone(), DloopConfig::from(&config));
+    let mut chains = [roomy_chain(4096), roomy_chain(4096), roomy_chain(4096)];
+
+    // Overwrite two thirds of the LPN space in random order, so the victims
+    // GC picks still hold live pages it has to copy back.
+    let span = geometry.user_pages() * 2 / 3;
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut write_some = |ftl: &mut DloopFtl, writes: u64| -> u64 {
+        let mut inside_write = 0;
+        for _ in 0..writes {
+            // xorshift64
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let lpn = rng % span;
+            let [host, gc, scan] = &mut chains;
+            host.clear();
+            gc.clear();
+            scan.clear();
+            let mut ctx = FtlContext {
+                flash: &mut flash,
+                dir: &mut dir,
+                host_chain: host,
+                gc_chain: gc,
+                scan_chain: scan,
+                phase: Phase::Host,
+            };
+            let before = allocations();
+            ftl.write(lpn, &mut ctx);
+            inside_write += allocations() - before;
+        }
+        inside_write
+    };
+
+    write_some(&mut ftl, 6 * span);
+    let warm = ftl.counters();
+    assert!(warm.gc_invocations > 0 && warm.copyback_moves > 0);
+
+    let allocated = write_some(&mut ftl, 2 * span);
+    let measured = ftl.counters().since(&warm);
+    assert!(
+        measured.gc_invocations > 0 && measured.copyback_moves > 0,
+        "the measured window must include copy-back collections: {measured:?}"
+    );
+    assert_eq!(allocated, 0, "heap allocations inside Ftl::write");
+}
+
+// Parent commit, with `flush_translation_page` standing in for the new
+// `clean_translation_page`: 6 912 allocations over the same measured window
+// (a `Vec` per flush, `BTreeSet` nodes on clean→dirty transitions).
+#[test]
+fn cmt_miss_with_dirty_eviction_does_not_allocate() {
+    const CAPACITY: usize = 256;
+    const LPNS: u64 = 4096;
+    let mut cmt = CachedMappingTable::new(CAPACITY, 64);
+    let mut evictions = 0u64;
+    let mut write_back = 0u64;
+    let mut touch = |cmt: &mut CachedMappingTable, i: u64| {
+        let lpn = (i * 2654435761) % LPNS;
+        if cmt.lookup(lpn).is_none() {
+            if let Some(victim) = cmt.insert(lpn, i, false) {
+                evictions += 1;
+                if victim.dirty {
+                    write_back += 1;
+                    cmt.clean_translation_page(cmt.tvpn_of(victim.lpn));
+                }
+            }
+        }
+        cmt.update(lpn, i + 1);
+    };
+
+    for i in 0..4 * LPNS {
+        touch(&mut cmt, i);
+    }
+    let before = allocations();
+    for i in 4 * LPNS..8 * LPNS {
+        touch(&mut cmt, i);
+    }
+    let allocated = allocations() - before;
+    assert!(evictions > 4 * LPNS && write_back > 1000);
+    assert_eq!(cmt.len(), CAPACITY);
+    cmt.check().unwrap();
+    assert_eq!(allocated, 0, "heap allocations on the CMT miss path");
+}
