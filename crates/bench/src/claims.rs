@@ -11,7 +11,7 @@ use crate::runner::{build_ftl, run_grid, RunSpec};
 use crate::table::Table;
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
-use dloop_ftl_kit::metrics::RunReport;
+use dloop_ftl_kit::metrics::{RunReport, ShardOutcome};
 use dloop_ftl_kit::sched::QosSpec;
 use dloop_host::{report_fingerprint, HostConfig, HostStack};
 use dloop_nand::TimingConfig;
@@ -856,10 +856,12 @@ fn check_sq_windows_on(
 
 /// C15 — the sharded playback engine is an implementation detail: for
 /// every replay mode, `RunConfig::shards(n)` must leave the full report
-/// fingerprint bit-identical to the sequential engine. The globally
-/// coupled schedulers (gated/NCQ/QoS) keep their sequential playback
-/// under the hood, so for them the check pins the fallback; the open
-/// and closed modes exercise the actual worker threads.
+/// fingerprint bit-identical to the sequential engine. Closed mode, the
+/// globally coupled schedulers (gated/NCQ/QoS) and an open run whose map
+/// outgrows the CMT all fall back to the sequential engine, so for them
+/// the check pins the fallback; the open run over a resident map is the
+/// anchor that must engage the worker threads
+/// (`RunReport::shard_outcome`).
 fn check_shard_identity(opts: &ExpOptions) -> ClaimResult {
     let config = SsdConfig::paper_default().with_capacity_gb(1);
     check_shard_identity_on(opts, config, 1_200)
@@ -881,30 +883,47 @@ fn check_shard_identity_on(
         requests_per_tenant,
         footprint,
     );
-    let modes: [(&str, fn() -> RunConfig); 5] = [
-        ("open", RunConfig::open),
-        ("gated", RunConfig::gated),
-        ("closed(8)", || RunConfig::closed(8)),
-        ("ncq(8)", || RunConfig::ncq(8)),
-        ("qos(fair-share,8)", || {
-            RunConfig::qos(QosSpec::fair_share()).queue_depth(8)
-        }),
+    let resident = SsdConfig {
+        cmt_capacity: geometry.user_pages() as usize,
+        ..config.clone()
+    };
+    // (label, run, on the resident-map device — which must engage).
+    let modes: [(&str, fn() -> RunConfig, bool); 6] = [
+        ("open", RunConfig::open, false),
+        ("gated", RunConfig::gated, false),
+        ("closed(8)", || RunConfig::closed(8), false),
+        ("ncq(8)", || RunConfig::ncq(8), false),
+        (
+            "qos(fair-share,8)",
+            || RunConfig::qos(QosSpec::fair_share()).queue_depth(8),
+            false,
+        ),
+        ("open, resident map", RunConfig::open, true),
     ];
     let mut pass = true;
     let mut worst = String::new();
     let mut checked = 0u32;
-    for (name, make) in modes {
-        let mut seq_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+    let mut engaged = 0u32;
+    for (name, make, must_engage) in modes {
+        let config = if must_engage { &resident } else { &config };
+        let mut seq_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
         let seq = report_fingerprint(&seq_dev.run_with(&mix.requests, make()));
         for shards in [2usize, 4] {
-            let mut dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-            let fp = report_fingerprint(&dev.run_with(&mix.requests, make().shards(shards)));
+            let mut dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
+            let report = dev.run_with(&mix.requests, make().shards(shards));
+            let fp = report_fingerprint(&report);
             checked += 1;
             if fp != seq {
                 pass = false;
                 worst = format!(
                     "{name} diverged at {shards} shards ({fp:#018x} vs sequential {seq:#018x})"
                 );
+            }
+            if report.shard_outcome == ShardOutcome::Engaged {
+                engaged += 1;
+            } else if must_engage {
+                pass = false;
+                worst = format!("{name} at {shards} shards: {:?}", report.shard_outcome);
             }
         }
     }
@@ -913,7 +932,10 @@ fn check_shard_identity_on(
         claim: "sharded playback is bit-identical to the sequential engine in every replay mode",
         pass,
         detail: if pass {
-            format!("{checked} sharded runs matched their sequential fingerprint across 5 modes")
+            format!(
+                "{checked} sharded runs matched their sequential fingerprint across 5 modes, \
+                 {engaged} of them served by the plane-local engine"
+            )
         } else {
             worst
         },
@@ -1228,8 +1250,8 @@ mod tests {
 
     #[test]
     fn c15_sharded_playback_matches_sequential() {
-        // Four channels give the sharded engine real worker threads; the
-        // micro device keeps the fifteen replays cheap.
+        // Four channels give the resident-map anchor real worker threads;
+        // the micro device keeps the eighteen replays cheap.
         let opts = ExpOptions::default();
         let config = dloop_ftl_kit::config::SsdConfig {
             channels: 4,

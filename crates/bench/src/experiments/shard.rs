@@ -1,12 +1,12 @@
 //! Sharded-engine speedup sweep (beyond the paper).
 //!
-//! The `shard` experiment measures what the parallel playback engine
+//! The `shard` experiment measures what the plane-local parallel engine
 //! (`RunConfig::shards`, DESIGN.md §3f) buys on the workload it was
 //! built for: a multi-million-op uniform random-overwrite stream against
-//! an aged device, where steady-state GC keeps every plane busy and the
-//! DLOOP copy-back chains stay on their own plane — so almost no window
-//! job crosses a shard boundary and the channel groups genuinely advance
-//! in parallel.
+//! an aged device with a resident map, where steady-state GC keeps every
+//! plane busy and the DLOOP copy-back chains stay on their own plane —
+//! so every op's translation and playback stay inside one shard and the
+//! channel groups genuinely advance in parallel.
 //!
 //! The sweep replays the *same* trace on the *same* aged device image at
 //! 1, 2, 4 and 8 shards, wall-clocks each run, and checks every sharded
@@ -41,7 +41,7 @@ use crate::runner::build_ftl;
 use crate::table::{f2, Table};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
-use dloop_ftl_kit::metrics::RunReport;
+use dloop_ftl_kit::metrics::{RunReport, ShardOutcome};
 use dloop_host::report_fingerprint;
 use dloop_workloads::synth::{sequential_fill, uniform_random, UniformParams};
 use dloop_workloads::Trace;
@@ -54,8 +54,10 @@ use std::time::Instant;
 /// prefix, the slowest shard's state fork, the slowest shard's replay,
 /// and the serial merge; `cap_saturated` flags rows replayed with more
 /// shards than host cores, whose `wall_ms` time-slices and must not be
-/// read as parallel time.
-pub const SHARD_HEADER: [&str; 11] = [
+/// read as parallel time; `outcome` says whether the parallel engine
+/// served the row or which guard sent it to the sequential one
+/// (`RunReport::shard_outcome`).
+pub const SHARD_HEADER: [&str; 12] = [
     "shards",
     "wall_ms",
     "critical_path_ms",
@@ -67,6 +69,7 @@ pub const SHARD_HEADER: [&str; 11] = [
     "replay_ms",
     "merge_ms",
     "cap_saturated",
+    "outcome",
 ];
 
 /// Shard counts the sweep replays, in row order. The acceptance gate
@@ -105,6 +108,8 @@ pub struct ShardRow {
     /// parallelism, so this row's shard tasks time-sliced and `wall_ms`
     /// is not a parallel measurement (`critical_path_ms` still is).
     pub cap_saturated: bool,
+    /// Which engine served the run, and why if not the parallel one.
+    pub outcome: ShardOutcome,
 }
 
 /// The measured sweep plus the workload description that headlines it.
@@ -155,7 +160,7 @@ impl ShardSweep {
                 "    {{\"shards\": {}, \"wall_ms\": {:.3}, \"critical_path_ms\": {:.3}, \
                  \"speedup\": {:.3}, \"fingerprint_match\": {}, \"pages_played\": {}, \
                  \"partition_ms\": {:.3}, \"fork_ms\": {:.3}, \"replay_ms\": {:.3}, \
-                 \"merge_ms\": {:.3}, \"cap_saturated\": {}}}",
+                 \"merge_ms\": {:.3}, \"cap_saturated\": {}, \"outcome\": \"{:?}\"}}",
                 r.shards,
                 r.wall_ms,
                 r.critical_path_ms,
@@ -166,7 +171,8 @@ impl ShardSweep {
                 r.fork_ms,
                 r.replay_ms,
                 r.merge_ms,
-                r.cap_saturated
+                r.cap_saturated,
+                r.outcome
             );
             s.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
         }
@@ -190,9 +196,10 @@ fn pages_played(r: &RunReport) -> u64 {
 /// every plane collects constantly, but collections always restore the
 /// free pool to the GC threshold. Overwriting the full space instead
 /// drives utilisation to ~97 % — GC hell, where bounded collections
-/// leave planes below threshold; the engine stays bit-identical there
-/// but serves the run sequentially, which is the fallback this sweep is
-/// *not* measuring.
+/// leave planes below threshold; the run stays bit-identical there but
+/// a worker's purity check sends it to the sequential engine (the
+/// `outcome` column says so), which is the fallback this sweep is *not*
+/// measuring.
 fn overwrite_trace(seed: u64, user_pages: u64, requests: u64) -> Trace {
     uniform_random(
         &UniformParams {
@@ -247,6 +254,7 @@ pub fn sweep_on(opts: &ExpOptions, config: SsdConfig, requests: u64) -> ShardSwe
             replay_ms: timing.map(|t| t.max_worker_ms()).unwrap_or(0.0),
             merge_ms: timing.map(|t| t.merge_ms).unwrap_or(0.0),
             cap_saturated: shards > host_cpus,
+            outcome: report.shard_outcome,
         });
     }
     ShardSweep {
@@ -278,6 +286,7 @@ pub fn to_table(sweep: &ShardSweep) -> Table {
             f2(r.replay_ms),
             f2(r.merge_ms),
             r.cap_saturated.to_string(),
+            format!("{:?}", r.outcome),
         ]);
     }
     table
@@ -290,9 +299,9 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let base = SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(4));
     let config = SsdConfig {
         // A fully resident mapping table: CMT-miss translation chains
-        // land on the translation page's plane, not the host plane, and
-        // a thrashing CMT would turn almost every window job into a
-        // cross-shard crossing (played at the sequential merge point).
+        // land on the translation page's plane, not the host plane, so
+        // with a cache smaller than the map the FTL cannot attest
+        // plane-local translation and every row would fall back.
         // Perf runs cache the map, as a real drive's DRAM would.
         cmt_capacity: base.geometry().user_pages() as usize,
         ..base
@@ -328,13 +337,25 @@ mod tests {
     #[test]
     fn micro_sweep_is_fingerprint_identical_and_json_well_formed() {
         let opts = ExpOptions::default();
-        let config = SsdConfig {
+        let wide = SsdConfig {
             channels: 4,
             ..SsdConfig::micro_gc_test()
+        };
+        // Resident map, as in `run`: the sharded rows must engage.
+        let config = SsdConfig {
+            cmt_capacity: wide.geometry().user_pages() as usize,
+            ..wide
         };
         let sweep = sweep_on(&opts, config, 3_000);
         assert_eq!(sweep.rows.len(), SHARD_COUNTS.len());
         assert!(sweep.all_match(), "sharded replay diverged: {sweep:?}");
+        for r in &sweep.rows {
+            let want = match r.shards {
+                1 => ShardOutcome::NotRequested,
+                _ => ShardOutcome::Engaged,
+            };
+            assert_eq!(r.outcome, want, "{} shards", r.shards);
+        }
         assert!(sweep.rows.iter().all(|r| r.pages_played > 3_000));
 
         let json = sweep.to_json();
@@ -353,6 +374,7 @@ mod tests {
             "\"replay_ms\":",
             "\"merge_ms\":",
             "\"cap_saturated\":",
+            "\"outcome\": \"Engaged\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -376,6 +398,7 @@ mod tests {
                 replay_ms: 0.7,
                 merge_ms: 0.1,
                 cap_saturated: false,
+                outcome: ShardOutcome::NotRequested,
             }],
         };
         let t = to_table(&sweep);

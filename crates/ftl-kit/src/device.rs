@@ -11,16 +11,25 @@
 //! same behaviour the paper's priority list produces (ready operations on
 //! free resources proceed immediately, blocked ones wait FIFO on their
 //! resource).
+//!
+//! There is one implementation of each job here. Arrival-reserving replay
+//! (open, closed) is an admission rule in front of
+//! [`CommandSession::submit`]; queueing replay (gated, NCQ, QoS) is one
+//! scheduler loop, `run_queued`, under two disciplines; and every chain
+//! any of them plays goes through the one player in `play.rs`.
 
 use crate::config::SsdConfig;
 use crate::dir::{PageDirectory, PageOwner};
 use crate::ftl::{FlashStep, Ftl, FtlContext, FtlCounters, OpChain, Phase};
-use crate::metrics::RunReport;
+use crate::metrics::{RunReport, ShardGuard, ShardOutcome};
+use crate::play::{play_op, PageOp, Played, ScanOrder};
 use crate::request::{HostOp, HostRequest, TenantId};
-use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec};
+use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
 use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
-use dloop_simkit::trace::{FlightRecorder, QueueDepthProbe, RingSink, SpanPhase, TraceSink};
+use dloop_simkit::trace::{FlightRecorder, QueueDepthProbe, RingSink, TraceSink};
 use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, PendingQueue, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Default reorder-window size for [`ReplayMode::Ncq`] — SATA NCQ's
 /// 32-entry command queue.
@@ -104,14 +113,15 @@ pub enum ReplayMode {
 /// depth for the modes that use one, the neutral [`QosSpec::Ncq`] policy,
 /// one shard (sequential engine), no sink change.
 ///
-/// `shards` selects the parallel engine (see `DESIGN.md` §3f): the device
-/// is partitioned into contiguous channel groups, each advancing on its
-/// own worker thread, with a deterministic merge that keeps every report
-/// field **bit-identical** to the sequential engine. Parallelism applies
-/// to the arrival-reserving modes ([`ReplayMode::Open`], and
-/// [`ReplayMode::Closed`] while its queue is under-subscribed); the
-/// globally-coupled schedulers (gated/NCQ/QoS) accept the knob but run
-/// sequentially, so identity holds trivially there.
+/// `shards` asks for the parallel engine (see `DESIGN.md` §3f): the
+/// device is partitioned into contiguous channel groups, each translating
+/// and playing its own page operations on a worker thread, with a
+/// deterministic merge that keeps every report field **bit-identical** to
+/// the sequential engine. Only an open-arrival replay of a plane-pure
+/// device can engage it; closed mode and the globally-coupled schedulers
+/// (gated/NCQ/QoS) accept the knob but run sequentially, so identity
+/// holds trivially there. [`RunReport::shard_outcome`] says which
+/// happened and, for a fallback, which guard fired.
 #[derive(Debug)]
 pub struct RunConfig {
     kind: ModeKind,
@@ -214,30 +224,6 @@ impl RunConfig {
         self.sink = Some(sink);
         self
     }
-
-    /// The shard count in force.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The equivalent [`ReplayMode`] (the mode-only view of this config —
-    /// shard count and sink attachment have no `ReplayMode` spelling).
-    pub fn replay_mode(&self) -> ReplayMode {
-        match self.kind {
-            ModeKind::Open => ReplayMode::Open,
-            ModeKind::Gated => ReplayMode::Gated,
-            ModeKind::Closed => ReplayMode::Closed {
-                queue_depth: self.queue_depth,
-            },
-            ModeKind::Ncq => ReplayMode::Ncq {
-                queue_depth: self.queue_depth,
-            },
-            ModeKind::Qos => ReplayMode::Qos {
-                queue_depth: self.queue_depth,
-                policy: self.policy,
-            },
-        }
-    }
 }
 
 impl From<ReplayMode> for RunConfig {
@@ -294,6 +280,12 @@ impl ReplayStats {
         }
     }
 
+    /// Make room for `units` more completion and queue-probe records.
+    fn reserve(&mut self, units: usize) {
+        self.completions.reserve(units);
+        self.queue.reserve(units);
+    }
+
     /// Sized for a queueing driver, whose probe tracks page operations
     /// (and one instant record per zero-page request).
     fn for_queued(requests: &[HostRequest]) -> Self {
@@ -320,10 +312,13 @@ impl ReplayStats {
     }
 }
 
-/// One translated page operation waiting in a queueing replay scheduler
-/// (gated or NCQ): the chains the FTL produced at arrival time plus the
-/// bookkeeping needed to finish its host request.
+/// One translated page operation waiting in the queueing scheduler: the
+/// chains the FTL produced at arrival time plus the bookkeeping needed to
+/// finish its host request.
 struct QueuedOp {
+    /// Global arrival sequence number (the pending list stays sorted by
+    /// it).
+    seq: u64,
     req: usize,
     lpn: u64,
     host: OpChain,
@@ -407,9 +402,9 @@ pub struct SsdDevice {
     /// FTL scheme counters at the last measurement reset, so reports cover
     /// only the measured window (like flash totals and media counters).
     ftl_baseline: FtlCounters,
-    pub(crate) wait_ms: OnlineStats,
-    pub(crate) service_ms: OnlineStats,
-    pub(crate) gc_block_ms: OnlineStats,
+    wait_ms: OnlineStats,
+    service_ms: OnlineStats,
+    gc_block_ms: OnlineStats,
 }
 
 impl SsdDevice {
@@ -531,9 +526,7 @@ impl SsdDevice {
     /// Replay `requests` as described by `config` — the single
     /// fully-general replay entry point. The admission mode, queue depth,
     /// QoS policy, shard count and optional sink attachment all ride in
-    /// the [`RunConfig`]; every legacy `run_trace*` entry point is a
-    /// deprecated one-line shim over this (fingerprint-identical,
-    /// property-tested in `tests/replay_modes.rs`).
+    /// the [`RunConfig`].
     pub fn run_with(&mut self, requests: &[HostRequest], config: RunConfig) -> RunReport {
         let RunConfig {
             kind,
@@ -545,22 +538,35 @@ impl SsdDevice {
         if let Some(sink) = sink {
             self.attach_sink(sink);
         }
-        match kind {
-            ModeKind::Open => self.run_reserving_sharded(requests, None, shards),
-            ModeKind::Gated => self.run_gated(requests),
-            ModeKind::Closed => {
-                assert!(queue_depth >= 1, "queue depth must be at least 1");
-                self.run_reserving_sharded(requests, Some(queue_depth), shards)
-            }
-            ModeKind::Ncq => {
-                assert!(queue_depth >= 1, "queue depth must be at least 1");
-                self.run_queued(requests, queue_depth, &mut NcqPolicy)
-            }
-            ModeKind::Qos => {
-                assert!(queue_depth >= 1, "queue depth must be at least 1");
-                self.run_queued(requests, queue_depth, policy.build().as_mut())
+        // A sharded request either engages the plane-local engine or
+        // names the guard that sent it to the sequential one below.
+        let mut outcome = ShardOutcome::NotRequested;
+        if shards > 1 {
+            let attempt = match kind {
+                ModeKind::Open => crate::shard::run_plane_local(self, requests, shards),
+                ModeKind::Closed => Err(ShardGuard::ClosedMode),
+                ModeKind::Gated | ModeKind::Ncq | ModeKind::Qos => Err(ShardGuard::QueueingMode),
+            };
+            match attempt {
+                Ok(report) => return report,
+                Err(guard) => outcome = ShardOutcome::FellBack(guard),
             }
         }
+        assert!(
+            queue_depth >= 1 || matches!(kind, ModeKind::Open | ModeKind::Gated),
+            "queue depth must be at least 1"
+        );
+        let mut report = match kind {
+            ModeKind::Open => self.run_reserving(requests, None),
+            ModeKind::Closed => self.run_reserving(requests, Some(queue_depth)),
+            // FlashSim's priority list (§IV.B) is the queueing scheduler
+            // with no window and arrival order as its only preference.
+            ModeKind::Gated => self.run_queued(requests, usize::MAX, &mut WindowFifoPolicy, true),
+            ModeKind::Ncq => self.run_queued(requests, queue_depth, &mut NcqPolicy, false),
+            ModeKind::Qos => self.run_queued(requests, queue_depth, policy.build().as_mut(), false),
+        };
+        report.shard_outcome = outcome;
+        report
     }
 
     /// Replay `requests` through the QoS window with a caller-owned
@@ -570,7 +576,8 @@ impl SsdDevice {
     /// token balances, issue counts — and custom [`QosPolicy`]
     /// implementations outside this crate can plug in. Only `config`'s
     /// queue depth and sink attachment are consulted; its mode and
-    /// [`QosSpec`] are superseded by `policy`.
+    /// [`QosSpec`] are superseded by `policy` (and a shard request falls
+    /// back, like every queueing mode's).
     pub fn run_with_policy(
         &mut self,
         requests: &[HostRequest],
@@ -578,159 +585,125 @@ impl SsdDevice {
         policy: &mut dyn QosPolicy,
     ) -> RunReport {
         let RunConfig {
-            queue_depth, sink, ..
+            queue_depth,
+            shards,
+            sink,
+            ..
         } = config;
         if let Some(sink) = sink {
             self.attach_sink(sink);
         }
         assert!(queue_depth >= 1, "queue depth must be at least 1");
-        self.run_queued(requests, queue_depth, policy)
-    }
-
-    /// Dispatch an arrival-reserving replay to the parallel channel-group
-    /// engine when more than one shard is requested (and the geometry
-    /// supports it), and to the sequential loop otherwise. The two
-    /// engines are bit-identical on the full report fingerprint (claim
-    /// C15).
-    fn run_reserving_sharded(
-        &mut self,
-        requests: &[HostRequest],
-        queue_depth: Option<usize>,
-        shards: usize,
-    ) -> RunReport {
-        let channels = self.flash.geometry().channels as usize;
-        if shards.min(channels) > 1 {
-            crate::shard::run_sharded(self, requests, queue_depth, shards)
-        } else {
-            self.run_reserving(requests, queue_depth)
+        let mut report = self.run_queued(requests, queue_depth, policy, false);
+        if shards > 1 {
+            report.shard_outcome = ShardOutcome::FellBack(ShardGuard::QueueingMode);
         }
-    }
-
-    /// Replay `requests` with open arrivals.
-    #[deprecated(note = "use `run_with(requests, RunConfig::open())` instead")]
-    pub fn run_trace(&mut self, requests: &[HostRequest]) -> RunReport {
-        self.run(requests, ReplayMode::Open)
+        report
     }
 
     /// Arrival-reserving replay: every page operation books its resources
     /// the moment its request is admitted. With `queue_depth: None`
     /// admission is the trace arrival itself (open mode); with `Some(d)` a
     /// request waits until fewer than `d` earlier requests are in flight
-    /// (closed mode). Open is exactly closed with an infinite queue — the
-    /// shared loop keeps the two modes bit-identical where they overlap.
-    pub(crate) fn run_reserving(
-        &mut self,
-        requests: &[HostRequest],
-        queue_depth: Option<usize>,
-    ) -> RunReport {
-        let lpn_space = self.flash.geometry().user_pages();
-        let mut stats = ReplayStats::with_capacity(requests.len(), requests.len());
+    /// (closed mode). Open is exactly closed with an infinite queue, and
+    /// both are this admission rule in front of [`CommandSession::submit`]
+    /// — which is what keeps the two modes, and the host stack's
+    /// interleaved driver, bit-identical where they overlap.
+    fn run_reserving(&mut self, requests: &[HostRequest], queue_depth: Option<usize>) -> RunReport {
         // Completion times of in-flight requests, earliest first (closed
         // mode only).
         // Capacity capped at the request count: a `usize::MAX` depth is a
         // legal "unbounded" spelling, not an allocation request.
-        let mut in_flight: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>> =
-            std::collections::BinaryHeap::with_capacity(
-                queue_depth.unwrap_or(0).min(requests.len()),
-            );
+        let mut in_flight: BinaryHeap<Reverse<SimTime>> =
+            BinaryHeap::with_capacity(queue_depth.unwrap_or(0).min(requests.len()));
+        let mut session = self.begin_commands();
+        session.reserve(requests.len());
 
         for i in ArrivalOrder::new(requests, |r| r.arrival).iter() {
             let req = &requests[i];
             let mut issue = req.arrival;
-            if req.pages > 0 {
-                if let Some(depth) = queue_depth {
-                    // Requests already completed by this arrival no longer
-                    // occupy queue slots: drain them first so the depth
-                    // gate (and the occupancy the probe reports) sees the
-                    // true in-flight count — a burst of zero-page requests
-                    // interleaved with full-queue admissions must not
-                    // observe a stale length. Draining never changes issue
-                    // times: a freed slot `<= arrival` contributes
-                    // `max(arrival, freed) = arrival` either way.
-                    while in_flight
-                        .peek()
-                        .is_some_and(|&std::cmp::Reverse(t)| t <= req.arrival)
-                    {
-                        in_flight.pop();
-                    }
-                    // Zero-page requests do no flash work: they complete at
-                    // arrival without occupying a queue slot.
-                    if in_flight.len() >= depth {
-                        let std::cmp::Reverse(freed) =
-                            in_flight.pop().expect("queue depth at least 1");
-                        issue = issue.max(freed);
-                    }
+            // Zero-page requests do no flash work: they complete at
+            // arrival without occupying a queue slot.
+            let slot = queue_depth.filter(|_| req.pages > 0);
+            if let Some(depth) = slot {
+                // Requests already completed by this arrival no longer
+                // occupy queue slots: drain them first so the depth gate
+                // (and the occupancy the probe reports) sees the true
+                // in-flight count — a burst of zero-page requests
+                // interleaved with full-queue admissions must not observe
+                // a stale length. Draining never changes issue times: a
+                // freed slot `<= arrival` contributes
+                // `max(arrival, freed) = arrival` either way.
+                while in_flight.peek().is_some_and(|&Reverse(t)| t <= req.arrival) {
+                    in_flight.pop();
+                }
+                if in_flight.len() >= depth {
+                    let Reverse(freed) = in_flight.pop().expect("queue depth at least 1");
+                    issue = issue.max(freed);
                 }
             }
-            let mut req_done = issue;
-            for lpn in req.wrapped_page_ops(lpn_space) {
-                let done = self.serve_page_op(lpn, req.op, issue, i as u64);
-                req_done = req_done.max(done);
-                stats.count_page(req.op);
+            let done = session.submit(req, i as u64, issue);
+            if slot.is_some() {
+                in_flight.push(Reverse(done));
             }
-            if req.pages > 0 && queue_depth.is_some() {
-                in_flight.push(std::cmp::Reverse(req_done));
-            }
-            stats.queue.track(req.tenant, req.arrival, issue, req_done);
-            stats.complete(i as u64, req.arrival, req_done);
         }
-
-        self.finish_report(requests.len() as u64, stats)
+        session.finish()
     }
 
-    /// Serve one page operation of host request `req`, arriving at
-    /// `arrival`; returns the host completion time.
-    /// The FTL's host chain gates the response; its GC
-    /// chain is then played on the same resource timelines (delaying
-    /// *later* operations on those planes/buses) without extending this
-    /// request — the paper's Fig. 6 invokes GC after serving the write.
-    fn serve_page_op(&mut self, lpn: u64, op: HostOp, arrival: SimTime, req: u64) -> SimTime {
-        let (host_chain, gc_chain, scan_chain) = self.translate_page_op(lpn, op);
-        // Housekeeping for unrelated planes first: it contends for
-        // resources but never gates this response.
-        self.hw
-            .set_span_context(SpanPhase::Scan, Some(lpn), Some(req));
-        self.play_chain(&scan_chain, arrival, false);
-        self.hw
-            .set_span_context(SpanPhase::Host, Some(lpn), Some(req));
-        let (host_start, host_done) = self.play_chain_spans(&host_chain, arrival, true);
-        if !host_chain.is_empty() {
-            self.wait_ms
-                .push(host_start.saturating_since(arrival).as_millis_f64());
-            self.service_ms
-                .push(host_done.saturating_since(host_start).as_millis_f64());
+    /// Serve one page operation of host request `req`, booking its flash
+    /// work at `issue`; returns the host completion time. The FTL's host
+    /// chain gates the response; housekeeping for unrelated planes books
+    /// first (it contends for resources but never gates this response),
+    /// and the GC chain is then played on the same resource timelines
+    /// (delaying *later* operations on those planes/buses) — the paper's
+    /// Fig. 6 invokes GC after serving the write.
+    fn serve_page_op(&mut self, lpn: u64, op: HostOp, issue: SimTime, req: u64) -> SimTime {
+        let (host, gc, scan) = self.translate_page_op(lpn, op);
+        let played = play_op(
+            &mut self.hw,
+            &mut self.plane_counts,
+            0,
+            &PageOp {
+                req,
+                lpn,
+                host: &host,
+                gc: &gc,
+                scan: &scan,
+            },
+            issue,
+            ScanOrder::BeforeHost,
+            self.config.background_gc,
+        );
+        self.fold_played(issue, &played);
+        self.recycle_chains(host, gc, scan);
+        played.done
+    }
+
+    /// Push one played page operation's latency attribution: the wait
+    /// from `since` (admission for the reserving drivers, arrival for the
+    /// queueing ones) to its first flash step, its service span, and the
+    /// synchronous-GC time charged to it. Every driver folds through
+    /// here, one op at a time in its own canonical order, so each `f64`
+    /// accumulator sees the same sample sequence on every engine.
+    pub(crate) fn fold_played(&mut self, since: SimTime, played: &Played) {
+        if played.served {
+            let wait = played.host_start.saturating_since(since);
+            let service = played.host_done.saturating_since(played.host_start);
+            self.wait_ms.push(wait.as_millis_f64());
+            self.service_ms.push(service.as_millis_f64());
         }
-        self.hw
-            .set_span_context(SpanPhase::Gc, Some(lpn), Some(req));
-        let response = if self.config.background_gc {
-            // Background mode: GC steps are only ordered per resource — a
-            // collection on plane A is independent of one on plane B, and
-            // the per-plane/per-channel timelines already serialise
-            // same-resource steps in chain order. The response does not
-            // wait for them.
-            self.play_chain(&gc_chain, host_done, false);
-            host_done
-        } else {
-            // Paper-faithful synchronous mode: the triggering request pays
-            // for the reclamation it caused (FlashSim semantics), which is
-            // what makes FAST's full merges so visible in Figs. 8-10.
-            let done = self.play_chain(&gc_chain, host_done, true);
-            if !gc_chain.is_empty() {
-                self.gc_block_ms
-                    .push(done.saturating_since(host_done).as_millis_f64());
-            }
-            done
-        };
-        self.recycle_chains(host_chain, gc_chain, scan_chain);
-        response
+        if played.collected && !self.config.background_gc {
+            let blocked = played.done.saturating_since(played.host_done);
+            self.gc_block_ms.push(blocked.as_millis_f64());
+        }
     }
 
     /// Hand played-out chains back so the next
     /// [`SsdDevice::translate_page_op`] reuses their allocations. Every
     /// driver does this once an op's chains have been played: the
-    /// reserving loop right after serving the op, the queueing schedulers
-    /// when they issue it, the sharded engine when a window is folded.
-    pub(crate) fn recycle_chains(&mut self, host: OpChain, gc: OpChain, scan: OpChain) {
+    /// reserving loop right after serving the op, the queueing scheduler
+    /// when it issues it.
+    fn recycle_chains(&mut self, host: OpChain, gc: OpChain, scan: OpChain) {
         // Popped in reverse: the next op's host chain is this op's.
         self.free_chains.push(scan);
         self.free_chains.push(gc);
@@ -740,13 +713,9 @@ impl SsdDevice {
     /// Translate one page operation through the FTL — state effects are
     /// immediate, as in FlashSim — and hand back the resulting
     /// `(host, gc, scan)` chains. Shared by every replay driver; the
-    /// queueing drivers (gated, NCQ) defer *playing* the chains until
-    /// their scheduler issues the op.
-    pub(crate) fn translate_page_op(
-        &mut self,
-        lpn: u64,
-        op: HostOp,
-    ) -> (OpChain, OpChain, OpChain) {
+    /// queueing scheduler defers *playing* the chains until it issues the
+    /// op.
+    fn translate_page_op(&mut self, lpn: u64, op: HostOp) -> (OpChain, OpChain, OpChain) {
         let mut blank = || {
             let mut chain = self.free_chains.pop().unwrap_or_default();
             chain.clear();
@@ -768,164 +737,7 @@ impl SsdDevice {
         (host, gc, scan)
     }
 
-    /// Reserve resources for each step of `chain`, starting no earlier
-    /// than `at`; returns the last completion. With `chained`, each step
-    /// additionally waits for the previous one (host dependency order);
-    /// without it, steps are issued together and only resource timelines
-    /// order them.
-    fn play_chain(&mut self, chain: &OpChain, at: SimTime, chained: bool) -> SimTime {
-        self.play_chain_spans(chain, at, chained).1
-    }
-
-    /// Like [`Self::play_chain`] but also reports when the earliest step
-    /// actually began (for queueing/service latency decomposition).
-    ///
-    /// Return contract: `(first_start, release)`, where `first_start` is
-    /// the minimum `start` across the chain's steps — with `chained:
-    /// false` steps are issued concurrently and step 0 need not begin
-    /// earliest — and `release` is the chain's maximum resource-timeline
-    /// end: every plane and channel the chain touched is free again at
-    /// (or before) that time, so `release` is also the correct wake time
-    /// for schedulers gating on those resources (the wake-event contract
-    /// in DESIGN.md). An empty chain returns `(at, at)`.
-    fn play_chain_spans(
-        &mut self,
-        chain: &OpChain,
-        at: SimTime,
-        chained: bool,
-    ) -> (SimTime, SimTime) {
-        let mut t = at;
-        let mut last = at;
-        let mut first_start: Option<SimTime> = None;
-        for step in chain.steps() {
-            let issue = if chained { t } else { at };
-            let completion = match *step {
-                FlashStep::Read { plane } => self.hw.exec_read(plane, issue),
-                FlashStep::ReadRetry { plane, steps } => {
-                    self.hw.exec_read_retry(plane, issue, steps)
-                }
-                FlashStep::Write { plane } => self.hw.exec_write(plane, issue),
-                FlashStep::Erase { plane } => self.hw.exec_erase(plane, issue),
-                FlashStep::CopyBack { plane } => self.hw.exec_copyback(plane, issue),
-                FlashStep::InterPlaneCopy { src, dst } => {
-                    self.hw.exec_interplane_copy(src, dst, issue)
-                }
-            };
-            first_start = Some(match first_start {
-                Some(f) => f.min(completion.start),
-                None => completion.start,
-            });
-            let (p, q) = step.planes();
-            self.plane_counts[p as usize] += 1;
-            if let Some(q) = q {
-                self.plane_counts[q as usize] += 1;
-            }
-            t = completion.end;
-            last = last.max(completion.end);
-        }
-        // With `chained`, each step starts at the previous step's end, so
-        // the final `t` is already the maximum resource release.
-        let first_start = first_start.unwrap_or(at);
-        if chained {
-            (first_start, t)
-        } else {
-            (first_start, last)
-        }
-    }
-
-    /// Issue-gated replay.
-    #[deprecated(note = "use `run_with(requests, RunConfig::gated())` instead")]
-    pub fn run_trace_gated(&mut self, requests: &[HostRequest]) -> RunReport {
-        self.run(requests, ReplayMode::Gated)
-    }
-
-    /// Issue-gated replay — the literal FlashSim priority list (§IV.B):
-    /// page operations are translated on arrival and queued; a queued
-    /// operation is *issued* only when the plane and channel its first
-    /// step needs are both idle, in FIFO order with skipping ("If the
-    /// targeting channel and plane of the request are available, it will
-    /// be immediately handed to the hardware module … Otherwise,
-    /// [the scheduler] processes other requests until the channel and the
-    /// plane turn to be free"). Unlike the arrival-reserving modes, which
-    /// book resources into the future at admission, nothing here holds a
-    /// resource before its work begins.
-    fn run_gated(&mut self, requests: &[HostRequest]) -> RunReport {
-        let lpn_space = self.flash.geometry().user_pages();
-        let mut clock = WakeClock::new(requests);
-
-        let mut pending: PendingQueue<QueuedOp> = PendingQueue::new();
-        let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
-        let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
-
-        let mut stats = ReplayStats::for_queued(requests);
-
-        while let Some((now, arrived)) = clock.pop() {
-            if let Some(i) = arrived {
-                // Arrival: translate every page op now (state effects are
-                // immediate, as in FlashSim) and queue its chains.
-                let req = &requests[i];
-                if req.pages == 0 {
-                    // No page operations to queue: the request completes
-                    // instantly at arrival with a zero response sample,
-                    // exactly as the other replay modes count it (the
-                    // per-op completion branch below would otherwise never
-                    // fire and the request would vanish from the stats).
-                    stats
-                        .queue
-                        .track(req.tenant, req.arrival, req.arrival, req.arrival);
-                    stats.complete(i as u64, req.arrival, req.arrival);
-                    continue;
-                }
-                for lpn in req.wrapped_page_ops(lpn_space) {
-                    let (host, gc, scan) = self.translate_page_op(lpn, req.op);
-                    stats.count_page(req.op);
-                    pending.push_back(QueuedOp {
-                        req: i,
-                        lpn,
-                        host,
-                        gc,
-                        scan,
-                        arrival: req.arrival,
-                        tenant: req.tenant,
-                    });
-                }
-            }
-
-            // Issue every queued op whose first host step's resources are
-            // idle, FIFO with skipping.
-            loop {
-                let hw = &self.hw;
-                let ready = |q: &QueuedOp| -> bool {
-                    match q.host.steps().first() {
-                        None => true, // empty chain (e.g. unmapped read)
-                        Some(step) => {
-                            let (p, q2) = step.planes();
-                            let free = |plane| {
-                                hw.plane_ready_at(plane) <= now && hw.channel_ready_at(plane) <= now
-                            };
-                            free(p) && q2.map(free).unwrap_or(true)
-                        }
-                    }
-                };
-                let Some(op) = pending.pop_first_ready(ready) else {
-                    break;
-                };
-                self.issue_queued_op(
-                    op,
-                    now,
-                    &mut stats,
-                    &mut req_done,
-                    &mut req_ops_left,
-                    &mut clock.wakes,
-                );
-            }
-        }
-        self.assert_drained(pending.len(), pending.get(0), clock.now);
-
-        self.finish_report(requests.len() as u64, stats)
-    }
-
-    /// The end-of-trace check of the queueing schedulers: with no event
+    /// The end-of-trace check of the queueing scheduler: with no event
     /// left, nothing may still be pending. An op stuck here means some
     /// resource-busy interval ended without a wake (the wake-event
     /// contract below), so the message names what the first stuck op was
@@ -950,8 +762,7 @@ impl SsdDevice {
     /// Issue one queued page operation at `now`: play its chains (host
     /// gates the response; scan and GC only contend), record latency
     /// attribution and the queue probe, finish the request when this was
-    /// its last op, and schedule wakes. Shared by the gated and NCQ
-    /// schedulers.
+    /// its last op, and schedule wakes.
     ///
     /// Wake-event contract (DESIGN.md): **every resource-busy interval
     /// ends with a scheduled wake.** The host chain's resources are free
@@ -974,42 +785,39 @@ impl SsdDevice {
         req_ops_left: &mut [u32],
         wakes: &mut EventQueue<()>,
     ) -> SimTime {
-        self.hw
-            .set_span_context(SpanPhase::Host, Some(op.lpn), Some(op.req as u64));
-        let (host_start, host_done) = self.play_chain_spans(&op.host, now, true);
-        if !op.host.is_empty() {
-            // Queueing delay spans arrival → first flash step (the
-            // pending-queue wait plus any residual resource wait),
-            // mirroring the open-arrival mode's decomposition.
-            self.wait_ms
-                .push(host_start.saturating_since(op.arrival).as_millis_f64());
-            self.service_ms
-                .push(host_done.saturating_since(host_start).as_millis_f64());
-        }
-        self.hw
-            .set_span_context(SpanPhase::Scan, Some(op.lpn), Some(op.req as u64));
-        let scan_release = self.play_chain(&op.scan, now, false);
+        let background_gc = self.config.background_gc;
+        let played = play_op(
+            &mut self.hw,
+            &mut self.plane_counts,
+            0,
+            &PageOp {
+                req: op.req as u64,
+                lpn: op.lpn,
+                host: &op.host,
+                gc: &op.gc,
+                scan: &op.scan,
+            },
+            now,
+            ScanOrder::AfterHost,
+            background_gc,
+        );
+        // Queueing delay spans arrival → first flash step (the
+        // pending-queue wait plus any residual resource wait), mirroring
+        // the reserving drivers' decomposition.
+        self.fold_played(op.arrival, &played);
+        let Played {
+            done,
+            scan_release,
+            gc_release,
+            ..
+        } = played;
         if scan_release > now {
             wakes.push(scan_release, ());
         }
-        self.hw
-            .set_span_context(SpanPhase::Gc, Some(op.lpn), Some(op.req as u64));
-        let mut release = scan_release;
-        let done = if self.config.background_gc {
-            let gc_release = self.play_chain(&op.gc, host_done, false);
-            if gc_release > now {
-                wakes.push(gc_release, ());
-            }
-            release = release.max(gc_release);
-            host_done
-        } else {
-            let gc_done = self.play_chain(&op.gc, host_done, true);
-            if !op.gc.is_empty() {
-                self.gc_block_ms
-                    .push(gc_done.saturating_since(host_done).as_millis_f64());
-            }
-            gc_done
-        };
+        // Synchronous GC ends at `done`, which is woken below.
+        if background_gc && gc_release > now {
+            wakes.push(gc_release, ());
+        }
         stats.queue.track(op.tenant, op.arrival, now, done);
         req_done[op.req] = req_done[op.req].max(done);
         req_ops_left[op.req] -= 1;
@@ -1021,7 +829,7 @@ impl SsdDevice {
             wakes.push(done, ());
         }
         self.recycle_chains(op.host, op.gc, op.scan);
-        release.max(done)
+        scan_release.max(gc_release).max(done)
     }
 
     /// Upper bound on one queued op's instantaneous power draw, in µW,
@@ -1051,72 +859,56 @@ impl SsdDevice {
         chained(host) + unchained(scan) + gc_uw
     }
 
-    /// NCQ-style replay.
-    #[deprecated(note = "use `run_with(requests, RunConfig::ncq(queue_depth))` instead")]
-    pub fn run_trace_ncq(&mut self, requests: &[HostRequest], queue_depth: usize) -> RunReport {
-        self.run(requests, ReplayMode::Ncq { queue_depth })
-    }
-
-    /// QoS replay with a caller-owned policy instance.
-    #[deprecated(
-        note = "use `run_with_policy(requests, RunConfig::default().queue_depth(depth), policy)` \
-                instead"
-    )]
-    pub fn run_qos(
-        &mut self,
-        requests: &[HostRequest],
-        queue_depth: usize,
-        policy: &mut dyn QosPolicy,
-    ) -> RunReport {
-        self.run_with_policy(
-            requests,
-            RunConfig::default().queue_depth(queue_depth),
-            policy,
-        )
-    }
-
-    /// NCQ-style reordering replay with a pluggable selection policy: page
-    /// operations are translated on arrival (like [`Self::run_gated`])
-    /// into a sequence-numbered pending list, but the scheduler may issue
-    /// *any* of the oldest `queue_depth` pending ops whose first host
-    /// step's plane and channel are idle now. Selection runs over a
+    /// The queueing scheduler — one loop, two disciplines. Page operations
+    /// are translated on arrival (state effects are immediate, as in
+    /// FlashSim) into a sequence-numbered pending list, and the scheduler
+    /// may issue *any* of the oldest `queue_depth` pending ops whose first
+    /// host step's plane and channel are idle now; nothing holds a
+    /// resource before its work begins. Selection runs over a
     /// per-resource readiness index (one lane per plane, keyed by the
     /// first host step's primary plane, plus one lane for chain-less ops
     /// such as unmapped reads), so each scheduling decision is O(planes),
     /// not O(pending).
     ///
-    /// The policy shapes exactly two things (see [`crate::sched`]):
-    /// within-lane order — lanes are kept sorted by
-    /// `(policy.lane_key, seq)` — and the cross-lane choice, ranked by
-    /// `(policy.rank, plane_ready_at, seq)`. With [`NcqPolicy`] (constant
-    /// rank, FIFO lanes) this is *exactly* the PR-5 NCQ scheduler: among
-    /// issuable in-window ops, prefer the op whose target plane has been
-    /// idle longest, ties by arrival order.
+    /// * **Policy / windowed** (`fifo: false`; NCQ and QoS). The policy
+    ///   shapes exactly two things (see [`crate::sched`]): within-lane
+    ///   order — lanes are kept sorted by `(policy.lane_key, seq)` — and
+    ///   the cross-lane choice, ranked by
+    ///   `(policy.rank, plane_ready_at, seq)`. With [`NcqPolicy`]
+    ///   (constant rank, FIFO lanes): among issuable in-window ops, prefer
+    ///   the op whose target plane has been idle longest, ties by arrival
+    ///   order. Chain-less ops occupy no resources: the oldest one inside
+    ///   the window always issues first, bypassing the policy entirely
+    ///   (they are not ranked and not charged by `on_issue`).
+    /// * **FIFO / unbounded** (`fifo: true`, `queue_depth: usize::MAX`,
+    ///   [`WindowFifoPolicy`]; gated) — the literal FlashSim priority list
+    ///   (§IV.B): "If the targeting channel and plane of the request are
+    ///   available, it will be immediately handed to the hardware module
+    ///   … Otherwise, [the scheduler] processes other requests until the
+    ///   channel and the plane turn to be free". The one rule it keeps of
+    ///   its own: a chain-less op issues at its queue position — after
+    ///   every older op that is ready at this instant, not before — since
+    ///   the completion and probe logs record issue order.
     ///
     /// Policy note: lanes are head-of-line in *key* order — each lane
     /// offers only its first in-window entry as a candidate, so an op
     /// blocked on its *secondary* resource (e.g. the far plane of an
-    /// inter-plane copy) also blocks lower-ranked ops on the same lane.
+    /// inter-plane copy) also blocks lower-ranked ops on the same lane,
+    /// under both disciplines. (No shipped FTL starts a host chain with a
+    /// two-plane step, so for them the gated FIFO skips exactly as the
+    /// priority list does; `tests/replay_modes.rs` pins that against
+    /// fingerprints recorded from the former stand-alone gated loop.)
     /// Reordering happens *across* planes, which is where the idle
     /// parallelism DLOOP's allocation creates actually lives; within a
     /// plane, the single sorted candidate is what keeps selection cheap,
     /// deterministic, and (for the deadline policy) inversion-free.
-    ///
-    /// Chain-less ops occupy no resources: the oldest one inside the
-    /// window always issues immediately, bypassing the policy entirely
-    /// (they are not ranked and not charged by `on_issue`).
     fn run_queued(
         &mut self,
         requests: &[HostRequest],
         queue_depth: usize,
         policy: &mut dyn QosPolicy,
+        fifo: bool,
     ) -> RunReport {
-        /// A queued op plus its global arrival sequence number (the
-        /// pending list stays sorted by it).
-        struct NcqOp {
-            seq: u64,
-            op: QueuedOp,
-        }
         /// A readiness-lane entry: the policy's lane sort key, the
         /// candidate view handed back to the policy at ranking time, and
         /// the first host step cached for the resource check.
@@ -1130,7 +922,7 @@ impl SsdDevice {
         let planes = self.flash.geometry().total_planes() as usize;
         let mut clock = WakeClock::new(requests);
 
-        let mut pending: PendingQueue<NcqOp> = PendingQueue::new();
+        let mut pending: PendingQueue<QueuedOp> = PendingQueue::new();
         // Readiness index: lane `p` holds the pending ops whose first host
         // step starts on plane `p`, sorted by `(lane_key, seq)`; `live`
         // lists the non-empty lanes in ascending plane order, so a
@@ -1152,6 +944,12 @@ impl SsdDevice {
             if let Some(i) = arrived {
                 let req = &requests[i];
                 if req.pages == 0 {
+                    // No page operations to queue: the request completes
+                    // instantly at arrival with a zero response sample,
+                    // exactly as the reserving drivers count it (the
+                    // per-op completion in `issue_queued_op` would
+                    // otherwise never fire and the request would vanish
+                    // from the stats).
                     stats
                         .queue
                         .track(req.tenant, req.arrival, req.arrival, req.arrival);
@@ -1192,17 +990,15 @@ impl SsdDevice {
                             );
                         }
                     }
-                    pending.push_back(NcqOp {
+                    pending.push_back(QueuedOp {
                         seq: next_seq,
-                        op: QueuedOp {
-                            req: i,
-                            lpn,
-                            host,
-                            gc,
-                            scan,
-                            arrival: req.arrival,
-                            tenant: req.tenant,
-                        },
+                        req: i,
+                        lpn,
+                        host,
+                        gc,
+                        scan,
+                        arrival: req.arrival,
+                        tenant: req.tenant,
                     });
                     next_seq += 1;
                 }
@@ -1223,25 +1019,8 @@ impl SsdDevice {
                 }
                 let horizon = pending.get(window - 1).expect("window within pending").seq;
                 // Chain-less ops need no resources: the oldest one inside
-                // the window issues immediately.
-                if let Some(&seq) = chainless.front() {
-                    if seq <= horizon {
-                        chainless.pop_front();
-                        let idx = pending
-                            .binary_search_by_key(&seq, |o| o.seq)
-                            .expect("indexed op is pending");
-                        let op = pending.remove_at(idx).expect("index in bounds").op;
-                        self.issue_queued_op(
-                            op,
-                            now,
-                            &mut stats,
-                            &mut req_done,
-                            &mut req_ops_left,
-                            &mut clock.wakes,
-                        );
-                        continue;
-                    }
-                }
+                // the window can always issue.
+                let chainless_next = chainless.front().copied().filter(|&seq| seq <= horizon);
                 // Each live lane offers its first in-window entry (in
                 // lane-key order) whose first step's resources are all
                 // idle now; among the offers, pick the lowest
@@ -1250,7 +1029,13 @@ impl SsdDevice {
                 // is deterministic. `best` remembers the winner's slot in
                 // `live` and its position in the lane.
                 let mut best: Option<((u64, u64, SimTime, u64), usize, usize)> = None;
-                for (slot, &lane) in live.iter().enumerate() {
+                // A windowed policy never gets to outrank a chain-less op,
+                // so the lanes sit that decision out.
+                let offering: &[usize] = match chainless_next {
+                    Some(_) if !fifo => &[],
+                    _ => &live,
+                };
+                for (slot, &lane) in offering.iter().enumerate() {
                     let Some((pos, entry)) = lanes[lane]
                         .iter()
                         .enumerate()
@@ -1275,19 +1060,32 @@ impl SsdDevice {
                         best = Some((key, slot, pos));
                     }
                 }
-                let Some((_, slot, pos)) = best else {
-                    break;
+                // Under the FIFO discipline the chain-less op waits its
+                // turn behind an older op that is ready now. A chain-less
+                // op issues unseen by the policy; a lane's op is charged
+                // to it.
+                let chainless_wins =
+                    chainless_next.filter(|&seq| best.map_or(true, |(key, _, _)| seq < key.3));
+                let (seq, charged) = match (chainless_wins, best) {
+                    (Some(seq), _) => {
+                        chainless.pop_front();
+                        (seq, None)
+                    }
+                    (None, Some((_, slot, pos))) => {
+                        let lane = &mut lanes[live[slot]];
+                        let entry = lane.remove(pos);
+                        if lane.is_empty() {
+                            live.remove(slot);
+                        }
+                        policy.on_issue(now, &entry.cand);
+                        (entry.cand.seq, Some(entry.cand))
+                    }
+                    (None, None) => break,
                 };
-                let lane = &mut lanes[live[slot]];
-                let entry = lane.remove(pos);
-                if lane.is_empty() {
-                    live.remove(slot);
-                }
-                policy.on_issue(now, &entry.cand);
                 let idx = pending
-                    .binary_search_by_key(&entry.cand.seq, |o| o.seq)
+                    .binary_search_by_key(&seq, |o| o.seq)
                     .expect("selected op is pending");
-                let op = pending.remove_at(idx).expect("index in bounds").op;
+                let op = pending.remove_at(idx).expect("index in bounds");
                 let release = self.issue_queued_op(
                     op,
                     now,
@@ -1299,20 +1097,14 @@ impl SsdDevice {
                 // Throttling policies track the committed draw until its
                 // last resource hold ends (the release wake scheduled by
                 // `issue_queued_op` guarantees a `tick` retires it).
-                policy.note_release(now, &entry.cand, release);
+                if let Some(cand) = charged {
+                    policy.note_release(now, &cand, release);
+                }
             }
         }
-        self.assert_drained(pending.len(), pending.get(0).map(|o| &o.op), clock.now);
+        self.assert_drained(pending.len(), pending.get(0), clock.now);
 
         self.finish_report(requests.len() as u64, stats)
-    }
-
-    /// Closed-loop replay: at most `queue_depth` requests are outstanding
-    /// at once — request *i* is issued at the later of its trace arrival
-    /// and the completion of request *i − queue_depth*.
-    #[deprecated(note = "use `run_with(requests, RunConfig::closed(queue_depth))` instead")]
-    pub fn run_trace_closed(&mut self, requests: &[HostRequest], queue_depth: usize) -> RunReport {
-        self.run(requests, ReplayMode::Closed { queue_depth })
     }
 
     /// Begin an incremental-submission session: the host/device
@@ -1371,6 +1163,7 @@ impl SsdDevice {
             completions: stats.completions,
             queue_log: stats.queue,
             shard_timing: None,
+            shard_outcome: ShardOutcome::NotRequested,
             energy: self
                 .config
                 .energy
@@ -1458,11 +1251,12 @@ impl SsdDevice {
 /// measurement accumulator; [`CommandSession::finish`] assembles the
 /// same [`RunReport`] every batch replay mode produces.
 ///
-/// The driver is responsible for feeding commands in nondecreasing
-/// `issue` order — the open-arrival booking model processes work in time
-/// order, and the report's completion/occupancy logs are recorded in
-/// submission order so that an arrival-order feed matches
-/// [`ReplayMode::Open`] record-for-record.
+/// The driver is responsible for feeding commands that carry pages in
+/// nondecreasing `issue` order — the arrival-reserving booking model
+/// processes work in time order, and the report's completion/occupancy
+/// logs are recorded in submission order so that an arrival-order feed
+/// matches [`ReplayMode::Open`] record-for-record. [`SsdDevice::run_with`]
+/// itself is such a driver for the open and closed modes.
 pub struct CommandSession<'d> {
     device: &'d mut SsdDevice,
     lpn_space: u64,
@@ -1472,6 +1266,13 @@ pub struct CommandSession<'d> {
 }
 
 impl CommandSession<'_> {
+    /// Pre-size the completion and occupancy logs for `commands` more
+    /// submissions, so a driver that knows its command count up front
+    /// (the batch replay loop, the host stack) grows neither log mid-run.
+    pub fn reserve(&mut self, commands: usize) {
+        self.stats.reserve(commands);
+    }
+
     /// Submit one command (`id` is the caller's index for the completion
     /// log) whose flash work books at `issue`; returns the command's
     /// completion instant. `req.arrival` is when the command reached the
@@ -1485,12 +1286,18 @@ impl CommandSession<'_> {
             "command issued before it reached the device: {issue} < {}",
             req.arrival
         );
-        debug_assert!(
-            issue >= self.last_issue,
-            "commands must be submitted in nondecreasing issue order: {issue} < {}",
-            self.last_issue
-        );
-        self.last_issue = issue;
+        // Only commands that book flash work are bound to time order: a
+        // zero-page command under closed admission completes at its
+        // arrival, which may precede the issue instant of an older
+        // command that had to wait for a queue slot.
+        if req.pages > 0 {
+            debug_assert!(
+                issue >= self.last_issue,
+                "commands must be submitted in nondecreasing issue order: {issue} < {}",
+                self.last_issue
+            );
+            self.last_issue = issue;
+        }
         let mut req_done = issue;
         for lpn in req.wrapped_page_ops(self.lpn_space) {
             let done = self.device.serve_page_op(lpn, req.op, issue, id);
@@ -1664,6 +1471,41 @@ mod tests {
     }
 
     #[test]
+    fn command_session_matches_closed_replay_record_for_record() {
+        // Duplicate arrivals, and zero-page requests landing between
+        // admissions that found the queue full — their issue instants
+        // (their arrivals) precede those of older, waiting commands.
+        let requests = vec![
+            write_req(0, 5, 2),
+            write_req(0, 9, 1),
+            write_req(5, 1, 0),
+            write_req(5, 2, 1),
+            write_req(5, 3, 0),
+            read_req(300, 5, 2),
+            write_req(300, 7, 0),
+            read_req(300, 9, 1),
+            write_req(900, 5, 1),
+        ];
+        for depth in [1, 2, usize::MAX] {
+            let batch = device().run_with(&requests, RunConfig::closed(depth));
+            let issues: Vec<SimTime> = batch.queue_log.tracked().iter().map(|t| t.2).collect();
+            if depth == 1 {
+                assert!(issues.windows(2).any(|w| w[1] < w[0]), "{issues:?}");
+            }
+            let mut d = device();
+            let mut session = d.begin_commands();
+            session.reserve(requests.len());
+            for (i, r) in requests.iter().enumerate() {
+                session.submit(r, i as u64, issues[i]);
+            }
+            let fed = session.finish();
+            assert_eq!(fed.completions, batch.completions, "depth {depth}");
+            assert_eq!(fed.queue_log, batch.queue_log, "depth {depth}");
+            assert_eq!(fed.csv_row(), batch.csv_row(), "depth {depth}");
+        }
+    }
+
+    #[test]
     fn command_session_delays_booking_to_the_issue_instant() {
         // The same command issued later finishes later: the session books
         // at `issue`, not at the request's doorbell arrival.
@@ -1757,9 +1599,9 @@ mod tests {
 
     #[test]
     fn gated_queueing_reports_wait_samples() {
-        // Regression: `run_trace_gated` used to clone the wait/service/
-        // GC-block stats into its report without ever pushing samples, so
-        // every gated report claimed a zero-sample latency decomposition.
+        // Regression: gated replay used to clone the wait/service/GC-block
+        // stats into its report without ever pushing samples, so every
+        // gated report claimed a zero-sample latency decomposition.
         let mut d = device();
         // Two writes arriving together target the same plane (the toy FTL
         // always writes plane 0), so the second op queues behind the first.
@@ -1774,6 +1616,30 @@ mod tests {
             "the queued op must report a non-zero wait"
         );
         d.audit().unwrap();
+    }
+
+    #[test]
+    fn a_stuck_gated_op_names_what_it_waits_for() {
+        // A busy interval no scheduler issued, hence with no wake at its
+        // end: the one way to strand a queued op past the last event.
+        let mut d = device();
+        let held = d.hw.exec_write(0, SimTime::from_millis(5));
+        let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.run_with(&[write_req(7, 42, 1)], RunConfig::gated())
+        }))
+        .expect_err("an op with no wake ahead of it must trip the end-of-trace check");
+        let message = stuck.downcast_ref::<String>().expect("formatted panic");
+        let channel_free = d.hw.channel_ready_at(0);
+        assert_ne!(channel_free, held.end);
+        for part in [
+            "1 ops left unissued".to_string(),
+            "request 0 lpn 42".to_string(),
+            format!("plane 0 (plane ready at {}", held.end),
+            format!("channel ready at {channel_free})"),
+            format!("final now = {}", SimTime::from_micros(7)),
+        ] {
+            assert!(message.contains(&part), "{message:?} lacks {part:?}");
+        }
     }
 
     #[test]

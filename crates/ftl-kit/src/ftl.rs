@@ -293,7 +293,7 @@ pub trait Ftl: Send + Sync {
     // on one statically-known plane can opt into sharded *translation*:
     // worker threads run full state forks over disjoint plane ranges and
     // the coordinator merges the owned planes back. The defaults opt out;
-    // the engine then falls back to coordinator-side translation.
+    // a sharded request then runs on the sequential engine.
 
     /// The plane every flash effect of an operation on `lpn` stays on,
     /// when [`Ftl::shard_translation_ready`] holds. Meaningless otherwise.

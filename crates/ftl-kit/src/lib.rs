@@ -10,8 +10,10 @@
 //! * [`gtd`] — the Global Translation Directory.
 //! * [`dir`] — the reverse page directory (ppn → owner) used by GC.
 //! * [`device`] — the SSD controller: trace replay, dispatch, audits.
-//! * `shard` (internal) — the parallel channel-group replay engine
-//!   behind [`device::RunConfig::shards`].
+//! * `play` (internal) — chain playback on the hardware timelines, the
+//!   one place a flash step becomes an `exec_*` call.
+//! * `shard` (internal) — the plane-local parallel replay engine behind
+//!   [`device::RunConfig::shards`].
 //! * [`sched`] — pluggable QoS policies for the NCQ reorder window.
 //! * [`metrics`] — [`metrics::RunReport`]: mean response time, SDRPP, WAF…
 //! * [`config`] — Table-I parameters as a value ([`config::SsdConfig`]).
@@ -24,6 +26,7 @@ pub mod dir;
 pub mod ftl;
 pub mod gtd;
 pub mod metrics;
+mod play;
 pub mod request;
 pub mod sched;
 mod shard;
@@ -37,7 +40,7 @@ pub use device::{ReplayMode, RunConfig, SsdDevice, DEFAULT_NCQ_DEPTH};
 pub use dir::{PageDirectory, PageOwner};
 pub use ftl::{FlashStep, Ftl, FtlContext, FtlCounters, OpChain};
 pub use gtd::Gtd;
-pub use metrics::RunReport;
+pub use metrics::{RunReport, ShardGuard, ShardOutcome};
 pub use request::{HostOp, HostRequest, TenantId};
 pub use sched::{
     DeadlinePolicy, FairSharePolicy, NcqPolicy, PriorityPolicy, QosCandidate, QosPolicy, QosSpec,

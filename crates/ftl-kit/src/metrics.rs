@@ -80,6 +80,12 @@ pub struct RunReport {
     /// every fingerprint and CSV: wall time measures the machine, not
     /// the simulation.
     pub shard_timing: Option<ShardTiming>,
+    /// What became of [`crate::device::RunConfig::shards`]: whether a
+    /// parallel run was asked for, and if so whether it engaged or which
+    /// guard sent the replay to the sequential engine instead. Excluded
+    /// from every fingerprint and CSV, like `shard_timing`: it names the
+    /// engine that served the run, not a simulated result.
+    pub shard_outcome: ShardOutcome,
     /// Integer energy totals, when [`crate::SsdConfig::energy`] enabled
     /// accounting (`None` otherwise). Folded into the CSV row — and so
     /// into every report fingerprint — as exact femtojoule integers; the
@@ -111,6 +117,47 @@ pub struct ShardTiming {
     /// Serial suffix: state merge, span forwarding, and the canonical
     /// statistics fold.
     pub merge_ms: f64,
+}
+
+/// What became of a run's shard request (see [`RunReport::shard_outcome`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ShardOutcome {
+    /// One shard was configured: the sequential engine ran by request.
+    #[default]
+    NotRequested,
+    /// The plane-local parallel engine served the run.
+    Engaged,
+    /// More than one shard was configured, but the named guard sent the
+    /// replay to the sequential engine (same report, one core).
+    FellBack(ShardGuard),
+}
+
+/// Why a sharded request ran sequentially. The first five are decided
+/// from the configuration before any work; the last two by the FTL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardGuard {
+    /// The geometry has one channel, so there is nothing to split.
+    SingleChannel,
+    /// A die would straddle a shard boundary, aliasing one die timeline
+    /// across two workers.
+    DieStraddlesShard,
+    /// Closed-loop admission depends on completions in global order.
+    ClosedMode,
+    /// The gated/NCQ/QoS schedulers decide globally at every instant.
+    QueueingMode,
+    /// A media-fault model makes read outcomes depend on the global op
+    /// order.
+    MediaModel,
+    /// [`crate::Ftl::shard_translation_ready`] was false: the FTL could
+    /// not attest plane-local translation from its pre-run state.
+    TranslationNotReady,
+    /// A worker's per-op purity check failed; every fork was discarded,
+    /// the device untouched.
+    WorkerImpurity {
+        /// The lowest-indexed request (position in the replayed slice) at
+        /// which a worker stopped.
+        request: u64,
+    },
 }
 
 impl ShardTiming {
@@ -413,6 +460,7 @@ mod tests {
             completions: vec![(0, SimTime::ZERO, SimTime::from_micros(100))],
             queue_log: QueueDepthProbe::new(),
             shard_timing: None,
+            shard_outcome: ShardOutcome::NotRequested,
             energy: None,
         }
     }

@@ -48,7 +48,7 @@
 //! | Policy | Rank key (before tie-break) | Use it for |
 //! |---|---|---|
 //! | [`NcqPolicy`] | constant | plain NCQ; the QoS no-op |
-//! | [`WindowFifoPolicy`] | `seq` | the naive in-order bound (claims C11/C12) |
+//! | [`WindowFifoPolicy`] | `seq` | the naive in-order bound (claims C11/C12); at unbounded depth, the gated discipline itself |
 //! | [`PriorityPolicy`] | reads before writes | read-latency-sensitive mixes |
 //! | [`DeadlinePolicy`] | earliest absolute deadline | per-request deadlines (EDF) |
 //! | [`FairSharePolicy`] | token-bucket deficit | per-tenant fair sharing |
@@ -161,7 +161,9 @@ impl QosPolicy for NcqPolicy {
 /// issuable operation, never exploiting an idle plane further down the
 /// queue. This is the *naive bound* the QoS claims (C12) compare against —
 /// the window still skips blocked heads, but it never reorders for
-/// plane idleness.
+/// plane idleness. With no window at all it *is* FlashSim's priority list:
+/// [`ReplayMode::Gated`](crate::device::ReplayMode::Gated) runs the
+/// scheduler under this policy at unbounded depth.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowFifoPolicy;
 

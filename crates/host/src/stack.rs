@@ -433,6 +433,7 @@ impl HostStack {
             delivered: Vec::new(),
             now_max: SimTime::ZERO,
         };
+        lp.session.reserve(n);
         lp.run();
         DeviceOutcome {
             interrupts: lp.cqs.iter().map(|c| c.interrupts).sum(),

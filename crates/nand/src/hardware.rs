@@ -149,10 +149,9 @@ impl HardwareModel {
 
     /// Copy the availability entries governing `plane` — the plane itself,
     /// its channel, and (relevant when die-serialised) its die — from
-    /// `other` into `self`. This is the cross-shard synchronisation
-    /// primitive: before a chain that touches a foreign shard's plane is
-    /// played, the executing model imports that plane's timeline state;
-    /// afterwards the owner imports the updated state back.
+    /// `other` into `self`. This is the shard-merge primitive: a worker
+    /// only ever books planes it owns, so when it finishes, the parent
+    /// model imports each owned plane's final timeline state from it.
     pub fn sync_plane_state_from(&mut self, other: &HardwareModel, plane: PlaneId) {
         let p = plane as usize;
         let c = self.channel_of(plane);

@@ -7,14 +7,15 @@
 //! processes other requests until the channel and the plane turn to be
 //! free."*
 //!
-//! [`PendingQueue`] models exactly that: a FIFO list from which the
-//! scheduler removes the **first** element whose resources are currently
-//! free, skipping (but not reordering) blocked elements. Arrival order is
-//! the priority; readiness is the filter.
+//! [`PendingQueue`] is that list: items are appended in arrival order —
+//! the priority — and the scheduler removes whichever one it selects by
+//! position, skipping (but never reordering) the ones still blocked.
+//! *Which* item is ready is the scheduler's business: it keeps its own
+//! readiness index and finds the chosen item here by its sequence key.
 
 use std::collections::VecDeque;
 
-/// FIFO queue with ready-predicate extraction.
+/// FIFO queue with indexed, order-preserving removal.
 #[derive(Debug, Clone)]
 pub struct PendingQueue<T> {
     items: VecDeque<T>,
@@ -44,35 +45,6 @@ impl<T> PendingQueue<T> {
     /// Append an item at the back (lowest priority).
     pub fn push_back(&mut self, item: T) {
         self.items.push_back(item);
-    }
-
-    /// Put an item back at the front (it keeps highest priority). Used when
-    /// a popped item turns out to still be blocked after a state change.
-    pub fn push_front(&mut self, item: T) {
-        self.items.push_front(item);
-    }
-
-    /// Remove and return the first item for which `ready` is true,
-    /// preserving the relative order of everything else.
-    pub fn pop_first_ready<F: FnMut(&T) -> bool>(&mut self, ready: F) -> Option<T> {
-        let idx = self.items.iter().position(ready)?;
-        self.items.remove(idx)
-    }
-
-    /// Remove and return *all* items for which `ready` is true, in queue
-    /// order. Items remaining keep their order.
-    pub fn drain_ready<F: FnMut(&T) -> bool>(&mut self, mut ready: F) -> Vec<T> {
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        for it in self.items.drain(..) {
-            if ready(&it) {
-                out.push(it);
-            } else {
-                kept.push_back(it);
-            }
-        }
-        self.items = kept;
-        out
     }
 
     /// Iterate items in priority order without removing them.
@@ -122,50 +94,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_when_everything_ready() {
-        let mut q = PendingQueue::new();
-        for i in 0..5 {
-            q.push_back(i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_first_ready(|_| true)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn skips_blocked_without_reordering() {
-        let mut q = PendingQueue::new();
-        q.push_back(("planeA", 1));
-        q.push_back(("planeB", 2));
-        q.push_back(("planeA", 3));
-        // planeA busy: first ready item is ("planeB", 2).
-        let got = q.pop_first_ready(|&(p, _)| p != "planeA").unwrap();
-        assert_eq!(got, ("planeB", 2));
-        // Remaining items kept their order.
-        let rest: Vec<_> = q.iter().cloned().collect();
-        assert_eq!(rest, vec![("planeA", 1), ("planeA", 3)]);
-    }
-
-    #[test]
-    fn pop_returns_none_when_all_blocked() {
-        let mut q = PendingQueue::new();
-        q.push_back(1);
-        assert!(q.pop_first_ready(|_| false).is_none());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn drain_ready_partitions_in_order() {
-        let mut q = PendingQueue::new();
-        for i in 0..6 {
-            q.push_back(i);
-        }
-        let evens = q.drain_ready(|&i| i % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4]);
-        let rest: Vec<_> = q.iter().cloned().collect();
-        assert_eq!(rest, vec![1, 3, 5]);
-    }
-
-    #[test]
     fn indexed_access_and_removal_keep_order() {
         let mut q = PendingQueue::new();
         for i in 10..15 {
@@ -181,14 +109,5 @@ mod tests {
         let rest: Vec<_> = q.iter().copied().collect();
         assert_eq!(rest, vec![10, 11, 13, 14]);
         assert_eq!(q.remove_at(9), None);
-    }
-
-    #[test]
-    fn push_front_restores_priority() {
-        let mut q = PendingQueue::new();
-        q.push_back(2);
-        q.push_front(1);
-        assert_eq!(q.pop_first_ready(|_| true), Some(1));
-        assert_eq!(q.pop_first_ready(|_| true), Some(2));
     }
 }

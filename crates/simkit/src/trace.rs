@@ -1296,6 +1296,11 @@ impl QueueDepthProbe {
         }
     }
 
+    /// Make room for `units` more records.
+    pub fn reserve(&mut self, units: usize) {
+        self.tracked.reserve(units);
+    }
+
     /// Track one unit of work for `tenant` that arrived at `arrival`, was
     /// admitted (issued to the device) at `issue`, and completed at `done`.
     /// Times may be recorded out of order across units; the CSV export

@@ -11,9 +11,32 @@
 #                 reduced sample count (SIMKIT_BENCH_SAMPLES=3) and run
 #                 the self-test of the benchmark/ harness (its own
 #                 workspace, so `--workspace` above does not reach it).
+#        scripts/verify.sh --check-deprecated DIR...
+#                 run only the deprecated-shim gate, over DIR... (how
+#                 tests/hermetic.rs shows the gate failing).
 
 set -euo pipefail
+
+# An old entry point is migrated and deleted in the same change, never
+# parked behind an attribute: a `#[deprecated]` shim is a second spelling
+# someone has to keep bit-identical, and an `allow(deprecated)` is a
+# caller that was not migrated.
+check_no_deprecated() {
+    if grep -rnE --include='*.rs' '#\[deprecated|allow\(deprecated\)' "$@"; then
+        echo "error: deprecated shims (or allowances for them) in the sources above" >&2
+        return 1
+    fi
+}
+if [[ "${1:-}" == "--check-deprecated" ]]; then
+    shift
+    check_no_deprecated "$@"
+    exit
+fi
+
 cd "$(dirname "$0")/.."
+
+echo "==> no deprecated shims (#[deprecated] / allow(deprecated) in any workspace *.rs)"
+check_no_deprecated crates src tests examples
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -157,14 +180,17 @@ depth1_gauge="$(cut -d, -f7 <<<"$depth1_row")"
 }
 rm -rf "$host_out"
 
-echo "==> shard-identity smoke (2-shard vs sequential fingerprint, fast path + fallback)"
+echo "==> shard-identity smoke (2-shard vs sequential fingerprint, engaged + fallback)"
 # The parallel engine's identity gate (claim C15) at property-test
-# strength runs under `cargo test` above; this smoke re-runs the two
-# named anchors release-fast: the plane-local fast path must ENGAGE
-# (witnessed by RunReport::shard_timing) and match sequential
-# bit-for-bit, and the all-mode corpus pins the windowed fallback.
+# strength runs under `cargo test` above; this smoke re-runs the three
+# named anchors release-fast: the plane-local engine must ENGAGE
+# (witnessed by RunReport::shard_outcome) and match sequential
+# bit-for-bit; the all-mode corpus pins that every sharded request which
+# cannot engage still equals the sequential run; and each such fallback
+# must report the guard that fired.
 cargo test -q --release --offline --test replay_modes plane_local_fast_path_engages
 cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_identical
+cargo test -q --release --offline --test replay_modes sharded_requests_that_fall_back_name_their_guard
 
 echo "==> shard sweep (BENCH_shard.json perf trajectory)"
 # A reduced-size pass of the `shard` experiment: replays one aged-device
@@ -194,10 +220,17 @@ grep -q '"pass": true' "$shard_out/BENCH_shard.json" || {
     exit 1
 }
 shard_header="$(head -n 1 "$shard_out/shard_0.csv")"
-[[ "$shard_header" == "shards,wall_ms,critical_path_ms,speedup,fingerprint_match,pages_played,partition_ms,fork_ms,replay_ms,merge_ms,cap_saturated" ]] || {
+[[ "$shard_header" == "shards,wall_ms,critical_path_ms,speedup,fingerprint_match,pages_played,partition_ms,fork_ms,replay_ms,merge_ms,cap_saturated,outcome" ]] || {
     echo "error: shard_0.csv header drifted: $shard_header" >&2
     exit 1
 }
+# The sweep's device keeps its map resident, so every sharded row must
+# have been served by the parallel engine — a row that fell back would
+# put a sequential time in the speedup column.
+if tail -n +3 "$shard_out/shard_0.csv" | grep -v ',Engaged$'; then
+    echo "error: the sharded rows above did not engage the parallel engine" >&2
+    exit 1
+fi
 rm -rf "$shard_out"
 
 echo "==> power-cap sweep smoke (BENCH_power.json budget + energy-invariance gates)"

@@ -1,21 +1,26 @@
-//! Zero-allocation witness for the two per-plane hot paths: a DLOOP page
-//! write (translation, placement, copy-back collection) and a CMT miss with
-//! a dirty eviction. A counting global allocator tallies heap allocations
-//! per thread; once the working buffers have grown during a warm-up, a
-//! further stretch of operations must not allocate at all.
+//! Zero-allocation witness for the per-op hot paths: a DLOOP page write
+//! (translation, placement, copy-back collection), a CMT miss with a dirty
+//! eviction, and a whole command through a pre-reserved `CommandSession`
+//! (translation, the shared chain player, the latency fold, both logs). A
+//! counting global allocator tallies heap allocations per thread; once the
+//! working buffers have grown during a warm-up, a further stretch of
+//! operations must not allocate at all.
 
 use dloop_repro::dloop_ftl::{DloopConfig, DloopFtl};
 use dloop_repro::ftl_kit::cmt::CachedMappingTable;
 use dloop_repro::ftl_kit::config::SsdConfig;
+use dloop_repro::ftl_kit::device::SsdDevice;
 use dloop_repro::ftl_kit::dir::PageDirectory;
 use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, OpChain, Phase};
+use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::nand::FlashState;
+use dloop_repro::simkit::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     /// Allocations and growing reallocations made by this thread (the
-    /// harness runs the two tests on separate threads).
+    /// harness runs the tests on separate threads).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -164,4 +169,54 @@ fn cmt_miss_with_dirty_eviction_does_not_allocate() {
     assert_eq!(cmt.len(), CAPACITY);
     cmt.check().unwrap();
     assert_eq!(allocated, 0, "heap allocations on the CMT miss path");
+}
+
+// `CommandSession::submit` is the body of every arrival-reserving replay
+// (`run_with` open/closed, the host stack's interleaved driver): once the
+// session is reserved, the chain free list has filled and the collector's
+// scratch has grown, a command — two page ops, collections included — is
+// served without touching the allocator.
+#[test]
+fn submitted_commands_on_a_reserved_session_do_not_allocate() {
+    const WARM: u64 = 6_000;
+    const MEASURED: u64 = 3_000;
+    let config = SsdConfig::micro_gc_test();
+    let span = config.geometry().user_pages() * 2 / 3;
+    let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
+    let mut session = device.begin_commands();
+    session.reserve((WARM + MEASURED) as usize);
+    let submit = |session: &mut dloop_repro::ftl_kit::device::CommandSession<'_>, i: u64| {
+        let at = SimTime::from_micros(40 * i);
+        let req = HostRequest {
+            arrival: at,
+            lpn: (i * 2_654_435_761) % (span - 1),
+            pages: 2,
+            op: if i % 4 == 3 {
+                HostOp::Read
+            } else {
+                HostOp::Write
+            },
+            ..HostRequest::default()
+        };
+        session.submit(&req, i, at);
+    };
+    for i in 0..WARM {
+        submit(&mut session, i);
+    }
+    let before = allocations();
+    for i in WARM..WARM + MEASURED {
+        submit(&mut session, i);
+    }
+    let allocated = allocations() - before;
+    let report = session.finish();
+    assert_eq!(report.requests_completed, WARM + MEASURED);
+    assert!(
+        report.ftl.gc_invocations > 0 && report.ftl.copyback_moves > 0,
+        "the run must include copy-back collections: {:?}",
+        report.ftl
+    );
+    assert_eq!(
+        allocated, 0,
+        "heap allocations inside CommandSession::submit"
+    );
 }

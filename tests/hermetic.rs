@@ -7,6 +7,10 @@
 //! root and `crates/*/Cargo.toml` manifests and fails if any dependency
 //! entry could resolve to a registry, so a future change can't silently
 //! reintroduce a crates.io dependency.
+//!
+//! It also shows one `scripts/verify.sh` gate failing on a deliberately
+//! broken input: the deprecated-shim gate, fed a source file that carries
+//! the attribute.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -170,5 +174,49 @@ fn scanner_rejects_registry_shapes() {
     ];
     for (key, value) in good {
         assert!(entry_is_hermetic(key, value), "{key} = {value} is hermetic");
+    }
+}
+
+/// `scripts/verify.sh --check-deprecated DIR...` — the gate `verify.sh`
+/// runs over the workspace sources — must pass on this workspace and fail
+/// on either spelling of a parked shim. The offending text is assembled
+/// here so that this file does not itself trip the gate.
+#[test]
+fn deprecated_shim_gate_passes_here_and_fails_on_a_shim() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let gate = |dirs: &[&Path]| {
+        std::process::Command::new("bash")
+            .arg(root.join("scripts/verify.sh"))
+            .arg("--check-deprecated")
+            .args(dirs)
+            .output()
+            .expect("bash runs scripts/verify.sh")
+    };
+    let sources = ["crates", "src", "tests", "examples"].map(|d| root.join(d));
+    let sources: Vec<&Path> = sources.iter().map(PathBuf::as_path).collect();
+    let clean = gate(&sources);
+    assert!(
+        clean.status.success(),
+        "the workspace trips its own gate:\n{}",
+        String::from_utf8_lossy(&clean.stdout)
+    );
+    let word = "deprecated";
+    for (name, shim) in [
+        (
+            "item.rs",
+            format!("#[{word}(note = \"use new\")]\npub fn old() {{}}\n"),
+        ),
+        ("caller.rs", format!("#[allow({word})]\nfn caller() {{}}\n")),
+    ] {
+        let dir = std::env::temp_dir().join(format!("dloop-gate-{}-{name}", std::process::id()));
+        fs::create_dir_all(&dir).expect("scratch dir");
+        fs::write(dir.join(name), shim).expect("scratch source");
+        let broken = gate(&[&dir]);
+        fs::remove_dir_all(&dir).expect("scratch dir removed");
+        assert!(!broken.status.success(), "{name} passed the gate");
+        assert!(
+            String::from_utf8_lossy(&broken.stdout).contains(name),
+            "the gate must name the offending file"
+        );
     }
 }

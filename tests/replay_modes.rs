@@ -3,10 +3,10 @@
 //! The device offers five replay modes — open arrivals, the FlashSim
 //! priority list (gated), a bounded host queue (closed), NCQ-style
 //! bounded reordering and the QoS-policy window — all selected through
-//! the builder-style `RunConfig` consumed by `SsdDevice::run_with` (the
-//! legacy `run_trace*`/`run_qos` names remain as deprecated shims, pinned
-//! against their `RunConfig` equivalents below). They model different
-//! host-side scheduling, but all of them translate the same requests in
+//! the builder-style `RunConfig` consumed by `SsdDevice::run_with` (with
+//! `run(requests, ReplayMode)` as its enum spelling, pinned against it
+//! below). They model different host-side scheduling, but all of them
+//! translate the same requests in
 //! the same order, so they must agree on everything *stateful*: pages
 //! served, flash page states, per-block erase counts, and the
 //! cross-layer audit. With an unbounded queue the closed mode
@@ -14,10 +14,12 @@
 //! requests included, which is the regression gate for the closed
 //! driver's freed-slot drain.
 //!
-//! The arrival-reserving modes additionally carry the sharded-engine
-//! identity (claim C15): `RunConfig::shards(n)` must leave the full
-//! report fingerprint and flash digest bit-identical to the sequential
-//! engine, for every replay mode, any shard count, tracing on or off.
+//! Every mode additionally carries the sharded-engine identity (claim
+//! C15): `RunConfig::shards(n)` must leave the full report fingerprint
+//! and flash digest bit-identical to the sequential engine, for every
+//! replay mode, any shard count, tracing on or off — and the report must
+//! say whether the plane-local engine served the run or which guard sent
+//! it to the sequential one (`RunReport::shard_outcome`).
 //!
 //! The gated scheduler additionally carries the wake-event contract:
 //! every resource-busy interval ends with a scheduled wake, so a replay
@@ -41,13 +43,13 @@
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
-use dloop_repro::baselines::DftlFtl;
+use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
 use dloop_repro::dloop_ftl::DloopFtl;
 use dloop_repro::faults::FaultConfig;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::ftl::Ftl;
-use dloop_repro::ftl_kit::metrics::RunReport;
+use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
 use dloop_repro::simkit::check::{self, Checker, Generator};
@@ -60,6 +62,8 @@ fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
     match kind {
         FtlKind::Dloop => Box::new(DloopFtl::new(config)),
         FtlKind::Dftl => Box::new(DftlFtl::new(config)),
+        FtlKind::Fast => Box::new(FastFtl::new(config)),
+        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
         other => unimplemented!("not used here: {other:?}"),
     }
 }
@@ -321,12 +325,11 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
     });
 }
 
-/// API-redesign contract: every legacy entry point — the `ReplayMode`
-/// dispatcher and each `#[deprecated]` wrapper — is bit-identical to its
-/// `RunConfig` spelling, and `RunConfig::default()` reproduces
-/// `ReplayMode::Open` exactly.
+/// API contract: the `ReplayMode` dispatcher is bit-identical to its
+/// `RunConfig` spelling in every mode, the caller-owned-policy entry point
+/// to the owning `RunConfig::qos` one, and `RunConfig::default()`
+/// reproduces `ReplayMode::Open` exactly.
 #[test]
-#[allow(deprecated)]
 fn legacy_entry_points_match_their_run_config_equivalents() {
     let gen = check::vec_of(op_gen(600), 1..120);
     Checker::new().cases(8).run(&gen, |ops| {
@@ -335,51 +338,25 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         let fresh = || SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
         let depth = 8usize;
 
-        // (wrapper replay, ReplayMode, RunConfig) triples per mode.
-        type Runner = Box<dyn Fn(&mut SsdDevice) -> RunReport>;
-        let reqs2 = reqs.clone();
-        let reqs3 = reqs.clone();
-        let reqs4 = reqs.clone();
-        let reqs5 = reqs.clone();
-        let modes: Vec<(&str, Runner, ReplayMode, RunConfig)> = vec![
-            (
-                "open",
-                Box::new(move |d: &mut SsdDevice| d.run_trace(&reqs2)),
-                ReplayMode::Open,
-                RunConfig::open(),
-            ),
-            (
-                "gated",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_gated(&reqs3)),
-                ReplayMode::Gated,
-                RunConfig::gated(),
-            ),
+        let modes: [(&str, ReplayMode, RunConfig); 4] = [
+            ("open", ReplayMode::Open, RunConfig::open()),
+            ("gated", ReplayMode::Gated, RunConfig::gated()),
             (
                 "closed",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_closed(&reqs4, depth)),
                 ReplayMode::Closed { queue_depth: depth },
                 RunConfig::closed(depth),
             ),
             (
                 "ncq",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_ncq(&reqs5, depth)),
                 ReplayMode::Ncq { queue_depth: depth },
                 RunConfig::ncq(depth),
             ),
         ];
-        for (name, wrapper, replay_mode, cfg) in modes {
-            let mut d_w = fresh();
-            let r_w = wrapper(&mut d_w);
+        for (name, replay_mode, cfg) in modes {
             let mut d_m = fresh();
             let r_m = d_m.run(&reqs, replay_mode);
             let mut d_c = fresh();
             let r_c = d_c.run_with(&reqs, cfg);
-            check_assert_eq!(
-                fingerprint(&r_w),
-                fingerprint(&r_c),
-                "deprecated wrapper and RunConfig disagree ({})",
-                name
-            );
             check_assert_eq!(
                 fingerprint(&r_m),
                 fingerprint(&r_c),
@@ -387,18 +364,15 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
                 name
             );
             check_assert_eq!(
-                flash_digest(&d_w),
+                flash_digest(&d_m),
                 flash_digest(&d_c),
                 "flash state diverged ({})",
                 name
             );
         }
 
-        // The QoS wrapper: run_qos(reqs, depth, &mut policy) must equal
-        // both run_with_policy and the owning RunConfig::qos spelling.
-        let mut d_w = fresh();
-        let mut policy = dloop_repro::ftl_kit::sched::NcqPolicy;
-        let r_w = d_w.run_qos(&reqs, depth, &mut policy);
+        // A caller-owned policy instance must equal the owning
+        // RunConfig::qos spelling.
         let mut d_p = fresh();
         let r_p = d_p.run_with_policy(
             &reqs,
@@ -407,7 +381,6 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         );
         let mut d_c = fresh();
         let r_c = d_c.run_with(&reqs, RunConfig::qos(QosSpec::Ncq).queue_depth(depth));
-        check_assert_eq!(fingerprint(&r_w), fingerprint(&r_p), "run_qos wrapper");
         check_assert_eq!(fingerprint(&r_p), fingerprint(&r_c), "qos spellings");
 
         // Defaults are Open: `run_with(reqs, RunConfig::default())` is
@@ -430,9 +403,10 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
 /// any shard count — including counts above the channel count, which
 /// clamp — `RunConfig::shards(n)` leaves the full report fingerprint and
 /// the flash digest bit-identical to the sequential engine. The config
-/// here has four channels so a 4-shard run genuinely fans out; the
-/// queueing modes (gated/NCQ/QoS) fall back to the sequential scheduler
-/// by design and must be identical trivially.
+/// here has four channels so a 4-shard run could fan out; with its
+/// 64-entry CMT the open runs fall back as soon as the map outgrows the
+/// cache, and the closed and queueing modes fall back by design — every
+/// run that does must be identical trivially, and must say it fell back.
 #[test]
 fn sharded_replay_is_bit_identical_to_sequential() {
     let gen = check::vec_of(op_gen(1200), 1..200);
@@ -458,6 +432,13 @@ fn sharded_replay_is_bit_identical_to_sequential() {
                 for shards in [2usize, 4, 64] {
                     let mut par_dev = fresh();
                     let par = par_dev.run_with(&reqs, cfg().shards(shards));
+                    check_assert!(
+                        par.shard_outcome != ShardOutcome::NotRequested,
+                        "{:?} {} sharded({}) forgot it was asked to shard",
+                        kind,
+                        name,
+                        shards
+                    );
                     check_assert_eq!(
                         fingerprint(&seq),
                         fingerprint(&par),
@@ -484,11 +465,11 @@ fn sharded_replay_is_bit_identical_to_sequential() {
     });
 }
 
-/// The plane-local fast path (DESIGN.md §3f) must actually *engage* —
-/// not just fall back to the windowed engine — when its preconditions
-/// hold: open arrivals, a fully-resident CMT, no media model, and every
-/// plane at or above the GC threshold. `RunReport::shard_timing` is the
-/// witness (only the fast path records it). The run ages the device
+/// The plane-local engine (DESIGN.md §3f) must actually *engage* — not
+/// just fall back to the sequential loop — when its preconditions hold:
+/// open arrivals, a fully-resident CMT, no media model, and every plane
+/// at or above the GC threshold. `RunReport::shard_outcome` is the
+/// witness, with `shard_timing` beside it. The run ages the device
 /// into steady GC first, overwrites a 90 % hot region so collections
 /// keep every plane above threshold, and then checks the served run is
 /// bit-identical to sequential and leaves an auditable device.
@@ -523,12 +504,13 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
     let mut seq_dev = fresh();
     let seq = seq_dev.run_with(&trace.requests, RunConfig::open());
     assert!(
-        seq.shard_timing.is_none(),
+        seq.shard_timing.is_none() && seq.shard_outcome == ShardOutcome::NotRequested,
         "sequential runs must not report shard timing"
     );
     for shards in [2usize, 4] {
         let mut par_dev = fresh();
         let par = par_dev.run_with(&trace.requests, RunConfig::open().shards(shards));
+        assert_eq!(par.shard_outcome, ShardOutcome::Engaged);
         let timing = par
             .shard_timing
             .as_ref()
@@ -546,6 +528,92 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
             "fast-path flash state diverged at {shards} shards"
         );
         par_dev.audit().unwrap_or_else(|e| panic!("audit: {e}"));
+    }
+}
+
+/// A sharded request that does not engage is not silent: the report names
+/// the guard that sent it to the sequential engine, and equals the
+/// sequential report. One leg per guard a configuration can reach here:
+/// closed admission, a queueing scheduler, a 4 096-entry CMT over a larger
+/// map (the FTL cannot attest plane-local translation), a media-fault
+/// plan, a single-channel device, and a worker finding its home plane
+/// below the GC threshold mid-run (full-space overwrites: GC hell).
+#[test]
+fn sharded_requests_that_fall_back_name_their_guard() {
+    use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
+    let wide = SsdConfig {
+        channels: 4,
+        ..SsdConfig::micro_gc_test()
+    };
+    let user_pages = wide.geometry().user_pages();
+    let resident = SsdConfig {
+        cmt_capacity: user_pages as usize,
+        ..wide.clone()
+    };
+    let overwrites = |space_pages: u64| {
+        uniform_random(
+            &UniformParams {
+                requests: 3_000,
+                write_ratio: 1.0,
+                pages_per_req: 1,
+                space_pages,
+                rate_per_sec: 1e9,
+            },
+            7,
+        )
+        .requests
+    };
+    let one_channel = SsdConfig {
+        channels: 1,
+        ..resident.clone()
+    };
+    let small_cmt = SsdConfig {
+        cmt_capacity: 4096,
+        ..wide.clone()
+    };
+    let faulty = resident.clone().with_fault(FaultConfig::light(11));
+    let legs: [(&str, SsdConfig, f64, fn() -> RunConfig); 6] = [
+        ("closed(8)", resident.clone(), 0.9, || RunConfig::closed(8)),
+        ("ncq(8)", resident.clone(), 0.9, || RunConfig::ncq(8)),
+        ("4096-entry CMT", small_cmt, 0.9, RunConfig::open),
+        ("fault plan", faulty, 0.3, RunConfig::open),
+        ("one channel", one_channel, 0.3, RunConfig::open),
+        ("gc hell", resident.clone(), 1.0, RunConfig::open),
+    ];
+    for (name, config, share, run) in legs {
+        let pages = config.geometry().user_pages();
+        let fill = sequential_fill(pages, share, 16);
+        let reqs = overwrites((pages as f64 * share) as u64);
+        let fresh = || {
+            let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            d.warm_up(&fill.requests);
+            d
+        };
+        let mut seq_dev = fresh();
+        let seq = seq_dev.run_with(&reqs, run());
+        let mut par_dev = fresh();
+        let par = par_dev.run_with(&reqs, run().shards(2));
+        let ShardOutcome::FellBack(guard) = par.shard_outcome else {
+            panic!("{name}: expected a fallback, got {:?}", par.shard_outcome);
+        };
+        match (name, guard) {
+            ("closed(8)", ShardGuard::ClosedMode)
+            | ("ncq(8)", ShardGuard::QueueingMode)
+            | ("4096-entry CMT", ShardGuard::TranslationNotReady)
+            | ("fault plan", ShardGuard::MediaModel)
+            | ("one channel", ShardGuard::SingleChannel) => {}
+            ("gc hell", ShardGuard::WorkerImpurity { request }) => {
+                assert!((request as usize) < reqs.len(), "{name}: request {request}");
+            }
+            _ => panic!("{name}: wrong guard {guard:?}"),
+        }
+        assert!(
+            par.shard_timing.is_none(),
+            "{name}: timing without engaging"
+        );
+        assert_eq!(fingerprint(&seq), fingerprint(&par), "{name}: report");
+        assert_eq!(flash_digest(&seq_dev), flash_digest(&par_dev), "{name}");
+        par_dev.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -1416,9 +1484,16 @@ fn page_req(at: SimTime, lpn: u64, op: HostOp) -> HostRequest {
     }
 }
 
-fn run_dloop_micro(reqs: &[HostRequest], run: RunConfig) -> RunReport {
+fn run_micro(kind: FtlKind, reqs: &[HostRequest], run: RunConfig) -> RunReport {
     let config = SsdConfig::micro_gc_test();
-    SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config)).run_with(reqs, run)
+    let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+    let report = device.run_with(reqs, run);
+    device.audit().expect("audit");
+    report
+}
+
+fn run_dloop_micro(reqs: &[HostRequest], run: RunConfig) -> RunReport {
+    run_micro(FtlKind::Dloop, reqs, run)
 }
 
 fn done_of(report: &RunReport, req: u64) -> SimTime {
@@ -1521,4 +1596,107 @@ const GOLDEN_TIES: [u64; 4] = [
     0x6d5d_cbe7_24dd_6034,
     0x8e05_be37_c4e6_d210,
     0x2ef9_3822_b9df_b420,
+];
+
+/// The four FTLs the gated discipline is pinned over.
+const GATED_KINDS: [FtlKind; 4] = [
+    FtlKind::Dloop,
+    FtlKind::Dftl,
+    FtlKind::Fast,
+    FtlKind::IdealPageMap,
+];
+
+/// Directed case 1 of the scheduler collapse — *where a chain-less op
+/// issues*. Bursts of four same-instant hot writes (one DLOOP plane, so
+/// ops queue and the collector runs), plus reads of never-written LPNs —
+/// chain-less — each arriving at the exact instant an earlier write
+/// completes, i.e. when its plane frees and an older queued op becomes
+/// ready in the same scheduler pass. The priority list issues
+/// that older op first and the read at its queue position; the windowed
+/// policies issue the chain-less op first. The logs record issue order,
+/// so the fingerprints below — recorded from the stand-alone gated loop
+/// at the commit before it was folded into `run_queued` — hold only if
+/// the one loop keeps the gated rule.
+#[test]
+fn gated_issues_chainless_ops_at_their_queue_position() {
+    use dloop_repro::host::report_fingerprint;
+    let space = SsdConfig::micro_gc_test().geometry().user_pages();
+    for (kind, golden) in GATED_KINDS.into_iter().zip(GOLDEN_GATED_CHAINLESS) {
+        let writes: Vec<HostRequest> = (0..3000u64)
+            .map(|i| {
+                let at = SimTime::from_micros(100 * (i / 4));
+                page_req(at, 4 * ((i * 7) % 40), HostOp::Write)
+            })
+            .collect();
+        // Chain-less reads perturb nothing, so completion instants of the
+        // write-only run stay exact once the reads are mixed in.
+        let calibration = run_micro(kind, &writes, RunConfig::gated());
+        let mut reqs = writes.clone();
+        for &(req, _, done) in &calibration.completions {
+            if req % 25 == 3 {
+                reqs.push(page_req(done, space - 1 - req, HostOp::Read));
+            }
+        }
+        let report = run_micro(kind, &reqs, RunConfig::gated());
+        let coinciding = reqs[writes.len()..]
+            .iter()
+            .filter(|read| {
+                report
+                    .queue_log
+                    .tracked()
+                    .iter()
+                    .any(|&(_, arrival, issue, _)| issue == read.arrival && arrival < issue)
+            })
+            .count();
+        assert!(
+            coinciding > 0,
+            "{kind:?}: no read arrived as an older op's plane freed"
+        );
+        assert_eq!(report_fingerprint(&report), golden, "{kind:?}");
+        // The windowed FIFO policy differs from it in exactly this rule.
+        let windowed = RunConfig::qos(QosSpec::WindowFifo).queue_depth(usize::MAX);
+        let windowed = run_micro(kind, &reqs, windowed);
+        assert_eq!(windowed.csv_row(), report.csv_row(), "{kind:?}");
+        assert_ne!(report_fingerprint(&windowed), golden, "{kind:?}");
+    }
+}
+
+/// Directed case 2 — *looking past a lane head blocked on its secondary
+/// plane*. Dense writes over most of the LPN space with a read of a
+/// just-written page every fifth op: victims hold live pages, so FAST's
+/// merges keep thousands of two-plane copies in flight while ops queue on
+/// both ends of them. No shipped FTL *starts* a host chain with a
+/// two-plane step, so the lane rule (a lane offers only its head) and the
+/// priority list (skip anything blocked) select the same op; the
+/// fingerprints were recorded from the stand-alone gated loop.
+#[test]
+fn gated_skips_blocked_ops_like_the_priority_list() {
+    use dloop_repro::host::report_fingerprint;
+    for (kind, golden) in GATED_KINDS.into_iter().zip(GOLDEN_GATED_SKIPPING) {
+        let reqs: Vec<HostRequest> = (0..9000u64)
+            .map(|i| {
+                let at = SimTime::from_micros(20 * i);
+                match i % 5 {
+                    4 => page_req(at, ((i - 3) * 13) % 2400, HostOp::Read),
+                    _ => page_req(at, (i * 13) % 2400, HostOp::Write),
+                }
+            })
+            .collect();
+        let report = run_micro(kind, &reqs, RunConfig::gated());
+        assert!(report.ftl.gc_invocations > 0, "{kind:?}: no collection ran");
+        assert_eq!(report_fingerprint(&report), golden, "{kind:?}");
+    }
+}
+
+const GOLDEN_GATED_CHAINLESS: [u64; 4] = [
+    0xce3b_0296_9fe0_15b4,
+    0xbcf4_b788_9303_3dbb,
+    0x8b6d_8e69_e3be_d217,
+    0xb88a_9c16_de92_6c12,
+];
+const GOLDEN_GATED_SKIPPING: [u64; 4] = [
+    0xb7b9_b2b6_35b0_169b,
+    0x2062_7dc9_90ca_0f0e,
+    0xf912_780d_d19d_bec9,
+    0xe46a_6cb6_1293_1cea,
 ];
