@@ -17,7 +17,7 @@ use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::demand::DemandMap;
 use dloop_ftl_kit::dir::{PageDirectory, PageOwner};
 use dloop_ftl_kit::ftl::{FlashStep, Ftl, FtlContext, FtlCounters};
-use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageState, Ppn};
+use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageState, PlaneId, Ppn};
 
 /// The DFTL baseline.
 pub struct DftlFtl {
@@ -30,6 +30,10 @@ pub struct DftlFtl {
     /// GC triggers when total free blocks fall below this (aggregate slack
     /// equal to DLOOP's per-plane threshold for a fair comparison).
     gc_threshold_total: u64,
+    /// `collect_one`'s per-plane scan scratch: the plane's excluded block
+    /// indices and its fully-invalid blocks.
+    excluded: Vec<u32>,
+    sweep: Vec<u32>,
 }
 
 impl DftlFtl {
@@ -44,6 +48,8 @@ impl DftlFtl {
             trans_active: None,
             counters: FtlCounters::default(),
             gc_threshold_total: config.gc_threshold as u64 * planes as u64,
+            excluded: Vec::new(),
+            sweep: Vec::new(),
             geometry,
         }
     }
@@ -132,58 +138,37 @@ impl DftlFtl {
 
     fn collect_one(&mut self, ctx: &mut FtlContext<'_>) -> bool {
         let exclude = self.exclusions();
-        // Sweep: erase every fully-invalid block device-wide.
+        // One scan per plane: erase its fully-invalid blocks at once and
+        // fold its most-invalid block into the device-wide choice (the
+        // lowest plane wins ties).
         let mut swept = false;
+        let mut best: Option<(u32, BlockAddr)> = None;
         for plane in self.geometry.planes() {
-            let hits: Vec<u32> = ctx
+            self.excluded.clear();
+            self.excluded
+                .extend(exclude.iter().filter(|b| b.plane == plane).map(|b| b.index));
+            self.sweep.clear();
+            let candidate = ctx
                 .flash
                 .plane(plane)
-                .blocks()
-                .filter(|(i, b)| {
-                    !exclude.contains(&BlockAddr { plane, index: *i })
-                        && !ctx.flash.plane(plane).in_free_pool(*i)
-                        && !b.is_pristine()
-                        && b.valid_pages() == 0
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for index in hits {
-                ctx.push(FlashStep::Erase { plane });
-                // An erase failure retires the block instead of pooling it;
-                // either way the block is gone from the victim set.
-                let _ = ctx
-                    .flash
-                    .erase_and_pool(BlockAddr { plane, index })
-                    .expect("sweep erase failed");
+                .gc_candidates(&self.excluded, &mut self.sweep);
+            for &index in &self.sweep {
+                ctx.erase(BlockAddr { plane, index });
                 swept = true;
+            }
+            if let Some((inv, index)) = candidate {
+                if best.is_none_or(|(bi, _)| inv > bi) {
+                    best = Some((inv, BlockAddr { plane, index }));
+                }
             }
         }
         if swept {
             self.counters.gc_invocations += 1;
             return true;
         }
-
-        // Most-invalid block anywhere.
-        let mut best: Option<(u32, BlockAddr)> = None;
-        for plane in self.geometry.planes() {
-            let excl: Vec<u32> = exclude
-                .iter()
-                .filter(|b| b.plane == plane)
-                .map(|b| b.index)
-                .collect();
-            if let Some(idx) = ctx.flash.plane(plane).victim_with_max_invalid(&excl) {
-                let inv = ctx.flash.plane(plane).block(idx).invalid_pages();
-                if best.is_none_or(|(bi, _)| inv > bi) {
-                    best = Some((inv, BlockAddr { plane, index: idx }));
-                }
-            }
-        }
-        let Some((inv, victim)) = best else {
+        let Some((1.., victim)) = best else {
             return false;
         };
-        if inv == 0 {
-            return false;
-        }
         self.counters.gc_invocations += 1;
 
         let geometry = self.geometry.clone();
@@ -212,74 +197,17 @@ impl DftlFtl {
             }
             jobs.push((ppn, owner));
         }
-
         for (old_ppn, owner) in jobs {
-            match owner {
-                PageOwner::Data(lpn) => {
-                    let exclude = self.exclusions();
-                    let new_ppn = Self::place(
-                        &mut self.alloc,
-                        &mut self.data_active,
-                        None,
-                        &exclude,
-                        ctx.flash,
-                    );
-                    self.counters.external_moves += 1;
-                    let dst = geometry.plane_of_ppn(new_ppn);
-                    ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                        src: victim.plane,
-                        dst,
-                    });
-                    ctx.push(FlashStep::InterPlaneCopy {
-                        src: victim.plane,
-                        dst,
-                    });
-                    self.dm.gc_move(lpn, new_ppn);
-                    ctx.dir.set_data(new_ppn, lpn);
-                    ctx.flash.invalidate(old_ppn).expect("GC source not valid");
-                    ctx.dir.clear(old_ppn);
-                }
-                PageOwner::Translation(tvpn) => {
-                    let exclude: Vec<BlockAddr> = self.data_active.into_iter().collect();
-                    let new_ppn = Self::place(
-                        &mut self.alloc,
-                        &mut self.trans_active,
-                        Some(0),
-                        &exclude,
-                        ctx.flash,
-                    );
-                    self.counters.external_moves += 1;
-                    let dst = geometry.plane_of_ppn(new_ppn);
-                    ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                        src: victim.plane,
-                        dst,
-                    });
-                    ctx.push(FlashStep::InterPlaneCopy {
-                        src: victim.plane,
-                        dst,
-                    });
-                    self.dm.gc_move_translation(tvpn, new_ppn);
-                    ctx.dir.set_translation(new_ppn, tvpn);
-                    ctx.flash.invalidate(old_ppn).expect("GC source not valid");
-                    ctx.dir.clear(old_ppn);
-                }
-                PageOwner::None => unreachable!("valid page without owner"),
-            }
+            self.gc_move(victim.plane, old_ppn, owner, ctx);
         }
 
         // Rewrites reading the in-victim copy happen before the erase.
         for tvpn in rewrite_now {
             self.rewrite(tvpn, ctx);
         }
-        ctx.push(FlashStep::Erase {
-            plane: victim.plane,
-        });
         // A failed victim erase retires the block (capacity shrinks), but
         // the collection itself completed: the valid pages moved out.
-        let _ = ctx
-            .flash
-            .erase_and_pool(victim)
-            .expect("victim erase failed");
+        ctx.erase(victim);
 
         // Keep the deferred-update buffer within budget (only while some
         // plane can still absorb a write without emergency reclaim).
@@ -304,6 +232,33 @@ impl DftlFtl {
         self.dm
             .flush_pending_over_budget(ctx, &mut can_place, &mut place);
         true
+    }
+
+    /// Move one live page of a GC victim on plane `src` over the external
+    /// bus: data into the data active block, a translation page into the
+    /// translation active block (sticky on plane 0, and free to reclaim a
+    /// dead translation block in an emergency).
+    fn gc_move(&mut self, src: PlaneId, old_ppn: Ppn, owner: PageOwner, ctx: &mut FtlContext<'_>) {
+        let new_ppn = if let PageOwner::Translation(_) = owner {
+            let exclude: Vec<BlockAddr> = self.data_active.into_iter().collect();
+            let active = &mut self.trans_active;
+            Self::place(&mut self.alloc, active, Some(0), &exclude, ctx.flash)
+        } else {
+            let exclude = self.exclusions();
+            let active = &mut self.data_active;
+            Self::place(&mut self.alloc, active, None, &exclude, ctx.flash)
+        };
+        self.counters.external_moves += 1;
+        let copy = FlashStep::InterPlaneCopy {
+            src,
+            dst: self.geometry.plane_of_ppn(new_ppn),
+        };
+        // Failed program attempts repeat the whole move.
+        ctx.drain_failed_programs(copy);
+        ctx.push(copy);
+        self.dm.gc_remap(owner, old_ppn, new_ppn, ctx);
+        ctx.flash.invalidate(old_ppn).expect("GC source not valid");
+        ctx.dir.clear(old_ppn);
     }
 
     fn rewrite(&mut self, tvpn: u64, ctx: &mut FtlContext<'_>) {

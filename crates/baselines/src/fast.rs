@@ -260,10 +260,43 @@ impl FastFtl {
             };
             self.full_merge(lbn, ctx);
         }
-        ctx.push(FlashStep::Erase {
-            plane: victim.plane,
-        });
-        ctx.flash.erase_and_pool(victim).expect("rw erase failed");
+        ctx.erase(victim);
+    }
+
+    /// The aligned copy both merges share: for every offset of `lbn` from
+    /// `from` up, copy the newest version into `dest` at that same offset
+    /// (the external-bus moves that make merges expensive). A copied
+    /// page's log-map entry goes away with its old version, so the data
+    /// block serves it from then on.
+    fn copy_aligned(&mut self, lbn: u64, from: u32, dest: BlockAddr, ctx: &mut FtlContext<'_>) {
+        let ppb = self.ppb();
+        for off in from..ppb {
+            let lpn = lbn * ppb as u64 + off as u64;
+            let Some(src) = self.current_ppn(lpn, ctx.flash) else {
+                // Keep offset alignment across the hole.
+                ctx.flash.skip_next(dest).expect("merge dest full");
+                continue;
+            };
+            let copy = FlashStep::InterPlaneCopy {
+                src: self.geometry.plane_of_ppn(src),
+                dst: dest.plane,
+            };
+            let attempt = ctx.flash.program_page(dest).expect("merge dest full");
+            if attempt.failed {
+                // The aligned slot was consumed by the failed program
+                // (alignment holds for the remaining offsets, and the
+                // block keeps a hole here); divert this page to the RW log.
+                ctx.drain_failed_programs(copy);
+                self.relocate_failed_merge_page(lpn, src, ctx);
+                continue;
+            }
+            debug_assert_eq!(attempt.addr.page, off, "merge lost offset alignment");
+            let new_ppn = self.geometry.ppn_of(attempt.addr);
+            self.counters.external_moves += 1;
+            ctx.push(copy);
+            self.invalidate_version(lpn, src, ctx);
+            ctx.dir.set_data(new_ppn, lpn);
+        }
     }
 
     /// Full merge of one LBN (§II.A): newest version of every offset is
@@ -274,47 +307,11 @@ impl FastFtl {
         let exclude = self.exclusions();
         let home = self.home_plane(lbn);
         let dest = self.alloc.allocate_sticky(home, ctx.flash, &exclude);
-        let ppb = self.ppb();
-        for off in 0..ppb {
-            let lpn = lbn * ppb as u64 + off as u64;
-            match self.current_ppn(lpn, ctx.flash) {
-                Some(src) => {
-                    let src_plane = self.geometry.plane_of_ppn(src);
-                    let attempt = ctx.flash.program_page(dest).expect("merge dest full");
-                    if attempt.failed {
-                        // The aligned slot was consumed by the failed
-                        // program (alignment holds for the remaining
-                        // offsets); divert this page to the RW log.
-                        ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                            src: src_plane,
-                            dst: dest.plane,
-                        });
-                        self.relocate_failed_merge_page(lpn, src, ctx);
-                        continue;
-                    }
-                    debug_assert_eq!(attempt.addr.page, off, "merge lost offset alignment");
-                    let new_ppn = self.geometry.ppn_of(attempt.addr);
-                    self.counters.external_moves += 1;
-                    ctx.push(FlashStep::InterPlaneCopy {
-                        src: src_plane,
-                        dst: dest.plane,
-                    });
-                    self.invalidate_version(lpn, src, ctx);
-                    ctx.dir.set_data(new_ppn, lpn);
-                }
-                None => {
-                    // Keep offset alignment across the hole.
-                    ctx.flash.skip_next(dest).expect("merge dest full");
-                }
-            }
-        }
+        self.copy_aligned(lbn, 0, dest, ctx);
         // The old data block now holds no live pages.
         if let Some(old) = self.data_map[lbn as usize] {
             debug_assert_eq!(ctx.flash.plane(old.plane).block(old.index).valid_pages(), 0);
-            ctx.push(FlashStep::Erase { plane: old.plane });
-            ctx.flash
-                .erase_and_pool(old)
-                .expect("old data erase failed");
+            ctx.erase(old);
         }
         self.data_map[lbn as usize] = Some(dest);
         // If the SW block belonged to this LBN it is now fully invalid.
@@ -322,10 +319,7 @@ impl FastFtl {
             if sw.lbn == lbn {
                 let b = ctx.flash.plane(sw.block.plane).block(sw.block.index);
                 if b.valid_pages() == 0 {
-                    ctx.push(FlashStep::Erase {
-                        plane: sw.block.plane,
-                    });
-                    ctx.flash.erase_and_pool(sw.block).expect("sw erase failed");
+                    ctx.erase(sw.block);
                     self.sw = None;
                 }
             }
@@ -337,8 +331,7 @@ impl FastFtl {
             let b = ctx.flash.plane(blk.plane).block(blk.index);
             let is_active = Some(blk) == active;
             if !is_active && b.is_full() && b.valid_pages() == 0 {
-                ctx.push(FlashStep::Erase { plane: blk.plane });
-                ctx.flash.erase_and_pool(blk).expect("dead rw erase failed");
+                ctx.erase(blk);
             } else {
                 kept.push_back(blk);
             }
@@ -390,39 +383,7 @@ impl FastFtl {
             self.promote_sw(sw, ctx);
             return;
         }
-        let ppb = self.ppb();
-        for off in sw.next_off..ppb {
-            let lpn = sw.lbn * ppb as u64 + off as u64;
-            match self.current_ppn(lpn, ctx.flash) {
-                Some(src) => {
-                    let src_plane = self.geometry.plane_of_ppn(src);
-                    let attempt = ctx.flash.program_page(sw.block).expect("sw full");
-                    if attempt.failed {
-                        // Aligned slot consumed; divert to the RW log (the
-                        // promoted block keeps a hole at this offset).
-                        ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                            src: src_plane,
-                            dst: sw.block.plane,
-                        });
-                        self.relocate_failed_merge_page(lpn, src, ctx);
-                        continue;
-                    }
-                    debug_assert_eq!(attempt.addr.page, off);
-                    let new_ppn = self.geometry.ppn_of(attempt.addr);
-                    self.counters.external_moves += 1;
-                    ctx.push(FlashStep::InterPlaneCopy {
-                        src: src_plane,
-                        dst: sw.block.plane,
-                    });
-                    self.invalidate_version(lpn, src, ctx);
-                    ctx.dir.set_data(new_ppn, lpn);
-                    self.log_map.remove(&lpn);
-                }
-                None => {
-                    ctx.flash.skip_next(sw.block).expect("sw full");
-                }
-            }
-        }
+        self.copy_aligned(sw.lbn, sw.next_off, sw.block, ctx);
         self.promote_sw(sw, ctx);
     }
 
@@ -446,10 +407,7 @@ impl FastFtl {
                 0,
                 "old data block still live after switch"
             );
-            ctx.push(FlashStep::Erase { plane: old.plane });
-            ctx.flash
-                .erase_and_pool(old)
-                .expect("old data erase failed");
+            ctx.erase(old);
         }
         self.data_map[sw.lbn as usize] = Some(sw.block);
     }

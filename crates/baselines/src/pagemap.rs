@@ -1,17 +1,22 @@
 //! An idealised page-mapping FTL: the whole mapping table lives in SRAM.
 //!
 //! Not part of the paper's comparison — it exists as an *ablation bound*:
-//! it uses DLOOP's placement and copy-back GC but pays zero translation
+//! it calls DLOOP's placement ([`PlaneAllocator`]) and copy-back GC
+//! ([`GcEngine`]'s scan, sweep and relocation) but pays zero translation
 //! traffic, so the gap between `IDEAL` and `DLOOP` isolates the cost of
 //! demand-caching the mapping table, and the gap between `IDEAL` and
 //! `DFTL` bounds what any page-mapping FTL could gain from plane-aware
-//! placement.
+//! placement. Two loop policies stay its own — no feasibility check, and
+//! collecting until the threshold is met rather than until a pass stops
+//! gaining blocks: both guards are DLOOP's answer to an over-full
+//! device, and adopting them here would move the bound's rows.
 
 use dloop::alloc::{BlockClass, PlaneAllocator};
+use dloop::gc::GcEngine;
 use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::dir::{PageDirectory, PageOwner};
-use dloop_ftl_kit::ftl::{FlashStep, Ftl, FtlContext, FtlCounters};
-use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageAddr, PageState, PlaneId, Ppn};
+use dloop_ftl_kit::ftl::{Ftl, FtlContext, FtlCounters};
+use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageState, PlaneId, Ppn};
 
 const UNMAPPED: Ppn = Ppn::MAX;
 
@@ -20,9 +25,8 @@ pub struct IdealPageMapFtl {
     geometry: Geometry,
     map: Vec<Ppn>,
     alloc: PlaneAllocator,
+    gc: GcEngine,
     counters: FtlCounters,
-    gc_threshold: u32,
-    copyback: bool,
 }
 
 impl IdealPageMapFtl {
@@ -33,9 +37,8 @@ impl IdealPageMapFtl {
         IdealPageMapFtl {
             map: vec![UNMAPPED; geometry.user_pages() as usize],
             alloc: PlaneAllocator::new(planes),
+            gc: GcEngine::new(config.gc_threshold, config.copyback_enabled),
             counters: FtlCounters::default(),
-            gc_threshold: config.gc_threshold,
-            copyback: config.copyback_enabled,
             geometry,
         }
     }
@@ -52,7 +55,7 @@ impl IdealPageMapFtl {
                 break;
             }
             for &plane in &touched {
-                while ctx.flash.free_blocks(plane) < self.gc_threshold {
+                while ctx.flash.free_blocks(plane) < self.gc.threshold() {
                     if !self.collect_one(plane, ctx) {
                         break;
                     }
@@ -61,112 +64,30 @@ impl IdealPageMapFtl {
         }
     }
 
+    /// DLOOP's pass (see `dloop::gc`) minus the feasibility check, the
+    /// translation rewrites and the pending-update flush.
     fn collect_one(&mut self, plane: PlaneId, ctx: &mut FtlContext<'_>) -> bool {
         let exclude = self.alloc.exclusions(plane);
-        // Free sweep first (see dloop::gc for the rationale).
-        let full_invalid: Vec<u32> = ctx
-            .flash
-            .plane(plane)
-            .blocks()
-            .filter(|(i, b)| {
-                !exclude.contains(i)
-                    && !ctx.flash.plane(plane).in_free_pool(*i)
-                    && !b.is_pristine()
-                    && b.valid_pages() == 0
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !full_invalid.is_empty() {
-            self.counters.gc_invocations += 1;
-            for index in full_invalid {
-                ctx.push(FlashStep::Erase { plane });
-                ctx.flash
-                    .erase_and_pool(BlockAddr { plane, index })
-                    .expect("sweep erase failed");
-            }
-            return true;
-        }
-        let Some(victim) = ctx.flash.plane(plane).victim_with_max_invalid(&exclude) else {
-            return false;
+        let counters = &mut self.counters;
+        let victim = match self.gc.sweep_or_pick(plane, &exclude, counters, ctx) {
+            Ok(victim) => victim,
+            Err(reclaimed) => return reclaimed,
         };
-        if ctx.flash.plane(plane).block(victim).invalid_pages() == 0 {
-            return false;
-        }
-        self.counters.gc_invocations += 1;
-        let offsets: Vec<u32> = ctx
-            .flash
-            .plane(plane)
-            .block(victim)
-            .valid_offsets()
-            .collect();
-        // Parity-aware move ordering (see dloop::gc).
-        let mut queues: [std::collections::VecDeque<u32>; 2] =
-            [Default::default(), Default::default()];
-        for off in offsets {
-            queues[(off & 1) as usize].push_back(off);
-        }
-        let mut waste_budget = self.geometry.pages_per_block / 8;
-        while queues.iter().any(|q| !q.is_empty()) {
-            let (off, forced_external) = if self.copyback {
-                let want = self.alloc.next_parity(plane, BlockClass::Data, ctx.flash) as usize;
-                match queues[want].pop_front() {
-                    Some(off) => (off, false),
-                    None => {
-                        let off = queues[want ^ 1].pop_front().expect("non-empty");
-                        if waste_budget > 0 {
-                            waste_budget -= 1;
-                            (off, false)
-                        } else {
-                            (off, true)
-                        }
-                    }
-                }
-            } else {
-                let q = if queues[0].is_empty() { 1 } else { 0 };
-                (queues[q].pop_front().expect("non-empty"), true)
-            };
-            let old_ppn = self.geometry.ppn_of(PageAddr {
-                plane,
-                block: victim,
-                page: off,
-            });
-            let PageOwner::Data(lpn) = ctx.dir.owner(old_ppn) else {
+        counters.gc_invocations += 1;
+        self.gc.queue_live_pages(plane, victim, ctx, |_| false);
+        let remap = |owner, _, new_ppn, ctx: &mut FtlContext<'_>| {
+            let PageOwner::Data(lpn) = owner else {
                 unreachable!("ideal page map owns only data pages");
             };
-            let new_addr = if forced_external {
-                self.counters.external_moves += 1;
-                ctx.push(FlashStep::InterPlaneCopy {
-                    src: plane,
-                    dst: plane,
-                });
-                let addr = self.alloc.place(plane, BlockClass::Data, ctx.flash);
-                ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                    src: plane,
-                    dst: plane,
-                });
-                addr
-            } else {
-                self.counters.copyback_moves += 1;
-                ctx.push(FlashStep::CopyBack { plane });
-                let addr =
-                    self.alloc
-                        .place_with_parity(plane, BlockClass::Data, off & 1, ctx.flash);
-                ctx.drain_failed_programs(FlashStep::CopyBack { plane });
-                addr
-            };
-            let new_ppn = self.geometry.ppn_of(new_addr);
             self.map[lpn as usize] = new_ppn;
             ctx.dir.set_data(new_ppn, lpn);
-            ctx.flash.invalidate(old_ppn).expect("GC source not valid");
-            ctx.dir.clear(old_ppn);
-        }
-        ctx.push(FlashStep::Erase { plane });
-        ctx.flash
-            .erase_and_pool(BlockAddr {
-                plane,
-                index: victim,
-            })
-            .expect("victim erase failed");
+        };
+        self.gc
+            .relocate(plane, &mut self.alloc, counters, ctx, remap);
+        ctx.erase(BlockAddr {
+            plane,
+            index: victim,
+        });
         true
     }
 }

@@ -98,13 +98,7 @@ impl SeqAllocator {
             loop {
                 let found = flash
                     .plane(plane)
-                    .blocks()
-                    .find(|(i, b)| {
-                        !b.is_pristine()
-                            && b.valid_pages() == 0
-                            && !exclude.contains(&BlockAddr { plane, index: *i })
-                    })
-                    .map(|(i, _)| i);
+                    .first_fully_invalid(|index| exclude.contains(&BlockAddr { plane, index }));
                 let Some(index) = found else { break };
                 let pooled = flash
                     .erase_and_pool(BlockAddr { plane, index })

@@ -61,11 +61,6 @@ impl PlaneAllocator {
         }
     }
 
-    /// The current free block of `plane` for `class`, if assigned.
-    pub fn active_block(&self, plane: PlaneId, class: BlockClass) -> Option<BlockAddr> {
-        self.active[class as usize][plane as usize]
-    }
-
     /// Blocks GC must never pick as victims on `plane` (the active
     /// blocks of both classes).
     pub fn exclusions(&self, plane: PlaneId) -> Exclusions {
@@ -154,11 +149,7 @@ impl PlaneAllocator {
                     while !pooled_one {
                         let fallback = flash
                             .plane(plane)
-                            .blocks()
-                            .find(|(i, b)| {
-                                !excluded.contains(i) && !b.is_pristine() && b.valid_pages() == 0
-                            })
-                            .map(|(i, _)| i);
+                            .first_fully_invalid(|i| excluded.contains(&i));
                         let Some(i) = fallback else { break };
                         pooled_one = flash
                             .erase_and_pool(BlockAddr { plane, index: i })

@@ -14,6 +14,11 @@
 //! batch-rewritten (one read-modify-write per translation page, not per
 //! mapping); translation pages resident in the victim move by copy-back
 //! like data, unless the same GC pass is about to rewrite them anyway.
+//!
+//! The victim scan is `PlaneState::gc_candidates`; the sweep and the
+//! parity-ordered relocation loop ([`GcEngine::relocate`]) are also what
+//! the IDEAL ablation FTL runs, with its own map update. The feasibility
+//! check and the progress bound are DLOOP's alone.
 
 use crate::alloc::{BlockClass, PlaneAllocator};
 use crate::ftl::DloopFtl;
@@ -91,39 +96,23 @@ impl GcEngine {
         }
     }
 
-    /// Collect one victim block on `plane`. Returns false when no block
-    /// with reclaimable (invalid) pages exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_one(
+    /// The front half of a pass: scan `plane`
+    /// ([`dloop_nand::plane::PlaneState::gc_candidates`]), then sweep or
+    /// name the victim. `Err(reclaimed)` ends the pass — fully-invalid
+    /// blocks were erased (`true`) or no block has an invalid page
+    /// (`false`); `Ok(victim)` is the max-invalid block, still part live.
+    pub fn sweep_or_pick(
         &mut self,
         plane: PlaneId,
-        dm: &mut DemandMap,
-        alloc: &mut PlaneAllocator,
+        exclude: &[u32],
         counters: &mut FtlCounters,
-        spread_translation: bool,
         ctx: &mut FtlContext<'_>,
-    ) -> bool {
-        let exclude = alloc.exclusions(plane);
-
-        // One pass over the plane's blocks finds both the fully-invalid
-        // blocks and the block with the most invalid pages (lowest index on
-        // ties). Neither may be an active block, pooled or pristine.
+    ) -> Result<u32, bool> {
         self.sweep.clear();
-        let mut victim: Option<(u32, u32)> = None; // (invalid pages, index)
-        let blocks = ctx.flash.plane(plane);
-        for (i, b) in blocks.blocks() {
-            if b.is_pristine() || exclude.contains(&i) || blocks.in_free_pool(i) {
-                continue;
-            }
-            if b.valid_pages() == 0 {
-                self.sweep.push(i);
-            }
-            let invalid = b.invalid_pages();
-            if victim.is_none_or(|(most, _)| invalid > most) {
-                victim = Some((invalid, i));
-            }
-        }
-
+        let victim = ctx
+            .flash
+            .plane(plane)
+            .gc_candidates(exclude, &mut self.sweep);
         // §III.C's "most desirable case": victims with no valid pages are
         // reclaimed by a bare erase. Sweep all of them first — they are
         // pure gain and keep the pool from starving while move-based
@@ -132,70 +121,54 @@ impl GcEngine {
         if !self.sweep.is_empty() {
             counters.gc_invocations += 1;
             for &index in &self.sweep {
-                ctx.push(FlashStep::Erase { plane });
-                // An erase failure retires the block (grown bad) instead
-                // of pooling it — still reclaimed from GC's perspective.
-                let _ = ctx
-                    .flash
-                    .erase_and_pool(BlockAddr { plane, index })
-                    .expect("sweep erase failed");
+                ctx.erase(BlockAddr { plane, index });
             }
-            return true;
+            return Err(true);
         }
-
-        let Some((victim_invalid, victim)) = victim else {
-            return false;
-        };
-        if victim_invalid == 0 {
+        match victim {
             // Everything is live; collecting would reclaim nothing.
-            return false;
+            None | Some((0, _)) => Err(false),
+            Some((_, victim)) => Ok(victim),
         }
-        // Feasibility: relocating the victim's live pages (plus parity
-        // waste and a few translation rewrites) must fit in the pages this
-        // plane can still absorb, or the collection would strand mid-move
-        // with an empty pool. The max-invalid victim is also the cheapest,
-        // so if it does not fit nothing does.
-        let geometry = ctx.flash.geometry().clone();
-        let ppb = geometry.pages_per_block;
-        let victim_valid = ctx.flash.plane(plane).block(victim).valid_pages();
-        let active_free: u32 = exclude
-            .iter()
-            .map(|&i| ctx.flash.plane(plane).block(i).free_pages())
-            .sum();
-        let avail = ctx.flash.free_blocks(plane) * ppb + active_free;
-        let need = victim_valid + ppb / 8 + 16;
-        if avail < need {
-            return false;
-        }
-        counters.gc_invocations += 1;
+    }
 
-        // Classify the victim's live pages. Data pages move by copy-back;
-        // translation pages move too, unless they carry pending (deferred)
-        // updates, in which case a read-modify-write both relocates and
-        // persists them in one go.
+    /// Queue the live pages of `victim` for [`GcEngine::relocate`], except
+    /// the translation pages `rewrite` claims: those are read-modify-written
+    /// by the caller instead of moved.
+    pub fn queue_live_pages(
+        &mut self,
+        plane: PlaneId,
+        victim: u32,
+        ctx: &FtlContext<'_>,
+        mut rewrite: impl FnMut(u64) -> bool,
+    ) {
         debug_assert!(self.moves.iter().all(|q| q.is_empty()) && self.rewrite_now.is_empty());
         for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
-            let ppn = geometry.ppn_of(PageAddr {
+            let ppn = ctx.flash.geometry().ppn_of(PageAddr {
                 plane,
                 block: victim,
                 page: off,
             });
             let owner = ctx.dir.owner(ppn);
-            if let PageOwner::Translation(tvpn) = owner {
-                // Rewrite instead of move when the page carries deferred
-                // updates (persist + relocate in one write), or in
-                // clustered mode, where an intra-plane move would pin
-                // translation pages to plane 0 forever while the rewrite
-                // path can spill to planes with room.
-                if dm.pending_count(tvpn) > 0 || !spread_translation {
-                    self.rewrite_now.push(tvpn);
-                    continue;
-                }
+            match owner {
+                PageOwner::Translation(tvpn) if rewrite(tvpn) => self.rewrite_now.push(tvpn),
+                _ => self.moves[(off & 1) as usize].push_back((off, ppn, owner)),
             }
-            self.moves[(off & 1) as usize].push_back((off, ppn, owner));
         }
+    }
 
-        // Relocate. Moves are reordered so that source parity matches the
+    /// Move every queued page into `plane`'s active blocks in parity
+    /// order, `remap` telling the owner's map about each `(owner, old_ppn,
+    /// new_ppn)` before the source is invalidated.
+    pub fn relocate(
+        &mut self,
+        plane: PlaneId,
+        alloc: &mut PlaneAllocator,
+        counters: &mut FtlCounters,
+        ctx: &mut FtlContext<'_>,
+        mut remap: impl FnMut(PageOwner, Ppn, Ppn, &mut FtlContext<'_>),
+    ) {
+        // Moves are reordered so that source parity matches the
         // destination write pointer's parity whenever both parities are
         // still available — GC has no ordering constraint between moves,
         // and this keeps the same-parity waste at the paper's "one page
@@ -207,7 +180,7 @@ impl GcEngine {
         // falls back to the traditional external copy for mis-parity
         // pages. Without the bound, the paper's "extreme case [that]
         // rarely happens" becomes systematic.
-        let mut waste_budget = geometry.pages_per_block / 8;
+        let mut waste_budget = ctx.flash.geometry().pages_per_block / 8;
         while self.moves.iter().any(|q| !q.is_empty()) {
             // Moves land in the destination stream matching what they
             // carry: relocated data goes to the data active block,
@@ -237,46 +210,87 @@ impl GcEngine {
                 PageOwner::Translation(_) => BlockClass::Translation,
                 _ => BlockClass::Data,
             };
-            let new_addr = if forced_external {
+            let step = if forced_external {
                 counters.external_moves += 1;
-                ctx.push(FlashStep::InterPlaneCopy {
+                FlashStep::InterPlaneCopy {
                     src: plane,
                     dst: plane,
-                });
-                let addr = alloc.place(plane, class, ctx.flash);
-                // Failed program attempts repeat the whole move.
-                ctx.drain_failed_programs(FlashStep::InterPlaneCopy {
-                    src: plane,
-                    dst: plane,
-                });
-                addr
+                }
             } else {
                 counters.copyback_moves += 1;
-                ctx.push(FlashStep::CopyBack { plane });
-                let addr = alloc.place_with_parity(plane, class, off & 1, ctx.flash);
-                ctx.drain_failed_programs(FlashStep::CopyBack { plane });
-                addr
+                FlashStep::CopyBack { plane }
             };
-            let new_ppn = geometry.ppn_of(new_addr);
-            match owner {
-                PageOwner::Data(lpn) => {
-                    dm.gc_move(lpn, new_ppn);
-                    ctx.dir.set_data(new_ppn, lpn);
-                }
-                PageOwner::Translation(tvpn) => {
-                    debug_assert!(dm.translation_at(tvpn, old_ppn), "GTD desync");
-                    dm.gc_move_translation(tvpn, new_ppn);
-                    ctx.dir.set_translation(new_ppn, tvpn);
-                }
-                PageOwner::None => unreachable!("valid page {old_ppn} without owner"),
-            }
+            ctx.push(step);
+            let new_addr = if forced_external {
+                alloc.place(plane, class, ctx.flash)
+            } else {
+                alloc.place_with_parity(plane, class, off & 1, ctx.flash)
+            };
+            // Failed program attempts repeat the whole move.
+            ctx.drain_failed_programs(step);
+            let new_ppn = ctx.flash.geometry().ppn_of(new_addr);
+            remap(owner, old_ppn, new_ppn, ctx);
             ctx.flash.invalidate(old_ppn).expect("GC source not valid");
             ctx.dir.clear(old_ppn);
         }
+    }
+
+    /// Collect one victim block on `plane`. Returns false when no block
+    /// with reclaimable (invalid) pages exists.
+    #[allow(clippy::too_many_arguments)]
+    pub fn collect_one(
+        &mut self,
+        plane: PlaneId,
+        dm: &mut DemandMap,
+        alloc: &mut PlaneAllocator,
+        counters: &mut FtlCounters,
+        spread_translation: bool,
+        ctx: &mut FtlContext<'_>,
+    ) -> bool {
+        // Neither a swept block nor the victim may be an active block.
+        let exclude = alloc.exclusions(plane);
+        let victim = match self.sweep_or_pick(plane, &exclude, counters, ctx) {
+            Ok(victim) => victim,
+            Err(reclaimed) => return reclaimed,
+        };
+        // Feasibility: relocating the victim's live pages (plus parity
+        // waste and a few translation rewrites) must fit in the pages this
+        // plane can still absorb, or the collection would strand mid-move
+        // with an empty pool. The max-invalid victim is also the cheapest,
+        // so if it does not fit nothing does.
+        let ppb = ctx.flash.geometry().pages_per_block;
+        let victim_valid = ctx.flash.plane(plane).block(victim).valid_pages();
+        let active_free: u32 = exclude
+            .iter()
+            .map(|&i| ctx.flash.plane(plane).block(i).free_pages())
+            .sum();
+        let avail = ctx.flash.free_blocks(plane) * ppb + active_free;
+        let need = victim_valid + ppb / 8 + 16;
+        if avail < need {
+            return false;
+        }
+        counters.gc_invocations += 1;
+
+        // Classify the victim's live pages. Data pages move by copy-back;
+        // translation pages move too, unless they carry pending (deferred)
+        // updates (a read-modify-write both relocates and persists them in
+        // one go), or in clustered mode, where an intra-plane move would
+        // pin translation pages to plane 0 forever while the rewrite path
+        // can spill to planes with room.
+        self.queue_live_pages(plane, victim, ctx, |tvpn| {
+            dm.pending_count(tvpn) > 0 || !spread_translation
+        });
+        self.relocate(
+            plane,
+            alloc,
+            counters,
+            ctx,
+            |owner, old_ppn, new_ppn, ctx| dm.gc_remap(owner, old_ppn, new_ppn, ctx),
+        );
 
         // Rewrites whose current copy sits in the victim must read it
         // before the erase.
-        let planes_total = geometry.total_planes() as u64;
+        let planes_total = ctx.flash.geometry().total_planes() as u64;
         {
             let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
                 DloopFtl::place_translation(alloc, spread_translation, planes_total, ctx, tvpn)
@@ -285,18 +299,12 @@ impl GcEngine {
                 dm.rewrite_translation_page(tvpn, ctx, &mut place);
             }
         }
-
-        ctx.push(FlashStep::Erase { plane });
-        // false = the erase failed and the victim was retired (grown bad):
-        // the plane's usable capacity shrinks but the valid pages moved out
+        // A failed erase retires the victim, but its valid pages moved out
         // regardless, so the collection still completed.
-        let _ = ctx
-            .flash
-            .erase_and_pool(BlockAddr {
-                plane,
-                index: victim,
-            })
-            .expect("victim erase failed");
+        ctx.erase(BlockAddr {
+            plane,
+            index: victim,
+        });
 
         // Keep the deferred-update buffer within its SRAM budget, steering
         // flushes away from planes that cannot absorb a write.

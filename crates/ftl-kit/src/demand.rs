@@ -21,6 +21,7 @@
 //! return the new PPN.
 
 use crate::cmt::CachedMappingTable;
+use crate::dir::PageOwner;
 use crate::ftl::FtlContext;
 use crate::gtd::Gtd;
 use dloop_nand::{Geometry, Lpn, Ppn};
@@ -251,13 +252,27 @@ impl DemandMap {
         }
     }
 
-    /// Record a GC move of translation page `tvpn` itself to `new_ppn`.
-    pub fn gc_move_translation(&mut self, tvpn: u64, new_ppn: Ppn) {
-        let old = self.gtd.update(tvpn, new_ppn);
-        debug_assert!(
-            old.is_some(),
-            "GC moved a translation page the GTD never placed"
-        );
+    /// Record the GC move of a live page from `old_ppn` to `new_ppn` in
+    /// the map its `owner` names and in the page directory.
+    pub fn gc_remap(
+        &mut self,
+        owner: PageOwner,
+        old_ppn: Ppn,
+        new_ppn: Ppn,
+        ctx: &mut FtlContext<'_>,
+    ) {
+        match owner {
+            PageOwner::Data(lpn) => {
+                self.gc_move(lpn, new_ppn);
+                ctx.dir.set_data(new_ppn, lpn);
+            }
+            PageOwner::Translation(tvpn) => {
+                let was = self.gtd.update(tvpn, new_ppn);
+                debug_assert_eq!(was, Some(old_ppn), "GTD desync");
+                ctx.dir.set_translation(new_ppn, tvpn);
+            }
+            PageOwner::None => unreachable!("valid page {old_ppn} without owner"),
+        }
     }
 
     /// Read-modify-write translation page `tvpn`: read the current copy
@@ -292,12 +307,6 @@ impl DemandMap {
         }
     }
 
-    /// Whether translation page `tvpn` currently lives at `ppn` (GC asks
-    /// before moving a translation page).
-    pub fn translation_at(&self, tvpn: u64, ppn: Ppn) -> bool {
-        self.gtd.lookup(tvpn) == Some(ppn)
-    }
-
     /// Iterate every mapped (lpn, ppn) pair — O(LPN space), audits only.
     pub fn iter_mapped(&self) -> impl Iterator<Item = (Lpn, Ppn)> + '_ {
         self.map
@@ -305,11 +314,6 @@ impl DemandMap {
             .enumerate()
             .filter(|(_, &p)| p != UNMAPPED)
             .map(|(l, &p)| (l as Lpn, p))
-    }
-
-    /// Number of mapped LPNs — O(LPN space), audits only.
-    pub fn mapped_count(&self) -> u64 {
-        self.map.iter().filter(|&&p| p != UNMAPPED).count() as u64
     }
 
     /// Audit: cached entries agree with the authoritative map; GTD entries

@@ -203,12 +203,6 @@ impl RunConfig {
         self
     }
 
-    /// Override the QoS selection policy (only the QoS mode consults it).
-    pub fn policy(mut self, policy: QosSpec) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Run on `shards` parallel channel-group workers (clamped to the
     /// channel count; `1` = the sequential engine). Reports are
     /// bit-identical either way.
@@ -921,6 +915,20 @@ impl SsdDevice {
         let lpn_space = self.flash.geometry().user_pages();
         let planes = self.flash.geometry().total_planes() as usize;
         let mut clock = WakeClock::new(requests);
+        // The wake-event contract also binds busy intervals booked before
+        // this run: a device that was not reset still carries them, and no
+        // completion of this run ends them with a wake. (None lie ahead on
+        // a fresh or reset device.)
+        for plane in 0..planes as dloop_nand::PlaneId {
+            for busy_until in [
+                self.hw.plane_ready_at(plane),
+                self.hw.channel_ready_at(plane),
+            ] {
+                if busy_until > clock.now {
+                    clock.wakes.push(busy_until, ());
+                }
+            }
+        }
 
         let mut pending: PendingQueue<QueuedOp> = PendingQueue::new();
         // Readiness index: lane `p` holds the pending ops whose first host
@@ -1620,14 +1628,26 @@ mod tests {
 
     #[test]
     fn a_stuck_gated_op_names_what_it_waits_for() {
-        // A busy interval no scheduler issued, hence with no wake at its
-        // end: the one way to strand a queued op past the last event.
+        // No replay strands an op any more (busy intervals booked outside
+        // the run are woken too), so the end-of-trace check is driven
+        // directly.
         let mut d = device();
         let held = d.hw.exec_write(0, SimTime::from_millis(5));
+        let (host, gc, scan) = d.translate_page_op(42, HostOp::Write);
+        let op = QueuedOp {
+            seq: 0,
+            req: 0,
+            lpn: 42,
+            host,
+            gc,
+            scan,
+            arrival: SimTime::from_micros(7),
+            tenant: TenantId::default(),
+        };
         let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.run_with(&[write_req(7, 42, 1)], RunConfig::gated())
+            d.assert_drained(1, Some(&op), SimTime::from_micros(7))
         }))
-        .expect_err("an op with no wake ahead of it must trip the end-of-trace check");
+        .expect_err("a pending op must trip the end-of-trace check");
         let message = stuck.downcast_ref::<String>().expect("formatted panic");
         let channel_free = d.hw.channel_ready_at(0);
         assert_ne!(channel_free, held.end);

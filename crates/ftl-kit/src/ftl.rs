@@ -12,7 +12,7 @@
 //! advances accordingly (§IV.B).
 
 use crate::dir::PageDirectory;
-use dloop_nand::{FlashState, Lpn, MediaOutcome, PlaneId, Ppn};
+use dloop_nand::{BlockAddr, FlashState, Lpn, MediaOutcome, PlaneId, Ppn};
 
 /// One timed flash operation within a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,6 +239,19 @@ impl FtlContext<'_> {
         for _ in 0..self.flash.take_failed_attempts() {
             self.push(step);
         }
+    }
+
+    /// Erase `block` and pool it, pushing the timed step. An erase failure
+    /// retires the block (grown bad) instead of pooling it: the plane's
+    /// usable capacity shrinks, but the block is reclaimed from GC's
+    /// perspective either way, so the outcome is not reported.
+    ///
+    /// Panics on a `NandError`: erasing a pooled block is an FTL logic bug.
+    pub fn erase(&mut self, block: BlockAddr) {
+        self.push(FlashStep::Erase { plane: block.plane });
+        self.flash
+            .erase_and_pool(block)
+            .expect("FTL erase of a pooled block");
     }
 
     /// Run `f` with the phase forced to [`Phase::Gc`], restoring the

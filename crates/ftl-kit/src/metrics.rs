@@ -234,22 +234,6 @@ impl RunReport {
         }
     }
 
-    /// Total energy of the run's flash operations under an energy model,
-    /// in display millijoules. Prefers the run's own integer totals when
-    /// accounting was enabled; otherwise reconstructs them from the
-    /// operation counters (a thin converter over the integer core).
-    pub fn energy_mj(
-        &self,
-        energy: &dloop_nand::EnergyConfig,
-        timing: &dloop_nand::TimingConfig,
-        page_size: u32,
-    ) -> f64 {
-        match &self.energy {
-            Some(totals) => totals.total_mj(),
-            None => energy.total_mj(timing, page_size, &self.hw),
-        }
-    }
-
     /// Mean plane utilisation over the run.
     pub fn mean_plane_utilisation(&self) -> f64 {
         let t = self.sim_end.as_nanos().max(1) as f64;

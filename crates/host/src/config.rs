@@ -65,17 +65,6 @@ pub struct HostConfig {
     /// writes after the last arrival). Neutral = `false` — dirty pages
     /// simply stay cached, which keeps short traces comparable.
     pub drain_cache: bool,
-    /// Worker threads for the device's sharded playback engine
-    /// (forwarded as [`RunConfig::shards`] on the staged replay paths).
-    /// The sharded engine is bit-identical to the sequential one, so
-    /// this knob changes wall-clock time only — it does not affect the
-    /// report fingerprint and does not break pass-through identity.
-    /// The interleaved open-mode loop drives the device command by
-    /// command through `begin_commands` and is sequential by
-    /// construction; it ignores this knob. Neutral = `1`.
-    ///
-    /// [`RunConfig::shards`]: dloop_ftl_kit::device::RunConfig::shards
-    pub device_shards: usize,
 }
 
 impl HostConfig {
@@ -97,7 +86,6 @@ impl HostConfig {
             split_pages: 0,
             merge: false,
             drain_cache: false,
-            device_shards: 1,
         }
     }
 
@@ -119,7 +107,6 @@ impl HostConfig {
             split_pages: 64,
             merge: true,
             drain_cache: false,
-            device_shards: 1,
         }
     }
 
@@ -147,7 +134,6 @@ impl HostConfig {
         if let Some(d) = self.queue_depth {
             self.queue_depth = Some(d.max(1));
         }
-        self.device_shards = self.device_shards.max(1);
         self
     }
 }
@@ -210,7 +196,6 @@ mod tests {
             coalesce_threshold: 0,
             dirty_ratio: 7.0,
             queue_depth: Some(0),
-            device_shards: 0,
             ..HostConfig::passthrough()
         }
         .normalized();
@@ -219,6 +204,5 @@ mod tests {
         assert_eq!(cfg.coalesce_threshold, 1);
         assert_eq!(cfg.dirty_ratio, 1.0);
         assert_eq!(cfg.queue_depth, Some(1));
-        assert_eq!(cfg.device_shards, 1);
     }
 }

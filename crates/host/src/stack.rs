@@ -366,8 +366,7 @@ impl HostStack {
         let cfg = &self.config;
         let nq = cfg.queues as usize;
         let fwd_reqs: Vec<HostRequest> = forwarded.iter().map(|c| c.req).collect();
-        let run_cfg = RunConfig::from(eff_mode).shards(cfg.device_shards);
-        let report = device.run_with(&fwd_reqs, run_cfg);
+        let report = device.run_with(&fwd_reqs, RunConfig::from(eff_mode));
 
         let mut done_of: Vec<SimTime> = vec![SimTime::ZERO; forwarded.len()];
         let mut seen = vec![false; forwarded.len()];

@@ -75,16 +75,6 @@ impl EnergyConfig {
         }
     }
 
-    /// Array power as display milliwatts.
-    pub fn array_active_mw(&self) -> f64 {
-        self.array_active_uw as f64 / 1e3
-    }
-
-    /// Bus power as display milliwatts.
-    pub fn bus_active_mw(&self) -> f64 {
-        self.bus_active_uw as f64 / 1e3
-    }
-
     /// Energy of one recorded span, in fJ, as a pure function of its
     /// attribution buckets: the array draws while the cell is busy
     /// (including the retry ladder), the bus while data or commands move.

@@ -539,15 +539,6 @@ impl HardwareModel {
             .collect()
     }
 
-    /// Per-plane array utilisation over `elapsed` simulated time.
-    pub fn plane_utilisation(&self, elapsed: SimDuration) -> Vec<f64> {
-        let total = elapsed.as_nanos().max(1) as f64;
-        self.plane_busy_ns
-            .iter()
-            .map(|&b| b as f64 / total)
-            .collect()
-    }
-
     /// Busy nanoseconds accumulated per plane.
     pub fn plane_busy_ns(&self) -> &[u64] {
         &self.plane_busy_ns

@@ -5,7 +5,8 @@
 //! lower than a threshold … a garbage collection is invoked. The block with
 //! the maximal number of invalid pages in the plane is selected as the
 //! victim block."* The pool and victim selection live here so every FTL
-//! (DLOOP, DFTL, FAST) shares one audited implementation.
+//! shares one audited implementation, resting on one invariant: a block
+//! that is pooled, parked or retired is pristine ([`PlaneState::check`]).
 
 use crate::block::Block;
 use std::collections::VecDeque;
@@ -142,24 +143,36 @@ impl PlaneState {
         self.free_pool.push_back(index);
     }
 
-    /// GC victim selection: the block with the most invalid pages that is
-    /// not in the free pool and not in `exclude` (the FTL passes its active
-    /// blocks so it never erases the block it is writing into).
-    /// Ties break toward the lowest index for determinism.
-    pub fn victim_with_max_invalid(&self, exclude: &[u32]) -> Option<u32> {
-        let mut best: Option<(u32, u32)> = None; // (invalid, index)
-        for (i, b) in self.blocks.iter().enumerate() {
-            let i = i as u32;
-            if exclude.contains(&i) || self.free_pool.contains(&i) || b.is_pristine() {
+    /// The GC victim scan, one pass: every fully-invalid block is pushed
+    /// to `sweep`, and `(invalid pages, index)` of the block with the most
+    /// invalid pages comes back, ties broken toward the lowest index for
+    /// determinism. Pristine blocks and those in `exclude` (the FTL passes
+    /// its active blocks so it never erases the block it is writing into)
+    /// are skipped; pooled, parked and retired blocks need no clause of
+    /// their own because they are pristine.
+    pub fn gc_candidates(&self, exclude: &[u32], sweep: &mut Vec<u32>) -> Option<(u32, u32)> {
+        let mut best: Option<(u32, u32)> = None;
+        for (i, b) in self.blocks() {
+            if b.is_pristine() || exclude.contains(&i) {
                 continue;
             }
-            let inv = b.invalid_pages();
-            match best {
-                Some((bi, _)) if bi >= inv => {}
-                _ => best = Some((inv, i)),
+            if b.valid_pages() == 0 {
+                sweep.push(i);
+            }
+            let invalid = b.invalid_pages();
+            if best.is_none_or(|(most, _)| invalid > most) {
+                best = Some((invalid, i));
             }
         }
-        best.map(|(_, i)| i)
+        best
+    }
+
+    /// The lowest-index fully-invalid block `exclude` does not claim: what
+    /// an allocator erases in place when the pool is empty.
+    pub fn first_fully_invalid(&self, exclude: impl Fn(u32) -> bool) -> Option<u32> {
+        self.blocks()
+            .find(|(i, b)| !b.is_pristine() && b.valid_pages() == 0 && !exclude(*i))
+            .map(|(i, _)| i)
     }
 
     /// Total valid pages on this plane.
@@ -268,11 +281,13 @@ mod tests {
         for off in 0..3 {
             p.block_mut(b1).invalidate(off);
         }
-        assert_eq!(p.victim_with_max_invalid(&[]), Some(b1));
+        let mut sweep = Vec::new();
+        assert_eq!(p.gc_candidates(&[], &mut sweep), Some((3, b1)));
         // Excluding b1 falls back to b0.
-        assert_eq!(p.victim_with_max_invalid(&[b1]), Some(b0));
+        assert_eq!(p.gc_candidates(&[b1], &mut sweep), Some((1, b0)));
         // Excluding both leaves nothing (pooled/pristine blocks don't count).
-        assert_eq!(p.victim_with_max_invalid(&[b0, b1]), None);
+        assert_eq!(p.gc_candidates(&[b0, b1], &mut sweep), None);
+        assert!(sweep.is_empty(), "both blocks still hold live pages");
         p.check().unwrap();
     }
 
@@ -285,7 +300,7 @@ mod tests {
             p.block_mut(blk).program_next();
             p.block_mut(blk).invalidate(0);
         }
-        assert_eq!(p.victim_with_max_invalid(&[]), Some(a.min(b)));
+        assert_eq!(p.gc_candidates(&[], &mut Vec::new()), Some((1, a.min(b))));
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Smallest sample (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

@@ -26,7 +26,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -45,7 +44,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -83,11 +81,6 @@ impl Zipf {
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
-    }
-
-    /// The ζ(2,θ)/ζ(n,θ) ratio (diagnostics).
-    pub fn head_mass(&self) -> f64 {
-        self.zeta2 / self.zetan
     }
 }
 
