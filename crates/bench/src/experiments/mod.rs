@@ -119,7 +119,7 @@ impl Default for ExpOptions {
             scale: 4,
             max_requests: 0,
             seed: 42,
-            workers: crate::runner::default_workers(),
+            workers: dloop_ftl_kit::host_parallelism(),
             out_dir: Some(PathBuf::from("results")),
             fill_fraction: 0.0,
             mode: TraceMode::Open,

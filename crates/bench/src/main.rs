@@ -35,7 +35,7 @@
 //!   --scale N      divide device capacities and footprints by N (default 4)
 //!   --requests N   max requests per run (default 150000)
 //!   --seed N       workload seed (default 42)
-//!   --workers N    host threads (default: cores-1)
+//!   --workers N    host threads (default: cores)
 //!   --fill F       pre-fill fraction 0..1 (default 0)
 //!   --out DIR      CSV output directory (default results/; "none" disables)
 //!   --mode M       replay admission policy for `trace`:

@@ -93,13 +93,6 @@ pub fn run_grid(specs: Vec<RunSpec>, workers: usize) -> Vec<RunReport> {
         .collect()
 }
 
-/// Default worker count: physical parallelism minus one, at least one.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

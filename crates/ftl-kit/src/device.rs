@@ -26,7 +26,7 @@ use crate::play::{play_op, PageOp, Played, ScanOrder};
 use crate::request::{HostOp, HostRequest, TenantId};
 use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
 use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
-use dloop_simkit::trace::{FlightRecorder, QueueDepthProbe, RingSink, TraceSink};
+use dloop_simkit::trace::{QueueDepthProbe, RingSink, TraceSink};
 use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, PendingQueue, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -449,32 +449,19 @@ impl SsdDevice {
         self.hw.sink()
     }
 
-    /// Convenience wrapper around [`SsdDevice::attach_sink`]: enable the
-    /// classic bounded flight recorder with room for `capacity` spans
-    /// (`None` detaches the sink and drops any recorded spans).
-    pub fn set_tracing(&mut self, capacity: Option<usize>) {
-        match capacity {
-            Some(c) => self.attach_sink(Box::new(RingSink::new(c))),
-            None => {
-                self.detach_sink();
-            }
+    /// Detach and return the attached [`RingSink`]; the device stops
+    /// tracing. Returns `None` — without disturbing the sink — when the
+    /// attached sink is not a ring; use [`SsdDevice::detach_sink`] for
+    /// stream or tee sinks.
+    pub fn take_trace(&mut self) -> Option<RingSink> {
+        if !self.sink()?.as_any().is::<RingSink>() {
+            return None;
         }
-    }
-
-    /// The flight recorder, when the attached sink is a [`RingSink`].
-    pub fn trace(&self) -> Option<&FlightRecorder> {
-        self.hw.recorder()
-    }
-
-    /// Detach and return the flight recorder (tracing stays enabled with a
-    /// fresh, empty ring of the same capacity so subsequent runs keep
-    /// recording). Returns `None` — without disturbing the sink — when the
-    /// attached sink is not a [`RingSink`]; use [`SsdDevice::detach_sink`]
-    /// for stream or tee sinks.
-    pub fn take_trace(&mut self) -> Option<FlightRecorder> {
-        let rec = self.hw.take_recorder()?;
-        self.hw.enable_trace(rec.capacity());
-        Some(rec)
+        let sink = self.detach_sink()?;
+        sink.into_any()
+            .downcast::<RingSink>()
+            .ok()
+            .map(|ring| *ring)
     }
 
     /// The active configuration.
@@ -1790,25 +1777,27 @@ mod tests {
     #[test]
     fn tracing_records_one_span_per_flash_op() {
         let mut d = device();
-        d.set_tracing(Some(1024));
+        d.attach_sink(Box::new(RingSink::new(1024)));
         let report = d.run_with(
             &[write_req(0, 1, 1), read_req(1000, 1, 1)],
             RunConfig::open(),
         );
-        let rec = d.trace().unwrap();
-        assert_eq!(rec.recorded(), report.hw.reads + report.hw.writes);
-        // Detaching hands back the spans and leaves a fresh recorder armed.
-        let taken = d.take_trace().unwrap();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(d.trace().unwrap().len(), 0);
-        d.run_with(&[read_req(0, 1, 1)], RunConfig::open());
-        assert_eq!(d.trace().unwrap().len(), 1);
+        assert_eq!(
+            d.sink().unwrap().recorded(),
+            report.hw.reads + report.hw.writes
+        );
         // A measurement reset discards warm-up spans too.
         d.reset_measurements();
-        assert_eq!(d.trace().unwrap().len(), 0);
-        // Disabling detaches the recorder entirely.
-        d.set_tracing(None);
-        assert!(d.trace().is_none());
+        assert_eq!(d.sink().unwrap().recorded(), 0);
+        d.run_with(&[read_req(0, 1, 1)], RunConfig::open());
+        // Taking the ring hands back the spans and stops tracing.
+        assert_eq!(d.take_trace().unwrap().len(), 1);
+        assert!(d.sink().is_none());
+        // A stream is not a ring: it stays attached rather than being
+        // silently discarded.
+        d.attach_sink(Box::new(dloop_simkit::trace::StreamSink::new(Vec::new())));
+        assert!(d.take_trace().is_none());
+        assert!(d.sink().is_some());
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //!   model ([`HardwareModel::absorb_activity`]) — each op executed exactly
 //!   once, so the totals are exact, and the final availability timelines
 //!   are imported per plane from their owning shard.
-//! * **Spans** are recorded into a per-shard [`BufferSink`] and forwarded
-//!   to the device's real sink in routing order, reproducing the
+//! * **Spans** are recorded into a per-shard never-evicting [`RingSink`];
+//!   each job keeps only its span count, and one cursor per shard forwards
+//!   them to the device's real sink in routing order, reproducing the
 //!   sequential span stream exactly.
 
 use std::ops::Range;
@@ -61,7 +62,7 @@ use crate::metrics::{RunReport, ShardGuard, ShardOutcome, ShardTiming};
 use crate::play::{play_op, PageOp, Played, ScanOrder};
 use crate::request::{HostOp, HostRequest, TenantId};
 use dloop_nand::{FlashState, HardwareModel, PlaneId};
-use dloop_simkit::trace::BufferSink;
+use dloop_simkit::trace::RingSink;
 use dloop_simkit::{ArrivalOrder, SimTime};
 
 /// Host threads worth running at once: `available_parallelism`, or 1 when
@@ -125,8 +126,8 @@ struct PlaneJob {
 /// Worker-side playback result of one job.
 struct PlaneOut {
     played: Played,
-    /// Span range `[from, to)` in the worker's buffer sink.
-    spans: Range<usize>,
+    /// Spans the job recorded, in order, in the worker's ring.
+    spans: usize,
 }
 
 /// Everything a worker hands back for the merge commit.
@@ -215,7 +216,7 @@ fn run_plane_worker(
         );
         outs.push(PlaneOut {
             played,
-            spans: span_from..recorded_spans(&model),
+            spans: recorded_spans(&model) - span_from,
         });
     }
     ShardRun {
@@ -339,7 +340,7 @@ pub(crate) fn run_plane_local(
         .map(|(s, jobs)| {
             let mut model = dev.hw.shard_clone();
             if tracing {
-                model.attach_sink(Box::new(BufferSink::new()));
+                model.attach_sink(Box::new(RingSink::new(usize::MAX)));
             }
             std::sync::Mutex::new(Some(ShardTask {
                 s,
@@ -431,25 +432,26 @@ pub(crate) fn run_plane_local(
     }
 
     // Forward spans in canonical job order — the sequential span stream.
-    if tracing {
-        if let Some(sink) = dev.hw.sink_mut() {
-            for entry in &entries {
-                for &(s, k) in &job_refs[entry.jobs.clone()] {
-                    let run = runs[s as usize]
-                        .as_ref()
-                        .expect("job routed to empty shard");
-                    let spans = run.outs[k as usize].spans.clone();
-                    if spans.is_empty() {
-                        continue;
-                    }
-                    let buf = run
-                        .model
-                        .sink()
-                        .and_then(|s| s.as_any().downcast_ref::<BufferSink>())
-                        .expect("shard workers trace into BufferSinks");
-                    for span in &buf.spans()[spans] {
-                        sink.record(span);
-                    }
+    // Each shard recorded its jobs' spans in job order, so one cursor per
+    // shard hands out each job's span count in turn.
+    if let Some(sink) = dev.hw.sink_mut() {
+        let mut cursors: Vec<_> = runs
+            .iter()
+            .map(|run| {
+                let ring = run.as_ref()?.model.sink()?.as_any();
+                Some(ring.downcast_ref::<RingSink>()?.spans())
+            })
+            .collect();
+        for entry in &entries {
+            for &(s, k) in &job_refs[entry.jobs.clone()] {
+                let run = runs[s as usize]
+                    .as_ref()
+                    .expect("job routed to empty shard");
+                let cursor = cursors[s as usize]
+                    .as_mut()
+                    .expect("shard workers trace into rings");
+                for span in cursor.take(run.outs[k as usize].spans) {
+                    sink.record(span);
                 }
             }
         }

@@ -95,82 +95,12 @@ impl DoorbellQueue {
 }
 
 /// One completion-side interrupt coalescer (one per completion queue).
-#[derive(Debug)]
-pub struct Coalescer {
-    threshold: usize,
-    timeout: Option<SimDuration>,
-    /// Pending `(done, command id)` completions, done-ordered.
-    pending: Vec<(SimTime, u64)>,
-    /// Interrupts this queue has delivered.
-    pub interrupts: u64,
-}
-
-impl Coalescer {
-    /// A coalescer interrupting after `threshold` completions or
-    /// `timeout` of aggregation.
-    pub fn new(threshold: u32, timeout: Option<SimDuration>) -> Self {
-        Coalescer {
-            threshold: threshold.max(1) as usize,
-            timeout,
-            pending: Vec::new(),
-            interrupts: 0,
-        }
-    }
-
-    fn deliver(&mut self, at: SimTime, out: &mut Vec<(u64, SimTime)>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.interrupts += 1;
-        out.extend(self.pending.drain(..).map(|(_, id)| (id, at)));
-    }
-
-    /// Record command `id` completing at `done`; `(command, delivery)`
-    /// pairs for every interrupt this fires are appended to `out`.
-    pub fn push(&mut self, done: SimTime, id: u64, out: &mut Vec<(u64, SimTime)>) {
-        if let (Some(t), Some(&(first, _))) = (self.timeout, self.pending.first()) {
-            let expiry = first + t;
-            if expiry <= done {
-                self.deliver(expiry, out);
-            }
-        }
-        self.pending.push((done, id));
-        if self.pending.len() >= self.threshold {
-            self.deliver(done, out);
-        }
-    }
-
-    /// End of run: deliver whatever is still aggregating (at its timeout
-    /// expiry if one is set, else at the final completion — no further
-    /// completion will ever trip the threshold).
-    pub fn flush(&mut self, out: &mut Vec<(u64, SimTime)>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let first = self.pending[0].0;
-        let last = self.pending.last().expect("non-empty").0;
-        let at = match self.timeout {
-            Some(t) => (first + t).max(last),
-            None => last,
-        };
-        self.deliver(at, out);
-    }
-}
-
-/// Completion-side coalescing state for the interleaved event loop
-/// (`HostStack::run` under the open replay mode), where timeout expiries
-/// are *scheduled* as timer events on the host's event heap instead of
-/// being discovered by the next push — the push-driven [`Coalescer`]
-/// only learns an expiry passed when a later completion arrives, which
-/// is too late when the freed SQ slot should have admitted a command at
-/// the expiry instant.
-///
-/// Semantics are identical to [`Coalescer`] fed in global completion
-/// order: a timer armed at `first_pending + timeout` firing before any
-/// completion at a time `>= expiry` reproduces the push-driven
-/// `expiry <= done` pre-push check, and `flush` uses the same
-/// end-of-run rule. The interleaved/staged fingerprint-equivalence test
-/// in `tests/replay_modes.rs` leans on this equivalence.
+/// Timeout expiries are *timers* the caller schedules: the interleaved
+/// event loop (`HostStack::run` under the open replay mode) puts them on
+/// its event heap, because learning an expiry passed only when a later
+/// completion arrives is too late when the freed SQ slot should have
+/// admitted a command at the expiry instant; the staged pipeline fires
+/// an armed timer before the first completion at or after its expiry.
 #[derive(Debug)]
 pub struct CqState {
     threshold: usize,
@@ -238,7 +168,8 @@ impl CqState {
     }
 
     /// End of run (or SQ-window deadlock rescue): deliver whatever is
-    /// still aggregating, at the same instant [`Coalescer::flush`] would.
+    /// still aggregating: at its timeout expiry if one is set, else at the
+    /// final completion (no further completion will trip the threshold).
     pub fn flush(&mut self, out: &mut Vec<(u64, SimTime)>) {
         if self.pending.is_empty() {
             return;
@@ -353,44 +284,18 @@ mod tests {
     }
 
     #[test]
-    fn threshold_one_delivers_at_completion_time() {
-        let mut c = Coalescer::new(1, None);
+    fn cq_state_threshold_one_delivers_at_completion_time() {
+        let mut c = CqState::new(1, None);
         let mut out = Vec::new();
-        c.push(us(5), 7, &mut out);
-        c.push(us(6), 8, &mut out);
+        assert_eq!(c.push(us(5), 7, &mut out), None);
+        assert_eq!(c.push(us(6), 8, &mut out), None);
         c.flush(&mut out);
         assert_eq!(out, vec![(7, us(5)), (8, us(6))]);
         assert_eq!(c.interrupts, 2);
     }
 
     #[test]
-    fn coalesced_completions_share_one_delivery() {
-        let mut c = Coalescer::new(3, None);
-        let mut out = Vec::new();
-        c.push(us(1), 0, &mut out);
-        c.push(us(2), 1, &mut out);
-        assert!(out.is_empty());
-        c.push(us(9), 2, &mut out);
-        assert_eq!(out, vec![(0, us(9)), (1, us(9)), (2, us(9))]);
-        assert_eq!(c.interrupts, 1);
-        // Delivery never precedes any coalesced completion.
-        assert!(out.iter().all(|&(_, d)| d >= us(1)));
-    }
-
-    #[test]
-    fn coalescer_timeout_bounds_the_added_latency() {
-        let mut c = Coalescer::new(16, Some(SimDuration::from_micros(50)));
-        let mut out = Vec::new();
-        c.push(us(10), 0, &mut out);
-        c.push(us(30), 1, &mut out);
-        c.push(us(100), 2, &mut out); // 10+50=60 µs expiry fires first
-        assert_eq!(out, vec![(0, us(60)), (1, us(60))]);
-        c.flush(&mut out);
-        assert_eq!(out[2], (2, us(150)));
-    }
-
-    #[test]
-    fn cq_state_threshold_delivery_matches_push_driven() {
+    fn cq_state_coalesced_completions_share_one_delivery() {
         let mut c = CqState::new(3, None);
         let mut out = Vec::new();
         assert_eq!(c.push(us(1), 0, &mut out), None); // no timeout: no timer
@@ -399,6 +304,8 @@ mod tests {
         assert_eq!(c.push(us(9), 2, &mut out), None);
         assert_eq!(out, vec![(0, us(9)), (1, us(9)), (2, us(9))]);
         assert_eq!(c.interrupts, 1);
+        // Delivery never precedes any coalesced completion.
+        assert!(out.iter().all(|&(_, d)| d >= us(1)));
     }
 
     #[test]
@@ -408,6 +315,9 @@ mod tests {
         let timer = c.push(us(10), 0, &mut out).expect("first push arms");
         assert_eq!(timer, (us(60), 0));
         assert_eq!(c.push(us(30), 1, &mut out), None); // aggregate not new
+
+        // The timeout bounds the added latency: the 10+50 = 60 µs expiry
+        // fires before the next completion at 100 µs.
         c.timer(us(60), 0, &mut out);
         assert_eq!(out, vec![(0, us(60)), (1, us(60))]);
         assert_eq!(c.interrupts, 1);

@@ -42,7 +42,7 @@
 use crate::block::{merge_adjacent, split, writeback_runs, Command};
 use crate::cache::{CacheStats, PageCache, Writeback};
 use crate::config::HostConfig;
-use crate::queue::{Coalescer, CqState, DoorbellQueue, Ring};
+use crate::queue::{CqState, DoorbellQueue, Ring};
 use crate::report::{HostRequestLog, HostRunReport, QueueStats};
 use dloop_ftl_kit::device::{CommandSession, ReplayMode, RunConfig, SsdDevice};
 use dloop_ftl_kit::metrics::RunReport;
@@ -355,8 +355,8 @@ impl HostStack {
     }
 
     /// Stages 4–6, staged flavour: one batch [`SsdDevice::run`] over the
-    /// forwarded stream, then push-driven interrupt coalescing over the
-    /// completion log in `(done, command)` order.
+    /// forwarded stream, then interrupt coalescing over the completion log
+    /// in `(done, command)` order.
     fn drive_staged(
         &self,
         device: &mut SsdDevice,
@@ -378,13 +378,21 @@ impl HostStack {
 
         let mut order: Vec<usize> = (0..forwarded.len()).collect();
         order.sort_by_key(|&i| (done_of[i], i));
-        let mut cqs: Vec<Coalescer> = (0..nq)
-            .map(|_| Coalescer::new(cfg.coalesce_threshold, cfg.coalesce_timeout))
+        let mut cqs: Vec<CqState> = (0..nq)
+            .map(|_| CqState::new(cfg.coalesce_threshold, cfg.coalesce_timeout))
             .collect();
+        // Per queue: the armed `(expiry, epoch)` timer, fired before the
+        // first completion at or after its expiry (a stale epoch no-ops).
+        let mut timers: Vec<Option<(SimTime, u64)>> = vec![None; nq];
         let mut delivered: Vec<(u64, SimTime)> = Vec::new();
         for i in order {
             let q = forwarded[i].req.tenant as usize % nq;
-            cqs[q].push(done_of[i], i as u64, &mut delivered);
+            if let Some((expiry, epoch)) = timers[q].filter(|&(at, _)| at <= done_of[i]) {
+                cqs[q].timer(expiry, epoch, &mut delivered);
+            }
+            if let Some(timer) = cqs[q].push(done_of[i], i as u64, &mut delivered) {
+                timers[q] = Some(timer);
+            }
         }
         for cq in &mut cqs {
             cq.flush(&mut delivered);
@@ -604,8 +612,8 @@ impl HostStack {
 
 /// Events of the interleaved host/device loop. The derived order is the
 /// firing order at equal times: CQ timers deliver before same-instant
-/// completions (reproducing the push-driven coalescer's `expiry <= done`
-/// pre-push check), completions free slots before same-instant doorbell
+/// completions (as the staged pipeline fires a timer with `expiry <= done`
+/// before the push), completions free slots before same-instant doorbell
 /// rings claim them, and each variant breaks remaining ties by its
 /// payload, so the order is total and the loop deterministic. Only timers
 /// and completions live in the heap; doorbell rings are known up front

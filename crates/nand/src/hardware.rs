@@ -25,9 +25,7 @@
 
 use crate::geometry::{Geometry, PlaneId};
 use crate::timing::TimingConfig;
-use dloop_simkit::trace::{
-    FlightRecorder, Resource, RingSink, Seg, Span, SpanKind, SpanPhase, TraceSink,
-};
+use dloop_simkit::trace::{Resource, Seg, Span, SpanKind, SpanPhase, TraceSink};
 use dloop_simkit::{SimDuration, SimTime};
 
 /// When an operation occupied the device.
@@ -202,42 +200,10 @@ impl HardwareModel {
 
     /// Mutable access to the attached span sink, if tracing is enabled.
     /// Used by drivers that feed the sink out-of-band — e.g. the sharded
-    /// replay engine merging per-shard span buffers back into canonical
+    /// replay engine forwarding per-shard span rings back in canonical
     /// order.
     pub fn sink_mut(&mut self) -> Option<&mut (dyn TraceSink + 'static)> {
         self.sink.as_deref_mut()
-    }
-
-    /// Convenience wrapper: attach a bounded [`RingSink`] holding up to
-    /// `capacity` spans (the classic flight-recorder configuration).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.attach_sink(Box::new(RingSink::new(capacity)));
-    }
-
-    /// Detach and return the flight recorder, disabling tracing. Returns
-    /// `None` (leaving the sink attached) when the attached sink is not a
-    /// [`RingSink`] — use [`HardwareModel::detach_sink`] for those.
-    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
-        let is_ring = self
-            .sink
-            .as_deref()
-            .is_some_and(|s| s.as_any().is::<RingSink>());
-        if !is_ring {
-            return None;
-        }
-        let sink = self.sink.take().expect("checked above");
-        let ring = sink
-            .into_any()
-            .downcast::<RingSink>()
-            .expect("checked above");
-        Some(*ring)
-    }
-
-    /// The attached flight recorder, when the sink is a [`RingSink`].
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.sink
-            .as_deref()
-            .and_then(|s| s.as_any().downcast_ref::<RingSink>())
     }
 
     /// Tag spans emitted by subsequent `exec_*` calls with a phase, the
@@ -577,10 +543,16 @@ impl HardwareModel {
 mod tests {
     use super::*;
     use crate::geometry::Geometry;
+    use dloop_simkit::trace::RingSink;
 
     fn hw() -> HardwareModel {
         let g = Geometry::paper_default();
         HardwareModel::new(&g, TimingConfig::paper_default(), false)
+    }
+
+    fn take_ring(h: &mut HardwareModel) -> RingSink {
+        let sink = h.detach_sink().expect("a sink is attached");
+        *sink.into_any().downcast::<RingSink>().expect("ring sink")
     }
 
     #[test]
@@ -711,9 +683,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_one_span_per_op_with_exact_attribution() {
+    fn ring_captures_one_span_per_op_with_exact_attribution() {
         let mut h = hw();
-        h.enable_trace(64);
+        h.attach_sink(Box::new(RingSink::new(64)));
         h.set_span_context(SpanPhase::Host, Some(42), Some(7));
         h.exec_write(0, SimTime::ZERO);
         h.exec_read(0, SimTime::ZERO); // queues behind the write
@@ -721,7 +693,7 @@ mod tests {
         h.exec_copyback(1, SimTime::ZERO);
         h.exec_erase(1, SimTime::ZERO);
         h.exec_interplane_copy(2, 3, SimTime::ZERO);
-        let rec = h.take_recorder().expect("tracing was enabled");
+        let rec = take_ring(&mut h);
         assert_eq!(rec.recorded(), 5);
         let spans: Vec<_> = rec.spans().collect();
         // Every span's attribution buckets tile its residence exactly.
@@ -759,7 +731,7 @@ mod tests {
         };
         let mut plain = hw();
         let mut traced = hw();
-        traced.enable_trace(1024);
+        traced.attach_sink(Box::new(RingSink::new(1024)));
         let a = ops(&mut plain);
         let b = ops(&mut traced);
         assert_eq!(a, b, "tracing must not change completions");
@@ -767,15 +739,15 @@ mod tests {
         assert_eq!(plain.plane_busy_ns(), traced.plane_busy_ns());
         assert_eq!(plain.channel_busy_ns(), traced.channel_busy_ns());
         assert_eq!(plain.retry_ns(), traced.retry_ns());
-        assert_eq!(traced.recorder().unwrap().recorded(), 5);
+        assert_eq!(traced.sink().unwrap().recorded(), 5);
     }
 
     #[test]
     fn retry_span_charges_the_ladder_separately() {
         let mut h = hw();
-        h.enable_trace(8);
+        h.attach_sink(Box::new(RingSink::new(8)));
         h.exec_read_retry(0, SimTime::ZERO, 3);
-        let rec = h.take_recorder().unwrap();
+        let rec = take_ring(&mut h);
         let s = rec.spans().next().unwrap();
         assert_eq!(s.kind, SpanKind::ReadRetry);
         assert_eq!(s.retry_steps, 3);
@@ -790,9 +762,6 @@ mod tests {
         h.attach_sink(Box::new(StreamSink::new(Vec::new())));
         h.exec_write(0, SimTime::ZERO);
         h.exec_read(0, SimTime::ZERO);
-        // A stream is not a ring: take_recorder must refuse and leave the
-        // sink attached rather than silently discarding it.
-        assert!(h.take_recorder().is_none());
         assert_eq!(h.sink().expect("still attached").recorded(), 2);
         let sink = h.detach_sink().expect("sink attached");
         let stream = sink

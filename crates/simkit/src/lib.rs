@@ -53,6 +53,5 @@ pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    BufferSink, FlightRecorder, QueueDepthProbe, RingSink, SamplingSink, Span, SpanKind, SpanPhase,
-    StreamSink, TeeSink, TraceSink,
+    QueueDepthProbe, RingSink, Span, SpanKind, SpanPhase, StreamSink, TeeSink, TraceSink,
 };

@@ -21,22 +21,15 @@
 //!   per phase (host, GC, scan) — derived from the spans themselves, not
 //!   from ad-hoc accumulators.
 //!
-//! Five sinks ship in-tree:
+//! Three sinks ship in-tree:
 //!
 //! * [`RingSink`] — the bounded flight-recorder ring (drop-oldest when
-//!   full, with a loud [`RingSink::dropped`] counter). The historical name
-//!   [`FlightRecorder`] remains as an alias.
+//!   full, with a loud [`RingSink::dropped`] counter).
 //! * [`StreamSink`] — buffered JSONL spill to any [`std::io::Write`]
 //!   (typically a file): one [`span_jsonl`] line per span, **no**
 //!   drop-oldest cap, so full-length enterprise traces keep every span.
 //! * [`TeeSink`] — fan-out to two sinks (e.g. a ring for interactive
 //!   exports plus a stream for complete on-disk history).
-//! * [`SamplingSink`] — deterministic 1-in-N subsampler in front of any
-//!   sink, so multi-billion-op runs neither evict the ring nor grow the
-//!   stream without bound; the loss stays counted.
-//! * [`BufferSink`] — unbounded in-memory buffer; the sharded replay
-//!   engine's per-shard staging area, drained back into the real sink in
-//!   canonical order at every merge point.
 //!
 //! Recording is pure observation: it never touches the resource timelines,
 //! so a run with tracing enabled is bit-identical (in every report field)
@@ -55,7 +48,7 @@
 use crate::time::SimTime;
 use std::any::Any;
 use std::fmt::Write as _;
-use std::io;
+use std::{io, iter};
 
 /// Flash operation kind of a recorded span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,12 +274,9 @@ pub struct RingSink {
     capacity: usize,
 }
 
-/// The historical name of [`RingSink`], kept so long-lived call sites and
-/// docs stay valid.
-pub type FlightRecorder = RingSink;
-
 impl RingSink {
-    /// A recorder holding at most `capacity` spans (at least 1).
+    /// A recorder holding at most `capacity` spans (at least 1). Storage
+    /// grows as spans arrive, so `usize::MAX` is a ring that never evicts.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingSink {
@@ -295,11 +285,6 @@ impl RingSink {
             dropped: 0,
             capacity,
         }
-    }
-
-    /// Maximum spans retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Spans currently retained.
@@ -584,179 +569,6 @@ impl TraceSink for TeeSink {
     }
 }
 
-/// Deterministic 1-in-N span sampler in front of another sink.
-///
-/// Long replays emit one span per flash operation — a multi-billion-op run
-/// would evict everything from a [`RingSink`] and grow a [`StreamSink`]
-/// journal without bound. `SamplingSink` forwards every `every`-th span
-/// (the first, the `every+1`-th, …) to the inner sink and counts the rest
-/// as dropped, so downstream exports still see an unbiased, evenly spaced
-/// subsample and the loss stays visible in [`TraceSink::dropped`].
-///
-/// The selection depends only on the span's position in the stream — no
-/// clocks, no RNG — so two replays of the same trace sample the *same*
-/// spans (the same determinism contract the replay drivers obey).
-#[derive(Debug)]
-pub struct SamplingSink {
-    inner: Box<dyn TraceSink>,
-    every: u64,
-    /// Spans offered since the last reset.
-    seen: u64,
-    /// Spans this sampler itself declined to forward.
-    sampled_out: u64,
-}
-
-impl SamplingSink {
-    /// Forward one span in `every` (at least 1; `1` forwards everything)
-    /// to `inner`.
-    pub fn new(inner: Box<dyn TraceSink>, every: u64) -> Self {
-        SamplingSink {
-            inner,
-            every: every.max(1),
-            seen: 0,
-            sampled_out: 0,
-        }
-    }
-
-    /// The sampling period N (one span in N is forwarded).
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Spans forwarded to the inner sink since the last reset.
-    pub fn kept(&self) -> u64 {
-        self.seen - self.sampled_out
-    }
-
-    /// Spans this sampler declined to forward since the last reset (not
-    /// counting anything the inner sink itself dropped).
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &dyn TraceSink {
-        self.inner.as_ref()
-    }
-
-    /// Unwrap, returning the inner sink.
-    pub fn into_inner(self) -> Box<dyn TraceSink> {
-        self.inner
-    }
-}
-
-impl TraceSink for SamplingSink {
-    fn record(&mut self, span: &Span) {
-        let keep = self.seen % self.every == 0;
-        self.seen += 1;
-        if keep {
-            self.inner.record(span);
-        } else {
-            self.sampled_out += 1;
-        }
-    }
-
-    fn recorded(&self) -> u64 {
-        self.seen
-    }
-
-    fn dropped(&self) -> u64 {
-        self.sampled_out + self.inner.dropped()
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-
-    fn reset(&mut self) {
-        self.seen = 0;
-        self.sampled_out = 0;
-        self.inner.reset();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// An unbounded in-memory span buffer.
-///
-/// Unlike [`RingSink`] it never evicts, so it is only suitable for runs
-/// whose span count is bounded by construction — its home is the sharded
-/// replay engine, where each shard records a *window* of spans into a
-/// `BufferSink` and the coordinator drains the buffers back into the real
-/// sink in canonical order after every window.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    spans: Vec<Span>,
-}
-
-impl BufferSink {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BufferSink::default()
-    }
-
-    /// Spans recorded since the last [`BufferSink::clear`], in record
-    /// order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Spans currently buffered.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Forget everything buffered (capacity is kept for reuse).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-    }
-}
-
-impl TraceSink for BufferSink {
-    fn record(&mut self, span: &Span) {
-        self.spans.push(span.clone());
-    }
-
-    fn recorded(&self) -> u64 {
-        self.spans.len() as u64
-    }
-
-    fn dropped(&self) -> u64 {
-        0
-    }
-
-    fn reset(&mut self) {
-        self.clear();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// One row of the latency-attribution table (nanosecond sums).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttributionRow {
@@ -859,7 +671,7 @@ impl Attribution {
 }
 
 /// Aggregate the retained spans into the latency-attribution table.
-pub fn attribution(rec: &FlightRecorder) -> Attribution {
+pub fn attribution(rec: &RingSink) -> Attribution {
     let mut a = Attribution::default();
     for s in rec.spans() {
         match s.phase {
@@ -925,7 +737,7 @@ pub const CHROME_PID_CHANNELS: u32 = 2;
 /// request's path across plane and channel tracks — translation read →
 /// data op → the GC it triggered — even when those ops landed on different
 /// resources.
-pub fn chrome_trace_json(rec: &FlightRecorder) -> String {
+pub fn chrome_trace_json(rec: &RingSink) -> String {
     let mut planes: Vec<u32> = Vec::new();
     let mut channels: Vec<u32> = Vec::new();
     for s in rec.spans() {
@@ -1041,60 +853,102 @@ pub fn chrome_trace_json(rec: &FlightRecorder) -> String {
     out
 }
 
-/// Shared implementation of the utilization timeline CSVs: bucket the
-/// covered simulated time and sum, per selected resource, the busy overlap
-/// in each window.
+/// The one window grid behind every timeline export (utilization, power,
+/// queue depth): `buckets` windows `[i·width, (i+1)·width)`, `width` being
+/// `end` over `buckets` (at least 1 ns), except the last, which stretches
+/// to `end` so the windows cover the run exactly and no tail ns escapes.
+struct Grid {
+    buckets: usize,
+    width: u64,
+    end: u64,
+}
+
+impl Grid {
+    fn new(end: u64, buckets: usize) -> Self {
+        let buckets = buckets.max(1);
+        Grid {
+            buckets,
+            width: (end / buckets as u64).max(1),
+            end,
+        }
+    }
+
+    /// The grid over the time the retained segments cover.
+    fn over(rec: &RingSink, buckets: usize) -> Self {
+        let end = rec
+            .spans()
+            .flat_map(Span::segments)
+            .map(|seg| seg.end.as_nanos())
+            .max()
+            .unwrap_or(0);
+        Grid::new(end, buckets)
+    }
+
+    fn start(&self, i: usize) -> u64 {
+        i as u64 * self.width
+    }
+
+    fn end(&self, i: usize) -> u64 {
+        let nominal = (i as u64 + 1) * self.width;
+        if i + 1 == self.buckets {
+            nominal.max(self.end)
+        } else {
+            nominal
+        }
+    }
+
+    /// Integer busy-ns per window and column: each retained segment that
+    /// `column` maps below `cols` adds its overlap with every window.
+    fn busy(
+        &self,
+        rec: &RingSink,
+        cols: usize,
+        column: impl Fn(Resource) -> Option<usize>,
+    ) -> Vec<Vec<u64>> {
+        let mut busy = vec![vec![0u64; cols]; self.buckets];
+        let last_window = self.buckets as u64 - 1;
+        for seg in rec.spans().flat_map(Span::segments) {
+            let Some(col) = column(seg.resource).filter(|&c| c < cols) else {
+                continue;
+            };
+            let (a, b) = (seg.start.as_nanos(), seg.end.as_nanos());
+            let first = (a / self.width).min(last_window) as usize;
+            let last = (b.saturating_sub(1) / self.width).min(last_window) as usize;
+            for (i, row) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
+                row[col] += b.min(self.end(i)).saturating_sub(a.max(self.start(i)));
+            }
+        }
+        busy
+    }
+
+    /// The `bucket_start_ms,bucket_end_ms` cells of row `i`.
+    fn write_window(&self, out: &mut String, i: usize) {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let _ = write!(out, "{:.6},{:.6}", ms(self.start(i)), ms(self.end(i)));
+    }
+}
+
+/// Shared implementation of the utilization timeline CSVs: per selected
+/// resource, the fraction of each [`Grid`] window it was busy.
 fn utilization_csv(
-    rec: &FlightRecorder,
+    rec: &RingSink,
     count: usize,
     buckets: usize,
     column_prefix: &str,
-    select: impl Fn(Resource) -> Option<u32>,
+    select: impl Fn(Resource) -> Option<usize>,
 ) -> String {
-    let buckets = buckets.max(1);
-    let end_ns = rec
-        .spans()
-        .flat_map(|s| s.segments())
-        .map(|seg| seg.end.as_nanos())
-        .max()
-        .unwrap_or(0);
-    let width = (end_ns / buckets as u64).max(1);
-    let mut busy = vec![vec![0u64; count]; buckets];
-    for s in rec.spans() {
-        for seg in s.segments() {
-            let Some(r) = select(seg.resource) else {
-                continue;
-            };
-            let r = r as usize;
-            if r >= count {
-                continue;
-            }
-            let (a, b) = (seg.start.as_nanos(), seg.end.as_nanos());
-            let first = (a / width).min(buckets as u64 - 1) as usize;
-            let last = (b.saturating_sub(1) / width).min(buckets as u64 - 1) as usize;
-            for (i, row) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-                let w_start = i as u64 * width;
-                let w_end = w_start + width;
-                let overlap = b.min(w_end).saturating_sub(a.max(w_start));
-                row[r] += overlap;
-            }
-        }
-    }
+    let grid = Grid::over(rec, buckets);
+    let busy = grid.busy(rec, count, select);
     let mut out = String::from("bucket_start_ms,bucket_end_ms");
     for r in 0..count {
         let _ = write!(out, ",{column_prefix}_{r}");
     }
     out.push('\n');
     for (i, row) in busy.iter().enumerate() {
-        let w_start = i as u64 * width;
-        let _ = write!(
-            out,
-            "{:.6},{:.6}",
-            w_start as f64 / 1e6,
-            (w_start + width) as f64 / 1e6
-        );
+        grid.write_window(&mut out, i);
+        let len = (grid.end(i) - grid.start(i)) as f64;
         for &b in row {
-            let _ = write!(out, ",{:.4}", b as f64 / width as f64);
+            let _ = write!(out, ",{:.4}", b as f64 / len);
         }
         out.push('\n');
     }
@@ -1104,12 +958,13 @@ fn utilization_csv(
 /// Export a per-plane utilization timeline as CSV.
 ///
 /// The simulated time covered by the retained spans is divided into
-/// `buckets` equal windows; each row reports, per plane, the fraction of
-/// that window the plane's array was busy. Columns:
+/// `buckets` windows of equal width, the last stretching to the final
+/// release so the windows cover the run exactly; each row reports, per
+/// plane, the fraction of that window the plane's array was busy. Columns:
 /// `bucket_start_ms,bucket_end_ms,plane_0,plane_1,…` (planes `0..planes`).
-pub fn plane_utilization_csv(rec: &FlightRecorder, planes: usize, buckets: usize) -> String {
+pub fn plane_utilization_csv(rec: &RingSink, planes: usize, buckets: usize) -> String {
     utilization_csv(rec, planes, buckets, "plane", |r| match r {
-        Resource::Plane(p) => Some(p),
+        Resource::Plane(p) => Some(p as usize),
         Resource::Channel(_) => None,
     })
 }
@@ -1118,10 +973,10 @@ pub fn plane_utilization_csv(rec: &FlightRecorder, planes: usize, buckets: usize
 /// of [`plane_utilization_csv`]: same bucketing, one `channel_N` column per
 /// channel. Side by side the two timelines show DLOOP's core effect — GC
 /// copy-backs keep planes busy while the channel rows stay host-only.
-pub fn channel_utilization_csv(rec: &FlightRecorder, channels: usize, buckets: usize) -> String {
+pub fn channel_utilization_csv(rec: &RingSink, channels: usize, buckets: usize) -> String {
     utilization_csv(rec, channels, buckets, "channel", |r| match r {
         Resource::Plane(_) => None,
-        Resource::Channel(c) => Some(c),
+        Resource::Channel(c) => Some(c as usize),
     })
 }
 
@@ -1134,16 +989,10 @@ fn power_fj(uw: u64, ns: u64) -> u64 {
 }
 
 /// Export a per-plane/per-channel power timeline as CSV, the energy twin
-/// of [`plane_utilization_csv`] / [`channel_utilization_csv`].
-///
-/// The covered simulated time is divided into `buckets` windows of equal
-/// width — except the **last**, which extends to the final segment release
-/// so the windows tile the covered time *exactly* (the utilization CSVs
-/// may truncate a sub-width tail; a power timeline must not, because its
-/// buckets carry an integer-identity contract). Every retained plane
-/// segment charges `array_active_uw`, every channel segment
-/// `bus_active_uw`, and each row reports integer femtojoules per resource
-/// plus a row total. Columns:
+/// of [`plane_utilization_csv`] / [`channel_utilization_csv`], on the same
+/// windows. Every retained plane segment charges `array_active_uw`, every
+/// channel segment `bus_active_uw`, and each row reports integer
+/// femtojoules per resource plus a row total. Columns:
 /// `bucket_start_ms,bucket_end_ms,plane_0_fj,…,channel_0_fj,…,total_fj`.
 ///
 /// **Integer identity:** provided the recorder dropped nothing, summing any
@@ -1152,54 +1001,18 @@ fn power_fj(uw: u64, ns: u64) -> u64 {
 /// the same integers a `RunReport` carries. All arithmetic is
 /// overflow-checked; nothing is rounded.
 pub fn power_csv(
-    rec: &FlightRecorder,
+    rec: &RingSink,
     planes: usize,
     channels: usize,
     buckets: usize,
     array_active_uw: u64,
     bus_active_uw: u64,
 ) -> String {
-    let buckets = buckets.max(1);
-    let end_ns = rec
-        .spans()
-        .flat_map(|s| s.segments())
-        .map(|seg| seg.end.as_nanos())
-        .max()
-        .unwrap_or(0);
-    let width = (end_ns / buckets as u64).max(1);
-    // Window i covers [i*width, (i+1)*width), except the last which
-    // stretches to end_ns so no tail nanosecond escapes the grid.
-    let window_end = |i: usize| -> u64 {
-        let nominal = (i as u64 + 1) * width;
-        if i + 1 == buckets {
-            nominal.max(end_ns)
-        } else {
-            nominal
-        }
-    };
-    let cols = planes + channels;
-    let mut grid = vec![vec![0u64; cols]; buckets];
-    for s in rec.spans() {
-        for seg in s.segments() {
-            let (col, uw) = match seg.resource {
-                Resource::Plane(p) if (p as usize) < planes => (p as usize, array_active_uw),
-                Resource::Channel(c) if (c as usize) < channels => {
-                    (planes + c as usize, bus_active_uw)
-                }
-                _ => continue,
-            };
-            let (a, b) = (seg.start.as_nanos(), seg.end.as_nanos());
-            let first = (a / width).min(buckets as u64 - 1) as usize;
-            let last = (b.saturating_sub(1) / width).min(buckets as u64 - 1) as usize;
-            for (i, row) in grid.iter_mut().enumerate().take(last + 1).skip(first) {
-                let w_start = i as u64 * width;
-                let overlap = b.min(window_end(i)).saturating_sub(a.max(w_start));
-                row[col] = row[col]
-                    .checked_add(power_fj(uw, overlap))
-                    .expect("power timeline overflow: bucket femtojoule sum exceeds u64");
-            }
-        }
-    }
+    let grid = Grid::over(rec, buckets);
+    let busy = grid.busy(rec, planes + channels, |r| match r {
+        Resource::Plane(p) => Some(p as usize).filter(|&p| p < planes),
+        Resource::Channel(c) => Some(planes + c as usize),
+    });
     let mut out = String::from("bucket_start_ms,bucket_end_ms");
     for p in 0..planes {
         let _ = write!(out, ",plane_{p}_fj");
@@ -1208,16 +1021,12 @@ pub fn power_csv(
         let _ = write!(out, ",channel_{c}_fj");
     }
     out.push_str(",total_fj\n");
-    for (i, row) in grid.iter().enumerate() {
-        let w_start = i as u64 * width;
-        let _ = write!(
-            out,
-            "{:.6},{:.6}",
-            w_start as f64 / 1e6,
-            window_end(i) as f64 / 1e6
-        );
+    for (i, row) in busy.iter().enumerate() {
+        grid.write_window(&mut out, i);
         let mut total = 0u64;
-        for &fj in row {
+        let draws = iter::repeat_n(array_active_uw, planes).chain(iter::repeat(bus_active_uw));
+        for (&ns, uw) in row.iter().zip(draws) {
+            let fj = power_fj(uw, ns);
             total = total
                 .checked_add(fj)
                 .expect("power timeline overflow: row total exceeds u64");
@@ -1232,11 +1041,7 @@ pub fn power_csv(
 /// The exact `(array_fj, bus_fj)` energy the retained segments imply —
 /// the reference value [`power_csv`]'s bucket grid must sum to, and (when
 /// the recorder saw every span of a run) the run report's energy totals.
-pub fn power_totals_fj(
-    rec: &FlightRecorder,
-    array_active_uw: u64,
-    bus_active_uw: u64,
-) -> (u64, u64) {
+pub fn power_totals_fj(rec: &RingSink, array_active_uw: u64, bus_active_uw: u64) -> (u64, u64) {
     let mut array = 0u64;
     let mut bus = 0u64;
     for s in rec.spans() {
@@ -1415,9 +1220,10 @@ impl QueueDepthProbe {
     }
 
     /// Render the queue-depth-over-time timeline: simulated time from zero
-    /// through the last completion is divided into `buckets` equal windows,
-    /// and each row reports the in-flight and pending counts at the end of
-    /// the window plus the number of admissions and completions inside it.
+    /// through the last completion is divided into the span timelines'
+    /// `buckets` windows, and each row reports the in-flight and pending
+    /// counts at the end of the window plus the number of admissions and
+    /// completions inside it.
     ///
     /// When every tracked unit is untagged (tenant `0`) the output is
     /// exactly the legacy five-column aggregate. When any unit carries a
@@ -1481,7 +1287,6 @@ impl QueueDepthProbe {
             }
         }
 
-        let buckets = buckets.max(1);
         let tenants = self.tenants();
         // Per-tenant blocks only exist once a real (non-zero) stream id
         // shows up — untagged runs keep the legacy aggregate-only schema.
@@ -1496,8 +1301,7 @@ impl QueueDepthProbe {
             .map(|&t| Sweep::new(self.tracked.iter().filter(move |u| u.0 == t)))
             .collect();
 
-        let end_ns = aggregate.dones.last().copied().unwrap_or(0);
-        let width = (end_ns / buckets as u64).max(1);
+        let grid = Grid::new(aggregate.dones.last().copied().unwrap_or(0), buckets);
         let mut out = String::from(Self::csv_header());
         for t in &per_tenant {
             let _ = write!(
@@ -1506,18 +1310,12 @@ impl QueueDepthProbe {
             );
         }
         out.push('\n');
-        for b in 0..buckets {
-            let start = b as u64 * width;
-            // The final bucket is closed on the right so the event at
-            // exactly `end_ns` (the last completion) is never dropped by
-            // integer bucketing.
-            let end = if b + 1 == buckets {
-                u64::MAX
-            } else {
-                start + width
-            };
+        for b in 0..grid.buckets {
+            // The final window is closed on the right so the event at
+            // exactly the grid's end (the last completion) is counted.
+            let end = grid.end(b) + u64::from(b + 1 == grid.buckets);
             let (fl, pe, ad, co) = aggregate.advance(end);
-            let _ = write!(out, "{:.6},{fl},{pe},{ad},{co}", start as f64 / 1e6);
+            let _ = write!(out, "{:.6},{fl},{pe},{ad},{co}", grid.start(b) as f64 / 1e6);
             for sweep in &mut tenant_sweeps {
                 let (fl, pe, ad, co) = sweep.advance(end);
                 let _ = write!(out, ",{fl},{pe},{ad},{co}");
@@ -1718,7 +1516,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_bounds_and_drops_oldest() {
-        let mut rec = FlightRecorder::new(3);
+        let mut rec = RingSink::new(3);
         for i in 0..5 {
             rec.push(span(i, i as u64 * 10, i as u64 * 10 + 5, SpanPhase::Host));
         }
@@ -1826,7 +1624,7 @@ mod tests {
 
     #[test]
     fn attribution_sums_by_phase() {
-        let mut rec = FlightRecorder::new(16);
+        let mut rec = RingSink::new(16);
         rec.push(span(0, 0, 10, SpanPhase::Host));
         rec.push(span(1, 0, 30, SpanPhase::Gc));
         rec.push(span(0, 40, 45, SpanPhase::Host));
@@ -1851,7 +1649,7 @@ mod tests {
 
     #[test]
     fn attribution_accumulates_host_stack_phases() {
-        let mut rec = FlightRecorder::new(16);
+        let mut rec = RingSink::new(16);
         rec.push(span(0, 0, 10, SpanPhase::HostQueue));
         rec.push(span(0, 10, 25, SpanPhase::Host));
         rec.push(span(0, 25, 27, SpanPhase::Cache));
@@ -1894,14 +1692,10 @@ mod tests {
         assert_eq!(s.buckets_ns(), s.residence_ns());
     }
 
-    /// The power timeline's integer-identity contract: every column (and
-    /// the row totals) sums over all buckets to exactly `draw × busy-ns`,
-    /// even when the covered time does not divide evenly into windows —
-    /// the last window stretches to the final release instead of
-    /// truncating the tail like the utilization CSVs do.
-    #[test]
-    fn power_csv_buckets_sum_exactly_to_totals() {
-        let mut rec = FlightRecorder::new(16);
+    /// Plane 0 busy 0–13 µs, plane 1 5–29 µs, plane 2 3–7 µs then channel
+    /// 1 7–11 µs: 29 µs of covered time, which 7 buckets do not divide.
+    fn tail_fixture() -> RingSink {
+        let mut rec = RingSink::new(16);
         rec.push(span(0, 0, 13, SpanPhase::Host));
         rec.push(span(1, 5, 29, SpanPhase::Gc));
         let mut with_bus = span(2, 3, 7, SpanPhase::Host);
@@ -1913,6 +1707,16 @@ mod tests {
         with_bus.bus_ns = 4_000;
         with_bus.end = SimTime::from_micros(11);
         rec.push(with_bus);
+        rec
+    }
+
+    /// The power timeline's integer-identity contract: every column (and
+    /// the row totals) sums over all buckets to exactly `draw × busy-ns`,
+    /// even when the covered time does not divide evenly into windows —
+    /// the last window stretches to the final release.
+    #[test]
+    fn power_csv_buckets_sum_exactly_to_totals() {
+        let rec = tail_fixture();
         let (array_uw, bus_uw) = (82_500, 16_500);
         // 29 000 ns over 7 buckets: width 4142 ns, 7×4142 = 28 994 — the
         // 6 ns tail must land in the stretched last window.
@@ -1951,7 +1755,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json_with_tracks() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = RingSink::new(8);
         rec.push(span(0, 0, 10, SpanPhase::Host));
         rec.push(span(3, 5, 25, SpanPhase::Gc));
         let json = chrome_trace_json(&rec);
@@ -1964,13 +1768,13 @@ mod tests {
 
     #[test]
     fn chrome_export_of_empty_recorder_is_valid() {
-        let rec = FlightRecorder::new(4);
+        let rec = RingSink::new(4);
         json_lint(&chrome_trace_json(&rec)).unwrap();
     }
 
     #[test]
     fn utilization_csv_shape_and_values() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = RingSink::new(8);
         // Plane 0 busy the whole first half, idle the second.
         rec.push(span(0, 0, 50, SpanPhase::Host));
         rec.push(span(1, 99, 100, SpanPhase::Host));
@@ -1982,6 +1786,27 @@ mod tests {
         assert_eq!(first[2], "1.0000"); // plane 0 fully busy in bucket 0
         let second: Vec<&str> = lines[2].split(',').collect();
         assert_eq!(second[2], "0.0000"); // and idle in bucket 1
+
+        // The windows cover the run exactly: the last one ends at the
+        // final release, and Σ fraction × window length gives back each
+        // plane's busy time at the printed precision (±0.5e-4 of a window).
+        let csv = plane_utilization_csv(&tail_fixture(), 3, 7);
+        let rows: Vec<Vec<f64>> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').map(|v| v.parse().unwrap()).collect())
+            .collect();
+        assert_eq!(rows.last().unwrap()[1], 0.029, "last window end");
+        for (plane, busy_ns) in [13_000.0, 24_000.0, 4_000.0].into_iter().enumerate() {
+            let sum: f64 = rows
+                .iter()
+                .map(|r| r[2 + plane] * (r[1] - r[0]) * 1e6)
+                .sum();
+            assert!(
+                (sum - busy_ns).abs() <= 0.5e-4 * 29_000.0,
+                "plane {plane}: {sum} ns vs {busy_ns} ns"
+            );
+        }
     }
 
     fn req_span(plane: u32, start_us: u64, end_us: u64, req: u64) -> Span {

@@ -79,6 +79,15 @@ head -n 3 "$trace_out/trace_spans.jsonl" | while IFS= read -r line; do
         exit 1
     }
 done
+# The utilization and power timelines share one window grid, so their
+# bucket_start_ms,bucket_end_ms columns must be identical.
+for timeline in trace_channel_util.csv trace_power.csv; do
+    cmp -s <(cut -d, -f1,2 "$trace_out/trace_plane_util.csv") \
+        <(cut -d, -f1,2 "$trace_out/$timeline") || {
+        echo "error: $timeline windows differ from trace_plane_util.csv" >&2
+        exit 1
+    }
+done
 rm -rf "$trace_out"
 
 echo "==> NCQ replay smoke (trace --mode ncq, queue-depth CSV with locked header)"

@@ -73,7 +73,5 @@ pub mod prelude {
     pub use dloop_nand::energy::{EnergyConfig, EnergyTotals};
     pub use dloop_nand::geometry::Geometry;
     pub use dloop_nand::timing::TimingConfig;
-    pub use dloop_simkit::{
-        BufferSink, RingSink, SamplingSink, SimDuration, SimTime, StreamSink, TeeSink, TraceSink,
-    };
+    pub use dloop_simkit::{RingSink, SimDuration, SimTime, StreamSink, TeeSink, TraceSink};
 }

@@ -53,7 +53,7 @@ use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
 use dloop_repro::simkit::check::{self, Checker, Generator};
-use dloop_repro::simkit::trace::attribution;
+use dloop_repro::simkit::trace::{attribution, RingSink};
 use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
 use dloop_repro::{check_assert, check_assert_eq};
 use std::fmt::Write as _;
@@ -149,7 +149,7 @@ fn run_mode(
 ) -> (SsdDevice, RunReport) {
     let mut device = SsdDevice::new(config.clone(), build(kind, config));
     if tracing {
-        device.set_tracing(Some(1 << 16));
+        device.attach_sink(Box::new(RingSink::new(1 << 16)));
     }
     let report = device.run_with(reqs, run_config(mode));
     (device, report)
@@ -465,6 +465,42 @@ fn sharded_replay_is_bit_identical_to_sequential() {
     });
 }
 
+/// The regime the plane-local engine serves: a 4-channel `micro_gc_test`
+/// with a fully-resident map, a 90 % sequential fill to age it, and 3 000
+/// single-page overwrites of that hot region at open arrivals.
+fn engaged_setup() -> (SsdConfig, Vec<HostRequest>, Vec<HostRequest>) {
+    use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
+    let base = SsdConfig {
+        channels: 4,
+        ..SsdConfig::micro_gc_test()
+    };
+    let config = SsdConfig {
+        cmt_capacity: base.geometry().user_pages() as usize,
+        ..base
+    };
+    let user_pages = config.geometry().user_pages();
+    let fill = sequential_fill(user_pages, 0.9, 16).requests;
+    let trace = uniform_random(
+        &UniformParams {
+            requests: 3_000,
+            write_ratio: 1.0,
+            pages_per_req: 1,
+            space_pages: user_pages * 9 / 10,
+            rate_per_sec: 1e9,
+        },
+        7,
+    )
+    .requests;
+    (config, fill, trace)
+}
+
+/// A DLOOP device aged by replaying `fill`.
+fn aged_device(config: &SsdConfig, fill: &[HostRequest]) -> SsdDevice {
+    let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, config));
+    d.run_with(fill, RunConfig::open());
+    d
+}
+
 /// The plane-local engine (DESIGN.md §3f) must actually *engage* — not
 /// just fall back to the sequential loop — when its preconditions hold:
 /// open arrivals, a fully-resident CMT, no media model, and every plane
@@ -475,41 +511,17 @@ fn sharded_replay_is_bit_identical_to_sequential() {
 /// bit-identical to sequential and leaves an auditable device.
 #[test]
 fn plane_local_fast_path_engages_and_is_bit_identical() {
-    use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
-    let base = SsdConfig {
-        channels: 4,
-        ..SsdConfig::micro_gc_test()
-    };
-    let config = SsdConfig {
-        cmt_capacity: base.geometry().user_pages() as usize,
-        ..base
-    };
-    let geometry = config.geometry();
-    let fill = sequential_fill(geometry.user_pages(), 0.9, 16);
-    let trace = uniform_random(
-        &UniformParams {
-            requests: 3_000,
-            write_ratio: 1.0,
-            pages_per_req: 1,
-            space_pages: geometry.user_pages() * 9 / 10,
-            rate_per_sec: 1e9,
-        },
-        7,
-    );
-    let fresh = || {
-        let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-        d.run_with(&fill.requests, RunConfig::open());
-        d
-    };
+    let (config, fill, trace) = engaged_setup();
+    let fresh = || aged_device(&config, &fill);
     let mut seq_dev = fresh();
-    let seq = seq_dev.run_with(&trace.requests, RunConfig::open());
+    let seq = seq_dev.run_with(&trace, RunConfig::open());
     assert!(
         seq.shard_timing.is_none() && seq.shard_outcome == ShardOutcome::NotRequested,
         "sequential runs must not report shard timing"
     );
     for shards in [2usize, 4] {
         let mut par_dev = fresh();
-        let par = par_dev.run_with(&trace.requests, RunConfig::open().shards(shards));
+        let par = par_dev.run_with(&trace, RunConfig::open().shards(shards));
         assert_eq!(par.shard_outcome, ShardOutcome::Engaged);
         let timing = par
             .shard_timing
@@ -617,47 +629,39 @@ fn sharded_requests_that_fall_back_name_their_guard() {
     }
 }
 
-/// Sharded tracing merges per-shard span buffers back into the exact
-/// sequential span stream — same spans, same order — and tracing stays
-/// pure observation (identical report fingerprint) under sharding.
+/// Sharded tracing forwards each shard's spans back into the exact
+/// sequential span stream — same spans, same order — on a run the
+/// plane-local engine actually serves, and tracing stays pure
+/// observation (identical report fingerprint) under sharding.
 #[test]
 fn sharded_tracing_reproduces_the_sequential_span_stream() {
-    use dloop_repro::simkit::trace::{span_jsonl, BufferSink};
-    let gen = check::vec_of(op_gen(900), 1..150);
-    let config = SsdConfig {
-        channels: 4,
-        ..SsdConfig::micro_gc_test()
+    use dloop_repro::simkit::trace::span_jsonl;
+    let (config, fill, trace) = engaged_setup();
+    let spans_of = |shards: usize| {
+        let mut device = aged_device(&config, &fill);
+        let cfg = RunConfig::open()
+            .shards(shards)
+            .attach_sink(Box::new(RingSink::new(usize::MAX)));
+        let report = device.run_with(&trace, cfg);
+        let ring = device.take_trace().expect("ring sink attached");
+        let stream: Vec<String> = ring.spans().map(span_jsonl).collect();
+        (stream, report)
     };
-    Checker::new().cases(6).run(&gen, |ops| {
-        let reqs = requests(ops);
-        let spans_of = |shards: usize| {
-            let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let cfg = RunConfig::closed(6)
-                .shards(shards)
-                .attach_sink(Box::new(BufferSink::new()));
-            let report = device.run_with(&reqs, cfg);
-            let buf = device
-                .detach_sink()
-                .expect("sink attached")
-                .into_any()
-                .downcast::<BufferSink>()
-                .expect("buffer sink type");
-            let stream: Vec<String> = buf.spans().iter().map(span_jsonl).collect();
-            (stream, report)
-        };
-        let (seq_stream, seq_report) = spans_of(1);
-        let (par_stream, par_report) = spans_of(4);
-        check_assert_eq!(
+    let (seq_stream, seq_report) = spans_of(1);
+    assert!(!seq_stream.is_empty());
+    for shards in [2usize, 4] {
+        let (par_stream, par_report) = spans_of(shards);
+        assert_eq!(par_report.shard_outcome, ShardOutcome::Engaged);
+        assert_eq!(
             fingerprint(&seq_report),
             fingerprint(&par_report),
-            "tracing must stay pure under sharding"
+            "tracing must stay pure under {shards} shards"
         );
-        check_assert_eq!(seq_stream.len(), par_stream.len(), "span counts");
+        assert_eq!(seq_stream.len(), par_stream.len(), "span counts");
         for (i, (s, p)) in seq_stream.iter().zip(&par_stream).enumerate() {
-            check_assert_eq!(s, p, "span {} diverged", i);
+            assert_eq!(s, p, "span {i} diverged at {shards} shards");
         }
-        Ok(())
-    });
+    }
 }
 
 /// The pass-through host stack is pure forwarding: wrapping the device
@@ -786,8 +790,10 @@ fn interleaved_sq_windows_bound_occupancy_per_queue() {
 /// fingerprint (request timelines, SQ occupancy log, spans, counters)
 /// matches `run_staged` on an identical device, with every host stage —
 /// cache, split/merge, doorbell batching, interrupt coalescing — turned
-/// on. This is the regression gate that lets the interleaved driver
-/// replace the staged one as the open-mode default.
+/// on. Both drive the same `CqState` coalescer, the staged pipeline firing
+/// armed timers in `(done, cmd)` order and the loop from its event heap.
+/// This is the regression gate that lets the interleaved driver replace
+/// the staged one as the open-mode default.
 #[test]
 fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
     use dloop_repro::host::{HostConfig, HostStack};

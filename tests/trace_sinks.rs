@@ -10,9 +10,6 @@
 //!   opened flow.
 //! * The channel-utilization CSV exists beside the plane one with the
 //!   locked `channel_N` header shape.
-//! * Sampling: a [`SamplingSink`] forwards exactly the spans at stream
-//!   positions `0, N, 2N, …` — deterministically, with the loss counted —
-//!   and a [`BufferSink`] observes the full stream verbatim.
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
@@ -22,8 +19,8 @@ use dloop_repro::ftl_kit::device::{ReplayMode, SsdDevice};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::{
-    channel_utilization_csv, chrome_trace_json, json_lint, span_jsonl, BufferSink, RingSink,
-    SamplingSink, StreamSink, TraceSink,
+    channel_utilization_csv, chrome_trace_json, json_lint, span_jsonl, RingSink, StreamSink,
+    TraceSink,
 };
 use dloop_repro::simkit::SimTime;
 use dloop_repro::{check_assert, check_assert_eq};
@@ -191,127 +188,4 @@ fn channel_utilization_csv_is_well_formed() {
         }
     }
     assert_eq!(rows, 16, "one row per bucket");
-}
-
-/// A 1-in-N sampler keeps exactly the spans at stream positions
-/// `0, N, 2N, …` of the unsampled stream, with the loss accounted for in
-/// the recorded/dropped counters.
-#[test]
-fn sampling_sink_keeps_exactly_one_span_in_n() {
-    let gen = check::vec_of(req_gen(400), 1..100);
-    Checker::new().cases(10).run(&gen, |ops| {
-        let reqs = requests(ops);
-        let config = SsdConfig::micro_gc_test();
-
-        // Ground truth: the full span stream.
-        let mut full = device(&config);
-        full.attach_sink(Box::new(BufferSink::new()));
-        full.run(&reqs, ReplayMode::Open);
-        let sink = full.detach_sink().expect("buffer sink attached");
-        let all = sink
-            .into_any()
-            .downcast::<BufferSink>()
-            .expect("buffer sink type");
-        let total = all.recorded();
-
-        for every in [1u64, 2, 3, 7, 64, 10_000] {
-            let mut sampled = device(&config);
-            sampled.attach_sink(Box::new(SamplingSink::new(
-                Box::new(BufferSink::new()),
-                every,
-            )));
-            sampled.run(&reqs, ReplayMode::Open);
-            let sink = sampled.detach_sink().expect("sampler attached");
-            let sampler = sink
-                .into_any()
-                .downcast::<SamplingSink>()
-                .expect("sampler type");
-            check_assert_eq!(sampler.every(), every);
-            check_assert_eq!(sampler.recorded(), total, "sampler sees every span");
-            check_assert_eq!(sampler.kept(), total.div_ceil(every), "1-in-N kept");
-            check_assert_eq!(
-                sampler.dropped(),
-                total - total.div_ceil(every),
-                "loss is counted, inner buffer never drops"
-            );
-            check_assert_eq!(sampler.kept() + sampler.sampled_out(), total);
-            let inner = sampler.into_inner();
-            let kept = inner
-                .into_any()
-                .downcast::<BufferSink>()
-                .expect("inner buffer type");
-            let expect: Vec<_> = all.spans().iter().step_by(every as usize).collect();
-            check_assert_eq!(kept.len(), expect.len());
-            for (got, want) in kept.spans().iter().zip(expect) {
-                check_assert_eq!(span_jsonl(got), span_jsonl(want), "every={every}");
-            }
-        }
-        Ok(())
-    });
-}
-
-/// `SamplingSink::dropped` folds the inner sink's own losses in, and
-/// `reset` restarts the phase so replays stay deterministic.
-#[test]
-fn sampling_sink_counts_inner_drops_and_resets() {
-    let config = SsdConfig::micro_gc_test();
-    let reqs = requests(&[(0, 4, true), (7, 4, true), (3, 3, false), (0, 4, true)]);
-
-    // A deliberately tiny ring behind the sampler: the sampler's dropped()
-    // must include what the ring evicts.
-    let mut d = device(&config);
-    d.attach_sink(Box::new(SamplingSink::new(Box::new(RingSink::new(2)), 2)));
-    d.run(&reqs, ReplayMode::Open);
-    let sink = d.detach_sink().expect("sampler attached");
-    let sampler = sink
-        .into_any()
-        .downcast::<SamplingSink>()
-        .expect("sampler type");
-    let total = sampler.recorded();
-    assert!(
-        total > 4,
-        "workload emits enough spans to overflow the ring"
-    );
-    let ring_dropped = sampler.inner().dropped();
-    assert!(ring_dropped > 0, "the 2-slot ring must evict");
-    assert_eq!(sampler.dropped(), sampler.sampled_out() + ring_dropped);
-
-    // Reset restarts both the phase and the counters.
-    let mut sampler = *sampler;
-    sampler.reset();
-    assert_eq!(sampler.recorded(), 0);
-    assert_eq!(sampler.dropped(), 0);
-    assert_eq!(sampler.kept(), 0);
-}
-
-/// A `BufferSink` is a verbatim, never-dropping record of the stream, and
-/// `clear` empties it for the next window.
-#[test]
-fn buffer_sink_records_verbatim_and_clears() {
-    let config = SsdConfig::micro_gc_test();
-    let reqs = requests(&[(0, 4, true), (7, 2, true), (3, 3, false)]);
-
-    let mut ringed = device(&config);
-    ringed.attach_sink(Box::new(RingSink::new(1 << 20)));
-    ringed.run(&reqs, ReplayMode::Open);
-    let ring = ringed.take_trace().expect("ring sink attached");
-
-    let mut buffered = device(&config);
-    buffered.attach_sink(Box::new(BufferSink::new()));
-    buffered.run(&reqs, ReplayMode::Open);
-    let sink = buffered.detach_sink().expect("buffer sink attached");
-    let mut buf = sink
-        .into_any()
-        .downcast::<BufferSink>()
-        .expect("buffer sink type");
-    assert_eq!(buf.dropped(), 0);
-    assert_eq!(buf.recorded(), ring.recorded());
-    let from_ring: Vec<String> = ring.spans().map(span_jsonl).collect();
-    let from_buf: Vec<String> = buf.spans().iter().map(span_jsonl).collect();
-    assert_eq!(from_buf, from_ring, "buffer equals the ring's stream");
-
-    assert!(!buf.is_empty());
-    buf.clear();
-    assert!(buf.is_empty());
-    assert_eq!(buf.len(), 0);
 }
