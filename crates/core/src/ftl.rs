@@ -270,13 +270,10 @@ impl Ftl for DloopFtl {
                 .all(|p| flash.free_blocks(p) >= self.cfg.gc_threshold)
     }
 
-    fn shard_fork(&self, planes: std::ops::Range<PlaneId>) -> Option<Box<dyn Ftl + Send>> {
-        let geometry = self.geometry.clone();
+    fn shard_fork(&self, _planes: std::ops::Range<PlaneId>) -> Option<Box<dyn Ftl + Send>> {
         Some(Box::new(DloopFtl {
-            dm: self
-                .dm
-                .shard_fork(&|lpn| planes.contains(&geometry.dloop_plane_of_lpn(lpn))),
-            geometry,
+            dm: self.dm.shard_fork()?,
+            geometry: self.geometry.clone(),
             alloc: self.alloc.shard_fork(),
             gc: GcEngine::new(self.cfg.gc_threshold, self.cfg.copyback_enabled),
             counters: FtlCounters::default(),

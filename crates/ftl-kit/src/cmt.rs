@@ -44,10 +44,14 @@
 //!   a node the caller already holds costs two stores, where a keyed set
 //!   per translation page costs a second lookup and an allocation.
 //!
-//! Per entry at 512 Ki entries this is 40 B of node plus 8 B of index
-//! (≈ 48 B), down from ≈ 80 B with the former `HashMap` index (32 B node,
-//! two 17-byte buckets of a half-full hash table, and a `BTreeSet` slot per
-//! dirty entry).
+//! Per entry this is 40 B of node plus 8 B of index (≈ 48 B, so the
+//! paper's 4096-entry table is ≈ 192 KiB), down from ≈ 80 B with the
+//! former `HashMap` index (32 B node, two 17-byte buckets of a half-full
+//! hash table, and a `BTreeSet` slot per dirty entry). A table with room
+//! for every LPN is never built: [`DemandMap`](crate::demand::DemandMap)
+//! serves that resident regime from its own map and a one-bit-per-LPN
+//! loaded set (0.125 B per entry), since a cache that never evicts never
+//! reads its recency or dirty state.
 
 use dloop_nand::{Lpn, Ppn};
 
@@ -186,18 +190,10 @@ impl CachedMappingTable {
         (self.hits, self.misses)
     }
 
-    /// Zero the hit/miss counters — a sharded worker's fork counts pure
-    /// deltas, added back at the merge via
-    /// [`CachedMappingTable::add_hit_stats`].
+    /// Zero the hit/miss counters (a measurement window starts).
     pub fn reset_hit_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// Add `(hits, misses)` deltas accumulated by a worker fork.
-    pub fn add_hit_stats(&mut self, (hits, misses): (u64, u64)) {
-        self.hits += hits;
-        self.misses += misses;
     }
 
     /// The nodes of one recency list, LRU first.
@@ -210,58 +206,11 @@ impl CachedMappingTable {
     /// probation segment from its LRU to its MRU, then the protected
     /// segment likewise. The order is a function of the operations applied
     /// and nothing else, so two tables fed the same operations yield the
-    /// same sequence; [`CachedMappingTable::adopt`]ing it into an empty
-    /// table reproduces the sequence (with every entry on probation).
+    /// same sequence.
     pub fn iter_entries(&self) -> impl Iterator<Item = (Lpn, Ppn, bool)> + '_ {
         self.lru_first(self.probation)
             .chain(self.lru_first(self.protected))
             .map(|n| (n.lpn, n.ppn, n.dirty))
-    }
-
-    /// A partial fork for one sharded worker: a fresh table with the same
-    /// capacity and translation-page grouping, seeded with exactly the
-    /// entries whose LPN the worker `owns`, adopted in
-    /// [`CachedMappingTable::iter_entries`] order (so the fork's own
-    /// sequence is this table's, restricted to the owned LPNs). In the
-    /// fully-resident regime presence alone makes the fork behave
-    /// identically to the full table for owned LPNs — at a fraction of the
-    /// clone cost and of the worker's working set. Hit/miss counters start
-    /// at zero (the fork counts pure deltas).
-    pub fn shard_fork_owned(&self, owns: &dyn Fn(Lpn) -> bool) -> CachedMappingTable {
-        let mut fork = CachedMappingTable::new(self.capacity, self.mappings_per_tpage);
-        for (lpn, ppn, dirty) in self.iter_entries() {
-            if owns(lpn) {
-                fork.adopt(lpn, ppn, dirty);
-            }
-        }
-        fork
-    }
-
-    /// Adopt a worker fork's entry at the sharded merge: update the cached
-    /// mapping and dirty flag *without* recency promotion or hit/miss
-    /// accounting; an absent entry is inserted as the probation MRU, so
-    /// entries adopted in [`CachedMappingTable::iter_entries`] order come
-    /// out of `iter_entries` in that order again. The merge only runs in
-    /// the fully-resident regime (capacity ≥ LPN space), where eviction
-    /// order is never consulted, but it is deterministic all the same.
-    ///
-    /// Panics if an insert would require an eviction.
-    pub fn adopt(&mut self, lpn: Lpn, ppn: Ppn, dirty: bool) {
-        if let Some(idx) = self.find(lpn) {
-            self.nodes[idx as usize].ppn = ppn;
-            if dirty {
-                self.mark_dirty(idx);
-            } else {
-                self.mark_clean(idx);
-            }
-        } else {
-            assert!(
-                self.len() < self.capacity,
-                "adopt into a full CMT would evict"
-            );
-            let evicted = self.insert(lpn, ppn, dirty);
-            debug_assert!(evicted.is_none());
-        }
     }
 
     // --- the index ---
@@ -853,29 +802,6 @@ mod tests {
         );
         assert_eq!(c.dirty_tvpns(), vec![1]);
         c.check().unwrap();
-    }
-
-    #[test]
-    fn fork_and_adopt_preserve_eviction_order() {
-        let mut c = cmt(6);
-        for l in 0..6 {
-            c.insert(l, l * 10, l % 2 == 1);
-        }
-        c.lookup(4);
-        c.lookup(1);
-        let fork = c.shard_fork_owned(&|_| true);
-        fork.check().unwrap();
-        assert_eq!(
-            fork.iter_entries().collect::<Vec<_>>(),
-            c.iter_entries().collect::<Vec<_>>()
-        );
-        let odd = c.shard_fork_owned(&|l| l % 2 == 1);
-        assert_eq!(
-            odd.iter_entries().collect::<Vec<_>>(),
-            c.iter_entries()
-                .filter(|e| e.0 % 2 == 1)
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

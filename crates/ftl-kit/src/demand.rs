@@ -19,6 +19,14 @@
 //! must program a page somewhere, record it in the page directory, push the
 //! corresponding [`FlashStep::Write`](crate::ftl::FlashStep::Write), and
 //! return the new PPN.
+//!
+//! A CMT with room for every LPN never evicts, so nothing ever reads its
+//! recency order or dirty state (§III.D consults them only to pick and
+//! write back a victim). In that *resident* regime the engine keeps no
+//! segmented LRU at all: the authoritative map serves every lookup and one
+//! bit per LPN records whether its entry has been loaded, which is all the
+//! hit/miss accounting and the deferred-update rule depend on. The choice
+//! is made once, from the capacity, and is invisible in every result.
 
 use crate::cmt::CachedMappingTable;
 use crate::dir::PageOwner;
@@ -55,7 +63,7 @@ pub struct DemandCounters {
 #[derive(Debug, Clone)]
 pub struct DemandMap {
     map: Vec<Ppn>,
-    cmt: CachedMappingTable,
+    cache: Cache,
     gtd: Gtd,
     pending: std::collections::BTreeMap<u64, u32>,
     pending_total: u64,
@@ -64,12 +72,78 @@ pub struct DemandMap {
     pub counters: DemandCounters,
 }
 
+/// Which mapping entries are cached.
+#[derive(Debug, Clone)]
+enum Cache {
+    /// A CMT smaller than the LPN space: the segmented LRU of §III.D.
+    Lru(CachedMappingTable),
+    /// A CMT that holds every LPN: the map itself, plus which entries
+    /// have been loaded.
+    Resident(Loaded),
+}
+
+/// The resident regime's cache state: one bit per LPN, set by the first
+/// lookup (mapped or not) — exactly the entries a never-evicting LRU
+/// would hold — and the LRU's hit/miss counters.
+#[derive(Debug, Clone)]
+struct Loaded {
+    bits: Vec<u64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Loaded {
+    fn new(lpns: usize) -> Self {
+        Loaded {
+            bits: vec![0; lpns.div_ceil(64)],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn contains(&self, lpn: Lpn) -> bool {
+        self.bits[(lpn / 64) as usize] & (1 << (lpn % 64)) != 0
+    }
+
+    /// A referencing lookup: classify it as a hit or a miss, and load the
+    /// entry. Returns whether it hit.
+    fn lookup(&mut self, lpn: Lpn) -> bool {
+        let word = &mut self.bits[(lpn / 64) as usize];
+        let bit = 1 << (lpn % 64);
+        let hit = *word & bit != 0;
+        *word |= bit;
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Copy `lpn`'s bit from `other`.
+    fn copy_from(&mut self, other: &Loaded, lpn: Lpn) {
+        let (word, bit) = ((lpn / 64) as usize, 1u64 << (lpn % 64));
+        self.bits[word] = (self.bits[word] & !bit) | (other.bits[word] & bit);
+    }
+}
+
 impl DemandMap {
-    /// Build for a geometry with a CMT of `cmt_capacity` entries.
+    /// Build for a geometry with a CMT of `cmt_capacity` entries. A
+    /// capacity that covers every LPN selects the resident regime (module
+    /// docs).
     pub fn new(geometry: &Geometry, cmt_capacity: usize) -> Self {
+        let lpns = geometry.user_pages() as usize;
+        let cache = if cmt_capacity >= lpns {
+            Cache::Resident(Loaded::new(lpns))
+        } else {
+            Cache::Lru(CachedMappingTable::new(
+                cmt_capacity,
+                geometry.mappings_per_translation_page(),
+            ))
+        };
         DemandMap {
-            map: vec![UNMAPPED; geometry.user_pages() as usize],
-            cmt: CachedMappingTable::new(cmt_capacity, geometry.mappings_per_translation_page()),
+            map: vec![UNMAPPED; lpns],
+            cache,
             gtd: Gtd::new(geometry),
             pending: std::collections::BTreeMap::new(),
             pending_total: 0,
@@ -91,7 +165,10 @@ impl DemandMap {
 
     /// CMT hit/miss statistics.
     pub fn cmt_stats(&self) -> (u64, u64) {
-        self.cmt.hit_stats()
+        match &self.cache {
+            Cache::Lru(cmt) => cmt.hit_stats(),
+            Cache::Resident(loaded) => (loaded.hits, loaded.misses),
+        }
     }
 
     /// Shared view of the GTD (audits).
@@ -99,52 +176,47 @@ impl DemandMap {
         &self.gtd
     }
 
-    /// Shared view of the CMT (audits).
-    pub fn cmt(&self) -> &CachedMappingTable {
-        &self.cmt
-    }
-
     /// Whether the engine is in the *plane-pure* regime the sharded
-    /// translation fast path requires: a fully resident CMT (inserts never
-    /// evict, so no dirty write-backs), no materialised translation pages
-    /// (misses generate no flash reads — pinned by the
+    /// translation fast path requires: a resident CMT (it never evicts, so
+    /// no dirty write-backs), no materialised translation pages (misses
+    /// generate no flash reads — pinned by the
     /// `miss_on_cold_unmapped_lpn_generates_no_reads` test), and no
     /// deferred GC updates awaiting a flush. In this regime every
     /// operation's flash effects stay on the data page's own plane.
     pub fn plane_pure(&self) -> bool {
-        self.cmt.capacity() >= self.map.len()
+        matches!(self.cache, Cache::Resident(_))
             && self.gtd.materialised() == 0
             && self.pending_total == 0
     }
 
-    /// A worker's fork for plane-sharded translation, authoritative only
-    /// for the LPNs `owns` selects (the worker's home planes): the full
-    /// mapping array is copied (a flat memcpy), but the cached-mapping
-    /// table is rebuilt with owned entries only — the worker never looks
-    /// up a foreign LPN, and carrying the full cache would multiply both
-    /// the fork cost and the worker's random-access working set by the
-    /// shard count. All counters start at zero, so the worker accumulates
+    /// A worker's fork for plane-sharded translation, or `None` outside
+    /// the resident regime. The map and the loaded bits are copied whole
+    /// (two flat memcpys); the worker only ever touches the LPNs of its
+    /// home planes. All counters start at zero, so the worker accumulates
     /// pure deltas for [`DemandMap::shard_absorb`].
-    pub fn shard_fork(&self, owns: &dyn Fn(Lpn) -> bool) -> DemandMap {
-        DemandMap {
+    pub fn shard_fork(&self) -> Option<DemandMap> {
+        let Cache::Resident(loaded) = &self.cache else {
+            return None;
+        };
+        Some(DemandMap {
             map: self.map.clone(),
-            cmt: self.cmt.shard_fork_owned(owns),
+            cache: Cache::Resident(Loaded {
+                hits: 0,
+                misses: 0,
+                ..loaded.clone()
+            }),
             gtd: self.gtd.clone(),
             pending: self.pending.clone(),
             pending_total: self.pending_total,
             pending_budget: self.pending_budget,
             counters: DemandCounters::default(),
-        }
+        })
     }
 
-    /// Merge a [`DemandMap::shard_fork`] worker back: adopt authoritative
-    /// mappings and cached entries for the LPNs `owns` selects (the
-    /// worker's home planes), and add its hit/miss deltas. Only valid in
-    /// the plane-pure regime, where the worker generated no translation
-    /// traffic and cached-entry recency is never consulted. Entries are
-    /// adopted in the worker table's eviction order
-    /// ([`CachedMappingTable::iter_entries`]), so merging workers in plane
-    /// order leaves the same recency lists on every run.
+    /// Merge a [`DemandMap::shard_fork`] worker back: copy the map entries
+    /// and loaded bits of the LPNs `owns` selects (the worker's home
+    /// planes), and add its hit/miss deltas. Only valid in the plane-pure
+    /// regime, where the worker generated no translation traffic.
     pub fn shard_absorb(&mut self, worker: &DemandMap, owns: &dyn Fn(Lpn) -> bool) {
         debug_assert_eq!(
             worker.counters,
@@ -152,12 +224,15 @@ impl DemandMap {
             "plane-pure worker generated translation traffic"
         );
         debug_assert_eq!(worker.pending_total, 0);
-        self.cmt.add_hit_stats(worker.cmt.hit_stats());
-        for (lpn, ppn, dirty) in worker.cmt.iter_entries() {
-            if owns(lpn) {
-                self.map[lpn as usize] = worker.map[lpn as usize];
-                self.cmt.adopt(lpn, ppn, dirty);
-            }
+        let (Cache::Resident(mine), Cache::Resident(theirs)) = (&mut self.cache, &worker.cache)
+        else {
+            unreachable!("shard_absorb outside the resident regime");
+        };
+        mine.hits += theirs.hits;
+        mine.misses += theirs.misses;
+        for lpn in (0..self.map.len() as Lpn).filter(|&lpn| owns(lpn)) {
+            self.map[lpn as usize] = worker.map[lpn as usize];
+            mine.copy_from(theirs, lpn);
         }
     }
 
@@ -169,18 +244,26 @@ impl DemandMap {
         ctx: &mut FtlContext<'_>,
         place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
     ) -> Option<Ppn> {
-        if self.cmt.lookup(lpn).is_some() {
-            return self.mapped(lpn);
-        }
-        // Miss: insert (evicting if full), write back a dirty victim.
-        let authoritative = self.map[lpn as usize];
-        let evicted = self.cmt.insert(lpn, authoritative, false);
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.counters.dirty_evictions += 1;
-                let victim_tvpn = self.gtd.tvpn_of(ev.lpn);
-                self.rewrite_translation_page(victim_tvpn, ctx, place);
+        let evicted = match &mut self.cache {
+            Cache::Resident(loaded) => {
+                if loaded.lookup(lpn) {
+                    return self.mapped(lpn);
+                }
+                None
             }
+            Cache::Lru(cmt) => {
+                if cmt.lookup(lpn).is_some() {
+                    return self.mapped(lpn);
+                }
+                // Miss: insert (evicting if full).
+                cmt.insert(lpn, self.map[lpn as usize], false)
+            }
+        };
+        // Write back a dirty victim.
+        if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+            self.counters.dirty_evictions += 1;
+            let victim_tvpn = self.gtd.tvpn_of(ev.lpn);
+            self.rewrite_translation_page(victim_tvpn, ctx, place);
         }
         // Load the requested entry's translation page (if materialised).
         let tvpn = self.gtd.tvpn_of(lpn);
@@ -195,7 +278,12 @@ impl DemandMap {
     /// cached (callers run [`Self::ensure_cached`] first).
     pub fn commit_write(&mut self, lpn: Lpn, new_ppn: Ppn) {
         self.map[lpn as usize] = new_ppn;
-        self.cmt.update(lpn, new_ppn);
+        match &mut self.cache {
+            Cache::Resident(loaded) => {
+                debug_assert!(loaded.contains(lpn), "update of uncached mapping")
+            }
+            Cache::Lru(cmt) => cmt.update(lpn, new_ppn),
+        }
     }
 
     /// Record a GC data-page move: authoritative map changes; the cached
@@ -204,7 +292,11 @@ impl DemandMap {
     /// for a batched flush.
     pub fn gc_move(&mut self, lpn: Lpn, new_ppn: Ppn) {
         self.map[lpn as usize] = new_ppn;
-        if !self.cmt.update_in_place(lpn, new_ppn) {
+        let cached = match &mut self.cache {
+            Cache::Resident(loaded) => loaded.contains(lpn),
+            Cache::Lru(cmt) => cmt.update_in_place(lpn, new_ppn),
+        };
+        if !cached {
             let tvpn = self.gtd.tvpn_of(lpn);
             *self.pending.entry(tvpn).or_insert(0) += 1;
             self.pending_total += 1;
@@ -301,7 +393,9 @@ impl DemandMap {
         self.gtd.update(tvpn, new_ppn);
         // All dirty siblings and pending GC updates are persisted by this
         // write.
-        self.cmt.clean_translation_page(tvpn);
+        if let Cache::Lru(cmt) = &mut self.cache {
+            cmt.clean_translation_page(tvpn);
+        }
         if let Some(c) = self.pending.remove(&tvpn) {
             self.pending_total -= c as u64;
         }
@@ -317,12 +411,28 @@ impl DemandMap {
     }
 
     /// Audit: cached entries agree with the authoritative map; GTD entries
-    /// are internally consistent.
+    /// are internally consistent. In the resident regime, every mapped LPN
+    /// must be loaded — otherwise its next GC move would be deferred into
+    /// the pending buffer and the map would leave the plane-pure regime.
     pub fn check(&self) -> Result<(), String> {
-        self.cmt.check()?;
+        let cmt = match &self.cache {
+            Cache::Resident(loaded) => {
+                for (word, (chunk, &bits)) in self.map.chunks(64).zip(&loaded.bits).enumerate() {
+                    for (bit, &ppn) in chunk.iter().enumerate() {
+                        if ppn != UNMAPPED && bits & (1 << bit) == 0 {
+                            let lpn = word * 64 + bit;
+                            return Err(format!("lpn {lpn} mapped at ppn {ppn} but never loaded"));
+                        }
+                    }
+                }
+                return Ok(());
+            }
+            Cache::Lru(cmt) => cmt,
+        };
+        cmt.check()?;
         // Every cached entry must equal the authoritative mapping (we keep
         // them in lock-step; dirtiness only describes the on-flash copy).
-        for (lpn, ppn, _) in self.cmt.iter_entries() {
+        for (lpn, ppn, _) in cmt.iter_entries() {
             let authoritative = self.map.get(lpn as usize).copied();
             if authoritative != Some(ppn) {
                 return Err(format!(
@@ -330,7 +440,7 @@ impl DemandMap {
                 ));
             }
         }
-        for tvpn in self.cmt.dirty_tvpns() {
+        for tvpn in cmt.dirty_tvpns() {
             if tvpn as usize >= self.gtd.len() {
                 return Err(format!("dirty tvpn {tvpn} out of GTD range"));
             }
@@ -359,6 +469,16 @@ mod tests {
 
     fn geometry() -> dloop_nand::Geometry {
         dloop_nand::Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2)
+    }
+
+    impl DemandMap {
+        /// The segmented LRU of a map below the resident capacity.
+        fn lru(&mut self) -> &mut CachedMappingTable {
+            match &mut self.cache {
+                Cache::Lru(cmt) => cmt,
+                Cache::Resident(_) => panic!("resident map has no LRU"),
+            }
+        }
     }
 
     impl Rig {
@@ -436,7 +556,7 @@ mod tests {
         assert_eq!(rig.dm.counters.translation_writes, 1);
         assert_eq!(rig.dm.mapped(7), Some(42));
         // Drop it from the CMT and re-ensure: the materialised page is read.
-        rig.dm.cmt.remove(7);
+        rig.dm.lru().remove(7);
         rig.chain.clear();
         rig.run(|dm, ctx, place| dm.ensure_cached(7, ctx, place));
         assert_eq!(rig.dm.counters.translation_reads, 1);
@@ -459,7 +579,7 @@ mod tests {
         assert_eq!(rig.dm.counters.dirty_evictions, 1);
         assert_eq!(rig.dm.counters.translation_writes, 1);
         assert!(
-            rig.dm.cmt.dirty_tvpns().is_empty(),
+            rig.dm.lru().dirty_tvpns().is_empty(),
             "siblings must be clean"
         );
     }
@@ -490,7 +610,7 @@ mod tests {
             // Persist and drop from the CMT so the mapping is uncached.
             dm.rewrite_translation_page(0, ctx, place);
         });
-        rig.dm.cmt.remove(1);
+        rig.dm.lru().remove(1);
         rig.dm.gc_move(1, 6);
         assert_eq!(rig.dm.mapped(1), Some(6));
         assert_eq!(rig.dm.pending_count(0), 1);
@@ -515,7 +635,7 @@ mod tests {
             }
         });
         for lpn in [0u64, 256, 512] {
-            rig.dm.cmt.remove(lpn);
+            rig.dm.lru().remove(lpn);
         }
         // Defer updates: tvpn 1 gets two, tvpns 0 and 2 one each.
         rig.dm.gc_move(0, 100);
@@ -541,41 +661,204 @@ mod tests {
         assert!(rig.dm.pending_total() <= 2);
     }
 
-    /// One sharded round trip in the resident regime: two workers fork by
-    /// LPN parity, each overwrites some owned mappings and caches new ones,
-    /// and both merge back in worker order.
-    fn sharded_round_trip() -> Vec<(Lpn, Ppn, bool)> {
-        let mut rig = Rig::new(geometry().user_pages() as usize);
-        assert!(rig.dm.plane_pure());
-        rig.run(|dm, ctx, place| {
-            for lpn in (0..200u64).map(|i| (i * 37) % 512) {
+    /// One step of the FTL-facing protocol on a map.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// A read's translation.
+        Lookup(Lpn),
+        /// A host write: translation, then the commit.
+        Write(Lpn, Ppn),
+        /// A GC move of a mapped LPN.
+        Move(Lpn, Ppn),
+    }
+
+    fn apply(
+        dm: &mut DemandMap,
+        op: Op,
+        ctx: &mut FtlContext<'_>,
+        place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
+    ) {
+        match op {
+            Op::Lookup(lpn) => {
                 dm.ensure_cached(lpn, ctx, place);
-                dm.commit_write(lpn, 10_000 + lpn);
             }
+            Op::Write(lpn, ppn) => {
+                dm.ensure_cached(lpn, ctx, place);
+                dm.commit_write(lpn, ppn);
+            }
+            Op::Move(lpn, ppn) => dm.gc_move(lpn, ppn),
+        }
+    }
+
+    /// The resident map against a never-evicting segmented LRU of the same
+    /// capacity and a plain `Vec` of mappings, op by op. The LPNs sit at
+    /// both ends of the space, so the loaded set's first and last words
+    /// are exercised; about half of them are never written.
+    #[test]
+    fn resident_map_matches_a_never_evicting_lru() {
+        use dloop_simkit::check::{self, Checker, Generator};
+        use dloop_simkit::{check_assert, check_assert_eq};
+
+        /// How many distinct LPNs a stream touches.
+        const SPOTS: u64 = 256;
+        let lpns = geometry().user_pages();
+        let lpn_at = move |spot: u64| {
+            if spot < SPOTS / 2 {
+                spot
+            } else {
+                lpns - SPOTS + spot
+            }
+        };
+        // `Move` carries a spot, resolved against the mapped spots at run
+        // time: GC only ever moves a mapped page.
+        let op = check::weighted(vec![
+            (3, check::u64s(0..SPOTS).map(Op::Lookup).boxed()),
+            (
+                3,
+                (check::u64s(0..SPOTS / 2), check::u64s(0..10_000))
+                    .map(|(s, p)| Op::Write(s * 2, p))
+                    .boxed(),
+            ),
+            (
+                2,
+                (check::u64s(0..SPOTS), check::u64s(0..10_000))
+                    .map(|(s, p)| Op::Move(s, p))
+                    .boxed(),
+            ),
+        ]);
+        let gen = check::vec_of(op, 1..40);
+        Checker::new().cases(16).run(&gen, |ops| {
+            let mut rig = Rig::new(lpns as usize);
+            let mut lru =
+                CachedMappingTable::new(lpns as usize, geometry().mappings_per_translation_page());
+            let mut model = vec![None; SPOTS as usize];
+            for &op in ops {
+                let (spot, op) = match op {
+                    Op::Lookup(s) => (s, Op::Lookup(lpn_at(s))),
+                    Op::Write(s, p) => (s, Op::Write(lpn_at(s), p)),
+                    Op::Move(k, p) => {
+                        let mapped: Vec<u64> = (0..SPOTS)
+                            .filter(|&s| model[s as usize].is_some())
+                            .collect();
+                        let Some(&s) = mapped.get(k as usize % mapped.len().max(1)) else {
+                            continue;
+                        };
+                        (s, Op::Move(lpn_at(s), p))
+                    }
+                };
+                let (spot, lpn) = (spot as usize, lpn_at(spot));
+                rig.run(|dm, ctx, place| apply(dm, op, ctx, place));
+                // The reference, and the model.
+                if !matches!(op, Op::Move(..)) && lru.lookup(lpn).is_none() {
+                    let authoritative = model[spot].unwrap_or(UNMAPPED);
+                    check_assert!(lru.insert(lpn, authoritative, false).is_none());
+                }
+                match op {
+                    Op::Lookup(_) => {}
+                    Op::Write(_, ppn) => lru.update(lpn, ppn),
+                    Op::Move(_, ppn) => check_assert!(lru.update_in_place(lpn, ppn)),
+                }
+                if let Op::Write(_, ppn) | Op::Move(_, ppn) = op {
+                    model[spot] = Some(ppn);
+                }
+
+                let dm = &rig.dm;
+                check_assert_eq!(dm.cmt_stats(), lru.hit_stats(), "after {:?}", op);
+                for s in 0..SPOTS {
+                    check_assert_eq!(dm.mapped(lpn_at(s)), model[s as usize], "spot {}", s);
+                }
+                check_assert_eq!(
+                    (
+                        dm.counters.translation_reads,
+                        dm.counters.translation_writes
+                    ),
+                    (0, 0)
+                );
+                check_assert!(rig.chain.is_empty());
+                check_assert_eq!(dm.pending_total(), 0);
+                check_assert!(dm.plane_pure());
+                dm.check()?;
+            }
+            check_assert_eq!(rig.dm.iter_mapped().count(), model.iter().flatten().count());
+            Ok(())
         });
+    }
+
+    /// Fork → per-worker ops → merge must leave the map, the hit/miss
+    /// counts and the loaded set exactly as applying the same ops to one
+    /// unforked map does (the C15 property at the translation layer).
+    #[test]
+    fn sharded_merge_matches_a_sequential_replay() {
+        let lpns = geometry().user_pages();
+        let mut sharded = Rig::new(lpns as usize);
+        let mut sequential = Rig::new(lpns as usize);
+        let history: Vec<Op> = (0..200u64)
+            .map(|i| Op::Write((i * 37) % 512, 10_000 + i))
+            .collect();
+        // Worker `w` owns the LPNs of parity `w`. A third of its ops are
+        // lookups (some of never-written LPNs), a third writes (half of
+        // them to LPNs new to the cache) and a third GC moves of LPNs the
+        // history wrote.
+        let work = |w: u64| -> Vec<Op> {
+            (0..300u64)
+                .map(|i| {
+                    let k = (i * 53) % 1024;
+                    match i % 3 {
+                        0 => Op::Lookup(lpns - 2 * (k + 1) + w),
+                        1 => Op::Write(2 * k + w, 20_000 + i),
+                        _ => Op::Move(((2 * (i % 100) + w) * 37) % 512, 30_000 + i),
+                    }
+                })
+                .collect()
+        };
         let owners: [&dyn Fn(Lpn) -> bool; 2] = [&|l| l % 2 == 0, &|l| l % 2 == 1];
-        let mut workers: Vec<DemandMap> = owners.iter().map(|o| rig.dm.shard_fork(o)).collect();
+
+        for rig in [&mut sharded, &mut sequential] {
+            rig.run(|dm, ctx, place| {
+                for &op in &history {
+                    apply(dm, op, ctx, place);
+                }
+            });
+        }
+        assert!(sharded.dm.plane_pure());
+        let mut workers: Vec<DemandMap> =
+            (0..2).map(|_| sharded.dm.shard_fork().unwrap()).collect();
         for (w, worker) in workers.iter_mut().enumerate() {
-            rig.run(|_, ctx, place| {
-                // Half of these LPNs are new to the cache.
-                for lpn in (0..300u64).map(|i| (i * 53) % 1024 * 2 + w as u64) {
-                    worker.ensure_cached(lpn, ctx, place);
-                    worker.commit_write(lpn, 20_000 + lpn);
+            let ops = work(w as u64);
+            assert!(ops
+                .iter()
+                .all(|&(Op::Lookup(l) | Op::Write(l, _) | Op::Move(l, _))| owners[w](l)));
+            sharded.run(|_, ctx, place| {
+                for &op in &ops {
+                    apply(worker, op, ctx, place);
+                }
+            });
+            sequential.run(|dm, ctx, place| {
+                for &op in &ops {
+                    apply(dm, op, ctx, place);
                 }
             });
         }
         for (worker, owns) in workers.iter().zip(owners) {
-            rig.dm.shard_absorb(worker, owns);
+            sharded.dm.shard_absorb(worker, owns);
         }
-        rig.dm.check().unwrap();
-        rig.dm.cmt.iter_entries().collect()
-    }
 
-    #[test]
-    fn sharded_merge_order_is_deterministic() {
-        let first = sharded_round_trip();
-        assert!(first.len() > 200, "the workers cached new entries");
-        assert_eq!(first, sharded_round_trip());
+        sharded.dm.check().unwrap();
+        assert!(sharded.dm.plane_pure());
+        assert_eq!(
+            sharded.dm.iter_mapped().collect::<Vec<_>>(),
+            sequential.dm.iter_mapped().collect::<Vec<_>>()
+        );
+        assert_eq!(sharded.dm.cmt_stats(), sequential.dm.cmt_stats());
+        // The loaded sets agree iff a lookup of every LPN classifies alike.
+        for rig in [&mut sharded, &mut sequential] {
+            rig.run(|dm, ctx, place| {
+                for lpn in 0..lpns {
+                    dm.ensure_cached(lpn, ctx, place);
+                }
+            });
+        }
+        assert_eq!(sharded.dm.cmt_stats(), sequential.dm.cmt_stats());
     }
 
     #[test]
@@ -592,6 +875,24 @@ mod tests {
     }
 
     #[test]
+    fn check_requires_every_resident_mapping_to_be_loaded() {
+        let mut rig = Rig::new(geometry().user_pages() as usize);
+        rig.run(|dm, ctx, place| {
+            dm.ensure_cached(9, ctx, place);
+            dm.commit_write(9, 50);
+        });
+        rig.dm.check().unwrap();
+        // A mapping that bypassed `ensure_cached`: its next GC move would
+        // be deferred.
+        rig.dm.map[12] = 51;
+        let err = rig.dm.check().unwrap_err();
+        assert!(err.contains("lpn 12"), "{err}");
+        rig.dm.gc_move(12, 52);
+        assert_eq!(rig.dm.pending_total(), 1);
+        assert!(!rig.dm.plane_pure());
+    }
+
+    #[test]
     fn gc_move_updates_map_without_promotion() {
         let mut rig = Rig::new(4);
         rig.run(|dm, ctx, place| {
@@ -600,7 +901,7 @@ mod tests {
         });
         rig.dm.gc_move(9, 51);
         assert_eq!(rig.dm.mapped(9), Some(51));
-        assert_eq!(rig.dm.cmt.peek(9), Some((51, true)));
+        assert_eq!(rig.dm.lru().peek(9), Some((51, true)));
         rig.dm.check().unwrap();
     }
 }

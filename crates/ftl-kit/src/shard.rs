@@ -318,8 +318,8 @@ pub(crate) fn run_plane_local(
     // the clone stays on the coordinator). Forking the *simulation* state
     // happens inside the task, from shared references to the
     // authoritative device (`Ftl: Send + Sync` exists for this): the fork
-    // cost — dominated by rebuilding the owned slice of the cached
-    // mapping table — parallelises instead of serialising here.
+    // cost — flat copies of the flash state and the mapping table —
+    // parallelises instead of serialising here.
     //
     // Tasks run on a pool of at most `available_parallelism` threads
     // rather than one thread per shard: oversubscribing cores buys

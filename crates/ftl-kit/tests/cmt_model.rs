@@ -289,13 +289,13 @@ fn huge_lpns_hash_probe_and_flush() {
 }
 
 /// Three dirty siblings form one dirty list (head = last dirtied). Unlink
-/// the head, the middle and the tail, each by `remove`, by eviction and by
-/// `adopt(.., dirty: false)`; the two survivors must stay listed.
+/// the head, the middle and the tail, each by `remove` and by eviction;
+/// the two survivors must stay listed.
 #[test]
 fn dirty_list_survives_unlinking_at_every_position() {
     let siblings = [10u64, 11, 12];
     for target in siblings {
-        for how in ["remove", "evict", "adopt"] {
+        for how in ["remove", "evict"] {
             let mut cmt = CachedMappingTable::new(3, MAPPINGS_PER_TPAGE);
             for l in siblings {
                 cmt.insert(l, l * 10, true);
@@ -305,7 +305,7 @@ fn dirty_list_survives_unlinking_at_every_position() {
                     let e = cmt.remove(target).unwrap();
                     assert!(e.dirty);
                 }
-                "evict" => {
+                _ => {
                     // Referencing the other two leaves the target as the
                     // probation LRU.
                     for l in siblings.into_iter().filter(|&l| l != target) {
@@ -313,10 +313,6 @@ fn dirty_list_survives_unlinking_at_every_position() {
                     }
                     let e = cmt.insert(1000, 1, false).unwrap();
                     assert_eq!((e.lpn, e.dirty), (target, true));
-                }
-                _ => {
-                    cmt.adopt(target, target * 10, false);
-                    assert_eq!(cmt.peek(target), Some((target * 10, false)));
                 }
             }
             cmt.check().unwrap();

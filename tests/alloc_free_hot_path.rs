@@ -80,13 +80,25 @@ fn roomy_chain(steps: usize) -> OpChain {
 
 // Parent commit (`BTreeSet` dirty index, per-pass and per-op vectors):
 // 7 037 allocations inside `Ftl::write` over the same measured window.
+// Run twice: with the configured 64-entry segmented LRU, and with a CMT
+// that holds every LPN (the resident map).
 #[test]
 fn dloop_writes_with_copyback_collections_do_not_allocate() {
     let config = SsdConfig::micro_gc_test();
+    let resident = config.geometry().user_pages() as usize;
+    for cmt_capacity in [config.cmt_capacity, resident] {
+        dloop_writes_do_not_allocate(&SsdConfig {
+            cmt_capacity,
+            ..config.clone()
+        });
+    }
+}
+
+fn dloop_writes_do_not_allocate(config: &SsdConfig) {
     let geometry = config.geometry();
     let mut flash = FlashState::new(geometry.clone());
     let mut dir = PageDirectory::new(&geometry);
-    let mut ftl = DloopFtl::with_geometry(geometry.clone(), DloopConfig::from(&config));
+    let mut ftl = DloopFtl::with_geometry(geometry.clone(), DloopConfig::from(config));
     let mut chains = [roomy_chain(4096), roomy_chain(4096), roomy_chain(4096)];
 
     // Overwrite two thirds of the LPN space in random order, so the victims
@@ -131,9 +143,15 @@ fn dloop_writes_with_copyback_collections_do_not_allocate() {
     // waste budget is spent.
     assert!(
         measured.copyback_moves > 0 && measured.parity_skips > 0 && measured.external_moves > 0,
-        "the measured window must cover the whole relocation loop: {measured:?}"
+        "the measured window must cover the whole relocation loop \
+         (CMT of {} entries): {measured:?}",
+        config.cmt_capacity
     );
-    assert_eq!(allocated, 0, "heap allocations inside Ftl::write");
+    assert_eq!(
+        allocated, 0,
+        "heap allocations inside Ftl::write (CMT of {} entries)",
+        config.cmt_capacity
+    );
 }
 
 // Parent commit, with `flush_translation_page` standing in for the new
