@@ -25,16 +25,12 @@
 //!   recency links, the two dirty-list links, dirty flag, segment), in a
 //!   `Vec` indexed by `u32`. Unused records are chained through `next`
 //!   into a free list.
-//! * **Index** — an open-addressed table of node indices with a power of
-//!   two ≥ 2 × capacity slots, so it is never more than half full. An LPN's
-//!   home slot is the top bits of `lpn × 2⁶⁴/φ` (multiplicative hashing
-//!   spreads the sequential and strided LPNs real traces are made of);
-//!   a collision probes linearly. A slot holds no key: the probe compares
-//!   against `nodes[idx].lpn`, the record the caller is about to touch
-//!   anyway. Deletion shifts the rest of the probe run backwards into the
-//!   hole (an entry moves when its home slot does not lie cyclically
-//!   between the hole and its current slot), so there are no tombstones and
-//!   probe lengths do not degrade under eviction churn.
+//! * **Index** — a [`SlotIndex`] (the keyless open-addressed index
+//!   shared with the host page cache; hash, probe and backward-shift
+//!   deletion are documented there) sized up front to a power of two
+//!   ≥ 2 × capacity slots, so it is never more than half full and never
+//!   grows. A slot holds a node index; the probe compares against
+//!   `nodes[idx].lpn`, the record the caller is about to touch anyway.
 //! * **Dirty lists** — the dirty entries of one translation page form a
 //!   doubly-linked list threaded through the nodes (`dprev`/`dnext`), with
 //!   one head per translation page in a `Vec<u32>` that grows to the
@@ -54,11 +50,7 @@
 //! reads its recency or dirty state.
 
 use dloop_nand::{Lpn, Ppn};
-
-const NIL: u32 = u32::MAX;
-
-/// 2⁶⁴ / φ, the multiplicative-hashing constant.
-const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+use dloop_simkit::slots::{SlotIndex, MAX_ENTRIES, NIL};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -122,10 +114,8 @@ pub struct Evicted {
 pub struct CachedMappingTable {
     nodes: Vec<Node>,
     free_head: u32,
-    /// The index: node indices, `NIL` for an empty slot.
-    slots: Vec<u32>,
-    /// `64 − log2(slots.len())`: the hash keeps its top bits.
-    hash_shift: u32,
+    /// LPN → node index.
+    index: SlotIndex,
     probation: ListEnds,
     protected: ListEnds,
     capacity: usize,
@@ -143,17 +133,12 @@ impl CachedMappingTable {
     /// groups entries by translation page for batched write-back.
     pub fn new(capacity: usize, mappings_per_tpage: u64) -> Self {
         assert!(capacity >= 2, "CMT needs at least two entries");
-        assert!(
-            capacity <= (NIL / 2) as usize,
-            "CMT node indices are 32-bit"
-        );
+        assert!(capacity <= MAX_ENTRIES, "CMT node indices are 32-bit");
         assert!(mappings_per_tpage > 0);
-        let slots = (2 * capacity).next_power_of_two();
         CachedMappingTable {
             nodes: Vec::with_capacity(capacity),
             free_head: NIL,
-            slots: vec![NIL; slots],
-            hash_shift: 64 - slots.trailing_zeros(),
+            index: SlotIndex::with_capacity(capacity),
             probation: ListEnds::EMPTY,
             protected: ListEnds::EMPTY,
             capacity,
@@ -213,51 +198,9 @@ impl CachedMappingTable {
             .map(|n| (n.lpn, n.ppn, n.dirty))
     }
 
-    // --- the index ---
-
-    fn home_slot(&self, lpn: Lpn) -> usize {
-        (lpn.wrapping_mul(HASH_MULTIPLIER) >> self.hash_shift) as usize
-    }
-
-    /// Walk `lpn`'s probe run: the slot that holds it and its node index,
-    /// or the empty slot that ends the run and `NIL`. The table is at most
-    /// half full, so the run always ends.
-    fn probe(&self, lpn: Lpn) -> (usize, u32) {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home_slot(lpn);
-        loop {
-            let idx = self.slots[slot];
-            if idx == NIL || self.nodes[idx as usize].lpn == lpn {
-                return (slot, idx);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
     fn find(&self, lpn: Lpn) -> Option<u32> {
-        let (_, idx) = self.probe(lpn);
-        (idx != NIL).then_some(idx)
-    }
-
-    /// Empty `hole` and close the gap: each later entry of the probe run
-    /// moves back into the hole unless that would put it before its home
-    /// slot, which would make it unreachable.
-    fn vacate_slot(&mut self, mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        let mut slot = hole;
-        loop {
-            slot = (slot + 1) & mask;
-            let idx = self.slots[slot];
-            if idx == NIL {
-                break;
-            }
-            let home = self.home_slot(self.nodes[idx as usize].lpn);
-            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
-                self.slots[hole] = idx;
-                hole = slot;
-            }
-        }
-        self.slots[hole] = NIL;
+        let nodes = &self.nodes;
+        self.index.find(lpn, |idx| nodes[idx as usize].lpn)
     }
 
     // --- the recency lists ---
@@ -458,10 +401,10 @@ impl CachedMappingTable {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        // Probed after the eviction: closing the victim's gap may have
+        // Indexed after the eviction: closing the victim's gap may have
         // moved the end of this LPN's run.
-        let (slot, _) = self.probe(lpn);
-        self.slots[slot] = idx;
+        let nodes = &self.nodes;
+        self.index.insert(lpn, idx, |i| nodes[i as usize].lpn);
         self.attach_front(idx, Segment::Probation);
         if dirty {
             self.mark_dirty(idx);
@@ -490,9 +433,9 @@ impl CachedMappingTable {
             dirty: node.dirty,
         };
         self.mark_clean(idx);
-        let (slot, found) = self.probe(ev.lpn);
-        debug_assert_eq!(found, idx, "index desync");
-        self.vacate_slot(slot);
+        let nodes = &self.nodes;
+        let found = self.index.remove(ev.lpn, |i| nodes[i as usize].lpn);
+        debug_assert_eq!(found, Some(idx), "index desync");
         self.nodes[idx as usize].next = self.free_head;
         self.free_head = idx;
         ev
@@ -571,8 +514,8 @@ impl CachedMappingTable {
                 return Err("segment length disagrees with its list".into());
             }
         }
-        let occupied = self.slots.iter().filter(|&&s| s != NIL).count();
-        if occupied != self.len() {
+        self.index.check(|idx| self.nodes[idx as usize].lpn)?;
+        if self.index.len() != self.len() {
             return Err("orphan index entries".into());
         }
         // Every listed node is dirty and on its own translation page's
@@ -742,45 +685,6 @@ mod tests {
         // Uncached lpn is a no-op.
         assert!(!c.update_in_place(99, 1));
         c.check().unwrap();
-    }
-
-    #[test]
-    fn backward_shift_keeps_a_shared_probe_run_findable() {
-        // 8 entries in 16 slots: five LPNs homed on one slot and three on
-        // the next, so the run is one 8-slot cluster with every entry but
-        // the first displaced.
-        let probe = cmt(8);
-        let homed_at = |slot: usize, n: usize| -> Vec<u64> {
-            (0u64..)
-                .filter(|&l| probe.home_slot(l) == slot)
-                .take(n)
-                .collect()
-        };
-        let slots = probe.slots.len();
-        let mut lpns = homed_at(slots - 2, 5); // the run wraps around the table
-        lpns.extend(homed_at(slots - 1, 3));
-        for rotate in 0..lpns.len() {
-            for reverse in [false, true] {
-                let mut c = cmt(8);
-                for &l in &lpns {
-                    c.insert(l, l + 1, l % 2 == 0);
-                }
-                let mut order = lpns.clone();
-                order.rotate_left(rotate);
-                if reverse {
-                    order.reverse();
-                }
-                for (gone, &l) in order.iter().enumerate() {
-                    assert_eq!(c.remove(l).map(|e| e.ppn), Some(l + 1));
-                    assert_eq!(c.peek(l), None);
-                    for &s in &order[gone + 1..] {
-                        assert_eq!(c.peek(s), Some((s + 1, s % 2 == 0)), "lost lpn {s}");
-                    }
-                    c.check().unwrap();
-                }
-                assert!(c.slots.iter().all(|&s| s == NIL));
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,25 @@
 //! Write-back host page cache with deterministic LRU eviction.
 //!
-//! The cache is a pure function of the request stream: lookups use a
-//! `HashMap` (never iterated), while recency order lives in a `BTreeMap`
-//! keyed by a monotone touch sequence, so eviction order, write-back
-//! order and every statistic are identical across reruns — the
-//! determinism rule the host-stack chapter of DESIGN.md pins down.
+//! The cache is a pure function of the request stream, so eviction order,
+//! write-back order and every statistic are identical across reruns — the
+//! determinism rule the host-stack chapter of DESIGN.md pins down. Nothing
+//! keyed by a hash is ever iterated: the index only answers "which record
+//! holds this page", and every ordered walk follows the recency list.
+//!
+//! # Representation
+//!
+//! * **Nodes** — one record per resident page (LPN, the two recency links,
+//!   dirty flag, tenant) in a `Vec` indexed by `u32`. Records are only
+//!   ever freed to make room for the page being inserted, so the victim's
+//!   record is reused in place and no free list is needed; the `Vec`
+//!   grows by push until the cache is full.
+//! * **Recency** — one intrusive doubly-linked list, MRU at the head, LRU
+//!   at the tail. A hit or a rewrite moves its node to the head, eviction
+//!   pops the tail, and a flush walks tail → head in place.
+//! * **Index** — a [`SlotIndex`] (the keyless open-addressed index the
+//!   FTL's cached mapping table uses too) from LPN to node. It starts at a
+//!   few slots and doubles when it would pass half full, so building a
+//!   cache touches nothing proportional to its capacity.
 //!
 //! State machine per page: *absent* → (`read` miss) → *clean* → (`write`)
 //! → *dirty* → (dirty-ratio flush / drain) → *clean* → (LRU eviction) →
@@ -12,7 +27,7 @@
 //! page is free.
 
 use dloop_ftl_kit::request::TenantId;
-use std::collections::{BTreeMap, HashMap};
+use dloop_simkit::slots::{SlotIndex, MAX_ENTRIES, NIL};
 
 /// A page the cache decided to write back, tagged with the tenant that
 /// last dirtied it (so device-side QoS accounting still sees the right
@@ -45,10 +60,14 @@ pub struct CacheStats {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    seq: u64,
-    dirty: bool,
+struct Node {
+    lpn: u64,
+    /// Towards the MRU end.
+    prev: u32,
+    /// Towards the LRU end.
+    next: u32,
     tenant: TenantId,
+    dirty: bool,
 }
 
 /// The write-back page cache. `capacity == 0` disables it entirely (every
@@ -57,9 +76,12 @@ struct Entry {
 pub struct PageCache {
     capacity: u64,
     dirty_ratio: f64,
-    entries: HashMap<u64, Entry>,
-    lru: BTreeMap<u64, u64>,
-    seq: u64,
+    nodes: Vec<Node>,
+    index: SlotIndex,
+    /// MRU end of the recency list.
+    head: u32,
+    /// LRU end of the recency list.
+    tail: u32,
     dirty: u64,
     /// Run counters, readable at any time.
     pub stats: CacheStats,
@@ -67,14 +89,16 @@ pub struct PageCache {
 
 impl PageCache {
     /// A cache of `capacity` pages flushing once the dirty fraction
-    /// exceeds `dirty_ratio`.
+    /// exceeds `dirty_ratio`. Node indices are 32-bit: a larger capacity
+    /// is clamped to the most pages the cache can index.
     pub fn new(capacity: u64, dirty_ratio: f64) -> Self {
         PageCache {
-            capacity,
+            capacity: capacity.min(MAX_ENTRIES as u64),
             dirty_ratio: dirty_ratio.clamp(0.0, 1.0),
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            seq: 0,
+            nodes: Vec::new(),
+            index: SlotIndex::with_capacity(8),
+            head: NIL,
+            tail: NIL,
             dirty: 0,
             stats: CacheStats::default(),
         }
@@ -87,12 +111,12 @@ impl PageCache {
 
     /// Resident pages.
     pub fn len(&self) -> u64 {
-        self.entries.len() as u64
+        self.nodes.len() as u64
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Resident dirty pages.
@@ -100,50 +124,78 @@ impl PageCache {
         self.dirty
     }
 
-    fn touch(&mut self, lpn: u64) {
-        if let Some(e) = self.entries.get_mut(&lpn) {
-            self.lru.remove(&e.seq);
-            self.seq += 1;
-            e.seq = self.seq;
-            self.lru.insert(self.seq, lpn);
+    fn find(&self, lpn: u64) -> Option<u32> {
+        let nodes = &self.nodes;
+        self.index.find(lpn, |idx| nodes[idx as usize].lpn)
+    }
+
+    fn detach(&mut self, idx: u32) {
+        let Node { prev, next, .. } = self.nodes[idx as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
     }
 
+    fn attach_front(&mut self, idx: u32) {
+        let old_head = std::mem::replace(&mut self.head, idx);
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = old_head;
+        match old_head {
+            NIL => self.tail = idx,
+            h => self.nodes[h as usize].prev = idx,
+        }
+    }
+
+    fn touch(&mut self, idx: u32) {
+        self.detach(idx);
+        self.attach_front(idx);
+    }
+
+    /// Install the absent page `lpn` as the MRU page. When the cache is
+    /// full it takes the LRU page's record; a dirty victim is written back
+    /// to `out`.
     fn insert(&mut self, lpn: u64, dirty: bool, tenant: TenantId, out: &mut Vec<Writeback>) {
-        self.seq += 1;
-        if let Some(old) = self.entries.insert(
+        let node = Node {
             lpn,
-            Entry {
-                seq: self.seq,
-                dirty,
-                tenant,
-            },
-        ) {
-            self.lru.remove(&old.seq);
+            prev: NIL,
+            next: NIL,
+            tenant,
+            dirty,
+        };
+        let idx = if self.len() < self.capacity {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            // The page about to become MRU never is the victim, so
+            // evicting first picks the page an insert-then-evict would.
+            let victim = self.tail;
+            self.detach(victim);
+            let nodes = &self.nodes;
+            self.index
+                .remove(nodes[victim as usize].lpn, |i| nodes[i as usize].lpn);
+            let old = std::mem::replace(&mut self.nodes[victim as usize], node);
             if old.dirty {
-                self.dirty -= 1;
-            }
-        }
-        self.lru.insert(self.seq, lpn);
-        if dirty {
-            self.dirty += 1;
-        }
-        // LRU eviction down to capacity; dirty victims are written back.
-        while self.entries.len() as u64 > self.capacity {
-            let (&seq, &victim) = self.lru.iter().next().expect("non-empty over capacity");
-            self.lru.remove(&seq);
-            let e = self.entries.remove(&victim).expect("lru entry resident");
-            if e.dirty {
                 self.dirty -= 1;
                 self.stats.evicted_dirty += 1;
                 out.push(Writeback {
-                    lpn: victim,
-                    tenant: e.tenant,
+                    lpn: old.lpn,
+                    tenant: old.tenant,
                 });
             } else {
                 self.stats.evicted_clean += 1;
             }
-        }
+            victim
+        };
+        let nodes = &self.nodes;
+        self.index.insert(lpn, idx, |i| nodes[i as usize].lpn);
+        self.attach_front(idx);
+        self.dirty += dirty as u64;
     }
 
     /// Absorb one written page (write-back: the device sees nothing until
@@ -154,7 +206,15 @@ impl PageCache {
             return;
         }
         self.stats.writes_absorbed += 1;
-        self.insert(lpn, true, tenant, out);
+        if let Some(idx) = self.find(lpn) {
+            // A rewrite: the page stays, now dirty and owned by `tenant`.
+            let node = &mut self.nodes[idx as usize];
+            self.dirty += !std::mem::replace(&mut node.dirty, true) as u64;
+            node.tenant = tenant;
+            self.touch(idx);
+        } else {
+            self.insert(lpn, true, tenant, out);
+        }
     }
 
     /// Look up one read page: `true` is a hit (recency refreshed),
@@ -165,9 +225,9 @@ impl PageCache {
         if !self.enabled() {
             return false;
         }
-        if self.entries.contains_key(&lpn) {
+        if let Some(idx) = self.find(lpn) {
             self.stats.read_hits += 1;
-            self.touch(lpn);
+            self.touch(idx);
             true
         } else {
             self.stats.read_misses += 1;
@@ -191,27 +251,23 @@ impl PageCache {
     }
 
     fn flush_dirty(&mut self, out: &mut Vec<Writeback>, draining: bool) {
-        // BTreeMap order = touch order: the write-back stream is
-        // deterministic and oldest-dirty-first.
-        let victims: Vec<(u64, u64, TenantId)> = self
-            .lru
-            .iter()
-            .filter_map(|(&seq, &lpn)| {
-                let e = self.entries[&lpn];
-                e.dirty.then_some((seq, lpn, e.tenant))
-            })
-            .collect();
-        for (seq, lpn, tenant) in victims {
-            let _ = seq;
-            let e = self.entries.get_mut(&lpn).expect("dirty page resident");
-            e.dirty = false;
-            self.dirty -= 1;
-            if draining {
-                self.stats.drained += 1;
-            } else {
-                self.stats.flushed += 1;
+        // LRU → MRU: the write-back stream is oldest-dirty-first.
+        let mut idx = self.tail;
+        while idx != NIL {
+            let node = &mut self.nodes[idx as usize];
+            if std::mem::replace(&mut node.dirty, false) {
+                out.push(Writeback {
+                    lpn: node.lpn,
+                    tenant: node.tenant,
+                });
             }
-            out.push(Writeback { lpn, tenant });
+            idx = node.prev;
+        }
+        let flushed = std::mem::replace(&mut self.dirty, 0);
+        if draining {
+            self.stats.drained += flushed;
+        } else {
+            self.stats.flushed += flushed;
         }
     }
 }

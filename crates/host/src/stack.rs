@@ -184,6 +184,7 @@ impl HostStack {
             staged.append(&mut scratch);
         };
         let mut wb: Vec<Writeback> = Vec::new();
+        let mut misses: Vec<u64> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
             wb.clear();
             if r.pages == 0 || !cache.enabled() {
@@ -205,7 +206,7 @@ impl HostStack {
                     cache_served[i] = true;
                 }
                 HostOp::Read => {
-                    let mut misses: Vec<u64> = Vec::new();
+                    misses.clear();
                     for lpn in r.page_ops() {
                         if !cache.read(lpn, r.tenant, &mut wb) {
                             misses.push(lpn);
@@ -483,10 +484,17 @@ impl HostStack {
             interleaved,
         } = outcome;
 
-        let mut by_host: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
+        // Per host request: the earliest submit and the latest done and
+        // deliver over the commands serving it (min and max commute, so
+        // command order does not matter).
+        let mut device_span: Vec<(SimTime, SimTime, SimTime)> =
+            vec![(SimTime::MAX, SimTime::ZERO, SimTime::ZERO); requests.len()];
         for (idx, cmd) in forwarded.iter().enumerate() {
             for &h in &cmd.hosts {
-                by_host[h as usize].push(idx);
+                let (submit, done, deliver) = &mut device_span[h as usize];
+                *submit = (*submit).min(submit_of[idx]);
+                *done = (*done).max(done_of[idx]);
+                *deliver = (*deliver).max(deliver_of[idx]);
             }
         }
         let mut logs: Vec<HostRequestLog> = Vec::with_capacity(requests.len());
@@ -503,20 +511,8 @@ impl HostStack {
                     cache_served: true,
                 }
             } else {
-                let cmds = &by_host[i];
-                debug_assert!(!cmds.is_empty(), "device-served request has commands");
-                let submit = cmds
-                    .iter()
-                    .map(|&c| submit_of[c])
-                    .fold(SimTime::MAX, SimTime::min);
-                let done = cmds
-                    .iter()
-                    .map(|&c| done_of[c])
-                    .fold(SimTime::ZERO, SimTime::max);
-                let deliver = cmds
-                    .iter()
-                    .map(|&c| deliver_of[c])
-                    .fold(SimTime::ZERO, SimTime::max);
+                let (submit, done, deliver) = device_span[i];
+                debug_assert!(submit != SimTime::MAX, "device-served request has commands");
                 let submit = submit.max(cache_done[i]);
                 HostRequestLog {
                     arrival: r.arrival,

@@ -24,6 +24,8 @@
 //!   external API churn and registry dependencies).
 //! * [`queue`] — the pending-operation priority list used to model FlashSim's
 //!   channel-interleaving scheduler.
+//! * [`slots`] — a keyless open-addressed `u64 → u32` index, shared by the
+//!   FTL's cached mapping table and the host page cache.
 //! * [`trace`] — an opt-in op-level tracing layer: a [`TraceSink`] trait
 //!   with ring / JSONL-stream / tee sinks, plus Chrome `trace_event`
 //!   (request-flow-stitched) / utilization-CSV / latency-attribution
@@ -43,6 +45,7 @@ pub mod check;
 pub mod events;
 pub mod queue;
 pub mod rng;
+pub mod slots;
 pub mod stats;
 pub mod time;
 pub mod trace;

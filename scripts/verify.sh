@@ -147,10 +147,11 @@ echo "==> host-stack smoke (host subcommand, coalescing + dirty-ratio + depth sw
 # identity and exact phase tiling behind these numbers are claim C13,
 # and the per-queue window bound plus depth/turnaround trend are claim
 # C14 — both covered by `cargo test -q` above and by
-# `dloop-experiments verify`.
+# `dloop-experiments verify`. 6000 requests is the smallest round count
+# at which the 0.10 dirty-ratio row trips a flush.
 host_out="$(mktemp -d)"
 cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
-    host --scale 8 --requests 3000 --out "$host_out" >/dev/null
+    host --scale 8 --requests 6000 --out "$host_out" >/dev/null
 for artifact in host_0.csv host_1.csv host_2.csv; do
     [[ -s "$host_out/$artifact" ]] || {
         echo "error: host smoke did not produce $artifact" >&2
@@ -165,6 +166,22 @@ coalesce_header="$(head -n 1 "$host_out/host_0.csv")"
 dirty_header="$(head -n 1 "$host_out/host_1.csv")"
 [[ "$dirty_header" == "dirty_ratio,e2e_ms,cache_served_pct,writes_absorbed,writeback_cmds,flushes,forwarded" ]] || {
     echo "error: host_1.csv header drifted: $dirty_header" >&2
+    exit 1
+}
+# The write-back cache must actually be exercised: every dirty-ratio row
+# absorbs writes (the insert path), and at least one row flushes.
+flushing_rows=0
+while IFS=, read -r ratio _e2e _served absorbed _wb flushes _fwd; do
+    [[ "$absorbed" =~ ^[0-9]+$ && "$absorbed" -gt 0 ]] || {
+        echo "error: host_1.csv dirty-ratio $ratio row absorbed no writes" >&2
+        exit 1
+    }
+    if [[ "$flushes" =~ ^[0-9]+$ && "$flushes" -gt 0 ]]; then
+        flushing_rows=$((flushing_rows + 1))
+    fi
+done < <(tail -n +2 "$host_out/host_1.csv")
+[[ "$flushing_rows" -gt 0 ]] || {
+    echo "error: no host_1.csv dirty-ratio row reports a flush" >&2
     exit 1
 }
 depth_header="$(head -n 1 "$host_out/host_2.csv")"

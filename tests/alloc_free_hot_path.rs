@@ -1,7 +1,8 @@
 //! Zero-allocation witness for the per-op hot paths: a DLOOP page write
 //! (translation, placement, copy-back collection), a CMT miss with a dirty
-//! eviction, and a whole command through a pre-reserved `CommandSession`
-//! (translation, the shared chain player, the latency fold, both logs). A
+//! eviction, a whole command through a pre-reserved `CommandSession`
+//! (translation, the shared chain player, the latency fold, both logs), and
+//! the host page cache's hits, evictions and dirty-ratio flushes. A
 //! counting global allocator tallies heap allocations per thread; once the
 //! working buffers have grown during a warm-up, a further stretch of
 //! operations must not allocate at all.
@@ -13,6 +14,7 @@ use dloop_repro::ftl_kit::device::SsdDevice;
 use dloop_repro::ftl_kit::dir::PageDirectory;
 use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, OpChain, Phase};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
+use dloop_repro::host::{PageCache, Writeback};
 use dloop_repro::nand::FlashState;
 use dloop_repro::simkit::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -190,6 +192,59 @@ fn cmt_miss_with_dirty_eviction_does_not_allocate() {
     assert_eq!(cmt.len(), CAPACITY);
     cmt.check().unwrap();
     assert_eq!(allocated, 0, "heap allocations on the CMT miss path");
+}
+
+// Parent commit (`HashMap` index, `BTreeMap` recency order, a victims
+// `Vec` per flush): 1 367 allocations over the same measured window.
+#[test]
+fn page_cache_hits_misses_evictions_and_flushes_do_not_allocate() {
+    const CAPACITY: u64 = 256;
+    const LPNS: u64 = 4 * CAPACITY;
+    let mut cache = PageCache::new(CAPACITY, 0.1);
+    let mut out: Vec<Writeback> = Vec::with_capacity(CAPACITY as usize);
+    let mut step = |cache: &mut PageCache, i: u64| {
+        // Even steps touch a hot eighth of the LPNs and odd steps scatter
+        // over all of them, so reads both hit and miss, and a miss or a
+        // write of an absent page evicts.
+        let lpn = if i.is_multiple_of(2) {
+            i % (LPNS / 8)
+        } else {
+            (i * 2_654_435_761) % LPNS
+        };
+        out.clear();
+        if i.is_multiple_of(3) {
+            cache.write(lpn, (i % 4) as u16, &mut out);
+            // Checked only now and then, so dirty pages also age out.
+            if i.is_multiple_of(1536) {
+                cache.maybe_flush(&mut out);
+            }
+        } else {
+            cache.read(lpn, (i % 4) as u16, &mut out);
+        }
+    };
+
+    let mut i = 0;
+    while cache.len() < CAPACITY {
+        step(&mut cache, i);
+        i += 1;
+    }
+    let warm = cache.stats;
+    let before = allocations();
+    for i in i..i + 8 * LPNS {
+        step(&mut cache, i);
+    }
+    let allocated = allocations() - before;
+    let s = cache.stats;
+    assert!(
+        s.read_hits > warm.read_hits
+            && s.evicted_clean > warm.evicted_clean
+            && s.evicted_dirty > warm.evicted_dirty
+            && s.flushed > warm.flushed,
+        "the measured window must cover hits, clean and dirty evictions and \
+         flushes: {warm:?} → {s:?}"
+    );
+    assert_eq!(cache.len(), CAPACITY);
+    assert_eq!(allocated, 0, "heap allocations inside the page cache");
 }
 
 // `CommandSession::submit` is the body of every arrival-reserving replay
