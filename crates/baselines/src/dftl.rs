@@ -127,7 +127,7 @@ impl DftlFtl {
     /// of the most-invalid block. All moves cross the external bus.
     fn maybe_gc(&mut self, ctx: &mut FtlContext<'_>) {
         let mut guard = 0;
-        while self.alloc.total_free(ctx.flash) < self.gc_threshold_total {
+        while ctx.flash.total_free_blocks() < self.gc_threshold_total {
             if !self.collect_one(ctx) {
                 break;
             }
@@ -211,23 +211,17 @@ impl DftlFtl {
 
         // Keep the deferred-update buffer within budget (only while some
         // plane can still absorb a write without emergency reclaim).
-        let alloc = std::cell::RefCell::new(&mut self.alloc);
+        let alloc = &mut self.alloc;
         let trans_active = std::cell::RefCell::new(&mut self.trans_active);
         let data_active = self.data_active;
         let mut can_place = |ctx: &FtlContext<'_>, _tvpn: u64| {
-            alloc.borrow().total_free(ctx.flash) > 0
+            ctx.flash.total_free_blocks() > 0
                 || trans_active
                     .borrow()
                     .is_some_and(|b| !ctx.flash.plane(b.plane).block(b.index).is_full())
         };
         let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-            Self::place_translation_page(
-                *alloc.borrow_mut(),
-                *trans_active.borrow_mut(),
-                data_active,
-                ctx,
-                tvpn,
-            )
+            Self::place_translation_page(alloc, *trans_active.borrow_mut(), data_active, ctx, tvpn)
         };
         self.dm
             .flush_pending_over_budget(ctx, &mut can_place, &mut place);

@@ -45,11 +45,6 @@ impl SeqAllocator {
         self.cursor
     }
 
-    /// Total free blocks across the device.
-    pub fn total_free(&self, flash: &FlashState) -> u64 {
-        (0..self.planes).map(|p| flash.free_blocks(p) as u64).sum()
-    }
-
     /// Round-robin allocation: take a block from the cursor plane (first
     /// plane with a free block, scanning forward) and advance the cursor.
     pub fn allocate_rr(&mut self, flash: &mut FlashState, exclude: &[BlockAddr]) -> BlockAddr {
@@ -188,15 +183,5 @@ mod tests {
             f.program_next(b).unwrap();
         }
         a.allocate_rr(&mut f, &[]);
-    }
-
-    #[test]
-    fn total_free_counts_all_planes() {
-        let mut f = flash();
-        let a = SeqAllocator::new(4);
-        assert_eq!(a.total_free(&f), 24);
-        let mut a2 = SeqAllocator::new(4);
-        a2.allocate_rr(&mut f, &[]);
-        assert_eq!(a2.total_free(&f), 23);
     }
 }

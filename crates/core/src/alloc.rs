@@ -86,6 +86,12 @@ impl PlaneAllocator {
         out.append(&mut self.touched);
     }
 
+    /// Forget the touched planes without reporting them (the FTL knows no
+    /// plane needs a GC check).
+    pub fn clear_touched(&mut self) {
+        self.touched.clear();
+    }
+
     /// A worker's fork for plane-sharded translation: identical per-plane
     /// pointers, with the parity-skip counter zeroed so the fork
     /// accumulates a delta for [`PlaneAllocator::shard_absorb`].

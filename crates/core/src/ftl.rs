@@ -151,7 +151,17 @@ impl DloopFtl {
     /// threshold. Collections are bounded (progress-based) and feasibility
     /// checked, so a plane in GC hell costs one cheap scan, not a storm —
     /// but pools can never be ground to zero by a stream of host writes.
+    ///
+    /// The sweep collects a plane only when its pool, read as the walk
+    /// reaches it, is below the threshold, and nothing changes a pool
+    /// until a collection runs. So when the smallest pool on the device is
+    /// at or above the threshold the walk would do nothing, and the O(1)
+    /// [`FlashState::min_free_blocks`] gate returns at once; otherwise the
+    /// walk runs in full, in plane order, with fresh per-plane reads.
     fn gc_scan(&mut self, ctx: &mut FtlContext<'_>) {
+        if ctx.flash.min_free_blocks() >= self.cfg.gc_threshold {
+            return;
+        }
         for plane in 0..self.geometry.total_planes() {
             if ctx.flash.free_blocks(plane) < self.cfg.gc_threshold {
                 self.gc.collect_until_healthy(
@@ -172,7 +182,16 @@ impl DloopFtl {
     /// retried on the *next* operation instead of looping here — GC on one
     /// plane rewrites translation pages on others, so unbounded ping-pong
     /// is otherwise possible when the device runs nearly full.
+    ///
+    /// `collect_until_healthy` does nothing on a plane at or above the
+    /// threshold, so while [`FlashState::min_free_blocks`] says every plane
+    /// is, the rounds below would only drain the touched set: the gate does
+    /// just that.
     fn maybe_gc(&mut self, ctx: &mut FtlContext<'_>) {
+        if ctx.flash.min_free_blocks() >= self.cfg.gc_threshold {
+            self.alloc.clear_touched();
+            return;
+        }
         self.gc_done.clear();
         loop {
             self.alloc.take_touched(&mut self.gc_round);
@@ -265,9 +284,7 @@ impl Ftl for DloopFtl {
     }
 
     fn shard_translation_ready(&self, flash: &FlashState) -> bool {
-        self.dm.plane_pure()
-            && (0..self.geometry.total_planes())
-                .all(|p| flash.free_blocks(p) >= self.cfg.gc_threshold)
+        self.dm.plane_pure() && flash.min_free_blocks() >= self.cfg.gc_threshold
     }
 
     fn shard_fork(&self, _planes: std::ops::Range<PlaneId>) -> Option<Box<dyn Ftl + Send>> {

@@ -358,7 +358,8 @@ mod tests {
             }
         }
 
-        fn write(&mut self, lpn: u64) {
+        /// Write `lpn`, returning how many steps the op's scan phase pushed.
+        fn write(&mut self, lpn: u64) -> usize {
             let mut host = OpChain::new();
             let mut gc = OpChain::new();
             let mut scan = OpChain::new();
@@ -371,6 +372,7 @@ mod tests {
                 phase: Phase::Host,
             };
             self.ftl.write(lpn, &mut ctx);
+            scan.len()
         }
     }
 
@@ -399,6 +401,38 @@ mod tests {
             );
         }
         rig.ftl.audit(&rig.flash, &rig.dir).unwrap();
+    }
+
+    /// A bounded collection can end an op with a plane still below the
+    /// threshold. The O(1) gate in front of the pre-op sweep must hand that
+    /// debt to the *next* op even when the next op lives on another plane.
+    #[test]
+    fn gc_hell_debt_is_swept_by_the_next_op_on_another_plane() {
+        let mut rig = Rig::new();
+        let threshold = rig.ftl.cfg.gc_threshold;
+        let planes = rig.flash.geometry().total_planes();
+        let user = rig.flash.geometry().user_pages();
+        // Uniform random overwrites over the whole user space (LCG).
+        let mut x = 1u64;
+        while rig.flash.min_free_blocks() >= threshold {
+            assert!(rig.ftl.counters().gc_invocations < 100_000, "no GC debt");
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rig.write((x >> 33) % user);
+        }
+        let lagging: Vec<PlaneId> = (0..planes)
+            .filter(|&p| rig.flash.free_blocks(p) < threshold)
+            .collect();
+        // The debt sits right at the boundary, one block short.
+        assert_eq!(rig.flash.min_free_blocks(), threshold - 1);
+        let next = (0..user)
+            .find(|&lpn| !lagging.contains(&rig.ftl.plane_of_lpn(lpn)))
+            .expect("some plane is healthy");
+        assert!(
+            rig.write(next) > 0,
+            "plane(s) {lagging:?} below the threshold were not swept"
+        );
     }
 
     #[test]

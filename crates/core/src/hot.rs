@@ -87,7 +87,7 @@ impl HotPlaneDloopFtl {
 
     fn park_everywhere(&mut self, flash: &mut FlashState) {
         for plane in 0..self.period_writes.len() as PlaneId {
-            flash.plane_mut(plane).hold_back(self.effective_park);
+            flash.hold_back(plane, self.effective_park);
         }
         self.parked_initially = true;
     }
@@ -99,17 +99,18 @@ impl HotPlaneDloopFtl {
         let mut order: Vec<usize> = (0..planes).collect();
         order.sort_by_key(|&p| std::cmp::Reverse(self.period_writes[p]));
         for (rank, &p) in order.iter().enumerate() {
-            let ps = flash.plane_mut(p as PlaneId);
+            let p = p as PlaneId;
             if rank < hot_count {
                 // Hot plane: release everything parked.
-                ps.release_reserve(u32::MAX);
+                flash.release_reserve(p, u32::MAX);
             } else {
                 // Cold plane: park up to the quota, never starving GC.
-                let pool = ps.free_pool_len();
                 let threshold = self.inner.gc.threshold();
-                let headroom = pool.saturating_sub(threshold + 1);
-                let want = self.effective_park.saturating_sub(ps.reserved());
-                ps.hold_back(want.min(headroom));
+                let headroom = flash.free_blocks(p).saturating_sub(threshold + 1);
+                let want = self
+                    .effective_park
+                    .saturating_sub(flash.plane(p).reserved());
+                flash.hold_back(p, want.min(headroom));
             }
         }
         for w in &mut self.period_writes {

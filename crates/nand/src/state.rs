@@ -4,6 +4,17 @@
 //! All FTLs mutate flash exclusively through [`FlashState`], so the NAND
 //! invariants (sequential programming, erase-before-write, pool
 //! consistency) are enforced — and property-tested — in exactly one place.
+//! Callers only ever see a [`PlaneState`] by shared reference: every pool
+//! change (allocation, pooling erase, factory-bad removal, parking and
+//! releasing) is a `FlashState` method.
+//!
+//! That lets `FlashState` keep a **free-pool index** exact: how many planes
+//! hold each pool size, the smallest pool and the device-wide total. Every
+//! pool mutation updates it in O(1), so the per-operation GC triggers —
+//! DLOOP's "is any plane below the threshold" and DFTL's device-wide total
+//! — read [`FlashState::min_free_blocks`] and
+//! [`FlashState::total_free_blocks`] instead of walking every plane.
+//! [`FlashState::check`] recomputes the index from the planes.
 //!
 //! When a [`MediaModel`] is attached ([`FlashState::attach_media`]), the
 //! checked entry points [`FlashState::program_page`] and
@@ -48,15 +59,59 @@ pub struct FlashState {
     /// Program attempts that failed since the last
     /// [`FlashState::take_failed_attempts`] drain (timing accounting).
     failed_attempts: u32,
+    /// The free-pool index over `planes`, updated on every pool change.
+    pool: PoolIndex,
+}
+
+/// The free-pool index: a summary of every plane's pool size, kept exact
+/// by [`PoolIndex::changed`] on each pool mutation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PoolIndex {
+    /// `hist[k]`: the number of planes whose pool holds exactly `k` blocks.
+    hist: Vec<u32>,
+    /// The smallest pool on the device (the lowest non-empty bucket).
+    min: u32,
+    /// Pooled blocks summed over every plane.
+    total: u64,
+}
+
+impl PoolIndex {
+    /// The index of `planes` recomputed from scratch.
+    fn of(planes: &[PlaneState], blocks_per_plane: u32) -> Self {
+        let mut hist = vec![0; blocks_per_plane as usize + 1];
+        let mut total = 0;
+        for p in planes {
+            hist[p.free_pool_len() as usize] += 1;
+            total += p.free_pool_len() as u64;
+        }
+        let min = hist.iter().position(|&n| n > 0).unwrap_or(0) as u32;
+        PoolIndex { hist, min, total }
+    }
+
+    /// One plane's pool went from `old` to `new` blocks. A pool shrinking
+    /// below the minimum becomes the minimum; the last pool at the minimum
+    /// growing moves it up past the buckets that emptied.
+    fn changed(&mut self, old: u32, new: u32) {
+        self.hist[old as usize] -= 1;
+        self.hist[new as usize] += 1;
+        self.total = self.total + new as u64 - old as u64;
+        if new < self.min {
+            self.min = new;
+        }
+        while self.hist[self.min as usize] == 0 {
+            self.min += 1;
+        }
+    }
 }
 
 impl FlashState {
     /// A fully erased device of the given geometry.
     pub fn new(geometry: Geometry) -> Self {
-        let planes = (0..geometry.total_planes())
+        let planes: Vec<PlaneState> = (0..geometry.total_planes())
             .map(|_| PlaneState::new(geometry.blocks_per_plane, geometry.pages_per_block))
             .collect();
         FlashState {
+            pool: PoolIndex::of(&planes, geometry.blocks_per_plane),
             geometry,
             planes,
             programs: 0,
@@ -96,6 +151,7 @@ impl FlashState {
         for p in planes {
             self.planes[p as usize] = worker.planes[p as usize].clone();
         }
+        self.pool = PoolIndex::of(&self.planes, self.geometry.blocks_per_plane);
         self.programs += worker.programs;
         self.skips += worker.skips;
         self.erases += worker.erases;
@@ -142,6 +198,8 @@ impl FlashState {
                     let removed = plane.remove_from_pool(index);
                     debug_assert!(removed, "factory-bad block {index} not pooled");
                     plane.retire(index);
+                    self.pool
+                        .changed(plane.free_pool_len() + 1, plane.free_pool_len());
                     self.retired += 1;
                     model.note_factory_bad();
                 }
@@ -192,11 +250,6 @@ impl FlashState {
     /// Shared access to a plane.
     pub fn plane(&self, plane: PlaneId) -> &PlaneState {
         &self.planes[plane as usize]
-    }
-
-    /// Mutable access to a plane (tests and FTL internals).
-    pub fn plane_mut(&mut self, plane: PlaneId) -> &mut PlaneState {
-        &mut self.planes[plane as usize]
     }
 
     /// State of the page at `ppn`.
@@ -365,20 +418,57 @@ impl FlashState {
             Ok(false)
         } else {
             plane.return_free_block(block.index);
+            self.pool
+                .changed(plane.free_pool_len() - 1, plane.free_pool_len());
             Ok(true)
         }
     }
 
     /// Pop a free block from `plane`'s pool.
     pub fn allocate_free_block(&mut self, plane: PlaneId) -> Result<u32, NandError> {
-        self.planes[plane as usize]
+        let ps = &mut self.planes[plane as usize];
+        let index = ps
             .allocate_free_block()
-            .ok_or(NandError::NoFreeBlock { plane })
+            .ok_or(NandError::NoFreeBlock { plane })?;
+        self.pool
+            .changed(ps.free_pool_len() + 1, ps.free_pool_len());
+        Ok(index)
+    }
+
+    /// Park up to `n` of `plane`'s free blocks offline (see
+    /// [`PlaneState::hold_back`]); returns how many were parked.
+    pub fn hold_back(&mut self, plane: PlaneId, n: u32) -> u32 {
+        let ps = &mut self.planes[plane as usize];
+        let moved = ps.hold_back(n);
+        self.pool
+            .changed(ps.free_pool_len() + moved, ps.free_pool_len());
+        moved
+    }
+
+    /// Return up to `n` of `plane`'s parked blocks to its free pool (see
+    /// [`PlaneState::release_reserve`]); returns how many came back.
+    pub fn release_reserve(&mut self, plane: PlaneId, n: u32) -> u32 {
+        let ps = &mut self.planes[plane as usize];
+        let moved = ps.release_reserve(n);
+        self.pool
+            .changed(ps.free_pool_len() - moved, ps.free_pool_len());
+        moved
     }
 
     /// Free-pool size of `plane`.
     pub fn free_blocks(&self, plane: PlaneId) -> u32 {
         self.planes[plane as usize].free_pool_len()
+    }
+
+    /// The smallest free pool on the device, in O(1): no plane is below a
+    /// GC threshold `t` exactly when this is at least `t`.
+    pub fn min_free_blocks(&self) -> u32 {
+        self.pool.min
+    }
+
+    /// Free blocks summed over every plane, in O(1).
+    pub fn total_free_blocks(&self) -> u64 {
+        self.pool.total
     }
 
     /// Total page programs performed (data + translation + GC).
@@ -422,10 +512,17 @@ impl FlashState {
         self.planes.iter().map(|p| p.valid_pages()).sum()
     }
 
-    /// Audit every plane.
+    /// Audit every plane, and the free-pool index against a recount.
     pub fn check(&self) -> Result<(), String> {
         for (i, p) in self.planes.iter().enumerate() {
             p.check().map_err(|e| format!("plane {i}: {e}"))?;
+        }
+        let recount = PoolIndex::of(&self.planes, self.geometry.blocks_per_plane);
+        if recount != self.pool {
+            return Err(format!(
+                "free-pool index drifted: kept {:?}, planes hold {:?}",
+                self.pool, recount
+            ));
         }
         Ok(())
     }
@@ -644,6 +741,40 @@ mod tests {
         assert_eq!(fs.read_page(ppn).unwrap(), MediaOutcome::Clean);
         assert!(fs.media_counters().is_none());
         assert_eq!(fs.take_failed_attempts(), 0);
+    }
+
+    #[test]
+    fn pool_index_follows_every_pool_change() {
+        let mut fs = small();
+        let bpp = fs.geometry().blocks_per_plane;
+        assert_eq!(
+            (fs.min_free_blocks(), fs.total_free_blocks()),
+            (bpp, 4 * bpp as u64)
+        );
+        let blk = BlockAddr {
+            plane: 2,
+            index: fs.allocate_free_block(2).unwrap(),
+        };
+        assert_eq!(
+            (fs.min_free_blocks(), fs.total_free_blocks()),
+            (bpp - 1, 4 * bpp as u64 - 1)
+        );
+        assert_eq!(fs.hold_back(1, 3), 3);
+        assert_eq!(
+            (fs.min_free_blocks(), fs.total_free_blocks()),
+            (bpp - 3, 4 * bpp as u64 - 4)
+        );
+        assert_eq!(fs.release_reserve(1, u32::MAX), 3);
+        assert_eq!(fs.min_free_blocks(), bpp - 1, "min climbs back to plane 2");
+        fs.skip_next(blk).unwrap();
+        fs.erase_and_pool(blk).unwrap();
+        assert_eq!(
+            (fs.min_free_blocks(), fs.total_free_blocks()),
+            (bpp, 4 * bpp as u64)
+        );
+        fs.check().unwrap();
+        fs.pool.total += 1;
+        assert!(fs.check().unwrap_err().contains("free-pool index"));
     }
 
     #[test]

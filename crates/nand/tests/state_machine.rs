@@ -1,13 +1,16 @@
 //! Property-based tests of the NAND state machine: arbitrary sequences of
-//! program/skip/invalidate/erase operations can never violate the flash
-//! invariants, and the checked API rejects every illegal transition.
+//! program/skip/invalidate/erase/park/release operations can never violate
+//! the flash invariants, the checked API rejects every illegal transition,
+//! and the free-pool index stays equal to a recount over the planes.
 //!
 //! Runs on `dloop_simkit::check` (the in-tree property harness); failures
 //! print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
+use dloop_faults::FaultConfig;
 use dloop_nand::{BlockAddr, FlashState, Geometry, NandError, PageState};
 use dloop_simkit::check::{self, Checker, Generator};
 use dloop_simkit::{check_assert, check_assert_eq};
+use std::cell::Cell;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -16,6 +19,30 @@ enum Action {
     Skip { slot: u8 },
     Invalidate { slot: u8, page: u8 },
     EraseIfDead { slot: u8 },
+    HoldBack { plane: u8, n: u8 },
+    Release { plane: u8, n: u8 },
+}
+
+/// 4 planes of 10 blocks: tiny, so the per-step full audit stays cheap.
+fn tiny() -> Geometry {
+    let mut g = Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2);
+    g.data_blocks_per_plane = 8;
+    g.blocks_per_plane = 10;
+    g
+}
+
+/// The free-pool index against a naive recount over `free_blocks`, plus
+/// the full audit (which recomputes the index itself).
+fn pool_index_matches_recount(fs: &FlashState) -> Result<(), String> {
+    let pools: Vec<u32> = (0..fs.geometry().total_planes())
+        .map(|p| fs.free_blocks(p))
+        .collect();
+    check_assert_eq!(fs.min_free_blocks(), *pools.iter().min().unwrap());
+    check_assert_eq!(
+        fs.total_free_blocks(),
+        pools.iter().map(|&n| n as u64).sum::<u64>()
+    );
+    fs.check()
 }
 
 fn action() -> check::BoxedGenerator<Action> {
@@ -48,6 +75,18 @@ fn action() -> check::BoxedGenerator<Action> {
                 .map(|slot| Action::EraseIfDead { slot })
                 .boxed(),
         ),
+        (
+            1,
+            (check::u8s(0..4), check::u8s(0..4))
+                .map(|(plane, n)| Action::HoldBack { plane, n })
+                .boxed(),
+        ),
+        (
+            1,
+            (check::u8s(0..4), check::u8s(0..4))
+                .map(|(plane, n)| Action::Release { plane, n })
+                .boxed(),
+        ),
     ])
     .boxed()
 }
@@ -55,12 +94,13 @@ fn action() -> check::BoxedGenerator<Action> {
 #[test]
 fn arbitrary_action_sequences_preserve_invariants() {
     let gen = check::vec_of(action(), 1..300);
+    // Erases that retired a worn block instead of pooling it, over all
+    // cases: the index must follow that path too, so it has to be taken.
+    let retirements = Cell::new(0u32);
     Checker::new().cases(64).run(&gen, |actions| {
-        let mut g = Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2);
-        // Keep the state tiny so the per-step full audit stays cheap.
-        g.data_blocks_per_plane = 8;
-        g.blocks_per_plane = 10;
-        let mut fs = FlashState::new(g.clone());
+        let g = tiny();
+        // A block wears out on its second erase.
+        let mut fs = FlashState::with_endurance(g.clone(), 2);
         // Slots: blocks we've allocated, across planes.
         let mut slots: Vec<BlockAddr> = Vec::new();
         let mut expected_valid = 0u64;
@@ -129,19 +169,79 @@ fn arbitrary_action_sequences_preserve_invariants() {
                     if fs.plane(blk.plane).block(blk.index).valid_pages() == 0
                         && !fs.plane(blk.plane).in_free_pool(blk.index)
                     {
-                        fs.erase_and_pool(blk).map_err(|e| format!("{e}"))?;
+                        if !fs.erase_and_pool(blk).map_err(|e| format!("{e}"))? {
+                            check_assert!(fs.plane(blk.plane).is_retired(blk.index));
+                            retirements.set(retirements.get() + 1);
+                        }
                         slots.remove(i);
                     }
                 }
+                Action::HoldBack { plane, n } => {
+                    let plane = plane as u32 % g.total_planes();
+                    let (pool, parked) = (fs.free_blocks(plane), fs.plane(plane).reserved());
+                    let moved = fs.hold_back(plane, n as u32);
+                    check_assert_eq!(moved, (n as u32).min(pool));
+                    check_assert_eq!(fs.plane(plane).reserved(), parked + moved);
+                }
+                Action::Release { plane, n } => {
+                    let plane = plane as u32 % g.total_planes();
+                    let (pool, parked) = (fs.free_blocks(plane), fs.plane(plane).reserved());
+                    let moved = fs.release_reserve(plane, n as u32);
+                    check_assert_eq!(moved, (n as u32).min(parked));
+                    check_assert_eq!(fs.free_blocks(plane), pool + moved);
+                }
             }
-            if step % 16 == 0 {
-                fs.check()?;
-            }
+            pool_index_matches_recount(&fs).map_err(|e| format!("after step {step} {a:?}: {e}"))?;
         }
-        fs.check()?;
         check_assert_eq!(fs.total_valid_pages(), expected_valid);
         Ok(())
     });
+    assert!(
+        retirements.get() > 0,
+        "no case erased a block into retirement"
+    );
+}
+
+#[test]
+fn factory_bad_blocks_leave_the_pool_index_exact() {
+    let mut fs = FlashState::new(tiny());
+    fs.attach_media(&FaultConfig {
+        factory_bad_frac: 0.2,
+        seed: 5,
+        ..FaultConfig::none()
+    });
+    assert!(
+        fs.retired_blocks() > 0,
+        "the plan drew no factory-bad block"
+    );
+    if let Err(e) = pool_index_matches_recount(&fs) {
+        panic!("{e}");
+    }
+}
+
+#[test]
+fn shard_absorb_rebuilds_the_pool_index() {
+    let mut fs = FlashState::new(tiny());
+    fs.hold_back(3, 2);
+    let mut worker = fs.shard_fork();
+    // The worker owns planes 0..2: drain plane 1 below every other pool,
+    // park one of plane 0's blocks, and grow plane 0 back by an erase.
+    for _ in 0..6 {
+        worker.allocate_free_block(1).unwrap();
+    }
+    worker.hold_back(0, 1);
+    let blk = BlockAddr {
+        plane: 0,
+        index: worker.allocate_free_block(0).unwrap(),
+    };
+    worker.skip_next(blk).unwrap();
+    worker.erase_and_pool(blk).unwrap();
+    fs.shard_absorb(&worker, 0..2);
+    assert_eq!(fs.min_free_blocks(), 4);
+    assert_eq!(fs.total_free_blocks(), 9 + 4 + 10 + 8);
+    if let Err(e) = pool_index_matches_recount(&fs) {
+        panic!("{e}");
+    }
 }
 
 #[test]

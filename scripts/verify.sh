@@ -302,6 +302,31 @@ power_trace_header="$(head -n 1 "$power_out/trace_power.csv")"
 }
 rm -rf "$power_out"
 
+echo "==> committed results regenerate (headline + ablation at default flags, byte-equal)"
+# Between them these two tables run every FTL (DLOOP, DLOOP-HOT, DFTL,
+# FAST, IDEAL and the ablation variants) on the paper's traces, so any
+# change that moves a simulated number shows up as a CSV diff here.
+check_regenerates() {
+    local results="$1"
+    shift
+    local regen_out
+    regen_out="$(mktemp -d)"
+    for experiment in "$@"; do
+        cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
+            "$experiment" --out "$regen_out" >/dev/null
+    done
+    local csv status=0
+    for csv in "$regen_out"/*.csv; do
+        cmp "$results/$(basename "$csv")" "$csv" || {
+            echo "error: $(basename "$csv") no longer regenerates byte-equal to $results/" >&2
+            status=1
+        }
+    done
+    rm -rf "$regen_out"
+    return "$status"
+}
+check_regenerates results headline ablation
+
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \
     dloop-baselines dloop-workloads dloop-host dloop-bench dloop-repro; do
