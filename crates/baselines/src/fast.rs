@@ -71,11 +71,6 @@ impl FastFtl {
         }
     }
 
-    /// Configured RW log block limit.
-    pub fn rw_limit(&self) -> usize {
-        self.rw_limit
-    }
-
     fn ppb(&self) -> u32 {
         self.geometry.pages_per_block
     }
@@ -636,8 +631,8 @@ mod tests {
         let rig = Rig::new();
         let g = rig.config.geometry();
         let extras = g.extra_blocks_per_plane() as u64 * g.total_planes() as u64;
-        assert!(rig.ftl.rw_limit() as u64 <= extras);
-        assert!(rig.ftl.rw_limit() >= 2);
+        assert!(rig.ftl.rw_limit as u64 <= extras);
+        assert!(rig.ftl.rw_limit >= 2);
     }
 
     #[test]

@@ -368,7 +368,7 @@ fn check_gc_blocked_share_on(
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         device.warm_up(&fill.requests);
         device.attach_sink(Box::new(RingSink::new(1 << 20)));
-        let report = device.run(&gc_trace.requests, ReplayMode::Open);
+        let report = device.run_with(&gc_trace.requests, ReplayMode::Open.into());
         let rec = device.take_trace().expect("ring sink was attached");
         (report, attribution(&rec))
     };
@@ -436,7 +436,7 @@ fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64
     let trace = profile.generate_scaled(opts.seed, geometry.page_size, max_requests);
     let run_mode = |mode: ReplayMode| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        device.run(&trace.requests, mode)
+        device.run_with(&trace.requests, mode.into())
     };
     let gated = run_mode(ReplayMode::Gated);
     let ncq = run_mode(ReplayMode::Ncq {
@@ -515,7 +515,7 @@ fn check_qos_bounds_on(
     );
     let run = |mode: ReplayMode| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        device.run(&mix.requests, mode)
+        device.run_with(&mix.requests, mode.into())
     };
     let naive = run(ReplayMode::Ncq { queue_depth: 1 });
     let oracle = run(ReplayMode::Gated);
@@ -600,7 +600,7 @@ fn check_qos_bounds_on(
 ///   pipeline stage is an exact identity transform, so the device report
 ///   under the host stack must be fingerprint-identical (locked CSV row,
 ///   queue-depth timeline, per-request completion log) to calling
-///   `SsdDevice::run` directly — in *every* replay mode. This is the
+///   `SsdDevice::run_with` directly — in *every* replay mode. This is the
 ///   regression gate that keeps the host layer observational: adding a
 ///   stage that perturbs the forwarded trace breaks the digest.
 /// * **Exact phase tiling.** On a fully-enabled (buffered) stack, each
@@ -650,7 +650,7 @@ fn check_host_stack_on(
     ];
     for mode in modes {
         let mut raw = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        let raw_report = raw.run(&mix.requests, mode);
+        let raw_report = raw.run_with(&mix.requests, mode.into());
         let mut wrapped = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let host = HostStack::new(HostConfig::passthrough()).run(&mut wrapped, &mix.requests, mode);
         if report_fingerprint(&raw_report) != report_fingerprint(&host.device) {

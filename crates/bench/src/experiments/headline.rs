@@ -18,7 +18,7 @@ fn improvement_pct(ours: f64, baseline: f64) -> f64 {
 }
 
 /// Run the headline comparison at one nominal capacity.
-pub fn run_at(opts: &ExpOptions, nominal_gb: u32) -> (Table, f64, f64) {
+fn run_at(opts: &ExpOptions, nominal_gb: u32) -> (Table, f64, f64) {
     let config = SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(nominal_gb));
     let kinds = FtlKind::paper_set();
     let profiles: Vec<WorkloadProfile> = WorkloadProfile::all_paper()

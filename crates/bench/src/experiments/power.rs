@@ -102,12 +102,12 @@ pub struct PowerSweep {
 
 impl PowerSweep {
     /// Every capped row respected its budget in every bucket.
-    pub fn all_respected(&self) -> bool {
+    fn all_respected(&self) -> bool {
         self.rows.iter().all(|r| r.budget_respected)
     }
 
     /// Every row consumed the identical femtojoule total.
-    pub fn energy_invariant(&self) -> bool {
+    fn energy_invariant(&self) -> bool {
         self.rows
             .windows(2)
             .all(|w| w[0].total_fj() == w[1].total_fj())

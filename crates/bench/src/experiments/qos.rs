@@ -49,7 +49,7 @@ fn mix(tenants: u16, per_tenant: u64, seed: u64, page_size: u32, footprint_bytes
 /// One sweep row: replay the mix under `mode` and report turnarounds.
 fn measure(config: &SsdConfig, trace: &Trace, mode: ReplayMode) -> RunReport {
     let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
-    device.run(&trace.requests, mode)
+    device.run_with(&trace.requests, mode.into())
 }
 
 /// The sweep on an arbitrary device (the unit test uses the micro

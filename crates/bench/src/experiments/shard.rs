@@ -126,7 +126,7 @@ pub struct ShardSweep {
 
 impl ShardSweep {
     /// Speedup of the 4-shard row (the acceptance gate).
-    pub fn speedup_at_4(&self) -> f64 {
+    fn speedup_at_4(&self) -> f64 {
         self.rows
             .iter()
             .find(|r| r.shards == 4)
@@ -135,7 +135,7 @@ impl ShardSweep {
     }
 
     /// Whether every sharded row matched the sequential fingerprint.
-    pub fn all_match(&self) -> bool {
+    fn all_match(&self) -> bool {
         self.rows.iter().all(|r| r.fingerprint_match)
     }
 

@@ -75,7 +75,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         Box::new(RingSink::new(RING_CAPACITY)),
         Box::new(StreamSink::new(Vec::new())),
     )));
-    let report = device.run(&trace.requests, opts.replay_mode());
+    let report = device.run_with(&trace.requests, opts.replay_mode().into());
     let (rec, mut stream) = split_tee(&mut device);
     stream.flush().expect("in-memory stream cannot fail");
 

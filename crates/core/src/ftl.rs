@@ -90,7 +90,7 @@ impl DloopFtl {
 
     /// Home plane of translation page `tvpn`: spread across planes like
     /// data, or clustered on plane 0 for the ablation.
-    pub fn plane_of_tvpn(&self, tvpn: u64) -> PlaneId {
+    fn plane_of_tvpn(&self, tvpn: u64) -> PlaneId {
         let planes = self.geometry.total_planes() as u64;
         if self.cfg.spread_translation {
             (tvpn % planes) as PlaneId

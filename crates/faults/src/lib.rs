@@ -236,7 +236,7 @@ impl FaultPlan {
 
     /// Effective raw BER of a page on its `generation`-th erase cycle at
     /// `read_index` reads since program.
-    pub fn effective_ber(&self, generation: u32, read_index: u32) -> f64 {
+    fn effective_ber(&self, generation: u32, read_index: u32) -> f64 {
         self.cfg.base_ber
             * (1.0 + self.cfg.wear_slope * generation as f64)
             * (1.0 + self.cfg.retention_slope * read_index as f64)

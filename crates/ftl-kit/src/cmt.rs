@@ -18,27 +18,27 @@
 //!
 //! # Representation
 //!
-//! Everything lives in three flat vectors; no operation hashes with
-//! SipHash, chases a second table or allocates.
+//! Everything lives in flat vectors built from the
+//! [`slots`](dloop_simkit::slots) kit; no operation hashes with SipHash,
+//! chases a second table or allocates.
 //!
-//! * **Nodes** — one 40-byte record per cached entry (LPN, PPN, the two
-//!   recency links, the two dirty-list links, dirty flag, segment), in a
-//!   `Vec` indexed by `u32`. Unused records are chained through `next`
-//!   into a free list.
-//! * **Index** — a [`SlotIndex`] (the keyless open-addressed index
-//!   shared with the host page cache; hash, probe and backward-shift
-//!   deletion are documented there) sized up front to a power of two
-//!   ≥ 2 × capacity slots, so it is never more than half full and never
-//!   grows. A slot holds a node index; the probe compares against
-//!   `nodes[idx].lpn`, the record the caller is about to touch anyway.
+//! * **Nodes** — one 40-byte record per cached entry (LPN, PPN, a recency
+//!   [`Link`], a dirty-list [`Link`], dirty flag, segment), in a `Vec`
+//!   indexed by `u32`. A record is only ever freed to make room for the
+//!   entry being inserted, so the victim's record is reused in place; the
+//!   `Vec` grows by push until the table is full.
+//! * **Index** — a [`SlotIndex`] from LPN to node, sized up front to a
+//!   power of two ≥ 2 × capacity slots, so it is never more than half
+//!   full and never grows.
+//! * **Recency** — one [`List`] per segment, MRU at the front.
 //! * **Dirty lists** — the dirty entries of one translation page form a
-//!   doubly-linked list threaded through the nodes (`dprev`/`dnext`), with
-//!   one head per translation page in a `Vec<u32>` that grows to the
-//!   highest translation page ever dirtied (8 Ki heads on a 4 GB device).
-//!   The list is intrusive because a clean→dirty transition is the most
-//!   frequent mutation (every first overwrite and most GC moves): linking
-//!   a node the caller already holds costs two stores, where a keyed set
-//!   per translation page costs a second lookup and an allocation.
+//!   [`List`] through the nodes' second link, with one list per
+//!   translation page in a `Vec` that grows to the highest translation
+//!   page ever dirtied (8 Ki lists on a 4 GB device). The list is
+//!   intrusive because a clean→dirty transition is the most frequent
+//!   mutation (every first overwrite and most GC moves): linking a node
+//!   the caller already holds costs two stores, where a keyed set per
+//!   translation page costs a second lookup and an allocation.
 //!
 //! Per entry this is 40 B of node plus 8 B of index (≈ 48 B, so the
 //! paper's 4096-entry table is ≈ 192 KiB), down from ≈ 80 B with the
@@ -50,7 +50,7 @@
 //! reads its recency or dirty state.
 
 use dloop_nand::{Lpn, Ppn};
-use dloop_simkit::slots::{SlotIndex, MAX_ENTRIES, NIL};
+use dloop_simkit::slots::{Link, List, SlotIndex, MAX_ENTRIES};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -62,28 +62,12 @@ enum Segment {
 struct Node {
     lpn: Lpn,
     ppn: Ppn,
-    prev: u32,
-    /// Towards the LRU end; on the free list, the next free record.
-    next: u32,
-    dprev: u32,
-    dnext: u32,
+    /// On its segment's recency list.
+    lru: Link,
+    /// On its translation page's dirty list, while dirty.
+    dirty_link: Link,
     dirty: bool,
     seg: Segment,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ListEnds {
-    head: u32, // MRU
-    tail: u32, // LRU
-    len: usize,
-}
-
-impl ListEnds {
-    const EMPTY: ListEnds = ListEnds {
-        head: NIL,
-        tail: NIL,
-        len: 0,
-    };
 }
 
 /// An entry evicted from the CMT.
@@ -113,16 +97,15 @@ pub struct Evicted {
 #[derive(Debug, Clone)]
 pub struct CachedMappingTable {
     nodes: Vec<Node>,
-    free_head: u32,
     /// LPN → node index.
     index: SlotIndex,
-    probation: ListEnds,
-    protected: ListEnds,
+    /// The recency lists, indexed by [`Segment`].
+    segments: [List; 2],
     capacity: usize,
     protected_cap: usize,
     mappings_per_tpage: u64,
-    /// Head of each translation page's dirty list, indexed by tvpn.
-    dirty_heads: Vec<u32>,
+    /// Each translation page's dirty list, indexed by tvpn.
+    dirty_lists: Vec<List>,
     hits: u64,
     misses: u64,
 }
@@ -137,14 +120,12 @@ impl CachedMappingTable {
         assert!(mappings_per_tpage > 0);
         CachedMappingTable {
             nodes: Vec::with_capacity(capacity),
-            free_head: NIL,
             index: SlotIndex::with_capacity(capacity),
-            probation: ListEnds::EMPTY,
-            protected: ListEnds::EMPTY,
+            segments: [List::default(); 2],
             capacity,
             protected_cap: capacity / 2,
             mappings_per_tpage,
-            dirty_heads: Vec::new(),
+            dirty_lists: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -157,12 +138,12 @@ impl CachedMappingTable {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.probation.len + self.protected.len
+        self.nodes.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.nodes.is_empty()
     }
 
     /// Configured capacity.
@@ -181,21 +162,20 @@ impl CachedMappingTable {
         self.misses = 0;
     }
 
-    /// The nodes of one recency list, LRU first.
-    fn lru_first(&self, list: ListEnds) -> impl Iterator<Item = &Node> + '_ {
-        let node = move |idx: u32| (idx != NIL).then(|| &self.nodes[idx as usize]);
-        std::iter::successors(node(list.tail), move |n| node(n.prev))
-    }
-
     /// Every cached entry as `(lpn, ppn, dirty)` in **eviction order**: the
     /// probation segment from its LRU to its MRU, then the protected
     /// segment likewise. The order is a function of the operations applied
     /// and nothing else, so two tables fed the same operations yield the
     /// same sequence.
     pub fn iter_entries(&self) -> impl Iterator<Item = (Lpn, Ppn, bool)> + '_ {
-        self.lru_first(self.probation)
-            .chain(self.lru_first(self.protected))
-            .map(|n| (n.lpn, n.ppn, n.dirty))
+        let nodes = &self.nodes;
+        self.segments
+            .iter()
+            .flat_map(move |list| list.iter_back(nodes, |n| &n.lru))
+            .map(move |idx| {
+                let n = &nodes[idx as usize];
+                (n.lpn, n.ppn, n.dirty)
+            })
     }
 
     fn find(&self, lpn: Lpn) -> Option<u32> {
@@ -203,118 +183,56 @@ impl CachedMappingTable {
         self.index.find(lpn, |idx| nodes[idx as usize].lpn)
     }
 
-    // --- the recency lists ---
-
-    fn list(&mut self, seg: Segment) -> &mut ListEnds {
-        match seg {
-            Segment::Probation => &mut self.probation,
-            Segment::Protected => &mut self.protected,
-        }
+    /// Move node `idx` to the MRU end of segment `to`.
+    fn move_to_front(&mut self, idx: u32, to: Segment) {
+        let from = std::mem::replace(&mut self.nodes[idx as usize].seg, to);
+        self.segments[from as usize].unlink(&mut self.nodes, idx, |n| &mut n.lru);
+        self.segments[to as usize].push_front(&mut self.nodes, idx, |n| &mut n.lru);
     }
 
-    fn detach(&mut self, idx: u32) {
-        let (prev, next, seg) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next, n.seg)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        }
-        let l = self.list(seg);
-        if l.head == idx {
-            l.head = next;
-        }
-        if l.tail == idx {
-            l.tail = prev;
-        }
-        l.len -= 1;
-    }
-
-    fn attach_front(&mut self, idx: u32, seg: Segment) {
-        let old_head = self.list(seg).head;
-        {
-            let n = &mut self.nodes[idx as usize];
-            n.seg = seg;
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        if old_head != NIL {
-            self.nodes[old_head as usize].prev = idx;
-        }
-        let l = self.list(seg);
-        l.head = idx;
-        if l.tail == NIL {
-            l.tail = idx;
-        }
-        l.len += 1;
-    }
-
-    // --- the dirty lists ---
-
-    /// Set the dirty flag and link the node at the head of its translation
+    /// Set the dirty flag and link the node at the front of its translation
     /// page's dirty list; no-op on an already dirty node.
     fn mark_dirty(&mut self, idx: u32) {
-        let node = &self.nodes[idx as usize];
-        if node.dirty {
+        let node = &mut self.nodes[idx as usize];
+        if std::mem::replace(&mut node.dirty, true) {
             return;
         }
-        let tvpn = usize::try_from(self.tvpn_of(node.lpn)).expect("tvpn exceeds the address space");
-        if tvpn >= self.dirty_heads.len() {
-            self.dirty_heads.resize(tvpn + 1, NIL);
+        let tvpn = usize::try_from(node.lpn / self.mappings_per_tpage)
+            .expect("tvpn exceeds the address space");
+        if tvpn >= self.dirty_lists.len() {
+            self.dirty_lists.resize(tvpn + 1, List::default());
         }
-        let old_head = std::mem::replace(&mut self.dirty_heads[tvpn], idx);
-        if old_head != NIL {
-            self.nodes[old_head as usize].dprev = idx;
-        }
-        let node = &mut self.nodes[idx as usize];
-        node.dirty = true;
-        node.dprev = NIL;
-        node.dnext = old_head;
+        self.dirty_lists[tvpn].push_front(&mut self.nodes, idx, |n| &mut n.dirty_link);
     }
 
     /// Clear the dirty flag and unlink the node from its dirty list; no-op
     /// on a clean node.
     fn mark_clean(&mut self, idx: u32) {
         let node = &mut self.nodes[idx as usize];
-        if !node.dirty {
+        if !std::mem::replace(&mut node.dirty, false) {
             return;
         }
-        node.dirty = false;
-        let (lpn, dprev, dnext) = (node.lpn, node.dprev, node.dnext);
-        if dnext != NIL {
-            self.nodes[dnext as usize].dprev = dprev;
-        }
-        if dprev != NIL {
-            self.nodes[dprev as usize].dnext = dnext;
-        } else {
-            let tvpn = self.tvpn_of(lpn) as usize;
-            self.dirty_heads[tvpn] = dnext;
-        }
+        let tvpn = (node.lpn / self.mappings_per_tpage) as usize;
+        self.dirty_lists[tvpn].unlink(&mut self.nodes, idx, |n| &mut n.dirty_link);
     }
 
-    /// Detach translation page `tvpn`'s whole dirty list, clearing each
-    /// node's flag after showing it to `visit`.
+    /// Empty translation page `tvpn`'s dirty list, clearing each node's
+    /// flag after showing it to `visit`.
     fn drain_dirty(&mut self, tvpn: u64, mut visit: impl FnMut(Lpn, Ppn)) {
-        let Some(head) = usize::try_from(tvpn)
+        let Some(list) = usize::try_from(tvpn)
             .ok()
-            .and_then(|t| self.dirty_heads.get_mut(t))
+            .and_then(|t| self.dirty_lists.get_mut(t))
         else {
             return;
         };
-        let mut idx = std::mem::replace(head, NIL);
-        while idx != NIL {
+        while let Some(idx) = list.back() {
+            list.unlink(&mut self.nodes, idx, |n| &mut n.dirty_link);
             let node = &mut self.nodes[idx as usize];
             debug_assert!(node.dirty);
             node.dirty = false;
             visit(node.lpn, node.ppn);
-            idx = node.dnext;
         }
     }
-
-    // --- operations ---
 
     /// A referencing lookup: on hit, promote to the protected segment and
     /// return the mapping. Counts toward hit/miss statistics.
@@ -329,14 +247,12 @@ impl CachedMappingTable {
     }
 
     fn promote(&mut self, idx: u32) {
-        self.detach(idx);
-        self.attach_front(idx, Segment::Protected);
+        self.move_to_front(idx, Segment::Protected);
         // Protected overflow demotes its LRU into probation.
-        if self.protected.len > self.protected_cap {
-            let demote = self.protected.tail;
-            debug_assert_ne!(demote, NIL);
-            self.detach(demote);
-            self.attach_front(demote, Segment::Probation);
+        let protected = &self.segments[Segment::Protected as usize];
+        if protected.len() > self.protected_cap {
+            let demote = protected.back().expect("protected overflow");
+            self.move_to_front(demote, Segment::Probation);
         }
     }
 
@@ -382,70 +298,56 @@ impl CachedMappingTable {
             self.find(lpn).is_none(),
             "insert of already-cached lpn {lpn}"
         );
-        let evicted = (self.len() >= self.capacity).then(|| self.evict_one());
         let node = Node {
             lpn,
             ppn,
-            prev: NIL,
-            next: NIL,
-            dprev: NIL,
-            dnext: NIL,
+            lru: Link::default(),
+            dirty_link: Link::default(),
             dirty: false,
             seg: Segment::Probation,
         };
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = std::mem::replace(&mut self.nodes[idx as usize], node).next;
-            idx
-        } else {
+        let (idx, evicted) = if self.nodes.len() < self.capacity {
             self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+            ((self.nodes.len() - 1) as u32, None)
+        } else {
+            let (victim, evicted) = self.evict_one();
+            self.nodes[victim as usize] = node;
+            (victim, Some(evicted))
         };
         // Indexed after the eviction: closing the victim's gap may have
         // moved the end of this LPN's run.
         let nodes = &self.nodes;
         self.index.insert(lpn, idx, |i| nodes[i as usize].lpn);
-        self.attach_front(idx, Segment::Probation);
+        self.segments[Segment::Probation as usize].push_front(&mut self.nodes, idx, |n| &mut n.lru);
         if dirty {
             self.mark_dirty(idx);
         }
         evicted
     }
 
-    fn evict_one(&mut self) -> Evicted {
-        // Probation LRU first; fall back to protected LRU if probation is
-        // empty (possible after heavy promotion).
-        let victim = if self.probation.tail != NIL {
-            self.probation.tail
+    /// Take the victim — the probation LRU, or the protected LRU if
+    /// probation is empty (possible after heavy promotion) — off its lists
+    /// and out of the index. Its record is returned for reuse.
+    fn evict_one(&mut self) -> (u32, Evicted) {
+        let seg = if self.segments[Segment::Probation as usize].is_empty() {
+            Segment::Protected
         } else {
-            self.protected.tail
+            Segment::Probation
         };
-        debug_assert_ne!(victim, NIL, "evict from empty cache");
-        self.remove_node(victim)
-    }
-
-    fn remove_node(&mut self, idx: u32) -> Evicted {
-        self.detach(idx);
-        let node = &self.nodes[idx as usize];
-        let ev = Evicted {
+        let list = &mut self.segments[seg as usize];
+        let victim = list.back().expect("evict from empty cache");
+        list.unlink(&mut self.nodes, victim, |n| &mut n.lru);
+        let node = &self.nodes[victim as usize];
+        let evicted = Evicted {
             lpn: node.lpn,
             ppn: node.ppn,
             dirty: node.dirty,
         };
-        self.mark_clean(idx);
+        self.mark_clean(victim);
         let nodes = &self.nodes;
-        let found = self.index.remove(ev.lpn, |i| nodes[i as usize].lpn);
-        debug_assert_eq!(found, Some(idx), "index desync");
-        self.nodes[idx as usize].next = self.free_head;
-        self.free_head = idx;
-        ev
-    }
-
-    /// Remove a specific cached entry (e.g. when GC relocates its
-    /// translation page and the FTL re-materialises mappings).
-    pub fn remove(&mut self, lpn: Lpn) -> Option<Evicted> {
-        let idx = self.find(lpn)?;
-        Some(self.remove_node(idx))
+        let found = self.index.remove(evicted.lpn, |i| nodes[i as usize].lpn);
+        debug_assert_eq!(found, Some(victim), "index desync");
+        (victim, evicted)
     }
 
     /// Drain and clean every *dirty* cached mapping belonging to
@@ -470,83 +372,55 @@ impl CachedMappingTable {
     /// when shutting down a run to account for outstanding state (and in
     /// audits).
     pub fn dirty_tvpns(&self) -> Vec<u64> {
-        self.dirty_heads
+        self.dirty_lists
             .iter()
             .enumerate()
-            .filter(|(_, &head)| head != NIL)
+            .filter(|(_, list)| !list.is_empty())
             .map(|(tvpn, _)| tvpn as u64)
             .collect()
     }
 
     /// Audit internal consistency: recency lists ↔ index ↔ dirty lists.
     pub fn check(&self) -> Result<(), String> {
-        if self.len() > self.capacity {
-            return Err("over capacity".into());
-        }
-        let mut dirty_nodes = 0usize;
-        for (ends, seg) in [
-            (self.probation, Segment::Probation),
-            (self.protected, Segment::Protected),
-        ] {
-            let mut idx = ends.head;
-            let mut prev = NIL;
-            let mut seen = 0usize;
-            while idx != NIL {
-                let n = &self.nodes[idx as usize];
-                if n.seg != seg {
-                    return Err("node in wrong segment".into());
-                }
-                if n.prev != prev {
-                    return Err("broken prev link".into());
-                }
-                if self.find(n.lpn) != Some(idx) {
-                    return Err(format!("index desync for lpn {}", n.lpn));
-                }
-                dirty_nodes += n.dirty as usize;
-                prev = idx;
-                idx = n.next;
-                seen += 1;
-            }
-            if ends.tail != prev {
-                return Err("tail mismatch".into());
-            }
-            if seen != ends.len {
-                return Err("segment length disagrees with its list".into());
+        for seg in [Segment::Probation, Segment::Protected] {
+            let list = &self.segments[seg as usize];
+            list.check(&self.nodes, |n| &n.lru)?;
+            let mut nodes = list
+                .iter_back(&self.nodes, |n| &n.lru)
+                .map(|i| &self.nodes[i as usize]);
+            if nodes.any(|n| n.seg != seg) {
+                return Err(format!("{seg:?} list holds a node of the other segment"));
             }
         }
+        // Every index entry is reachable by its key, so with one entry
+        // and one list place per node each node is found at its LPN.
         self.index.check(|idx| self.nodes[idx as usize].lpn)?;
-        if self.index.len() != self.len() {
-            return Err("orphan index entries".into());
+        let listed: usize = self.segments.iter().map(List::len).sum();
+        let counts = (listed, self.index.len(), self.len() <= self.capacity);
+        if counts != (self.len(), self.len(), true) {
+            return Err(format!(
+                "{} nodes: (listed, indexed, fit) {counts:?}",
+                self.len()
+            ));
         }
         // Every listed node is dirty and on its own translation page's
         // list; together with the count, every dirty node is listed.
-        let mut listed = 0usize;
-        for (tvpn, &head) in self.dirty_heads.iter().enumerate() {
-            let mut idx = head;
-            let mut dprev = NIL;
-            while idx != NIL {
-                let n = &self.nodes[idx as usize];
-                if !n.dirty || self.find(n.lpn) != Some(idx) {
-                    return Err(format!("dirty list {tvpn} holds a clean or dead node"));
-                }
-                if self.tvpn_of(n.lpn) != tvpn as u64 {
-                    return Err(format!("lpn {} on dirty list {tvpn}", n.lpn));
-                }
-                if n.dprev != dprev {
-                    return Err(format!("broken dprev link for lpn {}", n.lpn));
-                }
-                dprev = idx;
-                idx = n.dnext;
-                listed += 1;
-                if listed > dirty_nodes {
-                    return Err("dirty lists hold more nodes than are dirty".into());
-                }
+        for (tvpn, list) in (0..).zip(&self.dirty_lists) {
+            list.check(&self.nodes, |n| &n.dirty_link)?;
+            let mut nodes = list
+                .iter_back(&self.nodes, |n| &n.dirty_link)
+                .map(|i| &self.nodes[i as usize]);
+            if let Some(n) = nodes.find(|n| !n.dirty || self.tvpn_of(n.lpn) != tvpn) {
+                return Err(format!(
+                    "lpn {} (dirty {}) on dirty list {tvpn}",
+                    n.lpn, n.dirty
+                ));
             }
         }
-        if listed != dirty_nodes {
-            return Err(format!(
-                "{dirty_nodes} dirty nodes but {listed} on the dirty lists"
-            ));
+        let listed: usize = self.dirty_lists.iter().map(List::len).sum();
+        let dirty = self.nodes.iter().filter(|n| n.dirty).count();
+        if listed != dirty {
+            return Err(format!("{dirty} dirty nodes, {listed} on dirty lists"));
         }
         Ok(())
     }
@@ -639,17 +513,6 @@ mod tests {
         // Entries stay cached, now clean.
         assert_eq!(c.peek(0), Some((100, false)));
         assert_eq!(c.dirty_tvpns(), vec![1]);
-        c.check().unwrap();
-    }
-
-    #[test]
-    fn remove_specific_entry() {
-        let mut c = cmt(4);
-        c.insert(1, 10, true);
-        let ev = c.remove(1).unwrap();
-        assert_eq!((ev.lpn, ev.ppn, ev.dirty), (1, 10, true));
-        assert!(c.is_empty());
-        assert!(c.remove(1).is_none());
         c.check().unwrap();
     }
 

@@ -479,6 +479,23 @@ mod tests {
                 Cache::Resident(_) => panic!("resident map has no LRU"),
             }
         }
+
+        /// Make the clean entries `gone` uncached the way traffic does:
+        /// look up other LPNs, from the top of the space down, until
+        /// eviction has taken every one of them.
+        fn evict(&mut self, gone: &[Lpn]) {
+            let mut other = self.map.len() as Lpn;
+            while gone.iter().any(|&l| self.lru().peek(l).is_some()) {
+                other -= 1;
+                let ppn = self.map[other as usize];
+                let cmt = self.lru();
+                if cmt.lookup(other).is_none() {
+                    let evicted = cmt.insert(other, ppn, false);
+                    assert!(!evicted.is_some_and(|e| e.dirty), "dirty eviction");
+                    cmt.lookup(other);
+                }
+            }
+        }
     }
 
     impl Rig {
@@ -556,7 +573,7 @@ mod tests {
         assert_eq!(rig.dm.counters.translation_writes, 1);
         assert_eq!(rig.dm.mapped(7), Some(42));
         // Drop it from the CMT and re-ensure: the materialised page is read.
-        rig.dm.lru().remove(7);
+        rig.dm.evict(&[7]);
         rig.chain.clear();
         rig.run(|dm, ctx, place| dm.ensure_cached(7, ctx, place));
         assert_eq!(rig.dm.counters.translation_reads, 1);
@@ -610,7 +627,7 @@ mod tests {
             // Persist and drop from the CMT so the mapping is uncached.
             dm.rewrite_translation_page(0, ctx, place);
         });
-        rig.dm.lru().remove(1);
+        rig.dm.evict(&[1]);
         rig.dm.gc_move(1, 6);
         assert_eq!(rig.dm.mapped(1), Some(6));
         assert_eq!(rig.dm.pending_count(0), 1);
@@ -634,9 +651,7 @@ mod tests {
                 dm.rewrite_translation_page(dm.tvpn_of(lpn), ctx, place);
             }
         });
-        for lpn in [0u64, 256, 512] {
-            rig.dm.lru().remove(lpn);
-        }
+        rig.dm.evict(&[0, 256, 512]);
         // Defer updates: tvpn 1 gets two, tvpns 0 and 2 one each.
         rig.dm.gc_move(0, 100);
         rig.dm.gc_move(256, 101);

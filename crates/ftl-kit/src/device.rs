@@ -38,7 +38,7 @@ pub const DEFAULT_NCQ_DEPTH: usize = 32;
 /// How a trace's host requests are admitted to the device during replay.
 ///
 /// All five modes feed the same request-splitting, translation and
-/// chain-playing machinery ([`SsdDevice::run`]); they differ only in *when*
+/// chain-playing machinery ([`SsdDevice::run_with`]); they differ only in *when*
 /// a request's flash work may begin:
 ///
 /// * [`ReplayMode::Open`] — open arrivals: every request books its flash
@@ -92,6 +92,18 @@ pub enum ReplayMode {
     },
 }
 
+impl ReplayMode {
+    /// The queue depth of the modes that have one (closed, NCQ, QoS).
+    fn queue_depth(self) -> Option<usize> {
+        match self {
+            ReplayMode::Open | ReplayMode::Gated => None,
+            ReplayMode::Closed { queue_depth }
+            | ReplayMode::Ncq { queue_depth }
+            | ReplayMode::Qos { queue_depth, .. } => Some(queue_depth),
+        }
+    }
+}
+
 /// Builder-style description of one replay: the admission mode plus every
 /// orthogonal knob that used to ride as a positional argument on a
 /// per-mode entry point. Consumed by [`SsdDevice::run_with`].
@@ -124,30 +136,21 @@ pub enum ReplayMode {
 /// happened and, for a fallback, which guard fired.
 #[derive(Debug)]
 pub struct RunConfig {
-    kind: ModeKind,
-    queue_depth: usize,
-    policy: QosSpec,
+    mode: ReplayMode,
     shards: usize,
     sink: Option<Box<dyn TraceSink>>,
 }
 
-/// Admission-mode discriminant of a [`RunConfig`] (the mode's knobs live
-/// as siblings on the config).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModeKind {
-    Open,
-    Gated,
-    Closed,
-    Ncq,
-    Qos,
-}
-
 impl Default for RunConfig {
     fn default() -> Self {
+        RunConfig::from(ReplayMode::Open)
+    }
+}
+
+impl From<ReplayMode> for RunConfig {
+    fn from(mode: ReplayMode) -> Self {
         RunConfig {
-            kind: ModeKind::Open,
-            queue_depth: DEFAULT_NCQ_DEPTH,
-            policy: QosSpec::Ncq,
+            mode,
             shards: 1,
             sink: None,
         }
@@ -162,44 +165,38 @@ impl RunConfig {
 
     /// Issue-gated replay (the FlashSim priority list).
     pub fn gated() -> Self {
-        RunConfig {
-            kind: ModeKind::Gated,
-            ..RunConfig::default()
-        }
+        RunConfig::from(ReplayMode::Gated)
     }
 
     /// Closed-loop replay with a bounded host queue of `queue_depth`.
     pub fn closed(queue_depth: usize) -> Self {
-        RunConfig {
-            kind: ModeKind::Closed,
-            queue_depth,
-            ..RunConfig::default()
-        }
+        RunConfig::from(ReplayMode::Closed { queue_depth })
     }
 
     /// NCQ-style bounded reordering over a `queue_depth` window.
     pub fn ncq(queue_depth: usize) -> Self {
-        RunConfig {
-            kind: ModeKind::Ncq,
-            queue_depth,
-            ..RunConfig::default()
-        }
+        RunConfig::from(ReplayMode::Ncq { queue_depth })
     }
 
     /// QoS-arbitrated NCQ window under `policy`, at [`DEFAULT_NCQ_DEPTH`]
     /// unless overridden with [`RunConfig::queue_depth`].
     pub fn qos(policy: QosSpec) -> Self {
-        RunConfig {
-            kind: ModeKind::Qos,
+        RunConfig::from(ReplayMode::Qos {
+            queue_depth: DEFAULT_NCQ_DEPTH,
             policy,
-            ..RunConfig::default()
-        }
+        })
     }
 
-    /// Override the queue depth (must be ≥ 1 for the modes that use one:
-    /// closed, NCQ, QoS).
+    /// Override the queue depth of the modes that have one (closed, NCQ,
+    /// QoS; it must be ≥ 1). Open and gated replay have none and ignore
+    /// it.
     pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
+        if let ReplayMode::Closed { queue_depth }
+        | ReplayMode::Ncq { queue_depth }
+        | ReplayMode::Qos { queue_depth, .. } = &mut self.mode
+        {
+            *queue_depth = depth;
+        }
         self
     }
 
@@ -217,21 +214,6 @@ impl RunConfig {
     pub fn attach_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-}
-
-impl From<ReplayMode> for RunConfig {
-    fn from(mode: ReplayMode) -> Self {
-        match mode {
-            ReplayMode::Open => RunConfig::open(),
-            ReplayMode::Gated => RunConfig::gated(),
-            ReplayMode::Closed { queue_depth } => RunConfig::closed(queue_depth),
-            ReplayMode::Ncq { queue_depth } => RunConfig::ncq(queue_depth),
-            ReplayMode::Qos {
-                queue_depth,
-                policy,
-            } => RunConfig::qos(policy).queue_depth(queue_depth),
-        }
     }
 }
 
@@ -493,29 +475,17 @@ impl SsdDevice {
             .unwrap_or_default()
     }
 
-    /// Replay `requests` under the admission policy `mode` and measure.
-    /// Requests may be in any order; they are processed by arrival time
-    /// (FIFO among equal arrivals). Equivalent to
-    /// [`SsdDevice::run_with`] at the mode's default knobs — all five
-    /// modes share the request-splitting, translation, chain-playing and
-    /// report-assembly code, so they provably agree on the flash work
-    /// performed (see `tests/replay_modes.rs`).
-    pub fn run(&mut self, requests: &[HostRequest], mode: ReplayMode) -> RunReport {
-        self.run_with(requests, RunConfig::from(mode))
-    }
-
     /// Replay `requests` as described by `config` — the single
     /// fully-general replay entry point. The admission mode, queue depth,
     /// QoS policy, shard count and optional sink attachment all ride in
-    /// the [`RunConfig`].
+    /// the [`RunConfig`]; a bare [`ReplayMode`] converts with `.into()`.
+    /// Requests may be in any order; they are processed by arrival time
+    /// (FIFO among equal arrivals). All five modes share the
+    /// request-splitting, translation, chain-playing and report-assembly
+    /// code, so they provably agree on the flash work performed (see
+    /// `tests/replay_modes.rs`).
     pub fn run_with(&mut self, requests: &[HostRequest], config: RunConfig) -> RunReport {
-        let RunConfig {
-            kind,
-            queue_depth,
-            policy,
-            shards,
-            sink,
-        } = config;
+        let RunConfig { mode, shards, sink } = config;
         if let Some(sink) = sink {
             self.attach_sink(sink);
         }
@@ -523,10 +493,12 @@ impl SsdDevice {
         // names the guard that sent it to the sequential one below.
         let mut outcome = ShardOutcome::NotRequested;
         if shards > 1 {
-            let attempt = match kind {
-                ModeKind::Open => crate::shard::run_plane_local(self, requests, shards),
-                ModeKind::Closed => Err(ShardGuard::ClosedMode),
-                ModeKind::Gated | ModeKind::Ncq | ModeKind::Qos => Err(ShardGuard::QueueingMode),
+            let attempt = match mode {
+                ReplayMode::Open => crate::shard::run_plane_local(self, requests, shards),
+                ReplayMode::Closed { .. } => Err(ShardGuard::ClosedMode),
+                ReplayMode::Gated | ReplayMode::Ncq { .. } | ReplayMode::Qos { .. } => {
+                    Err(ShardGuard::QueueingMode)
+                }
             };
             match attempt {
                 Ok(report) => return report,
@@ -534,17 +506,22 @@ impl SsdDevice {
             }
         }
         assert!(
-            queue_depth >= 1 || matches!(kind, ModeKind::Open | ModeKind::Gated),
+            mode.queue_depth() != Some(0),
             "queue depth must be at least 1"
         );
-        let mut report = match kind {
-            ModeKind::Open => self.run_reserving(requests, None),
-            ModeKind::Closed => self.run_reserving(requests, Some(queue_depth)),
+        let mut report = match mode {
+            ReplayMode::Open => self.run_reserving(requests, None),
+            ReplayMode::Closed { queue_depth } => self.run_reserving(requests, Some(queue_depth)),
             // FlashSim's priority list (§IV.B) is the queueing scheduler
             // with no window and arrival order as its only preference.
-            ModeKind::Gated => self.run_queued(requests, usize::MAX, &mut WindowFifoPolicy, true),
-            ModeKind::Ncq => self.run_queued(requests, queue_depth, &mut NcqPolicy, false),
-            ModeKind::Qos => self.run_queued(requests, queue_depth, policy.build().as_mut(), false),
+            ReplayMode::Gated => self.run_queued(requests, usize::MAX, &mut WindowFifoPolicy, true),
+            ReplayMode::Ncq { queue_depth } => {
+                self.run_queued(requests, queue_depth, &mut NcqPolicy, false)
+            }
+            ReplayMode::Qos {
+                queue_depth,
+                policy,
+            } => self.run_queued(requests, queue_depth, policy.build().as_mut(), false),
         };
         report.shard_outcome = outcome;
         report
@@ -556,24 +533,20 @@ impl SsdDevice {
     /// [`crate::sched::FairSharePolicy`]) can be inspected afterwards —
     /// token balances, issue counts — and custom [`QosPolicy`]
     /// implementations outside this crate can plug in. Only `config`'s
-    /// queue depth and sink attachment are consulted; its mode and
-    /// [`QosSpec`] are superseded by `policy` (and a shard request falls
-    /// back, like every queueing mode's).
+    /// queue depth ([`DEFAULT_NCQ_DEPTH`] for a mode without one) and sink
+    /// attachment are consulted; its [`QosSpec`] is superseded by `policy`
+    /// (and a shard request falls back, like every queueing mode's).
     pub fn run_with_policy(
         &mut self,
         requests: &[HostRequest],
         config: RunConfig,
         policy: &mut dyn QosPolicy,
     ) -> RunReport {
-        let RunConfig {
-            queue_depth,
-            shards,
-            sink,
-            ..
-        } = config;
+        let RunConfig { mode, shards, sink } = config;
         if let Some(sink) = sink {
             self.attach_sink(sink);
         }
+        let queue_depth = mode.queue_depth().unwrap_or(DEFAULT_NCQ_DEPTH);
         assert!(queue_depth >= 1, "queue depth must be at least 1");
         let mut report = self.run_queued(requests, queue_depth, policy, false);
         if shards > 1 {
@@ -1114,7 +1087,7 @@ impl SsdDevice {
     /// Each submitted command books its flash work at its `issue` time,
     /// exactly as [`ReplayMode::Open`] books work at arrival — feeding an
     /// arrival-sorted slice with `issue == arrival` reproduces
-    /// `run(requests, ReplayMode::Open)` bit-for-bit, report fingerprint
+    /// `run_with(requests, RunConfig::open())` bit-for-bit, report fingerprint
     /// included (the degeneracy leg of claim C13 rides on this).
     pub fn begin_commands(&mut self) -> CommandSession<'_> {
         let lpn_space = self.flash.geometry().user_pages();
@@ -1171,7 +1144,7 @@ impl SsdDevice {
     /// away all timing and statistics afterwards. Used to reach GC steady
     /// state before measuring, like running a trace against a filled SSD.
     pub fn warm_up(&mut self, requests: &[HostRequest]) {
-        let _ = self.run(requests, ReplayMode::Open);
+        let _ = self.run_with(requests, ReplayMode::Open.into());
         self.reset_measurements();
     }
 
@@ -1452,7 +1425,7 @@ mod tests {
             read_req(300, 9, 1),
             write_req(900, 5, 1),
         ];
-        let batch = device().run(&requests, ReplayMode::Open);
+        let batch = device().run_with(&requests, ReplayMode::Open.into());
         let mut d = device();
         let mut session = d.begin_commands();
         for (i, r) in requests.iter().enumerate() {
@@ -1722,7 +1695,7 @@ mod tests {
                 policy: QosSpec::Priority,
             },
         ] {
-            let r = device().run(&reqs, mode);
+            let r = device().run_with(&reqs, mode.into());
             assert_eq!(r.queue_log.len(), 4, "mode {mode:?}");
             // The zero-page request is an instant in-and-out.
             assert!(r

@@ -91,11 +91,6 @@ impl PageDirectory {
         slots[r.clone()].copy_from_slice(&self.slots[r]);
         PageDirectory { slots }
     }
-
-    /// Number of live (owned) pages — O(n), intended for audits only.
-    pub fn live_count(&self) -> u64 {
-        self.slots.iter().filter(|&&s| s & TAG_MASK != 0).count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,6 @@ mod tests {
     fn starts_empty() {
         let d = dir();
         assert_eq!(d.owner(0), PageOwner::None);
-        assert_eq!(d.live_count(), 0);
     }
 
     #[test]
@@ -118,7 +112,6 @@ mod tests {
         let mut d = dir();
         d.set_data(7, 123_456);
         assert_eq!(d.owner(7), PageOwner::Data(123_456));
-        assert_eq!(d.live_count(), 1);
         d.clear(7);
         assert_eq!(d.owner(7), PageOwner::None);
     }
@@ -136,7 +129,6 @@ mod tests {
         d.set_data(3, 10);
         d.set_translation(3, 20);
         assert_eq!(d.owner(3), PageOwner::Translation(20));
-        assert_eq!(d.live_count(), 1);
     }
 
     #[test]

@@ -285,16 +285,6 @@ impl RunReport {
         (total - clean) as f64 / total as f64
     }
 
-    /// Fraction of media reads the retry ladder could not save (data loss).
-    pub fn uncorrectable_fraction(&self) -> f64 {
-        let total = self.media.media_reads();
-        if total == 0 {
-            0.0
-        } else {
-            self.media.uncorrectable_reads as f64 / total as f64
-        }
-    }
-
     /// The locked CSV schema. Reliability columns append strictly after
     /// the pre-fault columns so downstream tooling keyed on column index
     /// keeps working; `retry_hist` is one pipe-joined column because its
@@ -487,7 +477,6 @@ mod tests {
         let r = report();
         // 90 clean + 3 + 1 retried + 1 uncorrectable = 95 media reads.
         assert!((r.retry_read_fraction() - 5.0 / 95.0).abs() < 1e-12);
-        assert!((r.uncorrectable_fraction() - 1.0 / 95.0).abs() < 1e-12);
     }
 
     /// The CSV schema is a compatibility contract: pre-fault columns stay

@@ -10,7 +10,7 @@
 //!
 //! # How a policy plugs in
 //!
-//! The unified driver ([`SsdDevice::run`](crate::device::SsdDevice::run))
+//! The unified driver ([`SsdDevice::run_with`](crate::device::SsdDevice::run_with))
 //! keeps one readiness lane per plane. A [`QosPolicy`] influences exactly
 //! two decisions, through exactly two pure functions:
 //!
@@ -245,13 +245,11 @@ struct Bucket {
     refilled: u64,
     /// Operations issued for this tenant.
     issued: u64,
-    /// Relative refill weight.
-    weight: u32,
 }
 
 /// Per-tenant fair sharing by deterministic token buckets.
 ///
-/// Every tenant owns a bucket that refills at `weight × refill_per_ms`
+/// Every tenant owns a bucket that refills at `refill_per_ms`
 /// tokens per simulated millisecond (lazily, on inspection) up to a cap of
 /// `burst` tokens, and is charged one token per issued operation. Ranking
 /// is two-tier:
@@ -269,11 +267,10 @@ struct Bucket {
 /// (checkable via the public accessors; pinned in
 /// `tests/replay_modes.rs`).
 ///
-/// Buckets are created on first sight of a tenant, full (`burst` tokens)
-/// with weight 1 unless pre-registered via [`FairSharePolicy::with_weight`].
+/// Buckets are created on first sight of a tenant, full (`burst` tokens).
 #[derive(Debug, Clone)]
 pub struct FairSharePolicy {
-    /// Tokens per millisecond per unit of weight.
+    /// Tokens per millisecond.
     refill_per_ms: u32,
     /// Bucket capacity in tokens.
     burst: u32,
@@ -283,8 +280,8 @@ pub struct FairSharePolicy {
 
 impl FairSharePolicy {
     /// A fair-share policy refilling `refill_per_ms` tokens per simulated
-    /// millisecond (per unit of weight) into buckets capped at `burst`
-    /// tokens. Both must be ≥ 1.
+    /// millisecond into buckets capped at `burst` tokens. Both must be
+    /// ≥ 1.
     pub fn new(refill_per_ms: u32, burst: u32) -> Self {
         assert!(refill_per_ms >= 1, "refill rate must be at least 1");
         assert!(burst >= 1, "burst must be at least 1");
@@ -295,31 +292,7 @@ impl FairSharePolicy {
         }
     }
 
-    /// Pre-register `tenant` with a relative refill `weight` (builder
-    /// style). Unregistered tenants get weight 1 on first sight.
-    pub fn with_weight(mut self, tenant: TenantId, weight: u32) -> Self {
-        assert!(weight >= 1, "weight must be at least 1");
-        let full = (self.burst as i64) * TOKEN_UNITS as i64;
-        match self.buckets.binary_search_by_key(&tenant, |b| b.0) {
-            Ok(i) => self.buckets[i].1.weight = weight,
-            Err(i) => self.buckets.insert(
-                i,
-                (
-                    tenant,
-                    Bucket {
-                        balance: full,
-                        refilled_at: SimTime::ZERO,
-                        refilled: 0,
-                        issued: 0,
-                        weight,
-                    },
-                ),
-            ),
-        }
-        self
-    }
-
-    /// The bucket index for `tenant`, creating a full bucket (weight 1) on
+    /// The bucket index for `tenant`, creating a full bucket on
     /// first sight at time `now`.
     fn bucket_index(&mut self, tenant: TenantId, now: SimTime) -> usize {
         match self.buckets.binary_search_by_key(&tenant, |b| b.0) {
@@ -334,7 +307,6 @@ impl FairSharePolicy {
                             refilled_at: now,
                             refilled: 0,
                             issued: 0,
-                            weight: 1,
                         },
                     ),
                 );
@@ -351,8 +323,8 @@ impl FairSharePolicy {
             return;
         }
         // `refill_per_ms` tokens/ms × TOKEN_UNITS units/token ÷ 1e6 ns/ms
-        // = `refill_per_ms` units per nanosecond, times the weight.
-        let earned = (delta_ns as i128) * (refill_per_ms as i128) * (bucket.weight as i128);
+        // = `refill_per_ms` units per nanosecond.
+        let earned = (delta_ns as i128) * (refill_per_ms as i128);
         let cap = (burst as i128) * TOKEN_UNITS as i128;
         let added = earned.min(cap - bucket.balance as i128).max(0);
         bucket.balance += added as i64;
@@ -473,12 +445,6 @@ impl PowerCapPolicy {
     /// The configured budget in µW.
     pub fn budget_uw(&self) -> u64 {
         self.budget_uw
-    }
-
-    /// Summed draw bound of operations currently committed (as of the
-    /// last `tick`).
-    pub fn inflight_uw(&self) -> u64 {
-        self.inflight_uw
     }
 
     /// Operations issued under this policy.
@@ -760,24 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_weights_scale_refill() {
-        let mut fs = FairSharePolicy::new(1, 100).with_weight(7, 3);
-        let drain = |fs: &mut FairSharePolicy, tenant, n| {
-            for i in 0..n {
-                fs.on_issue(SimTime::ZERO, &cand(i, tenant, HostOp::Write, None));
-            }
-        };
-        drain(&mut fs, 7, 100);
-        drain(&mut fs, 8, 100);
-        let at = SimTime::ZERO + SimDuration::from_micros(10_000);
-        let _ = fs.rank(at, &cand(200, 7, HostOp::Write, None));
-        let _ = fs.rank(at, &cand(201, 8, HostOp::Write, None));
-        // 10 ms at 1 token/ms: weight 3 refills 3× as much as weight 1.
-        assert_eq!(fs.refilled(7), Some(30 * TOKEN_UNITS));
-        assert_eq!(fs.refilled(8), Some(10 * TOKEN_UNITS));
-    }
-
-    #[test]
     fn spec_round_trips_names_and_builds() {
         for spec in QosSpec::all() {
             assert_eq!(QosSpec::parse(spec.name()), Some(spec));
@@ -808,21 +756,21 @@ mod tests {
         assert!(cap.admit(t(0), &a));
         cap.on_issue(t(0), &a);
         cap.note_release(t(0), &a, t(10));
-        assert_eq!(cap.inflight_uw(), 60);
+        assert_eq!(cap.inflight_uw, 60);
         // 50 µW would overshoot (110 > 100): deferred. 40 µW fits exactly.
         assert!(!cap.admit(t(0), &drawing(1, 50)));
         assert_eq!(cap.deferrals(), 1);
         let b = drawing(2, 40);
         assert!(cap.admit(t(0), &b));
         cap.note_release(t(0), &b, t(8));
-        assert_eq!(cap.inflight_uw(), 100);
+        assert_eq!(cap.inflight_uw, 100);
         assert!(!cap.admit(t(0), &drawing(3, 1)));
         // Ticking past b's release frees its 40 µW; past both frees all.
         cap.tick(t(8));
-        assert_eq!(cap.inflight_uw(), 60);
+        assert_eq!(cap.inflight_uw, 60);
         assert!(cap.admit(t(8), &drawing(4, 40)));
         cap.tick(t(10));
-        assert_eq!(cap.inflight_uw(), 0);
+        assert_eq!(cap.inflight_uw, 0);
     }
 
     #[test]
@@ -847,7 +795,7 @@ mod tests {
         // A release at-or-before `now` never occupies the budget.
         let a = drawing(0, 60);
         cap.note_release(t(5), &a, t(5));
-        assert_eq!(cap.inflight_uw(), 0);
+        assert_eq!(cap.inflight_uw, 0);
         // Zero-draw candidates (energy accounting disabled) always fit.
         let b = drawing(1, 0);
         assert!(cap.admit(t(5), &b));

@@ -109,7 +109,6 @@ enum CmtOp {
     Insert(u64, u64, bool),
     Update(u64, u64),
     UpdateInPlace(u64, u64),
-    Remove(u64),
     Flush(u64),
 }
 
@@ -134,7 +133,6 @@ fn op() -> check::BoxedGenerator<CmtOp> {
                 .map(|(l, p)| CmtOp::UpdateInPlace(l, p))
                 .boxed(),
         ),
-        (1, check::u64s(0..128).map(CmtOp::Remove).boxed()),
         (1, check::u64s(0..4).map(CmtOp::Flush).boxed()),
     ])
     .boxed()
@@ -181,10 +179,6 @@ fn cmt_matches_reference_model() {
                         *e = (l, p, true);
                     }
                 }
-                CmtOp::Remove(l) => {
-                    let got = cmt.remove(l).map(|e| (e.lpn, e.ppn, e.dirty));
-                    check_assert_eq!(got, model.take(l));
-                }
                 CmtOp::Flush(tvpn) => {
                     check_assert_eq!(cmt.flush_translation_page(tvpn), model.flush(tvpn));
                 }
@@ -206,37 +200,6 @@ fn cmt_matches_reference_model() {
         }
         Ok(())
     });
-}
-
-/// Fill to capacity, then remove every entry while checking that each
-/// survivor is still findable: half of the index's slots are occupied, so
-/// the fills below put many entries off their home slot and every removal
-/// has a probe run to close.
-#[test]
-fn removal_in_either_order_keeps_survivors_findable() {
-    for cap in [2usize, 3, 64, 100] {
-        for stride in [1u64, 64, 4099, 1 << 33] {
-            for reverse in [false, true] {
-                let mut lpns: Vec<u64> = (0..cap as u64).map(|i| i * stride).collect();
-                let mut cmt = CachedMappingTable::new(cap, MAPPINGS_PER_TPAGE);
-                for &l in &lpns {
-                    assert_eq!(cmt.insert(l, l + 1, false), None);
-                }
-                if reverse {
-                    lpns.reverse();
-                }
-                for (gone, &l) in lpns.iter().enumerate() {
-                    assert_eq!(cmt.remove(l).map(|e| e.ppn), Some(l + 1));
-                    assert_eq!(cmt.peek(l), None);
-                    for &s in &lpns[gone + 1..] {
-                        assert_eq!(cmt.peek(s), Some((s + 1, false)), "lost lpn {s}");
-                    }
-                    cmt.check().unwrap();
-                }
-                assert!(cmt.is_empty());
-            }
-        }
-    }
 }
 
 #[test]
@@ -289,42 +252,32 @@ fn huge_lpns_hash_probe_and_flush() {
 }
 
 /// Three dirty siblings form one dirty list (head = last dirtied). Unlink
-/// the head, the middle and the tail, each by `remove` and by eviction;
-/// the two survivors must stay listed.
+/// the head, the middle and the tail by eviction; the two survivors must
+/// stay listed.
 #[test]
 fn dirty_list_survives_unlinking_at_every_position() {
     let siblings = [10u64, 11, 12];
     for target in siblings {
-        for how in ["remove", "evict"] {
-            let mut cmt = CachedMappingTable::new(3, MAPPINGS_PER_TPAGE);
-            for l in siblings {
-                cmt.insert(l, l * 10, true);
-            }
-            match how {
-                "remove" => {
-                    let e = cmt.remove(target).unwrap();
-                    assert!(e.dirty);
-                }
-                _ => {
-                    // Referencing the other two leaves the target as the
-                    // probation LRU.
-                    for l in siblings.into_iter().filter(|&l| l != target) {
-                        cmt.lookup(l);
-                    }
-                    let e = cmt.insert(1000, 1, false).unwrap();
-                    assert_eq!((e.lpn, e.dirty), (target, true));
-                }
-            }
-            cmt.check().unwrap();
-            assert_eq!(cmt.dirty_tvpns(), vec![0], "{how} of {target}");
-            let want: Vec<(u64, u64)> = siblings
-                .into_iter()
-                .filter(|&l| l != target)
-                .map(|l| (l, l * 10))
-                .collect();
-            assert_eq!(cmt.flush_translation_page(0), want, "{how} of {target}");
-            assert!(cmt.dirty_tvpns().is_empty());
-            cmt.check().unwrap();
+        let mut cmt = CachedMappingTable::new(3, MAPPINGS_PER_TPAGE);
+        for l in siblings {
+            cmt.insert(l, l * 10, true);
         }
+        // Referencing the other two leaves the target as the
+        // probation LRU.
+        for l in siblings.into_iter().filter(|&l| l != target) {
+            cmt.lookup(l);
+        }
+        let e = cmt.insert(1000, 1, false).unwrap();
+        assert_eq!((e.lpn, e.dirty), (target, true));
+        cmt.check().unwrap();
+        assert_eq!(cmt.dirty_tvpns(), vec![0], "evict of {target}");
+        let want: Vec<(u64, u64)> = siblings
+            .into_iter()
+            .filter(|&l| l != target)
+            .map(|l| (l, l * 10))
+            .collect();
+        assert_eq!(cmt.flush_translation_page(0), want, "evict of {target}");
+        assert!(cmt.dirty_tvpns().is_empty());
+        cmt.check().unwrap();
     }
 }

@@ -8,18 +8,20 @@
 //!
 //! # Representation
 //!
-//! * **Nodes** — one record per resident page (LPN, the two recency links,
+//! * **Nodes** — one record per resident page (LPN, recency [`Link`],
 //!   dirty flag, tenant) in a `Vec` indexed by `u32`. Records are only
 //!   ever freed to make room for the page being inserted, so the victim's
 //!   record is reused in place and no free list is needed; the `Vec`
 //!   grows by push until the cache is full.
-//! * **Recency** — one intrusive doubly-linked list, MRU at the head, LRU
-//!   at the tail. A hit or a rewrite moves its node to the head, eviction
-//!   pops the tail, and a flush walks tail → head in place.
-//! * **Index** — a [`SlotIndex`] (the keyless open-addressed index the
-//!   FTL's cached mapping table uses too) from LPN to node. It starts at a
-//!   few slots and doubles when it would pass half full, so building a
-//!   cache touches nothing proportional to its capacity.
+//! * **Recency** — one [`List`], MRU at the front, LRU at the back. A hit
+//!   or a rewrite moves its node to the front, eviction takes the back,
+//!   and a flush walks back to front.
+//! * **Index** — a [`SlotIndex`] from LPN to node. It starts at a few
+//!   slots and doubles when it would pass half full, so building a cache
+//!   touches nothing proportional to its capacity.
+//!
+//! The list and the index are the [`slots`](dloop_simkit::slots) kit the
+//! FTL's cached mapping table is built on too.
 //!
 //! State machine per page: *absent* → (`read` miss) → *clean* → (`write`)
 //! → *dirty* → (dirty-ratio flush / drain) → *clean* → (LRU eviction) →
@@ -27,7 +29,7 @@
 //! page is free.
 
 use dloop_ftl_kit::request::TenantId;
-use dloop_simkit::slots::{SlotIndex, MAX_ENTRIES, NIL};
+use dloop_simkit::slots::{Link, List, SlotIndex, MAX_ENTRIES};
 
 /// A page the cache decided to write back, tagged with the tenant that
 /// last dirtied it (so device-side QoS accounting still sees the right
@@ -62,10 +64,7 @@ pub struct CacheStats {
 #[derive(Debug, Clone, Copy)]
 struct Node {
     lpn: u64,
-    /// Towards the MRU end.
-    prev: u32,
-    /// Towards the LRU end.
-    next: u32,
+    lru: Link,
     tenant: TenantId,
     dirty: bool,
 }
@@ -78,10 +77,7 @@ pub struct PageCache {
     dirty_ratio: f64,
     nodes: Vec<Node>,
     index: SlotIndex,
-    /// MRU end of the recency list.
-    head: u32,
-    /// LRU end of the recency list.
-    tail: u32,
+    recency: List,
     dirty: u64,
     /// Run counters, readable at any time.
     pub stats: CacheStats,
@@ -97,8 +93,7 @@ impl PageCache {
             dirty_ratio: dirty_ratio.clamp(0.0, 1.0),
             nodes: Vec::new(),
             index: SlotIndex::with_capacity(8),
-            head: NIL,
-            tail: NIL,
+            recency: List::default(),
             dirty: 0,
             stats: CacheStats::default(),
         }
@@ -129,32 +124,11 @@ impl PageCache {
         self.index.find(lpn, |idx| nodes[idx as usize].lpn)
     }
 
-    fn detach(&mut self, idx: u32) {
-        let Node { prev, next, .. } = self.nodes[idx as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    fn attach_front(&mut self, idx: u32) {
-        let old_head = std::mem::replace(&mut self.head, idx);
-        let node = &mut self.nodes[idx as usize];
-        node.prev = NIL;
-        node.next = old_head;
-        match old_head {
-            NIL => self.tail = idx,
-            h => self.nodes[h as usize].prev = idx,
-        }
-    }
-
+    /// Move node `idx` to the MRU end.
     fn touch(&mut self, idx: u32) {
-        self.detach(idx);
-        self.attach_front(idx);
+        self.recency.unlink(&mut self.nodes, idx, |n| &mut n.lru);
+        self.recency
+            .push_front(&mut self.nodes, idx, |n| &mut n.lru);
     }
 
     /// Install the absent page `lpn` as the MRU page. When the cache is
@@ -163,8 +137,7 @@ impl PageCache {
     fn insert(&mut self, lpn: u64, dirty: bool, tenant: TenantId, out: &mut Vec<Writeback>) {
         let node = Node {
             lpn,
-            prev: NIL,
-            next: NIL,
+            lru: Link::default(),
             tenant,
             dirty,
         };
@@ -174,8 +147,8 @@ impl PageCache {
         } else {
             // The page about to become MRU never is the victim, so
             // evicting first picks the page an insert-then-evict would.
-            let victim = self.tail;
-            self.detach(victim);
+            let victim = self.recency.back().expect("a full cache has an LRU page");
+            self.recency.unlink(&mut self.nodes, victim, |n| &mut n.lru);
             let nodes = &self.nodes;
             self.index
                 .remove(nodes[victim as usize].lpn, |i| nodes[i as usize].lpn);
@@ -194,7 +167,8 @@ impl PageCache {
         };
         let nodes = &self.nodes;
         self.index.insert(lpn, idx, |i| nodes[i as usize].lpn);
-        self.attach_front(idx);
+        self.recency
+            .push_front(&mut self.nodes, idx, |n| &mut n.lru);
         self.dirty += dirty as u64;
     }
 
@@ -251,24 +225,39 @@ impl PageCache {
     }
 
     fn flush_dirty(&mut self, out: &mut Vec<Writeback>, draining: bool) {
-        // LRU → MRU: the write-back stream is oldest-dirty-first.
-        let mut idx = self.tail;
-        while idx != NIL {
-            let node = &mut self.nodes[idx as usize];
-            if std::mem::replace(&mut node.dirty, false) {
-                out.push(Writeback {
-                    lpn: node.lpn,
-                    tenant: node.tenant,
-                });
+        // LRU → MRU: the write-back stream is oldest-dirty-first. Cleaning
+        // is order-free, so it sweeps the records in place.
+        for idx in self.recency.iter_back(&self.nodes, |n| &n.lru) {
+            let Node {
+                lpn, tenant, dirty, ..
+            } = self.nodes[idx as usize];
+            if dirty {
+                out.push(Writeback { lpn, tenant });
             }
-            idx = node.prev;
         }
+        self.nodes.iter_mut().for_each(|n| n.dirty = false);
         let flushed = std::mem::replace(&mut self.dirty, 0);
         if draining {
             self.stats.drained += flushed;
         } else {
             self.stats.flushed += flushed;
         }
+    }
+
+    /// Audit: the recency list and the index each hold every record once,
+    /// and the dirty count matches the records.
+    pub fn check(&self) -> Result<(), String> {
+        self.recency.check(&self.nodes, |n| &n.lru)?;
+        self.index.check(|idx| self.nodes[idx as usize].lpn)?;
+        let records = self.nodes.len();
+        let dirty = self.nodes.iter().filter(|n| n.dirty).count();
+        let counts = (self.recency.len(), self.index.len(), self.dirty as usize);
+        if counts != (records, records, dirty) {
+            return Err(format!(
+                "{records} records ({dirty} dirty): (listed, indexed, dirty) {counts:?}"
+            ));
+        }
+        Ok(())
     }
 }
 

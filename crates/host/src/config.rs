@@ -6,9 +6,9 @@
 //! determinism anchor the C13 claim leans on: a pass-through host stack
 //! forwards the input trace to the device bit-for-bit (same requests, same
 //! order, same arrivals), so its device report is fingerprint-identical to
-//! calling [`SsdDevice::run`] directly.
+//! calling [`SsdDevice::run_with`] directly.
 //!
-//! [`SsdDevice::run`]: dloop_ftl_kit::device::SsdDevice::run
+//! [`SsdDevice::run_with`]: dloop_ftl_kit::device::SsdDevice::run_with
 
 use dloop_simkit::SimDuration;
 
@@ -110,20 +110,6 @@ impl HostConfig {
         }
     }
 
-    /// Whether this configuration is the exact identity transform (the
-    /// C13 pass-through contract).
-    pub fn is_passthrough(&self) -> bool {
-        self.queues == 1
-            && self.queue_depth.is_none()
-            && self.doorbell_batch <= 1
-            && self.doorbell_timeout.is_none()
-            && self.coalesce_threshold <= 1
-            && self.coalesce_timeout.is_none()
-            && self.cache_pages == 0
-            && self.split_pages == 0
-            && !self.merge
-    }
-
     /// Clamp nonsensical values to their neutral settings (zero queues,
     /// zero batch sizes, a dirty ratio outside `[0, 1]`).
     pub fn normalized(mut self) -> Self {
@@ -148,45 +134,6 @@ impl Default for HostConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn passthrough_is_detected_and_default() {
-        assert!(HostConfig::passthrough().is_passthrough());
-        assert!(HostConfig::default().is_passthrough());
-        assert!(!HostConfig::buffered(1024).is_passthrough());
-    }
-
-    #[test]
-    fn single_knobs_break_passthrough() {
-        for cfg in [
-            HostConfig {
-                queues: 2,
-                ..HostConfig::passthrough()
-            },
-            HostConfig {
-                doorbell_batch: 8,
-                ..HostConfig::passthrough()
-            },
-            HostConfig {
-                coalesce_timeout: Some(SimDuration::from_micros(10)),
-                ..HostConfig::passthrough()
-            },
-            HostConfig {
-                cache_pages: 1,
-                ..HostConfig::passthrough()
-            },
-            HostConfig {
-                split_pages: 4,
-                ..HostConfig::passthrough()
-            },
-            HostConfig {
-                merge: true,
-                ..HostConfig::passthrough()
-            },
-        ] {
-            assert!(!cfg.is_passthrough(), "{cfg:?}");
-        }
-    }
 
     #[test]
     fn normalized_clamps_degenerate_values() {

@@ -22,7 +22,7 @@
 //! and an interrupt delivery (via the CQ coalescer) frees a slot and
 //! triggers the next submission — backpressure from a full SQ delays the
 //! syscall-visible `submit` instant. Device-queued modes run the staged
-//! pipeline over one [`SsdDevice::run`](dloop_ftl_kit::device::SsdDevice::run).
+//! pipeline over one [`SsdDevice::run_with`](dloop_ftl_kit::device::SsdDevice::run_with).
 //! Either way the result is a [`HostRunReport`]: the wrapped device
 //! report plus a five-instant timeline per host request
 //! (`arrival ≤ cache_done ≤ submit ≤ done ≤ deliver`) whose phase

@@ -110,7 +110,7 @@ impl QueueStats {
 /// Everything a [`HostStack::run`](crate::HostStack::run) measures.
 #[derive(Debug, Clone)]
 pub struct HostRunReport {
-    /// The wrapped device report (exactly what `SsdDevice::run` returned
+    /// The wrapped device report (exactly what `SsdDevice::run_with` returned
     /// for the forwarded command stream).
     pub device: RunReport,
     /// One timeline per host request, trace order.

@@ -21,7 +21,7 @@
 //!    backlogged command — true per-queue windows, with SQ backpressure
 //!    delaying the syscall-visible `submit` instant. Device-queued modes
 //!    (`Gated`/`Closed`/`Ncq`/`Qos`) run the staged pipeline instead:
-//!    one ordinary [`SsdDevice::run`] over the forwarded stream (their
+//!    one ordinary [`SsdDevice::run_with`] over the forwarded stream (their
 //!    own window is the only bound; the configured host depth is
 //!    surfaced on the report, never silently dropped).
 //! 5. **Completion queues** — completions aggregate under interrupt
@@ -355,7 +355,7 @@ impl HostStack {
         }
     }
 
-    /// Stages 4–6, staged flavour: one batch [`SsdDevice::run`] over the
+    /// Stages 4–6, staged flavour: one batch [`SsdDevice::run_with`] over the
     /// forwarded stream, then interrupt coalescing over the completion log
     /// in `(done, command)` order.
     fn drive_staged(

@@ -254,10 +254,12 @@ fn page_cache_matches_the_reference() {
                     }
                 }
                 agree(&cache, &model, &got, &want, &format!("op {i} {o:?}"))?;
+                cache.check()?;
             }
             cache.drain(&mut got);
             model.drain(&mut want);
             agree(&cache, &model, &got, &want, "the drain")?;
+            cache.check()?;
             check_assert_eq!(cache.dirty_pages(), 0);
             let (mut sum, m) = (seen.get(), model.stats);
             sum.read_hits += m.read_hits;

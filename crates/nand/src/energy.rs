@@ -31,11 +31,11 @@
 //! is reserved, and a channel's bus exactly while the channel timeline is
 //! reserved, total energy is a *pure function* of the hardware model's
 //! per-plane/per-channel busy-nanosecond counters (and, per span, of the
-//! recorder's `cell/retry/bus` buckets — see [`EnergyConfig::span_fj`]).
-//! No separate energy accumulator exists to drift out of sync.
+//! recorder's `cell/retry/bus` buckets). No separate energy accumulator
+//! exists to drift out of sync.
 //!
-//! The old nanojoule/millijoule helpers survive as thin `f64` converters
-//! over the integer core, for display only.
+//! The millijoule helper [`EnergyConfig::total_mj`] survives as a thin
+//! `f64` converter over the integer core, for display only.
 
 use crate::timing::TimingConfig;
 
@@ -75,19 +75,8 @@ impl EnergyConfig {
         }
     }
 
-    /// Energy of one recorded span, in fJ, as a pure function of its
-    /// attribution buckets: the array draws while the cell is busy
-    /// (including the retry ladder), the bus while data or commands move.
-    /// Wait buckets draw nothing — a queued operation costs no energy.
-    pub fn span_fj(&self, cell_ns: u64, retry_ns: u64, bus_ns: u64) -> u64 {
-        fj_add(
-            fj(self.array_active_uw, fj_add(cell_ns, retry_ns)),
-            fj(self.bus_active_uw, bus_ns),
-        )
-    }
-
     /// Energy of one page read (array + command/data bus), in fJ.
-    pub fn read_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
+    fn read_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
         fj_add(
             fj(
                 self.array_active_uw,
@@ -98,7 +87,7 @@ impl EnergyConfig {
     }
 
     /// Energy of one page program (command/data bus + array), in fJ.
-    pub fn write_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
+    fn write_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
         fj_add(
             fj(
                 self.bus_active_uw,
@@ -109,7 +98,7 @@ impl EnergyConfig {
     }
 
     /// Energy of one block erase, in fJ.
-    pub fn erase_fj(&self, t: &TimingConfig) -> u64 {
+    fn erase_fj(&self, t: &TimingConfig) -> u64 {
         fj(
             self.array_active_uw,
             (t.command_overhead + t.block_erase).as_nanos(),
@@ -143,7 +132,7 @@ impl EnergyConfig {
 
     /// Total energy of an operation mix (including retry-ladder steps),
     /// in fJ.
-    pub fn counters_fj(
+    fn counters_fj(
         &self,
         t: &TimingConfig,
         page_size: u32,
@@ -189,31 +178,6 @@ impl EnergyConfig {
     }
 
     // ---- thin f64 display converters over the integer core ----
-
-    /// Energy of one page read, in display nJ.
-    pub fn read_nj(&self, t: &TimingConfig, page_size: u32) -> f64 {
-        self.read_fj(t, page_size) as f64 / 1e6
-    }
-
-    /// Energy of one page program, in display nJ.
-    pub fn write_nj(&self, t: &TimingConfig, page_size: u32) -> f64 {
-        self.write_fj(t, page_size) as f64 / 1e6
-    }
-
-    /// Energy of one block erase, in display nJ.
-    pub fn erase_nj(&self, t: &TimingConfig) -> f64 {
-        self.erase_fj(t) as f64 / 1e6
-    }
-
-    /// Energy of one intra-plane copy-back, in display nJ.
-    pub fn copyback_nj(&self, t: &TimingConfig) -> f64 {
-        self.copyback_fj(t) as f64 / 1e6
-    }
-
-    /// Energy of one traditional inter-plane copy, in display nJ.
-    pub fn interplane_copy_nj(&self, t: &TimingConfig, page_size: u32) -> f64 {
-        self.interplane_copy_fj(t, page_size) as f64 / 1e6
-    }
 
     /// Total energy of an operation mix, in display mJ.
     pub fn total_mj(
@@ -292,9 +256,9 @@ mod tests {
     #[test]
     fn copyback_saves_energy_over_interplane() {
         let (e, t) = cfg();
-        let cb = e.copyback_nj(&t);
-        let inter = e.interplane_copy_nj(&t, 2048);
-        assert!(cb < inter, "copy-back {cb} nJ vs inter-plane {inter} nJ");
+        let cb = e.copyback_fj(&t) as f64;
+        let inter = e.interplane_copy_fj(&t, 2048) as f64;
+        assert!(cb < inter, "copy-back {cb} fJ vs inter-plane {inter} fJ");
         // The array current dominates, so the energy saving is real but
         // smaller than the latency saving (no bus energy at all).
         assert!((inter - cb) / inter > 0.05);
@@ -313,8 +277,8 @@ mod tests {
     #[test]
     fn energy_scales_with_duration() {
         let (e, t) = cfg();
-        assert!(e.erase_nj(&t) > e.write_nj(&t, 2048));
-        assert!(e.write_nj(&t, 2048) > e.read_nj(&t, 2048));
+        assert!(e.erase_fj(&t) > e.write_fj(&t, 2048));
+        assert!(e.write_fj(&t, 2048) > e.read_fj(&t, 2048));
     }
 
     #[test]
@@ -329,31 +293,21 @@ mod tests {
             read_retry_steps: 0,
         };
         let total = e.total_mj(&t, 2048, &counters);
-        let by_hand = (10.0 * e.read_nj(&t, 2048)
-            + 5.0 * e.write_nj(&t, 2048)
-            + e.erase_nj(&t)
-            + 2.0 * e.copyback_nj(&t)
-            + e.interplane_copy_nj(&t, 2048))
-            / 1e6;
+        let by_hand = (10 * e.read_fj(&t, 2048)
+            + 5 * e.write_fj(&t, 2048)
+            + e.erase_fj(&t)
+            + 2 * e.copyback_fj(&t)
+            + e.interplane_copy_fj(&t, 2048)) as f64
+            / 1e12;
         assert!((total - by_hand).abs() < 1e-12);
     }
 
     #[test]
     fn bigger_pages_cost_more_bus_energy() {
         let (e, t) = cfg();
-        assert!(e.read_nj(&t, 16 * 1024) > e.read_nj(&t, 2 * 1024));
+        assert!(e.read_fj(&t, 16 * 1024) > e.read_fj(&t, 2 * 1024));
         // Copy-back is page-size independent (register to register).
         assert_eq!(e.copyback_fj(&t), e.copyback_fj(&t));
-    }
-
-    #[test]
-    fn span_energy_matches_op_energy() {
-        // A read span's cell/bus buckets are exactly the op's components,
-        // so the span formula and the per-op formula agree to the fJ.
-        let (e, t) = cfg();
-        let cell = (t.command_overhead + t.page_read).as_nanos();
-        let bus = t.page_transfer(2048).as_nanos();
-        assert_eq!(e.span_fj(cell, 0, bus), e.read_fj(&t, 2048));
     }
 
     #[test]

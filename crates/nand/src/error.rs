@@ -11,11 +11,10 @@
 //!   plan: an uncorrectable read, a program-status failure, an erase
 //!   failure. These are expected in-service events a real controller
 //!   recovers from (re-program elsewhere, retire the block, account the
-//!   data loss); they are reported as [`MediaOutcome`]s on the checked
+//!   data loss); they are reported as [`MediaOutcome`](dloop_faults::MediaOutcome)s on the checked
 //!   fast path and as `MediaError` where an `Error` impl is needed.
 
 use crate::geometry::{BlockAddr, PageAddr, Ppn};
-use dloop_faults::MediaOutcome;
 use std::fmt;
 
 /// Things an FTL can do wrong against the flash state.
@@ -84,17 +83,6 @@ pub enum MediaError {
     EraseFail(BlockAddr),
 }
 
-impl MediaError {
-    /// Build the error corresponding to a failing [`MediaOutcome`], or
-    /// `None` for the successful outcomes.
-    pub fn from_read_outcome(outcome: MediaOutcome, ppn: Ppn) -> Option<Self> {
-        match outcome {
-            MediaOutcome::Uncorrectable => Some(MediaError::UncorrectableRead(ppn)),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for MediaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -134,15 +122,6 @@ mod tests {
         assert!(p.to_string().contains("1:2:3"));
         let b = MediaError::EraseFail(BlockAddr { plane: 0, index: 9 });
         assert!(b.to_string().contains("0:9"));
-        assert_eq!(
-            MediaError::from_read_outcome(MediaOutcome::Uncorrectable, 7),
-            Some(MediaError::UncorrectableRead(7))
-        );
-        assert_eq!(MediaError::from_read_outcome(MediaOutcome::Clean, 7), None);
-        assert_eq!(
-            MediaError::from_read_outcome(MediaOutcome::Correctable { retry_steps: 2 }, 7),
-            None
-        );
         // Both namespaces implement std::error::Error.
         fn is_error<E: std::error::Error>(_e: &E) {}
         is_error(&e);

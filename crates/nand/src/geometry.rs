@@ -202,17 +202,6 @@ impl Geometry {
         self.user_pages() * self.page_size as u64
     }
 
-    /// The die owning `plane`.
-    pub fn die_of_plane(&self, plane: PlaneId) -> DieId {
-        plane / self.planes_per_die
-    }
-
-    /// The channel owning `plane`.
-    pub fn channel_of_plane(&self, plane: PlaneId) -> ChannelId {
-        let planes_per_channel = self.total_planes() / self.channels;
-        plane / planes_per_channel
-    }
-
     /// Flatten a page address to a PPN.
     pub fn ppn_of(&self, addr: PageAddr) -> Ppn {
         debug_assert!(addr.plane < self.total_planes());
@@ -308,21 +297,6 @@ mod tests {
             assert_eq!(g.ppn_of(addr), ppn);
             assert_eq!(g.plane_of_ppn(ppn), addr.plane);
         }
-    }
-
-    #[test]
-    fn plane_hierarchy_mapping() {
-        let g = Geometry::paper_default(); // 8 ch x 2 die x 4 plane
-        assert_eq!(g.die_of_plane(0), 0);
-        assert_eq!(g.die_of_plane(3), 0);
-        assert_eq!(g.die_of_plane(4), 1);
-        assert_eq!(g.die_of_plane(7), 1);
-        assert_eq!(g.die_of_plane(8), 2);
-        // 64 planes / 8 channels = 8 planes per channel.
-        assert_eq!(g.channel_of_plane(0), 0);
-        assert_eq!(g.channel_of_plane(7), 0);
-        assert_eq!(g.channel_of_plane(8), 1);
-        assert_eq!(g.channel_of_plane(63), 7);
     }
 
     #[test]

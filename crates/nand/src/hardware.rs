@@ -496,15 +496,6 @@ impl HardwareModel {
         Completion { start, end }
     }
 
-    /// Per-channel bus utilisation over `elapsed` simulated time.
-    pub fn channel_utilisation(&self, elapsed: SimDuration) -> Vec<f64> {
-        let total = elapsed.as_nanos().max(1) as f64;
-        self.channel_busy_ns
-            .iter()
-            .map(|&b| b as f64 / total)
-            .collect()
-    }
-
     /// Busy nanoseconds accumulated per plane.
     pub fn plane_busy_ns(&self) -> &[u64] {
         &self.plane_busy_ns
@@ -851,14 +842,5 @@ mod tests {
         let c = exec.exec_copyback(2, SimTime::ZERO);
         let c2 = fresh.exec_copyback(2, SimTime::ZERO);
         assert_eq!(c, c2, "imported timelines must reproduce the owner's");
-    }
-
-    #[test]
-    fn utilisation_accounting() {
-        let mut h = hw();
-        let c = h.exec_read(0, SimTime::ZERO);
-        let util = h.channel_utilisation(c.end - c.start);
-        assert!(util[0] > 0.0 && util[0] <= 1.0);
-        assert_eq!(util[1], 0.0);
     }
 }

@@ -190,15 +190,6 @@ impl PlaneState {
         self.blocks.iter().map(|b| b.erase_count() as u64).sum()
     }
 
-    /// Max erase count across blocks (wear ceiling).
-    pub fn max_erase_count(&self) -> u32 {
-        self.blocks
-            .iter()
-            .map(|b| b.erase_count())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Iterate blocks with indices.
     pub fn blocks(&self) -> impl Iterator<Item = (u32, &Block)> {
         self.blocks.iter().enumerate().map(|(i, b)| (i as u32, b))
@@ -346,6 +337,5 @@ mod tests {
         p.block_mut(b).erase();
         p.return_free_block(b);
         assert_eq!(p.total_erases(), 1);
-        assert_eq!(p.max_erase_count(), 1);
     }
 }

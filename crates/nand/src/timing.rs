@@ -85,16 +85,6 @@ impl TimingConfig {
         }
     }
 
-    /// Total service time of an isolated page read (array read + bus out).
-    pub fn read_service(&self, page_size: u32) -> SimDuration {
-        self.command_overhead + self.page_read + self.page_transfer(page_size)
-    }
-
-    /// Total service time of an isolated page write (bus in + program).
-    pub fn write_service(&self, page_size: u32) -> SimDuration {
-        self.command_overhead + self.page_transfer(page_size) + self.page_program
-    }
-
     /// Plane-array time added by `steps` read-retry ladder steps: each
     /// step re-senses the page (threshold shift + array read) and runs a
     /// soft ECC decode. Zero steps cost exactly zero.
@@ -112,7 +102,7 @@ impl TimingConfig {
 
     /// Service time of a traditional inter-plane copy: the page travels up
     /// to the controller and back down (§III.A: 325 µs at 2 KB).
-    pub fn interplane_copy_service(&self, page_size: u32) -> SimDuration {
+    fn interplane_copy_service(&self, page_size: u32) -> SimDuration {
         self.command_overhead
             + self.page_read
             + self.page_transfer(page_size)
@@ -190,15 +180,5 @@ mod tests {
             (t.read_retry_step + t.page_read + t.ecc_decode).as_nanos()
         );
         assert_eq!(t.read_retry_overhead(3).as_nanos(), 3 * one.as_nanos());
-    }
-
-    #[test]
-    fn read_write_service_shapes() {
-        let t = TimingConfig::paper_default();
-        assert!(t.write_service(2048) > t.read_service(2048));
-        assert_eq!(
-            t.read_service(2048),
-            t.command_overhead + t.page_read + t.page_transfer(2048)
-        );
     }
 }

@@ -76,7 +76,7 @@ pub struct CaseReport {
 impl CaseReport {
     /// Throughput in elements per second at the median, if the case
     /// declared an element count.
-    pub fn elements_per_sec(&self) -> Option<f64> {
+    fn elements_per_sec(&self) -> Option<f64> {
         self.elements.map(|n| n as f64 / (self.median_ns * 1e-9))
     }
 }
@@ -136,12 +136,6 @@ impl Bench {
     /// Set the warmup budget for subsequent cases.
     pub fn warmup(mut self, d: Duration) -> Self {
         self.warmup = d;
-        self
-    }
-
-    /// Set the minimum wall time per sample for subsequent cases.
-    pub fn min_sample_time(mut self, d: Duration) -> Self {
-        self.min_sample_time = d.max(Duration::from_micros(1));
         self
     }
 
@@ -249,10 +243,12 @@ mod tests {
 
     #[test]
     fn fast_closure_gets_batched_and_reported() {
-        let mut b = Bench::new("test")
-            .samples(7)
-            .warmup(Duration::from_millis(1))
-            .min_sample_time(Duration::from_micros(200));
+        let mut b = Bench {
+            min_sample_time: Duration::from_micros(200),
+            ..Bench::new("test")
+                .samples(7)
+                .warmup(Duration::from_millis(1))
+        };
         let r = b.case("add", || black_box(3u64) + black_box(4u64));
         assert_eq!(r.samples.len(), 7);
         assert!(r.iters_per_sample > 1, "nanosecond closure should batch");
@@ -263,10 +259,12 @@ mod tests {
 
     #[test]
     fn slow_closure_runs_one_iter_per_sample() {
-        let mut b = Bench::new("test")
-            .samples(3)
-            .warmup(Duration::from_micros(10))
-            .min_sample_time(Duration::from_micros(1));
+        let mut b = Bench {
+            min_sample_time: Duration::from_micros(1),
+            ..Bench::new("test")
+                .samples(3)
+                .warmup(Duration::from_micros(10))
+        };
         let r = b.case("sleepish", || {
             std::thread::sleep(Duration::from_micros(300));
         });
@@ -276,11 +274,13 @@ mod tests {
 
     #[test]
     fn throughput_is_derived_from_median() {
-        let mut b = Bench::new("test")
-            .samples(3)
-            .warmup(Duration::from_micros(10))
-            .min_sample_time(Duration::from_micros(50))
-            .throughput_elements(1_000);
+        let mut b = Bench {
+            min_sample_time: Duration::from_micros(50),
+            ..Bench::new("test")
+                .samples(3)
+                .warmup(Duration::from_micros(10))
+                .throughput_elements(1_000)
+        };
         let r = b.case("count", || (0..1000u64).sum::<u64>());
         let eps = r.elements_per_sec().expect("elements declared");
         let expected = 1_000.0 / (r.median_ns * 1e-9);
@@ -290,10 +290,12 @@ mod tests {
     #[test]
     fn mutable_state_persists_across_iterations() {
         let mut counter = 0u64;
-        let mut b = Bench::new("test")
-            .samples(2)
-            .warmup(Duration::from_micros(1))
-            .min_sample_time(Duration::from_micros(1));
+        let mut b = Bench {
+            min_sample_time: Duration::from_micros(1),
+            ..Bench::new("test")
+                .samples(2)
+                .warmup(Duration::from_micros(1))
+        };
         b.case("count_calls", || {
             counter += 1;
             counter

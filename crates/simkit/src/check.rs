@@ -479,6 +479,9 @@ pub const DEFAULT_CASES: u32 = 256;
 /// index, so the whole suite is reproducible run-to-run.
 pub const DEFAULT_SEED: u64 = 0x5EED_D100_75EE_D001;
 
+/// Most candidate inputs evaluated while shrinking one failure.
+const MAX_SHRINK_TESTS: u32 = 1_000;
+
 /// Runs a property against many generated inputs and minimises failures.
 ///
 /// See the [module docs](self) for the full model and an example.
@@ -486,7 +489,6 @@ pub const DEFAULT_SEED: u64 = 0x5EED_D100_75EE_D001;
 pub struct Checker {
     cases: u32,
     seed: u64,
-    max_shrink_tests: u32,
     env_cases: Option<u32>,
     env_seed: Option<u64>,
     replay: Option<u64>,
@@ -543,7 +545,6 @@ impl Checker {
         Checker {
             cases: DEFAULT_CASES,
             seed: DEFAULT_SEED,
-            max_shrink_tests: 1_000,
             env_cases: env_u64("SIMKIT_CHECK_CASES").map(|v| v.min(u32::MAX as u64) as u32),
             env_seed: env_u64("SIMKIT_CHECK_SEED"),
             replay: env_u64("SIMKIT_CHECK_REPLAY"),
@@ -559,13 +560,6 @@ impl Checker {
     /// Set the base seed (default [`DEFAULT_SEED`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Cap the number of candidate inputs evaluated while shrinking a
-    /// failure (default 1000).
-    pub fn max_shrink_tests(mut self, n: u32) -> Self {
-        self.max_shrink_tests = n;
         self
     }
 
@@ -614,7 +608,7 @@ impl Checker {
         F: Fn(&G::Value) -> Result<(), String>,
     {
         let mut steps = 0u32;
-        let mut budget = self.max_shrink_tests;
+        let mut budget = MAX_SHRINK_TESTS;
         'descend: while budget > 0 {
             for candidate in gen.shrink(&current) {
                 if budget == 0 {

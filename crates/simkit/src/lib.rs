@@ -24,8 +24,9 @@
 //!   external API churn and registry dependencies).
 //! * [`queue`] — the pending-operation priority list used to model FlashSim's
 //!   channel-interleaving scheduler.
-//! * [`slots`] — a keyless open-addressed `u64 → u32` index, shared by the
-//!   FTL's cached mapping table and the host page cache.
+//! * [`slots`] — the record-table kit shared by the FTL's cached mapping
+//!   table and the host page cache: a keyless open-addressed `u64 → u32`
+//!   index and intrusive doubly linked lists over a record `Vec`.
 //! * [`trace`] — an opt-in op-level tracing layer: a [`TraceSink`] trait
 //!   with ring / JSONL-stream / tee sinks, plus Chrome `trace_event`
 //!   (request-flow-stitched) / utilization-CSV / latency-attribution

@@ -14,7 +14,7 @@
 ///
 /// let mut a = SimRng::new(1);
 /// let mut b = SimRng::new(1);
-/// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
+/// assert_eq!(a.below(1000), b.below(1000)); // same seed, same stream
 /// assert!(a.below(10) < 10);
 /// ```
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ impl SimRng {
     }
 
     /// Next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -49,7 +49,7 @@ impl SimRng {
     }
 
     /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         ((self.next_u32() as u64) << 32) | self.next_u32() as u64
     }
 
@@ -80,12 +80,6 @@ impl SimRng {
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
     }
 
     /// Exponentially distributed sample with the given mean.
@@ -155,20 +149,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut rng = SimRng::new(5);
-        let (mut lo_seen, mut hi_seen) = (false, false);
-        for _ in 0..2000 {
-            match rng.range_inclusive(3, 6) {
-                3 => lo_seen = true,
-                6 => hi_seen = true,
-                v => assert!((3..=6).contains(&v)),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

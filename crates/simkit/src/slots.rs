@@ -1,10 +1,12 @@
-//! An open-addressed `u64 → u32` index that stores no keys.
+//! The record-table kit of the FTL's cached mapping table and the host
+//! page cache, which keep their records in a flat `Vec` indexed by `u32`:
+//! [`SlotIndex`] finds the record holding key *k*, reading keys back
+//! through a caller closure (`|idx| nodes[idx].lpn`), and a [`List`]
+//! orders records through a [`Link`] in each, reached through a caller
+//! accessor (`|n| &mut n.lru`). Neither stores keys or allocates per
+//! entry, and a record with two links sits on two lists at once.
 //!
-//! The tables that use it (the FTL's cached mapping table, the host page
-//! cache) keep their records in a flat `Vec` and need only "which record
-//! holds key *k*". A slot holds a record index; the key is read back
-//! through a caller closure (`|idx| nodes[idx].lpn`), i.e. from the
-//! record the caller is about to touch anyway.
+//! The index:
 //!
 //! * **Hash** — a key's home slot is the top bits of `key × 2⁶⁴/φ`
 //!   (multiplicative hashing spreads the sequential and strided keys that
@@ -22,7 +24,8 @@
 //! Nothing here is iterated in hash order by its users, so the hash
 //! cannot leak into any simulated result.
 
-/// The empty-slot marker; no record index may equal it.
+/// The empty-slot marker and the end-of-list link; no record index may
+/// equal it.
 pub const NIL: u32 = u32::MAX;
 
 /// Most entries an index holds: record indices are 32-bit and the table
@@ -191,6 +194,135 @@ impl SlotIndex {
     }
 }
 
+/// A record's place on one [`List`]: its neighbours towards the front
+/// (`prev`) and the back (`next`), [`NIL`] past either end. A record
+/// carries one `Link` per list it can sit on; the link means something
+/// only while the record is on that list, so any value (`default()`)
+/// does for a record that is not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// An intrusive doubly linked list over a caller's record array: its ends
+/// and length, with the links in the records. Every method takes the
+/// records and an accessor for this list's [`Link`] in a record, and all
+/// but the walk and the audit are O(1).
+///
+/// ```
+/// use dloop_simkit::slots::{Link, List};
+///
+/// let mut nodes = [Link::default(); 3];
+/// let mut list = List::default();
+/// for idx in 0..3 {
+///     list.push_front(&mut nodes, idx, |n| n); // front: 2, 1, 0
+/// }
+/// list.unlink(&mut nodes, 1, |n| n);
+/// assert_eq!(list.iter_back(&nodes, |n| n).collect::<Vec<_>>(), [0, 2]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct List {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl Default for List {
+    /// The empty list.
+    fn default() -> Self {
+        List {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+}
+
+impl List {
+    /// Records on the list.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The record at the back (the LRU end), if any.
+    pub fn back(&self) -> Option<u32> {
+        (self.tail != NIL).then_some(self.tail)
+    }
+
+    /// Link record `idx`, which must not be on this list, in at the front.
+    pub fn push_front<N>(&mut self, nodes: &mut [N], idx: u32, link: impl Fn(&mut N) -> &mut Link) {
+        debug_assert_ne!(idx, NIL, "NIL is the end-of-list link");
+        *link(&mut nodes[idx as usize]) = Link {
+            prev: NIL,
+            next: self.head,
+        };
+        match self.head {
+            NIL => self.tail = idx,
+            head => link(&mut nodes[head as usize]).prev = idx,
+        }
+        self.head = idx;
+        self.len += 1;
+    }
+
+    /// Take record `idx`, which must be on this list, off it. Its own
+    /// link is left stale until it is pushed again.
+    pub fn unlink<N>(&mut self, nodes: &mut [N], idx: u32, link: impl Fn(&mut N) -> &mut Link) {
+        let Link { prev, next } = *link(&mut nodes[idx as usize]);
+        match prev {
+            NIL => self.head = next,
+            prev => link(&mut nodes[prev as usize]).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => link(&mut nodes[next as usize]).prev = prev,
+        }
+        self.len -= 1;
+    }
+
+    /// The records from the back to the front.
+    pub fn iter_back<'a, N>(
+        &self,
+        nodes: &'a [N],
+        link: impl 'a + Fn(&N) -> &Link,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let prev = move |&idx: &u32| Some(link(&nodes[idx as usize]).prev).filter(|&p| p != NIL);
+        std::iter::successors(self.back(), prev)
+    }
+
+    /// Audit, front to back: every record's `prev` names the record
+    /// before it, and the walk ends at the tail after
+    /// [`len`](Self::len) records. A cycle fails the `prev` test at the
+    /// first record reached twice (its `prev` names where it was first
+    /// reached from), so the walk visits at most `nodes.len()` records.
+    pub fn check<N>(&self, nodes: &[N], link: impl Fn(&N) -> &Link) -> Result<(), String> {
+        let (mut idx, mut prev, mut seen) = (self.head, NIL, 0usize);
+        while idx != NIL {
+            let Some(node) = nodes.get(idx as usize) else {
+                return Err(format!("link to record {idx} of {}", nodes.len()));
+            };
+            let l = link(node);
+            if l.prev != prev {
+                return Err(format!("record {idx} links back to {} not {prev}", l.prev));
+            }
+            (prev, idx) = (idx, l.next);
+            seen += 1;
+        }
+        if self.tail != prev {
+            return Err(format!("tail is {} but the walk ends at {prev}", self.tail));
+        }
+        if seen != self.len {
+            return Err(format!("{seen} records linked, length says {}", self.len));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,5 +422,117 @@ mod tests {
             assert_eq!(index.find(key_of(idx), key_of), want);
         }
         index.check(key_of).unwrap();
+    }
+
+    /// A list of `n` records pushed in index order: front to back
+    /// `n − 1, …, 0`.
+    fn pushed(n: u32) -> (Vec<Link>, List) {
+        let mut nodes = vec![Link::default(); n as usize];
+        let mut list = List::default();
+        for idx in 0..n {
+            list.push_front(&mut nodes, idx, |l| l);
+        }
+        (nodes, list)
+    }
+
+    fn back_to_front(list: &List, nodes: &[Link]) -> Vec<u32> {
+        list.iter_back(nodes, |l| l).collect()
+    }
+
+    #[test]
+    fn unlink_at_head_middle_tail_and_only_record() {
+        // Of 2, 1, 0 (front to back) record 2 is the head, 1 the middle
+        // and 0 the tail; the one-record list loses its only record.
+        for (n, gone) in [(3, 2), (3, 1), (3, 0), (1, 0)] {
+            let (mut nodes, mut list) = pushed(n);
+            list.unlink(&mut nodes, gone, |l| l);
+            list.check(&nodes, |l| l).unwrap();
+            let want: Vec<u32> = (0..n).filter(|&i| i != gone).collect();
+            assert_eq!(back_to_front(&list, &nodes), want, "unlink {gone} of {n}");
+            assert_eq!(list.back(), want.first().copied());
+            assert_eq!(list.len(), n as usize - 1);
+            // The record goes back on, at the front.
+            list.push_front(&mut nodes, gone, |l| l);
+            list.check(&nodes, |l| l).unwrap();
+            assert_eq!(back_to_front(&list, &nodes).last(), Some(&gone));
+        }
+    }
+
+    #[test]
+    fn two_lists_thread_one_record_array() {
+        // Every record is on `recency`, the even ones on `dirty` too, as
+        // in the CMT; unlinking from one list leaves the other intact.
+        #[derive(Debug, Clone, Copy, Default)]
+        struct Rec {
+            recency: Link,
+            dirty: Link,
+        }
+        let mut nodes = [Rec::default(); 6];
+        let (mut recency, mut dirty) = (List::default(), List::default());
+        for idx in 0..6 {
+            recency.push_front(&mut nodes, idx, |r| &mut r.recency);
+            if idx % 2 == 0 {
+                dirty.push_front(&mut nodes, idx, |r| &mut r.dirty);
+            }
+        }
+        dirty.unlink(&mut nodes, 2, |r| &mut r.dirty);
+        recency.unlink(&mut nodes, 4, |r| &mut r.recency);
+        recency.check(&nodes, |r| &r.recency).unwrap();
+        dirty.check(&nodes, |r| &r.dirty).unwrap();
+        let by_recency: Vec<u32> = recency.iter_back(&nodes, |r| &r.recency).collect();
+        let by_dirty: Vec<u32> = dirty.iter_back(&nodes, |r| &r.dirty).collect();
+        assert_eq!(by_recency, [0, 1, 2, 3, 5]);
+        assert_eq!(by_dirty, [0, 4]);
+    }
+
+    #[test]
+    fn back_to_front_order_matches_a_deque() {
+        // A present record is unlinked, an absent one pushed; the deque's
+        // front is the list's front.
+        const RECORDS: u32 = 16;
+        let mut nodes = vec![Link::default(); RECORDS as usize];
+        let mut list = List::default();
+        let mut model = std::collections::VecDeque::new();
+        let mut x = 0x9E37_79B9u32;
+        for step in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let idx = x % RECORDS;
+            match model.iter().position(|&i| i == idx) {
+                Some(at) => {
+                    model.remove(at);
+                    list.unlink(&mut nodes, idx, |l| l);
+                }
+                None => {
+                    model.push_front(idx);
+                    list.push_front(&mut nodes, idx, |l| l);
+                }
+            }
+            list.check(&nodes, |l| l).unwrap();
+            let want: Vec<u32> = model.iter().rev().copied().collect();
+            assert_eq!(back_to_front(&list, &nodes), want, "step {step}");
+            assert_eq!(list.back(), model.back().copied());
+        }
+    }
+
+    #[test]
+    fn check_rejects_a_broken_prev_a_wrong_len_and_a_cycle() {
+        // Front to back: 3, 2, 1, 0.
+        let (mut nodes, list) = pushed(4);
+        nodes[1].prev = 3;
+        let err = list.check(&nodes, |l| l).unwrap_err();
+        assert!(err.contains("links back"), "{err}");
+
+        let (nodes, mut list) = pushed(4);
+        list.len = 5;
+        let err = list.check(&nodes, |l| l).unwrap_err();
+        assert!(err.contains("length says 5"), "{err}");
+
+        // The back record points into the middle: the walk would go
+        // 3, 2, 1, 0, 2, 1, 0, … for ever.
+        let (mut nodes, list) = pushed(4);
+        nodes[0].next = 2;
+        assert!(list.check(&nodes, |l| l).is_err());
     }
 }

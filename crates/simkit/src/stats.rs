@@ -75,7 +75,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 

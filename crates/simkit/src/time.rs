@@ -111,13 +111,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Build a duration from fractional microseconds (e.g. the paper's
-    /// 0.025 µs/byte bus transfer figure).
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us.max(0.0) * 1e3).round() as u64)
-    }
-
     /// Nanoseconds in this duration.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -252,17 +245,6 @@ mod tests {
         let t = SimTime::from_micros(225);
         assert_eq!(t.as_nanos(), 225_000);
         assert!((t.as_micros_f64() - 225.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fractional_micros() {
-        // The paper's 0.025 us/byte figure must be representable exactly.
-        let d = SimDuration::from_micros_f64(0.025);
-        assert_eq!(d.as_nanos(), 25);
-        // 2 KB page transfer = 2048 * 25 ns = 51.2 us.
-        let page = d * 2048;
-        assert_eq!(page.as_nanos(), 51_200);
-        assert!((page.as_micros_f64() - 51.2).abs() < 1e-9);
     }
 
     #[test]

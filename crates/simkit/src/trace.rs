@@ -1038,32 +1038,6 @@ pub fn power_csv(
     out
 }
 
-/// The exact `(array_fj, bus_fj)` energy the retained segments imply —
-/// the reference value [`power_csv`]'s bucket grid must sum to, and (when
-/// the recorder saw every span of a run) the run report's energy totals.
-pub fn power_totals_fj(rec: &RingSink, array_active_uw: u64, bus_active_uw: u64) -> (u64, u64) {
-    let mut array = 0u64;
-    let mut bus = 0u64;
-    for s in rec.spans() {
-        for seg in s.segments() {
-            let ns = seg.end.saturating_since(seg.start).as_nanos();
-            match seg.resource {
-                Resource::Plane(_) => {
-                    array = array
-                        .checked_add(power_fj(array_active_uw, ns))
-                        .expect("power totals overflow")
-                }
-                Resource::Channel(_) => {
-                    bus = bus
-                        .checked_add(power_fj(bus_active_uw, ns))
-                        .expect("power totals overflow")
-                }
-            }
-        }
-    }
-    (array, bus)
-}
-
 /// Host-queue occupancy probe: one `(tenant, arrival, issue, done)` record
 /// per tracked unit of work (a host request in the closed-loop driver, a
 /// page operation in the gated and NCQ/QoS drivers).
@@ -1708,6 +1682,32 @@ mod tests {
         with_bus.end = SimTime::from_micros(11);
         rec.push(with_bus);
         rec
+    }
+
+    /// The exact `(array_fj, bus_fj)` energy the retained segments imply —
+    /// the reference value [`power_csv`]'s bucket grid must sum to, and (when
+    /// the recorder saw every span of a run) the run report's energy totals.
+    fn power_totals_fj(rec: &RingSink, array_active_uw: u64, bus_active_uw: u64) -> (u64, u64) {
+        let mut array = 0u64;
+        let mut bus = 0u64;
+        for s in rec.spans() {
+            for seg in s.segments() {
+                let ns = seg.end.saturating_since(seg.start).as_nanos();
+                match seg.resource {
+                    Resource::Plane(_) => {
+                        array = array
+                            .checked_add(power_fj(array_active_uw, ns))
+                            .expect("power totals overflow")
+                    }
+                    Resource::Channel(_) => {
+                        bus = bus
+                            .checked_add(power_fj(bus_active_uw, ns))
+                            .expect("power totals overflow")
+                    }
+                }
+            }
+        }
+        (array, bus)
     }
 
     /// The power timeline's integer-identity contract: every column (and

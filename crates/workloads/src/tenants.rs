@@ -105,7 +105,7 @@ impl TenantSpec {
     }
 
     /// Bias this tenant's access pattern for or against a host cache.
-    pub fn with_cache_bias(mut self, bias: CacheBias) -> Self {
+    fn with_cache_bias(mut self, bias: CacheBias) -> Self {
         self.cache_bias = bias;
         self
     }

@@ -1,7 +1,7 @@
 //! The NVMe-style host stack in front of the device: one `qos_mix`
 //! contention run, decomposed from syscall to cell.
 //!
-//! [`HostStack::run`] wraps [`SsdDevice::run`] with the three host-side
+//! [`HostStack::run`] wraps [`SsdDevice::run_with`] with the three host-side
 //! layers a real I/O path adds:
 //!
 //! * a **write-back page cache** (absorbs overwrites, serves hot reads at
@@ -52,7 +52,7 @@ fn main() {
     // The raw device path, then the same trace through the host stack.
     let fresh = || SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
     let mut raw_device = fresh();
-    let raw = raw_device.run(&trace.requests, ReplayMode::Open);
+    let raw = raw_device.run_with(&trace.requests, ReplayMode::Open.into());
     println!(
         "raw device path:      MRT {:.4} ms (device only — what the FTL papers report)",
         raw.mean_response_time_ms()

@@ -70,21 +70,22 @@ fn main() {
 
     // The two bounds every policy is pinned between (claim C12).
     let mut d = fresh();
-    let r = d.run(&trace.requests, ReplayMode::Ncq { queue_depth: 1 });
+    let r = d.run_with(&trace.requests, ReplayMode::Ncq { queue_depth: 1 }.into());
     print_row("in-order (bound)", &r);
     let mut d = fresh();
-    let r = d.run(&trace.requests, ReplayMode::Gated);
+    let r = d.run_with(&trace.requests, ReplayMode::Gated.into());
     print_row("gated (oracle)", &r);
 
     // Every built-in policy through the embeddable spec enum…
     for spec in QosSpec::all() {
         let mut d = fresh();
-        let r = d.run(
+        let r = d.run_with(
             &trace.requests,
             ReplayMode::Qos {
                 queue_depth: 32,
                 policy: spec,
-            },
+            }
+            .into(),
         );
         print_row(spec.name(), &r);
         d.audit().unwrap();
@@ -95,11 +96,7 @@ fn main() {
     // an exact integer conservation law.
     let mut policy = FairSharePolicy::new(4, 32);
     let mut d = fresh();
-    d.run_with_policy(
-        &trace.requests,
-        RunConfig::default().queue_depth(32),
-        &mut policy,
-    );
+    d.run_with_policy(&trace.requests, RunConfig::ncq(32), &mut policy);
     println!("\nfair-share bucket audit (TOKEN_UNITS per token):");
     for t in policy.tenants() {
         println!(

@@ -14,6 +14,8 @@
 #        scripts/verify.sh --check-deprecated DIR...
 #                 run only the deprecated-shim gate, over DIR... (how
 #                 tests/hermetic.rs shows the gate failing).
+#        scripts/verify.sh --check-dead-pub ROOT
+#                 run only the dead-public-API gate over the tree at ROOT.
 
 set -euo pipefail
 
@@ -33,10 +35,54 @@ if [[ "${1:-}" == "--check-deprecated" ]]; then
     exit
 fi
 
+# A `pub fn` that no other file names is surface without a caller: it
+# goes, or it loses its `pub`. Every `pub fn` under ROOT/crates/*/src must
+# be named, as a whole word, in some other *.rs or *.md file under ROOT
+# (build output and .git aside).
+check_dead_pub() {
+    find "$1" \( -name target -o -name .git \) -prune -o -type f \
+        \( -name '*.rs' -o -name '*.md' \) -print0 | xargs -0 awk '
+        FNR == 1 { delete seen }
+        FILENAME ~ /\/crates\/[^\/]+\/src\// &&
+            match($0, /^[ \t]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*/) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.* fn /, "", name)
+            defined[name] = FILENAME ":" FNR
+        }
+        {
+            n = split($0, words, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= n; i++) {
+                if (!(words[i] in seen)) {
+                    seen[words[i]] = 1
+                    files[words[i]]++
+                }
+            }
+        }
+        END {
+            for (name in defined) {
+                if (files[name] < 2) {
+                    print defined[name] ": pub fn " name " is named in no other file"
+                    dead = 1
+                }
+            }
+            exit dead
+        }' || {
+        echo "error: public functions without a caller above: delete them or drop their pub" >&2
+        return 1
+    }
+}
+if [[ "${1:-}" == "--check-dead-pub" ]]; then
+    check_dead_pub "$2"
+    exit
+fi
+
 cd "$(dirname "$0")/.."
 
 echo "==> no deprecated shims (#[deprecated] / allow(deprecated) in any workspace *.rs)"
 check_no_deprecated crates src tests examples
+
+echo "==> no dead public API (every pub fn in crates/*/src is named elsewhere)"
+check_dead_pub .
 
 echo "==> cargo fmt --check"
 cargo fmt --check

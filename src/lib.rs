@@ -41,7 +41,7 @@
 //!     op: HostOp::Write,
 //!     ..HostRequest::default()
 //! }];
-//! let report = device.run(&requests, ReplayMode::Open);
+//! let report = device.run_with(&requests, ReplayMode::Open.into());
 //! assert_eq!(report.pages_written, 16);
 //! println!("mean response time: {:.3} ms", report.mean_response_time_ms());
 //! ```

@@ -220,3 +220,45 @@ fn deprecated_shim_gate_passes_here_and_fails_on_a_shim() {
         );
     }
 }
+
+/// `scripts/verify.sh --check-dead-pub ROOT` — the gate `verify.sh` runs
+/// over this repository — must pass here and fail on a tree whose crate
+/// exports a function that no other file names.
+#[test]
+fn dead_pub_gate_passes_here_and_fails_on_an_unnamed_pub_fn() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let gate = |tree: &Path| {
+        std::process::Command::new("bash")
+            .arg(root.join("scripts/verify.sh"))
+            .arg("--check-dead-pub")
+            .arg(tree)
+            .output()
+            .expect("bash runs scripts/verify.sh")
+    };
+    let clean = gate(&root);
+    assert!(
+        clean.status.success(),
+        "the repository trips its own gate:\n{}",
+        String::from_utf8_lossy(&clean.stdout)
+    );
+    let tree = std::env::temp_dir().join(format!("dloop-dead-pub-{}", std::process::id()));
+    let src = tree.join("crates/demo/src");
+    fs::create_dir_all(&src).expect("scratch tree");
+    fs::write(
+        src.join("lib.rs"),
+        "pub fn called() {}\npub fn orphan() {}\n",
+    )
+    .expect("scratch source");
+    fs::write(tree.join("README.md"), "Call `called()`.\n").expect("scratch doc");
+    let broken = gate(&tree);
+    fs::remove_dir_all(&tree).expect("scratch tree removed");
+    assert!(
+        !broken.status.success(),
+        "an unnamed pub fn passed the gate"
+    );
+    let report = String::from_utf8_lossy(&broken.stdout);
+    assert!(
+        report.contains("orphan") && !report.contains("called"),
+        "the gate must name exactly the unnamed function:\n{report}"
+    );
+}

@@ -325,10 +325,10 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
     });
 }
 
-/// API contract: the `ReplayMode` dispatcher is bit-identical to its
-/// `RunConfig` spelling in every mode, the caller-owned-policy entry point
-/// to the owning `RunConfig::qos` one, and `RunConfig::default()`
-/// reproduces `ReplayMode::Open` exactly.
+/// API contract: a bare `ReplayMode` converted into a `RunConfig` is
+/// bit-identical to its builder spelling in every mode, the
+/// caller-owned-policy entry point to the owning `RunConfig::qos` one, and
+/// `RunConfig::default()` reproduces `ReplayMode::Open` exactly.
 #[test]
 fn legacy_entry_points_match_their_run_config_equivalents() {
     let gen = check::vec_of(op_gen(600), 1..120);
@@ -354,7 +354,7 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         ];
         for (name, replay_mode, cfg) in modes {
             let mut d_m = fresh();
-            let r_m = d_m.run(&reqs, replay_mode);
+            let r_m = d_m.run_with(&reqs, replay_mode.into());
             let mut d_c = fresh();
             let r_c = d_c.run_with(&reqs, cfg);
             check_assert_eq!(
@@ -372,11 +372,11 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         }
 
         // A caller-owned policy instance must equal the owning
-        // RunConfig::qos spelling.
+        // RunConfig::qos spelling; it takes the window from the mode.
         let mut d_p = fresh();
         let r_p = d_p.run_with_policy(
             &reqs,
-            RunConfig::default().queue_depth(depth),
+            RunConfig::ncq(depth),
             &mut dloop_repro::ftl_kit::sched::NcqPolicy,
         );
         let mut d_c = fresh();
@@ -384,9 +384,9 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         check_assert_eq!(fingerprint(&r_p), fingerprint(&r_c), "qos spellings");
 
         // Defaults are Open: `run_with(reqs, RunConfig::default())` is
-        // bit-identical to `run(reqs, ReplayMode::Open)`.
+        // bit-identical to `run_with(reqs, ReplayMode::Open.into())`.
         let mut d_o = fresh();
-        let r_o = d_o.run(&reqs, ReplayMode::Open);
+        let r_o = d_o.run_with(&reqs, ReplayMode::Open.into());
         let mut d_d = fresh();
         let r_d = d_d.run_with(&reqs, RunConfig::default());
         check_assert_eq!(
@@ -695,7 +695,7 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
         ];
         for mode in modes {
             let mut d_raw = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_raw = d_raw.run(&reqs, mode);
+            let r_raw = d_raw.run_with(&reqs, mode.into());
             let mut d_host = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
             let stack = HostStack::new(HostConfig::passthrough());
             let host = stack.run(&mut d_host, &reqs, mode);
@@ -1114,12 +1114,13 @@ fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
         ] {
             let (d_ncq, r_ncq) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(8), false);
             let mut d_qos = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_qos = d_qos.run(
+            let r_qos = d_qos.run_with(
                 &reqs,
                 ReplayMode::Qos {
                     queue_depth: 8,
                     policy: spec,
-                },
+                }
+                .into(),
             );
             // The probe tags tenants, so compare everything *except* the
             // tenant column for the tagged trace by overlaying fingerprints
@@ -1155,8 +1156,7 @@ fn fair_share_token_buckets_conserve_tokens_over_a_replay() {
         let config = SsdConfig::micro_gc_test();
         let mut policy = FairSharePolicy::new(4, 16);
         let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-        let report =
-            device.run_with_policy(&reqs, RunConfig::default().queue_depth(8), &mut policy);
+        let report = device.run_with_policy(&reqs, RunConfig::ncq(8), &mut policy);
         check_assert_eq!(report.requests_completed, reqs.len() as u64);
         device.audit().map_err(|e| format!("audit: {e}"))?;
         let mut charged_total = 0u64;
@@ -1226,11 +1226,7 @@ fn edf_issues_same_plane_deadlines_in_deadline_order() {
     }));
     let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
     let mut policy = DeadlinePolicy;
-    let report = device.run_with_policy(
-        &reqs,
-        RunConfig::default().queue_depth(reqs.len()),
-        &mut policy,
-    );
+    let report = device.run_with_policy(&reqs, RunConfig::ncq(reqs.len()), &mut policy);
     assert_eq!(report.requests_completed, reqs.len() as u64);
     let issue_order: Vec<u16> = report.queue_log.tracked().iter().map(|u| u.0).collect();
     // Blocker first, then deadline order = reverse arrival order.
@@ -1257,9 +1253,9 @@ fn qos_policies_are_deterministic_across_reruns() {
                 policy: spec,
             };
             let mut d_a = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_a = d_a.run(&reqs, mode);
+            let r_a = d_a.run_with(&reqs, mode.into());
             let mut d_b = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_b = d_b.run(&reqs, mode);
+            let r_b = d_b.run_with(&reqs, mode.into());
             check_assert_eq!(
                 fingerprint(&r_a),
                 fingerprint(&r_b),

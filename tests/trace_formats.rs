@@ -76,7 +76,7 @@ fn queue_depth_csv_shape_and_conservation() {
         ("ncq", ReplayMode::Ncq { queue_depth: 4 }),
     ] {
         let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
-        let report = device.run(&trace.requests, mode);
+        let report = device.run_with(&trace.requests, mode.into());
         let buckets = 32;
         let csv = report.queue_depth_csv(buckets);
         let mut lines = csv.lines();
@@ -137,12 +137,13 @@ fn queue_depth_csv_per_tenant_blocks_shape_and_conservation() {
     assert!(trace.requests.iter().all(|r| (1..=3).contains(&r.tenant)));
 
     let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
-    let report = device.run(
+    let report = device.run_with(
         &trace.requests,
         ReplayMode::Qos {
             queue_depth: 4,
             policy: QosSpec::fair_share(),
-        },
+        }
+        .into(),
     );
     let buckets = 32;
     let csv = report.queue_depth_csv(buckets);

@@ -77,13 +77,13 @@ fn ring_and_stream_sinks_observe_identical_span_sequences() {
         for mode in [ReplayMode::Open, ReplayMode::Gated] {
             let mut ringed = device(&config);
             ringed.attach_sink(Box::new(RingSink::new(1 << 22)));
-            let ring_report = ringed.run(&reqs, mode);
+            let ring_report = ringed.run_with(&reqs, mode.into());
             let ring = ringed.take_trace().expect("ring sink attached");
             check_assert_eq!(ring.dropped(), 0, "ring must be effectively unbounded");
 
             let mut streamed = device(&config);
             streamed.attach_sink(Box::new(StreamSink::new(Vec::new())));
-            let stream_report = streamed.run(&reqs, mode);
+            let stream_report = streamed.run_with(&reqs, mode.into());
             let sink = streamed.detach_sink().expect("stream sink attached");
             let stream = sink
                 .into_any()
@@ -124,7 +124,7 @@ fn chrome_flow_events_lint_and_balance() {
         let config = SsdConfig::micro_gc_test();
         let mut d = device(&config);
         d.attach_sink(Box::new(RingSink::new(1 << 22)));
-        d.run(&reqs, ReplayMode::Open);
+        d.run_with(&reqs, ReplayMode::Open.into());
         let rec = d.take_trace().expect("ring sink attached");
         let chrome = chrome_trace_json(&rec);
         json_lint(&chrome).map_err(|e| format!("chrome export must lint: {e}"))?;
@@ -170,7 +170,7 @@ fn channel_utilization_csv_is_well_formed() {
     let mut d = device(&config);
     d.attach_sink(Box::new(RingSink::new(1 << 20)));
     let reqs = requests(&[(0, 4, true), (7, 4, true), (3, 3, false), (0, 4, true)]);
-    d.run(&reqs, ReplayMode::Open);
+    d.run_with(&reqs, ReplayMode::Open.into());
     let rec = d.take_trace().expect("ring sink attached");
     let csv = channel_utilization_csv(&rec, channels, 16);
     let mut lines = csv.lines();
