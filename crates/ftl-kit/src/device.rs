@@ -20,16 +20,16 @@
 
 use crate::config::SsdConfig;
 use crate::dir::{PageDirectory, PageOwner};
-use crate::ftl::{FlashStep, Ftl, FtlContext, FtlCounters, OpChain, Phase};
+use crate::ftl::{Ftl, FtlContext, FtlCounters, OpChain, Phase};
 use crate::metrics::{RunReport, ShardGuard, ShardOutcome};
 use crate::play::{play_op, PageOp, Played, ScanOrder};
-use crate::request::{HostOp, HostRequest, TenantId};
+use crate::request::{HostOp, HostRequest};
 use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
 use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
 use dloop_simkit::trace::{QueueDepthProbe, RingSink, TraceSink};
-use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, PendingQueue, SimTime};
+use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, SimTime};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default reorder-window size for [`ReplayMode::Ncq`] — SATA NCQ's
 /// 32-entry command queue.
@@ -289,22 +289,23 @@ impl ReplayStats {
 }
 
 /// One translated page operation waiting in the queueing scheduler: the
-/// chains the FTL produced at arrival time plus the bookkeeping needed to
-/// finish its host request.
+/// chains the FTL produced at arrival time, the policy's view of the op,
+/// and the bookkeeping needed to finish its host request. Its arrival
+/// sequence number is `cand.seq`, which is also its slot in the
+/// scheduler's slab (offset by the slab's base).
 struct QueuedOp {
-    /// Global arrival sequence number (the pending list stays sorted by
-    /// it).
-    seq: u64,
     req: usize,
     lpn: u64,
     host: OpChain,
     gc: OpChain,
     scan: OpChain,
-    arrival: SimTime,
-    /// The host stream of the parent request, for the per-tenant queue
-    /// probe (the QoS policies rank by the richer
-    /// [`QosCandidate`] built at enqueue time instead).
-    tenant: TenantId,
+    /// Built at arrival. Its tenant and arrival also feed the queue probe
+    /// and the completion log; its plane is the op's lane (`0`, and unused,
+    /// for a chain-less op).
+    cand: QosCandidate,
+    /// `policy.lane_key(&cand)`, taken at arrival (`0`, and never asked
+    /// for, for a chain-less op).
+    key: u64,
 }
 
 /// The event source of the queueing schedulers: a cursor over the trace in
@@ -356,6 +357,38 @@ impl<'a> WakeClock<'a> {
             self.wakes.pop();
         }
         Some((at, None))
+    }
+}
+
+/// A set of plane indices, one bit each, walked in ascending order: the
+/// queueing scheduler's non-empty lanes.
+struct PlaneSet(Vec<u64>);
+
+impl PlaneSet {
+    fn new(planes: usize) -> Self {
+        PlaneSet(vec![0; planes.div_ceil(64)])
+    }
+
+    fn insert(&mut self, plane: usize) {
+        self.0[plane / 64] |= 1 << (plane % 64);
+    }
+
+    fn remove(&mut self, plane: usize) {
+        self.0[plane / 64] &= !(1 << (plane % 64));
+    }
+
+    /// The members, lowest first.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut words = self.0.iter().copied().enumerate();
+        let (mut word, mut bits) = (0, 0u64);
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                (word, bits) = words.next()?;
+            }
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(word * 64 + bit)
+        })
     }
 }
 
@@ -696,8 +729,11 @@ impl SsdDevice {
     /// resource-busy interval ended without a wake (the wake-event
     /// contract below), so the message names what the first stuck op was
     /// waiting for.
-    fn assert_drained(&self, stuck: usize, first: Option<&QueuedOp>, now: SimTime) {
-        let Some(op) = first else { return };
+    fn assert_drained(&self, slab: &VecDeque<Option<QueuedOp>>, now: SimTime) {
+        let Some(op) = slab.iter().flatten().next() else {
+            return;
+        };
+        let stuck = slab.iter().flatten().count();
         let waiting_on = match op.host.steps().first().map(|s| s.planes().0) {
             Some(p) => format!(
                 "plane {p} (plane ready at {}, channel ready at {})",
@@ -758,7 +794,10 @@ impl SsdDevice {
         // Queueing delay spans arrival → first flash step (the
         // pending-queue wait plus any residual resource wait), mirroring
         // the reserving drivers' decomposition.
-        self.fold_played(op.arrival, &played);
+        let QosCandidate {
+            tenant, arrival, ..
+        } = op.cand;
+        self.fold_played(arrival, &played);
         let Played {
             done,
             scan_release,
@@ -772,11 +811,11 @@ impl SsdDevice {
         if background_gc && gc_release > now {
             wakes.push(gc_release, ());
         }
-        stats.queue.track(op.tenant, op.arrival, now, done);
+        stats.queue.track(tenant, arrival, now, done);
         req_done[op.req] = req_done[op.req].max(done);
         req_ops_left[op.req] -= 1;
         if req_ops_left[op.req] == 0 {
-            stats.complete(op.req as u64, op.arrival, req_done[op.req]);
+            stats.complete(op.req as u64, arrival, req_done[op.req]);
         }
         // Wake the scheduler when this op's work completes.
         if done > now {
@@ -815,25 +854,31 @@ impl SsdDevice {
 
     /// The queueing scheduler — one loop, two disciplines. Page operations
     /// are translated on arrival (state effects are immediate, as in
-    /// FlashSim) into a sequence-numbered pending list, and the scheduler
-    /// may issue *any* of the oldest `queue_depth` pending ops whose first
-    /// host step's plane and channel are idle now; nothing holds a
-    /// resource before its work begins. Selection runs over a
-    /// per-resource readiness index (one lane per plane, keyed by the
+    /// FlashSim) and wait, in arrival (`seq`) order, in a slab indexed by
+    /// `seq − base`; the scheduler may issue *any* of the oldest
+    /// `queue_depth` pending ops — the reorder window — whose first host
+    /// step's plane and channel are idle now; nothing holds a resource
+    /// before its work begins. Selection runs over a readiness index that
+    /// holds the window and nothing else: one lane per plane, keyed by the
     /// first host step's primary plane, plus one lane for chain-less ops
-    /// such as unmapped reads), so each scheduling decision is O(planes),
-    /// not O(pending).
+    /// such as unmapped reads. An op enters its lane when it enters the
+    /// window, oldest first, as older ops issue. The window only grows at
+    /// its young end, so each lane's head is its best in-window candidate
+    /// and a scheduling decision visits one head per non-empty lane:
+    /// O(planes), never O(pending).
     ///
     /// * **Policy / windowed** (`fifo: false`; NCQ and QoS). The policy
     ///   shapes exactly two things (see [`crate::sched`]): within-lane
-    ///   order — lanes are kept sorted by `(policy.lane_key, seq)` — and
-    ///   the cross-lane choice, ranked by
-    ///   `(policy.rank, plane_ready_at, seq)`. With [`NcqPolicy`]
-    ///   (constant rank, FIFO lanes): among issuable in-window ops, prefer
-    ///   the op whose target plane has been idle longest, ties by arrival
-    ///   order. Chain-less ops occupy no resources: the oldest one inside
-    ///   the window always issues first, bypassing the policy entirely
-    ///   (they are not ranked and not charged by `on_issue`).
+    ///   order — lanes are kept sorted by `(policy.lane_key, seq)`, the key
+    ///   taken once at arrival — and the cross-lane choice, ranked by
+    ///   `(policy.rank, plane_ready_at, seq)` among the heads whose
+    ///   resources are idle and which `policy.admit` lets through. With
+    ///   [`NcqPolicy`] (constant rank, FIFO lanes): among issuable
+    ///   in-window ops, prefer the op whose target plane has been idle
+    ///   longest, ties by arrival order. Chain-less ops occupy no
+    ///   resources: the oldest one inside the window always issues first,
+    ///   bypassing the policy entirely (they are not ranked and not charged
+    ///   by `on_issue`).
     /// * **FIFO / unbounded** (`fifo: true`, `queue_depth: usize::MAX`,
     ///   [`WindowFifoPolicy`]; gated) — the literal FlashSim priority list
     ///   (§IV.B): "If the targeting channel and plane of the request are
@@ -845,17 +890,19 @@ impl SsdDevice {
     ///   the completion and probe logs record issue order.
     ///
     /// Policy note: lanes are head-of-line in *key* order — each lane
-    /// offers only its first in-window entry as a candidate, so an op
-    /// blocked on its *secondary* resource (e.g. the far plane of an
-    /// inter-plane copy) also blocks lower-ranked ops on the same lane,
-    /// under both disciplines. (No shipped FTL starts a host chain with a
-    /// two-plane step, so for them the gated FIFO skips exactly as the
-    /// priority list does; `tests/replay_modes.rs` pins that against
-    /// fingerprints recorded from the former stand-alone gated loop.)
-    /// Reordering happens *across* planes, which is where the idle
-    /// parallelism DLOOP's allocation creates actually lives; within a
-    /// plane, the single sorted candidate is what keeps selection cheap,
-    /// deterministic, and (for the deadline policy) inversion-free.
+    /// offers only its head as a candidate, so an op blocked on its
+    /// *secondary* resource (e.g. the far plane of an inter-plane copy)
+    /// also blocks lower-ranked ops on the same lane, under both
+    /// disciplines. (No shipped FTL starts a host chain with a two-plane
+    /// step, so for them the gated FIFO skips exactly as the priority list
+    /// does; `tests/replay_modes.rs` pins that against fingerprints
+    /// recorded from the former stand-alone gated loop.) Reordering
+    /// happens *across* planes, which is where the idle parallelism
+    /// DLOOP's allocation creates actually lives; within a plane, the
+    /// single sorted candidate is what keeps selection cheap,
+    /// deterministic, and (for the deadline policy) inversion-free. The
+    /// `#[cfg(test)]` oracle at the bottom of this file implements the
+    /// same rule by scanning the window naively.
     fn run_queued(
         &mut self,
         requests: &[HostRequest],
@@ -863,15 +910,6 @@ impl SsdDevice {
         policy: &mut dyn QosPolicy,
         fifo: bool,
     ) -> RunReport {
-        /// A readiness-lane entry: the policy's lane sort key, the
-        /// candidate view handed back to the policy at ranking time, and
-        /// the first host step cached for the resource check.
-        struct LaneEntry {
-            key: u64,
-            cand: QosCandidate,
-            step: FlashStep,
-        }
-
         let lpn_space = self.flash.geometry().user_pages();
         let planes = self.flash.geometry().total_planes() as usize;
         let mut clock = WakeClock::new(requests);
@@ -890,17 +928,23 @@ impl SsdDevice {
             }
         }
 
-        let mut pending: PendingQueue<QueuedOp> = PendingQueue::new();
-        // Readiness index: lane `p` holds the pending ops whose first host
-        // step starts on plane `p`, sorted by `(lane_key, seq)`; `live`
-        // lists the non-empty lanes in ascending plane order, so a
-        // scheduling decision walks only planes that have work;
-        // `chainless` holds ops with no host steps, which need no
-        // resources at all.
-        let mut lanes: Vec<Vec<LaneEntry>> = (0..planes).map(|_| Vec::new()).collect();
-        let mut live: Vec<usize> = Vec::with_capacity(planes);
-        let mut chainless: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        let mut next_seq = 0u64;
+        // Every pending op, oldest first: op `seq` sits at `slab[seq -
+        // base]` until it issues, leaving a hole; holes at the front are
+        // popped, so `base` is the oldest pending op's `seq` and
+        // `base + slab.len()` the next op's.
+        let mut slab: VecDeque<Option<QueuedOp>> = VecDeque::new();
+        let mut base = 0u64;
+        // The window is the pending ops with `seq < admitted`:
+        // `in_window` of them, at most `queue_depth`.
+        let mut admitted = 0u64;
+        let mut in_window = 0usize;
+        // Readiness index over the window: lane `p` holds `(lane_key,
+        // seq)` of the in-window ops whose first host step starts on plane
+        // `p`, sorted; `live` marks the non-empty lanes; `chainless` holds
+        // the in-window ops with no host steps, which need no resources.
+        let mut lanes: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); planes];
+        let mut live = PlaneSet::new(planes);
+        let mut chainless: VecDeque<u64> = VecDeque::new();
 
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
         let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
@@ -927,133 +971,134 @@ impl SsdDevice {
                 for lpn in req.wrapped_page_ops(lpn_space) {
                     let (host, gc, scan) = self.translate_page_op(lpn, req.op);
                     stats.count_page(req.op);
-                    let draw_uw = self.op_draw_uw(&host, &gc, &scan);
-                    match host.steps().first() {
-                        None => chainless.push_back(next_seq),
-                        Some(step) => {
-                            let cand = QosCandidate {
-                                seq: next_seq,
-                                tenant: req.tenant,
-                                op: req.op,
-                                deadline: req.deadline,
-                                arrival: req.arrival,
-                                plane: step.planes().0,
-                                draw_uw,
-                            };
-                            let key = policy.lane_key(&cand);
-                            let plane = cand.plane as usize;
-                            let lane = &mut lanes[plane];
-                            if lane.is_empty() {
-                                live.insert(live.partition_point(|&l| l < plane), plane);
-                            }
-                            let pos =
-                                lane.partition_point(|e| (e.key, e.cand.seq) < (key, next_seq));
-                            lane.insert(
-                                pos,
-                                LaneEntry {
-                                    key,
-                                    cand,
-                                    step: *step,
-                                },
-                            );
-                        }
-                    }
-                    pending.push_back(QueuedOp {
-                        seq: next_seq,
+                    let first = host.steps().first();
+                    let cand = QosCandidate {
+                        seq: base + slab.len() as u64,
+                        tenant: req.tenant,
+                        op: req.op,
+                        deadline: req.deadline,
+                        arrival: req.arrival,
+                        plane: first.map_or(0, |step| step.planes().0),
+                        draw_uw: self.op_draw_uw(&host, &gc, &scan),
+                    };
+                    let key = match first {
+                        Some(_) => policy.lane_key(&cand),
+                        None => 0,
+                    };
+                    slab.push_back(Some(QueuedOp {
                         req: i,
                         lpn,
                         host,
                         gc,
                         scan,
-                        arrival: req.arrival,
-                        tenant: req.tenant,
-                    });
-                    next_seq += 1;
+                        cand,
+                        key,
+                    }));
                 }
             }
 
-            // Issue every selectable op. The reorder window is the oldest
-            // `queue_depth` pending ops; `horizon` is the youngest
-            // sequence number inside it. Re-computed each iteration: an
-            // issue shrinks the pending list and slides the window.
             if ticked != Some(now) {
                 ticked = Some(now);
                 policy.tick(now);
             }
+            // Issue every selectable op.
             loop {
-                let window = pending.len().min(queue_depth);
-                if window == 0 {
+                // Top the window up, oldest first: an issue has shrunk it,
+                // or arrivals have queued behind it.
+                while in_window < queue_depth && admitted < base + slab.len() as u64 {
+                    let op = slab[(admitted - base) as usize]
+                        .as_ref()
+                        .expect("an op outside the window is pending");
+                    if op.host.is_empty() {
+                        chainless.push_back(admitted);
+                    } else {
+                        let plane = op.cand.plane as usize;
+                        let lane = &mut lanes[plane];
+                        if lane.is_empty() {
+                            live.insert(plane);
+                        }
+                        let entry = (op.key, admitted);
+                        lane.insert(lane.partition_point(|&e| e < entry), entry);
+                    }
+                    admitted += 1;
+                    in_window += 1;
+                }
+                if in_window == 0 {
                     break;
                 }
-                let horizon = pending.get(window - 1).expect("window within pending").seq;
-                // Chain-less ops need no resources: the oldest one inside
-                // the window can always issue.
-                let chainless_next = chainless.front().copied().filter(|&seq| seq <= horizon);
-                // Each live lane offers its first in-window entry (in
-                // lane-key order) whose first step's resources are all
-                // idle now; among the offers, pick the lowest
-                // `(rank, plane_ready_at, seq)`. Lanes are visited in
-                // plane order and keys are totally ordered, so selection
-                // is deterministic. `best` remembers the winner's slot in
-                // `live` and its position in the lane.
-                let mut best: Option<((u64, u64, SimTime, u64), usize, usize)> = None;
+                // Each live lane offers its head if the first step's
+                // resources are all idle now and the policy admits it;
+                // among the offers, pick the lowest `(rank,
+                // plane_ready_at, seq)`. Lanes are visited in plane order
+                // and keys are totally ordered, so selection is
+                // deterministic. `best` remembers the winner's plane.
+                let mut best: Option<((u64, u64, SimTime, u64), usize)> = None;
                 // A windowed policy never gets to outrank a chain-less op,
                 // so the lanes sit that decision out.
-                let offering: &[usize] = match chainless_next {
-                    Some(_) if !fifo => &[],
-                    _ => &live,
-                };
-                for (slot, &lane) in offering.iter().enumerate() {
-                    let Some((pos, entry)) = lanes[lane]
-                        .iter()
-                        .enumerate()
-                        .find(|(_, e)| e.cand.seq <= horizon)
-                    else {
-                        continue;
-                    };
-                    let (p, p2) = entry.step.planes();
+                if fifo || chainless.is_empty() {
                     let free = |plane| {
                         self.hw.plane_ready_at(plane) <= now
                             && self.hw.channel_ready_at(plane) <= now
                     };
-                    if !free(p) || !p2.map(free).unwrap_or(true) {
-                        continue;
-                    }
-                    if !policy.admit(now, &entry.cand) {
-                        continue;
-                    }
-                    let (r0, r1) = policy.rank(now, &entry.cand);
-                    let key = (r0, r1, self.hw.plane_ready_at(p), entry.cand.seq);
-                    if best.map_or(true, |(k, _, _)| key < k) {
-                        best = Some((key, slot, pos));
+                    for plane in live.iter() {
+                        // The lane is the head's primary plane, so a busy
+                        // one is skipped before the op is looked up.
+                        let p = plane as dloop_nand::PlaneId;
+                        if !free(p) {
+                            continue;
+                        }
+                        let (_, seq) = lanes[plane][0];
+                        let op = slab[(seq - base) as usize]
+                            .as_ref()
+                            .expect("a lane entry is pending");
+                        if !op.host.steps()[0].planes().1.is_none_or(free) {
+                            continue;
+                        }
+                        if !policy.admit(now, &op.cand) {
+                            continue;
+                        }
+                        let (r0, r1) = policy.rank(now, &op.cand);
+                        let key = (r0, r1, self.hw.plane_ready_at(p), seq);
+                        if best.is_none_or(|(k, _)| key < k) {
+                            best = Some((key, plane));
+                        }
                     }
                 }
                 // Under the FIFO discipline the chain-less op waits its
                 // turn behind an older op that is ready now. A chain-less
                 // op issues unseen by the policy; a lane's op is charged
                 // to it.
-                let chainless_wins =
-                    chainless_next.filter(|&seq| best.map_or(true, |(key, _, _)| seq < key.3));
+                let chainless_wins = chainless
+                    .front()
+                    .copied()
+                    .filter(|&seq| best.is_none_or(|(key, _)| seq < key.3));
                 let (seq, charged) = match (chainless_wins, best) {
                     (Some(seq), _) => {
                         chainless.pop_front();
-                        (seq, None)
+                        (seq, false)
                     }
-                    (None, Some((_, slot, pos))) => {
-                        let lane = &mut lanes[live[slot]];
-                        let entry = lane.remove(pos);
+                    (None, Some((_, plane))) => {
+                        let lane = &mut lanes[plane];
+                        let (_, seq) = lane.pop_front().expect("the winner heads its lane");
                         if lane.is_empty() {
-                            live.remove(slot);
+                            live.remove(plane);
                         }
-                        policy.on_issue(now, &entry.cand);
-                        (entry.cand.seq, Some(entry.cand))
+                        (seq, true)
                     }
                     (None, None) => break,
                 };
-                let idx = pending
-                    .binary_search_by_key(&seq, |o| o.seq)
+                let op = slab[(seq - base) as usize]
+                    .take()
                     .expect("selected op is pending");
-                let op = pending.remove_at(idx).expect("index in bounds");
+                while let Some(None) = slab.front() {
+                    slab.pop_front();
+                    base += 1;
+                }
+                in_window -= 1;
+                let cand = op.cand;
+                if charged {
+                    policy.on_issue(now, &cand);
+                }
                 let release = self.issue_queued_op(
                     op,
                     now,
@@ -1065,12 +1110,12 @@ impl SsdDevice {
                 // Throttling policies track the committed draw until its
                 // last resource hold ends (the release wake scheduled by
                 // `issue_queued_op` guarantees a `tick` retires it).
-                if let Some(cand) = charged {
+                if charged {
                     policy.note_release(now, &cand, release);
                 }
             }
         }
-        self.assert_drained(pending.len(), pending.get(0), clock.now);
+        self.assert_drained(&slab, clock.now);
 
         self.finish_report(requests.len() as u64, stats)
     }
@@ -1295,7 +1340,8 @@ impl CommandSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftl::FtlCounters;
+    use crate::ftl::{FlashStep, FtlCounters};
+    use crate::request::TenantId;
     use dloop_nand::{BlockAddr, Lpn, Ppn};
     use std::collections::HashMap;
 
@@ -1595,17 +1641,25 @@ mod tests {
         let held = d.hw.exec_write(0, SimTime::from_millis(5));
         let (host, gc, scan) = d.translate_page_op(42, HostOp::Write);
         let op = QueuedOp {
-            seq: 0,
             req: 0,
             lpn: 42,
             host,
             gc,
             scan,
-            arrival: SimTime::from_micros(7),
-            tenant: TenantId::default(),
+            cand: QosCandidate {
+                seq: 0,
+                tenant: TenantId::default(),
+                op: HostOp::Write,
+                deadline: None,
+                arrival: SimTime::from_micros(7),
+                plane: 0,
+                draw_uw: 0,
+            },
+            key: 0,
         };
+        let slab = VecDeque::from([Some(op)]);
         let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.assert_drained(1, Some(&op), SimTime::from_micros(7))
+            d.assert_drained(&slab, SimTime::from_micros(7))
         }))
         .expect_err("a pending op must trip the end-of-trace check");
         let message = stuck.downcast_ref::<String>().expect("formatted panic");
@@ -1785,5 +1839,312 @@ mod tests {
         }
         d.run_with(&reqs, RunConfig::open());
         d.audit().unwrap();
+    }
+
+    #[test]
+    fn plane_set_walks_its_members_in_ascending_order() {
+        let mut set = PlaneSet::new(130);
+        for plane in [129, 0, 64, 63, 5, 128] {
+            set.insert(plane);
+        }
+        set.remove(5);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, 128, 129]);
+        for plane in [0, 63, 64, 128, 129] {
+            set.remove(plane);
+        }
+        assert_eq!(set.iter().next(), None);
+    }
+
+    /// A timing-only FTL for scheduler tests. It keeps no mapping, only
+    /// which LPNs were ever written, so a read of any other LPN has no
+    /// host step. Every other op gets chains spread over the device the
+    /// way a real FTL's are: a host step on a plane drawn from the LPN and
+    /// a running op count, now and then behind a two-plane copy, and on
+    /// some writes a collection on the written plane and a scan of another
+    /// plane.
+    struct SprayFtl {
+        planes: u32,
+        written: Vec<bool>,
+        ops: u64,
+    }
+
+    impl SprayFtl {
+        fn new(config: &SsdConfig) -> Self {
+            let geometry = config.geometry();
+            SprayFtl {
+                planes: geometry.total_planes(),
+                written: vec![false; geometry.user_pages() as usize],
+                ops: 0,
+            }
+        }
+
+        /// A fresh hash of `lpn` and the op count, and the plane it picks.
+        fn draw(&mut self, lpn: Lpn) -> (u64, u32) {
+            self.ops += 1;
+            let mut z = lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.ops;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 8, (z % self.planes as u64) as u32)
+        }
+    }
+
+    impl Ftl for SprayFtl {
+        fn name(&self) -> &'static str {
+            "SPRAY"
+        }
+
+        fn read(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
+            if !self.written[lpn as usize] {
+                return;
+            }
+            let (h, plane) = self.draw(lpn);
+            if h % 8 == 0 {
+                let dst = (plane + 1) % self.planes;
+                ctx.push(FlashStep::InterPlaneCopy { src: plane, dst });
+            }
+            ctx.push(FlashStep::Read { plane });
+        }
+
+        fn write(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
+            self.written[lpn as usize] = true;
+            let (h, plane) = self.draw(lpn);
+            ctx.push(FlashStep::Write { plane });
+            if (h >> 4) % 4 == 0 {
+                ctx.phase = Phase::Gc;
+                ctx.push(FlashStep::CopyBack { plane });
+                ctx.push(FlashStep::CopyBack { plane });
+                ctx.push(FlashStep::Erase { plane });
+            }
+            if (h >> 8) % 6 == 0 {
+                ctx.phase = Phase::Scan;
+                let other = (plane + 1 + (h >> 12) as u32 % (self.planes - 1)) % self.planes;
+                ctx.push(FlashStep::Erase { plane: other });
+            }
+            ctx.phase = Phase::Host;
+        }
+
+        fn mapped_ppn(&self, _lpn: Lpn) -> Option<Ppn> {
+            None
+        }
+
+        fn counters(&self) -> FtlCounters {
+            FtlCounters::default()
+        }
+
+        fn audit(&self, _flash: &FlashState, _dir: &PageDirectory) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// The queued rule with no index at all: every pass scans the first
+    /// `min(pending, queue_depth)` pending ops, takes per plane the one
+    /// with the least `(lane_key, seq)`, and applies the resource, `admit`,
+    /// `rank`, chain-less and `fifo` rules of [`SsdDevice::run_queued`]'s
+    /// rustdoc to those, through the same `translate_page_op` and
+    /// `issue_queued_op`.
+    fn run_queued_naive(
+        d: &mut SsdDevice,
+        requests: &[HostRequest],
+        queue_depth: usize,
+        policy: &mut dyn QosPolicy,
+        fifo: bool,
+    ) -> RunReport {
+        let lpn_space = d.flash.geometry().user_pages();
+        let planes = d.flash.geometry().total_planes() as usize;
+        let mut clock = WakeClock::new(requests);
+        let mut pending: Vec<QueuedOp> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
+        let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
+        let mut stats = ReplayStats::for_queued(requests);
+        let mut ticked = None;
+        while let Some((now, arrived)) = clock.pop() {
+            if let Some(i) = arrived {
+                let req = &requests[i];
+                if req.pages == 0 {
+                    let at = req.arrival;
+                    stats.queue.track(req.tenant, at, at, at);
+                    stats.complete(i as u64, at, at);
+                    continue;
+                }
+                for lpn in req.wrapped_page_ops(lpn_space) {
+                    let (host, gc, scan) = d.translate_page_op(lpn, req.op);
+                    stats.count_page(req.op);
+                    let cand = QosCandidate {
+                        seq: next_seq,
+                        tenant: req.tenant,
+                        op: req.op,
+                        deadline: req.deadline,
+                        arrival: req.arrival,
+                        plane: host.steps().first().map_or(0, |s| s.planes().0),
+                        draw_uw: d.op_draw_uw(&host, &gc, &scan),
+                    };
+                    let key = if host.is_empty() {
+                        0
+                    } else {
+                        policy.lane_key(&cand)
+                    };
+                    next_seq += 1;
+                    pending.push(QueuedOp {
+                        req: i,
+                        lpn,
+                        host,
+                        gc,
+                        scan,
+                        cand,
+                        key,
+                    });
+                }
+            }
+            if ticked != Some(now) {
+                ticked = Some(now);
+                policy.tick(now);
+            }
+            loop {
+                let window = &pending[..pending.len().min(queue_depth)];
+                let mut heads: Vec<Option<&QueuedOp>> = vec![None; planes];
+                let mut chainless = None;
+                for op in window {
+                    if op.host.is_empty() {
+                        chainless = chainless.or(Some(op.cand.seq));
+                        continue;
+                    }
+                    let head = &mut heads[op.cand.plane as usize];
+                    if head.is_none_or(|h| (op.key, op.cand.seq) < (h.key, h.cand.seq)) {
+                        *head = Some(op);
+                    }
+                }
+                let mut best: Option<((u64, u64, SimTime, u64), QosCandidate)> = None;
+                if fifo || chainless.is_none() {
+                    for op in heads.into_iter().flatten() {
+                        let (p, p2) = op.host.steps()[0].planes();
+                        let free = |plane| {
+                            d.hw.plane_ready_at(plane) <= now && d.hw.channel_ready_at(plane) <= now
+                        };
+                        if !free(p) || !p2.is_none_or(free) || !policy.admit(now, &op.cand) {
+                            continue;
+                        }
+                        let (r0, r1) = policy.rank(now, &op.cand);
+                        let key = (r0, r1, d.hw.plane_ready_at(p), op.cand.seq);
+                        if best.is_none_or(|(k, _)| key < k) {
+                            best = Some((key, op.cand));
+                        }
+                    }
+                }
+                // A chain-less op goes first unless the FIFO discipline
+                // finds an older op ready.
+                let charged = match (chainless, best) {
+                    (Some(seq), Some((_, cand))) if cand.seq < seq => Some(cand),
+                    (Some(_), _) => None,
+                    (None, Some((_, cand))) => Some(cand),
+                    (None, None) => break,
+                };
+                let seq = charged.map_or_else(|| chainless.unwrap(), |c| c.seq);
+                let at = pending.iter().position(|op| op.cand.seq == seq).unwrap();
+                let op = pending.remove(at);
+                if let Some(cand) = &charged {
+                    policy.on_issue(now, cand);
+                }
+                let release = d.issue_queued_op(
+                    op,
+                    now,
+                    &mut stats,
+                    &mut req_done,
+                    &mut req_ops_left,
+                    &mut clock.wakes,
+                );
+                if let Some(cand) = &charged {
+                    policy.note_release(now, cand, release);
+                }
+            }
+        }
+        assert!(pending.is_empty(), "the naive scheduler stranded an op");
+        d.finish_report(requests.len() as u64, stats)
+    }
+
+    /// `run_queued` and the naive scan agree, report field for report
+    /// field and completion record for completion record, on random
+    /// traces (unmapped reads, multi-page and zero-page requests, three
+    /// tenants, deadlines) under every discipline: gated (`WindowFifo`,
+    /// unbounded), NCQ, priority, deadline, fair-share and power cap, at
+    /// window depths 1, 2, 3, 8 and unbounded, with background GC off and
+    /// on. `scripts/verify.sh` runs it by name with more cases.
+    #[test]
+    fn queued_scheduler_matches_naive_oracle() {
+        use dloop_simkit::check::{self, Checker, Generator};
+
+        let base =
+            SsdConfig::micro_gc_test().with_energy(dloop_nand::EnergyConfig::paper_default());
+        let lpns = 48;
+        // (gap before arrival in µs, LPN, pages, tag); the tag picks the
+        // op, the tenant and the deadline.
+        let request = (
+            check::u64s(0..90),
+            check::u64s(0..lpns),
+            check::u32s(0..4),
+            check::u64s(0..1 << 12),
+        );
+        let trace = check::vec_of(request, 1..120).map(|rows| {
+            let mut at = 0;
+            rows.into_iter()
+                .map(|(gap, lpn, pages, tag)| {
+                    at += gap;
+                    HostRequest {
+                        arrival: SimTime::from_micros(at),
+                        lpn,
+                        pages,
+                        op: if tag % 2 == 0 {
+                            HostOp::Read
+                        } else {
+                            HostOp::Write
+                        },
+                        tenant: (tag / 2 % 3) as TenantId,
+                        deadline: (tag / 6 % 2 == 0)
+                            .then(|| SimTime::from_micros(at + 100 + tag / 12 * 5)),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        let disciplines: [(QosSpec, bool); 6] = [
+            (QosSpec::WindowFifo, true),
+            (QosSpec::Ncq, false),
+            (QosSpec::Priority, false),
+            (QosSpec::Deadline, false),
+            (QosSpec::fair_share(), false),
+            (QosSpec::PowerCap { budget_uw: 200_000 }, false),
+        ];
+        Checker::new().cases(24).run(&trace, |reqs| {
+            for background_gc in [false, true] {
+                let config = SsdConfig {
+                    background_gc,
+                    ..base.clone()
+                };
+                for (spec, fifo) in disciplines {
+                    let depths: &[usize] = if fifo {
+                        &[usize::MAX]
+                    } else {
+                        &[1, 2, 3, 8, usize::MAX]
+                    };
+                    for &depth in depths {
+                        let device =
+                            || SsdDevice::new(config.clone(), Box::new(SprayFtl::new(&config)));
+                        let mut indexed = device();
+                        let got = indexed.run_queued(reqs, depth, spec.build().as_mut(), fifo);
+                        let mut naive = device();
+                        let want =
+                            run_queued_naive(&mut naive, reqs, depth, spec.build().as_mut(), fifo);
+                        let case = format!("{spec:?} depth {depth} background GC {background_gc}");
+                        dloop_simkit::check_assert_eq!(got.completions, want.completions, "{case}");
+                        dloop_simkit::check_assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -6,7 +6,7 @@
 //! host streams with different needs — latency-sensitive reads, deadline
 //! IO, throughput tenants — so this module makes the *selection rule*
 //! inside that window pluggable while keeping the window mechanics (lanes,
-//! horizon, wake events) fixed in the driver.
+//! window admission, wake events) fixed in the driver.
 //!
 //! # How a policy plugs in
 //!
@@ -19,8 +19,8 @@
 //!    The default key is the arrival sequence number `seq`, i.e. FIFO; the
 //!    earliest-deadline-first policy sorts by deadline instead, which is
 //!    what guarantees two same-plane deadlines are never inverted.
-//! 2. **Across-lane choice** — among the lanes' first in-window candidates
-//!    whose resources are idle, [`QosPolicy::rank`] returns a `(u64, u64)`
+//! 2. **Across-lane choice** — among the lane heads (a lane holds only
+//!    in-window operations) whose resources are idle, [`QosPolicy::rank`] returns a `(u64, u64)`
 //!    prefix key; lower wins. The driver always appends the NCQ key
 //!    `(plane_ready_at, seq)` as the universal tie-break, so any policy
 //!    that ranks all candidates equally — like [`NcqPolicy`] — degenerates

@@ -22,8 +22,9 @@
 //! * [`stats`] — online mean/variance, histograms and percentile estimation.
 //! * [`rng`] — a tiny, seedable PCG-style PRNG (keeps the simulator free of
 //!   external API churn and registry dependencies).
-//! * [`queue`] — the pending-operation priority list used to model FlashSim's
-//!   channel-interleaving scheduler.
+//! * [`queue`] — FlashSim's pending-operation priority list in its plainest
+//!   form, kept for the benchmark harness's isolated queue timing (the
+//!   device scheduler indexes its own window).
 //! * [`slots`] — the record-table kit shared by the FTL's cached mapping
 //!   table and the host page cache: a keyless open-addressed `u64 → u32`
 //!   index and intrusive doubly linked lists over a record `Vec`.

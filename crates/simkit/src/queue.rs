@@ -7,11 +7,16 @@
 //! processes other requests until the channel and the plane turn to be
 //! free."*
 //!
-//! [`PendingQueue`] is that list: items are appended in arrival order —
-//! the priority — and the scheduler removes whichever one it selects by
-//! position, skipping (but never reordering) the ones still blocked.
-//! *Which* item is ready is the scheduler's business: it keeps its own
-//! readiness index and finds the chosen item here by its sequence key.
+//! [`PendingQueue`] is that list in its plainest form: items are appended
+//! in arrival order — the priority — and a scheduler removes whichever one
+//! it selects by position, skipping (but never reordering) the ones still
+//! blocked.
+//!
+//! The device's queueing scheduler no longer keeps its pending ops here:
+//! it holds them in a slab indexed by sequence number and indexes only
+//! its reorder window (`DESIGN.md` §3d). The type stays for the
+//! benchmark harness's isolated driver, which times enqueue, locate and
+//! remove against it as `queue.ns_per_op`.
 
 use std::collections::VecDeque;
 

@@ -161,6 +161,13 @@ echo "==> background-GC gated soak (10k-op GC-heavy tail, wake-event contract)"
 # arrival-independent.
 cargo test -q --release --offline --test replay_modes gated_background_gc_soak
 
+echo "==> queued-scheduler oracle (indexed window vs naive scan, 256 random traces)"
+# run_queued against a naive selector that rescans the whole window on
+# every pass: every gated/NCQ/QoS discipline, window depths 1, 2, 3, 8 and
+# unbounded, background GC off and on. `cargo test` above runs 24 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-ftl-kit --lib \
+    queued_scheduler_matches_naive_oracle
+
 echo "==> QoS sweep smoke (qos subcommand, policy rows + per-tenant columns)"
 # One pass of the multi-tenant policy sweep on a small mix: exercises
 # every shipped policy plus both C12 bounds through the CLI and pins

@@ -5,18 +5,20 @@
 //! the host page cache's hits, evictions and dirty-ratio flushes. A
 //! counting global allocator tallies heap allocations per thread; once the
 //! working buffers have grown during a warm-up, a further stretch of
-//! operations must not allocate at all.
+//! operations must not allocate at all. A whole NCQ replay, whose queueing
+//! scheduler grows its buffers inside the run, must allocate about as
+//! often for a long steady stream as for a short one.
 
 use dloop_repro::dloop_ftl::{DloopConfig, DloopFtl};
 use dloop_repro::ftl_kit::cmt::CachedMappingTable;
 use dloop_repro::ftl_kit::config::SsdConfig;
-use dloop_repro::ftl_kit::device::SsdDevice;
+use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::dir::PageDirectory;
 use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, OpChain, Phase};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::host::{PageCache, Writeback};
 use dloop_repro::nand::FlashState;
-use dloop_repro::simkit::SimTime;
+use dloop_repro::simkit::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -294,5 +296,73 @@ fn submitted_commands_on_a_reserved_session_do_not_allocate() {
     assert_eq!(
         allocated, 0,
         "heap allocations inside CommandSession::submit"
+    );
+}
+
+/// Heap allocations made by one `run_with(ncq(32))` replay of a steady
+/// `requests`-long stream of single-page ops (three writes to a read, one
+/// every 400 µs: the device keeps up, collections included) on an aged
+/// `micro_gc_test` DLOOP device.
+fn ncq_replay_allocations(requests: u64) -> u64 {
+    let config = SsdConfig::micro_gc_test();
+    let span = config.geometry().user_pages() * 2 / 3;
+    let reqs: Vec<HostRequest> = (0..requests)
+        .map(|i| HostRequest {
+            arrival: SimTime::from_micros(400 * i),
+            lpn: (i * 2_654_435_761) % span,
+            pages: 1,
+            op: if i % 4 == 3 {
+                HostOp::Read
+            } else {
+                HostOp::Write
+            },
+            ..HostRequest::default()
+        })
+        .collect();
+    let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
+    // Age the device first, so the measured stream collects from its start.
+    let fill: Vec<HostRequest> = (0..2 * span)
+        .map(|i| HostRequest {
+            arrival: SimTime::from_micros(300 * i),
+            lpn: i % span,
+            pages: 1,
+            op: HostOp::Write,
+            ..HostRequest::default()
+        })
+        .collect();
+    device.warm_up(&fill);
+    let before = allocations();
+    let report = device.run_with(&reqs, RunConfig::ncq(32));
+    let allocated = allocations() - before;
+    assert_eq!(report.requests_completed, requests);
+    assert!(report.ftl.gc_invocations > 0, "the stream must collect");
+    let last = reqs.last().expect("a non-empty stream").arrival;
+    assert!(
+        report.sim_end.saturating_since(last) < SimDuration::from_millis(20),
+        "the stream must be steady: its backlog drains by {}, the last arrival is at {last}",
+        report.sim_end
+    );
+    allocated
+}
+
+// The queueing scheduler keeps its pending ops in buffers that grow to the
+// run's peak backlog and are reused from then on: the op slab, the readiness
+// lanes, the chain-less list, the wake heap, and the chain free list with
+// each recycled chain's step buffer. A longer steady stream meets somewhat
+// deeper bursts and longer collection chains, so a few of those grow once
+// more — 97 allocations for 2 000 requests and 111 for 8 000 when this test
+// was written, the 14 extra all chain, slab, lane and wake-heap growth. The
+// allowance below is about twice that. One allocation per request or per
+// page op would add thousands.
+const PEAK_GROWTH_ALLOWANCE: u64 = 32;
+
+#[test]
+fn ncq_replay_allocations_do_not_grow_with_trace_length() {
+    let short = ncq_replay_allocations(2_000);
+    let long = ncq_replay_allocations(8_000);
+    assert!(
+        long <= short + PEAK_GROWTH_ALLOWANCE,
+        "an NCQ replay of 8 000 requests allocated {long} times, one of 2 000 \
+         {short} times: something allocates per request"
     );
 }
