@@ -17,7 +17,7 @@ use dloop_host::{report_fingerprint, HostConfig, HostStack};
 use dloop_nand::TimingConfig;
 use dloop_simkit::trace::{attribution, RingSink, SpanPhase};
 use dloop_workloads::synth::sequential_fill;
-use dloop_workloads::{host_mix, qos_mix, WorkloadProfile};
+use dloop_workloads::{host_mix, qos_mix, Trace, WorkloadProfile};
 
 use crate::experiments::ExpOptions;
 
@@ -424,16 +424,19 @@ fn check_ncq_vs_gated(opts: &ExpOptions) -> ClaimResult {
     check_ncq_vs_gated_on(opts, config, max_requests.min(12_000))
 }
 
-/// The C11 measurement itself, on an arbitrary device configuration (the
-/// unit test runs it on [`SsdConfig::micro_gc_test`] to stay cheap).
-fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64) -> ClaimResult {
-    // Write-heavy and arriving fast enough to queue: reordering is a
-    // no-op on an idle device.
+/// The C11/C16 burst: Financial1 at 90 % writes, arriving 16× faster,
+/// so ops queue. Reordering and power caps are no-ops on an idle device.
+fn write_burst(opts: &ExpOptions, config: &SsdConfig, max_requests: u64) -> Trace {
     let mut profile = opts.scaled_profile(WorkloadProfile::financial1());
     profile.write_ratio = 0.9;
     profile.rate_per_sec *= 16.0;
-    let geometry = config.geometry();
-    let trace = profile.generate_scaled(opts.seed, geometry.page_size, max_requests);
+    profile.generate_scaled(opts.seed, config.geometry().page_size, max_requests)
+}
+
+/// The C11 measurement itself, on an arbitrary device configuration (the
+/// unit test runs it on [`SsdConfig::micro_gc_test`] to stay cheap).
+fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64) -> ClaimResult {
+    let trace = write_burst(opts, &config, max_requests);
     let run_mode = |mode: ReplayMode| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         device.run_with(&trace.requests, mode.into())
@@ -980,13 +983,7 @@ fn check_power_cap_on(
     budget_uw: u64,
 ) -> ClaimResult {
     let energy = config.energy.expect("C16 needs energy accounting enabled");
-    let geometry = config.geometry();
-    // Write-heavy and arriving fast enough to queue (the C11 burst):
-    // a cap on concurrent admissions is a no-op on an idle device.
-    let mut profile = opts.scaled_profile(WorkloadProfile::financial1());
-    profile.write_ratio = 0.9;
-    profile.rate_per_sec *= 16.0;
-    let trace = profile.generate_scaled(opts.seed, geometry.page_size, max_requests);
+    let trace = write_burst(opts, &config, max_requests);
     let run_budget = |budget: u64, with_sink: bool| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         if with_sink {
@@ -1019,48 +1016,10 @@ fn check_power_cap_on(
         .energy
         .expect("energy-enabled run must report totals");
     let buckets = 24usize;
-    let csv = dloop_simkit::trace::power_csv(
-        &rec,
-        geometry.total_planes() as usize,
-        geometry.channels as usize,
-        buckets,
-        energy.array_active_uw,
-        energy.bus_active_uw,
-    );
-    // Reconstruct the grid the CSV used: fixed-width windows, the last
-    // stretched to the final busy nanosecond.
-    let end_ns = rec
-        .spans()
-        .flat_map(|s| s.segments())
-        .map(|seg| seg.end.as_nanos())
-        .max()
-        .unwrap_or(0);
-    let width = (end_ns / buckets as u64).max(1);
-    let mut csv_sum = 0u64;
-    for (i, line) in csv.lines().skip(1).enumerate() {
-        let total_fj: u64 = line
-            .rsplit(',')
-            .next()
-            .and_then(|v| v.parse().ok())
-            .expect("power_csv rows end in an integer total");
-        csv_sum = csv_sum.checked_add(total_fj).expect("bucket sum overflow");
-        let span_ns = if i + 1 == buckets {
-            end_ns.saturating_sub(i as u64 * width).max(width)
-        } else {
-            width
-        };
-        // µW × ns is exactly fJ — the same fixed-point identity the
-        // accounting uses.
-        let ceiling = budget_uw
-            .checked_mul(span_ns)
-            .expect("budget ceiling overflow");
-        if total_fj > ceiling {
-            pass = false;
-            worst = format!(
-                "bucket {i}: {total_fj} fJ exceeds budget ceiling {ceiling} fJ \
-                 ({budget_uw} uW x {span_ns} ns)"
-            );
-        }
+    let (csv_sum, over) = power_buckets_over_budget(&rec, &config, buckets, budget_uw);
+    if let Some(bucket) = over {
+        pass = false;
+        worst = bucket;
     }
     if csv_sum != totals.total_fj() {
         pass = false;
@@ -1151,6 +1110,65 @@ fn check_power_cap_on(
             worst
         },
     }
+}
+
+/// C16's per-bucket budget check on one recorded run: render the run's
+/// power timeline (`power_csv`) in `buckets` windows and hold every
+/// bucket against the ceiling `budget_uw × bucket_ns`. Returns the
+/// timeline's femtojoule sum and the last bucket over its ceiling, if
+/// any.
+fn power_buckets_over_budget(
+    rec: &RingSink,
+    config: &SsdConfig,
+    buckets: usize,
+    budget_uw: u64,
+) -> (u64, Option<String>) {
+    let energy = config.energy.expect("C16 needs energy accounting enabled");
+    let geometry = config.geometry();
+    let csv = dloop_simkit::trace::power_csv(
+        rec,
+        geometry.total_planes() as usize,
+        geometry.channels as usize,
+        buckets,
+        energy.array_active_uw,
+        energy.bus_active_uw,
+    );
+    // Reconstruct the grid the CSV used: fixed-width windows, the last
+    // stretched to the final busy nanosecond.
+    let end_ns = rec
+        .spans()
+        .flat_map(|s| s.segments())
+        .map(|seg| seg.end.as_nanos())
+        .max()
+        .unwrap_or(0);
+    let width = (end_ns / buckets as u64).max(1);
+    let mut csv_sum = 0u64;
+    let mut over = None;
+    for (i, line) in csv.lines().skip(1).enumerate() {
+        let total_fj: u64 = line
+            .rsplit(',')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .expect("power_csv rows end in an integer total");
+        csv_sum = csv_sum.checked_add(total_fj).expect("bucket sum overflow");
+        let span_ns = if i + 1 == buckets {
+            end_ns.saturating_sub(i as u64 * width).max(width)
+        } else {
+            width
+        };
+        // µW × ns is exactly fJ — the same fixed-point identity the
+        // accounting uses.
+        let ceiling = budget_uw
+            .checked_mul(span_ns)
+            .expect("budget ceiling overflow");
+        if total_fj > ceiling {
+            over = Some(format!(
+                "bucket {i}: {total_fj} fJ exceeds budget ceiling {ceiling} fJ \
+                 ({budget_uw} uW x {span_ns} ns)"
+            ));
+        }
+    }
+    (csv_sum, over)
 }
 
 /// Render the claim results as a table.
@@ -1272,6 +1290,90 @@ mod tests {
             .with_energy(dloop_nand::EnergyConfig::paper_default());
         let r = check_power_cap_on(&opts, config, 800, 100_000);
         assert!(r.pass, "C16 failed: {}", r.detail);
+    }
+
+    #[test]
+    fn c16_bucket_check_fails_on_an_uncapped_replay() {
+        // The same burst as the C16 test, replayed through a plain NCQ
+        // window: nothing throttles admissions.
+        let opts = ExpOptions::default();
+        let config = dloop_ftl_kit::config::SsdConfig::micro_gc_test()
+            .with_energy(dloop_nand::EnergyConfig::paper_default());
+        let trace = write_burst(&opts, &config, 800);
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+        device.attach_sink(Box::new(RingSink::new(1 << 20)));
+        let report = device.run_with(
+            &trace.requests,
+            RunConfig::ncq(dloop_ftl_kit::DEFAULT_NCQ_DEPTH),
+        );
+        let rec = device.take_trace().expect("ring sink was attached");
+        assert_eq!(rec.dropped(), 0);
+        let total_fj = report.energy.expect("energy totals").total_fj();
+        // Some bucket draws at least the run's mean power, so a budget
+        // below the mean is below the hottest bucket.
+        let mean_uw = total_fj / report.sim_end.as_nanos();
+        let (sum_fj, over) = power_buckets_over_budget(&rec, &config, 24, mean_uw - 1);
+        assert_eq!(sum_fj, total_fj);
+        let over = over.expect("an uncapped replay must break a budget below its mean draw");
+        assert!(over.contains("exceeds budget ceiling"), "{over}");
+        // Every plane and every channel busy at once is the most the
+        // device can draw: no bucket can break that ceiling.
+        let geometry = config.geometry();
+        let energy = config.energy.unwrap();
+        let all_busy_uw = geometry.total_planes() as u64 * energy.array_active_uw
+            + geometry.channels as u64 * energy.bus_active_uw;
+        assert_eq!(
+            power_buckets_over_budget(&rec, &config, 24, all_busy_uw).1,
+            None
+        );
+    }
+
+    /// Energy accounting is observation, never perturbation: the same
+    /// trace replayed with and without an [`EnergyConfig`] produces the
+    /// same timings, the same completion log, and a metrics CSV row that
+    /// differs *only* in the two appended energy columns — stripping the
+    /// totals makes the full report fingerprints bit-identical.
+    #[test]
+    fn disabling_energy_leaves_the_run_bit_identical() {
+        use dloop_nand::EnergyConfig;
+        let opts = ExpOptions::default();
+        let plain = SsdConfig::micro_gc_test();
+        let powered = plain.clone().with_energy(EnergyConfig::paper_default());
+        let geometry = plain.geometry();
+        let profile = opts.scaled_profile(WorkloadProfile::financial1());
+        let trace = profile.generate_scaled(opts.seed, geometry.page_size, 600);
+
+        let run = |config: &SsdConfig| {
+            let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
+            device.run_with(&trace.requests, RunConfig::open())
+        };
+        let dark = run(&plain);
+        let mut lit = run(&powered);
+        assert!(dark.energy.is_none());
+        assert!(
+            lit.energy
+                .expect("energy-enabled run reports totals")
+                .total_fj()
+                > 0
+        );
+
+        let (dark_row, lit_row) = (dark.csv_row(), lit.csv_row());
+        let dark_cols: Vec<&str> = dark_row.split(',').collect();
+        let lit_cols: Vec<&str> = lit_row.split(',').collect();
+        assert_eq!(dark_cols.len(), lit_cols.len());
+        let energy_cols = dark_cols.len() - 2;
+        assert_eq!(dark_cols[..energy_cols], lit_cols[..energy_cols]);
+        assert_eq!(&dark_cols[energy_cols..], &["0", "0"]);
+        assert_ne!(&lit_cols[energy_cols..], &["0", "0"]);
+
+        assert_eq!(dark.completions, lit.completions);
+        assert_eq!(dark.queue_depth_csv(64), lit.queue_depth_csv(64));
+        lit.energy = None;
+        assert_eq!(
+            dloop_host::report_fingerprint(&dark),
+            dloop_host::report_fingerprint(&lit),
+            "with totals stripped, the reports must be bit-identical"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use dloop_workloads::WorkloadProfile;
 
 /// Raw bit-error rates swept. 0 is the fault-free reference point (a null
 /// plan: the device behaves bit-identically to the pre-fault simulator).
-pub const BERS: [f64; 5] = [0.0, 1e-5, 1e-4, 5e-4, 1e-3];
+const BERS: [f64; 5] = [0.0, 1e-5, 1e-4, 5e-4, 1e-3];
 
 /// The schemes compared: the paper set plus the SRAM page-map bound.
 pub const KINDS: [FtlKind; 4] = [

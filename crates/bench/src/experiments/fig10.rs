@@ -12,7 +12,7 @@ use crate::table::Table;
 use dloop_ftl_kit::config::SsdConfig;
 
 /// Extra-block percentages of the paper's x-axis.
-pub const EXTRA_PCT: [f64; 4] = [3.0, 5.0, 7.0, 10.0];
+const EXTRA_PCT: [f64; 4] = [3.0, 5.0, 7.0, 10.0];
 
 /// Run the Fig. 10 sweep.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {

@@ -12,7 +12,7 @@ use crate::table::Table;
 use dloop_ftl_kit::config::SsdConfig;
 
 /// Nominal capacities of the paper's x-axis.
-pub const CAPACITIES_GB: [u32; 5] = [4, 8, 16, 32, 64];
+const CAPACITIES_GB: [u32; 5] = [4, 8, 16, 32, 64];
 
 /// Run the Fig. 8 sweep.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {

@@ -11,7 +11,7 @@ use crate::table::Table;
 use dloop_ftl_kit::config::SsdConfig;
 
 /// Page sizes of the paper's x-axis.
-pub const PAGE_KB: [u32; 4] = [2, 4, 8, 16];
+const PAGE_KB: [u32; 4] = [2, 4, 8, 16];
 
 /// Run the Fig. 9 sweep — twice: once with the byte-accurate Table-I bus
 /// model, once with the flat ~50 us/page transfer the paper's prose

@@ -34,7 +34,7 @@ use dloop_simkit::SimDuration;
 use dloop_workloads::{host_mix, Trace};
 
 /// Locked column schema of the coalescing sweep (`host_0.csv`).
-pub const COALESCE_HEADER: [&str; 9] = [
+const COALESCE_HEADER: [&str; 9] = [
     "batch",
     "coalesce",
     "e2e_ms",
@@ -47,7 +47,7 @@ pub const COALESCE_HEADER: [&str; 9] = [
 ];
 
 /// Locked column schema of the dirty-ratio sweep (`host_1.csv`).
-pub const DIRTY_HEADER: [&str; 7] = [
+const DIRTY_HEADER: [&str; 7] = [
     "dirty_ratio",
     "e2e_ms",
     "cache_served_pct",
@@ -59,7 +59,7 @@ pub const DIRTY_HEADER: [&str; 7] = [
 
 /// Locked column schema of the queue-depth sweep (`host_2.csv`); depth
 /// `0` is the unbounded (staged-equivalent) row.
-pub const DEPTH_HEADER: [&str; 7] = [
+const DEPTH_HEADER: [&str; 7] = [
     "depth",
     "e2e_ms",
     "host_queue_ms",

@@ -16,8 +16,6 @@
 //! | [`tracecmd`] | op-level flight-recorder artifacts (Chrome trace, utilization, attribution) |
 //! | [`qos`] | multi-tenant QoS policy sweep over the NCQ window (beyond the paper) |
 //! | [`host`] | host-stack coalescing and dirty-ratio sweeps through `dloop-host` (beyond the paper) |
-//! | [`shard`] | sharded playback engine speedup sweep + `BENCH_shard.json` (beyond the paper) |
-//! | [`power`] | power-cap sweep with integer energy accounting + `BENCH_power.json` (beyond the paper) |
 //!
 //! Absolute milliseconds differ from the paper (synthetic workloads, scaled
 //! devices); the *shape* — orderings, trends, crossovers — is the target.
@@ -32,9 +30,7 @@ pub mod fig9;
 pub mod headline;
 pub mod host;
 pub mod params;
-pub mod power;
 pub mod qos;
-pub mod shard;
 pub mod striping;
 pub mod sweep;
 pub mod tracecmd;

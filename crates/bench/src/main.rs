@@ -23,10 +23,6 @@
 //!   host                  — host-stack sweeps through dloop-host:
 //!                           interrupt coalescing and cache dirty ratio,
 //!                           with per-phase latency decomposition
-//!   power                 — power-cap sweep: descending µW budgets over a
-//!                           write-heavy burst with integer femtojoule
-//!                           accounting; emits BENCH_power.json and the
-//!                           tightest cap's trace_power.csv timeline
 //!   verify                — automated PASS/FAIL audit of the paper's claims
 //!   all                   — everything above (except trace: its artifacts
 //!                           are for interactive inspection, run it alone)
@@ -48,8 +44,8 @@
 //! ```
 
 use dloop_bench::experiments::{
-    ablation, channels, copyback, faults, fig10, fig8, fig9, headline, host, params, power, qos,
-    shard, striping, tracecmd, traces, ExpOptions, TraceMode,
+    ablation, channels, copyback, faults, fig10, fig8, fig9, headline, host, params, qos, striping,
+    tracecmd, traces, ExpOptions, TraceMode,
 };
 use dloop_ftl_kit::sched::QosSpec;
 use std::path::PathBuf;
@@ -60,7 +56,7 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|faults|trace|qos|host|shard|power|verify|all> \
+const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|faults|trace|qos|host|verify|all> \
 [--scale N] [--requests N] [--seed N] [--workers N] [--fill F] [--out DIR] \
 [--mode open|gated|closed|ncq] [--depth N] \
 [--policy ncq|window-fifo|priority|deadline|fair-share] [--tenants N] [--quick]";
@@ -189,8 +185,6 @@ fn main() -> ExitCode {
             "trace" => opts.emit(&tracecmd::run(opts), "trace"),
             "qos" => opts.emit(&qos::run(opts), "qos"),
             "host" => opts.emit(&host::run(opts), "host"),
-            "shard" => opts.emit(&shard::run(opts), "shard"),
-            "power" => opts.emit(&power::run(opts), "power"),
             "verify" => {
                 let results = dloop_bench::claims::verify(opts);
                 let table = dloop_bench::claims::to_table(&results);

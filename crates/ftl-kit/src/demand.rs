@@ -309,11 +309,6 @@ impl DemandMap {
         self.pending.get(&tvpn).copied().unwrap_or(0)
     }
 
-    /// Total deferred updates across all translation pages.
-    pub fn pending_total(&self) -> u64 {
-        self.pending_total
-    }
-
     /// Flush pending updates while the buffer exceeds its SRAM budget,
     /// largest translation page first (best amortisation per write). At
     /// most `max_flushes` pages are written per call: the budget is a soft
@@ -631,11 +626,11 @@ mod tests {
         rig.dm.gc_move(1, 6);
         assert_eq!(rig.dm.mapped(1), Some(6));
         assert_eq!(rig.dm.pending_count(0), 1);
-        assert_eq!(rig.dm.pending_total(), 1);
+        assert_eq!(rig.dm.pending_total, 1);
         assert_eq!(rig.dm.counters.deferred_updates, 1);
         // A rewrite clears the pending debt.
         rig.run(|dm, ctx, place| dm.rewrite_translation_page(0, ctx, place));
-        assert_eq!(rig.dm.pending_total(), 0);
+        assert_eq!(rig.dm.pending_total, 0);
     }
 
     #[test]
@@ -657,7 +652,7 @@ mod tests {
         rig.dm.gc_move(256, 101);
         rig.dm.gc_move(257, 102);
         rig.dm.gc_move(512, 103);
-        assert_eq!(rig.dm.pending_total(), 4);
+        assert_eq!(rig.dm.pending_total, 4);
 
         // Flush with a filter that forbids tvpn 1: the flush must drain
         // other pages and stop (never violating the filter).
@@ -666,14 +661,14 @@ mod tests {
             dm.flush_pending_over_budget(ctx, &mut deny_one, place);
         });
         assert_eq!(rig.dm.pending_count(1), 2, "filtered page left alone");
-        assert!(rig.dm.pending_total() <= 2 || rig.dm.pending_count(1) == 2);
+        assert!(rig.dm.pending_total <= 2 || rig.dm.pending_count(1) == 2);
 
         // Unfiltered flush drains to within budget (largest first).
         rig.run(|dm, ctx, place| {
             let mut allow = |_: &FtlContext<'_>, _: u64| true;
             dm.flush_pending_over_budget(ctx, &mut allow, place);
         });
-        assert!(rig.dm.pending_total() <= 2);
+        assert!(rig.dm.pending_total <= 2);
     }
 
     /// One step of the FTL-facing protocol on a map.
@@ -790,7 +785,7 @@ mod tests {
                     (0, 0)
                 );
                 check_assert!(rig.chain.is_empty());
-                check_assert_eq!(dm.pending_total(), 0);
+                check_assert_eq!(dm.pending_total, 0);
                 check_assert!(dm.plane_pure());
                 dm.check()?;
             }
@@ -903,7 +898,7 @@ mod tests {
         let err = rig.dm.check().unwrap_err();
         assert!(err.contains("lpn 12"), "{err}");
         rig.dm.gc_move(12, 52);
-        assert_eq!(rig.dm.pending_total(), 1);
+        assert_eq!(rig.dm.pending_total, 1);
         assert!(!rig.dm.plane_pure());
     }
 

@@ -1194,7 +1194,7 @@ impl SsdDevice {
     }
 
     /// Forget timing and counters but keep flash/FTL state.
-    pub fn reset_measurements(&mut self) {
+    fn reset_measurements(&mut self) {
         // Carry the sink across the hardware rebuild: warm-up spans are
         // measurements too, so rings are cleared (`TraceSink::reset`);
         // stream sinks keep their journal and simply continue appending.

@@ -108,8 +108,8 @@ pub struct ShardTiming {
     /// FTL fork), indexed by shard; zero for shards that received no
     /// operations. Reported separately from `worker_ms` so regressions
     /// in fork cost — pure overhead that grows with device size, not
-    /// with work — are visible in `shard_0.csv` instead of hiding
-    /// inside the replay time.
+    /// with work — are visible as `benchmark/`'s `shard.fork_ms_max`
+    /// instead of hiding inside the replay time.
     pub fork_ms: Vec<f64>,
     /// Per-shard replay time (translate + play), indexed by shard; zero
     /// for shards that received no operations.

@@ -473,7 +473,7 @@ macro_rules! check_assert_eq {
 }
 
 /// Default number of generated cases per property.
-pub const DEFAULT_CASES: u32 = 256;
+const DEFAULT_CASES: u32 = 256;
 
 /// Default base seed; every case seed is mixed from this and the case
 /// index, so the whole suite is reproducible run-to-run.
@@ -551,7 +551,7 @@ impl Checker {
         }
     }
 
-    /// Set the number of generated cases (default [`DEFAULT_CASES`]).
+    /// Set the number of generated cases (default 256).
     pub fn cases(mut self, cases: u32) -> Self {
         self.cases = cases;
         self

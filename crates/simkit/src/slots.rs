@@ -26,7 +26,7 @@
 
 /// The empty-slot marker and the end-of-list link; no record index may
 /// equal it.
-pub const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
 /// Most entries an index holds: record indices are 32-bit and the table
 /// stays at most half full.
@@ -35,7 +35,7 @@ pub const MAX_ENTRIES: usize = (NIL / 2) as usize;
 /// 2⁶⁴ / φ, the multiplicative-hashing constant.
 const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The index: record indices in a power-of-two slot array, [`NIL`] for an
+/// The index: record indices in a power-of-two slot array, `u32::MAX` for an
 /// empty slot.
 ///
 /// ```
@@ -195,7 +195,7 @@ impl SlotIndex {
 }
 
 /// A record's place on one [`List`]: its neighbours towards the front
-/// (`prev`) and the back (`next`), [`NIL`] past either end. A record
+/// (`prev`) and the back (`next`), `u32::MAX` past either end. A record
 /// carries one `Link` per list it can sit on; the link means something
 /// only while the record is on that list, so any value (`default()`)
 /// does for a record that is not.

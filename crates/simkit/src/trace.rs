@@ -718,9 +718,9 @@ fn push_json_event(
 }
 
 /// Process id used for plane tracks in the Chrome export.
-pub const CHROME_PID_PLANES: u32 = 1;
+const CHROME_PID_PLANES: u32 = 1;
 /// Process id used for channel tracks in the Chrome export.
-pub const CHROME_PID_CHANNELS: u32 = 2;
+const CHROME_PID_CHANNELS: u32 = 2;
 
 /// Export the retained spans as Chrome `trace_event` JSON.
 ///

@@ -12,7 +12,7 @@ use dloop_simkit::SimTime;
 use std::fmt;
 
 /// Sector size DiskSim block numbers are expressed in.
-pub const DISKSIM_SECTOR: u64 = 512;
+const DISKSIM_SECTOR: u64 = 512;
 
 /// A line-level parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,7 +14,7 @@ use dloop_simkit::SimTime;
 use std::fmt;
 
 /// Sector size SPC LBAs are expressed in.
-pub const SPC_SECTOR: u64 = 512;
+const SPC_SECTOR: u64 = 512;
 
 /// A line-level parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
