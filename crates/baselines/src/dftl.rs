@@ -14,18 +14,16 @@
 
 use crate::seqalloc::SeqAllocator;
 use dloop_ftl_kit::config::SsdConfig;
-use dloop_ftl_kit::demand::DemandMap;
+use dloop_ftl_kit::demand::{DemandMap, TranslationPlacement};
 use dloop_ftl_kit::dir::{PageDirectory, PageOwner};
 use dloop_ftl_kit::ftl::{FlashStep, Ftl, FtlContext, FtlCounters};
-use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageState, PlaneId, Ppn};
+use dloop_nand::{BlockAddr, FlashState, Geometry, Lpn, PageAddr, PlaneId, Ppn};
 
 /// The DFTL baseline.
 pub struct DftlFtl {
     geometry: Geometry,
     dm: DemandMap,
-    alloc: SeqAllocator,
-    data_active: Option<BlockAddr>,
-    trans_active: Option<BlockAddr>,
+    streams: Streams,
     counters: FtlCounters,
     /// GC triggers when total free blocks fall below this (aggregate slack
     /// equal to DLOOP's per-plane threshold for a fair comparison).
@@ -36,56 +34,41 @@ pub struct DftlFtl {
     sweep: Vec<u32>,
 }
 
-impl DftlFtl {
-    /// Build from a device configuration.
-    pub fn new(config: &SsdConfig) -> Self {
-        let geometry = config.geometry();
-        let planes = geometry.total_planes();
-        DftlFtl {
-            dm: DemandMap::new(&geometry, config.cmt_capacity),
-            alloc: SeqAllocator::new(planes),
-            data_active: None,
-            trans_active: None,
-            counters: FtlCounters::default(),
-            gc_threshold_total: config.gc_threshold as u64 * planes as u64,
-            excluded: Vec::new(),
-            sweep: Vec::new(),
-            geometry,
-        }
-    }
+/// DFTL's two write streams: one global data active block, rotating
+/// round-robin across planes, and one translation active block, sticky to
+/// plane 0 (paper §V.D).
+struct Streams {
+    alloc: SeqAllocator,
+    data: Option<BlockAddr>,
+    translation: Option<BlockAddr>,
+}
 
-    /// CMT hit/miss statistics.
-    pub fn cmt_stats(&self) -> (u64, u64) {
-        self.dm.cmt_stats()
-    }
-
+impl Streams {
+    /// Both active blocks, which GC must leave alone.
     fn exclusions(&self) -> Vec<BlockAddr> {
-        self.data_active
-            .iter()
-            .chain(self.trans_active.iter())
-            .copied()
-            .collect()
+        self.data.iter().chain(&self.translation).copied().collect()
     }
 
-    /// Program the next page of the chosen active block, rolling to a new
-    /// block when full. Data blocks rotate round-robin across planes;
-    /// translation blocks stick to plane 0 (paper §V.D).
-    fn place(
-        alloc: &mut SeqAllocator,
-        active: &mut Option<BlockAddr>,
-        sticky_home: Option<dloop_nand::PlaneId>,
-        exclude: &[BlockAddr],
-        flash: &mut FlashState,
-    ) -> Ppn {
+    /// Program the next page of one stream, rolling to a new block when
+    /// full: translation blocks from plane 0 forward, data blocks
+    /// round-robin. `exclude` names the blocks an emergency reclaim must
+    /// spare.
+    fn program(&mut self, translation: bool, exclude: &[BlockAddr], flash: &mut FlashState) -> Ppn {
+        let Streams {
+            alloc,
+            data,
+            translation: trans,
+        } = self;
+        let active = if translation { trans } else { data };
         loop {
             let need_new = match *active {
                 None => true,
                 Some(b) => flash.plane(b.plane).block(b.index).is_full(),
             };
             if need_new {
-                *active = Some(match sticky_home {
-                    Some(home) => alloc.allocate_sticky(home, flash, exclude),
-                    None => alloc.allocate_rr(flash, exclude),
+                *active = Some(match translation {
+                    true => alloc.allocate_sticky(0, flash, exclude),
+                    false => alloc.allocate_rr(flash, exclude),
                 });
             }
             let blk = active.expect("active block just ensured");
@@ -98,29 +81,49 @@ impl DftlFtl {
         }
     }
 
-    fn place_translation_page(
-        alloc: &mut SeqAllocator,
-        trans_active: &mut Option<BlockAddr>,
-        data_active: Option<BlockAddr>,
-        ctx: &mut FtlContext<'_>,
-        tvpn: u64,
-    ) -> Ppn {
-        let exclude: Vec<BlockAddr> = data_active.into_iter().collect();
-        let ppn = Self::place(alloc, trans_active, Some(0), &exclude, ctx.flash);
+    /// Program the next translation page (an emergency reclaim may take a
+    /// dead translation block, never the data block).
+    fn program_translation(&mut self, flash: &mut FlashState) -> Ppn {
+        let exclude: Vec<BlockAddr> = self.data.into_iter().collect();
+        self.program(true, &exclude, flash)
+    }
+}
+
+impl TranslationPlacement for Streams {
+    fn place(&mut self, ctx: &mut FtlContext<'_>, tvpn: u64) -> Ppn {
+        let ppn = self.program_translation(ctx.flash);
         ctx.dir.set_translation(ppn, tvpn);
-        let plane = ctx.flash.geometry().plane_of_ppn(ppn);
-        ctx.push_program(plane);
+        ctx.push_program(ctx.flash.geometry().plane_of_ppn(ppn));
         ppn
     }
 
-    fn ensure_cached(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) -> Option<Ppn> {
-        let alloc = &mut self.alloc;
-        let trans_active = &mut self.trans_active;
-        let data_active = self.data_active;
-        let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-            Self::place_translation_page(alloc, trans_active, data_active, ctx, tvpn)
-        };
-        self.dm.ensure_cached(lpn, ctx, &mut place)
+    /// Some plane can still absorb a write without emergency reclaim.
+    fn has_room(&self, ctx: &FtlContext<'_>, _tvpn: u64) -> bool {
+        ctx.flash.total_free_blocks() > 0
+            || self
+                .translation
+                .is_some_and(|b| !ctx.flash.plane(b.plane).block(b.index).is_full())
+    }
+}
+
+impl DftlFtl {
+    /// Build from a device configuration.
+    pub fn new(config: &SsdConfig) -> Self {
+        let geometry = config.geometry();
+        let planes = geometry.total_planes();
+        DftlFtl {
+            dm: DemandMap::new(&geometry, config.cmt_capacity),
+            streams: Streams {
+                alloc: SeqAllocator::new(planes),
+                data: None,
+                translation: None,
+            },
+            counters: FtlCounters::default(),
+            gc_threshold_total: config.gc_threshold as u64 * planes as u64,
+            excluded: Vec::new(),
+            sweep: Vec::new(),
+            geometry,
+        }
     }
 
     /// Device-wide GC: sweep fully-invalid blocks, then move-based collect
@@ -137,7 +140,7 @@ impl DftlFtl {
     }
 
     fn collect_one(&mut self, ctx: &mut FtlContext<'_>) -> bool {
-        let exclude = self.exclusions();
+        let exclude = self.streams.exclusions();
         // One scan per plane: erase its fully-invalid blocks at once and
         // fold its most-invalid block into the device-wide choice (the
         // lowest plane wins ties).
@@ -171,39 +174,28 @@ impl DftlFtl {
         };
         self.counters.gc_invocations += 1;
 
-        let geometry = self.geometry.clone();
-        let offsets: Vec<u32> = ctx
-            .flash
-            .plane(victim.plane)
-            .block(victim.index)
+        // Pages with deferred updates are persisted (and thereby relocated)
+        // by a read-modify-write instead of a copy.
+        let block = ctx.flash.plane(victim.plane).block(victim.index);
+        let (rewrites, moves): (Vec<_>, Vec<_>) = block
             .valid_offsets()
-            .collect();
-        let mut jobs = Vec::with_capacity(offsets.len());
-        let mut rewrite_now: Vec<u64> = Vec::new();
-        for off in offsets {
-            let ppn = geometry.ppn_of(dloop_nand::PageAddr {
-                plane: victim.plane,
-                block: victim.index,
-                page: off,
+            .map(|page| {
+                let (plane, block) = (victim.plane, victim.index);
+                let ppn = self.geometry.ppn_of(PageAddr { plane, block, page });
+                (ppn, ctx.dir.owner(ppn))
+            })
+            .partition(|&(_, owner)| {
+                matches!(owner, PageOwner::Translation(t) if self.dm.pending_count(t) > 0)
             });
-            let owner = ctx.dir.owner(ppn);
-            if let PageOwner::Translation(tvpn) = owner {
-                // Pages with deferred updates are persisted (and thereby
-                // relocated) by a read-modify-write instead of a copy.
-                if self.dm.pending_count(tvpn) > 0 {
-                    rewrite_now.push(tvpn);
-                    continue;
-                }
-            }
-            jobs.push((ppn, owner));
-        }
-        for (old_ppn, owner) in jobs {
+        for (old_ppn, owner) in moves {
             self.gc_move(victim.plane, old_ppn, owner, ctx);
         }
-
         // Rewrites reading the in-victim copy happen before the erase.
-        for tvpn in rewrite_now {
-            self.rewrite(tvpn, ctx);
+        for (_, owner) in rewrites {
+            if let PageOwner::Translation(tvpn) = owner {
+                self.dm
+                    .rewrite_translation_page(tvpn, ctx, &mut self.streams);
+            }
         }
         // A failed victim erase retires the block (capacity shrinks), but
         // the collection itself completed: the valid pages moved out.
@@ -211,20 +203,7 @@ impl DftlFtl {
 
         // Keep the deferred-update buffer within budget (only while some
         // plane can still absorb a write without emergency reclaim).
-        let alloc = &mut self.alloc;
-        let trans_active = std::cell::RefCell::new(&mut self.trans_active);
-        let data_active = self.data_active;
-        let mut can_place = |ctx: &FtlContext<'_>, _tvpn: u64| {
-            ctx.flash.total_free_blocks() > 0
-                || trans_active
-                    .borrow()
-                    .is_some_and(|b| !ctx.flash.plane(b.plane).block(b.index).is_full())
-        };
-        let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-            Self::place_translation_page(alloc, *trans_active.borrow_mut(), data_active, ctx, tvpn)
-        };
-        self.dm
-            .flush_pending_over_budget(ctx, &mut can_place, &mut place);
+        self.dm.flush_pending_over_budget(ctx, &mut self.streams);
         true
     }
 
@@ -234,13 +213,10 @@ impl DftlFtl {
     /// dead translation block in an emergency).
     fn gc_move(&mut self, src: PlaneId, old_ppn: Ppn, owner: PageOwner, ctx: &mut FtlContext<'_>) {
         let new_ppn = if let PageOwner::Translation(_) = owner {
-            let exclude: Vec<BlockAddr> = self.data_active.into_iter().collect();
-            let active = &mut self.trans_active;
-            Self::place(&mut self.alloc, active, Some(0), &exclude, ctx.flash)
+            self.streams.program_translation(ctx.flash)
         } else {
-            let exclude = self.exclusions();
-            let active = &mut self.data_active;
-            Self::place(&mut self.alloc, active, None, &exclude, ctx.flash)
+            let exclude = self.streams.exclusions();
+            self.streams.program(false, &exclude, ctx.flash)
         };
         self.counters.external_moves += 1;
         let copy = FlashStep::InterPlaneCopy {
@@ -254,16 +230,6 @@ impl DftlFtl {
         ctx.flash.invalidate(old_ppn).expect("GC source not valid");
         ctx.dir.clear(old_ppn);
     }
-
-    fn rewrite(&mut self, tvpn: u64, ctx: &mut FtlContext<'_>) {
-        let alloc = &mut self.alloc;
-        let trans_active = &mut self.trans_active;
-        let data_active = self.data_active;
-        let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-            Self::place_translation_page(alloc, trans_active, data_active, ctx, tvpn)
-        };
-        self.dm.rewrite_translation_page(tvpn, ctx, &mut place);
-    }
 }
 
 impl Ftl for DftlFtl {
@@ -272,7 +238,7 @@ impl Ftl for DftlFtl {
     }
 
     fn read(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
-        let mapped = self.ensure_cached(lpn, ctx);
+        let mapped = self.dm.ensure_cached(lpn, ctx, &mut self.streams);
         if let Some(ppn) = mapped {
             ctx.read_page(ppn);
         }
@@ -280,15 +246,9 @@ impl Ftl for DftlFtl {
     }
 
     fn write(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
-        let old = self.ensure_cached(lpn, ctx);
-        let exclude: Vec<BlockAddr> = self.trans_active.into_iter().collect();
-        let new_ppn = Self::place(
-            &mut self.alloc,
-            &mut self.data_active,
-            None,
-            &exclude,
-            ctx.flash,
-        );
+        let old = self.dm.ensure_cached(lpn, ctx, &mut self.streams);
+        let exclude: Vec<BlockAddr> = self.streams.translation.into_iter().collect();
+        let new_ppn = self.streams.program(false, &exclude, ctx.flash);
         ctx.push_program(self.geometry.plane_of_ppn(new_ppn));
         if let Some(old_ppn) = old {
             ctx.flash
@@ -313,35 +273,7 @@ impl Ftl for DftlFtl {
     }
 
     fn audit(&self, flash: &FlashState, dir: &PageDirectory) -> Result<(), String> {
-        self.dm.check()?;
-        let mut live = 0u64;
-        for (lpn, ppn) in self.dm.iter_mapped() {
-            if flash.page_state(ppn) != PageState::Valid {
-                return Err(format!("lpn {lpn} maps to non-valid ppn {ppn}"));
-            }
-            if dir.owner(ppn) != PageOwner::Data(lpn) {
-                return Err(format!("directory disagrees for lpn {lpn}"));
-            }
-            live += 1;
-        }
-        for tvpn in 0..self.geometry.translation_page_count() {
-            if let Some(tp) = self.dm.gtd().lookup(tvpn) {
-                if flash.page_state(tp) != PageState::Valid {
-                    return Err(format!("tvpn {tvpn} at dead ppn {tp}"));
-                }
-                if dir.owner(tp) != PageOwner::Translation(tvpn) {
-                    return Err(format!("directory disagrees for tvpn {tvpn}"));
-                }
-                live += 1;
-            }
-        }
-        if live != flash.total_valid_pages() {
-            return Err(format!(
-                "accounted {live} live pages, flash reports {}",
-                flash.total_valid_pages()
-            ));
-        }
-        Ok(())
+        self.dm.audit(flash, dir)
     }
 }
 
@@ -350,6 +282,7 @@ mod tests {
     use super::*;
     use dloop_ftl_kit::dir::PageDirectory;
     use dloop_ftl_kit::ftl::{OpChain, Phase};
+    use dloop_nand::PageState;
 
     struct Rig {
         flash: FlashState,
@@ -373,7 +306,8 @@ mod tests {
             }
         }
 
-        fn write(&mut self, lpn: Lpn) {
+        /// Run one FTL operation with the chains cleared first.
+        fn op(&mut self, f: impl FnOnce(&mut DftlFtl, &mut FtlContext<'_>)) {
             self.host.clear();
             self.gc.clear();
             self.scan.clear();
@@ -385,22 +319,15 @@ mod tests {
                 scan_chain: &mut self.scan,
                 phase: Phase::Host,
             };
-            self.ftl.write(lpn, &mut ctx);
+            f(&mut self.ftl, &mut ctx);
+        }
+
+        fn write(&mut self, lpn: Lpn) {
+            self.op(|ftl, ctx| ftl.write(lpn, ctx));
         }
 
         fn read(&mut self, lpn: Lpn) {
-            self.host.clear();
-            self.gc.clear();
-            self.scan.clear();
-            let mut ctx = FtlContext {
-                flash: &mut self.flash,
-                dir: &mut self.dir,
-                host_chain: &mut self.host,
-                gc_chain: &mut self.gc,
-                scan_chain: &mut self.scan,
-                phase: Phase::Host,
-            };
-            self.ftl.read(lpn, &mut ctx);
+            self.op(|ftl, ctx| ftl.read(lpn, ctx));
         }
     }
 
@@ -467,7 +394,7 @@ mod tests {
         rig.write(1);
         rig.read(1); // hit
         rig.read(2); // miss (unmapped)
-        let (hits, misses) = rig.ftl.cmt_stats();
+        let (hits, misses) = rig.ftl.dm.cmt_stats();
         assert!(hits >= 1);
         assert!(misses >= 2);
     }

@@ -2,7 +2,7 @@
 //! Plus a work-stealing parallel grid executor (host threads only — each
 //! simulation itself stays single-threaded and deterministic).
 
-use dloop::{DloopFtl, HotPlaneDloopFtl};
+use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
 use dloop_baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
@@ -16,7 +16,7 @@ use std::sync::Mutex;
 pub fn build_ftl(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
     match kind {
         FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config)),
+        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config, HotConfig::default())),
         FtlKind::Dftl => Box::new(DftlFtl::new(config)),
         FtlKind::Fast => Box::new(FastFtl::new(config)),
         FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),

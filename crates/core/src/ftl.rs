@@ -18,43 +18,18 @@
 use crate::alloc::{BlockClass, PlaneAllocator};
 use crate::gc::GcEngine;
 use dloop_ftl_kit::config::SsdConfig;
-use dloop_ftl_kit::demand::DemandMap;
-use dloop_ftl_kit::dir::{PageDirectory, PageOwner};
+use dloop_ftl_kit::demand::{DemandMap, TranslationPlacement};
+use dloop_ftl_kit::dir::PageDirectory;
 use dloop_ftl_kit::ftl::{Ftl, FtlContext, FtlCounters};
-use dloop_nand::{FlashState, Geometry, Lpn, PageState, PlaneId, Ppn};
-
-/// Tunables for a [`DloopFtl`] instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DloopConfig {
-    /// GC triggers when a plane's free pool drops below this (paper: 3).
-    pub gc_threshold: u32,
-    /// Use copy-back for GC moves (ablation switch; paper: on).
-    pub copyback_enabled: bool,
-    /// Spread translation pages across planes (ablation switch; paper: on).
-    pub spread_translation: bool,
-    /// Cached Mapping Table capacity in entries.
-    pub cmt_capacity: usize,
-}
-
-impl From<&SsdConfig> for DloopConfig {
-    fn from(c: &SsdConfig) -> Self {
-        DloopConfig {
-            gc_threshold: c.gc_threshold,
-            copyback_enabled: c.copyback_enabled,
-            spread_translation: c.spread_translation,
-            cmt_capacity: c.cmt_capacity,
-        }
-    }
-}
+use dloop_nand::{FlashState, Geometry, Lpn, PlaneId, Ppn};
 
 /// The DLOOP FTL.
 pub struct DloopFtl {
     pub(crate) geometry: Geometry,
     pub(crate) dm: DemandMap,
-    pub(crate) alloc: PlaneAllocator,
+    pub(crate) place: Placement,
     pub(crate) gc: GcEngine,
     pub(crate) counters: FtlCounters,
-    pub(crate) cfg: DloopConfig,
     /// `maybe_gc`'s working lists, kept so a page operation does not
     /// allocate: the planes to check this round, and those already
     /// collected for the current operation.
@@ -62,21 +37,71 @@ pub struct DloopFtl {
     gc_done: Vec<PlaneId>,
 }
 
-impl DloopFtl {
-    /// Build from a full device configuration.
-    pub fn new(config: &SsdConfig) -> Self {
-        Self::with_geometry(config.geometry(), DloopConfig::from(config))
+/// Where DLOOP writes: the per-plane allocator, plus the one rule that
+/// homes each translation page ([`Placement::home`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Placement {
+    pub(crate) alloc: PlaneAllocator,
+    /// Spread translation pages across planes (ablation switch; paper: on).
+    pub(crate) spread: bool,
+    planes: PlaneId,
+}
+
+impl Placement {
+    /// Home plane of translation page `tvpn`: spread across every plane
+    /// like data, or clustered on the first eighth of the planes for the
+    /// ablation (one plane cannot physically hold the whole mapping table
+    /// plus its data share).
+    pub(crate) fn home(&self, tvpn: u64) -> PlaneId {
+        let planes = if self.spread {
+            self.planes
+        } else {
+            (self.planes / 8).max(1)
+        };
+        (tvpn % planes as u64) as PlaneId
+    }
+}
+
+impl TranslationPlacement for Placement {
+    /// Program a fresh copy of translation page `tvpn` on its home plane.
+    /// In clustered mode a saturated home falls through to the next plane
+    /// with room — the same sticky behaviour DFTL's mapping blocks exhibit
+    /// (§V.D).
+    fn place(&mut self, ctx: &mut FtlContext<'_>, tvpn: u64) -> Ppn {
+        let home = self.home(tvpn);
+        let plane = if self.spread {
+            home
+        } else {
+            (0..self.planes)
+                .map(|k| (home + k) % self.planes)
+                .find(|&p| self.alloc.plane_has_room(p, ctx.flash))
+                .unwrap_or(home)
+        };
+        let addr = self.alloc.place(plane, BlockClass::Translation, ctx.flash);
+        let ppn = ctx.flash.geometry().ppn_of(addr);
+        ctx.dir.set_translation(ppn, tvpn);
+        ctx.push_program(plane);
+        ppn
     }
 
-    /// Build from an explicit geometry and tunables.
-    pub fn with_geometry(geometry: Geometry, cfg: DloopConfig) -> Self {
-        let planes = geometry.total_planes();
+    fn has_room(&self, ctx: &FtlContext<'_>, tvpn: u64) -> bool {
+        self.alloc.plane_has_room(self.home(tvpn), ctx.flash)
+    }
+}
+
+impl DloopFtl {
+    /// Build from a device configuration.
+    pub fn new(config: &SsdConfig) -> Self {
+        let geometry = config.geometry();
         DloopFtl {
-            dm: DemandMap::new(&geometry, cfg.cmt_capacity),
-            alloc: PlaneAllocator::new(planes),
-            gc: GcEngine::new(cfg.gc_threshold, cfg.copyback_enabled),
+            dm: DemandMap::new(&geometry, config.cmt_capacity),
+            place: Placement {
+                alloc: PlaneAllocator::new(geometry.total_planes()),
+                spread: config.spread_translation,
+                planes: geometry.total_planes(),
+            },
+            gc: GcEngine::new(config.gc_threshold, config.copyback_enabled),
             counters: FtlCounters::default(),
-            cfg,
             geometry,
             gc_round: Vec::new(),
             gc_done: Vec::new(),
@@ -86,65 +111,6 @@ impl DloopFtl {
     /// Equation (1): the home plane of a logical page.
     pub fn plane_of_lpn(&self, lpn: Lpn) -> PlaneId {
         self.geometry.dloop_plane_of_lpn(lpn)
-    }
-
-    /// Home plane of translation page `tvpn`: spread across planes like
-    /// data, or clustered on plane 0 for the ablation.
-    fn plane_of_tvpn(&self, tvpn: u64) -> PlaneId {
-        let planes = self.geometry.total_planes() as u64;
-        if self.cfg.spread_translation {
-            (tvpn % planes) as PlaneId
-        } else {
-            (tvpn % (planes / 8).max(1)) as PlaneId
-        }
-    }
-
-    /// CMT hit/miss statistics.
-    pub fn cmt_stats(&self) -> (u64, u64) {
-        self.dm.cmt_stats()
-    }
-
-    /// Resolve `lpn`'s mapping entry into the CMT, generating miss traffic.
-    fn ensure_cached(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) -> Option<Ppn> {
-        let alloc = &mut self.alloc;
-        let spread = self.cfg.spread_translation;
-        let planes = self.geometry.total_planes() as u64;
-        let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| -> Ppn {
-            Self::place_translation(alloc, spread, planes, ctx, tvpn)
-        };
-        self.dm.ensure_cached(lpn, ctx, &mut place)
-    }
-
-    /// Program a fresh copy of translation page `tvpn` on its home plane.
-    /// In clustered (no-spread) mode the home is plane 0, falling through
-    /// to the next plane with room when it is saturated — the same sticky
-    /// behaviour DFTL's mapping blocks exhibit (§V.D).
-    pub(crate) fn place_translation(
-        alloc: &mut PlaneAllocator,
-        spread: bool,
-        planes: u64,
-        ctx: &mut FtlContext<'_>,
-        tvpn: u64,
-    ) -> Ppn {
-        let plane = if spread {
-            (tvpn % planes) as PlaneId
-        } else {
-            // Clustered mode: all translation pages on the first 1/8th of
-            // the planes (one plane cannot physically hold the whole
-            // mapping table plus its data share), falling through to the
-            // next plane with room when the cluster saturates.
-            let cluster = (planes / 8).max(1);
-            let home = (tvpn % cluster) as PlaneId;
-            (0..planes as PlaneId)
-                .map(|k| (home + k) % planes as PlaneId)
-                .find(|&p| alloc.plane_has_room(p, ctx.flash))
-                .unwrap_or(home)
-        };
-        let addr = alloc.place(plane, BlockClass::Translation, ctx.flash);
-        let ppn = ctx.flash.geometry().ppn_of(addr);
-        ctx.dir.set_translation(ppn, tvpn);
-        ctx.push_program(plane);
-        ppn
     }
 
     /// Pre-operation sweep: collect any plane sitting below the GC
@@ -159,17 +125,17 @@ impl DloopFtl {
     /// [`FlashState::min_free_blocks`] gate returns at once; otherwise the
     /// walk runs in full, in plane order, with fresh per-plane reads.
     fn gc_scan(&mut self, ctx: &mut FtlContext<'_>) {
-        if ctx.flash.min_free_blocks() >= self.cfg.gc_threshold {
+        let threshold = self.gc.threshold();
+        if ctx.flash.min_free_blocks() >= threshold {
             return;
         }
         for plane in 0..self.geometry.total_planes() {
-            if ctx.flash.free_blocks(plane) < self.cfg.gc_threshold {
+            if ctx.flash.free_blocks(plane) < threshold {
                 self.gc.collect_until_healthy(
                     plane,
                     &mut self.dm,
-                    &mut self.alloc,
+                    &mut self.place,
                     &mut self.counters,
-                    self.cfg.spread_translation,
                     ctx,
                 );
             }
@@ -188,13 +154,13 @@ impl DloopFtl {
     /// is, the rounds below would only drain the touched set: the gate does
     /// just that.
     fn maybe_gc(&mut self, ctx: &mut FtlContext<'_>) {
-        if ctx.flash.min_free_blocks() >= self.cfg.gc_threshold {
-            self.alloc.clear_touched();
+        if ctx.flash.min_free_blocks() >= self.gc.threshold() {
+            self.place.alloc.clear_touched();
             return;
         }
         self.gc_done.clear();
         loop {
-            self.alloc.take_touched(&mut self.gc_round);
+            self.place.alloc.take_touched(&mut self.gc_round);
             self.gc_round.retain(|p| !self.gc_done.contains(p));
             if self.gc_round.is_empty() {
                 break;
@@ -204,9 +170,8 @@ impl DloopFtl {
                 self.gc.collect_until_healthy(
                     plane,
                     &mut self.dm,
-                    &mut self.alloc,
+                    &mut self.place,
                     &mut self.counters,
-                    self.cfg.spread_translation,
                     ctx,
                 );
             }
@@ -221,7 +186,7 @@ impl Ftl for DloopFtl {
 
     fn read(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
         ctx.in_scan_phase(|ctx| self.gc_scan(ctx));
-        let mapped = self.ensure_cached(lpn, ctx);
+        let mapped = self.dm.ensure_cached(lpn, ctx, &mut self.place);
         if let Some(ppn) = mapped {
             // Media outcome (retry ladder, uncorrectable) is accounted by
             // the flash state; a NandError here is a DLOOP logic bug.
@@ -233,12 +198,12 @@ impl Ftl for DloopFtl {
 
     fn write(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
         ctx.in_scan_phase(|ctx| self.gc_scan(ctx));
-        let old = self.ensure_cached(lpn, ctx);
+        let old = self.dm.ensure_cached(lpn, ctx, &mut self.place);
         // New writes and updates both land on the LPN's home plane — for
         // updates this *is* the plane of the original data (Fig. 6 lines
         // 16-23 collapse to one case because placement is static).
         let plane = self.plane_of_lpn(lpn);
-        let addr = self.alloc.place(plane, BlockClass::Data, ctx.flash);
+        let addr = self.place.alloc.place(plane, BlockClass::Data, ctx.flash);
         let new_ppn = self.geometry.ppn_of(addr);
         ctx.push_program(plane);
         if let Some(old_ppn) = old {
@@ -263,7 +228,7 @@ impl Ftl for DloopFtl {
 
     fn counters(&self) -> FtlCounters {
         let mut c = self.counters;
-        c.parity_skips = self.alloc.parity_skips;
+        c.parity_skips = self.place.alloc.parity_skips;
         c.translation_reads = self.dm.counters.translation_reads;
         c.translation_writes = self.dm.counters.translation_writes;
         c
@@ -284,17 +249,19 @@ impl Ftl for DloopFtl {
     }
 
     fn shard_translation_ready(&self, flash: &FlashState) -> bool {
-        self.dm.plane_pure() && flash.min_free_blocks() >= self.cfg.gc_threshold
+        self.dm.plane_pure() && flash.min_free_blocks() >= self.gc.threshold()
     }
 
     fn shard_fork(&self, _planes: std::ops::Range<PlaneId>) -> Option<Box<dyn Ftl + Send>> {
         Some(Box::new(DloopFtl {
             dm: self.dm.shard_fork()?,
             geometry: self.geometry.clone(),
-            alloc: self.alloc.shard_fork(),
-            gc: GcEngine::new(self.cfg.gc_threshold, self.cfg.copyback_enabled),
+            place: Placement {
+                alloc: self.place.alloc.shard_fork(),
+                ..self.place.clone()
+            },
+            gc: self.gc.clone(),
             counters: FtlCounters::default(),
-            cfg: self.cfg,
             gc_round: Vec::new(),
             gc_done: Vec::new(),
         }))
@@ -306,7 +273,7 @@ impl Ftl for DloopFtl {
         // operation's scan phase — which in the sequential order may
         // belong to a different plane's request. The worker cannot
         // reproduce that attribution, so it aborts the fast path instead.
-        flash.free_blocks(self.plane_of_lpn(lpn)) >= self.cfg.gc_threshold
+        flash.free_blocks(self.plane_of_lpn(lpn)) >= self.gc.threshold()
     }
 
     fn shard_absorb(&mut self, worker: &dyn Ftl, planes: std::ops::Range<PlaneId>) {
@@ -318,7 +285,7 @@ impl Ftl for DloopFtl {
         self.dm.shard_absorb(&w.dm, &|lpn| {
             planes.contains(&geometry.dloop_plane_of_lpn(lpn))
         });
-        self.alloc.shard_absorb(&w.alloc, planes);
+        self.place.alloc.shard_absorb(&w.place.alloc, planes);
         self.counters.gc_invocations += w.counters.gc_invocations;
         self.counters.copyback_moves += w.counters.copyback_moves;
         self.counters.external_moves += w.counters.external_moves;
@@ -332,49 +299,150 @@ impl Ftl for DloopFtl {
     }
 
     fn audit(&self, flash: &FlashState, dir: &PageDirectory) -> Result<(), String> {
-        self.dm.check()?;
-        let mut live = 0u64;
+        self.dm.audit(flash, dir)?;
+        // The paper's core invariant: data lives on LPN % planes.
         for (lpn, ppn) in self.dm.iter_mapped() {
-            if flash.page_state(ppn) != PageState::Valid {
-                return Err(format!("lpn {lpn} maps to non-valid ppn {ppn}"));
-            }
-            if dir.owner(ppn) != PageOwner::Data(lpn) {
-                return Err(format!("directory disagrees for lpn {lpn} at ppn {ppn}"));
-            }
-            // The paper's core invariant: data lives on LPN % planes.
-            let want = self.geometry.dloop_plane_of_lpn(lpn);
+            let want = self.plane_of_lpn(lpn);
             let got = self.geometry.plane_of_ppn(ppn);
             if want != got {
                 return Err(format!(
                     "lpn {lpn} on plane {got}, Equation (1) demands {want}"
                 ));
             }
-            live += 1;
         }
-        // Translation pages: valid, owned, and on their home plane.
-        for tvpn in 0..self.geometry.translation_page_count() {
-            if let Some(tp) = self.dm.gtd().lookup(tvpn) {
-                if flash.page_state(tp) != PageState::Valid {
-                    return Err(format!("tvpn {tvpn} at dead ppn {tp}"));
+        // Spread translation pages sit on their home plane (clustered ones
+        // may have fallen through to another).
+        if self.place.spread {
+            for (tvpn, tp) in self.dm.iter_translation_pages() {
+                if self.geometry.plane_of_ppn(tp) != self.place.home(tvpn) {
+                    return Err(format!("tvpn {tvpn} off its home plane"));
                 }
-                if dir.owner(tp) != PageOwner::Translation(tvpn) {
-                    return Err(format!("directory disagrees for tvpn {tvpn}"));
-                }
-                if self.cfg.spread_translation {
-                    let want = self.plane_of_tvpn(tvpn);
-                    if self.geometry.plane_of_ppn(tp) != want {
-                        return Err(format!("tvpn {tvpn} off its home plane"));
-                    }
-                }
-                live += 1;
             }
         }
-        if live != flash.total_valid_pages() {
-            return Err(format!(
-                "accounted {live} live pages, flash reports {}",
-                flash.total_valid_pages()
-            ));
-        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use dloop_ftl_kit::device::audit;
+    use dloop_ftl_kit::dir::PageOwner;
+    use dloop_ftl_kit::ftl::{OpChain, Phase};
+    use dloop_nand::BlockAddr;
+
+    /// A DLOOP FTL driven against raw state (no device, no timing).
+    pub(crate) struct Rig {
+        pub(crate) flash: FlashState,
+        pub(crate) dir: PageDirectory,
+        pub(crate) ftl: DloopFtl,
+    }
+
+    impl Rig {
+        pub(crate) fn new(config: &SsdConfig) -> Self {
+            Rig {
+                flash: FlashState::new(config.geometry()),
+                dir: PageDirectory::new(&config.geometry()),
+                ftl: DloopFtl::new(config),
+            }
+        }
+
+        /// A `micro_gc_test` device after enough overwrites to collect and
+        /// to write translation pages back.
+        fn aged() -> Self {
+            let mut rig = Rig::new(&SsdConfig::micro_gc_test());
+            let span = rig.flash.geometry().user_pages() / 2;
+            for i in 0..4 * span {
+                rig.write(i * 7 % span);
+            }
+            assert!(rig.ftl.counters().gc_invocations > 0);
+            audit(&rig.flash, &rig.dir, &rig.ftl).unwrap();
+            rig
+        }
+
+        /// Run `f` in a fresh context; return its result and how many
+        /// steps the scan phase pushed.
+        pub(crate) fn op<R>(
+            &mut self,
+            f: impl FnOnce(&mut DloopFtl, &mut FtlContext<'_>) -> R,
+        ) -> (R, usize) {
+            let [mut host, mut gc, mut scan] = [OpChain::new(), OpChain::new(), OpChain::new()];
+            let mut ctx = FtlContext {
+                flash: &mut self.flash,
+                dir: &mut self.dir,
+                host_chain: &mut host,
+                gc_chain: &mut gc,
+                scan_chain: &mut scan,
+                phase: Phase::Host,
+            };
+            (f(&mut self.ftl, &mut ctx), scan.len())
+        }
+
+        /// Write `lpn`, returning how many steps the op's scan phase pushed.
+        pub(crate) fn write(&mut self, lpn: Lpn) -> usize {
+            self.op(|ftl, ctx| ftl.write(lpn, ctx)).1
+        }
+
+        /// Program one page on a fresh block of `plane`, outside every
+        /// active block.
+        fn stray_page(&mut self, plane: PlaneId) -> Ppn {
+            let index = self
+                .flash
+                .allocate_free_block(plane)
+                .expect("a pooled block");
+            let addr = self.flash.program_next(BlockAddr { plane, index }).unwrap();
+            self.flash.geometry().ppn_of(addr)
+        }
+    }
+
+    /// Moves that keep the flash, the directory and the map in step with
+    /// each other but break DLOOP's placement fail only DLOOP's own rules.
+    #[test]
+    fn audit_rejects_pages_off_their_home_plane() {
+        let mut rig = Rig::aged();
+        let lpn = 1;
+        let old = rig.ftl.mapped_ppn(lpn).unwrap();
+        let new = rig.stray_page((rig.ftl.plane_of_lpn(lpn) + 1) % 4);
+        rig.flash.invalidate(old).unwrap();
+        rig.dir.clear(old);
+        rig.dir.set_data(new, lpn);
+        rig.ftl.dm.gc_move(lpn, new);
+        let err = audit(&rig.flash, &rig.dir, &rig.ftl).unwrap_err();
+        assert!(err.contains("Equation (1)"), "{err}");
+
+        let mut rig = Rig::aged();
+        let (tvpn, old) = rig.ftl.dm.iter_translation_pages().next().unwrap();
+        let new = rig.stray_page((rig.ftl.place.home(tvpn) + 1) % 4);
+        let owner = PageOwner::Translation(tvpn);
+        rig.op(|ftl, ctx| ftl.dm.gc_remap(owner, old, new, ctx));
+        rig.flash.invalidate(old).unwrap();
+        rig.dir.clear(old);
+        let err = audit(&rig.flash, &rig.dir, &rig.ftl).unwrap_err();
+        assert!(err.contains("off its home plane"), "{err}");
+    }
+
+    /// Clustered translation pages home on the first eighth of the planes,
+    /// and the room check before a flush asks that home — not plane 0.
+    #[test]
+    fn clustered_translation_pages_have_one_home() {
+        let mut rig = Rig::new(&SsdConfig {
+            channels: 8,
+            spread_translation: false,
+            ..SsdConfig::micro_gc_test()
+        });
+        assert_eq!(rig.flash.geometry().total_planes(), 16);
+        let homes: Vec<PlaneId> = (0..4).map(|t| rig.ftl.place.home(t)).collect();
+        assert_eq!(homes, [0, 1, 0, 1]);
+        while rig.flash.allocate_free_block(1).is_ok() {}
+        let (placed, _) = rig.op(|ftl, ctx| {
+            assert!(
+                !ftl.place.has_room(ctx, 1),
+                "tvpn 1's home, plane 1, is full"
+            );
+            assert!(ftl.place.has_room(ctx, 2));
+            ftl.place.place(ctx, 1)
+        });
+        // Placement falls through from the full home to the next plane.
+        assert_eq!(rig.flash.geometry().plane_of_ppn(placed), 2);
     }
 }

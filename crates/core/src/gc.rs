@@ -21,7 +21,7 @@
 //! check and the progress bound are DLOOP's alone.
 
 use crate::alloc::{BlockClass, PlaneAllocator};
-use crate::ftl::DloopFtl;
+use crate::ftl::Placement;
 use dloop_ftl_kit::demand::DemandMap;
 use dloop_ftl_kit::dir::PageOwner;
 use dloop_ftl_kit::ftl::{FlashStep, FtlContext, FtlCounters};
@@ -65,14 +65,12 @@ impl GcEngine {
 
     /// Collect on `plane` until its pool is back at the threshold (or no
     /// block can be profitably collected).
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_until_healthy(
+    pub(crate) fn collect_until_healthy(
         &mut self,
         plane: PlaneId,
         dm: &mut DemandMap,
-        alloc: &mut PlaneAllocator,
+        place: &mut Placement,
         counters: &mut FtlCounters,
-        spread_translation: bool,
         ctx: &mut FtlContext<'_>,
     ) {
         // Bounded: with the device nearly full, move-based collections can
@@ -85,7 +83,7 @@ impl GcEngine {
         // failure.
         let mut best = ctx.flash.free_blocks(plane);
         while ctx.flash.free_blocks(plane) < self.threshold {
-            if !self.collect_one(plane, dm, alloc, counters, spread_translation, ctx) {
+            if !self.collect_one(plane, dm, place, counters, ctx) {
                 break;
             }
             let now = ctx.flash.free_blocks(plane);
@@ -237,18 +235,16 @@ impl GcEngine {
 
     /// Collect one victim block on `plane`. Returns false when no block
     /// with reclaimable (invalid) pages exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_one(
+    fn collect_one(
         &mut self,
         plane: PlaneId,
         dm: &mut DemandMap,
-        alloc: &mut PlaneAllocator,
+        place: &mut Placement,
         counters: &mut FtlCounters,
-        spread_translation: bool,
         ctx: &mut FtlContext<'_>,
     ) -> bool {
         // Neither a swept block nor the victim may be an active block.
-        let exclude = alloc.exclusions(plane);
+        let exclude = place.alloc.exclusions(plane);
         let victim = match self.sweep_or_pick(plane, &exclude, counters, ctx) {
             Ok(victim) => victim,
             Err(reclaimed) => return reclaimed,
@@ -278,11 +274,11 @@ impl GcEngine {
         // pin translation pages to plane 0 forever while the rewrite path
         // can spill to planes with room.
         self.queue_live_pages(plane, victim, ctx, |tvpn| {
-            dm.pending_count(tvpn) > 0 || !spread_translation
+            dm.pending_count(tvpn) > 0 || !place.spread
         });
         self.relocate(
             plane,
-            alloc,
+            &mut place.alloc,
             counters,
             ctx,
             |owner, old_ppn, new_ppn, ctx| dm.gc_remap(owner, old_ppn, new_ppn, ctx),
@@ -290,14 +286,8 @@ impl GcEngine {
 
         // Rewrites whose current copy sits in the victim must read it
         // before the erase.
-        let planes_total = ctx.flash.geometry().total_planes() as u64;
-        {
-            let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-                DloopFtl::place_translation(alloc, spread_translation, planes_total, ctx, tvpn)
-            };
-            for tvpn in self.rewrite_now.drain(..) {
-                dm.rewrite_translation_page(tvpn, ctx, &mut place);
-            }
+        for tvpn in self.rewrite_now.drain(..) {
+            dm.rewrite_translation_page(tvpn, ctx, place);
         }
         // A failed erase retires the victim, but its valid pages moved out
         // regardless, so the collection still completed.
@@ -308,25 +298,7 @@ impl GcEngine {
 
         // Keep the deferred-update buffer within its SRAM budget, steering
         // flushes away from planes that cannot absorb a write.
-        let alloc_ref = std::cell::RefCell::new(&mut *alloc);
-        let mut can_place = |ctx: &FtlContext<'_>, tvpn: u64| {
-            let home = if spread_translation {
-                (tvpn % planes_total) as dloop_nand::PlaneId
-            } else {
-                0
-            };
-            alloc_ref.borrow().plane_has_room(home, ctx.flash)
-        };
-        let mut place = |ctx: &mut FtlContext<'_>, tvpn: u64| {
-            DloopFtl::place_translation(
-                *alloc_ref.borrow_mut(),
-                spread_translation,
-                planes_total,
-                ctx,
-                tvpn,
-            )
-        };
-        dm.flush_pending_over_budget(ctx, &mut can_place, &mut place);
+        dm.flush_pending_over_budget(ctx, place);
         true
     }
 }
@@ -334,47 +306,9 @@ impl GcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftl::{DloopConfig, DloopFtl};
+    use crate::ftl::tests::Rig;
     use dloop_ftl_kit::config::SsdConfig;
-    use dloop_ftl_kit::dir::PageDirectory;
-    use dloop_ftl_kit::ftl::{Ftl, FtlContext, OpChain, Phase};
-    use dloop_nand::FlashState;
-
-    /// Drive a DloopFtl against raw state (no device/timing) and return
-    /// the pieces for inspection.
-    struct Rig {
-        flash: FlashState,
-        dir: PageDirectory,
-        ftl: DloopFtl,
-    }
-
-    impl Rig {
-        fn new() -> Self {
-            let config = SsdConfig::micro_gc_test();
-            Rig {
-                flash: FlashState::new(config.geometry()),
-                dir: PageDirectory::new(&config.geometry()),
-                ftl: DloopFtl::with_geometry(config.geometry(), DloopConfig::from(&config)),
-            }
-        }
-
-        /// Write `lpn`, returning how many steps the op's scan phase pushed.
-        fn write(&mut self, lpn: u64) -> usize {
-            let mut host = OpChain::new();
-            let mut gc = OpChain::new();
-            let mut scan = OpChain::new();
-            let mut ctx = FtlContext {
-                flash: &mut self.flash,
-                dir: &mut self.dir,
-                host_chain: &mut host,
-                gc_chain: &mut gc,
-                scan_chain: &mut scan,
-                phase: Phase::Host,
-            };
-            self.ftl.write(lpn, &mut ctx);
-            scan.len()
-        }
-    }
+    use dloop_ftl_kit::ftl::Ftl;
 
     #[test]
     fn threshold_accessor() {
@@ -383,7 +317,7 @@ mod tests {
 
     #[test]
     fn collection_preserves_all_mappings() {
-        let mut rig = Rig::new();
+        let mut rig = Rig::new(&SsdConfig::micro_gc_test());
         let user = rig.flash.geometry().user_pages();
         // Overwrite a working set until GC must have run several times.
         for round in 0..12u64 {
@@ -408,8 +342,8 @@ mod tests {
     /// debt to the *next* op even when the next op lives on another plane.
     #[test]
     fn gc_hell_debt_is_swept_by_the_next_op_on_another_plane() {
-        let mut rig = Rig::new();
-        let threshold = rig.ftl.cfg.gc_threshold;
+        let mut rig = Rig::new(&SsdConfig::micro_gc_test());
+        let threshold = rig.ftl.gc.threshold();
         let planes = rig.flash.geometry().total_planes();
         let user = rig.flash.geometry().user_pages();
         // Uniform random overwrites over the whole user space (LCG).
@@ -437,7 +371,7 @@ mod tests {
 
     #[test]
     fn copyback_moves_dominate_and_erases_match_gcs() {
-        let mut rig = Rig::new();
+        let mut rig = Rig::new(&SsdConfig::micro_gc_test());
         let user = rig.flash.geometry().user_pages();
         for round in 0..10u64 {
             for lpn in (0..user).step_by(3) {

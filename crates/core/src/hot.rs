@@ -13,11 +13,11 @@
 //! parked. Spare capacity follows the heat without pretending blocks can
 //! physically migrate between planes.
 
-use crate::ftl::{DloopConfig, DloopFtl};
+use crate::ftl::DloopFtl;
 use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::dir::PageDirectory;
 use dloop_ftl_kit::ftl::{Ftl, FtlContext, FtlCounters};
-use dloop_nand::{FlashState, Geometry, Lpn, PlaneId, Ppn};
+use dloop_nand::{FlashState, Lpn, PlaneId, Ppn};
 
 /// Tunables for the hot-plane variant.
 #[derive(Debug, Clone, Copy)]
@@ -53,24 +53,16 @@ pub struct HotPlaneDloopFtl {
 }
 
 impl HotPlaneDloopFtl {
-    /// Build from a device configuration with default heat tunables.
-    pub fn new(config: &SsdConfig) -> Self {
-        Self::with_geometry(
-            config.geometry(),
-            DloopConfig::from(config),
-            HotConfig::default(),
-        )
-    }
-
-    /// Fully parameterised construction.
-    pub fn with_geometry(geometry: Geometry, cfg: DloopConfig, hot: HotConfig) -> Self {
+    /// Build from a device configuration and heat tunables.
+    pub fn new(config: &SsdConfig, hot: HotConfig) -> Self {
+        let geometry = config.geometry();
         let planes = geometry.total_planes() as usize;
         // Keep at least threshold + 2 allocatable extras on every plane.
-        let safe_margin = cfg.gc_threshold + 2;
+        let safe_margin = config.gc_threshold + 2;
         let extra = geometry.extra_blocks_per_plane();
         let effective_park = extra.saturating_sub(safe_margin).min(hot.park_quota);
         HotPlaneDloopFtl {
-            inner: DloopFtl::with_geometry(geometry, cfg),
+            inner: DloopFtl::new(config),
             hot,
             period_writes: vec![0; planes],
             writes_since_rebalance: 0,
@@ -167,15 +159,14 @@ mod tests {
     fn park_quota_respects_gc_margin() {
         // extra = 4, threshold 3 -> margin 5 -> nothing parked.
         let tight = SsdConfig::micro_gc_test();
-        let ftl = HotPlaneDloopFtl::new(&tight);
+        let ftl = HotPlaneDloopFtl::new(&tight, HotConfig::default());
         assert_eq!(ftl.effective_park(), 0);
 
         // Plenty of extras -> parking enabled, capped by the quota.
         let mut roomy = SsdConfig::micro_gc_test();
         roomy.blocks_per_plane_override = Some((12, 12));
-        let ftl = HotPlaneDloopFtl::with_geometry(
-            roomy.geometry(),
-            DloopConfig::from(&roomy),
+        let ftl = HotPlaneDloopFtl::new(
+            &roomy,
             HotConfig {
                 park_quota: 3,
                 ..HotConfig::default()
@@ -194,7 +185,7 @@ mod tests {
     #[test]
     fn name_distinguishes_variant() {
         let config = SsdConfig::micro_gc_test();
-        let ftl = HotPlaneDloopFtl::new(&config);
+        let ftl = HotPlaneDloopFtl::new(&config, HotConfig::default());
         use dloop_ftl_kit::ftl::Ftl as _;
         assert_eq!(ftl.name(), "DLOOP-HOT");
         assert_eq!(ftl.counters(), dloop_ftl_kit::ftl::FtlCounters::default());

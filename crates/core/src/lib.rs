@@ -20,8 +20,9 @@
 //!
 //! Modules: [`alloc`] (per-plane current-free-block pointers and the
 //! same-parity policy), [`gc`] (copy-back garbage collection), [`ftl`]
-//! (the [`DloopFtl`] scheme), [`hot`] (the paper's future-work variant:
-//! heat-adaptive extra blocks).
+//! (the [`DloopFtl`] scheme and where its translation pages live), [`hot`]
+//! (the paper's future-work variant: heat-adaptive extra blocks, built
+//! from a [`HotConfig`] next to the device's `SsdConfig`).
 //!
 //! ## Example
 //!
@@ -52,6 +53,6 @@ pub mod gc;
 pub mod hot;
 
 pub use alloc::PlaneAllocator;
-pub use ftl::{DloopConfig, DloopFtl};
+pub use ftl::DloopFtl;
 pub use gc::GcEngine;
 pub use hot::{HotConfig, HotPlaneDloopFtl};

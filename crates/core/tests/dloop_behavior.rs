@@ -1,7 +1,7 @@
 //! Behavioural integration tests for the DLOOP FTL, driven through the
 //! full device stack (controller + hardware model + flash state).
 
-use dloop::{DloopConfig, DloopFtl, HotConfig, HotPlaneDloopFtl};
+use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
 use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_ftl_kit::request::{HostOp, HostRequest};
@@ -265,10 +265,8 @@ fn deterministic_runs_for_equal_inputs() {
 #[test]
 fn hot_variant_parks_and_rebalances() {
     let config = SsdConfig::micro_gc_test();
-    let geometry = config.geometry();
-    let ftl = HotPlaneDloopFtl::with_geometry(
-        geometry.clone(),
-        DloopConfig::from(&config),
+    let ftl = HotPlaneDloopFtl::new(
+        &config,
         HotConfig {
             rebalance_period: 500,
             hot_fraction: 0.25,
@@ -281,9 +279,8 @@ fn hot_variant_parks_and_rebalances() {
 
     let mut wide = SsdConfig::micro_gc_test();
     wide.blocks_per_plane_override = Some((12, 10));
-    let ftl = HotPlaneDloopFtl::with_geometry(
-        wide.geometry(),
-        DloopConfig::from(&wide),
+    let ftl = HotPlaneDloopFtl::new(
+        &wide,
         HotConfig {
             rebalance_period: 500,
             hot_fraction: 0.25,

@@ -14,11 +14,9 @@
 //!    place without promotion and batch-rewrite affected translation pages.
 //!
 //! The *placement* of a freshly written translation page is the one thing
-//! the schemes disagree on (DLOOP spreads by `tvpn % planes`, DFTL clusters
-//! from plane 0), so it is supplied as a closure: `place(ctx, tvpn) -> Ppn`
-//! must program a page somewhere, record it in the page directory, push the
-//! corresponding [`FlashStep::Write`](crate::ftl::FlashStep::Write), and
-//! return the new PPN.
+//! the schemes disagree on (DLOOP homes it on `tvpn % planes`, DFTL keeps
+//! a sticky translation block from plane 0), so each scheme supplies it
+//! once, as a [`TranslationPlacement`].
 //!
 //! A CMT with room for every LPN never evicts, so nothing ever reads its
 //! recency order or dirty state (§III.D consults them only to pick and
@@ -29,13 +27,27 @@
 //! is made once, from the capacity, and is invisible in every result.
 
 use crate::cmt::CachedMappingTable;
-use crate::dir::PageOwner;
+use crate::dir::{PageDirectory, PageOwner};
 use crate::ftl::FtlContext;
 use crate::gtd::Gtd;
-use dloop_nand::{Geometry, Lpn, Ppn};
+use dloop_nand::{FlashState, Geometry, Lpn, PageState, Ppn};
 
 /// Sentinel for "no physical page mapped".
 pub const UNMAPPED: Ppn = Ppn::MAX;
+
+/// Where a scheme writes its translation pages.
+pub trait TranslationPlacement {
+    /// Program a fresh copy of translation page `tvpn`: record it in the
+    /// page directory, push the corresponding
+    /// [`FlashStep::Write`](crate::ftl::FlashStep::Write), and return the
+    /// new PPN.
+    fn place(&mut self, ctx: &mut FtlContext<'_>, tvpn: u64) -> Ppn;
+
+    /// Whether `tvpn`'s destination can absorb a write right now. The
+    /// pending-buffer flush skips pages for which it cannot, so a flush
+    /// never lands on a plane that is itself waiting for GC.
+    fn has_room(&self, ctx: &FtlContext<'_>, tvpn: u64) -> bool;
+}
 
 /// Counters the engine maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,10 +56,6 @@ pub struct DemandCounters {
     pub translation_reads: u64,
     /// Translation pages written to flash.
     pub translation_writes: u64,
-    /// CMT evictions that required a write-back.
-    pub dirty_evictions: u64,
-    /// GC mapping updates deferred into the pending buffer.
-    pub deferred_updates: u64,
 }
 
 /// Authoritative mapping table + demand-caching traffic generator.
@@ -171,11 +179,6 @@ impl DemandMap {
         }
     }
 
-    /// Shared view of the GTD (audits).
-    pub fn gtd(&self) -> &Gtd {
-        &self.gtd
-    }
-
     /// Whether the engine is in the *plane-pure* regime the sharded
     /// translation fast path requires: a resident CMT (it never evicts, so
     /// no dirty write-backs), no materialised translation pages (misses
@@ -242,7 +245,7 @@ impl DemandMap {
         &mut self,
         lpn: Lpn,
         ctx: &mut FtlContext<'_>,
-        place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
+        place: &mut impl TranslationPlacement,
     ) -> Option<Ppn> {
         let evicted = match &mut self.cache {
             Cache::Resident(loaded) => {
@@ -261,7 +264,6 @@ impl DemandMap {
         };
         // Write back a dirty victim.
         if let Some(ev) = evicted.filter(|ev| ev.dirty) {
-            self.counters.dirty_evictions += 1;
             let victim_tvpn = self.gtd.tvpn_of(ev.lpn);
             self.rewrite_translation_page(victim_tvpn, ctx, place);
         }
@@ -300,7 +302,6 @@ impl DemandMap {
             let tvpn = self.gtd.tvpn_of(lpn);
             *self.pending.entry(tvpn).or_insert(0) += 1;
             self.pending_total += 1;
-            self.counters.deferred_updates += 1;
         }
     }
 
@@ -317,20 +318,17 @@ impl DemandMap {
     pub fn flush_pending_over_budget(
         &mut self,
         ctx: &mut FtlContext<'_>,
-        can_place: &mut dyn FnMut(&FtlContext<'_>, u64) -> bool,
-        place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
+        place: &mut impl TranslationPlacement,
     ) {
         let mut flushes = 0;
         while self.pending_total > self.pending_budget && flushes < 8 {
             flushes += 1;
             // Deterministic: highest count wins, lowest tvpn breaks ties —
-            // among pages whose destination can absorb a write right now
-            // (`can_place` keeps the flush away from planes that are
-            // themselves waiting for GC).
+            // among pages whose destination has room.
             let Some((&tvpn, _)) = self
                 .pending
                 .iter()
-                .filter(|(&tvpn, _)| can_place(ctx, tvpn))
+                .filter(|(&tvpn, _)| place.has_room(ctx, tvpn))
                 .max_by_key(|(&tvpn, &c)| (c, std::cmp::Reverse(tvpn)))
             else {
                 break;
@@ -363,21 +361,21 @@ impl DemandMap {
     }
 
     /// Read-modify-write translation page `tvpn`: read the current copy
-    /// (when one exists), write an up-to-date copy via `place`, invalidate
-    /// the old copy, update the GTD, and clean every dirty CMT sibling
-    /// (the batch update). Generates the corresponding chain steps.
+    /// (when one exists), write an up-to-date copy where `place` puts it,
+    /// invalidate the old copy, update the GTD, and clean every dirty CMT
+    /// sibling (the batch update). Generates the corresponding chain steps.
     pub fn rewrite_translation_page(
         &mut self,
         tvpn: u64,
         ctx: &mut FtlContext<'_>,
-        place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
+        place: &mut impl TranslationPlacement,
     ) {
         let old = self.gtd.lookup(tvpn);
         if let Some(old_ppn) = old {
             ctx.read_page(old_ppn);
             self.counters.translation_reads += 1;
         }
-        let new_ppn = place(ctx, tvpn);
+        let new_ppn = place.place(ctx, tvpn);
         self.counters.translation_writes += 1;
         if let Some(old_ppn) = old {
             ctx.flash
@@ -403,6 +401,41 @@ impl DemandMap {
             .enumerate()
             .filter(|(_, &p)| p != UNMAPPED)
             .map(|(l, &p)| (l as Lpn, p))
+    }
+
+    /// Iterate every materialised translation page as a (tvpn, ppn) pair —
+    /// O(GTD), audits only.
+    pub fn iter_translation_pages(&self) -> impl Iterator<Item = (u64, Ppn)> + '_ {
+        (0..self.gtd.len() as u64).filter_map(|tvpn| Some((tvpn, self.gtd.lookup(tvpn)?)))
+    }
+
+    /// Audit the map against the device: [`Self::check`]; every mapped
+    /// page is `Valid` and owned by its LPN in the page directory; every
+    /// GTD page is `Valid` and owned by its tvpn; and these are all the
+    /// valid pages on the flash. A scheme adds only its placement rules.
+    pub fn audit(&self, flash: &FlashState, dir: &PageDirectory) -> Result<(), String> {
+        self.check()?;
+        let data = self.iter_mapped().map(|(lpn, p)| (PageOwner::Data(lpn), p));
+        let tpages = self
+            .iter_translation_pages()
+            .map(|(t, p)| (PageOwner::Translation(t), p));
+        let mut live = 0u64;
+        for (owner, ppn) in data.chain(tpages) {
+            if flash.page_state(ppn) != PageState::Valid {
+                return Err(format!("{owner:?} maps to non-valid ppn {ppn}"));
+            }
+            if dir.owner(ppn) != owner {
+                return Err(format!("directory disagrees with {owner:?} at ppn {ppn}"));
+            }
+            live += 1;
+        }
+        if live != flash.total_valid_pages() {
+            return Err(format!(
+                "accounted {live} live pages, flash reports {}",
+                flash.total_valid_pages()
+            ));
+        }
+        Ok(())
     }
 
     /// Audit: cached entries agree with the authoritative map; GTD entries
@@ -459,7 +492,39 @@ mod tests {
         gc_chain: OpChain,
         scan_chain: OpChain,
         dm: DemandMap,
+        place: Plane0,
+    }
+
+    /// Translation pages go to one active block on plane 0; `deny` names a
+    /// tvpn whose destination never has room.
+    struct Plane0 {
         active: Option<BlockAddr>,
+        deny: Option<u64>,
+    }
+
+    impl TranslationPlacement for Plane0 {
+        fn place(&mut self, ctx: &mut FtlContext<'_>, tvpn: u64) -> Ppn {
+            let need_new = match self.active {
+                None => true,
+                Some(b) => ctx.flash.plane(b.plane).block(b.index).is_full(),
+            };
+            if need_new {
+                let idx = ctx.flash.allocate_free_block(0).unwrap();
+                self.active = Some(BlockAddr {
+                    plane: 0,
+                    index: idx,
+                });
+            }
+            let addr = ctx.flash.program_next(self.active.unwrap()).unwrap();
+            let ppn = ctx.flash.geometry().ppn_of(addr);
+            ctx.dir.set_translation(ppn, tvpn);
+            ctx.push(FlashStep::Write { plane: 0 });
+            ppn
+        }
+
+        fn has_room(&self, _: &FtlContext<'_>, tvpn: u64) -> bool {
+            self.deny != Some(tvpn)
+        }
     }
 
     fn geometry() -> dloop_nand::Geometry {
@@ -503,18 +568,17 @@ mod tests {
                 gc_chain: OpChain::new(),
                 scan_chain: OpChain::new(),
                 dm: DemandMap::new(&g, cmt_cap),
-                active: None,
+                place: Plane0 {
+                    active: None,
+                    deny: None,
+                },
             }
         }
 
         /// Run `f` with a context and the standard test placer.
         fn run<R>(
             &mut self,
-            f: impl FnOnce(
-                &mut DemandMap,
-                &mut FtlContext<'_>,
-                &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
-            ) -> R,
+            f: impl FnOnce(&mut DemandMap, &mut FtlContext<'_>, &mut Plane0) -> R,
         ) -> R {
             let mut ctx = FtlContext {
                 flash: &mut self.flash,
@@ -524,26 +588,7 @@ mod tests {
                 scan_chain: &mut self.scan_chain,
                 phase: crate::ftl::Phase::Host,
             };
-            let active = &mut self.active;
-            let mut place = move |ctx: &mut FtlContext<'_>, tvpn: u64| -> Ppn {
-                let need_new = match *active {
-                    None => true,
-                    Some(b) => ctx.flash.plane(b.plane).block(b.index).is_full(),
-                };
-                if need_new {
-                    let idx = ctx.flash.allocate_free_block(0).unwrap();
-                    *active = Some(BlockAddr {
-                        plane: 0,
-                        index: idx,
-                    });
-                }
-                let addr = ctx.flash.program_next(active.unwrap()).unwrap();
-                let ppn = ctx.flash.geometry().ppn_of(addr);
-                ctx.dir.set_translation(ppn, tvpn);
-                ctx.push(FlashStep::Write { plane: 0 });
-                ppn
-            };
-            f(&mut self.dm, &mut ctx, &mut place)
+            f(&mut self.dm, &mut ctx, &mut self.place)
         }
     }
 
@@ -588,7 +633,6 @@ mod tests {
             // one translation-page write that also cleans lpn 2.
             dm.ensure_cached(3, ctx, place);
         });
-        assert_eq!(rig.dm.counters.dirty_evictions, 1);
         assert_eq!(rig.dm.counters.translation_writes, 1);
         assert!(
             rig.dm.lru().dirty_tvpns().is_empty(),
@@ -627,7 +671,6 @@ mod tests {
         assert_eq!(rig.dm.mapped(1), Some(6));
         assert_eq!(rig.dm.pending_count(0), 1);
         assert_eq!(rig.dm.pending_total, 1);
-        assert_eq!(rig.dm.counters.deferred_updates, 1);
         // A rewrite clears the pending debt.
         rig.run(|dm, ctx, place| dm.rewrite_translation_page(0, ctx, place));
         assert_eq!(rig.dm.pending_total, 0);
@@ -654,20 +697,16 @@ mod tests {
         rig.dm.gc_move(512, 103);
         assert_eq!(rig.dm.pending_total, 4);
 
-        // Flush with a filter that forbids tvpn 1: the flush must drain
-        // other pages and stop (never violating the filter).
-        rig.run(|dm, ctx, place| {
-            let mut deny_one = |_: &FtlContext<'_>, tvpn: u64| tvpn != 1;
-            dm.flush_pending_over_budget(ctx, &mut deny_one, place);
-        });
+        // Flush while tvpn 1's destination has no room: the flush must
+        // drain other pages and stop (never violating the filter).
+        rig.place.deny = Some(1);
+        rig.run(|dm, ctx, place| dm.flush_pending_over_budget(ctx, place));
         assert_eq!(rig.dm.pending_count(1), 2, "filtered page left alone");
         assert!(rig.dm.pending_total <= 2 || rig.dm.pending_count(1) == 2);
 
         // Unfiltered flush drains to within budget (largest first).
-        rig.run(|dm, ctx, place| {
-            let mut allow = |_: &FtlContext<'_>, _: u64| true;
-            dm.flush_pending_over_budget(ctx, &mut allow, place);
-        });
+        rig.place.deny = None;
+        rig.run(|dm, ctx, place| dm.flush_pending_over_budget(ctx, place));
         assert!(rig.dm.pending_total <= 2);
     }
 
@@ -682,12 +721,7 @@ mod tests {
         Move(Lpn, Ppn),
     }
 
-    fn apply(
-        dm: &mut DemandMap,
-        op: Op,
-        ctx: &mut FtlContext<'_>,
-        place: &mut dyn FnMut(&mut FtlContext<'_>, u64) -> Ppn,
-    ) {
+    fn apply(dm: &mut DemandMap, op: Op, ctx: &mut FtlContext<'_>, place: &mut Plane0) {
         match op {
             Op::Lookup(lpn) => {
                 dm.ensure_cached(lpn, ctx, place);

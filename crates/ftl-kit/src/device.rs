@@ -1224,39 +1224,44 @@ impl SsdDevice {
         self.gc_block_ms = OnlineStats::new();
     }
 
-    /// Deep cross-layer audit: flash invariants, directory ↔ flash
-    /// agreement, and the FTL's own consistency rules.
+    /// Deep cross-layer audit of the device's state ([`audit`]).
     pub fn audit(&self) -> Result<(), String> {
-        self.flash.check()?;
-        // Every valid flash page must have an owner; every owned page must
-        // be valid; live counts must agree.
-        let g = self.flash.geometry();
-        let mut live = 0u64;
-        for ppn in 0..g.total_physical_pages() {
-            let valid = self.flash.page_state(ppn) == PageState::Valid;
-            let owner = self.dir.owner(ppn);
-            match (valid, owner) {
-                (true, PageOwner::None) => {
-                    return Err(format!("valid ppn {ppn} has no owner"));
-                }
-                (false, PageOwner::Data(l)) => {
-                    return Err(format!("non-valid ppn {ppn} owned by data lpn {l}"));
-                }
-                (false, PageOwner::Translation(t)) => {
-                    return Err(format!("non-valid ppn {ppn} owned by tpage {t}"));
-                }
-                (true, _) => live += 1,
-                (false, PageOwner::None) => {}
-            }
-        }
-        if live != self.flash.total_valid_pages() {
-            return Err(format!(
-                "directory live count {live} != flash valid count {}",
-                self.flash.total_valid_pages()
-            ));
-        }
-        self.ftl.audit(&self.flash, &self.dir)
+        audit(&self.flash, &self.dir, self.ftl.as_ref())
     }
+}
+
+/// Deep cross-layer audit of a device's state: flash invariants,
+/// directory ↔ flash agreement, and the FTL's own consistency rules.
+pub fn audit(flash: &FlashState, dir: &PageDirectory, ftl: &dyn Ftl) -> Result<(), String> {
+    flash.check()?;
+    // Every valid flash page must have an owner; every owned page must be
+    // valid; live counts must agree.
+    let g = flash.geometry();
+    let mut live = 0u64;
+    for ppn in 0..g.total_physical_pages() {
+        let valid = flash.page_state(ppn) == PageState::Valid;
+        let owner = dir.owner(ppn);
+        match (valid, owner) {
+            (true, PageOwner::None) => {
+                return Err(format!("valid ppn {ppn} has no owner"));
+            }
+            (false, PageOwner::Data(l)) => {
+                return Err(format!("non-valid ppn {ppn} owned by data lpn {l}"));
+            }
+            (false, PageOwner::Translation(t)) => {
+                return Err(format!("non-valid ppn {ppn} owned by tpage {t}"));
+            }
+            (true, _) => live += 1,
+            (false, PageOwner::None) => {}
+        }
+    }
+    if live != flash.total_valid_pages() {
+        return Err(format!(
+            "directory live count {live} != flash valid count {}",
+            flash.total_valid_pages()
+        ));
+    }
+    ftl.audit(flash, dir)
 }
 
 /// An in-progress incremental-submission run over an [`SsdDevice`]

@@ -38,7 +38,7 @@ fn main() {
 
     let ftls: Vec<Box<dyn Ftl>> = vec![
         Box::new(DloopFtl::new(&config)),
-        Box::new(HotPlaneDloopFtl::new(&config)),
+        Box::new(HotPlaneDloopFtl::new(&config, HotConfig::default())),
         Box::new(DftlFtl::new(&config)),
         Box::new(FastFtl::new(&config)),
         Box::new(IdealPageMapFtl::new(&config)),

@@ -16,6 +16,9 @@
 #                 tests/hermetic.rs shows the gate failing).
 #        scripts/verify.sh --check-dead-pub ROOT
 #                 run only the dead-public-API gate over the tree at ROOT.
+#        scripts/verify.sh --check-results-match RESULTS FRESH
+#                 run only the comparison behind the regenerate gate: every
+#                 CSV in FRESH must equal its namesake in RESULTS.
 
 set -euo pipefail
 
@@ -78,6 +81,23 @@ check_dead_pub() {
 }
 if [[ "${1:-}" == "--check-dead-pub" ]]; then
     check_dead_pub "$2"
+    exit
+fi
+
+# Every CSV in FRESH must equal, byte for byte, its namesake in RESULTS. A
+# FRESH without CSVs fails too (the literal glob names no committed file).
+check_results_match() {
+    local results="$1" fresh="$2" csv status=0
+    for csv in "$fresh"/*.csv; do
+        cmp "$results/$(basename "$csv")" "$csv" || {
+            echo "error: $(basename "$csv") no longer regenerates byte-equal to $results/" >&2
+            status=1
+        }
+    done
+    return "$status"
+}
+if [[ "${1:-}" == "--check-results-match" ]]; then
+    check_results_match "$2" "$3"
     exit
 fi
 
@@ -282,30 +302,26 @@ cargo test -q --release --offline --test replay_modes plane_local_fast_path_enga
 cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_identical
 cargo test -q --release --offline --test replay_modes sharded_requests_that_fall_back_name_their_guard
 
-echo "==> committed results regenerate (headline + ablation at default flags, byte-equal)"
-# Between them these two tables run every FTL (DLOOP, DLOOP-HOT, DFTL,
+echo "==> committed results regenerate (headline, ablation, params, traces, copyback at default flags, byte-equal)"
+# Between them headline and ablation run every FTL (DLOOP, DLOOP-HOT, DFTL,
 # FAST, IDEAL and the ablation variants) on the paper's traces, so any
-# change that moves a simulated number shows up as a CSV diff here.
+# change that moves a simulated number shows up as a CSV diff here; the
+# other three take seconds. The remaining tables are not regenerated here
+# (fig9_pagesize_*.csv reproduces with no known flags, EXPERIMENTS.md).
 check_regenerates() {
     local results="$1"
     shift
-    local regen_out
+    local regen_out status=0
     regen_out="$(mktemp -d)"
     for experiment in "$@"; do
         cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
             "$experiment" --out "$regen_out" >/dev/null
     done
-    local csv status=0
-    for csv in "$regen_out"/*.csv; do
-        cmp "$results/$(basename "$csv")" "$csv" || {
-            echo "error: $(basename "$csv") no longer regenerates byte-equal to $results/" >&2
-            status=1
-        }
-    done
+    check_results_match "$results" "$regen_out" || status=1
     rm -rf "$regen_out"
     return "$status"
 }
-check_regenerates results headline ablation
+check_regenerates results headline ablation params traces copyback
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \

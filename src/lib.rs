@@ -58,7 +58,7 @@ pub use dloop_workloads as workloads;
 
 /// Convenience re-exports covering the common experiment surface.
 pub mod prelude {
-    pub use dloop::{DloopConfig, DloopFtl, HotPlaneDloopFtl};
+    pub use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
     pub use dloop_faults::{FaultConfig, MediaOutcome};
     pub use dloop_ftl_kit::config::{FtlKind, SsdConfig};
     pub use dloop_ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};

@@ -9,7 +9,7 @@
 //! scheduler grows its buffers inside the run, must allocate about as
 //! often for a long steady stream as for a short one.
 
-use dloop_repro::dloop_ftl::{DloopConfig, DloopFtl};
+use dloop_repro::dloop_ftl::DloopFtl;
 use dloop_repro::ftl_kit::cmt::CachedMappingTable;
 use dloop_repro::ftl_kit::config::SsdConfig;
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
@@ -102,7 +102,7 @@ fn dloop_writes_do_not_allocate(config: &SsdConfig) {
     let geometry = config.geometry();
     let mut flash = FlashState::new(geometry.clone());
     let mut dir = PageDirectory::new(&geometry);
-    let mut ftl = DloopFtl::with_geometry(geometry.clone(), DloopConfig::from(config));
+    let mut ftl = DloopFtl::new(config);
     let mut chains = [roomy_chain(4096), roomy_chain(4096), roomy_chain(4096)];
 
     // Overwrite two thirds of the LPN space in random order, so the victims

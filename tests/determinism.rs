@@ -3,30 +3,18 @@
 //! experiment machinery. The paper's comparisons are only meaningful if a
 //! scheme's numbers do not wobble between runs.
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::{DloopFtl, HotPlaneDloopFtl};
+use dloop_bench::build_ftl;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
-use dloop_repro::ftl_kit::ftl::Ftl;
 use dloop_repro::ftl_kit::metrics::RunReport;
 use dloop_repro::workloads::WorkloadProfile;
-
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config)),
-        FtlKind::Dftl => Box::new(DftlFtl::new(config)),
-        FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
-    }
-}
 
 fn run_once(kind: FtlKind, seed: u64) -> RunReport {
     let config = SsdConfig::micro_gc_test();
     let mut profile = WorkloadProfile::financial1();
     profile.footprint_bytes = 1 << 28;
     let trace = profile.generate_scaled(seed, config.geometry().page_size, 4000);
-    let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     device.run_with(&trace.requests, RunConfig::open())
 }
 

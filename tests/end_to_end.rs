@@ -2,25 +2,13 @@
 //! (workload generator → controller → hardware model → flash state), with
 //! deep audits after every scenario.
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::{DloopFtl, HotPlaneDloopFtl};
+use dloop_bench::build_ftl;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
-use dloop_repro::ftl_kit::ftl::Ftl;
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::{SimRng, SimTime};
 use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
 use dloop_repro::workloads::WorkloadProfile;
-
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config)),
-        FtlKind::Dftl => Box::new(DftlFtl::new(config)),
-        FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
-    }
-}
 
 const ALL_KINDS: [FtlKind; 5] = [
     FtlKind::Dloop,
@@ -56,7 +44,7 @@ fn r(at_us: u64, lpn: u64, pages: u32) -> HostRequest {
 fn written_data_stays_readable_under_gc_pressure() {
     for kind in ALL_KINDS {
         let config = SsdConfig::micro_gc_test();
-        let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let user = device.flash().geometry().user_pages();
         let mut rng = SimRng::new(7);
         let mut written = std::collections::BTreeSet::new();
@@ -111,7 +99,7 @@ fn written_data_stays_readable_under_gc_pressure() {
 fn unwritten_reads_touch_nothing() {
     for kind in ALL_KINDS {
         let config = SsdConfig::tiny_test();
-        let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let report = device.run_with(&[r(0, 5000, 4), r(100, 9999, 1)], RunConfig::open());
         assert_eq!(report.hw.reads, 0, "{kind:?}");
     }
@@ -123,7 +111,7 @@ fn unwritten_reads_touch_nothing() {
 fn aged_device_survives_random_updates() {
     for kind in ALL_KINDS {
         let config = SsdConfig::micro_gc_test();
-        let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let user = device.flash().geometry().user_pages();
         let fill = sequential_fill(user, 0.7, 16);
         device.warm_up(&fill.requests);
@@ -151,7 +139,7 @@ fn paper_workloads_run_clean_on_all_ftls() {
         let trace = p.generate_scaled(3, 2048, 2500);
         for kind in ALL_KINDS {
             let config = SsdConfig::micro_gc_test();
-            let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+            let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let report = device.run_with(&trace.requests, RunConfig::open());
             assert_eq!(report.requests_completed, trace.len() as u64);
             device
@@ -167,7 +155,7 @@ fn paper_workloads_run_clean_on_all_ftls() {
 fn multi_page_requests_account_pages() {
     for kind in ALL_KINDS {
         let config = SsdConfig::tiny_test();
-        let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let report = device.run_with(&[w(0, 0, 16), r(20_000, 0, 16)], RunConfig::open());
         assert_eq!(report.pages_written, 16, "{kind:?}");
         assert_eq!(report.pages_read, 16, "{kind:?}");
@@ -189,9 +177,9 @@ fn background_gc_changes_timing_not_state() {
     let mut bg_cfg = SsdConfig::micro_gc_test();
     bg_cfg.background_gc = true;
 
-    let mut sync_dev = SsdDevice::new(sync_cfg.clone(), build(FtlKind::Dloop, &sync_cfg));
+    let mut sync_dev = SsdDevice::new(sync_cfg.clone(), build_ftl(FtlKind::Dloop, &sync_cfg));
     let sync_rep = sync_dev.run_with(&mk_reqs(), RunConfig::open());
-    let mut bg_dev = SsdDevice::new(bg_cfg.clone(), build(FtlKind::Dloop, &bg_cfg));
+    let mut bg_dev = SsdDevice::new(bg_cfg.clone(), build_ftl(FtlKind::Dloop, &bg_cfg));
     let bg_rep = bg_dev.run_with(&mk_reqs(), RunConfig::open());
 
     // Identical state trajectory…
@@ -224,7 +212,7 @@ fn page_size_variants_run_clean() {
             },
             5,
         );
-        let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let report = device.run_with(&trace.requests, RunConfig::open());
         assert_eq!(report.requests_completed, 2000);
         device
@@ -238,7 +226,7 @@ fn page_size_variants_run_clean() {
 #[test]
 fn dloop_wear_is_balanced() {
     let config = SsdConfig::micro_gc_test();
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let user = device.flash().geometry().user_pages();
     let mut rng = SimRng::new(3);
     let reqs: Vec<_> = (0..25_000u64)
@@ -262,10 +250,10 @@ fn closed_loop_bounds_queueing() {
     // A burst: everything arrives at t=0.
     let burst: Vec<_> = (0..500u64).map(|i| w(0, i % 300, 1)).collect();
 
-    let mut open_dev = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut open_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let open = open_dev.run_with(&burst, RunConfig::open());
 
-    let mut closed_dev = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut closed_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let closed = closed_dev.run_with(&burst, RunConfig::closed(4));
 
     // Same state trajectory (issue order identical).
@@ -284,7 +272,7 @@ fn closed_loop_bounds_queueing() {
 #[test]
 fn closed_loop_qd1_serialises() {
     let config = SsdConfig::tiny_test();
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::IdealPageMap, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::IdealPageMap, &config));
     // Ten writes to the same plane, all arriving at once.
     let planes = config.geometry().total_planes() as u64;
     let burst: Vec<_> = (0..10u64).map(|i| w(0, i * planes, 1)).collect();
@@ -316,10 +304,10 @@ fn gated_mode_matches_state_and_orders_sanely() {
         })
         .collect();
 
-    let mut reserve_dev = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut reserve_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let reserve = reserve_dev.run_with(&reqs, RunConfig::open());
 
-    let mut gated_dev = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut gated_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let gated = gated_dev.run_with(&reqs, RunConfig::gated());
 
     // Translation happens at arrival in both modes: identical state.
@@ -345,7 +333,7 @@ fn gated_mode_matches_state_and_orders_sanely() {
 fn gated_mode_skips_blocked_ops() {
     let config = SsdConfig::tiny_test();
     let planes = config.geometry().total_planes() as u64;
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::IdealPageMap, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::IdealPageMap, &config));
     // Ten writes to plane 0 (lpns ≡ 0 mod planes), then one to plane 1,
     // all arriving together.
     let mut reqs: Vec<_> = (0..10u64).map(|i| w(0, i * planes, 1)).collect();
@@ -366,7 +354,7 @@ fn gated_mode_skips_blocked_ops() {
 #[test]
 fn latency_breakdown_is_populated() {
     let config = SsdConfig::micro_gc_test();
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let user = device.flash().geometry().user_pages();
     let mut rng = SimRng::new(23);
     let reqs: Vec<_> = (0..8000u64)
@@ -396,11 +384,11 @@ fn replay_modes_agree_on_state_for_all_ftls() {
             .map(|i| w(i * 150, rng.below(1500), 1))
             .collect();
 
-        let mut open = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut open = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let a = open.run_with(&reqs, RunConfig::open());
-        let mut closed = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut closed = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let b = closed.run_with(&reqs, RunConfig::closed(16));
-        let mut gated = SsdDevice::new(config.clone(), build(kind, &config));
+        let mut gated = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let c = gated.run_with(&reqs, RunConfig::gated());
 
         assert_eq!(a.total_programs, b.total_programs, "{kind:?} closed");

@@ -4,12 +4,10 @@
 //! runs and across replay modes), and a zero-BER plan is indistinguishable
 //! from the fault-free simulator.
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::DloopFtl;
+use dloop_bench::build_ftl;
 use dloop_repro::faults::{FaultConfig, FaultPlan, MediaCounters};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
-use dloop_repro::ftl_kit::ftl::Ftl;
 use dloop_repro::ftl_kit::metrics::RunReport;
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::check::{self, Checker, Generator};
@@ -22,15 +20,6 @@ const KINDS: [FtlKind; 4] = [
     FtlKind::Fast,
     FtlKind::IdealPageMap,
 ];
-
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        FtlKind::Dloop | FtlKind::DloopHot => Box::new(DloopFtl::new(config)),
-        FtlKind::Dftl => Box::new(DftlFtl::new(config)),
-        FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -96,7 +85,7 @@ fn requests(ops: &[Op]) -> Vec<HostRequest> {
 
 fn drive(kind: FtlKind, fault: &FaultConfig, ops: &[Op]) -> (SsdDevice, RunReport) {
     let config = SsdConfig::micro_gc_test().with_fault(fault.clone());
-    let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let report = device.run_with(&requests(ops), RunConfig::open());
     (device, report)
 }
@@ -165,7 +154,7 @@ fn replay_modes_agree_on_fault_outcomes() {
         let config = SsdConfig::micro_gc_test().with_fault(fault.clone());
         let mut counters = Vec::new();
         for mode in 0..3u32 {
-            let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let report = match mode {
                 0 => device.run_with(&reqs, RunConfig::open()),
                 1 => device.run_with(&reqs, RunConfig::gated()),
@@ -191,7 +180,7 @@ fn null_plan_is_identical_to_fault_free() {
         for kind in KINDS {
             let (_, with_null) = drive(kind, &FaultConfig::none(), ops);
             let config = SsdConfig::micro_gc_test();
-            let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+            let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let plain = device.run_with(&requests(ops), RunConfig::open());
             check_assert_eq!(
                 with_null.sim_end.as_nanos(),

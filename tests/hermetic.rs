@@ -8,10 +8,11 @@
 //! entry could resolve to a registry, so a future change can't silently
 //! reintroduce a crates.io dependency.
 //!
-//! It also shows two `scripts/verify.sh` gates failing on deliberately
+//! It also shows three `scripts/verify.sh` gates failing on deliberately
 //! broken inputs: the deprecated-shim gate, fed a source file that
-//! carries the attribute, and the dead-pub gate, fed public items that no
-//! other file names.
+//! carries the attribute; the dead-pub gate, fed public items that no
+//! other file names; and the results-regenerate comparison, fed a
+//! committed CSV with one byte changed.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -329,4 +330,37 @@ fn dead_pub_gate_fails_on_an_unnamed_pub_const_and_a_changelog_only_pub_fn() {
         passed,
         "a mention in an unskipped doc must count:\n{report}"
     );
+}
+
+/// `scripts/verify.sh --check-results-match RESULTS FRESH` — the comparison
+/// behind the gate that committed results regenerate byte-equal — passes
+/// on a copy of a committed CSV and fails on a copy with one byte changed.
+#[test]
+fn results_gate_passes_a_copy_and_fails_a_one_byte_tamper() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let csv = "table1_params_0.csv";
+    let committed = fs::read(root.join("results").join(csv)).expect("committed CSV");
+    let mut tampered = committed.clone();
+    tampered[committed.len() / 2] ^= 1;
+    for (case, bytes, passes) in [("copy", committed, true), ("tampered", tampered, false)] {
+        let fresh =
+            std::env::temp_dir().join(format!("dloop-results-{}-{case}", std::process::id()));
+        fs::create_dir_all(&fresh).expect("scratch dir");
+        fs::write(fresh.join(csv), bytes).expect("scratch CSV");
+        let out = std::process::Command::new("bash")
+            .arg(root.join("scripts/verify.sh"))
+            .arg("--check-results-match")
+            .arg(root.join("results"))
+            .arg(&fresh)
+            .output()
+            .expect("bash runs scripts/verify.sh");
+        fs::remove_dir_all(&fresh).expect("scratch dir removed");
+        assert_eq!(
+            out.status.success(),
+            passes,
+            "the {case} CSV {} the gate:\n{}",
+            if passes { "failed" } else { "passed" },
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -8,27 +8,17 @@
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::{DloopFtl, HotPlaneDloopFtl};
+use dloop_bench::build_ftl;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
-use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
-use dloop_repro::ftl_kit::ftl::Ftl;
+use dloop_repro::ftl_kit::device::{audit, RunConfig, SsdDevice};
+use dloop_repro::ftl_kit::dir::{PageDirectory, PageOwner};
+use dloop_repro::ftl_kit::ftl::{FtlContext, OpChain, Phase};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
-use dloop_repro::nand::PageState;
+use dloop_repro::nand::{FlashState, Lpn, PageState, Ppn};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::SimTime;
 use dloop_repro::{check_assert, check_assert_eq};
 use std::collections::BTreeMap;
-
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config)),
-        FtlKind::Dftl => Box::new(DftlFtl::new(config)),
-        FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -57,7 +47,7 @@ fn op_gen(space: u64) -> check::BoxedGenerator<Op> {
 /// Drive a device with an op list; return it with the model dictionary.
 fn drive(kind: FtlKind, ops: &[Op]) -> (SsdDevice, BTreeMap<u64, bool>) {
     let config = SsdConfig::micro_gc_test();
-    let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let user = device.flash().geometry().user_pages();
     let mut model: BTreeMap<u64, bool> = BTreeMap::new();
     let mut reqs = Vec::with_capacity(ops.len());
@@ -190,7 +180,7 @@ fn report_accounting_is_exact() {
     let gen = check::vec_of(op_gen(2000), 1..200);
     Checker::new().cases(24).run(&gen, |ops| {
         let config = SsdConfig::micro_gc_test();
-        let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let mut reqs = Vec::new();
         let mut pages_w = 0u64;
         let mut pages_r = 0u64;
@@ -253,4 +243,64 @@ fn live_page_conservation() {
         }
         Ok(())
     });
+}
+
+/// The audits can fail: on an aged `micro_gc_test` device, each of three
+/// corruptions that keep the flash and the page directory in step with
+/// each other is caught by the device audit, for both demand-mapped FTLs.
+#[test]
+fn device_audit_rejects_a_corrupted_demand_map() {
+    type Corruption = fn(&mut FlashState, &mut PageDirectory, Lpn, Ppn);
+    let corruptions: [(&str, Corruption); 3] = [
+        ("a data page's directory owner", |_, dir, lpn, ppn| {
+            dir.set_data(ppn, lpn + 1)
+        }),
+        ("a mapped page's flash state", |flash, dir, _, ppn| {
+            flash.invalidate(ppn).unwrap();
+            dir.clear(ppn);
+        }),
+        ("a translation page's owner", |flash, dir, _, _| {
+            let (tp, tvpn) = (0..flash.geometry().total_physical_pages())
+                .find_map(|ppn| match dir.owner(ppn) {
+                    PageOwner::Translation(tvpn) => Some((ppn, tvpn)),
+                    _ => None,
+                })
+                .expect("aging wrote translation pages back");
+            dir.set_translation(tp, tvpn + 1);
+        }),
+    ];
+    for kind in [FtlKind::Dloop, FtlKind::Dftl] {
+        for (what, corrupt) in corruptions {
+            let config = SsdConfig::micro_gc_test();
+            let geometry = config.geometry();
+            let mut flash = FlashState::new(geometry.clone());
+            let mut dir = PageDirectory::new(&geometry);
+            let mut ftl = build_ftl(kind, &config);
+            let span = geometry.user_pages() / 2;
+            for i in 0..4 * span {
+                let [mut host, mut gc, mut scan] = [OpChain::new(), OpChain::new(), OpChain::new()];
+                let mut ctx = FtlContext {
+                    flash: &mut flash,
+                    dir: &mut dir,
+                    host_chain: &mut host,
+                    gc_chain: &mut gc,
+                    scan_chain: &mut scan,
+                    phase: Phase::Host,
+                };
+                ftl.write(i * 7 % span, &mut ctx);
+            }
+            assert!(
+                ftl.counters().gc_invocations > 0,
+                "{kind:?} never collected"
+            );
+            audit(&flash, &dir, ftl.as_ref()).unwrap();
+            let lpn = 1;
+            let ppn = ftl.mapped_ppn(lpn).unwrap();
+            corrupt(&mut flash, &mut dir, lpn, ppn);
+            assert!(
+                audit(&flash, &dir, ftl.as_ref()).is_err(),
+                "{kind:?}: corrupting {what} passed the audit"
+            );
+        }
+    }
 }

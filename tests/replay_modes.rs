@@ -43,12 +43,10 @@
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::DloopFtl;
+use dloop_bench::build_ftl;
 use dloop_repro::faults::FaultConfig;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
-use dloop_repro::ftl_kit::ftl::Ftl;
 use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
@@ -57,16 +55,6 @@ use dloop_repro::simkit::trace::{attribution, RingSink};
 use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
 use dloop_repro::{check_assert, check_assert_eq};
 use std::fmt::Write as _;
-
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::Dftl => Box::new(DftlFtl::new(config)),
-        FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
-        other => unimplemented!("not used here: {other:?}"),
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -147,7 +135,7 @@ fn run_mode(
     mode: Mode,
     tracing: bool,
 ) -> (SsdDevice, RunReport) {
-    let mut device = SsdDevice::new(config.clone(), build(kind, config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(kind, config));
     if tracing {
         device.attach_sink(Box::new(RingSink::new(1 << 16)));
     }
@@ -335,7 +323,7 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
     Checker::new().cases(8).run(&gen, |ops| {
         let reqs = requests(ops);
         let config = SsdConfig::micro_gc_test();
-        let fresh = || SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let fresh = || SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let depth = 8usize;
 
         let modes: [(&str, ReplayMode, RunConfig); 4] = [
@@ -417,7 +405,7 @@ fn sharded_replay_is_bit_identical_to_sequential() {
     Checker::new().cases(8).run(&gen, |ops| {
         let reqs = requests(ops);
         for kind in [FtlKind::Dloop, FtlKind::Dftl] {
-            let fresh = || SsdDevice::new(config.clone(), build(kind, &config));
+            let fresh = || SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let configs: [(&str, fn() -> RunConfig); 6] = [
                 ("open", RunConfig::open),
                 ("closed(3)", || RunConfig::closed(3)),
@@ -496,7 +484,7 @@ fn engaged_setup() -> (SsdConfig, Vec<HostRequest>, Vec<HostRequest>) {
 
 /// A DLOOP device aged by replaying `fill`.
 fn aged_device(config: &SsdConfig, fill: &[HostRequest]) -> SsdDevice {
-    let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, config));
+    let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
     d.run_with(fill, RunConfig::open());
     d
 }
@@ -600,7 +588,7 @@ fn sharded_requests_that_fall_back_name_their_guard() {
         let fill = sequential_fill(pages, share, 16);
         let reqs = overwrites((pages as f64 * share) as u64);
         let fresh = || {
-            let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             d.warm_up(&fill.requests);
             d
         };
@@ -697,9 +685,9 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
             },
         ];
         for mode in modes {
-            let mut d_raw = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d_raw = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let r_raw = d_raw.run_with(&reqs, mode.into());
-            let mut d_host = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d_host = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let stack = HostStack::new(HostConfig::passthrough());
             let host = stack.run(&mut d_host, &reqs, mode);
             check_assert_eq!(
@@ -753,7 +741,7 @@ fn interleaved_sq_windows_bound_occupancy_per_queue() {
             (16, None),
         ];
         for (threshold, timeout) in corners {
-            let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let host = HostStack::new(HostConfig {
                 queues: *queues as u32,
                 queue_depth: Some(*depth as u32),
@@ -819,9 +807,9 @@ fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
             merge: true,
             drain_cache: true,
         };
-        let mut d_live = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut d_live = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let live = HostStack::new(host_cfg.clone()).run(&mut d_live, &reqs, ReplayMode::Open);
-        let mut d_staged = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut d_staged = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let staged = HostStack::new(host_cfg).run_staged(&mut d_staged, &reqs, ReplayMode::Open);
         check_assert!(!live.depth_enforced, "no window to enforce at depth None");
         check_assert_eq!(
@@ -1075,7 +1063,7 @@ fn queued_replay_drains_behind_timelines_carried_over_from_an_earlier_run() {
         .collect();
     for kind in GATED_KINDS {
         for depth in [None, Some(8)] {
-            let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+            let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let filled = device.run_with(&fill, RunConfig::open());
             assert!(filled.sim_end > trace.last().unwrap().arrival, "no backlog");
             let report = device.run_with(&trace, depth.map_or(RunConfig::gated(), RunConfig::ncq));
@@ -1116,7 +1104,7 @@ fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
             ("fair-share", requests(ops), QosSpec::fair_share()),
         ] {
             let (d_ncq, r_ncq) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(8), false);
-            let mut d_qos = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d_qos = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let r_qos = d_qos.run_with(
                 &reqs,
                 ReplayMode::Qos {
@@ -1158,7 +1146,7 @@ fn fair_share_token_buckets_conserve_tokens_over_a_replay() {
         let reqs = tag_tenants(requests(ops), 3);
         let config = SsdConfig::micro_gc_test();
         let mut policy = FairSharePolicy::new(4, 16);
-        let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let report = device.run_with_policy(&reqs, RunConfig::ncq(8), &mut policy);
         check_assert_eq!(report.requests_completed, reqs.len() as u64);
         device.audit().map_err(|e| format!("audit: {e}"))?;
@@ -1227,7 +1215,7 @@ fn edf_issues_same_plane_deadlines_in_deadline_order() {
         .with_tenant(1 + i as u16)
         .with_deadline_after(SimDuration::from_micros(1000 * (n - i)))
     }));
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     let mut policy = DeadlinePolicy;
     let report = device.run_with_policy(&reqs, RunConfig::ncq(reqs.len()), &mut policy);
     assert_eq!(report.requests_completed, reqs.len() as u64);
@@ -1255,9 +1243,9 @@ fn qos_policies_are_deterministic_across_reruns() {
                 queue_depth: 8,
                 policy: spec,
             };
-            let mut d_a = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d_a = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let r_a = d_a.run_with(&reqs, mode.into());
-            let mut d_b = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let mut d_b = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
             let r_b = d_b.run_with(&reqs, mode.into());
             check_assert_eq!(
                 fingerprint(&r_a),
@@ -1323,7 +1311,7 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
     let mut rows = Vec::new();
     for (tname, reqs) in &traces {
         let mut row = |label: String, config: &SsdConfig, run: RunConfig| {
-            let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, config));
+            let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
             // The micro device has too few spares to survive a fault plan
             // for the whole trace; a third of it retires blocks already.
             let reqs = match config.fault.is_null() {
@@ -1460,7 +1448,7 @@ fn page_req(at: SimTime, lpn: u64, op: HostOp) -> HostRequest {
 
 fn run_micro(kind: FtlKind, reqs: &[HostRequest], run: RunConfig) -> RunReport {
     let config = SsdConfig::micro_gc_test();
-    let mut device = SsdDevice::new(config.clone(), build(kind, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let report = device.run_with(reqs, run);
     device.audit().expect("audit");
     report
