@@ -2,16 +2,19 @@
 //!
 //! The reproduction's acceptance criterion is *shape*, not absolute
 //! milliseconds: who wins, in which direction trends move, where the
-//! paper's stated special cases appear. This module encodes each claim as
-//! a predicate over a compact experiment grid, so
-//! `dloop-experiments verify` gives a PASS/FAIL audit of the whole
-//! reproduction in a few minutes.
+//! paper's stated special cases appear. C2–C9 are pure predicates over
+//! cells: C2–C6 and C8 read Fig. 8's 4 GB and 64 GB cells, C7 two of
+//! Fig. 10's, C9 two of its own, all through the options' cell store, so
+//! `dloop-experiments fig8 fig10 verify` runs each cell once and the
+//! audit checks the numbers the figures print.
 
-use crate::runner::{build_ftl, run_grid, RunSpec};
+use crate::experiments::sweep::{paper_grid, spec_for};
+use crate::experiments::{fig10, fig8, headline};
+use crate::runner::{build_ftl, RunSpec};
 use crate::table::Table;
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
-use dloop_ftl_kit::metrics::{RunReport, ShardOutcome};
+use dloop_ftl_kit::metrics::ShardOutcome;
 use dloop_ftl_kit::sched::QosSpec;
 use dloop_host::{report_fingerprint, HostConfig, HostStack};
 use dloop_nand::TimingConfig;
@@ -34,102 +37,98 @@ pub struct ClaimResult {
     pub detail: String,
 }
 
-/// The compact grid the claims are evaluated on.
-struct Grid {
-    /// `[trace][capacity in {small,large}][ftl]` reports.
-    mrt: Vec<[[f64; 3]; 2]>,
-    sdrpp: Vec<[[f64; 3]; 2]>,
-    names: Vec<&'static str>,
-    write_pcts: Vec<f64>,
+/// Column of each FTL in a `[DLOOP, DFTL, FAST]` row.
+const D: usize = 0;
+const T: usize = 1;
+const F: usize = 2;
+
+/// One trace's Fig. 8 cells as C2–C6 and C8 read them: `[4 GB, 64 GB]` ×
+/// `[DLOOP, DFTL, FAST]`.
+struct TraceCells {
+    name: &'static str,
+    write_pct: f64,
+    mrt: [[f64; 3]; 2],
+    sdrpp: [[f64; 3]; 2],
 }
 
-fn run_compact_grid(opts: &ExpOptions) -> Grid {
-    let kinds = FtlKind::paper_set();
-    let capacities = [4u32, 64];
-    let profiles: Vec<WorkloadProfile> = WorkloadProfile::all_paper()
-        .into_iter()
-        .map(|p| opts.scaled_profile(p))
-        .collect();
-    let mut specs = Vec::new();
-    for p in &profiles {
-        for &cap in &capacities {
-            for kind in kinds {
-                specs.push(RunSpec {
-                    config: SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(cap)),
-                    kind,
-                    profile: p.clone(),
-                    max_requests: opts.requests_for(p).min(120_000),
-                    seed: opts.seed,
-                    fill_fraction: opts.fill_fraction,
-                });
-            }
-        }
-    }
-    let reports = run_grid(specs, opts.workers);
-    let mut it = reports.iter();
-    let mut mrt = Vec::new();
-    let mut sdrpp = Vec::new();
-    let mut names = Vec::new();
-    let mut write_pcts = Vec::new();
-    for p in &profiles {
-        names.push(p.name);
-        write_pcts.push(p.write_ratio * 100.0);
-        let mut m = [[0.0; 3]; 2];
-        let mut s = [[0.0; 3]; 2];
-        for (ci, _) in capacities.iter().enumerate() {
-            for ki in 0..3 {
-                let r: &RunReport = it.next().expect("grid underrun");
-                m[ci][ki] = r.mean_response_time_ms();
-                s[ci][ki] = r.ln_sdrpp();
-            }
-        }
-        mrt.push(m);
-        sdrpp.push(s);
-    }
-    Grid {
-        mrt,
-        sdrpp,
-        names,
-        write_pcts,
-    }
+/// Fig. 8's 4 GB and 64 GB cells, per trace.
+fn capacity_cells(opts: &ExpOptions) -> Vec<TraceCells> {
+    let grid = paper_grid(opts, &[fig8::point(opts, 4), fig8::point(opts, 64)]);
+    grid.into_iter()
+        .map(|(p, row)| TraceCells {
+            name: p.name,
+            write_pct: p.write_ratio * 100.0,
+            mrt: [0, 1].map(|ci| row[ci].map(|c| c.mrt_ms)),
+            sdrpp: [0, 1].map(|ci| row[ci].map(|c| c.ln_sdrpp)),
+        })
+        .collect()
 }
 
 /// Run every claim check. Returns the individual results.
 pub fn verify(opts: &ExpOptions) -> Vec<ClaimResult> {
-    let mut results = Vec::new();
-
     // C1 — §III.A: copy-back saves ~30% over an inter-plane copy at 2 KB.
-    let t = TimingConfig::paper_default();
-    let saving = t.copyback_saving(2048);
-    results.push(ClaimResult {
+    let saving = TimingConfig::paper_default().copyback_saving(2048);
+    let c1 = ClaimResult {
         id: "C1",
         claim: "copy-back saves ~30% over inter-plane copy at 2KB (SIII.A)",
         pass: (0.28..=0.34).contains(&saving),
         detail: format!("measured {:.1}%", saving * 100.0),
-    });
-
-    let grid = run_compact_grid(opts);
-    let idx = |k: FtlKind| match k {
-        FtlKind::Dloop => 0usize,
-        FtlKind::Dftl => 1,
-        _ => 2,
     };
-    let (d, t_, f) = (idx(FtlKind::Dloop), idx(FtlKind::Dftl), 2usize);
 
-    // C2 — Fig. 8: DLOOP <= DFTL on every trace at every capacity.
+    let grid = capacity_cells(opts);
+    let tpcc = opts.scaled_profile(WorkloadProfile::tpcc());
+    let fast = |pct| spec_for(opts, &fig10::point(opts, pct), FtlKind::Fast, &tpcc);
+    let fast = opts.cells.get(&[fast(3.0), fast(10.0)], opts.workers);
+    // C9: DLOOP on a sequential write burst, 8 GB with 1 and 8 planes per die.
+    let mut seq = opts.scaled_profile(WorkloadProfile::build());
+    seq.write_ratio = 0.9;
+    seq.seq_prob = 0.9;
+    seq.rate_per_sec = 2000.0;
+    let striping = [1u32, 8].map(|ppd| RunSpec {
+        config: SsdConfig {
+            planes_per_die: ppd,
+            ..fig8::point(opts, 8)
+        },
+        kind: FtlKind::Dloop,
+        profile: seq.clone(),
+        max_requests: 40_000,
+        seed: opts.seed,
+        fill_fraction: 0.0,
+    });
+    let striping = opts.cells.get(&striping, opts.workers);
+
+    vec![
+        c1,
+        c2(&grid),
+        c3(&grid),
+        c4(&grid),
+        c5(&grid),
+        c6(&grid),
+        c7(fast[0].mrt_ms, fast[1].mrt_ms),
+        c8(&grid),
+        c9(striping[0].mrt_ms, striping[1].mrt_ms),
+        check_gc_blocked_share(opts),
+        check_ncq_vs_gated(opts),
+        check_qos_bounds(opts),
+        check_host_stack(opts),
+        check_sq_windows(opts),
+        check_shard_identity(opts),
+        check_power_cap(opts),
+    ]
+}
+
+/// C2 — Fig. 8: DLOOP <= DFTL on every trace at every capacity.
+fn c2(grid: &[TraceCells]) -> ClaimResult {
     let mut worst = (1.0f64, String::new());
-    for (i, m) in grid.mrt.iter().enumerate() {
-        for (row, cap) in m.iter().zip([4, 64]) {
-            let ratio = row[d] / row[t_];
+    for tc in grid {
+        for (row, cap) in tc.mrt.iter().zip([4, 64]) {
+            let ratio = row[D] / row[T];
             if ratio > worst.0 {
-                worst = (
-                    ratio,
-                    format!("{} @{}GB: {:.2}x", grid.names[i], cap, ratio),
-                );
+                worst = (ratio, format!("{} @{}GB: {:.2}x", tc.name, cap, ratio));
             }
         }
     }
-    results.push(ClaimResult {
+    ClaimResult {
         id: "C2",
         claim: "DLOOP beats DFTL on every trace and capacity (Fig. 8)",
         pass: worst.0 <= 1.0,
@@ -138,73 +137,63 @@ pub fn verify(opts: &ExpOptions) -> Vec<ClaimResult> {
         } else {
             format!("worst case {}", worst.1)
         },
-    });
+    }
+}
 
-    // C3 — Fig. 8: DLOOP beats FAST on the write-dominant traces.
-    let mut pass = true;
-    let mut detail = String::new();
-    for (i, m) in grid.mrt.iter().enumerate() {
-        if grid.write_pcts[i] < 50.0 {
-            continue; // the paper's own FAST edge cases are read-dominant
-        }
-        for row in m {
-            if row[d] > row[f] {
-                pass = false;
-                detail = format!(
+/// C3 — Fig. 8: DLOOP beats FAST on the write-dominant traces. The
+/// evidence names exactly the traces checked.
+fn c3(grid: &[TraceCells]) -> ClaimResult {
+    let mut checked = Vec::new();
+    let mut failure = None;
+    // The paper's own FAST edge cases are read-dominant.
+    for tc in grid.iter().filter(|tc| tc.write_pct >= 50.0) {
+        checked.push(tc.name);
+        for row in &tc.mrt {
+            if row[D] > row[F] {
+                failure = Some(format!(
                     "{}: DLOOP {:.3} > FAST {:.3}",
-                    grid.names[i], row[d], row[f]
-                );
+                    tc.name, row[D], row[F]
+                ));
             }
         }
     }
-    results.push(ClaimResult {
+    ClaimResult {
         id: "C3",
         claim: "DLOOP beats FAST on write-dominant traces (Fig. 8)",
-        pass,
-        detail: if detail.is_empty() {
-            "holds on F1/TPC-C/Exchange/Build".into()
-        } else {
-            detail
-        },
-    });
+        pass: failure.is_none(),
+        detail: failure.unwrap_or_else(|| format!("holds on {}", checked.join("/"))),
+    }
+}
 
-    // C4 — Fig. 8: DLOOP's MRT does not grow with capacity.
-    let mut pass = true;
-    let mut detail = String::new();
-    for (i, m) in grid.mrt.iter().enumerate() {
-        if m[1][d] > m[0][d] * 1.05 {
-            pass = false;
-            detail = format!(
-                "{}: 64GB {:.3} ms > 4GB {:.3} ms",
-                grid.names[i], m[1][d], m[0][d]
-            );
+/// C4 — Fig. 8: DLOOP's MRT does not grow with capacity.
+fn c4(grid: &[TraceCells]) -> ClaimResult {
+    let mut failure = None;
+    for tc in grid {
+        let [small, large] = tc.mrt.map(|row| row[D]);
+        if large > small * 1.05 {
+            failure = Some(format!(
+                "{}: 64GB {large:.3} ms > 4GB {small:.3} ms",
+                tc.name
+            ));
         }
     }
-    results.push(ClaimResult {
+    ClaimResult {
         id: "C4",
         claim: "larger SSDs delay GC: MRT non-increasing with capacity (Fig. 8)",
-        pass,
-        detail: if detail.is_empty() {
-            "holds for all five traces".into()
-        } else {
-            detail
-        },
-    });
+        pass: failure.is_none(),
+        detail: failure.unwrap_or_else(|| "holds for all five traces".into()),
+    }
+}
 
-    // C5 — §V.B: the smallest DLOOP-vs-DFTL gap is on read-dominant
-    // Financial2.
-    let gap = |i: usize| {
-        let m = &grid.mrt[i];
-        // average relative improvement across the two capacities
-        ((m[0][t_] - m[0][d]) / m[0][t_] + (m[1][t_] - m[1][d]) / m[1][t_]) / 2.0
-    };
-    let f2_idx = grid.names.iter().position(|n| *n == "Financial2").unwrap();
-    let f2_gap = gap(f2_idx);
-    let min_other = (0..grid.names.len())
-        .filter(|&i| i != f2_idx)
-        .map(gap)
-        .fold(f64::INFINITY, f64::min);
-    results.push(ClaimResult {
+/// C5 — §V.B: the smallest DLOOP-vs-DFTL gap is on read-dominant
+/// Financial2.
+fn c5(grid: &[TraceCells]) -> ClaimResult {
+    // Average relative improvement across the two capacities.
+    let gap = |tc: &TraceCells| tc.mrt.iter().map(|m| (m[T] - m[D]) / m[T]).sum::<f64>() / 2.0;
+    let (f2, others): (Vec<_>, Vec<_>) = grid.iter().partition(|tc| tc.name == "Financial2");
+    let f2_gap = gap(f2.first().expect("Financial2 is a paper trace"));
+    let min_other = others.into_iter().map(gap).fold(f64::INFINITY, f64::min);
+    ClaimResult {
         id: "C5",
         claim: "read-dominant Financial2 shows the smallest DLOOP-vs-DFTL gap (SV.B)",
         pass: f2_gap <= min_other,
@@ -213,106 +202,61 @@ pub fn verify(opts: &ExpOptions) -> Vec<ClaimResult> {
             f2_gap * 100.0,
             min_other * 100.0
         ),
-    });
+    }
+}
 
-    // C6 — Figs. 8-10: DLOOP has the lowest ln(SDRPP) everywhere.
-    let mut pass = true;
-    let mut detail = String::new();
-    for (i, s) in grid.sdrpp.iter().enumerate() {
-        for row in s {
-            if row[d] > row[t_] + 1e-9 || row[d] > row[f] + 1e-9 {
-                pass = false;
-                detail = format!(
+/// C6 — Figs. 8-10: DLOOP has the lowest ln(SDRPP) everywhere.
+fn c6(grid: &[TraceCells]) -> ClaimResult {
+    let mut failure = None;
+    for tc in grid {
+        for row in &tc.sdrpp {
+            if row[D] > row[T] + 1e-9 || row[D] > row[F] + 1e-9 {
+                failure = Some(format!(
                     "{}: DLOOP {:.2} vs DFTL {:.2} / FAST {:.2}",
-                    grid.names[i], row[d], row[t_], row[f]
-                );
+                    tc.name, row[D], row[T], row[F]
+                ));
             }
         }
     }
-    results.push(ClaimResult {
+    ClaimResult {
         id: "C6",
         claim: "DLOOP spreads requests most evenly: lowest ln(SDRPP) (Figs. 8-10)",
-        pass,
-        detail: if detail.is_empty() {
-            "lowest on every trace and capacity".into()
-        } else {
-            detail
-        },
-    });
+        pass: failure.is_none(),
+        detail: failure.unwrap_or_else(|| "lowest on every trace and capacity".into()),
+    }
+}
 
-    // C7 — Fig. 10: FAST improves as extra blocks grow (bigger log region).
-    let profile = opts.scaled_profile(WorkloadProfile::tpcc());
-    let fast_specs: Vec<RunSpec> = [3.0, 10.0]
-        .iter()
-        .map(|&pct| RunSpec {
-            config: SsdConfig::paper_default()
-                .with_capacity_gb(opts.scaled_capacity(8))
-                .with_extra_pct(pct),
-            kind: FtlKind::Fast,
-            profile: profile.clone(),
-            max_requests: opts.requests_for(&profile).min(120_000),
-            seed: opts.seed,
-            fill_fraction: opts.fill_fraction,
-        })
-        .collect();
-    let fast_reports = run_grid(fast_specs, opts.workers);
-    let (fast3, fast10) = (
-        fast_reports[0].mean_response_time_ms(),
-        fast_reports[1].mean_response_time_ms(),
-    );
-    results.push(ClaimResult {
+/// C7 — Fig. 10: FAST improves as extra blocks grow (bigger log region),
+/// from its TPC-C MRTs at 3 % and 10 %.
+fn c7(fast3: f64, fast10: f64) -> ClaimResult {
+    ClaimResult {
         id: "C7",
         claim: "FAST improves with more extra blocks / bigger log region (Fig. 10)",
         pass: fast10 <= fast3,
         detail: format!("TPC-C: 3% -> {fast3:.3} ms, 10% -> {fast10:.3} ms"),
-    });
+    }
+}
 
-    // C8 — §I/§V.B headline: large average improvements. The 4 GB device
-    // is the GC-stressed point (the paper quotes ~70%/~90% there); the
-    // 64 GB numbers need the full-length traces to pressure FAST's log
-    // region, which the compact grid deliberately truncates.
-    let avg_impr = |cap: usize, base: usize| -> f64 {
-        let mut sum = 0.0;
-        for m in &grid.mrt {
-            sum += (m[cap][base] - m[cap][d]) / m[cap][base];
-        }
-        sum / grid.mrt.len() as f64 * 100.0
-    };
-    let (vs_dftl, vs_fast) = (avg_impr(0, t_), avg_impr(0, f));
-    results.push(ClaimResult {
+/// C8 — §I/§V.B headline: large average improvements. The 4 GB device is
+/// the GC-stressed point (the paper quotes ~70%/~90% there); the figures
+/// are `headline_1.csv`'s AVERAGE row.
+fn c8(grid: &[TraceCells]) -> ClaimResult {
+    let at_4gb: Vec<[f64; 3]> = grid.iter().map(|tc| tc.mrt[0]).collect();
+    let vs_dftl = headline::average_improvement(&at_4gb, T);
+    let vs_fast = headline::average_improvement(&at_4gb, F);
+    ClaimResult {
         id: "C8",
         claim:
             "large average MRT improvement at the GC-stressed capacity (paper: ~70%/~90% at 4GB)",
         pass: vs_dftl > 20.0 && vs_fast > 50.0,
         detail: format!("measured {vs_dftl:.1}% vs DFTL, {vs_fast:.1}% vs FAST at 4GB"),
-    });
+    }
+}
 
-    // C9 — §II.C motivation: striping across planes raises throughput.
-    let mut seq = opts.scaled_profile(WorkloadProfile::build());
-    seq.write_ratio = 0.9;
-    seq.seq_prob = 0.9;
-    seq.rate_per_sec = 2000.0;
-    let striping_specs: Vec<RunSpec> = [1u32, 8]
-        .iter()
-        .map(|&ppd| {
-            let mut config = SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(8));
-            config.planes_per_die = ppd;
-            RunSpec {
-                config,
-                kind: FtlKind::Dloop,
-                profile: seq.clone(),
-                max_requests: 40_000,
-                seed: opts.seed,
-                fill_fraction: 0.0,
-            }
-        })
-        .collect();
-    let striping_reports = run_grid(striping_specs, opts.workers);
-    let (one, eight) = (
-        striping_reports[0].mean_response_time_ms(),
-        striping_reports[1].mean_response_time_ms(),
-    );
-    results.push(ClaimResult {
+/// C9 — §II.C motivation: striping across planes raises throughput, from
+/// the MRTs with 1 and 8 planes per die.
+fn c9(one: f64, eight: f64) -> ClaimResult {
+    ClaimResult {
         id: "C9",
         claim: "plane striping raises sequential throughput substantially (SII.C)",
         pass: one / eight > 4.0,
@@ -320,17 +264,7 @@ pub fn verify(opts: &ExpOptions) -> Vec<ClaimResult> {
             "1 plane/die {one:.2} ms vs 8 planes/die {eight:.2} ms ({:.0}x)",
             one / eight
         ),
-    });
-
-    results.push(check_gc_blocked_share(opts));
-    results.push(check_ncq_vs_gated(opts));
-    results.push(check_qos_bounds(opts));
-    results.push(check_host_stack(opts));
-    results.push(check_sq_windows(opts));
-    results.push(check_shard_identity(opts));
-    results.push(check_power_cap(opts));
-
-    results
+    }
 }
 
 /// C10 — tracing-derived: the share of host-visible response time that
@@ -1214,6 +1148,145 @@ mod tests {
         assert!(s.contains("FAIL"));
         assert!(s.contains("broken"));
         assert_eq!(t.len(), 2);
+    }
+
+    /// Fig. 8's committed 4 GB and 64 GB cells (`fig8_capacity_{0,1}.csv`
+    /// at default flags), as C2–C6 and C8 read them.
+    fn fig8_cells() -> Vec<TraceCells> {
+        let tc = |name, write_pct, mrt, sdrpp| TraceCells {
+            name,
+            write_pct,
+            mrt,
+            sdrpp,
+        };
+        vec![
+            tc(
+                "Financial1",
+                76.8,
+                [[0.8683, 1.2884, 90.7433], [0.3949, 0.5064, 2.0487]],
+                [[8.81, 12.28, 11.62], [8.84, 12.07, 11.73]],
+            ),
+            tc(
+                "Financial2",
+                17.7,
+                [[0.1830, 0.1960, 2.8070], [0.1827, 0.1963, 0.1691]],
+                [[7.90, 10.58, 9.65], [7.91, 11.87, 9.70]],
+            ),
+            tc(
+                "TPC-C",
+                65.0,
+                [[0.5360, 0.9959, 105759.2936], [0.5329, 1.0194, 61.3967]],
+                [[5.72, 9.93, 7.85], [5.79, 11.31, 8.67]],
+            ),
+            tc(
+                "Exchange",
+                62.6,
+                [[1.4850, 7.6838, 275866.9544], [0.6698, 1.9413, 4416.4906]],
+                [[7.94, 10.98, 9.65], [7.95, 11.84, 9.81]],
+            ),
+            tc(
+                "Build",
+                31.4,
+                [[5.5708, 8.0667, 95129.6749], [0.9991, 2.5246, 89.4950]],
+                [[7.89, 11.74, 9.11], [7.87, 12.19, 9.51]],
+            ),
+        ]
+    }
+
+    /// Each predicate passes on the committed cells and fails on one
+    /// perturbation of them, so no claim is a gate that cannot fail.
+    fn assert_control(claim: fn(&[TraceCells]) -> ClaimResult, perturb: fn(&mut [TraceCells])) {
+        let mut cells = fig8_cells();
+        let held = claim(&cells);
+        assert!(
+            held.pass,
+            "{} fails on the committed cells: {}",
+            held.id, held.detail
+        );
+        perturb(&mut cells);
+        let broken = claim(&cells);
+        assert!(
+            !broken.pass,
+            "{} passes a perturbed table: {}",
+            broken.id, broken.detail
+        );
+    }
+
+    #[test]
+    fn c2_fails_with_the_dloop_and_dftl_columns_swapped() {
+        assert_control(c2, |cells| {
+            for row in cells.iter_mut().flat_map(|tc| &mut tc.mrt) {
+                row.swap(D, T);
+            }
+        });
+        assert_eq!(c2(&fig8_cells()).detail, "DLOOP <= DFTL everywhere");
+    }
+
+    #[test]
+    fn c3_names_the_traces_it_checks_and_fails_with_fast_ahead() {
+        assert_control(c3, |cells| cells[0].mrt[0][F] = cells[0].mrt[0][D] / 2.0);
+        // Build (31.4 % writes) and Financial2 are read-dominant: skipped.
+        assert_eq!(
+            c3(&fig8_cells()).detail,
+            "holds on Financial1/TPC-C/Exchange"
+        );
+    }
+
+    #[test]
+    fn c4_fails_when_64gb_is_ten_percent_slower() {
+        assert_control(c4, |cells| cells[2].mrt[1][D] = cells[2].mrt[0][D] * 1.10);
+    }
+
+    #[test]
+    fn c5_fails_when_financial2_has_the_largest_gap() {
+        assert_control(c5, |cells| {
+            for row in &mut cells[1].mrt {
+                row[T] = row[D] * 10.0;
+            }
+        });
+        let detail = c5(&fig8_cells()).detail;
+        assert_eq!(detail, "F2 gap 6.8% vs next smallest 27.3%");
+    }
+
+    #[test]
+    fn c6_fails_with_the_unspread_ablation_sdrpp_in_dloops_column() {
+        // 10.50 is the ablation's `DLOOP -spread` ln(SDRPP) on Financial1.
+        assert_control(c6, |cells| {
+            for row in cells.iter_mut().flat_map(|tc| &mut tc.sdrpp) {
+                row[D] = 10.50;
+            }
+        });
+    }
+
+    #[test]
+    fn c7_fails_with_the_extra_block_cells_swapped() {
+        // Fig. 10's committed TPC-C x FAST cells at 3 % and 10 %.
+        let (fast3, fast10) = (23282.1363, 34.4580);
+        assert!(c7(fast3, fast10).pass);
+        assert!(!c7(fast10, fast3).pass);
+        assert_eq!(
+            c7(fast3, fast10).detail,
+            "TPC-C: 3% -> 23282.136 ms, 10% -> 34.458 ms"
+        );
+    }
+
+    #[test]
+    fn c8_fails_with_every_improvement_zero_and_reads_the_headline_average() {
+        assert_control(c8, |cells| {
+            for row in cells.iter_mut().flat_map(|tc| &mut tc.mrt) {
+                *row = [row[D]; 3];
+            }
+        });
+        // headline_1.csv's AVERAGE row: 39.40 / 98.50.
+        let detail = c8(&fig8_cells()).detail;
+        assert_eq!(detail, "measured 39.4% vs DFTL, 98.5% vs FAST at 4GB");
+    }
+
+    #[test]
+    fn c9_fails_when_one_plane_is_as_fast_as_eight() {
+        // `claims_0.csv`'s C9 evidence: 1056.47 ms vs 21.82 ms.
+        assert!(c9(1056.47, 21.82).pass);
+        assert!(!c9(21.82, 21.82).pass);
     }
 
     #[test]

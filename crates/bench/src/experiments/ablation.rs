@@ -60,7 +60,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             });
         }
     }
-    let reports = run_grid(specs, opts.workers);
+    let reports = run_grid(specs, opts.workers, |r| r);
 
     let mut table = Table::new(
         format!("Ablations at 4 GB, 80% pre-filled (scale 1/{})", opts.scale),

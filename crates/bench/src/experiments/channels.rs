@@ -50,7 +50,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             fill_fraction: opts.fill_fraction,
         });
     }
-    let reports = run_grid(specs, opts.workers);
+    let reports = run_grid(specs, opts.workers, |r| r);
 
     let mut table = Table::new(
         "SII.B - channel count vs plane depth (TPC-C, DLOOP)",

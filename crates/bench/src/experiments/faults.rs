@@ -10,8 +10,9 @@
 //! doomed blocks) stays plane-local. The fault plan is a pure function of
 //! `(seed, op, address)`, so every cell is exactly reproducible.
 
+use super::sweep::spec_for;
 use super::ExpOptions;
-use crate::runner::{run_grid, RunSpec};
+use crate::runner::run_grid;
 use crate::table::{f, Table};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_nand::FaultConfig;
@@ -53,20 +54,11 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         })
         .collect();
 
-    let mut specs = Vec::new();
-    for (_, config) in &points {
-        for kind in KINDS {
-            specs.push(RunSpec {
-                config: config.clone(),
-                kind,
-                profile: profile.clone(),
-                max_requests: opts.requests_for(&profile),
-                seed: opts.seed,
-                fill_fraction: opts.fill_fraction,
-            });
-        }
-    }
-    let reports = run_grid(specs, opts.workers);
+    let specs = points
+        .iter()
+        .flat_map(|(_, config)| KINDS.map(|kind| spec_for(opts, config, kind, &profile)))
+        .collect();
+    let reports = run_grid(specs, opts.workers, |r| r);
 
     let header: Vec<&str> = {
         let mut h = vec!["ber"];

@@ -14,18 +14,18 @@ use dloop_ftl_kit::config::SsdConfig;
 /// Extra-block percentages of the paper's x-axis.
 const EXTRA_PCT: [f64; 4] = [3.0, 5.0, 7.0, 10.0];
 
+/// The device of Fig. 10's point at `pct` % extra blocks.
+pub fn point(opts: &ExpOptions, pct: f64) -> SsdConfig {
+    SsdConfig::paper_default()
+        .with_capacity_gb(opts.scaled_capacity(8))
+        .with_extra_pct(pct)
+}
+
 /// Run the Fig. 10 sweep.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let points: Vec<(String, SsdConfig)> = EXTRA_PCT
         .iter()
-        .map(|&pct| {
-            (
-                format!("{pct:.0}%"),
-                SsdConfig::paper_default()
-                    .with_capacity_gb(opts.scaled_capacity(8))
-                    .with_extra_pct(pct),
-            )
-        })
+        .map(|&pct| (format!("{pct:.0}%"), point(opts, pct)))
         .collect();
     sweep(
         opts,

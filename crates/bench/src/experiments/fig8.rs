@@ -14,16 +14,16 @@ use dloop_ftl_kit::config::SsdConfig;
 /// Nominal capacities of the paper's x-axis.
 const CAPACITIES_GB: [u32; 5] = [4, 8, 16, 32, 64];
 
+/// The device of Fig. 8's point at `nominal_gb`.
+pub fn point(opts: &ExpOptions, nominal_gb: u32) -> SsdConfig {
+    SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(nominal_gb))
+}
+
 /// Run the Fig. 8 sweep.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let points: Vec<(String, SsdConfig)> = CAPACITIES_GB
         .iter()
-        .map(|&gb| {
-            (
-                format!("{gb}GB"),
-                SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(gb)),
-            )
-        })
+        .map(|&gb| (format!("{gb}GB"), point(opts, gb)))
         .collect();
     sweep(
         opts,

@@ -8,7 +8,7 @@
 //! | [`fig8`] | Fig. 8 — MRT and ln(SDRPP) vs SSD capacity |
 //! | [`fig9`] | Fig. 9 — MRT and ln(SDRPP) vs page size |
 //! | [`fig10`] | Fig. 10 — MRT and ln(SDRPP) vs extra blocks |
-//! | [`headline`] | §I/§V.B headline (57.8 % / 85.5 % improvements at 64 GB) |
+//! | [`headline`] | §I/§V.B headline (57.8 % / 85.5 % at 64 GB): a view over [`fig8`]'s 64 GB and 4 GB cells |
 //! | [`ablation`] | design-choice ablations incl. the paper's future work |
 //! | [`striping`] | §II.C motivation: throughput vs plane-level concurrency |
 //! | [`channels`] | §II.B trade-off: channel count vs plane depth |
@@ -36,9 +36,11 @@ pub mod sweep;
 pub mod tracecmd;
 pub mod traces;
 
+use crate::runner::CellStore;
 use crate::table::Table;
 use dloop_ftl_kit::device::{ReplayMode, DEFAULT_NCQ_DEPTH};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Replay admission policy selected on the command line (`--mode`). Kept
 /// separate from [`ReplayMode`] so the flag and the queue depth
@@ -107,6 +109,9 @@ pub struct ExpOptions {
     pub qos_policy: Option<dloop_ftl_kit::sched::QosSpec>,
     /// Tenant streams in the `qos` sweep's contention mix (`--tenants`).
     pub qos_tenants: u16,
+    /// The cells already run in this process, shared by every command
+    /// (and every clone of these options).
+    pub cells: Arc<CellStore>,
 }
 
 impl Default for ExpOptions {
@@ -122,6 +127,7 @@ impl Default for ExpOptions {
             queue_depth: DEFAULT_NCQ_DEPTH,
             qos_policy: None,
             qos_tenants: 3,
+            cells: Arc::default(),
         }
     }
 }

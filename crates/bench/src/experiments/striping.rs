@@ -42,7 +42,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             });
         }
     }
-    let reports = run_grid(specs, opts.workers);
+    let reports = run_grid(specs, opts.workers, |r| r);
 
     let mut table = Table::new(
         "Motivation (SII.C) — plane-level concurrency vs sequential-write performance",

@@ -1,7 +1,11 @@
 //! `dloop-experiments` — regenerate the DLOOP paper's tables and figures.
 //!
 //! ```text
-//! dloop-experiments <command> [options]
+//! dloop-experiments <command>... [options]
+//!
+//! Several commands run in one process, in the order given, and share
+//! every simulation they have in common (`fig8 headline verify` runs
+//! Fig. 8's cells once).
 //!
 //! commands:
 //!   params     Table I   — simulation parameters
@@ -24,8 +28,8 @@
 //!                           interrupt coalescing and cache dirty ratio,
 //!                           with per-phase latency decomposition
 //!   verify                — automated PASS/FAIL audit of the paper's claims
-//!   all                   — everything above (except trace: its artifacts
-//!                           are for interactive inspection, run it alone)
+//!   all                   — everything above except trace (its artifacts
+//!                           are for interactive inspection)
 //!
 //! options:
 //!   --scale N      divide device capacities and footprints by N (default 4)
@@ -56,18 +60,36 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|faults|trace|qos|host|verify|all> \
+const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|faults|trace|qos|host|verify|all>... \
 [--scale N] [--requests N] [--seed N] [--workers N] [--fill F] [--out DIR] \
 [--mode open|gated|closed|ncq] [--depth N] \
 [--policy ncq|window-fifo|priority|deadline|fair-share] [--tenants N] [--quick]";
 
+/// What `all` runs, in order.
+const ALL: [&str; 14] = [
+    "params", "traces", "copyback", "fig8", "fig9", "fig10", "headline", "ablation", "striping",
+    "channels", "faults", "qos", "host", "verify",
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmds, args) = argv.split_at(argv.iter().take_while(|a| !a.starts_with("--")).count());
+    let cmds: Vec<&str> = cmds
+        .iter()
+        .flat_map(|c| match c.as_str() {
+            "all" => ALL.to_vec(),
+            c => vec![c],
+        })
+        .collect();
+    if cmds.is_empty() {
         return usage();
-    };
+    }
+    if let Some(bad) = cmds.iter().find(|&&c| !ALL.contains(&c) && c != "trace") {
+        eprintln!("unknown command {bad}");
+        return usage();
+    }
     let mut opts = ExpOptions::default();
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
         let mut take = |opts_field: &mut dyn FnMut(&str) -> bool| -> bool {
@@ -169,7 +191,11 @@ fn main() -> ExitCode {
         return usage();
     }
 
-    let run_cmd = |cmd: &str, opts: &ExpOptions| -> bool {
+    let opts = &opts;
+    for &cmd in &cmds {
+        if cmds.len() > 1 {
+            eprintln!(">> {cmd}");
+        }
         match cmd {
             "params" => opts.emit(&params::run(), "table1_params"),
             "traces" => opts.emit(&traces::run(opts), "table2_traces"),
@@ -194,26 +220,8 @@ fn main() -> ExitCode {
                     eprintln!("{failed} claim(s) FAILED");
                 }
             }
-            _ => return false,
+            _ => unreachable!("commands are checked before any runs"),
         }
-        true
-    };
-
-    let ok = if cmd == "all" {
-        for c in [
-            "params", "traces", "copyback", "fig8", "fig9", "fig10", "headline", "ablation",
-            "striping", "channels", "faults", "qos", "host", "verify",
-        ] {
-            eprintln!(">> {c}");
-            run_cmd(c, &opts);
-        }
-        true
-    } else {
-        run_cmd(&cmd, &opts)
-    };
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        usage()
     }
+    ExitCode::SUCCESS
 }

@@ -302,26 +302,26 @@ cargo test -q --release --offline --test replay_modes plane_local_fast_path_enga
 cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_identical
 cargo test -q --release --offline --test replay_modes sharded_requests_that_fall_back_name_their_guard
 
-echo "==> committed results regenerate (headline, ablation, params, traces, copyback at default flags, byte-equal)"
+echo "==> committed results regenerate (headline, claims, ablation, params, traces, copyback at default flags, byte-equal)"
 # Between them headline and ablation run every FTL (DLOOP, DLOOP-HOT, DFTL,
 # FAST, IDEAL and the ablation variants) on the paper's traces, so any
 # change that moves a simulated number shows up as a CSV diff here; the
-# other three take seconds. The remaining tables are not regenerated here
+# other three take seconds. One process runs them all, so verify's C2-C6
+# and C8 read the cells headline ran and claims_0.csv costs only C7 and
+# C9-C16. The remaining tables are not regenerated here
 # (fig9_pagesize_*.csv reproduces with no known flags, EXPERIMENTS.md).
 check_regenerates() {
     local results="$1"
     shift
     local regen_out status=0
     regen_out="$(mktemp -d)"
-    for experiment in "$@"; do
-        cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
-            "$experiment" --out "$regen_out" >/dev/null
-    done
+    cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
+        "$@" --out "$regen_out" >/dev/null
     check_results_match "$results" "$regen_out" || status=1
     rm -rf "$regen_out"
     return "$status"
 }
-check_regenerates results headline ablation params traces copyback
+check_regenerates results headline verify ablation params traces copyback
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \
