@@ -341,7 +341,7 @@ fn check_gc_blocked_share_on(
 ///
 /// * **In-order at equal depth.** An in-order bounded queue can only ever
 ///   examine its head, so its issue schedule is the same at every depth —
-///   `Ncq { queue_depth: 1 }` is the canonical spelling of "same queue,
+///   plain NCQ at depth 1 is the canonical spelling of "same queue,
 ///   no reordering". NCQ must strictly not lose to it (the measured win
 ///   is 7–99 % across configs and rates).
 /// * **Gated, the unbounded window.** The gated FIFO skips over blocked
@@ -371,15 +371,13 @@ fn write_burst(opts: &ExpOptions, config: &SsdConfig, max_requests: u64) -> Trac
 /// unit test runs it on [`SsdConfig::micro_gc_test`] to stay cheap).
 fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64) -> ClaimResult {
     let trace = write_burst(opts, &config, max_requests);
-    let run_mode = |mode: ReplayMode| {
+    let run_mode = |run: RunConfig| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        device.run_with(&trace.requests, mode.into())
+        device.run_with(&trace.requests, run)
     };
-    let gated = run_mode(ReplayMode::Gated);
-    let ncq = run_mode(ReplayMode::Ncq {
-        queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,
-    });
-    let in_order = run_mode(ReplayMode::Ncq { queue_depth: 1 });
+    let gated = run_mode(RunConfig::gated());
+    let ncq = run_mode(RunConfig::ncq(dloop_ftl_kit::DEFAULT_NCQ_DEPTH));
+    let in_order = run_mode(RunConfig::ncq(1));
     let g_mrt = gated.mean_response_time_ms();
     let n_mrt = ncq.mean_response_time_ms();
     let i_mrt = in_order.mean_response_time_ms();
@@ -416,7 +414,7 @@ fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64
 /// mix each policy's per-tenant mean turnaround must stay pinned between
 /// the same two baselines that bracket plain NCQ:
 ///
-/// * **Naive in-order bound** (`Ncq { queue_depth: 1 }`): no policy may
+/// * **Naive in-order bound** (plain NCQ at depth 1): no policy may
 ///   leave any tenant worse than the queue that never reorders at all —
 ///   even a deprioritized tenant still rides the idle planes the window
 ///   fills. A small factor absorbs per-tenant measurement noise.
@@ -450,12 +448,12 @@ fn check_qos_bounds_on(
         requests_per_tenant,
         footprint,
     );
-    let run = |mode: ReplayMode| {
+    let run = |run: RunConfig| {
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        device.run_with(&mix.requests, mode.into())
+        device.run_with(&mix.requests, run)
     };
-    let naive = run(ReplayMode::Ncq { queue_depth: 1 });
-    let oracle = run(ReplayMode::Gated);
+    let naive = run(RunConfig::ncq(1));
+    let oracle = run(RunConfig::gated());
     let tenants = naive.queue_log.tenants();
     // Per-tenant slowdown tolerance vs the in-order queue, and aggregate
     // tracking factor vs the unbounded oracle window. Measured worst
@@ -466,10 +464,7 @@ fn check_qos_bounds_on(
     let mut worst = String::new();
     let mut fair_spread = 0.0f64;
     for spec in QosSpec::all() {
-        let report = run(ReplayMode::Qos {
-            queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,
-            policy: spec,
-        });
+        let report = run(RunConfig::qos(spec));
         // Identical flash work makes the turnaround comparison meaningful.
         if report.pages_written != naive.pages_written || report.pages_read != naive.pages_read {
             pass = false;
@@ -577,8 +572,9 @@ fn check_host_stack_on(
         ReplayMode::Open,
         ReplayMode::Gated,
         ReplayMode::Closed { queue_depth: 16 },
-        ReplayMode::Ncq {
+        ReplayMode::Qos {
             queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,
+            policy: QosSpec::Ncq,
         },
         ReplayMode::Qos {
             queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,

@@ -1,4 +1,4 @@
-//! Ablations of DLOOP's design choices (and the paper's future work).
+//! Ablations of DLOOP's design choices.
 //!
 //! | variant | isolates |
 //! |---|---|
@@ -6,7 +6,7 @@
 //! | DLOOP -copyback | GC moves over the bus — the §III.A claim |
 //! | DLOOP -spread | translation pages clustered on plane 0 — §II.B |
 //! | DLOOP die-serial | no plane-level parallelism inside a die — §II.C |
-//! | DLOOP-HOT | future work: heat-adaptive extra blocks (§VI) |
+//! | DLOOP bg-gc | GC deferred into idle gaps |
 //! | IDEAL | free SRAM mapping: bounds demand-caching overhead |
 
 use super::ExpOptions;
@@ -31,7 +31,6 @@ fn variants(base: &SsdConfig) -> Vec<(&'static str, FtlKind, SsdConfig)> {
         ("DLOOP -spread", FtlKind::Dloop, no_spread),
         ("DLOOP die-serial", FtlKind::Dloop, die_serial),
         ("DLOOP bg-gc", FtlKind::Dloop, bg),
-        ("DLOOP-HOT", FtlKind::DloopHot, base.clone()),
         ("DFTL", FtlKind::Dftl, base.clone()),
         ("IDEAL", FtlKind::IdealPageMap, base.clone()),
     ]

@@ -9,7 +9,7 @@
 //! | [`fig9`] | Fig. 9 — MRT and ln(SDRPP) vs page size |
 //! | [`fig10`] | Fig. 10 — MRT and ln(SDRPP) vs extra blocks |
 //! | [`headline`] | §I/§V.B headline (57.8 % / 85.5 % at 64 GB): a view over [`fig8`]'s 64 GB and 4 GB cells |
-//! | [`ablation`] | design-choice ablations incl. the paper's future work |
+//! | [`ablation`] | design-choice ablations |
 //! | [`striping`] | §II.C motivation: throughput vs plane-level concurrency |
 //! | [`channels`] | §II.B trade-off: channel count vs plane depth |
 //! | [`faults`] | graceful degradation vs raw bit-error rate (beyond the paper) |
@@ -39,6 +39,7 @@ pub mod traces;
 use crate::runner::CellStore;
 use crate::table::Table;
 use dloop_ftl_kit::device::{ReplayMode, DEFAULT_NCQ_DEPTH};
+use dloop_ftl_kit::sched::QosSpec;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -106,7 +107,7 @@ pub struct ExpOptions {
     /// Host queue depth for the bounded modes (`--depth`).
     pub queue_depth: usize,
     /// Narrow the `qos` sweep to one policy (`--policy`; None = all).
-    pub qos_policy: Option<dloop_ftl_kit::sched::QosSpec>,
+    pub qos_policy: Option<QosSpec>,
     /// Tenant streams in the `qos` sweep's contention mix (`--tenants`).
     pub qos_tenants: u16,
     /// The cells already run in this process, shared by every command
@@ -141,8 +142,9 @@ impl ExpOptions {
             TraceMode::Closed => ReplayMode::Closed {
                 queue_depth: self.queue_depth,
             },
-            TraceMode::Ncq => ReplayMode::Ncq {
+            TraceMode::Ncq => ReplayMode::Qos {
                 queue_depth: self.queue_depth,
+                policy: QosSpec::Ncq,
             },
         }
     }

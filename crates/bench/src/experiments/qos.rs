@@ -70,7 +70,10 @@ pub fn run_on(opts: &ExpOptions, config: SsdConfig, per_tenant: u64) -> Vec<Tabl
     let mut rows: Vec<(String, ReplayMode)> = vec![
         (
             "in-order (bound)".into(),
-            ReplayMode::Ncq { queue_depth: 1 },
+            ReplayMode::Qos {
+                queue_depth: 1,
+                policy: QosSpec::Ncq,
+            },
         ),
         ("gated (oracle)".into(), ReplayMode::Gated),
     ];

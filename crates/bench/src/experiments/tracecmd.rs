@@ -8,16 +8,13 @@
 //! and the aggregated latency-attribution table (plane-wait vs
 //! channel-wait vs bus vs cell vs retry, split by host/GC/scan phase).
 //!
-//! Tracing runs through a [`TeeSink`]: a bounded [`RingSink`] feeds the
-//! interactive exports while a [`StreamSink`] journals every span with no
-//! drop-oldest cap. The command doubles as a self-check of the tracing
-//! layer: it asserts that exactly one span was recorded per hardware
-//! operation on *both* sinks, that the stream dropped nothing, and that
-//! the Chrome export and every streamed JSONL line are valid JSON — so
-//! the `verify.sh` smoke step fails loudly if the recorder ever drifts
-//! from the hardware counters. If the bounded ring did overflow, a loud
-//! warning marks the Chrome/CSV exports as covering a truncated window
-//! (the streamed journal is always complete).
+//! Tracing runs through one [`RingSink`] that never evicts: it feeds the
+//! interactive exports, and the JSONL journal is rendered from it span by
+//! span. The command doubles as a self-check of the tracing layer: it
+//! asserts that exactly one span was recorded per hardware operation, that
+//! the ring dropped nothing, and that the Chrome export and every JSONL
+//! line are valid JSON — so the `verify.sh` smoke step fails loudly if the
+//! recorder ever drifts from the hardware counters.
 //!
 //! The replay admission policy follows `--mode` (open by default; gated,
 //! closed or NCQ with `--depth`), and alongside the span artifacts the
@@ -34,15 +31,10 @@ use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::SsdDevice;
 use dloop_simkit::trace::{
     attribution, channel_utilization_csv, chrome_trace_json, json_lint, plane_utilization_csv,
-    power_csv, QueueDepthProbe, RingSink, StreamSink, TeeSink,
+    power_csv, span_jsonl, QueueDepthProbe, RingSink,
 };
-use dloop_simkit::{SpanPhase, TraceSink};
+use dloop_simkit::SpanPhase;
 use dloop_workloads::WorkloadProfile;
-
-/// Flight-recorder ring capacity: enough for every op of the default
-/// request budget; older spans are dropped (and counted) on longer runs —
-/// the streamed JSONL journal keeps them all regardless.
-const RING_CAPACITY: usize = 1 << 18;
 
 /// Utilization-timeline resolution.
 const UTIL_BUCKETS: usize = 64;
@@ -71,16 +63,17 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
 
     let ftl = build_ftl(FtlKind::Dloop, &config);
     let mut device = SsdDevice::new(config, ftl);
-    device.attach_sink(Box::new(TeeSink::new(
-        Box::new(RingSink::new(RING_CAPACITY)),
-        Box::new(StreamSink::new(Vec::new())),
-    )));
+    device.attach_sink(Box::new(RingSink::new(usize::MAX)));
     let report = device.run_with(&trace.requests, opts.replay_mode().into());
-    let (rec, mut stream) = split_tee(&mut device);
-    stream.flush().expect("in-memory stream cannot fail");
+    let rec = *device
+        .detach_sink()
+        .expect("tracing was enabled")
+        .into_any()
+        .downcast::<RingSink>()
+        .expect("the attached sink is the ring");
 
-    // Self-check: one span per hardware operation on both sinks, nothing
-    // more or less.
+    // Self-check: one span per hardware operation, nothing more or less,
+    // and the ring that never evicts kept them all.
     let hw_ops = report.hw.reads
         + report.hw.writes
         + report.hw.erases
@@ -91,37 +84,20 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         hw_ops,
         "flight recorder drifted from the hardware counters"
     );
-    assert_eq!(
-        TraceSink::recorded(&stream),
-        hw_ops,
-        "stream sink drifted from the hardware counters"
-    );
-    // The stream has no capacity limit: a drop can only mean a write
-    // failure, and an in-memory journal must never see one.
-    assert_eq!(stream.dropped(), 0, "stream sink must record zero drops");
-    let jsonl = String::from_utf8(stream.into_inner()).expect("span JSONL is UTF-8");
-    let mut streamed_lines = 0u64;
-    for line in jsonl.lines() {
-        json_lint(line).expect("every streamed span line must be valid JSON");
-        streamed_lines += 1;
+    assert_eq!(rec.dropped(), 0, "an unbounded ring must record zero drops");
+    let mut jsonl = String::new();
+    let mut journal_lines = 0u64;
+    for span in rec.spans() {
+        let line = span_jsonl(span);
+        json_lint(&line).expect("every span JSONL line must be valid JSON");
+        jsonl.push_str(&line);
+        jsonl.push('\n');
+        journal_lines += 1;
     }
     assert_eq!(
-        streamed_lines, hw_ops,
-        "streamed journal must hold one line per hardware operation"
+        journal_lines, hw_ops,
+        "span journal must hold one line per hardware operation"
     );
-
-    if rec.dropped() > 0 {
-        eprintln!(
-            "WARNING: the bounded flight-recorder ring discarded {} of {} spans \
-             (capacity {}); the Chrome trace, utilization CSVs and attribution \
-             table cover a TRUNCATED window. The streamed journal \
-             (trace_spans.jsonl) is complete — raise the ring capacity or lower \
-             --requests for complete interactive exports.",
-            rec.dropped(),
-            rec.recorded(),
-            RING_CAPACITY,
-        );
-    }
 
     let chrome = chrome_trace_json(&rec);
     json_lint(&chrome).expect("Chrome trace export must be valid JSON");
@@ -136,27 +112,25 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         energy.bus_active_uw,
     );
     // The power timeline and the report's energy totals are the same
-    // integer measurement whenever the ring kept every span.
-    if rec.dropped() == 0 {
-        let totals = report
-            .energy
-            .expect("energy accounting was enabled for the traced run");
-        let csv_fj: u64 = power
-            .lines()
-            .skip(1)
-            .map(|l| {
-                l.rsplit(',')
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .expect("power_csv rows end in an integer total")
-            })
-            .sum();
-        assert_eq!(
-            csv_fj,
-            totals.total_fj(),
-            "power timeline must sum exactly to the report's femtojoule totals"
-        );
-    }
+    // integer measurement, since the ring kept every span.
+    let totals = report
+        .energy
+        .expect("energy accounting was enabled for the traced run");
+    let csv_fj: u64 = power
+        .lines()
+        .skip(1)
+        .map(|l| {
+            l.rsplit(',')
+                .next()
+                .and_then(|v| v.parse::<u64>().ok())
+                .expect("power_csv rows end in an integer total")
+        })
+        .sum();
+    assert_eq!(
+        csv_fj,
+        totals.total_fj(),
+        "power timeline must sum exactly to the report's femtojoule totals"
+    );
 
     // Queue-depth timeline: every replay driver records its probe, so the
     // export is meaningful for all --mode values. Self-check the shape and
@@ -255,7 +229,8 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     summary.row(vec!["spans_recorded".into(), rec.recorded().to_string()]);
     summary.row(vec!["spans_retained".into(), rec.len().to_string()]);
     summary.row(vec!["ring_dropped".into(), rec.dropped().to_string()]);
-    summary.row(vec!["spans_streamed".into(), streamed_lines.to_string()]);
+    // The `stream` rows describe the JSONL journal (`trace_spans.jsonl`).
+    summary.row(vec!["spans_streamed".into(), journal_lines.to_string()]);
     summary.row(vec!["stream_dropped".into(), "0".into()]);
     summary.row(vec![
         "request_visible_ms".into(),
@@ -270,32 +245,15 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     vec![table, summary]
 }
 
-/// Detach the tee from `device` and split it back into its ring and
-/// in-memory stream halves.
-fn split_tee(device: &mut SsdDevice) -> (RingSink, StreamSink<Vec<u8>>) {
-    let sink = device.detach_sink().expect("tracing was enabled");
-    let tee = sink.into_any().downcast::<TeeSink>().expect("tee sink");
-    let (ring, stream) = tee.into_inner();
-    let ring = ring
-        .into_any()
-        .downcast::<RingSink>()
-        .expect("first tee half is the ring");
-    let stream = stream
-        .into_any()
-        .downcast::<StreamSink<Vec<u8>>>()
-        .expect("second tee half is the in-memory stream");
-    (*ring, *stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The subcommand's in-process assertions (span counts vs hardware
-    /// counters on both tee halves, zero stream drops, JSON validity of
-    /// the Chrome export and every streamed line, queue-CSV shape and
-    /// conservation) are the real test; this just runs them on a small
-    /// budget without touching the filesystem.
+    /// The subcommand's in-process assertions (span count vs hardware
+    /// counters, zero ring drops, JSON validity of the Chrome export and
+    /// every journal line, queue-CSV shape and conservation) are the real
+    /// test; this just runs them on a small budget without touching the
+    /// filesystem.
     #[test]
     fn trace_command_self_checks_pass() {
         let opts = ExpOptions {

@@ -15,13 +15,13 @@
 //!   fig9       Fig. 9    — MRT / ln(SDRPP) vs page size
 //!   fig10      Fig. 10   — MRT / ln(SDRPP) vs extra blocks
 //!   headline   §I/§V.B   — average improvement at 64 GB (and 4 GB)
-//!   ablation              — design-choice ablations + future work
+//!   ablation              — design-choice ablations
 //!   striping              — §II.C motivation: concurrency vs throughput
 //!   channels              — §II.B trade-off: channel count vs plane depth
 //!   faults                — graceful degradation vs raw bit-error rate
 //!   trace                 — trace-sink artifacts: flow-stitched Chrome
 //!                           trace JSON, plane/channel-utilization CSVs,
-//!                           streamed span JSONL, latency attribution
+//!                           span JSONL, latency attribution
 //!   qos                   — multi-tenant QoS policy sweep over the NCQ
 //!                           window (per-tenant turnaround + fairness)
 //!   host                  — host-stack sweeps through dloop-host:

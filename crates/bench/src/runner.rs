@@ -4,7 +4,7 @@
 //! [`CellStore`] through which the paper's figures, headline and claims
 //! share their runs.
 
-use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
+use dloop::DloopFtl;
 use dloop_baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
@@ -18,7 +18,6 @@ use std::sync::Mutex;
 pub fn build_ftl(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
     match kind {
         FtlKind::Dloop => Box::new(DloopFtl::new(config)),
-        FtlKind::DloopHot => Box::new(HotPlaneDloopFtl::new(config, HotConfig::default())),
         FtlKind::Dftl => Box::new(DftlFtl::new(config)),
         FtlKind::Fast => Box::new(FastFtl::new(config)),
         FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
@@ -163,7 +162,6 @@ mod tests {
     fn every_kind_runs() {
         for kind in [
             FtlKind::Dloop,
-            FtlKind::DloopHot,
             FtlKind::Dftl,
             FtlKind::Fast,
             FtlKind::IdealPageMap,

@@ -180,8 +180,7 @@ impl PlaneAllocator {
                                 .collect();
                             panic!(
                                 "plane {plane} free pool exhausted — device \
-                                 overfull; reserved={} blocks: {}",
-                                ps.reserved(),
+                                 overfull; blocks: {}",
                                 summary.join(" ")
                             )
                         }

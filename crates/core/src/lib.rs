@@ -19,10 +19,8 @@
 //!   wear-levels the device.
 //!
 //! Modules: [`alloc`] (per-plane current-free-block pointers and the
-//! same-parity policy), [`gc`] (copy-back garbage collection), [`ftl`]
-//! (the [`DloopFtl`] scheme and where its translation pages live), [`hot`]
-//! (the paper's future-work variant: heat-adaptive extra blocks, built
-//! from a [`HotConfig`] next to the device's `SsdConfig`).
+//! same-parity policy), [`gc`] (copy-back garbage collection) and [`ftl`]
+//! (the [`DloopFtl`] scheme and where its translation pages live).
 //!
 //! ## Example
 //!
@@ -50,9 +48,7 @@
 pub mod alloc;
 pub mod ftl;
 pub mod gc;
-pub mod hot;
 
 pub use alloc::PlaneAllocator;
 pub use ftl::DloopFtl;
 pub use gc::GcEngine;
-pub use hot::{HotConfig, HotPlaneDloopFtl};

@@ -1,7 +1,7 @@
 //! Behavioural integration tests for the DLOOP FTL, driven through the
 //! full device stack (controller + hardware model + flash state).
 
-use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
+use dloop::DloopFtl;
 use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_ftl_kit::request::{HostOp, HostRequest};
@@ -260,51 +260,6 @@ fn deterministic_runs_for_equal_inputs() {
     assert_eq!(ra.total_erases, rb.total_erases);
     assert_eq!(ra.plane_request_counts, rb.plane_request_counts);
     assert_eq!(ra.ftl, rb.ftl);
-}
-
-#[test]
-fn hot_variant_parks_and_rebalances() {
-    let config = SsdConfig::micro_gc_test();
-    let ftl = HotPlaneDloopFtl::new(
-        &config,
-        HotConfig {
-            rebalance_period: 500,
-            hot_fraction: 0.25,
-            park_quota: u32::MAX,
-        },
-    );
-    // extra = 4, threshold 3 -> safe margin 5 -> park 0 on this micro
-    // config; use a wider one to see parking.
-    assert_eq!(ftl.effective_park(), 0);
-
-    let mut wide = SsdConfig::micro_gc_test();
-    wide.blocks_per_plane_override = Some((12, 10));
-    let ftl = HotPlaneDloopFtl::new(
-        &wide,
-        HotConfig {
-            rebalance_period: 500,
-            hot_fraction: 0.25,
-            park_quota: u32::MAX,
-        },
-    );
-    assert!(ftl.effective_park() > 0);
-    let mut d = SsdDevice::new(wide.clone(), Box::new(ftl));
-    // Skewed heat: plane 0 gets most of the writes.
-    let planes = wide.geometry().total_planes() as u64;
-    let mut rng = SimRng::new(5);
-    let reqs: Vec<_> = (0..4000u64)
-        .map(|i| {
-            let lpn = if rng.chance(0.7) {
-                rng.below(200) * planes // plane 0
-            } else {
-                rng.below(wide.geometry().user_pages())
-            };
-            w(i * 80, lpn, 1)
-        })
-        .collect();
-    let report = d.run_with(&reqs, RunConfig::open());
-    assert!(report.requests_completed == 4000);
-    d.audit().unwrap();
 }
 
 #[test]

@@ -8,8 +8,6 @@ use dloop_nand::{EnergyConfig, FaultConfig, Geometry, TimingConfig};
 pub enum FtlKind {
     /// The paper's contribution (§III).
     Dloop,
-    /// DLOOP with hot-plane-aware extra blocks (the paper's future work).
-    DloopHot,
     /// Gupta et al.'s demand-cached page-mapping FTL.
     Dftl,
     /// Lee et al.'s fully-associative log-block hybrid FTL.
@@ -23,7 +21,6 @@ impl FtlKind {
     pub fn name(self) -> &'static str {
         match self {
             FtlKind::Dloop => "DLOOP",
-            FtlKind::DloopHot => "DLOOP-HOT",
             FtlKind::Dftl => "DFTL",
             FtlKind::Fast => "FAST",
             FtlKind::IdealPageMap => "IDEAL",

@@ -24,20 +24,20 @@ use crate::ftl::{Ftl, FtlContext, FtlCounters, OpChain, Phase};
 use crate::metrics::{RunReport, ShardGuard, ShardOutcome};
 use crate::play::{play_op, PageOp, Played, ScanOrder};
 use crate::request::{HostOp, HostRequest};
-use crate::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
+use crate::sched::{QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
 use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
 use dloop_simkit::trace::{QueueDepthProbe, RingSink, TraceSink};
 use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Default reorder-window size for [`ReplayMode::Ncq`] — SATA NCQ's
+/// Default reorder-window size for [`ReplayMode::Qos`] — SATA NCQ's
 /// 32-entry command queue.
 pub const DEFAULT_NCQ_DEPTH: usize = 32;
 
 /// How a trace's host requests are admitted to the device during replay.
 ///
-/// All five modes feed the same request-splitting, translation and
+/// All four modes feed the same request-splitting, translation and
 /// chain-playing machinery ([`SsdDevice::run_with`]); they differ only in *when*
 /// a request's flash work may begin:
 ///
@@ -52,18 +52,17 @@ pub const DEFAULT_NCQ_DEPTH: usize = 32;
 ///   fio-style bounded host queue: at most `queue_depth` requests are
 ///   outstanding; request *i* issues at the later of its arrival and the
 ///   completion of request *i − queue_depth*.
-/// * [`ReplayMode::Ncq { queue_depth }`](ReplayMode::Ncq) — NCQ-style
+/// * [`ReplayMode::Qos { queue_depth, policy }`](ReplayMode::Qos) —
 ///   bounded reordering: among the oldest `queue_depth` queued page
 ///   operations, issue any whose first host step's plane and channel are
-///   idle *now*, preferring the op whose target plane has been idle
+///   idle *now*, choosing among them by a pluggable [`QosPolicy`]
+///   described by a [`QosSpec`]. Plain NCQ ([`QosSpec::Ncq`],
+///   [`RunConfig::ncq`]) prefers the op whose target plane has been idle
 ///   longest (ties by arrival order; fully deterministic). Reordering can
 ///   only fill planes the FIFO would have left idle, which is exactly the
 ///   plane-level parallelism DLOOP's allocation spreads writes across.
-/// * [`ReplayMode::Qos { queue_depth, policy }`](ReplayMode::Qos) — the
-///   same reorder window, but the selection rule among issuable ops is a
-///   pluggable [`QosPolicy`] described by a
-///   [`QosSpec`]: priority classes, deadlines, or per-tenant fair shares.
-///   `Qos` with [`QosSpec::Ncq`] is bit-identical to `Ncq`.
+///   The other specs add priority classes, deadlines, per-tenant fair
+///   shares or a power cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
     /// Open arrivals (unbounded backlog): resources are booked at arrival.
@@ -75,17 +74,12 @@ pub enum ReplayMode {
         /// Maximum simultaneously outstanding requests (must be ≥ 1).
         queue_depth: usize,
     },
-    /// NCQ-style replay: bounded reorder window over queued page ops.
-    Ncq {
-        /// Reorder-window size (must be ≥ 1); [`DEFAULT_NCQ_DEPTH`] is
-        /// the conventional choice.
-        queue_depth: usize,
-    },
     /// NCQ window with a QoS selection policy arbitrating inside it. For
     /// a custom or stateful policy instance (e.g. to inspect token buckets
     /// afterwards), use [`SsdDevice::run_with_policy`] directly instead.
     Qos {
-        /// Reorder-window size (must be ≥ 1).
+        /// Reorder-window size (must be ≥ 1); [`DEFAULT_NCQ_DEPTH`] is
+        /// the conventional choice.
         queue_depth: usize,
         /// Which selection policy arbitrates inside the window.
         policy: QosSpec,
@@ -93,13 +87,13 @@ pub enum ReplayMode {
 }
 
 impl ReplayMode {
-    /// The queue depth of the modes that have one (closed, NCQ, QoS).
+    /// The queue depth of the modes that have one (closed, QoS).
     fn queue_depth(self) -> Option<usize> {
         match self {
             ReplayMode::Open | ReplayMode::Gated => None,
-            ReplayMode::Closed { queue_depth }
-            | ReplayMode::Ncq { queue_depth }
-            | ReplayMode::Qos { queue_depth, .. } => Some(queue_depth),
+            ReplayMode::Closed { queue_depth } | ReplayMode::Qos { queue_depth, .. } => {
+                Some(queue_depth)
+            }
         }
     }
 }
@@ -173,9 +167,13 @@ impl RunConfig {
         RunConfig::from(ReplayMode::Closed { queue_depth })
     }
 
-    /// NCQ-style bounded reordering over a `queue_depth` window.
+    /// Plain NCQ reordering over a `queue_depth` window: the QoS window
+    /// under the neutral [`QosSpec::Ncq`] policy.
     pub fn ncq(queue_depth: usize) -> Self {
-        RunConfig::from(ReplayMode::Ncq { queue_depth })
+        RunConfig::from(ReplayMode::Qos {
+            queue_depth,
+            policy: QosSpec::Ncq,
+        })
     }
 
     /// QoS-arbitrated NCQ window under `policy`, at [`DEFAULT_NCQ_DEPTH`]
@@ -187,13 +185,11 @@ impl RunConfig {
         })
     }
 
-    /// Override the queue depth of the modes that have one (closed, NCQ,
-    /// QoS; it must be ≥ 1). Open and gated replay have none and ignore
-    /// it.
+    /// Override the queue depth of the modes that have one (closed, QoS;
+    /// it must be ≥ 1). Open and gated replay have none and ignore it.
     pub fn queue_depth(mut self, depth: usize) -> Self {
-        if let ReplayMode::Closed { queue_depth }
-        | ReplayMode::Ncq { queue_depth }
-        | ReplayMode::Qos { queue_depth, .. } = &mut self.mode
+        if let ReplayMode::Closed { queue_depth } | ReplayMode::Qos { queue_depth, .. } =
+            &mut self.mode
         {
             *queue_depth = depth;
         }
@@ -467,7 +463,7 @@ impl SsdDevice {
     /// Detach and return the attached [`RingSink`]; the device stops
     /// tracing. Returns `None` — without disturbing the sink — when the
     /// attached sink is not a ring; use [`SsdDevice::detach_sink`] for
-    /// stream or tee sinks.
+    /// any other sink.
     pub fn take_trace(&mut self) -> Option<RingSink> {
         if !self.sink()?.as_any().is::<RingSink>() {
             return None;
@@ -513,7 +509,7 @@ impl SsdDevice {
     /// QoS policy, shard count and optional sink attachment all ride in
     /// the [`RunConfig`]; a bare [`ReplayMode`] converts with `.into()`.
     /// Requests may be in any order; they are processed by arrival time
-    /// (FIFO among equal arrivals). All five modes share the
+    /// (FIFO among equal arrivals). All four modes share the
     /// request-splitting, translation, chain-playing and report-assembly
     /// code, so they provably agree on the flash work performed (see
     /// `tests/replay_modes.rs`).
@@ -529,9 +525,7 @@ impl SsdDevice {
             let attempt = match mode {
                 ReplayMode::Open => crate::shard::run_plane_local(self, requests, shards),
                 ReplayMode::Closed { .. } => Err(ShardGuard::ClosedMode),
-                ReplayMode::Gated | ReplayMode::Ncq { .. } | ReplayMode::Qos { .. } => {
-                    Err(ShardGuard::QueueingMode)
-                }
+                ReplayMode::Gated | ReplayMode::Qos { .. } => Err(ShardGuard::QueueingMode),
             };
             match attempt {
                 Ok(report) => return report,
@@ -548,9 +542,6 @@ impl SsdDevice {
             // FlashSim's priority list (§IV.B) is the queueing scheduler
             // with no window and arrival order as its only preference.
             ReplayMode::Gated => self.run_queued(requests, usize::MAX, &mut WindowFifoPolicy, true),
-            ReplayMode::Ncq { queue_depth } => {
-                self.run_queued(requests, queue_depth, &mut NcqPolicy, false)
-            }
             ReplayMode::Qos {
                 queue_depth,
                 policy,
@@ -873,7 +864,7 @@ impl SsdDevice {
     ///   taken once at arrival — and the cross-lane choice, ranked by
     ///   `(policy.rank, plane_ready_at, seq)` among the heads whose
     ///   resources are idle and which `policy.admit` lets through. With
-    ///   [`NcqPolicy`] (constant rank, FIFO lanes): among issuable
+    ///   [`crate::sched::NcqPolicy`] (constant rank, FIFO lanes): among issuable
     ///   in-window ops, prefer the op whose target plane has been idle
     ///   longest, ties by arrival order. Chain-less ops occupy no
     ///   resources: the oldest one inside the window always issues first,
@@ -1196,8 +1187,7 @@ impl SsdDevice {
     /// Forget timing and counters but keep flash/FTL state.
     fn reset_measurements(&mut self) {
         // Carry the sink across the hardware rebuild: warm-up spans are
-        // measurements too, so rings are cleared (`TraceSink::reset`);
-        // stream sinks keep their journal and simply continue appending.
+        // measurements too, so the sink is reset (a ring clears).
         let sink = self.hw.detach_sink();
         let geometry = self.flash.geometry().clone();
         self.hw = HardwareModel::new(
@@ -1748,7 +1738,10 @@ mod tests {
             ReplayMode::Open,
             ReplayMode::Gated,
             ReplayMode::Closed { queue_depth: 2 },
-            ReplayMode::Ncq { queue_depth: 2 },
+            ReplayMode::Qos {
+                queue_depth: 2,
+                policy: QosSpec::Ncq,
+            },
             ReplayMode::Qos {
                 queue_depth: 2,
                 policy: QosSpec::Priority,
@@ -1825,11 +1818,36 @@ mod tests {
         // Taking the ring hands back the spans and stops tracing.
         assert_eq!(d.take_trace().unwrap().len(), 1);
         assert!(d.sink().is_none());
-        // A stream is not a ring: it stays attached rather than being
-        // silently discarded.
-        d.attach_sink(Box::new(dloop_simkit::trace::StreamSink::new(Vec::new())));
+        // Any other sink is not a ring: it stays attached rather than
+        // being silently discarded.
+        d.attach_sink(Box::new(OtherSink));
         assert!(d.take_trace().is_none());
         assert!(d.sink().is_some());
+    }
+
+    /// A sink that is not the ring, for `take_trace`'s leave-it-attached
+    /// branch.
+    #[derive(Debug)]
+    struct OtherSink;
+
+    impl TraceSink for OtherSink {
+        fn record(&mut self, _: &dloop_simkit::Span) {}
+        fn recorded(&self) -> u64 {
+            0
+        }
+        fn dropped(&self) -> u64 {
+            0
+        }
+        fn reset(&mut self) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Pluggable QoS scheduling policies for the NCQ reorder window.
 //!
-//! [`ReplayMode::Ncq`](crate::device::ReplayMode::Ncq) (PR 5) reorders the
-//! oldest `queue_depth` pending page operations through per-plane readiness
-//! lanes, treating every operation equally. Real devices multiplex many
-//! host streams with different needs — latency-sensitive reads, deadline
-//! IO, throughput tenants — so this module makes the *selection rule*
-//! inside that window pluggable while keeping the window mechanics (lanes,
-//! window admission, wake events) fixed in the driver.
+//! [`ReplayMode::Qos`](crate::device::ReplayMode::Qos) reorders the oldest
+//! `queue_depth` pending page operations through per-plane readiness lanes;
+//! under plain NCQ ([`NcqPolicy`]) it treats every operation equally. Real
+//! devices multiplex many host streams with different needs —
+//! latency-sensitive reads, deadline IO, throughput tenants — so this
+//! module makes the *selection rule* inside that window pluggable while
+//! keeping the window mechanics (lanes, window admission, wake events)
+//! fixed in the driver.
 //!
 //! # How a policy plugs in
 //!
@@ -142,8 +143,8 @@ pub trait QosPolicy {
 }
 
 /// The QoS no-op: ranks every candidate equally, so the driver's appended
-/// `(plane_ready_at, seq)` tie-break *is* the whole key — bit-identical to
-/// [`ReplayMode::Ncq`](crate::device::ReplayMode::Ncq).
+/// `(plane_ready_at, seq)` tie-break *is* the whole key: plain NCQ, as
+/// [`RunConfig::ncq`](crate::device::RunConfig::ncq) replays it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NcqPolicy;
 

@@ -6,7 +6,7 @@
 //! the maximal number of invalid pages in the plane is selected as the
 //! victim block."* The pool and victim selection live here so every FTL
 //! shares one audited implementation, resting on one invariant: a block
-//! that is pooled, parked or retired is pristine ([`PlaneState::check`]).
+//! that is pooled or retired is pristine ([`PlaneState::check`]).
 
 use crate::block::Block;
 use std::collections::VecDeque;
@@ -17,10 +17,6 @@ pub struct PlaneState {
     blocks: Vec<Block>,
     /// Indices of erased blocks available for allocation, FIFO.
     free_pool: VecDeque<u32>,
-    /// Erased blocks held offline (reduced over-provisioning). Used by the
-    /// hot-plane extra-block experiments: a cold plane parks part of its
-    /// extra blocks here so the effective spare capacity differs per plane.
-    reserve: Vec<u32>,
     /// Worn-out blocks permanently removed from service (bad blocks).
     retired: Vec<u32>,
 }
@@ -32,7 +28,6 @@ impl PlaneState {
         PlaneState {
             blocks: (0..blocks).map(|_| Block::new(pages_per_block)).collect(),
             free_pool: (0..blocks).collect(),
-            reserve: Vec::new(),
             retired: Vec::new(),
         }
     }
@@ -53,39 +48,6 @@ impl PlaneState {
     /// Whether `index` has been retired.
     pub fn is_retired(&self, index: u32) -> bool {
         self.retired.contains(&index)
-    }
-
-    /// Park up to `n` free blocks offline; returns how many were parked.
-    pub fn hold_back(&mut self, n: u32) -> u32 {
-        let mut moved = 0;
-        while moved < n {
-            // Take from the back so near-term FIFO allocation is unchanged.
-            let Some(idx) = self.free_pool.pop_back() else {
-                break;
-            };
-            self.reserve.push(idx);
-            moved += 1;
-        }
-        moved
-    }
-
-    /// Bring up to `n` parked blocks back into the free pool; returns how
-    /// many came back.
-    pub fn release_reserve(&mut self, n: u32) -> u32 {
-        let mut moved = 0;
-        while moved < n {
-            let Some(idx) = self.reserve.pop() else {
-                break;
-            };
-            self.free_pool.push_back(idx);
-            moved += 1;
-        }
-        moved
-    }
-
-    /// Blocks currently parked offline.
-    pub fn reserved(&self) -> u32 {
-        self.reserve.len() as u32
     }
 
     /// Number of blocks in this plane.
@@ -148,8 +110,8 @@ impl PlaneState {
     /// invalid pages comes back, ties broken toward the lowest index for
     /// determinism. Pristine blocks and those in `exclude` (the FTL passes
     /// its active blocks so it never erases the block it is writing into)
-    /// are skipped; pooled, parked and retired blocks need no clause of
-    /// their own because they are pristine.
+    /// are skipped; pooled and retired blocks need no clause of their own
+    /// because they are pristine.
     pub fn gc_candidates(&self, exclude: &[u32], sweep: &mut Vec<u32>) -> Option<(u32, u32)> {
         let mut best: Option<(u32, u32)> = None;
         for (i, b) in self.blocks() {
@@ -199,22 +161,17 @@ impl PlaneState {
     /// individually consistent.
     pub fn check(&self) -> Result<(), String> {
         let mut seen = vec![false; self.blocks.len()];
-        for &idx in self
-            .free_pool
-            .iter()
-            .chain(self.reserve.iter())
-            .chain(self.retired.iter())
-        {
+        for &idx in self.free_pool.iter().chain(self.retired.iter()) {
             let i = idx as usize;
             if i >= self.blocks.len() {
                 return Err(format!("pool index {idx} out of range"));
             }
             if seen[i] {
-                return Err(format!("block {idx} pooled/reserved twice"));
+                return Err(format!("block {idx} pooled/retired twice"));
             }
             seen[i] = true;
             if !self.blocks[i].is_pristine() {
-                return Err(format!("pooled/reserved block {idx} is not pristine"));
+                return Err(format!("pooled/retired block {idx} is not pristine"));
             }
         }
         for (i, b) in self.blocks.iter().enumerate() {
@@ -300,32 +257,6 @@ mod tests {
         // Corrupt: dirty a block while it is still pooled.
         p.block_mut(3).program_next();
         assert!(p.check().is_err());
-    }
-
-    #[test]
-    fn hold_back_and_release() {
-        let mut p = plane();
-        assert_eq!(p.hold_back(3), 3);
-        assert_eq!(p.free_pool_len(), 5);
-        assert_eq!(p.reserved(), 3);
-        p.check().unwrap();
-        // Near-term FIFO order unchanged: front blocks still allocate first.
-        assert_eq!(p.allocate_free_block(), Some(0));
-        assert_eq!(p.release_reserve(2), 2);
-        assert_eq!(p.free_pool_len(), 6);
-        assert_eq!(p.reserved(), 1);
-        // Releasing more than reserved caps out.
-        assert_eq!(p.release_reserve(10), 1);
-        assert_eq!(p.reserved(), 0);
-        p.check().unwrap();
-    }
-
-    #[test]
-    fn hold_back_caps_at_pool_size() {
-        let mut p = plane();
-        assert_eq!(p.hold_back(100), 8);
-        assert_eq!(p.free_pool_len(), 0);
-        assert_eq!(p.allocate_free_block(), None);
     }
 
     #[test]

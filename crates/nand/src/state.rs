@@ -5,8 +5,8 @@
 //! invariants (sequential programming, erase-before-write, pool
 //! consistency) are enforced — and property-tested — in exactly one place.
 //! Callers only ever see a [`PlaneState`] by shared reference: every pool
-//! change (allocation, pooling erase, factory-bad removal, parking and
-//! releasing) is a `FlashState` method.
+//! change (allocation, pooling erase, factory-bad removal) is a
+//! `FlashState` method.
 //!
 //! That lets `FlashState` keep a **free-pool index** exact: how many planes
 //! hold each pool size, the smallest pool and the device-wide total. Every
@@ -435,26 +435,6 @@ impl FlashState {
         Ok(index)
     }
 
-    /// Park up to `n` of `plane`'s free blocks offline (see
-    /// [`PlaneState::hold_back`]); returns how many were parked.
-    pub fn hold_back(&mut self, plane: PlaneId, n: u32) -> u32 {
-        let ps = &mut self.planes[plane as usize];
-        let moved = ps.hold_back(n);
-        self.pool
-            .changed(ps.free_pool_len() + moved, ps.free_pool_len());
-        moved
-    }
-
-    /// Return up to `n` of `plane`'s parked blocks to its free pool (see
-    /// [`PlaneState::release_reserve`]); returns how many came back.
-    pub fn release_reserve(&mut self, plane: PlaneId, n: u32) -> u32 {
-        let ps = &mut self.planes[plane as usize];
-        let moved = ps.release_reserve(n);
-        self.pool
-            .changed(ps.free_pool_len() - moved, ps.free_pool_len());
-        moved
-    }
-
     /// Free-pool size of `plane`.
     pub fn free_blocks(&self, plane: PlaneId) -> u32 {
         self.planes[plane as usize].free_pool_len()
@@ -759,12 +739,20 @@ mod tests {
             (fs.min_free_blocks(), fs.total_free_blocks()),
             (bpp - 1, 4 * bpp as u64 - 1)
         );
-        assert_eq!(fs.hold_back(1, 3), 3);
+        let taken: Vec<_> = (0..3)
+            .map(|_| BlockAddr {
+                plane: 1,
+                index: fs.allocate_free_block(1).unwrap(),
+            })
+            .collect();
         assert_eq!(
             (fs.min_free_blocks(), fs.total_free_blocks()),
             (bpp - 3, 4 * bpp as u64 - 4)
         );
-        assert_eq!(fs.release_reserve(1, u32::MAX), 3);
+        for b in taken {
+            fs.skip_next(b).unwrap();
+            fs.erase_and_pool(b).unwrap();
+        }
         assert_eq!(fs.min_free_blocks(), bpp - 1, "min climbs back to plane 2");
         fs.skip_next(blk).unwrap();
         fs.erase_and_pool(blk).unwrap();

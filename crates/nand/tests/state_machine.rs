@@ -1,5 +1,5 @@
 //! Property-based tests of the NAND state machine: arbitrary sequences of
-//! program/skip/invalidate/erase/park/release operations can never violate
+//! program/skip/invalidate/erase operations can never violate
 //! the flash invariants, the checked API rejects every illegal transition,
 //! and the free-pool index stays equal to a recount over the planes.
 //!
@@ -19,8 +19,6 @@ enum Action {
     Skip { slot: u8 },
     Invalidate { slot: u8, page: u8 },
     EraseIfDead { slot: u8 },
-    HoldBack { plane: u8, n: u8 },
-    Release { plane: u8, n: u8 },
 }
 
 /// 4 planes of 10 blocks: tiny, so the per-step full audit stays cheap.
@@ -75,18 +73,6 @@ fn action() -> check::BoxedGenerator<Action> {
                 .map(|slot| Action::EraseIfDead { slot })
                 .boxed(),
         ),
-        (
-            1,
-            (check::u8s(0..4), check::u8s(0..4))
-                .map(|(plane, n)| Action::HoldBack { plane, n })
-                .boxed(),
-        ),
-        (
-            1,
-            (check::u8s(0..4), check::u8s(0..4))
-                .map(|(plane, n)| Action::Release { plane, n })
-                .boxed(),
-        ),
     ])
     .boxed()
 }
@@ -98,8 +84,13 @@ fn arbitrary_action_sequences_preserve_invariants() {
     // cases: the index must follow that path too, so it has to be taken.
     let retirements = Cell::new(0u32);
     Checker::new().cases(64).run(&gen, |actions| {
-        let g = tiny();
-        // A block wears out on its second erase.
+        // Five blocks of four pages a plane, so random invalidations empty
+        // whole blocks and pooled blocks come round again; a block wears
+        // out on its second erase.
+        let mut g = tiny();
+        g.data_blocks_per_plane = 4;
+        g.blocks_per_plane = 5;
+        g.pages_per_block = 4;
         let mut fs = FlashState::with_endurance(g.clone(), 2);
         // Slots: blocks we've allocated, across planes.
         let mut slots: Vec<BlockAddr> = Vec::new();
@@ -176,20 +167,6 @@ fn arbitrary_action_sequences_preserve_invariants() {
                         slots.remove(i);
                     }
                 }
-                Action::HoldBack { plane, n } => {
-                    let plane = plane as u32 % g.total_planes();
-                    let (pool, parked) = (fs.free_blocks(plane), fs.plane(plane).reserved());
-                    let moved = fs.hold_back(plane, n as u32);
-                    check_assert_eq!(moved, (n as u32).min(pool));
-                    check_assert_eq!(fs.plane(plane).reserved(), parked + moved);
-                }
-                Action::Release { plane, n } => {
-                    let plane = plane as u32 % g.total_planes();
-                    let (pool, parked) = (fs.free_blocks(plane), fs.plane(plane).reserved());
-                    let moved = fs.release_reserve(plane, n as u32);
-                    check_assert_eq!(moved, (n as u32).min(parked));
-                    check_assert_eq!(fs.free_blocks(plane), pool + moved);
-                }
             }
             pool_index_matches_recount(&fs).map_err(|e| format!("after step {step} {a:?}: {e}"))?;
         }
@@ -222,14 +199,16 @@ fn factory_bad_blocks_leave_the_pool_index_exact() {
 #[test]
 fn shard_absorb_rebuilds_the_pool_index() {
     let mut fs = FlashState::new(tiny());
-    fs.hold_back(3, 2);
+    for _ in 0..2 {
+        fs.allocate_free_block(3).unwrap();
+    }
     let mut worker = fs.shard_fork();
     // The worker owns planes 0..2: drain plane 1 below every other pool,
-    // park one of plane 0's blocks, and grow plane 0 back by an erase.
+    // take one of plane 0's blocks, and grow plane 0 back by an erase.
     for _ in 0..6 {
         worker.allocate_free_block(1).unwrap();
     }
-    worker.hold_back(0, 1);
+    worker.allocate_free_block(0).unwrap();
     let blk = BlockAddr {
         plane: 0,
         index: worker.allocate_free_block(0).unwrap(),

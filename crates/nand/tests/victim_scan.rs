@@ -1,6 +1,6 @@
 //! The GC victim scan against a naive oracle: random plane states —
-//! programmed, partly and fully invalidated, erased and pooled, parked by
-//! `hold_back`, retired, under arbitrary exclusions — must yield the
+//! programmed, partly and fully invalidated, erased and pooled, retired,
+//! under arbitrary exclusions — must yield the
 //! oracle's sweep set, victim (lowest index on ties) and emergency block.
 //! The reference any faster `gc_candidates` (an invalid-count index) has
 //! to pass.
@@ -14,9 +14,8 @@ const PAGES: u32 = 4;
 
 /// `recipes`: per allocated block, pages programmed, pages then invalidated,
 /// and its fate (2 = erased and pooled, 3 = erased and retired, else kept).
-fn scan_agrees(parked: u32, recipes: &[(u32, u32, u8)], exclude: &[u32]) -> Result<(), String> {
+fn scan_agrees(recipes: &[(u32, u32, u8)], exclude: &[u32]) -> Result<(), String> {
     let mut p = PlaneState::new(BLOCKS, PAGES);
-    p.hold_back(parked);
     for &(programmed, invalidated, fate) in recipes {
         let Some(b) = p.allocate_free_block() else {
             break;
@@ -39,7 +38,7 @@ fn scan_agrees(parked: u32, recipes: &[(u32, u32, u8)], exclude: &[u32]) -> Resu
     p.check()?;
 
     // The oracle spells out every clause the scan leaves to the
-    // pooled-parked-retired-is-pristine invariant.
+    // pooled-or-retired-is-pristine invariant.
     let reclaimable = |&i: &u32| {
         !p.block(i).is_pristine() && !p.in_free_pool(i) && !p.is_retired(i) && !exclude.contains(&i)
     };
@@ -72,13 +71,10 @@ fn scan_agrees(parked: u32, recipes: &[(u32, u32, u8)], exclude: &[u32]) -> Resu
 fn victim_scan_matches_a_naive_oracle() {
     let pages = || check::u32s(0..PAGES + 1);
     let gen = (
-        check::u32s(0..4),
         check::vec_of((pages(), pages(), check::u8s(0..6)), 0..BLOCKS as usize),
         check::vec_of(check::u32s(0..BLOCKS), 0..4),
     );
     Checker::new()
         .cases(512)
-        .run(&gen, |(parked, recipes, exclude)| {
-            scan_agrees(*parked, recipes, exclude)
-        });
+        .run(&gen, |(recipes, exclude)| scan_agrees(recipes, exclude));
 }

@@ -29,7 +29,7 @@
 //!   table and the host page cache: a keyless open-addressed `u64 → u32`
 //!   index and intrusive doubly linked lists over a record `Vec`.
 //! * [`trace`] — an opt-in op-level tracing layer: a [`TraceSink`] trait
-//!   with ring / JSONL-stream / tee sinks, plus Chrome `trace_event`
+//!   with a flight-recorder ring sink and JSONL rendering, plus Chrome `trace_event`
 //!   (request-flow-stitched) / utilization-CSV / latency-attribution
 //!   exporters (and a hermetic JSON linter for validating them).
 //! * [`check`] — a deterministic property-testing harness (the workspace's
@@ -57,6 +57,4 @@ pub use queue::PendingQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    QueueDepthProbe, RingSink, Span, SpanKind, SpanPhase, StreamSink, TeeSink, TraceSink,
-};
+pub use trace::{QueueDepthProbe, RingSink, Span, SpanKind, SpanPhase, TraceSink};

@@ -1,4 +1,4 @@
-//! FTL shootout: run the same enterprise-like workload through all five
+//! FTL shootout: run the same enterprise-like workload through all four
 //! translation layers and compare the paper's metrics side by side.
 //!
 //! ```text
@@ -6,7 +6,7 @@
 //! ```
 
 use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::{DloopFtl, HotPlaneDloopFtl};
+use dloop_repro::dloop_ftl::DloopFtl;
 use dloop_repro::prelude::*;
 use dloop_repro::workloads::synth::sequential_fill;
 use dloop_repro::workloads::WorkloadProfile;
@@ -38,7 +38,6 @@ fn main() {
 
     let ftls: Vec<Box<dyn Ftl>> = vec![
         Box::new(DloopFtl::new(&config)),
-        Box::new(HotPlaneDloopFtl::new(&config, HotConfig::default())),
         Box::new(DftlFtl::new(&config)),
         Box::new(FastFtl::new(&config)),
         Box::new(IdealPageMapFtl::new(&config)),

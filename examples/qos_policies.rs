@@ -8,7 +8,7 @@
 //!   finite policy can beat;
 //! * **ncq** — the neutral policy: rank is constant, so the driver's
 //!   `(plane_ready_at, seq)` tie-break (coldest plane first) is the whole
-//!   schedule — bit-identical to `ReplayMode::Ncq`;
+//!   schedule — what `RunConfig::ncq` replays;
 //! * **window-fifo** — strict arrival order *within* the window (ranks by
 //!   sequence number), the in-window spelling of "no policy";
 //! * **priority** — reads overtake writes: the host blocks on reads, and
@@ -70,7 +70,7 @@ fn main() {
 
     // The two bounds every policy is pinned between (claim C12).
     let mut d = fresh();
-    let r = d.run_with(&trace.requests, ReplayMode::Ncq { queue_depth: 1 }.into());
+    let r = d.run_with(&trace.requests, RunConfig::ncq(1));
     print_row("in-order (bound)", &r);
     let mut d = fresh();
     let r = d.run_with(&trace.requests, ReplayMode::Gated.into());

@@ -58,7 +58,7 @@ pub use dloop_workloads as workloads;
 
 /// Convenience re-exports covering the common experiment surface.
 pub mod prelude {
-    pub use dloop::{DloopFtl, HotConfig, HotPlaneDloopFtl};
+    pub use dloop::DloopFtl;
     pub use dloop_faults::{FaultConfig, MediaOutcome};
     pub use dloop_ftl_kit::config::{FtlKind, SsdConfig};
     pub use dloop_ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
@@ -73,5 +73,5 @@ pub mod prelude {
     pub use dloop_nand::energy::{EnergyConfig, EnergyTotals};
     pub use dloop_nand::geometry::Geometry;
     pub use dloop_nand::timing::TimingConfig;
-    pub use dloop_simkit::{RingSink, SimDuration, SimTime, StreamSink, TeeSink, TraceSink};
+    pub use dloop_simkit::{RingSink, SimDuration, SimTime, TraceSink};
 }

@@ -33,7 +33,6 @@ fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64, String, Vec<u64>) {
 fn identical_seeds_are_bit_identical_for_every_ftl() {
     for kind in [
         FtlKind::Dloop,
-        FtlKind::DloopHot,
         FtlKind::Dftl,
         FtlKind::Fast,
         FtlKind::IdealPageMap,

@@ -10,9 +10,8 @@ use dloop_repro::simkit::{SimRng, SimTime};
 use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
 use dloop_repro::workloads::WorkloadProfile;
 
-const ALL_KINDS: [FtlKind; 5] = [
+const ALL_KINDS: [FtlKind; 4] = [
     FtlKind::Dloop,
-    FtlKind::DloopHot,
     FtlKind::Dftl,
     FtlKind::Fast,
     FtlKind::IdealPageMap,

@@ -142,12 +142,7 @@ fn any_stream_keeps_every_ftl_consistent() {
 fn gc_torture_stays_consistent() {
     let gen = check::vec_of(op_gen(600), 200..700);
     Checker::new().cases(24).run(&gen, |ops| {
-        for kind in [
-            FtlKind::Dloop,
-            FtlKind::DloopHot,
-            FtlKind::Dftl,
-            FtlKind::Fast,
-        ] {
+        for kind in [FtlKind::Dloop, FtlKind::Dftl, FtlKind::Fast] {
             let (device, model) = drive(kind, ops);
             check_against_model(kind, &device, &model)?;
         }

@@ -336,7 +336,10 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
             ),
             (
                 "ncq",
-                ReplayMode::Ncq { queue_depth: depth },
+                ReplayMode::Qos {
+                    queue_depth: depth,
+                    policy: QosSpec::Ncq,
+                },
                 RunConfig::ncq(depth),
             ),
         ];
@@ -678,7 +681,10 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
             ReplayMode::Open,
             ReplayMode::Gated,
             ReplayMode::Closed { queue_depth: 8 },
-            ReplayMode::Ncq { queue_depth: 4 },
+            ReplayMode::Qos {
+                queue_depth: 4,
+                policy: QosSpec::Ncq,
+            },
             ReplayMode::Qos {
                 queue_depth: 4,
                 policy: QosSpec::Priority,
@@ -1084,20 +1090,17 @@ fn tag_tenants(mut reqs: Vec<HostRequest>, tenants: u16) -> Vec<HostRequest> {
 }
 
 /// A policy that never discriminates degenerates to plain NCQ,
-/// bit-for-bit. Three spellings of "never discriminates": the explicit
-/// [`QosSpec::Ncq`] no-op on any trace; the deadline policy on a trace
-/// with no deadlines; and fair share with a *single* tenant (every
-/// candidate sees the same bucket, so the rank prefix is constant within
-/// each selection round). In all three cases the driver's appended
-/// `(plane_ready_at, seq)` tie-break is the entire effective key.
+/// bit-for-bit. Two spellings of "never discriminates": the deadline
+/// policy on a trace with no deadlines; and fair share with a *single*
+/// tenant (every candidate sees the same bucket, so the rank prefix is
+/// constant within each selection round). In both cases the driver's
+/// appended `(plane_ready_at, seq)` tie-break is the entire effective key.
 #[test]
 fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
     let gen = check::vec_of(op_gen(700), 1..150);
     Checker::new().cases(8).run(&gen, |ops| {
         let config = SsdConfig::micro_gc_test();
         for (label, reqs, spec) in [
-            // Multi-tenant trace: the no-op must ignore the tags.
-            ("spec-ncq", tag_tenants(requests(ops), 3), QosSpec::Ncq),
             // No deadlines anywhere: EDF has nothing to reorder.
             ("deadline", requests(ops), QosSpec::Deadline),
             // One tenant: fair share has nobody to arbitrate between.
@@ -1113,10 +1116,6 @@ fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
                 }
                 .into(),
             );
-            // The probe tags tenants, so compare everything *except* the
-            // tenant column for the tagged trace by overlaying fingerprints
-            // only when the tags match; here the traces are identical, so
-            // full fingerprints must match exactly.
             check_assert_eq!(
                 fingerprint(&r_ncq),
                 fingerprint(&r_qos),

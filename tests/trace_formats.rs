@@ -73,7 +73,13 @@ fn queue_depth_csv_shape_and_conservation() {
 
     for (label, mode) in [
         ("closed", ReplayMode::Closed { queue_depth: 4 }),
-        ("ncq", ReplayMode::Ncq { queue_depth: 4 }),
+        (
+            "ncq",
+            ReplayMode::Qos {
+                queue_depth: 4,
+                policy: QosSpec::Ncq,
+            },
+        ),
     ] {
         let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
         let report = device.run_with(&trace.requests, mode.into());

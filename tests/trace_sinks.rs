@@ -1,9 +1,5 @@
-//! Properties of the `TraceSink` redesign.
+//! Properties of the trace exports.
 //!
-//! * Sink equivalence: for the same seed, an uncapped [`RingSink`] and a
-//!   [`StreamSink`] observe the *identical* span sequence — the stream's
-//!   JSONL journal is byte-for-byte the ring's contents rendered through
-//!   [`span_jsonl`], and every streamed line is valid JSON.
 //! * Flow stitching: the Chrome export passes `json_lint` and its flow
 //!   events are well-formed — every flow id opens exactly once (`"s"`),
 //!   terminates exactly once (`"f"`), and any step (`"t"`) belongs to an
@@ -18,10 +14,7 @@ use dloop_repro::ftl_kit::config::SsdConfig;
 use dloop_repro::ftl_kit::device::{ReplayMode, SsdDevice};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::check::{self, Checker, Generator};
-use dloop_repro::simkit::trace::{
-    channel_utilization_csv, chrome_trace_json, json_lint, span_jsonl, RingSink, StreamSink,
-    TraceSink,
-};
+use dloop_repro::simkit::trace::{channel_utilization_csv, chrome_trace_json, json_lint, RingSink};
 use dloop_repro::simkit::SimTime;
 use dloop_repro::{check_assert, check_assert_eq};
 
@@ -64,54 +57,6 @@ fn flow_ids(chrome: &str, ph: char) -> Vec<u64> {
         rest = &tail[end..];
     }
     ids
-}
-
-/// For the same request stream, an uncapped ring and a JSONL stream see
-/// the identical span sequence, in both open and gated replay.
-#[test]
-fn ring_and_stream_sinks_observe_identical_span_sequences() {
-    let gen = check::vec_of(req_gen(500), 1..120);
-    Checker::new().cases(10).run(&gen, |ops| {
-        let reqs = requests(ops);
-        let config = SsdConfig::micro_gc_test();
-        for mode in [ReplayMode::Open, ReplayMode::Gated] {
-            let mut ringed = device(&config);
-            ringed.attach_sink(Box::new(RingSink::new(1 << 22)));
-            let ring_report = ringed.run_with(&reqs, mode.into());
-            let ring = ringed.take_trace().expect("ring sink attached");
-            check_assert_eq!(ring.dropped(), 0, "ring must be effectively unbounded");
-
-            let mut streamed = device(&config);
-            streamed.attach_sink(Box::new(StreamSink::new(Vec::new())));
-            let stream_report = streamed.run_with(&reqs, mode.into());
-            let sink = streamed.detach_sink().expect("stream sink attached");
-            let stream = sink
-                .into_any()
-                .downcast::<StreamSink<Vec<u8>>>()
-                .expect("stream sink type");
-            check_assert_eq!(stream.dropped(), 0, "in-memory stream never drops");
-            let journal = String::from_utf8(stream.into_inner())
-                .map_err(|e| format!("journal not UTF-8: {e}"))?;
-
-            // Same simulation either way…
-            check_assert_eq!(
-                ring_report.requests_completed,
-                stream_report.requests_completed
-            );
-            // …and the same observed spans: the journal is exactly the
-            // ring rendered line by line.
-            let from_ring: String = ring.spans().map(|s| span_jsonl(s) + "\n").collect();
-            check_assert_eq!(
-                from_ring,
-                journal,
-                "stream journal must equal the ring's span sequence ({mode:?})"
-            );
-            for line in journal.lines().take(32) {
-                json_lint(line).map_err(|e| format!("bad JSONL line: {e}"))?;
-            }
-        }
-        Ok(())
-    });
 }
 
 /// The flow-stitched Chrome export is valid JSON with balanced flows:
