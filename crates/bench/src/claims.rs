@@ -14,7 +14,8 @@ use crate::runner::{build_ftl, RunSpec};
 use crate::table::Table;
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
-use dloop_ftl_kit::metrics::ShardOutcome;
+use dloop_ftl_kit::metrics::{RunReport, ShardOutcome};
+use dloop_ftl_kit::request::TenantId;
 use dloop_ftl_kit::sched::QosSpec;
 use dloop_host::{report_fingerprint, HostConfig, HostStack};
 use dloop_nand::TimingConfig;
@@ -408,24 +409,31 @@ fn check_ncq_vs_gated_on(opts: &ExpOptions, config: SsdConfig, max_requests: u64
     }
 }
 
+/// One replay of C12's mix, as C12 reads it.
+struct QosCell {
+    /// The policy, or the bound, that ran.
+    name: &'static str,
+    /// Pages written and read: identical flash work is what makes the
+    /// turnaround comparison meaningful.
+    pages: (u64, u64),
+    /// Mean turnaround per tenant in ms, in the naive run's tenant order.
+    tenant_ms: Vec<(TenantId, f64)>,
+    /// Mean turnaround over every tenant's operations, in ms.
+    mean_ms: f64,
+}
+
 /// C12 — QoS-policy sanity over the NCQ window, the C11 pattern applied
-/// to the pluggable scheduler: every policy ranks *within* the same
-/// bounded reorder window, so on the canonical three-tenant contention
-/// mix each policy's per-tenant mean turnaround must stay pinned between
-/// the same two baselines that bracket plain NCQ:
+/// per tenant: every shipped ranking policy ([`QosSpec::all`], NCQ and
+/// window-FIFO) works *within* the same bounded reorder window, so on the
+/// canonical three-tenant contention mix each one's per-tenant mean
+/// turnaround must stay pinned between two baselines:
 ///
 /// * **Naive in-order bound** (plain NCQ at depth 1): no policy may
-///   leave any tenant worse than the queue that never reorders at all —
-///   even a deprioritized tenant still rides the idle planes the window
-///   fills. A small factor absorbs per-tenant measurement noise.
+///   leave any tenant worse than the queue that never reorders at all.
+///   A small factor absorbs per-tenant measurement noise.
 /// * **Oracle bound** (`Gated`): the unbounded skip-ahead window no
 ///   finite policy can beat; aggregate turnaround must track it within a
-///   stated factor (2x — fair-share pays the most, trading locality for
-///   per-tenant isolation, and measures ~1.8x at the worst).
-///
-/// Fairness itself is *measured, not asserted* — the fair-share spread
-/// (max/min per-tenant turnaround) is reported as evidence, because
-/// which spread is "right" depends on the weights, not on the paper.
+///   stated factor (2x).
 fn check_qos_bounds(opts: &ExpOptions) -> ClaimResult {
     let config = SsdConfig::paper_default().with_capacity_gb(1);
     check_qos_bounds_on(opts, config, 4_000)
@@ -453,8 +461,29 @@ fn check_qos_bounds_on(
         device.run_with(&mix.requests, run)
     };
     let naive = run(RunConfig::ncq(1));
-    let oracle = run(RunConfig::gated());
     let tenants = naive.queue_log.tenants();
+    let cell = |name, report: &RunReport| QosCell {
+        name,
+        pages: (report.pages_written, report.pages_read),
+        tenant_ms: tenants
+            .iter()
+            .map(|&t| (t, report.queue_log.tenant_mean_turnaround_ms(t)))
+            .collect(),
+        mean_ms: report.queue_log.mean_turnaround_ms(),
+    };
+    let policies: Vec<QosCell> = QosSpec::all()
+        .iter()
+        .map(|spec| cell(spec.name(), &run(RunConfig::qos(*spec))))
+        .collect();
+    c12(
+        &cell("in-order", &naive),
+        &cell("gated", &run(RunConfig::gated())),
+        &policies,
+    )
+}
+
+/// C12's verdict over the naive bound, the oracle bound and the policies.
+fn c12(naive: &QosCell, oracle: &QosCell, policies: &[QosCell]) -> ClaimResult {
     // Per-tenant slowdown tolerance vs the in-order queue, and aggregate
     // tracking factor vs the unbounded oracle window. Measured worst
     // cases on the micro and 1 GB configs sit well inside these.
@@ -462,63 +491,47 @@ fn check_qos_bounds_on(
     const ORACLE_FACTOR: f64 = 2.00;
     let mut pass = true;
     let mut worst = String::new();
-    let mut fair_spread = 0.0f64;
-    for spec in QosSpec::all() {
-        let report = run(RunConfig::qos(spec));
-        // Identical flash work makes the turnaround comparison meaningful.
-        if report.pages_written != naive.pages_written || report.pages_read != naive.pages_read {
+    let (mut worst_tenant, mut worst_mean) = (0.0f64, 0.0f64);
+    for p in policies {
+        if p.pages != naive.pages {
             pass = false;
-            worst = format!("{}: flash work diverged from the baselines", spec.name());
+            worst = format!("{}: flash work diverged from the baselines", p.name);
             continue;
         }
-        for &t in &tenants {
-            let mrt = report.queue_log.tenant_mean_turnaround_ms(t);
-            let bound = naive.queue_log.tenant_mean_turnaround_ms(t);
+        for (&(_, mrt), &(t, bound)) in p.tenant_ms.iter().zip(&naive.tenant_ms) {
+            if bound > 0.0 {
+                worst_tenant = worst_tenant.max(mrt / bound);
+            }
             if bound > 0.0 && mrt > bound * NAIVE_FACTOR {
                 pass = false;
                 worst = format!(
-                    "{} tenant {}: {:.4} ms > in-order {:.4} ms x{NAIVE_FACTOR}",
-                    spec.name(),
-                    t,
-                    mrt,
-                    bound
+                    "{} tenant {t}: {mrt:.4} ms > in-order {bound:.4} ms x{NAIVE_FACTOR}",
+                    p.name
                 );
             }
         }
-        let agg = report.queue_log.mean_turnaround_ms();
-        let oracle_agg = oracle.queue_log.mean_turnaround_ms();
-        if oracle_agg > 0.0 && agg > oracle_agg * ORACLE_FACTOR {
+        if oracle.mean_ms > 0.0 {
+            worst_mean = worst_mean.max(p.mean_ms / oracle.mean_ms);
+        }
+        if oracle.mean_ms > 0.0 && p.mean_ms > oracle.mean_ms * ORACLE_FACTOR {
             pass = false;
             worst = format!(
                 "{}: aggregate {:.4} ms > oracle {:.4} ms x{ORACLE_FACTOR}",
-                spec.name(),
-                agg,
-                oracle_agg
+                p.name, p.mean_ms, oracle.mean_ms
             );
-        }
-        if matches!(spec, QosSpec::FairShare { .. }) {
-            let mrts: Vec<f64> = tenants
-                .iter()
-                .map(|&t| report.queue_log.tenant_mean_turnaround_ms(t))
-                .filter(|&m| m > 0.0)
-                .collect();
-            let max = mrts.iter().cloned().fold(0.0f64, f64::max);
-            let min = mrts.iter().cloned().fold(f64::INFINITY, f64::min);
-            if min.is_finite() && min > 0.0 {
-                fair_spread = max / min;
-            }
         }
     }
     ClaimResult {
         id: "C12",
-        claim: "every QoS policy stays between the in-order and oracle bounds per tenant",
-        pass: pass && !tenants.is_empty(),
+        claim: "NCQ and window-FIFO stay between the in-order and oracle bounds per tenant",
+        pass: pass && !naive.tenant_ms.is_empty(),
         detail: if pass {
             format!(
                 "{} tenants x {} policies within bounds (naive x{NAIVE_FACTOR}, oracle \
-                 x{ORACLE_FACTOR}); fair-share turnaround spread {fair_spread:.2}x",
-                tenants.len(),
-                QosSpec::all().len(),
+                 x{ORACLE_FACTOR}); worst tenant {worst_tenant:.2}x in-order, worst \
+                 aggregate {worst_mean:.2}x oracle",
+                naive.tenant_ms.len(),
+                policies.len(),
             )
         } else {
             worst
@@ -578,7 +591,7 @@ fn check_host_stack_on(
         },
         ReplayMode::Qos {
             queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,
-            policy: QosSpec::Priority,
+            policy: QosSpec::WindowFifo,
         },
     ];
     for mode in modes {
@@ -827,8 +840,8 @@ fn check_shard_identity_on(
         ("closed(8)", || RunConfig::closed(8), false),
         ("ncq(8)", || RunConfig::ncq(8), false),
         (
-            "qos(fair-share,8)",
-            || RunConfig::qos(QosSpec::fair_share()).queue_depth(8),
+            "qos(window-fifo,8)",
+            || RunConfig::qos(QosSpec::WindowFifo).queue_depth(8),
             false,
         ),
         ("open, resident map", RunConfig::open, true),
@@ -1316,12 +1329,60 @@ mod tests {
 
     #[test]
     fn c12_qos_policies_stay_between_the_bounds() {
-        // The micro device keeps seven replays of the three-tenant mix
+        // The micro device keeps four replays of the three-tenant mix
         // cheap while the contention still queues the reorder window.
         let opts = ExpOptions::default();
         let config = dloop_ftl_kit::config::SsdConfig::micro_gc_test();
         let r = check_qos_bounds_on(&opts, config, 700);
         assert!(r.pass, "C12 failed: {}", r.detail);
+    }
+
+    /// C12's cells at default flags (1 GB device, 4 000 requests per
+    /// tenant): the in-order bound, the gated oracle, then window-FIFO and
+    /// NCQ.
+    fn qos_cells() -> [QosCell; 4] {
+        let cell = |name, tenant_ms: [f64; 3], mean_ms| QosCell {
+            name,
+            pages: (24204, 45155),
+            tenant_ms: vec![(1, tenant_ms[0]), (2, tenant_ms[1]), (3, tenant_ms[2])],
+            mean_ms,
+        };
+        [
+            cell("in-order", [1.0349, 1.3799, 6.3313], 5.2853),
+            cell("gated", [0.1990, 0.4936, 1.0421], 0.9028),
+            cell("window-fifo", [0.2602, 0.5497, 1.4049], 1.2032),
+            cell("ncq", [0.2616, 0.5568, 1.4679], 1.2542),
+        ]
+    }
+
+    #[test]
+    fn c12_fails_when_one_tenant_is_slower_than_in_order_x1_10() {
+        let [naive, oracle, fifo, ncq] = qos_cells();
+        let mut policies = [fifo, ncq];
+        let held = c12(&naive, &oracle, &policies);
+        assert!(
+            held.pass,
+            "C12 fails on its committed cells: {}",
+            held.detail
+        );
+        // `claims_0.csv`'s C12 evidence.
+        assert_eq!(
+            held.detail,
+            "3 tenants x 2 policies within bounds (naive x1.1, oracle x2); worst tenant 0.40x \
+             in-order, worst aggregate 1.39x oracle"
+        );
+        policies[1].tenant_ms[2].1 = naive.tenant_ms[2].1 * 1.11;
+        let broken = c12(&naive, &oracle, &policies);
+        assert!(
+            !broken.pass,
+            "C12 passes a slowed tenant: {}",
+            broken.detail
+        );
+        assert!(
+            broken.detail.starts_with("ncq tenant 3:"),
+            "{}",
+            broken.detail
+        );
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn per_request_ms(total_ns: u64, requests: usize) -> f64 {
 
 /// The sweeps on an arbitrary device (the unit test uses the micro
 /// config; the CLI uses the scaled paper device).
-pub fn run_on(opts: &ExpOptions, config: SsdConfig, per_tenant: u64) -> Vec<Table> {
+fn run_on(opts: &ExpOptions, config: SsdConfig, per_tenant: u64) -> Vec<Table> {
     let geometry = config.geometry();
     let footprint = geometry.user_pages() * geometry.page_size as u64 / 2;
     let trace = host_mix(opts.seed, geometry.page_size, per_tenant, footprint);

@@ -12,9 +12,7 @@
 //! | [`ablation`] | design-choice ablations |
 //! | [`striping`] | §II.C motivation: throughput vs plane-level concurrency |
 //! | [`channels`] | §II.B trade-off: channel count vs plane depth |
-//! | [`faults`] | graceful degradation vs raw bit-error rate (beyond the paper) |
 //! | [`tracecmd`] | op-level flight-recorder artifacts (Chrome trace, utilization, attribution) |
-//! | [`qos`] | multi-tenant QoS policy sweep over the NCQ window (beyond the paper) |
 //! | [`host`] | host-stack coalescing and dirty-ratio sweeps through `dloop-host` (beyond the paper) |
 //!
 //! Absolute milliseconds differ from the paper (synthetic workloads, scaled
@@ -23,14 +21,12 @@
 pub mod ablation;
 pub mod channels;
 pub mod copyback;
-pub mod faults;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod headline;
 pub mod host;
 pub mod params;
-pub mod qos;
 pub mod striping;
 pub mod sweep;
 pub mod tracecmd;
@@ -106,10 +102,6 @@ pub struct ExpOptions {
     pub mode: TraceMode,
     /// Host queue depth for the bounded modes (`--depth`).
     pub queue_depth: usize,
-    /// Narrow the `qos` sweep to one policy (`--policy`; None = all).
-    pub qos_policy: Option<QosSpec>,
-    /// Tenant streams in the `qos` sweep's contention mix (`--tenants`).
-    pub qos_tenants: u16,
     /// The cells already run in this process, shared by every command
     /// (and every clone of these options).
     pub cells: Arc<CellStore>,
@@ -126,8 +118,6 @@ impl Default for ExpOptions {
             fill_fraction: 0.0,
             mode: TraceMode::Open,
             queue_depth: DEFAULT_NCQ_DEPTH,
-            qos_policy: None,
-            qos_tenants: 3,
             cells: Arc::default(),
         }
     }

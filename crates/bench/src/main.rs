@@ -18,12 +18,9 @@
 //!   ablation              — design-choice ablations
 //!   striping              — §II.C motivation: concurrency vs throughput
 //!   channels              — §II.B trade-off: channel count vs plane depth
-//!   faults                — graceful degradation vs raw bit-error rate
 //!   trace                 — trace-sink artifacts: flow-stitched Chrome
 //!                           trace JSON, plane/channel-utilization CSVs,
 //!                           span JSONL, latency attribution
-//!   qos                   — multi-tenant QoS policy sweep over the NCQ
-//!                           window (per-tenant turnaround + fairness)
 //!   host                  — host-stack sweeps through dloop-host:
 //!                           interrupt coalescing and cache dirty ratio,
 //!                           with per-phase latency decomposition
@@ -41,17 +38,13 @@
 //!   --mode M       replay admission policy for `trace`:
 //!                  open|gated|closed|ncq (default open)
 //!   --depth N      host queue depth for closed/ncq modes (default 32)
-//!   --policy P     narrow the qos sweep to one policy:
-//!                  ncq|window-fifo|priority|deadline|fair-share (default all)
-//!   --tenants N    tenant streams in the qos mix (default 3)
 //!   --quick        shorthand for --requests 20000
 //! ```
 
 use dloop_bench::experiments::{
-    ablation, channels, copyback, faults, fig10, fig8, fig9, headline, host, params, qos, striping,
-    tracecmd, traces, ExpOptions, TraceMode,
+    ablation, channels, copyback, fig10, fig8, fig9, headline, host, params, striping, tracecmd,
+    traces, ExpOptions, TraceMode,
 };
-use dloop_ftl_kit::sched::QosSpec;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -60,15 +53,14 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|faults|trace|qos|host|verify|all>... \
+const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|trace|host|verify|all>... \
 [--scale N] [--requests N] [--seed N] [--workers N] [--fill F] [--out DIR] \
-[--mode open|gated|closed|ncq] [--depth N] \
-[--policy ncq|window-fifo|priority|deadline|fair-share] [--tenants N] [--quick]";
+[--mode open|gated|closed|ncq] [--depth N] [--quick]";
 
 /// What `all` runs, in order.
-const ALL: [&str; 14] = [
+const ALL: [&str; 12] = [
     "params", "traces", "copyback", "fig8", "fig9", "fig10", "headline", "ablation", "striping",
-    "channels", "faults", "qos", "host", "verify",
+    "channels", "host", "verify",
 ];
 
 fn main() -> ExitCode {
@@ -158,20 +150,6 @@ fn main() -> ExitCode {
                 }
                 _ => false,
             }),
-            "--policy" => take(&mut |v| match QosSpec::parse(v) {
-                Some(p) => {
-                    opts.qos_policy = Some(p);
-                    true
-                }
-                None => false,
-            }),
-            "--tenants" => take(&mut |v| match v.parse() {
-                Ok(x) if x >= 1 => {
-                    opts.qos_tenants = x;
-                    true
-                }
-                _ => false,
-            }),
             "--quick" => {
                 opts.max_requests = 20_000;
                 true
@@ -207,9 +185,7 @@ fn main() -> ExitCode {
             "ablation" => opts.emit(&ablation::run(opts), "ablation"),
             "striping" => opts.emit(&striping::run(opts), "striping"),
             "channels" => opts.emit(&channels::run(opts), "channels"),
-            "faults" => opts.emit(&faults::run(opts), "faults_ber"),
             "trace" => opts.emit(&tracecmd::run(opts), "trace"),
-            "qos" => opts.emit(&qos::run(opts), "qos"),
             "host" => opts.emit(&host::run(opts), "host"),
             "verify" => {
                 let results = dloop_bench::claims::verify(opts);

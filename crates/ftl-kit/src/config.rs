@@ -70,10 +70,6 @@ pub struct SsdConfig {
     /// Test hook: force (data, extra) blocks per plane instead of deriving
     /// them from `capacity_gb`, so GC pressure is reachable in unit tests.
     pub blocks_per_plane_override: Option<(u32, u32)>,
-    /// Blocks wear out after this many erase cycles and are retired (bad
-    /// blocks). None = infinite endurance (the paper's timing experiments
-    /// do not model wear-out; the endurance example and tests do).
-    pub erase_limit: Option<u32>,
     /// Media-fault plan attached to the flash at device build time.
     /// [`FaultConfig::none`] (the default) is the exact fault-free device
     /// the simulator modelled before the reliability subsystem existed —
@@ -111,7 +107,6 @@ impl SsdConfig {
             copyback_enabled: true,
             spread_translation: true,
             blocks_per_plane_override: None,
-            erase_limit: None,
             fault: FaultConfig::none(),
             background_gc: false,
             energy: None,

@@ -61,8 +61,7 @@ pub const DEFAULT_NCQ_DEPTH: usize = 32;
 ///   longest (ties by arrival order; fully deterministic). Reordering can
 ///   only fill planes the FIFO would have left idle, which is exactly the
 ///   plane-level parallelism DLOOP's allocation spreads writes across.
-///   The other specs add priority classes, deadlines, per-tenant fair
-///   shares or a power cap.
+///   The other specs keep strict window order or add a power cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
     /// Open arrivals (unbounded backlog): resources are booked at arrival.
@@ -75,8 +74,8 @@ pub enum ReplayMode {
         queue_depth: usize,
     },
     /// NCQ window with a QoS selection policy arbitrating inside it. For
-    /// a custom or stateful policy instance (e.g. to inspect token buckets
-    /// afterwards), use [`SsdDevice::run_with_policy`] directly instead.
+    /// a custom or stateful policy instance, use
+    /// [`SsdDevice::run_with_policy`] directly instead.
     Qos {
         /// Reorder-window size (must be ≥ 1); [`DEFAULT_NCQ_DEPTH`] is
         /// the conventional choice.
@@ -108,7 +107,7 @@ impl ReplayMode {
 ///
 /// let open = RunConfig::open();                     // ReplayMode::Open
 /// let closed = RunConfig::closed(16);               // bounded host queue
-/// let qos = RunConfig::qos(QosSpec::fair_share())   // QoS window…
+/// let qos = RunConfig::qos(QosSpec::WindowFifo)    // QoS window…
 ///     .queue_depth(64)                              // …of 64 entries
 ///     .shards(4);                                   // parallel engine
 /// # let _ = (open, closed, qos);
@@ -416,10 +415,7 @@ impl SsdDevice {
     /// Build a device from a configuration and an FTL instance.
     pub fn new(config: SsdConfig, ftl: Box<dyn Ftl>) -> Self {
         let geometry = config.geometry();
-        let mut flash = match config.erase_limit {
-            Some(limit) => FlashState::with_endurance(geometry.clone(), limit),
-            None => FlashState::new(geometry.clone()),
-        };
+        let mut flash = FlashState::new(geometry.clone());
         flash.attach_media(&config.fault);
         let dir = PageDirectory::new(&geometry);
         let hw = HardwareModel::new(&geometry, config.timing.clone(), config.die_serialized);
@@ -553,13 +549,13 @@ impl SsdDevice {
 
     /// Replay `requests` through the QoS window with a caller-owned
     /// policy instance: like [`RunConfig::qos`], but the policy object
-    /// outlives the run, so stateful policies (e.g.
-    /// [`crate::sched::FairSharePolicy`]) can be inspected afterwards —
-    /// token balances, issue counts — and custom [`QosPolicy`]
-    /// implementations outside this crate can plug in. Only `config`'s
-    /// queue depth ([`DEFAULT_NCQ_DEPTH`] for a mode without one) and sink
-    /// attachment are consulted; its [`QosSpec`] is superseded by `policy`
-    /// (and a shard request falls back, like every queueing mode's).
+    /// outlives the run, so a stateful policy (e.g.
+    /// [`crate::sched::PowerCapPolicy`]) can be inspected afterwards, and
+    /// custom [`QosPolicy`] implementations outside this crate can plug
+    /// in. Only `config`'s queue depth ([`DEFAULT_NCQ_DEPTH`] for a mode
+    /// without one) and sink attachment are consulted; its [`QosSpec`] is
+    /// superseded by `policy` (and a shard request falls back, like every
+    /// queueing mode's).
     pub fn run_with_policy(
         &mut self,
         requests: &[HostRequest],
@@ -891,7 +887,7 @@ impl SsdDevice {
     /// happens *across* planes, which is where the idle parallelism
     /// DLOOP's allocation creates actually lives; within a plane, the
     /// single sorted candidate is what keeps selection cheap,
-    /// deterministic, and (for the deadline policy) inversion-free. The
+    /// deterministic, and (for a deadline-keyed lane) inversion-free. The
     /// `#[cfg(test)]` oracle at the bottom of this file implements the
     /// same rule by scanning the window naively.
     fn run_queued(
@@ -966,7 +962,6 @@ impl SsdDevice {
                     let cand = QosCandidate {
                         seq: base + slab.len() as u64,
                         tenant: req.tenant,
-                        op: req.op,
                         deadline: req.deadline,
                         arrival: req.arrival,
                         plane: first.map_or(0, |step| step.planes().0),
@@ -1644,7 +1639,6 @@ mod tests {
             cand: QosCandidate {
                 seq: 0,
                 tenant: TenantId::default(),
-                op: HostOp::Write,
                 deadline: None,
                 arrival: SimTime::from_micros(7),
                 plane: 0,
@@ -1744,7 +1738,7 @@ mod tests {
             },
             ReplayMode::Qos {
                 queue_depth: 2,
-                policy: QosSpec::Priority,
+                policy: QosSpec::WindowFifo,
             },
         ] {
             let r = device().run_with(&reqs, mode.into());
@@ -1997,7 +1991,6 @@ mod tests {
                     let cand = QosCandidate {
                         seq: next_seq,
                         tenant: req.tenant,
-                        op: req.op,
                         deadline: req.deadline,
                         arrival: req.arrival,
                         plane: host.steps().first().map_or(0, |s| s.planes().0),
@@ -2086,13 +2079,32 @@ mod tests {
         d.finish_report(requests.len() as u64, stats)
     }
 
+    /// Earliest deadline first, in the lanes as well as across them: no
+    /// shipped policy overrides [`QosPolicy::lane_key`], so this fixture
+    /// is what keeps the driver's keyed lanes under the naive oracle.
+    struct DeadlineLanes;
+
+    impl QosPolicy for DeadlineLanes {
+        fn name(&self) -> &'static str {
+            "deadline"
+        }
+
+        fn rank(&mut self, _now: SimTime, c: &QosCandidate) -> (u64, u64) {
+            (self.lane_key(c), 0)
+        }
+
+        fn lane_key(&mut self, c: &QosCandidate) -> u64 {
+            c.deadline.map_or(u64::MAX, SimTime::as_nanos)
+        }
+    }
+
     /// `run_queued` and the naive scan agree, report field for report
     /// field and completion record for completion record, on random
     /// traces (unmapped reads, multi-page and zero-page requests, three
     /// tenants, deadlines) under every discipline: gated (`WindowFifo`,
-    /// unbounded), NCQ, priority, deadline, fair-share and power cap, at
-    /// window depths 1, 2, 3, 8 and unbounded, with background GC off and
-    /// on. `scripts/verify.sh` runs it by name with more cases.
+    /// unbounded), NCQ, window-FIFO, deadline-keyed lanes and power cap,
+    /// at window depths 1, 2, 3, 8 and unbounded, with background GC off
+    /// and on. `scripts/verify.sh` runs it by name with more cases.
     #[test]
     fn queued_scheduler_matches_naive_oracle() {
         use dloop_simkit::check::{self, Checker, Generator};
@@ -2129,13 +2141,16 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         });
-        let disciplines: [(QosSpec, bool); 6] = [
-            (QosSpec::WindowFifo, true),
-            (QosSpec::Ncq, false),
-            (QosSpec::Priority, false),
-            (QosSpec::Deadline, false),
-            (QosSpec::fair_share(), false),
-            (QosSpec::PowerCap { budget_uw: 200_000 }, false),
+        let disciplines: [(&str, fn() -> Box<dyn QosPolicy>, bool); 5] = [
+            ("gated", || QosSpec::WindowFifo.build(), true),
+            ("ncq", || QosSpec::Ncq.build(), false),
+            ("window-fifo", || QosSpec::WindowFifo.build(), false),
+            ("deadline lanes", || Box::new(DeadlineLanes), false),
+            (
+                "power cap",
+                || QosSpec::PowerCap { budget_uw: 200_000 }.build(),
+                false,
+            ),
         ];
         Checker::new().cases(24).run(&trace, |reqs| {
             for background_gc in [false, true] {
@@ -2143,7 +2158,7 @@ mod tests {
                     background_gc,
                     ..base.clone()
                 };
-                for (spec, fifo) in disciplines {
+                for (name, policy, fifo) in disciplines {
                     let depths: &[usize] = if fifo {
                         &[usize::MAX]
                     } else {
@@ -2153,11 +2168,11 @@ mod tests {
                         let device =
                             || SsdDevice::new(config.clone(), Box::new(SprayFtl::new(&config)));
                         let mut indexed = device();
-                        let got = indexed.run_queued(reqs, depth, spec.build().as_mut(), fifo);
+                        let got = indexed.run_queued(reqs, depth, policy().as_mut(), fifo);
                         let mut naive = device();
                         let want =
-                            run_queued_naive(&mut naive, reqs, depth, spec.build().as_mut(), fifo);
-                        let case = format!("{spec:?} depth {depth} background GC {background_gc}");
+                            run_queued_naive(&mut naive, reqs, depth, policy().as_mut(), fifo);
+                        let case = format!("{name} depth {depth} background GC {background_gc}");
                         dloop_simkit::check_assert_eq!(got.completions, want.completions, "{case}");
                         dloop_simkit::check_assert_eq!(
                             format!("{got:?}"),

@@ -42,7 +42,4 @@ pub use ftl::{FlashStep, Ftl, FtlContext, FtlCounters, OpChain};
 pub use gtd::Gtd;
 pub use metrics::{RunReport, ShardGuard, ShardOutcome};
 pub use request::{HostOp, HostRequest, TenantId};
-pub use sched::{
-    DeadlinePolicy, FairSharePolicy, NcqPolicy, PriorityPolicy, QosCandidate, QosPolicy, QosSpec,
-    WindowFifoPolicy,
-};
+pub use sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};

@@ -275,16 +275,6 @@ impl RunReport {
         }
     }
 
-    /// Fraction of media reads that needed at least one retry step.
-    pub fn retry_read_fraction(&self) -> f64 {
-        let total = self.media.media_reads();
-        if total == 0 {
-            return 0.0;
-        }
-        let clean = self.media.retry_hist.first().copied().unwrap_or(0);
-        (total - clean) as f64 / total as f64
-    }
-
     /// The locked CSV schema. Reliability columns append strictly after
     /// the pre-fault columns so downstream tooling keyed on column index
     /// keeps working; `retry_hist` is one pipe-joined column because its
@@ -470,13 +460,6 @@ mod tests {
         let csv = report().queue_depth_csv(8);
         assert!(csv.starts_with(QueueDepthProbe::csv_header()));
         assert_eq!(csv.lines().count(), 9);
-    }
-
-    #[test]
-    fn reliability_fractions() {
-        let r = report();
-        // 90 clean + 3 + 1 retried + 1 uncorrectable = 95 media reads.
-        assert!((r.retry_read_fraction() - 5.0 / 95.0).abs() < 1e-12);
     }
 
     /// The CSV schema is a compatibility contract: pre-fault columns stay

@@ -51,9 +51,10 @@ pub struct HostRequest {
     pub op: HostOp,
     /// The host stream this request belongs to (`0` = untagged).
     pub tenant: TenantId,
-    /// Absolute completion deadline, if the stream has one. Only the
-    /// earliest-deadline-first policy reads it; `None` means best-effort
-    /// and sorts after every finite deadline.
+    /// Absolute completion deadline, if the stream has one. It rides on
+    /// [`QosCandidate::deadline`](crate::sched::QosCandidate::deadline)
+    /// for policies that rank by it; no shipped policy does. `None` means
+    /// best-effort.
     pub deadline: Option<SimTime>,
 }
 

@@ -2,12 +2,11 @@
 //!
 //! [`ReplayMode::Qos`](crate::device::ReplayMode::Qos) reorders the oldest
 //! `queue_depth` pending page operations through per-plane readiness lanes;
-//! under plain NCQ ([`NcqPolicy`]) it treats every operation equally. Real
-//! devices multiplex many host streams with different needs —
-//! latency-sensitive reads, deadline IO, throughput tenants — so this
+//! under plain NCQ ([`NcqPolicy`]) it treats every operation equally. This
 //! module makes the *selection rule* inside that window pluggable while
 //! keeping the window mechanics (lanes, window admission, wake events)
-//! fixed in the driver.
+//! fixed in the driver. Three rules ship: plain NCQ, strict window order
+//! (the in-order bound, and the gated discipline), and a power cap.
 //!
 //! # How a policy plugs in
 //!
@@ -17,9 +16,11 @@
 //!
 //! 1. **Within-lane order** — [`QosPolicy::lane_key`] assigns each enqueued
 //!    operation a `u64` key; the lane is kept sorted by `(lane_key, seq)`.
-//!    The default key is the arrival sequence number `seq`, i.e. FIFO; the
-//!    earliest-deadline-first policy sorts by deadline instead, which is
-//!    what guarantees two same-plane deadlines are never inverted.
+//!    The default key is the arrival sequence number `seq`, i.e. FIFO. No
+//!    shipped policy overrides it; it stays on the trait for policies
+//!    defined outside this crate (the `benchmark/` package's timing
+//!    wrapper forwards it, and the scheduler tests key lanes by deadline
+//!    through it).
 //! 2. **Across-lane choice** — among the lane heads (a lane holds only
 //!    in-window operations) whose resources are idle, [`QosPolicy::rank`] returns a `(u64, u64)`
 //!    prefix key; lower wins. The driver always appends the NCQ key
@@ -30,8 +31,7 @@
 //!
 //! Two optional hooks carry state: [`QosPolicy::tick`] runs once per
 //! distinct scheduler instant (before any selection), and [`QosPolicy::on_issue`] runs
-//! after each selected operation (the fair-share policy charges its token
-//! bucket there).
+//! after each selected operation (the power cap counts admissions there).
 //!
 //! # Determinism rules
 //!
@@ -50,12 +50,9 @@
 //! |---|---|---|
 //! | [`NcqPolicy`] | constant | plain NCQ; the QoS no-op |
 //! | [`WindowFifoPolicy`] | `seq` | the naive in-order bound (claims C11/C12); at unbounded depth, the gated discipline itself |
-//! | [`PriorityPolicy`] | reads before writes | read-latency-sensitive mixes |
-//! | [`DeadlinePolicy`] | earliest absolute deadline | per-request deadlines (EDF) |
-//! | [`FairSharePolicy`] | token-bucket deficit | per-tenant fair sharing |
 //! | [`PowerCapPolicy`] | constant (gates *admission* instead) | power budgets (claim C16) |
 
-use crate::request::{HostOp, TenantId};
+use crate::request::TenantId;
 use dloop_simkit::SimTime;
 
 /// A page operation offered to a [`QosPolicy`] for ranking or lane
@@ -67,8 +64,6 @@ pub struct QosCandidate {
     pub seq: u64,
     /// The host stream the operation belongs to (`0` = untagged).
     pub tenant: TenantId,
-    /// Read or write.
-    pub op: HostOp,
     /// Absolute completion deadline, if the request carries one.
     pub deadline: Option<SimTime>,
     /// Trace arrival time of the parent request.
@@ -88,7 +83,7 @@ pub struct QosCandidate {
 /// [module docs](self) for the contract; implement [`QosPolicy::rank`]
 /// (and optionally the other hooks) to define a policy.
 ///
-/// All hooks take `&mut self` so stateful policies (token buckets) work,
+/// All hooks take `&mut self` so stateful policies (the power cap) work,
 /// but `rank` and `lane_key` must behave as pure functions of their
 /// arguments and current state.
 pub trait QosPolicy {
@@ -175,226 +170,6 @@ impl QosPolicy for WindowFifoPolicy {
 
     fn rank(&mut self, _now: SimTime, c: &QosCandidate) -> (u64, u64) {
         (c.seq, 0)
-    }
-}
-
-/// Priority classes: reads overtake writes inside the window (a read's
-/// latency is host-visible; a write's is absorbed by buffering), ties by
-/// the plain NCQ key.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PriorityPolicy;
-
-impl QosPolicy for PriorityPolicy {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn rank(&mut self, _now: SimTime, c: &QosCandidate) -> (u64, u64) {
-        let class = match c.op {
-            HostOp::Read => 0,
-            HostOp::Write => 1,
-        };
-        (class, 0)
-    }
-}
-
-/// Earliest-deadline-first: candidates with earlier absolute deadlines
-/// rank first; best-effort operations (no deadline) sort after every
-/// finite deadline. Lanes are kept sorted by deadline too
-/// ([`QosPolicy::lane_key`]), so two operations on the *same* plane are
-/// also issued in deadline order — the EDF invariant pinned in
-/// `tests/replay_modes.rs`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeadlinePolicy;
-
-/// Encode a deadline as a totally ordered `u64` (`None` = best-effort =
-/// after everything).
-fn deadline_key(d: Option<SimTime>) -> u64 {
-    d.map_or(u64::MAX, |t| t.as_nanos())
-}
-
-impl QosPolicy for DeadlinePolicy {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn rank(&mut self, _now: SimTime, c: &QosCandidate) -> (u64, u64) {
-        (deadline_key(c.deadline), 0)
-    }
-
-    fn lane_key(&mut self, c: &QosCandidate) -> u64 {
-        deadline_key(c.deadline)
-    }
-}
-
-/// One token = this many bucket units. With this scale, a refill rate of
-/// `r` tokens per millisecond is exactly `r` units per nanosecond, so the
-/// lazy refill (`Δns × r`) is integer-exact — no rounding, no drift, and
-/// the conservation invariant below holds with `==`, not `≈`.
-pub const TOKEN_UNITS: u64 = 1_000_000;
-
-/// Per-tenant token-bucket state: balance plus the counters that make the
-/// conservation law checkable from outside.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    /// Current balance in units; negative when the work-conserving
-    /// fallback issued on an empty bucket.
-    balance: i64,
-    /// Last lazy-refill time.
-    refilled_at: SimTime,
-    /// Total units ever added by refill (after the burst cap).
-    refilled: u64,
-    /// Operations issued for this tenant.
-    issued: u64,
-}
-
-/// Per-tenant fair sharing by deterministic token buckets.
-///
-/// Every tenant owns a bucket that refills at `refill_per_ms`
-/// tokens per simulated millisecond (lazily, on inspection) up to a cap of
-/// `burst` tokens, and is charged one token per issued operation. Ranking
-/// is two-tier:
-///
-/// * tier 0 — tenants holding at least one token; among them, the tenant
-///   with the *largest* balance (the most under-served) goes first;
-/// * tier 1 — tenants that have overdrawn their bucket. The scheduler is
-///   work-conserving: when no tier-0 candidate is issuable, a tier-1
-///   operation runs anyway (idle planes are never parked to punish a
-///   tenant), driving its balance negative until refill pays the debt off.
-///
-/// All arithmetic is integer (see [`TOKEN_UNITS`]), so the **conservation
-/// law** holds exactly for every tenant:
-/// `initial + refilled − issued × TOKEN_UNITS == balance`
-/// (checkable via the public accessors; pinned in
-/// `tests/replay_modes.rs`).
-///
-/// Buckets are created on first sight of a tenant, full (`burst` tokens).
-#[derive(Debug, Clone)]
-pub struct FairSharePolicy {
-    /// Tokens per millisecond.
-    refill_per_ms: u32,
-    /// Bucket capacity in tokens.
-    burst: u32,
-    /// Buckets, sorted by tenant id (binary-searched; deterministic).
-    buckets: Vec<(TenantId, Bucket)>,
-}
-
-impl FairSharePolicy {
-    /// A fair-share policy refilling `refill_per_ms` tokens per simulated
-    /// millisecond into buckets capped at `burst` tokens. Both must be
-    /// ≥ 1.
-    pub fn new(refill_per_ms: u32, burst: u32) -> Self {
-        assert!(refill_per_ms >= 1, "refill rate must be at least 1");
-        assert!(burst >= 1, "burst must be at least 1");
-        FairSharePolicy {
-            refill_per_ms,
-            burst,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// The bucket index for `tenant`, creating a full bucket on
-    /// first sight at time `now`.
-    fn bucket_index(&mut self, tenant: TenantId, now: SimTime) -> usize {
-        match self.buckets.binary_search_by_key(&tenant, |b| b.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.buckets.insert(
-                    i,
-                    (
-                        tenant,
-                        Bucket {
-                            balance: (self.burst as i64) * TOKEN_UNITS as i64,
-                            refilled_at: now,
-                            refilled: 0,
-                            issued: 0,
-                        },
-                    ),
-                );
-                i
-            }
-        }
-    }
-
-    /// Lazily refill one bucket up to `now`; integer-exact.
-    fn refill(refill_per_ms: u32, burst: u32, bucket: &mut Bucket, now: SimTime) {
-        let delta_ns = now.as_nanos().saturating_sub(bucket.refilled_at.as_nanos());
-        bucket.refilled_at = now;
-        if delta_ns == 0 {
-            return;
-        }
-        // `refill_per_ms` tokens/ms × TOKEN_UNITS units/token ÷ 1e6 ns/ms
-        // = `refill_per_ms` units per nanosecond.
-        let earned = (delta_ns as i128) * (refill_per_ms as i128);
-        let cap = (burst as i128) * TOKEN_UNITS as i128;
-        let added = earned.min(cap - bucket.balance as i128).max(0);
-        bucket.balance += added as i64;
-        bucket.refilled += added as u64;
-    }
-
-    /// Current balance of `tenant`'s bucket in units (negative = overdrawn
-    /// by the work-conserving fallback); `None` if the tenant was never
-    /// seen. Not refreshed to any later time — this is the balance as of
-    /// the bucket's last interaction.
-    pub fn balance(&self, tenant: TenantId) -> Option<i64> {
-        self.buckets
-            .binary_search_by_key(&tenant, |b| b.0)
-            .ok()
-            .map(|i| self.buckets[i].1.balance)
-    }
-
-    /// Total units ever refilled into `tenant`'s bucket.
-    pub fn refilled(&self, tenant: TenantId) -> Option<u64> {
-        self.buckets
-            .binary_search_by_key(&tenant, |b| b.0)
-            .ok()
-            .map(|i| self.buckets[i].1.refilled)
-    }
-
-    /// Operations issued for `tenant` (each charged one token).
-    pub fn issued(&self, tenant: TenantId) -> Option<u64> {
-        self.buckets
-            .binary_search_by_key(&tenant, |b| b.0)
-            .ok()
-            .map(|i| self.buckets[i].1.issued)
-    }
-
-    /// Tenant ids with a bucket, ascending.
-    pub fn tenants(&self) -> Vec<TenantId> {
-        self.buckets.iter().map(|b| b.0).collect()
-    }
-
-    /// Bucket capacity in units (`burst × TOKEN_UNITS`) — the initial
-    /// balance of every bucket, and the term `initial` in the conservation
-    /// law.
-    pub fn initial_units(&self) -> i64 {
-        (self.burst as i64) * TOKEN_UNITS as i64
-    }
-}
-
-impl QosPolicy for FairSharePolicy {
-    fn name(&self) -> &'static str {
-        "fair-share"
-    }
-
-    fn rank(&mut self, now: SimTime, c: &QosCandidate) -> (u64, u64) {
-        let (rate, burst) = (self.refill_per_ms, self.burst);
-        let i = self.bucket_index(c.tenant, now);
-        Self::refill(rate, burst, &mut self.buckets[i].1, now);
-        let balance = self.buckets[i].1.balance;
-        let tier = if balance >= TOKEN_UNITS as i64 { 0 } else { 1 };
-        // Within a tier, larger balance (more under-served) sorts first:
-        // map balance ∈ [−∞, cap] monotonically *decreasing* onto u64.
-        let deficit = ((burst as i128) * TOKEN_UNITS as i128 - balance as i128).max(0) as u64;
-        (tier, deficit)
-    }
-
-    fn on_issue(&mut self, now: SimTime, c: &QosCandidate) {
-        let (rate, burst) = (self.refill_per_ms, self.burst);
-        let i = self.bucket_index(c.tenant, now);
-        Self::refill(rate, burst, &mut self.buckets[i].1, now);
-        self.buckets[i].1.balance -= TOKEN_UNITS as i64;
-        self.buckets[i].1.issued += 1;
     }
 }
 
@@ -509,17 +284,6 @@ pub enum QosSpec {
     Ncq,
     /// Strict in-window arrival order ([`WindowFifoPolicy`]).
     WindowFifo,
-    /// Reads before writes ([`PriorityPolicy`]).
-    Priority,
-    /// Earliest deadline first ([`DeadlinePolicy`]).
-    Deadline,
-    /// Equal-weight token buckets ([`FairSharePolicy`]).
-    FairShare {
-        /// Tokens per simulated millisecond per tenant.
-        refill_per_ms: u32,
-        /// Bucket capacity in tokens.
-        burst: u32,
-    },
     /// Concurrent-admission throttling under a power budget
     /// ([`PowerCapPolicy`]). Requires [`crate::SsdConfig::energy`] to be
     /// set for candidates to carry nonzero draw bounds; without it every
@@ -531,16 +295,6 @@ pub enum QosSpec {
 }
 
 impl QosSpec {
-    /// The conventional fair-share parameters: 4 tokens/ms, burst 32 —
-    /// roughly one page op per 250 µs of steady-state budget per tenant,
-    /// with a burst absorbing a queue-depth's worth of backlog.
-    pub fn fair_share() -> QosSpec {
-        QosSpec::FairShare {
-            refill_per_ms: 4,
-            burst: 32,
-        }
-    }
-
     /// The conventional power-cap budget: 250 mW — comfortably above any
     /// single operation's ~99 mW draw bound (so the work-conserving floor
     /// never lifts the enforced ceiling) yet far below the paper device's
@@ -555,19 +309,12 @@ impl QosSpec {
         }
     }
 
-    /// All specs worth sweeping, in presentation order (the `qos`
-    /// experiment iterates this). [`QosSpec::PowerCap`] is deliberately
-    /// absent: the C12 bounds quantify over this set, and a power cap
-    /// trades response time away *on purpose* — sweep it via the `power`
-    /// experiment instead.
-    pub fn all() -> [QosSpec; 5] {
-        [
-            QosSpec::WindowFifo,
-            QosSpec::Ncq,
-            QosSpec::Priority,
-            QosSpec::Deadline,
-            QosSpec::fair_share(),
-        ]
+    /// The specs that rank for response time, in presentation order (claim
+    /// C12 quantifies over this set). [`QosSpec::PowerCap`] is deliberately
+    /// absent: a power cap trades response time away *on purpose*, and
+    /// claim C16 checks it instead.
+    pub fn all() -> [QosSpec; 2] {
+        [QosSpec::WindowFifo, QosSpec::Ncq]
     }
 
     /// Stable name, matching [`QosPolicy::name`] of the built policy.
@@ -575,24 +322,7 @@ impl QosSpec {
         match self {
             QosSpec::Ncq => "ncq",
             QosSpec::WindowFifo => "window-fifo",
-            QosSpec::Priority => "priority",
-            QosSpec::Deadline => "deadline",
-            QosSpec::FairShare { .. } => "fair-share",
             QosSpec::PowerCap { .. } => "power-cap",
-        }
-    }
-
-    /// Parse a policy name as spelled by [`QosSpec::name`] (CLI flag
-    /// syntax; `fair-share` uses the conventional parameters).
-    pub fn parse(s: &str) -> Option<QosSpec> {
-        match s {
-            "ncq" => Some(QosSpec::Ncq),
-            "window-fifo" | "fifo" => Some(QosSpec::WindowFifo),
-            "priority" => Some(QosSpec::Priority),
-            "deadline" | "edf" => Some(QosSpec::Deadline),
-            "fair-share" | "fair" => Some(QosSpec::fair_share()),
-            "power-cap" | "cap" => Some(QosSpec::power_cap()),
-            _ => None,
         }
     }
 
@@ -601,12 +331,6 @@ impl QosSpec {
         match *self {
             QosSpec::Ncq => Box::new(NcqPolicy),
             QosSpec::WindowFifo => Box::new(WindowFifoPolicy),
-            QosSpec::Priority => Box::new(PriorityPolicy),
-            QosSpec::Deadline => Box::new(DeadlinePolicy),
-            QosSpec::FairShare {
-                refill_per_ms,
-                burst,
-            } => Box::new(FairSharePolicy::new(refill_per_ms, burst)),
             QosSpec::PowerCap { budget_uw } => Box::new(PowerCapPolicy::new(budget_uw)),
         }
     }
@@ -617,12 +341,11 @@ mod tests {
     use super::*;
     use dloop_simkit::SimDuration;
 
-    fn cand(seq: u64, tenant: TenantId, op: HostOp, deadline: Option<SimTime>) -> QosCandidate {
+    fn cand(seq: u64, tenant: TenantId) -> QosCandidate {
         QosCandidate {
             seq,
             tenant,
-            op,
-            deadline,
+            deadline: None,
             arrival: SimTime::ZERO,
             plane: 0,
             draw_uw: 0,
@@ -632,7 +355,7 @@ mod tests {
     fn drawing(seq: u64, draw_uw: u64) -> QosCandidate {
         QosCandidate {
             draw_uw,
-            ..cand(seq, 0, HostOp::Write, None)
+            ..cand(seq, 0)
         }
     }
 
@@ -640,94 +363,24 @@ mod tests {
     fn ncq_ranks_everything_equal_and_fifo_by_seq() {
         let now = SimTime::ZERO;
         let mut ncq = NcqPolicy;
-        assert_eq!(
-            ncq.rank(now, &cand(3, 0, HostOp::Read, None)),
-            ncq.rank(now, &cand(9, 5, HostOp::Write, None))
-        );
+        assert_eq!(ncq.rank(now, &cand(3, 0)), ncq.rank(now, &cand(9, 5)));
         let mut fifo = WindowFifoPolicy;
-        assert!(
-            fifo.rank(now, &cand(3, 0, HostOp::Write, None))
-                < fifo.rank(now, &cand(9, 0, HostOp::Read, None))
-        );
+        assert!(fifo.rank(now, &cand(3, 0)) < fifo.rank(now, &cand(9, 0)));
     }
 
     #[test]
-    fn priority_puts_reads_first() {
-        let now = SimTime::ZERO;
-        let mut p = PriorityPolicy;
-        assert!(
-            p.rank(now, &cand(9, 0, HostOp::Read, None))
-                < p.rank(now, &cand(1, 0, HostOp::Write, None))
-        );
-    }
-
-    #[test]
-    fn deadline_orders_lanes_and_ranks_best_effort_last() {
-        let mut edf = DeadlinePolicy;
-        let soon = Some(SimTime::from_micros(10));
-        let late = Some(SimTime::from_micros(500));
-        let now = SimTime::ZERO;
-        assert!(
-            edf.rank(now, &cand(9, 0, HostOp::Read, soon))
-                < edf.rank(now, &cand(1, 0, HostOp::Read, late))
-        );
-        assert!(
-            edf.rank(now, &cand(9, 0, HostOp::Read, late))
-                < edf.rank(now, &cand(1, 0, HostOp::Read, None))
-        );
-        assert!(
-            edf.lane_key(&cand(9, 0, HostOp::Read, soon))
-                < edf.lane_key(&cand(1, 0, HostOp::Read, late))
-        );
-    }
-
-    #[test]
-    fn fair_share_conserves_tokens_exactly() {
-        let mut fs = FairSharePolicy::new(2, 8);
-        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-        // Burn tenant 1's whole burst at t=0, then let it refill 1 ms.
-        for i in 0..10 {
-            let c = cand(i, 1, HostOp::Write, None);
-            fs.on_issue(t(0), &c);
-        }
-        assert_eq!(fs.balance(1), Some(-2 * TOKEN_UNITS as i64));
-        // rank() refills lazily: 1 ms at 2 tokens/ms = 2 tokens back.
-        let (tier, _) = fs.rank(t(1000), &cand(10, 1, HostOp::Write, None));
-        assert_eq!(tier, 1, "balance 0 < 1 token: overdrawn tier");
-        assert_eq!(fs.balance(1), Some(0));
-        // Conservation: initial + refilled − issued×TOKEN == balance.
-        let b = fs.balance(1).unwrap();
-        let law = fs.initial_units() + fs.refilled(1).unwrap() as i64
-            - fs.issued(1).unwrap() as i64 * TOKEN_UNITS as i64;
-        assert_eq!(law, b);
-        // A fresh tenant starts full, tier 0, and ranks ahead of the
-        // overdrawn one.
-        let fresh = fs.rank(t(1000), &cand(11, 2, HostOp::Write, None));
-        let broke = fs.rank(t(1000), &cand(10, 1, HostOp::Write, None));
-        assert!(fresh < broke);
-        // Refill never exceeds the burst cap.
-        let _ = fs.rank(t(1_000_000), &cand(12, 2, HostOp::Write, None));
-        assert_eq!(fs.balance(2), Some(fs.initial_units()));
-    }
-
-    #[test]
-    fn spec_round_trips_names_and_builds() {
+    fn spec_names_match_the_built_policies() {
         for spec in QosSpec::all() {
-            assert_eq!(QosSpec::parse(spec.name()), Some(spec));
             assert_eq!(spec.build().name(), spec.name());
         }
-        assert_eq!(QosSpec::parse("edf"), Some(QosSpec::Deadline));
-        assert_eq!(QosSpec::parse("nope"), None);
     }
 
-    /// PowerCap is not swept by `QosSpec::all` (it degrades MRT on
-    /// purpose), so its round trip is pinned separately.
+    /// PowerCap is not in `QosSpec::all` (it degrades MRT on purpose), so
+    /// its name is pinned separately.
     #[test]
-    fn power_cap_spec_round_trips() {
+    fn power_cap_spec_builds_outside_the_sweep_set() {
         let spec = QosSpec::power_cap();
         assert_eq!(spec.name(), "power-cap");
-        assert_eq!(QosSpec::parse("power-cap"), Some(spec));
-        assert_eq!(QosSpec::parse("cap"), Some(spec));
         assert_eq!(spec.build().name(), "power-cap");
         assert!(!QosSpec::all().contains(&spec));
     }

@@ -133,13 +133,11 @@ impl HostStack {
         self.assemble(requests, staging, outcome)
     }
 
-    /// The pre-interleaving reference pipeline: stage the whole trace,
-    /// run the device once, coalesce completions after the fact. A
-    /// finite [`HostConfig::queue_depth`] under [`ReplayMode::Open`] is
-    /// approximated by one shared `Closed { queues × depth }` device
-    /// window (the legacy behaviour). Kept as the regression baseline:
-    /// with an unbounded depth, [`HostStack::run`] must reproduce this
-    /// pipeline's fingerprint bit-for-bit.
+    /// The staged oracle for [`HostStack::run`]: stage the whole trace,
+    /// run the device once in `mode`, coalesce completions after the
+    /// fact. It enforces no host window, so with an unbounded
+    /// [`HostConfig::queue_depth`] `run` must reproduce its fingerprint
+    /// bit-for-bit (`tests/replay_modes.rs`).
     pub fn run_staged(
         &self,
         device: &mut SsdDevice,
@@ -147,13 +145,7 @@ impl HostStack {
         mode: ReplayMode,
     ) -> HostRunReport {
         let staging = self.stage(requests);
-        let eff_mode = match (self.config.queue_depth, mode) {
-            (Some(d), ReplayMode::Open) => ReplayMode::Closed {
-                queue_depth: (self.config.queues as usize) * d as usize,
-            },
-            _ => mode,
-        };
-        let outcome = self.drive_staged(device, &staging.forwarded, eff_mode);
+        let outcome = self.drive_staged(device, &staging.forwarded, mode);
         self.assemble(requests, staging, outcome)
     }
 
@@ -362,12 +354,12 @@ impl HostStack {
         &self,
         device: &mut SsdDevice,
         forwarded: &[Command],
-        eff_mode: ReplayMode,
+        mode: ReplayMode,
     ) -> DeviceOutcome {
         let cfg = &self.config;
         let nq = cfg.queues as usize;
         let fwd_reqs: Vec<HostRequest> = forwarded.iter().map(|c| c.req).collect();
-        let report = device.run_with(&fwd_reqs, RunConfig::from(eff_mode));
+        let report = device.run_with(&fwd_reqs, RunConfig::from(mode));
 
         let mut done_of: Vec<SimTime> = vec![SimTime::ZERO; forwarded.len()];
         let mut seen = vec![false; forwarded.len()];

@@ -32,7 +32,7 @@ impl PlaneState {
         }
     }
 
-    /// Permanently remove an erased block from service (wear-out).
+    /// Permanently remove an erased block from service (a bad block).
     pub fn retire(&mut self, index: u32) {
         debug_assert!(self.blocks[index as usize].is_pristine());
         debug_assert!(!self.free_pool.contains(&index));

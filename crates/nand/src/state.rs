@@ -48,8 +48,6 @@ pub struct FlashState {
     programs: u64,
     skips: u64,
     erases: u64,
-    /// Erase cycles a block survives before wearing out (None = infinite).
-    erase_limit: Option<u32>,
     retired: u64,
     /// Deterministic media-fault model (None = perfect media).
     media: Option<MediaModel>,
@@ -117,7 +115,6 @@ impl FlashState {
             programs: 0,
             skips: 0,
             erases: 0,
-            erase_limit: None,
             retired: 0,
             media: None,
             doomed: BTreeSet::new(),
@@ -156,15 +153,6 @@ impl FlashState {
         self.skips += worker.skips;
         self.erases += worker.erases;
         self.retired += worker.retired;
-    }
-
-    /// A device whose blocks wear out after `limit` erase cycles — the
-    /// finite-erasure-cycles limitation of §I. Worn blocks are retired
-    /// (bad-block management) instead of returning to the free pool.
-    pub fn with_endurance(geometry: Geometry, limit: u32) -> Self {
-        let mut fs = Self::new(geometry);
-        fs.erase_limit = Some(limit);
-        fs
     }
 
     /// Attach a deterministic media-fault model built from `cfg`. Must be
@@ -237,7 +225,8 @@ impl FlashState {
         std::mem::take(&mut self.failed_attempts)
     }
 
-    /// Blocks permanently retired due to wear-out.
+    /// Blocks permanently retired: factory-bad blocks, failed erases, and
+    /// blocks doomed by a failed program.
     pub fn retired_blocks(&self) -> u64 {
         self.retired
     }
@@ -374,8 +363,8 @@ impl FlashState {
     /// contain no valid pages (GC must have relocated them).
     ///
     /// Returns `true` when the block went back to the pool, `false` when
-    /// it was retired instead: worn out (erase limit), doomed by an
-    /// earlier program failure, or hit by a media erase failure. Retired
+    /// it was retired instead: doomed by an earlier program failure, or
+    /// hit by a media erase failure. Retired
     /// blocks are erased first so bad-block bookkeeping only ever holds
     /// pristine blocks (the state stays auditable); counting-wise an
     /// in-service retirement is a grown bad block.
@@ -402,19 +391,12 @@ impl FlashState {
             None => false,
         };
         let plane = &mut self.planes[block.plane as usize];
-        let worn = self
-            .erase_limit
-            .is_some_and(|lim| plane.block(block.index).erase_count() >= lim);
         if doomed || erase_failed {
             plane.retire(block.index);
             self.retired += 1;
             if let Some(m) = self.media.as_mut() {
                 m.note_grown_bad();
             }
-            Ok(false)
-        } else if worn {
-            plane.retire(block.index);
-            self.retired += 1;
             Ok(false)
         } else {
             plane.return_free_block(block.index);

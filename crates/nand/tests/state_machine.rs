@@ -80,18 +80,23 @@ fn action() -> check::BoxedGenerator<Action> {
 #[test]
 fn arbitrary_action_sequences_preserve_invariants() {
     let gen = check::vec_of(action(), 1..300);
-    // Erases that retired a worn block instead of pooling it, over all
+    // Erases that retired a failed block instead of pooling it, over all
     // cases: the index must follow that path too, so it has to be taken.
     let retirements = Cell::new(0u32);
     Checker::new().cases(64).run(&gen, |actions| {
         // Five blocks of four pages a plane, so random invalidations empty
-        // whole blocks and pooled blocks come round again; a block wears
-        // out on its second erase.
+        // whole blocks and pooled blocks come round again; one erase in
+        // four fails and retires its block.
         let mut g = tiny();
         g.data_blocks_per_plane = 4;
         g.blocks_per_plane = 5;
         g.pages_per_block = 4;
-        let mut fs = FlashState::with_endurance(g.clone(), 2);
+        let mut fs = FlashState::new(g.clone());
+        fs.attach_media(&FaultConfig {
+            erase_fail_prob: 0.25,
+            seed: 3,
+            ..FaultConfig::none()
+        });
         // Slots: blocks we've allocated, across planes.
         let mut slots: Vec<BlockAddr> = Vec::new();
         let mut expected_valid = 0u64;

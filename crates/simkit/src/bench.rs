@@ -12,9 +12,10 @@
 //!
 //! 1. **Warmup** — the closure runs untimed for a fixed wall-time budget,
 //!    so caches, allocators and branch predictors settle.
-//! 2. **Calibration** — one timed run sizes how many iterations fit in
-//!    the minimum sample time, so short closures are batched enough for
-//!    the clock to resolve them.
+//! 2. **Calibration** — the fastest warmup run sizes how many iterations
+//!    fit in the minimum sample time, so short closures are batched enough
+//!    for the clock to resolve them, and one preempted run cannot shrink
+//!    the batch to a single iteration.
 //! 3. **Measurement** — a fixed number of samples are collected, each
 //!    timing a batch and recording the per-iteration nanoseconds.
 //!
@@ -152,23 +153,25 @@ impl Bench {
         let samples = self.env_samples.unwrap_or(self.samples).max(1);
 
         // Warmup: run untimed until the budget elapses (at least once),
-        // keeping the duration of the last run for calibration.
+        // keeping the fastest run for calibration: one preempted run must
+        // not size the batch.
         let warmup_start = Instant::now();
-        let last_run = loop {
+        let mut fastest = Duration::MAX;
+        loop {
             let t = Instant::now();
             black_box(f());
-            let elapsed = t.elapsed();
+            fastest = fastest.min(t.elapsed());
             if warmup_start.elapsed() >= self.warmup {
-                break elapsed;
+                break;
             }
-        };
+        }
 
         // Calibration: batch enough iterations that one sample spans the
         // minimum sample time even for nanosecond-scale closures.
-        let iters = if last_run >= self.min_sample_time {
+        let iters = if fastest >= self.min_sample_time {
             1
         } else {
-            let per_iter = last_run.as_nanos().max(1);
+            let per_iter = fastest.as_nanos().max(1);
             (self.min_sample_time.as_nanos() / per_iter).clamp(1, 1 << 24) as u64
         };
 

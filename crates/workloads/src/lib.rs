@@ -26,6 +26,6 @@ pub mod zipf;
 pub use disksim::parse_disksim;
 pub use spc::parse_spc;
 pub use synth::{sequential_fill, uniform_random, UniformParams, WorkloadProfile};
-pub use tenants::{host_mix, multi_tenant, qos_mix, CacheBias, TenantSpec};
+pub use tenants::{host_mix, qos_mix, CacheBias};
 pub use trace::{Trace, TraceStats};
 pub use zipf::Zipf;

@@ -1,9 +1,9 @@
 //! Multi-tenant workload composition for the QoS experiments.
 //!
 //! A multi-tenant trace is a deterministic merge of per-tenant sub-traces:
-//! each [`TenantSpec`] names a host stream (tenant id), the synthetic
+//! each `TenantSpec` names a host stream (tenant id), the synthetic
 //! profile that drives it, how many requests it contributes, and an
-//! optional per-request deadline budget for the EDF policy. The merge is a
+//! optional per-request deadline budget. The merge is a
 //! *stable* sort by arrival time, so same-instant arrivals keep spec
 //! order and the whole composition is seed-replayable — the same
 //! `(specs, seed)` pair always produces the same byte-identical trace,
@@ -11,7 +11,7 @@
 //! lean on.
 //!
 //! [`qos_mix`] is the canonical three-tenant contention mix used by the
-//! `qos` experiment sweep and the C12 claim: a latency-sensitive
+//! C12 claim and the `qos_ncq` benchmark workload: a latency-sensitive
 //! read-dominant stream with deadlines, a throughput-oriented write-heavy
 //! stream, and a background bulk stream.
 
@@ -69,26 +69,26 @@ impl CacheBias {
 
 /// One tenant's contribution to a multi-tenant trace.
 #[derive(Debug, Clone)]
-pub struct TenantSpec {
+struct TenantSpec {
     /// Host stream id carried on every generated request (use non-zero
     /// ids: 0 is the untagged/neutral stream).
-    pub tenant: TenantId,
+    tenant: TenantId,
     /// Synthetic profile driving this tenant's sub-trace.
-    pub profile: WorkloadProfile,
+    profile: WorkloadProfile,
     /// Requests this tenant contributes.
-    pub requests: u64,
-    /// Per-request deadline budget (arrival + budget), for the EDF
-    /// policy. `None` leaves requests best-effort.
-    pub deadline: Option<SimDuration>,
+    requests: u64,
+    /// Per-request deadline budget (arrival + budget), carried on each
+    /// request's `deadline`. `None` leaves requests best-effort.
+    deadline: Option<SimDuration>,
     /// Host-cache interaction bias, applied to `profile` at generation
     /// time. [`CacheBias::Neutral`] (the default) leaves the profile
     /// untouched, so pre-existing compositions are byte-identical.
-    pub cache_bias: CacheBias,
+    cache_bias: CacheBias,
 }
 
 impl TenantSpec {
     /// A best-effort tenant: `requests` drawn from `profile`, no deadline.
-    pub fn new(tenant: TenantId, profile: WorkloadProfile, requests: u64) -> Self {
+    fn new(tenant: TenantId, profile: WorkloadProfile, requests: u64) -> Self {
         TenantSpec {
             tenant,
             profile,
@@ -99,7 +99,7 @@ impl TenantSpec {
     }
 
     /// Attach a per-request deadline budget.
-    pub fn with_deadline(mut self, budget: SimDuration) -> Self {
+    fn with_deadline(mut self, budget: SimDuration) -> Self {
         self.deadline = Some(budget);
         self
     }
@@ -123,7 +123,7 @@ fn tenant_seed(seed: u64, tenant: TenantId) -> u64 {
 /// tags every request with the spec's tenant id (and deadline budget, if
 /// any), and the union is stable-sorted by arrival. Deterministic: same
 /// specs + seed, same trace.
-pub fn multi_tenant(name: &str, specs: &[TenantSpec], seed: u64, page_size: u32) -> Trace {
+fn multi_tenant(name: &str, specs: &[TenantSpec], seed: u64, page_size: u32) -> Trace {
     let mut requests = Vec::new();
     for spec in specs {
         let profile = spec.cache_bias.apply(spec.profile.clone());

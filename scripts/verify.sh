@@ -41,13 +41,15 @@ fi
 # A `pub fn`, `pub const` or `pub static` that no other file names is
 # surface without a caller: it goes, or it loses its `pub`. Every such
 # item under ROOT/crates/*/src must be named, as a whole word, in some
-# other *.rs or *.md file under ROOT (build output and .git aside). The
-# changelog and roadmap name old items by design, so a mention in
-# CHANGES.md or ROADMAP.md is not a caller.
+# other caller under ROOT (build output and .git aside). A caller is a
+# *.rs file or a doc that describes the program: README.md, DESIGN.md or
+# EXPERIMENTS.md, at any depth. Other docs (the changelog, the roadmap,
+# task notes) name items that are gone or not yet built, so they do not
+# count.
 check_dead_pub() {
     find "$1" \( -name target -o -name .git \) -prune -o -type f \
-        \( -name '*.rs' -o -name '*.md' \) \
-        ! -name CHANGES.md ! -name ROADMAP.md -print0 | xargs -0 awk '
+        \( -name '*.rs' -o -name README.md -o -name DESIGN.md -o -name EXPERIMENTS.md \) \
+        -print0 | xargs -0 awk '
         FNR == 1 { delete seen }
         FILENAME ~ /\/crates\/[^\/]+\/src\// &&
             match($0, /^[ \t]*pub ((const )?fn|const|static( mut)?) [A-Za-z_][A-Za-z0-9_]*/) {
@@ -121,10 +123,6 @@ cargo test -q --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-echo "==> fault-storm smoke (BER sweep over every FTL, offline)"
-cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
-    faults --scale 8 --requests 2000 --out none >/dev/null
-
 echo "==> trace-sink smoke (ring replay, artifacts parse and reconcile)"
 # The trace subcommand replays into one RingSink that never evicts and
 # asserts in-process that it saw exactly one span per hardware operation,
@@ -195,30 +193,6 @@ echo "==> queued-scheduler oracle (indexed window vs naive scan, 256 random trac
 # unbounded, background GC off and on. `cargo test` above runs 24 cases.
 SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-ftl-kit --lib \
     queued_scheduler_matches_naive_oracle
-
-echo "==> QoS sweep smoke (qos subcommand, policy rows + per-tenant columns)"
-# One pass of the multi-tenant policy sweep on a small mix: exercises
-# every shipped policy plus both C12 bounds through the CLI and pins
-# the per-tenant columns of the emitted table.
-qos_out="$(mktemp -d)"
-cargo run --release --offline -q -p dloop-bench --bin dloop-experiments -- \
-    qos --scale 8 --requests 3000 --out "$qos_out" >/dev/null
-[[ -s "$qos_out/qos_0.csv" ]] || {
-    echo "error: qos smoke did not produce qos_0.csv" >&2
-    exit 1
-}
-qos_header="$(head -n 1 "$qos_out/qos_0.csv")"
-for col in policy "t1 ms" "t2 ms" "t3 ms" spread; do
-    [[ "$qos_header" == *"$col"* ]] || {
-        echo "error: qos_0.csv missing column '$col': $qos_header" >&2
-        exit 1
-    }
-done
-grep -q "fair-share" "$qos_out/qos_0.csv" || {
-    echo "error: qos_0.csv missing the fair-share policy row" >&2
-    exit 1
-}
-rm -rf "$qos_out"
 
 echo "==> host-stack smoke (host subcommand, coalescing + dirty-ratio + depth sweeps)"
 # One pass of all three host-stack sweeps through the CLI: five

@@ -17,7 +17,7 @@
 //! * [`dloop`] — the paper's contribution: the DLOOP FTL.
 //! * [`baselines`] — DFTL, FAST and an ideal page-mapping FTL.
 //! * [`workloads`] — synthetic enterprise workload generators (Table II),
-//!   multi-tenant composition for the QoS policies, and trace-file
+//!   multi-tenant composition for the QoS claims, and trace-file
 //!   parsers.
 //! * [`host`] — NVMe-style host stack in front of the device: SQ/CQ
 //!   pairs with doorbell batching and interrupt coalescing, a write-back
@@ -65,10 +65,7 @@ pub mod prelude {
     pub use dloop_ftl_kit::ftl::Ftl;
     pub use dloop_ftl_kit::metrics::RunReport;
     pub use dloop_ftl_kit::request::{HostOp, HostRequest, TenantId};
-    pub use dloop_ftl_kit::sched::{
-        DeadlinePolicy, FairSharePolicy, NcqPolicy, PriorityPolicy, QosCandidate, QosPolicy,
-        QosSpec, WindowFifoPolicy,
-    };
+    pub use dloop_ftl_kit::sched::{NcqPolicy, QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
     pub use dloop_host::{HostConfig, HostRunReport, HostStack};
     pub use dloop_nand::energy::{EnergyConfig, EnergyTotals};
     pub use dloop_nand::geometry::Geometry;

@@ -280,9 +280,11 @@ fn dead_pub_gate_passes_here_and_fails_on_an_unnamed_pub_fn() {
     );
 }
 
-/// The dead-pub gate also covers constants and statics, and a mention in
-/// the changelog or the roadmap (`CHANGES.md`, `ROADMAP.md`) is not a
-/// caller; a mention in any other doc is.
+/// The dead-pub gate also covers constants and statics, and only the docs
+/// that describe the program count as callers: a mention in the
+/// changelog, the roadmap or any other unlisted doc (`CHANGES.md`,
+/// `ROADMAP.md`, `NOTES.md`) is not one; a mention in `DESIGN.md`, or in
+/// a `README.md` at any depth, is.
 #[test]
 fn dead_pub_gate_fails_on_an_unnamed_pub_const_and_a_changelog_only_pub_fn() {
     let (passed, report) = dead_pub_gate_on(
@@ -304,7 +306,7 @@ fn dead_pub_gate_fails_on_an_unnamed_pub_const_and_a_changelog_only_pub_fn() {
         "the gate must name exactly the unnamed constant:\n{report}"
     );
 
-    for doc in ["CHANGES.md", "ROADMAP.md"] {
+    for doc in ["CHANGES.md", "ROADMAP.md", "NOTES.md"] {
         let (passed, report) = dead_pub_gate_on(
             &format!("skipped-{doc}"),
             &[
@@ -319,17 +321,16 @@ fn dead_pub_gate_fails_on_an_unnamed_pub_const_and_a_changelog_only_pub_fn() {
         );
     }
 
-    let (passed, report) = dead_pub_gate_on(
-        "other-doc",
-        &[
-            ("crates/demo/src/lib.rs", "pub fn noted() {}\n"),
-            ("NOTES.md", "- `noted()` is public.\n"),
-        ],
-    );
-    assert!(
-        passed,
-        "a mention in an unskipped doc must count:\n{report}"
-    );
+    for doc in ["DESIGN.md", "benchmark/README.md"] {
+        let (passed, report) = dead_pub_gate_on(
+            &format!("caller-{}", doc.replace('/', "-")),
+            &[
+                ("crates/demo/src/lib.rs", "pub fn noted() {}\n"),
+                (doc, "- `noted()` is public.\n"),
+            ],
+        );
+        assert!(passed, "a mention in {doc} must count:\n{report}");
+    }
 }
 
 /// `scripts/verify.sh --check-results-match RESULTS FRESH` — the comparison

@@ -35,11 +35,10 @@
 //! per hardware operation, and for single-page open-mode replays the
 //! request-visible span residence equals the summed response time.
 //!
-//! The QoS policy layer carries its own invariants, pinned at the end of
-//! this suite: a policy that never discriminates (single tenant, no
-//! deadlines) is *bit-identical* to plain NCQ; fair-share token buckets
-//! obey an exact integer conservation law; EDF never inverts two
-//! same-plane deadlines; and every policy is deterministic across reruns.
+//! The QoS policy layer is pinned at the end of this suite: every shipped
+//! policy is deterministic across reruns, and the golden corpus replays
+//! each one, plus a deadline-keyed test policy that drives the
+//! scheduler's sorted lanes.
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
@@ -49,7 +48,7 @@ use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
-use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
+use dloop_repro::ftl_kit::sched::{QosCandidate, QosPolicy, QosSpec};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::{attribution, RingSink};
 use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
@@ -415,7 +414,7 @@ fn sharded_replay_is_bit_identical_to_sequential() {
                 ("closed(64)", || RunConfig::closed(64)),
                 ("gated", RunConfig::gated),
                 ("ncq(4)", || RunConfig::ncq(4)),
-                ("qos(fair)", || RunConfig::qos(QosSpec::fair_share())),
+                ("qos(fifo)", || RunConfig::qos(QosSpec::WindowFifo)),
             ];
             for (name, cfg) in configs {
                 let mut seq_dev = fresh();
@@ -687,7 +686,7 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
             },
             ReplayMode::Qos {
                 queue_depth: 4,
-                policy: QosSpec::Priority,
+                policy: QosSpec::WindowFifo,
             },
         ];
         for mode in modes {
@@ -1089,145 +1088,6 @@ fn tag_tenants(mut reqs: Vec<HostRequest>, tenants: u16) -> Vec<HostRequest> {
     reqs
 }
 
-/// A policy that never discriminates degenerates to plain NCQ,
-/// bit-for-bit. Two spellings of "never discriminates": the deadline
-/// policy on a trace with no deadlines; and fair share with a *single*
-/// tenant (every candidate sees the same bucket, so the rank prefix is
-/// constant within each selection round). In both cases the driver's
-/// appended `(plane_ready_at, seq)` tie-break is the entire effective key.
-#[test]
-fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
-    let gen = check::vec_of(op_gen(700), 1..150);
-    Checker::new().cases(8).run(&gen, |ops| {
-        let config = SsdConfig::micro_gc_test();
-        for (label, reqs, spec) in [
-            // No deadlines anywhere: EDF has nothing to reorder.
-            ("deadline", requests(ops), QosSpec::Deadline),
-            // One tenant: fair share has nobody to arbitrate between.
-            ("fair-share", requests(ops), QosSpec::fair_share()),
-        ] {
-            let (d_ncq, r_ncq) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(8), false);
-            let mut d_qos = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-            let r_qos = d_qos.run_with(
-                &reqs,
-                ReplayMode::Qos {
-                    queue_depth: 8,
-                    policy: spec,
-                }
-                .into(),
-            );
-            check_assert_eq!(
-                fingerprint(&r_ncq),
-                fingerprint(&r_qos),
-                "{} must be bit-identical to plain NCQ",
-                label
-            );
-            check_assert_eq!(
-                flash_digest(&d_ncq),
-                flash_digest(&d_qos),
-                "{} flash state diverged from NCQ",
-                label
-            );
-        }
-        Ok(())
-    });
-}
-
-/// Fair-share token buckets obey an exact integer conservation law per
-/// tenant: `initial + refilled − issued × TOKEN_UNITS == balance`. The
-/// policy instance is handed to `SsdDevice::run_with_policy` directly so
-/// the buckets can be audited after the replay; every tenant that did
-/// flash work must also have been charged for it.
-#[test]
-fn fair_share_token_buckets_conserve_tokens_over_a_replay() {
-    let gen = check::vec_of(op_gen(600), 20..150);
-    Checker::new().cases(8).run(&gen, |ops| {
-        let reqs = tag_tenants(requests(ops), 3);
-        let config = SsdConfig::micro_gc_test();
-        let mut policy = FairSharePolicy::new(4, 16);
-        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        let report = device.run_with_policy(&reqs, RunConfig::ncq(8), &mut policy);
-        check_assert_eq!(report.requests_completed, reqs.len() as u64);
-        device.audit().map_err(|e| format!("audit: {e}"))?;
-        let mut charged_total = 0u64;
-        for t in policy.tenants() {
-            let balance = policy.balance(t).expect("bucket exists");
-            let refilled = policy.refilled(t).expect("bucket exists") as i64;
-            let issued = policy.issued(t).expect("bucket exists");
-            check_assert_eq!(
-                policy.initial_units() + refilled - issued as i64 * TOKEN_UNITS as i64,
-                balance,
-                "tenant {} violates the conservation law",
-                t
-            );
-            charged_total += issued;
-        }
-        // Every charged issue is a ranked (non-chainless) page op the
-        // probe also tracked; chainless ops bypass the policy, so the
-        // charge count is bounded by the probe's unit count.
-        check_assert!(
-            charged_total as usize <= report.queue_log.len(),
-            "charged {} ops but the probe tracked only {}",
-            charged_total,
-            report.queue_log.len()
-        );
-        Ok(())
-    });
-}
-
-/// EDF never inverts two same-plane deadlines: on a single-plane device
-/// (every op shares the one lane) with the whole burst inside the reorder
-/// window, operations must issue in deadline order even though their
-/// deadlines are the *reverse* of arrival order. The queue probe records
-/// units in issue order, and each request carries a unique tenant id, so
-/// the probe's tenant column *is* the issue order.
-#[test]
-fn edf_issues_same_plane_deadlines_in_deadline_order() {
-    let config = SsdConfig {
-        channels: 1,
-        packages_per_channel: 1,
-        chips_per_package: 1,
-        dies_per_chip: 1,
-        planes_per_die: 1,
-        ..SsdConfig::micro_gc_test()
-    };
-    let n: u64 = 12;
-    // An untagged blocker write at t = 0 occupies the lone plane while the
-    // deadline burst arrives, so the whole burst is queued before the first
-    // EDF selection happens (nothing issues on arrival just because the
-    // plane happened to be idle). The burst arrives together at t = 1 µs;
-    // deadlines run opposite to arrival order (the later the seq, the
-    // earlier the deadline).
-    let mut reqs = vec![HostRequest {
-        pages: 1,
-        op: HostOp::Write,
-        ..HostRequest::default()
-    }];
-    reqs.extend((0..n).map(|i| {
-        HostRequest {
-            arrival: SimTime::from_micros(1),
-            lpn: 1 + i,
-            pages: 1,
-            op: HostOp::Write,
-            ..HostRequest::default()
-        }
-        .with_tenant(1 + i as u16)
-        .with_deadline_after(SimDuration::from_micros(1000 * (n - i)))
-    }));
-    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-    let mut policy = DeadlinePolicy;
-    let report = device.run_with_policy(&reqs, RunConfig::ncq(reqs.len()), &mut policy);
-    assert_eq!(report.requests_completed, reqs.len() as u64);
-    let issue_order: Vec<u16> = report.queue_log.tracked().iter().map(|u| u.0).collect();
-    // Blocker first, then deadline order = reverse arrival order.
-    let mut expected: Vec<u16> = vec![0];
-    expected.extend((1..=n as u16).rev());
-    assert_eq!(
-        issue_order, expected,
-        "EDF inverted same-plane deadlines (probe records issue order)"
-    );
-}
-
 /// Every QoS policy is deterministic: the same tenant-tagged trace
 /// replayed twice produces bit-identical reports (per-tenant probe
 /// included) and identical flash state, for every spec in the sweep set.
@@ -1261,6 +1121,26 @@ fn qos_policies_are_deterministic_across_reruns() {
         }
         Ok(())
     });
+}
+
+/// Earliest deadline first, in the lanes as well as across them. No
+/// shipped policy overrides `lane_key`, so this fixture is what drives the
+/// scheduler's sorted lanes: the `qos8/deadline` golden rows and the
+/// arrival-before-wake tie rule.
+struct DeadlineLanes;
+
+impl QosPolicy for DeadlineLanes {
+    fn name(&self) -> &'static str {
+        "deadline"
+    }
+
+    fn rank(&mut self, _now: SimTime, c: &QosCandidate) -> (u64, u64) {
+        (self.lane_key(c), 0)
+    }
+
+    fn lane_key(&mut self, c: &QosCandidate) -> u64 {
+        c.deadline.map_or(u64::MAX, SimTime::as_nanos)
+    }
 }
 
 /// FNV-1a over a string — a stable 64-bit name for a flash digest.
@@ -1309,7 +1189,11 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
     ];
     let mut rows = Vec::new();
     for (tname, reqs) in &traces {
-        let mut row = |label: String, config: &SsdConfig, run: RunConfig| {
+        // `lanes` replaces the run's policy with a caller-owned one.
+        let mut row = |label: String,
+                       config: &SsdConfig,
+                       run: RunConfig,
+                       lanes: Option<&mut dyn QosPolicy>| {
             let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
             // The micro device has too few spares to survive a fault plan
             // for the whole trace; a third of it retires blocks already.
@@ -1317,7 +1201,10 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
                 true => &reqs[..],
                 false => &reqs[..reqs.len() / 3],
             };
-            let r = d.run_with(reqs, run);
+            let r = match lanes {
+                Some(policy) => d.run_with_policy(reqs, run, policy),
+                None => d.run_with(reqs, run),
+            };
             d.audit().expect("audit");
             rows.push((
                 format!("{tname}/{label}"),
@@ -1325,49 +1212,64 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
                 fnv(&flash_digest(&d)),
             ));
         };
-        let modes =
-            |gc: &str, config: &SsdConfig, row: &mut dyn FnMut(String, &SsdConfig, RunConfig)| {
-                row(format!("{gc}/open"), config, RunConfig::open());
-                row(format!("{gc}/gated"), config, RunConfig::gated());
-                row(format!("{gc}/closed4"), config, RunConfig::closed(4));
-                for depth in [1, 4, 32] {
-                    row(format!("{gc}/ncq{depth}"), config, RunConfig::ncq(depth));
-                }
-            };
-        modes("fg", &base, &mut row);
+        let modes = || {
+            [
+                ("open", RunConfig::open()),
+                ("gated", RunConfig::gated()),
+                ("closed4", RunConfig::closed(4)),
+                ("ncq1", RunConfig::ncq(1)),
+                ("ncq4", RunConfig::ncq(4)),
+                ("ncq32", RunConfig::ncq(32)),
+            ]
+        };
+        for (mode, run) in modes() {
+            row(format!("fg/{mode}"), &base, run, None);
+        }
         let lit = base.clone().with_energy(EnergyConfig::paper_default());
         for spec in QosSpec::all() {
             row(
                 format!("fg/qos8/{}", spec.name()),
                 &base,
                 RunConfig::qos(spec).queue_depth(8),
+                None,
             );
         }
+        row(
+            "fg/qos8/deadline".into(),
+            &base,
+            RunConfig::ncq(8),
+            Some(&mut DeadlineLanes),
+        );
         let cap = QosSpec::PowerCap { budget_uw: 200_000 };
         row(
             "fg/qos8/power-cap".into(),
             &lit,
             RunConfig::qos(cap).queue_depth(8),
+            None,
         );
         let bg = SsdConfig {
             background_gc: true,
             ..base.clone()
         };
-        modes("bg", &bg, &mut row);
+        for (mode, run) in modes() {
+            row(format!("bg/{mode}"), &bg, run, None);
+        }
         let bg_lit = bg.clone().with_energy(EnergyConfig::paper_default());
         row(
             "bg/qos8/power-cap".into(),
             &bg_lit,
             RunConfig::qos(cap).queue_depth(8),
+            None,
         );
         row(
             "bg/qos8/deadline".into(),
             &bg,
-            RunConfig::qos(QosSpec::Deadline).queue_depth(8),
+            RunConfig::ncq(8),
+            Some(&mut DeadlineLanes),
         );
         let faulty = base.clone().with_fault(FaultConfig::light(11));
-        row("fault/gated".into(), &faulty, RunConfig::gated());
-        row("fault/ncq32".into(), &faulty, RunConfig::ncq(32));
+        row("fault/gated".into(), &faulty, RunConfig::gated(), None);
+        row("fault/ncq32".into(), &faulty, RunConfig::ncq(32), None);
     }
     rows
 }
@@ -1382,9 +1284,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("mix/fg/ncq32", 0x82c85427886116a2, 0x4e23dbbe0a2fbb95),
     ("mix/fg/qos8/window-fifo", 0xa306e9ae0656a837, 0x4e23dbbe0a2fbb95),
     ("mix/fg/qos8/ncq", 0x4d6ebf1a33aa558c, 0x4e23dbbe0a2fbb95),
-    ("mix/fg/qos8/priority", 0x07cf4f78521ba251, 0x4e23dbbe0a2fbb95),
     ("mix/fg/qos8/deadline", 0x816546c4e479e9d4, 0x4e23dbbe0a2fbb95),
-    ("mix/fg/qos8/fair-share", 0xafb678975adc6a28, 0x4e23dbbe0a2fbb95),
     ("mix/fg/qos8/power-cap", 0xdb1eae1cfa7f77d0, 0x4e23dbbe0a2fbb95),
     ("mix/bg/open", 0x3105ee54aadf3d36, 0x4e23dbbe0a2fbb95),
     ("mix/bg/gated", 0xd36250f8de051367, 0x4e23dbbe0a2fbb95),
@@ -1404,9 +1304,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("burst/fg/ncq32", 0x450c9c3dc5b1e2bd, 0xf893fcef2faeb949),
     ("burst/fg/qos8/window-fifo", 0x407c78e1c56253de, 0xf893fcef2faeb949),
     ("burst/fg/qos8/ncq", 0x407c78e1c56253de, 0xf893fcef2faeb949),
-    ("burst/fg/qos8/priority", 0x407c78e1c56253de, 0xf893fcef2faeb949),
     ("burst/fg/qos8/deadline", 0xafdff9803a42b01c, 0xf893fcef2faeb949),
-    ("burst/fg/qos8/fair-share", 0x407c78e1c56253de, 0xf893fcef2faeb949),
     ("burst/fg/qos8/power-cap", 0x25a2fb6c4df3c1bd, 0xf893fcef2faeb949),
     ("burst/bg/open", 0xde70dacd834da6cf, 0xf893fcef2faeb949),
     ("burst/bg/gated", 0x6ffacfe14454c5f4, 0xf893fcef2faeb949),
@@ -1475,15 +1373,21 @@ fn done_of(report: &RunReport, req: u64) -> SimTime {
 #[test]
 fn an_arrival_coinciding_with_a_wake_fires_first() {
     use dloop_repro::host::report_fingerprint;
-    let edf = || RunConfig::qos(QosSpec::Deadline).queue_depth(8);
+    let edf = |reqs: &[HostRequest]| {
+        let config = SsdConfig::micro_gc_test();
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+        let report = device.run_with_policy(reqs, RunConfig::ncq(8), &mut DeadlineLanes);
+        device.audit().expect("audit");
+        report
+    };
     let a = page_req(SimTime::ZERO, 0, HostOp::Write);
-    let t = done_of(&run_dloop_micro(&[a], edf()), 0);
+    let t = done_of(&edf(&[a]), 0);
     let b = page_req(SimTime::from_micros(10), 4, HostOp::Write);
     let c = HostRequest {
         deadline: Some(t + SimDuration::from_millis(1)),
         ..page_req(t, 8, HostOp::Write)
     };
-    let report = run_dloop_micro(&[a, b, c], edf());
+    let report = edf(&[a, b, c]);
     assert_eq!(done_of(&report, 0), t, "A is undisturbed");
     assert!(
         done_of(&report, 2) < done_of(&report, 1),

@@ -147,7 +147,7 @@ fn queue_depth_csv_per_tenant_blocks_shape_and_conservation() {
         &trace.requests,
         ReplayMode::Qos {
             queue_depth: 4,
-            policy: QosSpec::fair_share(),
+            policy: QosSpec::WindowFifo,
         }
         .into(),
     );
