@@ -1,7 +1,7 @@
-//! Behavioural integration tests for DFTL, FAST and the ideal page map,
-//! driven through the full device stack.
+//! Behavioural integration tests for DFTL and FAST, driven through the
+//! full device stack.
 
-use dloop_baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
+use dloop_baselines::{DftlFtl, FastFtl};
 use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_ftl_kit::request::{HostOp, HostRequest};
@@ -284,58 +284,6 @@ mod fast {
         let rb = b.run_with(&mk(), RunConfig::open());
         assert_eq!(ra.mean_response_time_ms(), rb.mean_response_time_ms());
         assert_eq!(ra.ftl, rb.ftl);
-    }
-}
-
-mod ideal {
-    use super::*;
-
-    fn device(config: &SsdConfig) -> SsdDevice {
-        SsdDevice::new(config.clone(), Box::new(IdealPageMapFtl::new(config)))
-    }
-
-    #[test]
-    fn basic_round_trip_and_striping() {
-        let config = SsdConfig::tiny_test();
-        let mut d = device(&config);
-        let planes = d.flash().geometry().total_planes() as u64;
-        d.run_with(&[w(0, 0, 2 * planes as u32)], RunConfig::open());
-        for lpn in 0..2 * planes {
-            let ppn = d.ftl().mapped_ppn(lpn).unwrap();
-            assert_eq!(d.flash().geometry().plane_of_ppn(ppn) as u64, lpn % planes);
-        }
-        d.audit().unwrap();
-    }
-
-    #[test]
-    fn no_translation_traffic_ever() {
-        let config = SsdConfig::micro_gc_test();
-        let mut d = device(&config);
-        let user = d.flash().geometry().user_pages();
-        let rep = d.run_with(
-            &random_write_trace(11, 10_000, user / 2, 50),
-            RunConfig::open(),
-        );
-        assert_eq!(rep.ftl.translation_reads, 0);
-        assert_eq!(rep.ftl.translation_writes, 0);
-        assert!(rep.ftl.gc_invocations > 0);
-        d.audit().unwrap();
-    }
-
-    #[test]
-    fn ideal_is_at_least_as_fast_as_dloop() {
-        let mk = || random_write_trace(17, 8000, 1500, 120);
-        let config = SsdConfig::micro_gc_test();
-        let mut ideal = device(&config);
-        let ri = ideal.run_with(&mk(), RunConfig::open());
-        let mut dl = SsdDevice::new(config.clone(), Box::new(dloop::DloopFtl::new(&config)));
-        let rd = dl.run_with(&mk(), RunConfig::open());
-        assert!(
-            ri.mean_response_time_ms() <= rd.mean_response_time_ms() * 1.05,
-            "IDEAL {} ms should not lose to DLOOP {} ms",
-            ri.mean_response_time_ms(),
-            rd.mean_response_time_ms()
-        );
     }
 }
 

@@ -1,8 +1,8 @@
 //! Simulator throughput: wall-clock requests/second each FTL sustains —
 //! the practical limit on how big an experiment grid can get.
 
-use dloop_bench::build_ftl;
-use dloop_ftl_kit::config::{FtlKind, SsdConfig};
+use dloop_bench::{build_ftl, ftl_cases};
+use dloop_ftl_kit::config::SsdConfig;
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_simkit::bench::Bench;
 use dloop_workloads::WorkloadProfile;
@@ -17,13 +17,8 @@ fn main() {
     let mut bench = Bench::new("ftl_throughput")
         .samples(10)
         .throughput_elements(N);
-    for kind in [
-        FtlKind::Dloop,
-        FtlKind::Dftl,
-        FtlKind::Fast,
-        FtlKind::IdealPageMap,
-    ] {
-        bench.case(kind.name(), || {
+    for (name, kind, config) in ftl_cases(&config) {
+        bench.case(name, || {
             let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             device
                 .run_with(&trace.requests, RunConfig::open())

@@ -2,7 +2,7 @@
 //! bursts for each reclamation style (copy-back vs external vs DFTL's
 //! global greedy).
 
-use dloop_bench::{build_ftl, RunSpec};
+use dloop_bench::{build_ftl, ideal_config, RunSpec};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_ftl_kit::request::{HostOp, HostRequest};
@@ -10,9 +10,7 @@ use dloop_simkit::bench::Bench;
 use dloop_simkit::{SimRng, SimTime};
 use dloop_workloads::synth::sequential_fill;
 
-fn gc_burst(kind: FtlKind, copyback: bool) -> u64 {
-    let mut config = SsdConfig::micro_gc_test();
-    config.copyback_enabled = copyback;
+fn gc_burst(kind: FtlKind, config: &SsdConfig) -> u64 {
     let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let user = device.flash().geometry().user_pages();
     device.warm_up(&sequential_fill(user, 0.8, 16).requests);
@@ -31,11 +29,17 @@ fn gc_burst(kind: FtlKind, copyback: bool) -> u64 {
 }
 
 fn main() {
+    let copyback = SsdConfig::micro_gc_test();
+    let external = SsdConfig {
+        copyback_enabled: false,
+        ..copyback.clone()
+    };
+    let ideal = ideal_config(&copyback);
     let mut bench = Bench::new("gc_burst_4k_updates").samples(10);
-    bench.case("dloop_copyback", || gc_burst(FtlKind::Dloop, true));
-    bench.case("dloop_external", || gc_burst(FtlKind::Dloop, false));
-    bench.case("dftl_global", || gc_burst(FtlKind::Dftl, true));
-    bench.case("ideal_pagemap", || gc_burst(FtlKind::IdealPageMap, true));
+    bench.case("dloop_copyback", || gc_burst(FtlKind::Dloop, &copyback));
+    bench.case("dloop_external", || gc_burst(FtlKind::Dloop, &external));
+    bench.case("dftl_global", || gc_burst(FtlKind::Dftl, &copyback));
+    bench.case("ideal", || gc_burst(FtlKind::Dloop, &ideal));
 
     // End-to-end RunSpec execution (what the figure harness does per cell).
     let mut bench = Bench::new("runspec").samples(10);

@@ -7,10 +7,10 @@
 //! | DLOOP -spread | translation pages clustered on plane 0 — §II.B |
 //! | DLOOP die-serial | no plane-level parallelism inside a die — §II.C |
 //! | DLOOP bg-gc | GC deferred into idle gaps |
-//! | IDEAL | free SRAM mapping: bounds demand-caching overhead |
+//! | IDEAL | DLOOP with a CMT that holds every entry: bounds demand-caching overhead |
 
 use super::ExpOptions;
-use crate::runner::{run_grid, RunSpec};
+use crate::runner::{ideal_config, run_grid, RunSpec};
 use crate::table::{f, f2, Table};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_workloads::WorkloadProfile;
@@ -32,12 +32,13 @@ fn variants(base: &SsdConfig) -> Vec<(&'static str, FtlKind, SsdConfig)> {
         ("DLOOP die-serial", FtlKind::Dloop, die_serial),
         ("DLOOP bg-gc", FtlKind::Dloop, bg),
         ("DFTL", FtlKind::Dftl, base.clone()),
-        ("IDEAL", FtlKind::IdealPageMap, base.clone()),
+        ("IDEAL", FtlKind::Dloop, ideal_config(base)),
     ]
 }
 
 /// Run the ablation grid on the two most telling workloads, against an
-/// aged (80% pre-filled) 4 GB device so GC economics are visible.
+/// aged (80% pre-filled) device of 4 GB / scale so GC economics are
+/// visible.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let base = SsdConfig::paper_default().with_capacity_gb(opts.scaled_capacity(4));
     let vars = variants(&base);
@@ -62,7 +63,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let reports = run_grid(specs, opts.workers, |r| r);
 
     let mut table = Table::new(
-        format!("Ablations at 4 GB, 80% pre-filled (scale 1/{})", opts.scale),
+        format!(
+            "Ablations at {} GB, 80% pre-filled (scale 1/{})",
+            base.capacity_gb, opts.scale
+        ),
         &[
             "trace",
             "variant",

@@ -15,4 +15,4 @@ pub mod experiments;
 pub mod runner;
 pub mod table;
 
-pub use runner::{build_ftl, run_spec, RunSpec};
+pub use runner::{build_ftl, ftl_cases, ideal_config, run_spec, RunSpec};

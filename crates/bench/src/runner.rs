@@ -5,7 +5,7 @@
 //! share their runs.
 
 use dloop::DloopFtl;
-use dloop_baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
+use dloop_baselines::{DftlFtl, FastFtl};
 use dloop_ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_ftl_kit::ftl::Ftl;
@@ -20,8 +20,28 @@ pub fn build_ftl(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
         FtlKind::Dloop => Box::new(DloopFtl::new(config)),
         FtlKind::Dftl => Box::new(DftlFtl::new(config)),
         FtlKind::Fast => Box::new(FastFtl::new(config)),
-        FtlKind::IdealPageMap => Box::new(IdealPageMapFtl::new(config)),
     }
+}
+
+/// The ablation's IDEAL bound: `config` with a CMT that holds every
+/// entry, so DLOOP over it never demand-caches a mapping.
+pub fn ideal_config(config: &SsdConfig) -> SsdConfig {
+    SsdConfig {
+        cmt_capacity: config.geometry().user_pages() as usize,
+        ..config.clone()
+    }
+}
+
+/// The FTL cases the integration tests sweep, as `(label, kind, config)`
+/// like the ablation's rows: the paper's three schemes over `config`, and
+/// IDEAL ([`ideal_config`]).
+pub fn ftl_cases(config: &SsdConfig) -> [(&'static str, FtlKind, SsdConfig); 4] {
+    [
+        ("DLOOP", FtlKind::Dloop, config.clone()),
+        ("DFTL", FtlKind::Dftl, config.clone()),
+        ("FAST", FtlKind::Fast, config.clone()),
+        ("IDEAL", FtlKind::Dloop, ideal_config(config)),
+    ]
 }
 
 /// A fully specified experiment run.
@@ -160,14 +180,13 @@ mod tests {
 
     #[test]
     fn every_kind_runs() {
-        for kind in [
-            FtlKind::Dloop,
-            FtlKind::Dftl,
-            FtlKind::Fast,
-            FtlKind::IdealPageMap,
-        ] {
-            let report = spec(kind).run();
-            assert_eq!(report.requests_completed, 2_000, "{kind:?}");
+        for (label, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let report = RunSpec {
+                config,
+                ..spec(kind)
+            }
+            .run();
+            assert_eq!(report.requests_completed, 2_000, "{label}");
             assert_eq!(report.ftl_name, kind.name());
         }
     }

@@ -15,10 +15,10 @@
 //! mapping); translation pages resident in the victim move by copy-back
 //! like data, unless the same GC pass is about to rewrite them anyway.
 //!
-//! The victim scan is `PlaneState::gc_candidates`; the sweep and the
-//! parity-ordered relocation loop ([`GcEngine::relocate`]) are also what
-//! the IDEAL ablation FTL runs, with its own map update. The feasibility
-//! check and the progress bound are DLOOP's alone.
+//! The victim scan is `PlaneState::gc_candidates`. The ablation's IDEAL
+//! bound is this collector under a CMT that holds every entry: the
+//! feasibility check and the progress bound run there too, and never
+//! fire on any shipped IDEAL cell.
 
 use crate::alloc::{BlockClass, PlaneAllocator};
 use crate::ftl::Placement;
@@ -94,77 +94,16 @@ impl GcEngine {
         }
     }
 
-    /// The front half of a pass: scan `plane`
-    /// ([`dloop_nand::plane::PlaneState::gc_candidates`]), then sweep or
-    /// name the victim. `Err(reclaimed)` ends the pass — fully-invalid
-    /// blocks were erased (`true`) or no block has an invalid page
-    /// (`false`); `Ok(victim)` is the max-invalid block, still part live.
-    pub fn sweep_or_pick(
-        &mut self,
-        plane: PlaneId,
-        exclude: &[u32],
-        counters: &mut FtlCounters,
-        ctx: &mut FtlContext<'_>,
-    ) -> Result<u32, bool> {
-        self.sweep.clear();
-        let victim = ctx
-            .flash
-            .plane(plane)
-            .gc_candidates(exclude, &mut self.sweep);
-        // §III.C's "most desirable case": victims with no valid pages are
-        // reclaimed by a bare erase. Sweep all of them first — they are
-        // pure gain and keep the pool from starving while move-based
-        // collections are in flight (rewrites keep minting fully-invalid
-        // translation blocks).
-        if !self.sweep.is_empty() {
-            counters.gc_invocations += 1;
-            for &index in &self.sweep {
-                ctx.erase(BlockAddr { plane, index });
-            }
-            return Err(true);
-        }
-        match victim {
-            // Everything is live; collecting would reclaim nothing.
-            None | Some((0, _)) => Err(false),
-            Some((_, victim)) => Ok(victim),
-        }
-    }
-
-    /// Queue the live pages of `victim` for [`GcEngine::relocate`], except
-    /// the translation pages `rewrite` claims: those are read-modify-written
-    /// by the caller instead of moved.
-    pub fn queue_live_pages(
-        &mut self,
-        plane: PlaneId,
-        victim: u32,
-        ctx: &FtlContext<'_>,
-        mut rewrite: impl FnMut(u64) -> bool,
-    ) {
-        debug_assert!(self.moves.iter().all(|q| q.is_empty()) && self.rewrite_now.is_empty());
-        for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
-            let ppn = ctx.flash.geometry().ppn_of(PageAddr {
-                plane,
-                block: victim,
-                page: off,
-            });
-            let owner = ctx.dir.owner(ppn);
-            match owner {
-                PageOwner::Translation(tvpn) if rewrite(tvpn) => self.rewrite_now.push(tvpn),
-                _ => self.moves[(off & 1) as usize].push_back((off, ppn, owner)),
-            }
-        }
-    }
-
     /// Move every queued page into `plane`'s active blocks in parity
-    /// order, `remap` telling the owner's map about each `(owner, old_ppn,
-    /// new_ppn)` before the source is invalidated.
-    pub fn relocate(
+    /// order, telling the map about each move before the source is
+    /// invalidated.
+    fn relocate(
         &mut self,
         plane: PlaneId,
+        dm: &mut DemandMap,
         alloc: &mut PlaneAllocator,
         counters: &mut FtlCounters,
         ctx: &mut FtlContext<'_>,
-        mut remap: impl FnMut(PageOwner, Ppn, Ppn, &mut FtlContext<'_>),
     ) {
         // Moves are reordered so that source parity matches the
         // destination write pointer's parity whenever both parities are
@@ -227,7 +166,7 @@ impl GcEngine {
             // Failed program attempts repeat the whole move.
             ctx.drain_failed_programs(step);
             let new_ppn = ctx.flash.geometry().ppn_of(new_addr);
-            remap(owner, old_ppn, new_ppn, ctx);
+            dm.gc_remap(owner, old_ppn, new_ppn, ctx);
             ctx.flash.invalidate(old_ppn).expect("GC source not valid");
             ctx.dir.clear(old_ppn);
         }
@@ -245,9 +184,27 @@ impl GcEngine {
     ) -> bool {
         // Neither a swept block nor the victim may be an active block.
         let exclude = place.alloc.exclusions(plane);
-        let victim = match self.sweep_or_pick(plane, &exclude, counters, ctx) {
-            Ok(victim) => victim,
-            Err(reclaimed) => return reclaimed,
+        self.sweep.clear();
+        let victim = ctx
+            .flash
+            .plane(plane)
+            .gc_candidates(&exclude, &mut self.sweep);
+        // §III.C's "most desirable case": victims with no valid pages are
+        // reclaimed by a bare erase. Sweep all of them first — they are
+        // pure gain and keep the pool from starving while move-based
+        // collections are in flight (rewrites keep minting fully-invalid
+        // translation blocks).
+        if !self.sweep.is_empty() {
+            counters.gc_invocations += 1;
+            for &index in &self.sweep {
+                ctx.erase(BlockAddr { plane, index });
+            }
+            return true;
+        }
+        let victim = match victim {
+            // Everything is live; collecting would reclaim nothing.
+            None | Some((0, _)) => return false,
+            Some((_, victim)) => victim,
         };
         // Feasibility: relocating the victim's live pages (plus parity
         // waste and a few translation rewrites) must fit in the pages this
@@ -273,16 +230,22 @@ impl GcEngine {
         // one go), or in clustered mode, where an intra-plane move would
         // pin translation pages to plane 0 forever while the rewrite path
         // can spill to planes with room.
-        self.queue_live_pages(plane, victim, ctx, |tvpn| {
-            dm.pending_count(tvpn) > 0 || !place.spread
-        });
-        self.relocate(
-            plane,
-            &mut place.alloc,
-            counters,
-            ctx,
-            |owner, old_ppn, new_ppn, ctx| dm.gc_remap(owner, old_ppn, new_ppn, ctx),
-        );
+        debug_assert!(self.moves.iter().all(|q| q.is_empty()) && self.rewrite_now.is_empty());
+        for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
+            let ppn = ctx.flash.geometry().ppn_of(PageAddr {
+                plane,
+                block: victim,
+                page: off,
+            });
+            let owner = ctx.dir.owner(ppn);
+            match owner {
+                PageOwner::Translation(tvpn) if dm.pending_count(tvpn) > 0 || !place.spread => {
+                    self.rewrite_now.push(tvpn)
+                }
+                _ => self.moves[(off & 1) as usize].push_back((off, ppn, owner)),
+            }
+        }
+        self.relocate(plane, dm, &mut place.alloc, counters, ctx);
 
         // Rewrites whose current copy sits in the victim must read it
         // before the erase.

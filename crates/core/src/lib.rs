@@ -18,9 +18,10 @@
 //! * per-plane request counts stay balanced (low SDRPP), which implicitly
 //!   wear-levels the device.
 //!
-//! Modules: [`alloc`] (per-plane current-free-block pointers and the
-//! same-parity policy), [`gc`] (copy-back garbage collection) and [`ftl`]
-//! (the [`DloopFtl`] scheme and where its translation pages live).
+//! Modules: `alloc` (per-plane current-free-block pointers and the
+//! same-parity policy), `gc` (copy-back garbage collection) and [`ftl`]
+//! (the [`DloopFtl`] scheme and where its translation pages live). Only
+//! [`DloopFtl`] is public.
 //!
 //! ## Example
 //!
@@ -45,10 +46,8 @@
 //! device.audit().unwrap();
 //! ```
 
-pub mod alloc;
+mod alloc;
 pub mod ftl;
-pub mod gc;
+mod gc;
 
-pub use alloc::PlaneAllocator;
 pub use ftl::DloopFtl;
-pub use gc::GcEngine;

@@ -287,3 +287,66 @@ fn mixed_workload_audits_clean_after_heavy_gc() {
         report.waf()
     );
 }
+
+/// The ablation's IDEAL bound: DLOOP over a CMT that holds every entry,
+/// so the mapping is never demand-cached.
+mod ideal {
+    use super::*;
+
+    fn device(config: &SsdConfig) -> SsdDevice {
+        let config = SsdConfig {
+            cmt_capacity: config.geometry().user_pages() as usize,
+            ..config.clone()
+        };
+        dloop_device(&config)
+    }
+
+    fn random_write_trace(seed: u64, n: u64, space: u64, gap_us: u64) -> Vec<HostRequest> {
+        let mut rng = SimRng::new(seed);
+        (0..n).map(|i| w(i * gap_us, rng.below(space), 1)).collect()
+    }
+
+    #[test]
+    fn basic_round_trip_and_striping() {
+        let config = SsdConfig::tiny_test();
+        let mut d = device(&config);
+        let planes = d.flash().geometry().total_planes() as u64;
+        d.run_with(&[w(0, 0, 2 * planes as u32)], RunConfig::open());
+        for lpn in 0..2 * planes {
+            let ppn = d.ftl().mapped_ppn(lpn).unwrap();
+            assert_eq!(d.flash().geometry().plane_of_ppn(ppn) as u64, lpn % planes);
+        }
+        d.audit().unwrap();
+    }
+
+    #[test]
+    fn no_translation_traffic_ever() {
+        let config = SsdConfig::micro_gc_test();
+        let mut d = device(&config);
+        let user = d.flash().geometry().user_pages();
+        let rep = d.run_with(
+            &random_write_trace(11, 10_000, user / 2, 50),
+            RunConfig::open(),
+        );
+        assert_eq!(rep.ftl.translation_reads, 0);
+        assert_eq!(rep.ftl.translation_writes, 0);
+        assert!(rep.ftl.gc_invocations > 0);
+        d.audit().unwrap();
+    }
+
+    #[test]
+    fn ideal_is_at_least_as_fast_as_dloop() {
+        let mk = || random_write_trace(17, 8000, 1500, 120);
+        let config = SsdConfig::micro_gc_test();
+        let mut ideal = device(&config);
+        let ri = ideal.run_with(&mk(), RunConfig::open());
+        let mut dl = dloop_device(&config);
+        let rd = dl.run_with(&mk(), RunConfig::open());
+        assert!(
+            ri.mean_response_time_ms() <= rd.mean_response_time_ms() * 1.05,
+            "IDEAL {} ms should not lose to DLOOP {} ms",
+            ri.mean_response_time_ms(),
+            rd.mean_response_time_ms()
+        );
+    }
+}

@@ -12,8 +12,6 @@ pub enum FtlKind {
     Dftl,
     /// Lee et al.'s fully-associative log-block hybrid FTL.
     Fast,
-    /// Page mapping with unlimited SRAM (ablation bound).
-    IdealPageMap,
 }
 
 impl FtlKind {
@@ -23,7 +21,6 @@ impl FtlKind {
             FtlKind::Dloop => "DLOOP",
             FtlKind::Dftl => "DFTL",
             FtlKind::Fast => "FAST",
-            FtlKind::IdealPageMap => "IDEAL",
         }
     }
 

@@ -1,12 +1,12 @@
-//! FTL shootout: run the same enterprise-like workload through all four
-//! translation layers and compare the paper's metrics side by side.
+//! FTL shootout: run the same enterprise-like workload through DLOOP,
+//! DFTL, FAST and the IDEAL bound (DLOOP with a CMT that holds every
+//! entry) and compare the paper's metrics side by side.
 //!
 //! ```text
 //! cargo run --release --example ftl_shootout [requests]
 //! ```
 
-use dloop_repro::baselines::{DftlFtl, FastFtl, IdealPageMapFtl};
-use dloop_repro::dloop_ftl::DloopFtl;
+use dloop_bench::{build_ftl, ftl_cases};
 use dloop_repro::prelude::*;
 use dloop_repro::workloads::synth::sequential_fill;
 use dloop_repro::workloads::WorkloadProfile;
@@ -36,19 +36,12 @@ fn main() {
     );
     println!();
 
-    let ftls: Vec<Box<dyn Ftl>> = vec![
-        Box::new(DloopFtl::new(&config)),
-        Box::new(DftlFtl::new(&config)),
-        Box::new(FastFtl::new(&config)),
-        Box::new(IdealPageMapFtl::new(&config)),
-    ];
-
     println!(
         "{:<10} {:>10} {:>10} {:>8} {:>6} {:>8} {:>8} {:>7}",
         "FTL", "MRT ms", "p99 ms", "lnSDRPP", "WAF", "GCs", "erases", "cb %"
     );
-    for ftl in ftls {
-        let mut device = SsdDevice::new(config.clone(), ftl);
+    for (name, kind, config) in ftl_cases(&config) {
+        let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         // Age the device to 75% full so GC economics show.
         let fill = sequential_fill(config.geometry().user_pages(), 0.75, 64);
         device.warm_up(&fill.requests);
@@ -56,7 +49,7 @@ fn main() {
         device.audit().expect("consistent");
         println!(
             "{:<10} {:>10.4} {:>10.3} {:>8.2} {:>6.2} {:>8} {:>8} {:>7.1}",
-            report.ftl_name,
+            name,
             report.mean_response_time_ms(),
             report.response_percentile_ms(0.99),
             report.ln_sdrpp(),

@@ -117,11 +117,13 @@ cargo fmt --check
 echo "==> cargo build --release (tier-1)"
 cargo build --release --offline
 
+# --no-fail-fast: a failing test binary must not hide the results of the
+# binaries after it; the step still fails if any test does.
 echo "==> cargo test -q (tier-1)"
-cargo test -q --offline
+cargo test -q --offline --no-fail-fast
 
 echo "==> cargo test -q --workspace"
-cargo test -q --offline --workspace
+cargo test -q --offline --workspace --no-fail-fast
 
 echo "==> trace-sink smoke (ring replay, artifacts parse and reconcile)"
 # The trace subcommand replays into one RingSink that never evicts and
@@ -275,10 +277,11 @@ cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_iden
 cargo test -q --release --offline --test replay_modes sharded_requests_that_fall_back_name_their_guard
 
 echo "==> committed results regenerate (every table but fig9 at default flags, byte-equal)"
-# Between them fig8, fig10 and ablation run every FTL (DLOOP, DFTL, FAST,
-# IDEAL and the ablation variants) on the paper's traces, so any change
-# that moves a simulated number shows up as a CSV diff here; params,
-# traces, copyback, striping and channels take seconds. One process runs
+# Between them fig8, fig10 and ablation run every FTL (DLOOP, DFTL, FAST
+# and the ablation variants, IDEAL among them as DLOOP over a CMT that
+# holds every entry) on the paper's traces, so any change that moves a
+# simulated number shows up as a CSV diff here; params, traces, copyback,
+# striping and channels take seconds. One process runs
 # them all, so headline and verify's C2-C6 and C8 read the cells fig8 and
 # fig10 ran, and claims_0.csv costs only C7 and C9-C16. Only
 # fig9_pagesize_*.csv is not regenerated here: it reproduces with no known

@@ -3,14 +3,13 @@
 //! experiment machinery. The paper's comparisons are only meaningful if a
 //! scheme's numbers do not wobble between runs.
 
-use dloop_bench::build_ftl;
+use dloop_bench::{build_ftl, ftl_cases};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::metrics::RunReport;
 use dloop_repro::workloads::WorkloadProfile;
 
-fn run_once(kind: FtlKind, seed: u64) -> RunReport {
-    let config = SsdConfig::micro_gc_test();
+fn run_once(kind: FtlKind, config: &SsdConfig, seed: u64) -> RunReport {
     let mut profile = WorkloadProfile::financial1();
     profile.footprint_bytes = 1 << 28;
     let trace = profile.generate_scaled(seed, config.geometry().page_size, 4000);
@@ -31,27 +30,22 @@ fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64, String, Vec<u64>) {
 
 #[test]
 fn identical_seeds_are_bit_identical_for_every_ftl() {
-    for kind in [
-        FtlKind::Dloop,
-        FtlKind::Dftl,
-        FtlKind::Fast,
-        FtlKind::IdealPageMap,
-    ] {
-        let a = run_once(kind, 42);
-        let b = run_once(kind, 42);
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{kind:?}");
+    for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+        let a = run_once(kind, &config, 42);
+        let b = run_once(kind, &config, 42);
+        assert_eq!(fingerprint(&a), fingerprint(&b), "{name}");
         assert_eq!(
             a.mean_response_time_ms().to_bits(),
             b.mean_response_time_ms().to_bits(),
-            "{kind:?}: MRT must be bit-identical"
+            "{name}: MRT must be bit-identical"
         );
     }
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_once(FtlKind::Dloop, 1);
-    let b = run_once(FtlKind::Dloop, 2);
+    let a = run_once(FtlKind::Dloop, &SsdConfig::micro_gc_test(), 1);
+    let b = run_once(FtlKind::Dloop, &SsdConfig::micro_gc_test(), 2);
     assert_ne!(
         a.mean_response_time_ms().to_bits(),
         b.mean_response_time_ms().to_bits()

@@ -2,20 +2,13 @@
 //! (workload generator → controller → hardware model → flash state), with
 //! deep audits after every scenario.
 
-use dloop_bench::build_ftl;
+use dloop_bench::{build_ftl, ftl_cases, ideal_config};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::{SimRng, SimTime};
 use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
 use dloop_repro::workloads::WorkloadProfile;
-
-const ALL_KINDS: [FtlKind; 4] = [
-    FtlKind::Dloop,
-    FtlKind::Dftl,
-    FtlKind::Fast,
-    FtlKind::IdealPageMap,
-];
 
 fn w(at_us: u64, lpn: u64, pages: u32) -> HostRequest {
     HostRequest {
@@ -41,8 +34,7 @@ fn r(at_us: u64, lpn: u64, pages: u32) -> HostRequest {
 /// across GC of any intensity — for every FTL.
 #[test]
 fn written_data_stays_readable_under_gc_pressure() {
-    for kind in ALL_KINDS {
-        let config = SsdConfig::micro_gc_test();
+    for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
         let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let user = device.flash().geometry().user_pages();
         let mut rng = SimRng::new(7);
@@ -58,7 +50,7 @@ fn written_data_stays_readable_under_gc_pressure() {
         device.run_with(&reqs, RunConfig::open());
         device
             .audit()
-            .unwrap_or_else(|e| panic!("{kind:?}: audit failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: audit failed: {e}"));
 
         // Every written page must still be mapped to live flash (FAST
         // resolves data-block mappings through the flash state, so it is
@@ -67,7 +59,7 @@ fn written_data_stays_readable_under_gc_pressure() {
             for &lpn in &written {
                 assert!(
                     device.ftl().mapped_ppn(lpn).is_some(),
-                    "{kind:?}: lpn {lpn} lost its mapping"
+                    "{name}: lpn {lpn} lost its mapping"
                 );
             }
         }
@@ -84,11 +76,11 @@ fn written_data_stays_readable_under_gc_pressure() {
         // for CMT misses come on top for the demand-mapped schemes).
         assert!(
             report.hw.reads - before >= written.len() as u64,
-            "{kind:?}: {} reads for {} written pages",
+            "{name}: {} reads for {} written pages",
             report.hw.reads - before,
             written.len()
         );
-        assert_eq!(report.pages_read, written.len() as u64, "{kind:?}");
+        assert_eq!(report.pages_read, written.len() as u64, "{name}");
         device.audit().unwrap();
     }
 }
@@ -96,11 +88,10 @@ fn written_data_stays_readable_under_gc_pressure() {
 /// Reads of never-written LPNs touch no flash for any FTL.
 #[test]
 fn unwritten_reads_touch_nothing() {
-    for kind in ALL_KINDS {
-        let config = SsdConfig::tiny_test();
+    for (name, kind, config) in ftl_cases(&SsdConfig::tiny_test()) {
         let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let report = device.run_with(&[r(0, 5000, 4), r(100, 9999, 1)], RunConfig::open());
-        assert_eq!(report.hw.reads, 0, "{kind:?}");
+        assert_eq!(report.hw.reads, 0, "{name}");
     }
 }
 
@@ -108,23 +99,22 @@ fn unwritten_reads_touch_nothing() {
 /// clean and forces GC on every FTL.
 #[test]
 fn aged_device_survives_random_updates() {
-    for kind in ALL_KINDS {
-        let config = SsdConfig::micro_gc_test();
+    for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
         let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let user = device.flash().geometry().user_pages();
         let fill = sequential_fill(user, 0.7, 16);
         device.warm_up(&fill.requests);
-        device.audit().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        device.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
 
         let mut rng = SimRng::new(13);
         let reqs: Vec<_> = (0..6000)
             .map(|i| w(i * 150, rng.below(user * 7 / 10), 1))
             .collect();
         let report = device.run_with(&reqs, RunConfig::open());
-        device.audit().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        device.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             report.total_erases > 0,
-            "{kind:?}: aged random updates must trigger reclamation"
+            "{name}: aged random updates must trigger reclamation"
         );
     }
 }
@@ -136,14 +126,13 @@ fn paper_workloads_run_clean_on_all_ftls() {
         let mut p = profile.clone();
         p.footprint_bytes = 1 << 28; // keep the micro test quick
         let trace = p.generate_scaled(3, 2048, 2500);
-        for kind in ALL_KINDS {
-            let config = SsdConfig::micro_gc_test();
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
             let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let report = device.run_with(&trace.requests, RunConfig::open());
             assert_eq!(report.requests_completed, trace.len() as u64);
             device
                 .audit()
-                .unwrap_or_else(|e| panic!("{kind:?} on {}: {e}", profile.name));
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", profile.name));
         }
     }
 }
@@ -152,12 +141,11 @@ fn paper_workloads_run_clean_on_all_ftls() {
 /// count each page.
 #[test]
 fn multi_page_requests_account_pages() {
-    for kind in ALL_KINDS {
-        let config = SsdConfig::tiny_test();
+    for (name, kind, config) in ftl_cases(&SsdConfig::tiny_test()) {
         let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let report = device.run_with(&[w(0, 0, 16), r(20_000, 0, 16)], RunConfig::open());
-        assert_eq!(report.pages_written, 16, "{kind:?}");
-        assert_eq!(report.pages_read, 16, "{kind:?}");
+        assert_eq!(report.pages_written, 16, "{name}");
+        assert_eq!(report.pages_read, 16, "{name}");
         device.audit().unwrap();
     }
 }
@@ -270,8 +258,8 @@ fn closed_loop_bounds_queueing() {
 /// QD=1 fully serialises: completion time equals the sum of service times.
 #[test]
 fn closed_loop_qd1_serialises() {
-    let config = SsdConfig::tiny_test();
-    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::IdealPageMap, &config));
+    let config = ideal_config(&SsdConfig::tiny_test());
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     // Ten writes to the same plane, all arriving at once.
     let planes = config.geometry().total_planes() as u64;
     let burst: Vec<_> = (0..10u64).map(|i| w(0, i * planes, 1)).collect();
@@ -330,9 +318,9 @@ fn gated_mode_matches_state_and_orders_sanely() {
 /// plane's single op behind it in FIFO order.
 #[test]
 fn gated_mode_skips_blocked_ops() {
-    let config = SsdConfig::tiny_test();
+    let config = ideal_config(&SsdConfig::tiny_test());
     let planes = config.geometry().total_planes() as u64;
-    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::IdealPageMap, &config));
+    let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
     // Ten writes to plane 0 (lpns ≡ 0 mod planes), then one to plane 1,
     // all arriving together.
     let mut reqs: Vec<_> = (0..10u64).map(|i| w(0, i * planes, 1)).collect();
@@ -376,8 +364,7 @@ fn latency_breakdown_is_populated() {
 /// trajectories (issue order is arrival order in all of them).
 #[test]
 fn replay_modes_agree_on_state_for_all_ftls() {
-    for kind in ALL_KINDS {
-        let config = SsdConfig::micro_gc_test();
+    for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
         let mut rng = SimRng::new(31);
         let reqs: Vec<_> = (0..2500u64)
             .map(|i| w(i * 150, rng.below(1500), 1))
@@ -390,9 +377,9 @@ fn replay_modes_agree_on_state_for_all_ftls() {
         let mut gated = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let c = gated.run_with(&reqs, RunConfig::gated());
 
-        assert_eq!(a.total_programs, b.total_programs, "{kind:?} closed");
-        assert_eq!(a.total_programs, c.total_programs, "{kind:?} gated");
-        assert_eq!(a.total_erases, c.total_erases, "{kind:?}");
+        assert_eq!(a.total_programs, b.total_programs, "{name} closed");
+        assert_eq!(a.total_programs, c.total_programs, "{name} gated");
+        assert_eq!(a.total_erases, c.total_erases, "{name}");
         open.audit().unwrap();
         closed.audit().unwrap();
         gated.audit().unwrap();

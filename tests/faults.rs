@@ -4,7 +4,7 @@
 //! runs and across replay modes), and a zero-BER plan is indistinguishable
 //! from the fault-free simulator.
 
-use dloop_bench::build_ftl;
+use dloop_bench::{build_ftl, ftl_cases};
 use dloop_repro::faults::{FaultConfig, FaultPlan, MediaCounters};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
@@ -13,13 +13,6 @@ use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::SimTime;
 use dloop_repro::{check_assert, check_assert_eq};
-
-const KINDS: [FtlKind; 4] = [
-    FtlKind::Dloop,
-    FtlKind::Dftl,
-    FtlKind::Fast,
-    FtlKind::IdealPageMap,
-];
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -83,8 +76,13 @@ fn requests(ops: &[Op]) -> Vec<HostRequest> {
     reqs
 }
 
-fn drive(kind: FtlKind, fault: &FaultConfig, ops: &[Op]) -> (SsdDevice, RunReport) {
-    let config = SsdConfig::micro_gc_test().with_fault(fault.clone());
+fn drive(
+    kind: FtlKind,
+    config: &SsdConfig,
+    fault: &FaultConfig,
+    ops: &[Op],
+) -> (SsdDevice, RunReport) {
+    let config = config.clone().with_fault(fault.clone());
     let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let report = device.run_with(&requests(ops), RunConfig::open());
     (device, report)
@@ -105,19 +103,19 @@ fn reliability_fingerprint(r: &RunReport) -> (MediaCounters, u64, u64, u64) {
 fn any_fault_plan_keeps_every_ftl_consistent() {
     let gen = (check::vec_of(op_gen(1500), 50..400), fault_gen());
     Checker::new().cases(16).run(&gen, |(ops, fault)| {
-        for kind in KINDS {
-            let (device, report) = drive(kind, fault, ops);
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let (device, report) = drive(kind, &config, fault, ops);
             device
                 .audit()
-                .map_err(|e| format!("{kind:?}: audit failed under faults: {e}"))?;
-            check_assert_eq!(report.requests_completed, ops.len() as u64, "{:?}", kind);
+                .map_err(|e| format!("{name}: audit failed under faults: {e}"))?;
+            check_assert_eq!(report.requests_completed, ops.len() as u64, "{}", name);
             // Reads either succeed, retry, or fail uncorrectably — the
             // retry histogram accounts for every single media read.
             check_assert!(
                 report.media.retry_hist.iter().sum::<u64>() + report.media.uncorrectable_reads
                     == report.media.media_reads(),
-                "{:?}: retry histogram leak",
-                kind
+                "{}: retry histogram leak",
+                name
             );
         }
         Ok(())
@@ -129,14 +127,14 @@ fn any_fault_plan_keeps_every_ftl_consistent() {
 fn fault_sequences_are_reproducible() {
     let gen = (check::vec_of(op_gen(1200), 50..250), fault_gen());
     Checker::new().cases(10).run(&gen, |(ops, fault)| {
-        for kind in KINDS {
-            let (_, a) = drive(kind, fault, ops);
-            let (_, b) = drive(kind, fault, ops);
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let (_, a) = drive(kind, &config, fault, ops);
+            let (_, b) = drive(kind, &config, fault, ops);
             check_assert_eq!(
                 reliability_fingerprint(&a),
                 reliability_fingerprint(&b),
-                "{:?}: fault sequence wobbled between runs",
-                kind
+                "{}: fault sequence wobbled between runs",
+                name
             );
         }
         Ok(())
@@ -177,27 +175,26 @@ fn replay_modes_agree_on_fault_outcomes() {
 fn null_plan_is_identical_to_fault_free() {
     let gen = check::vec_of(op_gen(1500), 50..400);
     Checker::new().cases(12).run(&gen, |ops| {
-        for kind in KINDS {
-            let (_, with_null) = drive(kind, &FaultConfig::none(), ops);
-            let config = SsdConfig::micro_gc_test();
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let (_, with_null) = drive(kind, &config, &FaultConfig::none(), ops);
             let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let plain = device.run_with(&requests(ops), RunConfig::open());
             check_assert_eq!(
                 with_null.sim_end.as_nanos(),
                 plain.sim_end.as_nanos(),
-                "{:?}: null plan changed timing",
-                kind
+                "{}: null plan changed timing",
+                name
             );
-            check_assert_eq!(with_null.total_programs, plain.total_programs, "{:?}", kind);
-            check_assert_eq!(with_null.total_erases, plain.total_erases, "{:?}", kind);
+            check_assert_eq!(with_null.total_programs, plain.total_programs, "{}", name);
+            check_assert_eq!(with_null.total_erases, plain.total_erases, "{}", name);
             check_assert_eq!(
                 with_null.mean_response_time_ms().to_bits(),
                 plain.mean_response_time_ms().to_bits(),
-                "{:?}: null plan changed MRT",
-                kind
+                "{}: null plan changed MRT",
+                name
             );
-            check_assert_eq!(with_null.media.program_fails, 0, "{:?}", kind);
-            check_assert_eq!(with_null.media.uncorrectable_reads, 0, "{:?}", kind);
+            check_assert_eq!(with_null.media.program_fails, 0, "{}", name);
+            check_assert_eq!(with_null.media.uncorrectable_reads, 0, "{}", name);
         }
         Ok(())
     });
@@ -217,29 +214,29 @@ fn fault_storm_soak() {
     storm.factory_bad_frac = 0.01;
     let gen = check::vec_of(op_gen(900), 600..1000);
     Checker::new().cases(6).run(&gen, |ops| {
-        for kind in KINDS {
-            let (device, report) = drive(kind, &storm, ops);
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let (device, report) = drive(kind, &config, &storm, ops);
             device
                 .audit()
-                .map_err(|e| format!("{kind:?}: storm audit failed: {e}"))?;
+                .map_err(|e| format!("{name}: storm audit failed: {e}"))?;
             check_assert!(
                 report.media.program_fails > 0,
-                "{:?}: storm produced no program fails",
-                kind
+                "{}: storm produced no program fails",
+                name
             );
             check_assert!(
                 report.media.read_retry_steps > 0,
-                "{:?}: storm produced no read retries",
-                kind
+                "{}: storm produced no read retries",
+                name
             );
             // Recovery re-programs are charged: physical programs strictly
             // exceed the fault-free floor of one per logical page write.
             check_assert!(
                 report.total_programs >= report.pages_written,
-                "{:?}: programs under-accounted",
-                kind
+                "{}: programs under-accounted",
+                name
             );
-            check_assert!(report.retry_ns > 0, "{:?}: retry time not charged", kind);
+            check_assert!(report.retry_ns > 0, "{}: retry time not charged", name);
         }
         Ok(())
     });

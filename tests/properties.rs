@@ -8,7 +8,7 @@
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
-use dloop_bench::build_ftl;
+use dloop_bench::{build_ftl, ftl_cases};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{audit, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::dir::{PageDirectory, PageOwner};
@@ -45,8 +45,7 @@ fn op_gen(space: u64) -> check::BoxedGenerator<Op> {
 }
 
 /// Drive a device with an op list; return it with the model dictionary.
-fn drive(kind: FtlKind, ops: &[Op]) -> (SsdDevice, BTreeMap<u64, bool>) {
-    let config = SsdConfig::micro_gc_test();
+fn drive(kind: FtlKind, config: &SsdConfig, ops: &[Op]) -> (SsdDevice, BTreeMap<u64, bool>) {
     let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let user = device.flash().geometry().user_pages();
     let mut model: BTreeMap<u64, bool> = BTreeMap::new();
@@ -124,14 +123,9 @@ fn check_against_model(
 fn any_stream_keeps_every_ftl_consistent() {
     let gen = check::vec_of(op_gen(3000), 1..400);
     Checker::new().cases(24).run(&gen, |ops| {
-        for kind in [
-            FtlKind::Dloop,
-            FtlKind::Dftl,
-            FtlKind::Fast,
-            FtlKind::IdealPageMap,
-        ] {
-            let (device, model) = drive(kind, ops);
-            check_against_model(kind, &device, &model)?;
+        for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
+            let (device, model) = drive(kind, &config, ops);
+            check_against_model(kind, &device, &model).map_err(|e| format!("{name}: {e}"))?;
         }
         Ok(())
     });
@@ -143,7 +137,7 @@ fn gc_torture_stays_consistent() {
     let gen = check::vec_of(op_gen(600), 200..700);
     Checker::new().cases(24).run(&gen, |ops| {
         for kind in [FtlKind::Dloop, FtlKind::Dftl, FtlKind::Fast] {
-            let (device, model) = drive(kind, ops);
+            let (device, model) = drive(kind, &SsdConfig::micro_gc_test(), ops);
             check_against_model(kind, &device, &model)?;
         }
         Ok(())
@@ -156,7 +150,7 @@ fn gc_torture_stays_consistent() {
 fn dloop_plane_invariant() {
     let gen = check::vec_of(op_gen(2000), 1..400);
     Checker::new().cases(24).run(&gen, |ops| {
-        let (device, model) = drive(FtlKind::Dloop, ops);
+        let (device, model) = drive(FtlKind::Dloop, &SsdConfig::micro_gc_test(), ops);
         let g = device.flash().geometry().clone();
         let planes = g.total_planes() as u64;
         for (&lpn, _) in model.iter() {
@@ -214,7 +208,7 @@ fn live_page_conservation() {
     let gen = check::vec_of(op_gen(1500), 1..300);
     Checker::new().cases(24).run(&gen, |ops| {
         for kind in [FtlKind::Dloop, FtlKind::Dftl] {
-            let (device, model) = drive(kind, ops);
+            let (device, model) = drive(kind, &SsdConfig::micro_gc_test(), ops);
             let live = device.flash().total_valid_pages();
             let data_live = model.len() as u64;
             // Translation pages are the only other live content.

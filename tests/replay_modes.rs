@@ -42,7 +42,7 @@
 //!
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
-use dloop_bench::build_ftl;
+use dloop_bench::{build_ftl, ftl_cases};
 use dloop_repro::faults::FaultConfig;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
@@ -1066,14 +1066,14 @@ fn queued_replay_drains_behind_timelines_carried_over_from_an_earlier_run() {
             page_req(SimTime::from_micros(5 * i), (i * 11) % span, op)
         })
         .collect();
-    for kind in GATED_KINDS {
+    for (name, kind, config) in ftl_cases(&config) {
         for depth in [None, Some(8)] {
             let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
             let filled = device.run_with(&fill, RunConfig::open());
             assert!(filled.sim_end > trace.last().unwrap().arrival, "no backlog");
             let report = device.run_with(&trace, depth.map_or(RunConfig::gated(), RunConfig::ncq));
-            assert_eq!(report.requests_completed, trace.len() as u64, "{kind:?}");
-            assert_eq!(report.response_ms.count(), trace.len() as u64, "{kind:?}");
+            assert_eq!(report.requests_completed, trace.len() as u64, "{name}");
+            assert_eq!(report.response_ms.count(), trace.len() as u64, "{name}");
             device.audit().expect("audit after the carried-over replay");
         }
     }
@@ -1343,8 +1343,7 @@ fn page_req(at: SimTime, lpn: u64, op: HostOp) -> HostRequest {
     }
 }
 
-fn run_micro(kind: FtlKind, reqs: &[HostRequest], run: RunConfig) -> RunReport {
-    let config = SsdConfig::micro_gc_test();
+fn run_micro(kind: FtlKind, config: &SsdConfig, reqs: &[HostRequest], run: RunConfig) -> RunReport {
     let mut device = SsdDevice::new(config.clone(), build_ftl(kind, &config));
     let report = device.run_with(reqs, run);
     device.audit().expect("audit");
@@ -1352,7 +1351,7 @@ fn run_micro(kind: FtlKind, reqs: &[HostRequest], run: RunConfig) -> RunReport {
 }
 
 fn run_dloop_micro(reqs: &[HostRequest], run: RunConfig) -> RunReport {
-    run_micro(FtlKind::Dloop, reqs, run)
+    run_micro(FtlKind::Dloop, &SsdConfig::micro_gc_test(), reqs, run)
 }
 
 fn done_of(report: &RunReport, req: u64) -> SimTime {
@@ -1463,14 +1462,6 @@ const GOLDEN_TIES: [u64; 4] = [
     0x2ef9_3822_b9df_b420,
 ];
 
-/// The four FTLs the gated discipline is pinned over.
-const GATED_KINDS: [FtlKind; 4] = [
-    FtlKind::Dloop,
-    FtlKind::Dftl,
-    FtlKind::Fast,
-    FtlKind::IdealPageMap,
-];
-
 /// Directed case 1 of the scheduler collapse — *where a chain-less op
 /// issues*. Bursts of four same-instant hot writes (one DLOOP plane, so
 /// ops queue and the collector runs), plus reads of never-written LPNs —
@@ -1486,7 +1477,8 @@ const GATED_KINDS: [FtlKind; 4] = [
 fn gated_issues_chainless_ops_at_their_queue_position() {
     use dloop_repro::host::report_fingerprint;
     let space = SsdConfig::micro_gc_test().geometry().user_pages();
-    for (kind, golden) in GATED_KINDS.into_iter().zip(GOLDEN_GATED_CHAINLESS) {
+    let cases = ftl_cases(&SsdConfig::micro_gc_test());
+    for ((name, kind, config), golden) in cases.into_iter().zip(GOLDEN_GATED_CHAINLESS) {
         let writes: Vec<HostRequest> = (0..3000u64)
             .map(|i| {
                 let at = SimTime::from_micros(100 * (i / 4));
@@ -1495,14 +1487,14 @@ fn gated_issues_chainless_ops_at_their_queue_position() {
             .collect();
         // Chain-less reads perturb nothing, so completion instants of the
         // write-only run stay exact once the reads are mixed in.
-        let calibration = run_micro(kind, &writes, RunConfig::gated());
+        let calibration = run_micro(kind, &config, &writes, RunConfig::gated());
         let mut reqs = writes.clone();
         for &(req, _, done) in &calibration.completions {
             if req % 25 == 3 {
                 reqs.push(page_req(done, space - 1 - req, HostOp::Read));
             }
         }
-        let report = run_micro(kind, &reqs, RunConfig::gated());
+        let report = run_micro(kind, &config, &reqs, RunConfig::gated());
         let coinciding = reqs[writes.len()..]
             .iter()
             .filter(|read| {
@@ -1515,14 +1507,14 @@ fn gated_issues_chainless_ops_at_their_queue_position() {
             .count();
         assert!(
             coinciding > 0,
-            "{kind:?}: no read arrived as an older op's plane freed"
+            "{name}: no read arrived as an older op's plane freed"
         );
-        assert_eq!(report_fingerprint(&report), golden, "{kind:?}");
+        assert_eq!(report_fingerprint(&report), golden, "{name}");
         // The windowed FIFO policy differs from it in exactly this rule.
         let windowed = RunConfig::qos(QosSpec::WindowFifo).queue_depth(usize::MAX);
-        let windowed = run_micro(kind, &reqs, windowed);
-        assert_eq!(windowed.csv_row(), report.csv_row(), "{kind:?}");
-        assert_ne!(report_fingerprint(&windowed), golden, "{kind:?}");
+        let windowed = run_micro(kind, &config, &reqs, windowed);
+        assert_eq!(windowed.csv_row(), report.csv_row(), "{name}");
+        assert_ne!(report_fingerprint(&windowed), golden, "{name}");
     }
 }
 
@@ -1537,7 +1529,8 @@ fn gated_issues_chainless_ops_at_their_queue_position() {
 #[test]
 fn gated_skips_blocked_ops_like_the_priority_list() {
     use dloop_repro::host::report_fingerprint;
-    for (kind, golden) in GATED_KINDS.into_iter().zip(GOLDEN_GATED_SKIPPING) {
+    let cases = ftl_cases(&SsdConfig::micro_gc_test());
+    for ((name, kind, config), golden) in cases.into_iter().zip(GOLDEN_GATED_SKIPPING) {
         let reqs: Vec<HostRequest> = (0..9000u64)
             .map(|i| {
                 let at = SimTime::from_micros(20 * i);
@@ -1547,21 +1540,23 @@ fn gated_skips_blocked_ops_like_the_priority_list() {
                 }
             })
             .collect();
-        let report = run_micro(kind, &reqs, RunConfig::gated());
-        assert!(report.ftl.gc_invocations > 0, "{kind:?}: no collection ran");
-        assert_eq!(report_fingerprint(&report), golden, "{kind:?}");
+        let report = run_micro(kind, &config, &reqs, RunConfig::gated());
+        assert!(report.ftl.gc_invocations > 0, "{name}: no collection ran");
+        assert_eq!(report_fingerprint(&report), golden, "{name}");
     }
 }
 
+// Each fourth entry is IDEAL's. Its report names itself DLOOP, the one
+// field that moved when IDEAL became DLOOP over a resident CMT.
 const GOLDEN_GATED_CHAINLESS: [u64; 4] = [
     0xce3b_0296_9fe0_15b4,
     0xbcf4_b788_9303_3dbb,
     0x8b6d_8e69_e3be_d217,
-    0xb88a_9c16_de92_6c12,
+    0x054e_8b77_b876_86df,
 ];
 const GOLDEN_GATED_SKIPPING: [u64; 4] = [
     0xb7b9_b2b6_35b0_169b,
     0x2062_7dc9_90ca_0f0e,
     0xf912_780d_d19d_bec9,
-    0xe46a_6cb6_1293_1cea,
+    0x69dd_f985_91e7_9323,
 ];
