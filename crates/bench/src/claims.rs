@@ -18,7 +18,7 @@ use dloop_ftl_kit::metrics::{RunReport, ShardOutcome};
 use dloop_ftl_kit::request::TenantId;
 use dloop_ftl_kit::sched::QosSpec;
 use dloop_host::{report_fingerprint, HostConfig, HostStack};
-use dloop_nand::TimingConfig;
+use dloop_nand::{FlashStep, TimingConfig};
 use dloop_simkit::trace::{attribution, RingSink, SpanPhase};
 use dloop_workloads::synth::sequential_fill;
 use dloop_workloads::{host_mix, qos_mix, Trace, WorkloadProfile};
@@ -1023,13 +1023,14 @@ fn check_power_cap_on(
     ];
     for (name, t) in &timings {
         for page in [2048u32, 4096, 8192, 16384] {
-            let cb = energy.copyback_fj(t);
-            let inter = energy.interplane_copy_fj(t, page);
+            let cb = energy.step_totals(&FlashStep::CopyBack { plane: 0 }, t, page);
+            let inter = energy.step_totals(&FlashStep::InterPlaneCopy { src: 0, dst: 1 }, t, page);
+            let (cb, inter_bus, inter) = (cb.total_fj(), inter.bus_fj, inter.total_fj());
             if cb >= inter {
                 pass = false;
                 worst = format!("{name}@{page}B: copy-back {cb} fJ >= inter-plane {inter} fJ");
             }
-            if energy.interplane_bus_fj(t, page) == 0 {
+            if inter_bus == 0 {
                 pass = false;
                 worst = format!("{name}@{page}B: external copy reports no bus energy to save");
             }

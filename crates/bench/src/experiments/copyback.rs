@@ -1,11 +1,10 @@
 //! §III.A: the copy-back arithmetic — an intra-plane copy-back saves
 //! ~30 % over a traditional inter-plane copy and leaves the bus free.
-//! Verified against the live hardware model, not hard-coded numbers.
+//! Summed from the same phase lists the hardware model books, not from
+//! hard-coded numbers.
 
 use crate::table::{f2, Table};
-use dloop_ftl_kit::config::SsdConfig;
-use dloop_nand::{HardwareModel, TimingConfig};
-use dloop_simkit::SimTime;
+use dloop_nand::{FlashStep, TimingConfig};
 
 /// Render the copy-cost comparison for every page size of Fig. 9.
 pub fn run() -> Vec<Table> {
@@ -19,20 +18,13 @@ pub fn run() -> Vec<Table> {
             "bus time us",
         ],
     );
+    let timing = TimingConfig::paper_default();
     for page_kb in [2u32, 4, 8, 16] {
-        let config = SsdConfig::paper_default().with_page_kb(page_kb);
-        let geometry = config.geometry();
-        let timing = TimingConfig::paper_default();
-
-        // Measure through the hardware model (not just the formulas).
-        let mut hw = HardwareModel::new(&geometry, timing.clone(), false);
-        let cb = hw.exec_copyback(0, SimTime::ZERO);
-        let mut hw2 = HardwareModel::new(&geometry, timing.clone(), false);
-        let inter = hw2.exec_interplane_copy(0, 1, SimTime::ZERO);
-
-        let cb_us = cb.latency().as_micros_f64();
-        let inter_us = inter.latency().as_micros_f64();
-        let bus_us = 2.0 * timing.page_transfer(geometry.page_size).as_micros_f64();
+        let cb = FlashStep::CopyBack { plane: 0 }.phases(&timing, page_kb * 1024);
+        let inter = FlashStep::InterPlaneCopy { src: 0, dst: 1 }.phases(&timing, page_kb * 1024);
+        let cb_us = cb.service().as_micros_f64();
+        let inter_us = inter.service().as_micros_f64();
+        let bus_us = inter.busy().1.as_micros_f64();
         table.row(vec![
             page_kb.to_string(),
             f2(cb_us),

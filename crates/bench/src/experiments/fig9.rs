@@ -15,8 +15,9 @@ const PAGE_KB: [u32; 4] = [2, 4, 8, 16];
 
 /// Run the Fig. 9 sweep — twice: once with the byte-accurate Table-I bus
 /// model, once with the flat ~50 us/page transfer the paper's prose
-/// quotes. The second reproduces the paper's falling-MRT trend and
-/// demonstrates why the first does not (EXPERIMENTS.md).
+/// quotes. The second reproduces the paper's falling-MRT trend on the
+/// traces with larger requests and shows why the first does not
+/// (EXPERIMENTS.md).
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let points: Vec<(String, SsdConfig)> = PAGE_KB
         .iter()

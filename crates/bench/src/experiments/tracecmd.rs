@@ -65,12 +65,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let mut device = SsdDevice::new(config, ftl);
     device.attach_sink(Box::new(RingSink::new(usize::MAX)));
     let report = device.run_with(&trace.requests, opts.replay_mode().into());
-    let rec = *device
-        .detach_sink()
-        .expect("tracing was enabled")
-        .into_any()
-        .downcast::<RingSink>()
-        .expect("the attached sink is the ring");
+    let rec = device.take_trace().expect("the attached sink is the ring");
 
     // Self-check: one span per hardware operation, nothing more or less,
     // and the ring that never evicts kept them all.

@@ -57,6 +57,11 @@ const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|f
 [--scale N] [--requests N] [--seed N] [--workers N] [--fill F] [--out DIR] \
 [--mode open|gated|closed|ncq] [--depth N] [--quick]";
 
+/// Parse `v` into `field`; false (a usage error) when it does not parse.
+fn set<T: std::str::FromStr>(field: &mut T, v: &str) -> bool {
+    v.parse().map(|x| *field = x).is_ok()
+}
+
 /// What `all` runs, in order.
 const ALL: [&str; 12] = [
     "params", "traces", "copyback", "fig8", "fig9", "fig10", "headline", "ablation", "striping",
@@ -93,41 +98,11 @@ fn main() -> ExitCode {
             opts_field(&args[i])
         };
         let ok = match flag {
-            "--scale" => take(&mut |v| match v.parse() {
-                Ok(x) => {
-                    opts.scale = x;
-                    true
-                }
-                Err(_) => false,
-            }),
-            "--requests" => take(&mut |v| match v.parse() {
-                Ok(x) => {
-                    opts.max_requests = x;
-                    true
-                }
-                Err(_) => false,
-            }),
-            "--seed" => take(&mut |v| match v.parse() {
-                Ok(x) => {
-                    opts.seed = x;
-                    true
-                }
-                Err(_) => false,
-            }),
-            "--workers" => take(&mut |v| match v.parse() {
-                Ok(x) => {
-                    opts.workers = x;
-                    true
-                }
-                Err(_) => false,
-            }),
-            "--fill" => take(&mut |v| match v.parse() {
-                Ok(x) => {
-                    opts.fill_fraction = x;
-                    true
-                }
-                Err(_) => false,
-            }),
+            "--scale" => take(&mut |v| set(&mut opts.scale, v)),
+            "--requests" => take(&mut |v| set(&mut opts.max_requests, v)),
+            "--seed" => take(&mut |v| set(&mut opts.seed, v)),
+            "--workers" => take(&mut |v| set(&mut opts.workers, v)),
+            "--fill" => take(&mut |v| set(&mut opts.fill_fraction, v)),
             "--out" => take(&mut |v| {
                 opts.out_dir = if v == "none" {
                     None

@@ -14,6 +14,9 @@
 //! batch-rewritten (one read-modify-write per translation page, not per
 //! mapping); translation pages resident in the victim move by copy-back
 //! like data, unless the same GC pass is about to rewrite them anyway.
+//! Each move takes its parity, and charges its waste, against the active
+//! block it lands in: data moves the data active block's write pointer,
+//! translation moves the translation active block's.
 //!
 //! The victim scan is `PlaneState::gc_candidates`. The ablation's IDEAL
 //! bound is this collector under a CMT that holds every entry: the
@@ -39,8 +42,9 @@ pub struct GcEngine {
     /// Fully-invalid blocks found by the victim scan.
     sweep: Vec<u32>,
     /// The victim's live pages awaiting relocation as `(offset, ppn,
-    /// owner)`, one queue per offset parity.
-    moves: [VecDeque<(u32, Ppn, PageOwner)>; 2],
+    /// owner)`, one queue per destination [`BlockClass`] and offset
+    /// parity.
+    moves: [[VecDeque<(u32, Ppn, PageOwner)>; 2]; 2],
     /// Translation pages in the victim that are rewritten instead of moved.
     rewrite_now: Vec<u64>,
 }
@@ -105,12 +109,15 @@ impl GcEngine {
         counters: &mut FtlCounters,
         ctx: &mut FtlContext<'_>,
     ) {
-        // Moves are reordered so that source parity matches the
-        // destination write pointer's parity whenever both parities are
-        // still available — GC has no ordering constraint between moves,
-        // and this keeps the same-parity waste at the paper's "one page
-        // per run" instead of one per page (without it, long-lived pages
-        // parity-cluster and GC degenerates).
+        // Moves land in the destination stream matching what they carry:
+        // relocated data goes to the data active block, relocated
+        // translation pages to the translation active block (lifetime
+        // separation). Within each stream, moves are reordered so that
+        // source parity matches that stream's write pointer whenever both
+        // parities are still queued — GC has no ordering constraint
+        // between moves, and this keeps the same-parity waste at the
+        // paper's "one page per run" instead of one per page (without it,
+        // long-lived pages parity-cluster and GC degenerates).
         //
         // Deliberate parity waste (Fig. 5b) is allowed for a few
         // mismatched pages per victim; past that budget the controller
@@ -118,57 +125,51 @@ impl GcEngine {
         // pages. Without the bound, the paper's "extreme case [that]
         // rarely happens" becomes systematic.
         let mut waste_budget = ctx.flash.geometry().pages_per_block / 8;
-        while self.moves.iter().any(|q| !q.is_empty()) {
-            // Moves land in the destination stream matching what they
-            // carry: relocated data goes to the data active block,
-            // relocated translation pages to the translation active block
-            // (lifetime separation). Parity matching tracks the data
-            // stream, which dominates.
-            let (job, forced_external) = if self.copyback {
-                let want = alloc.next_parity(plane, BlockClass::Data, ctx.flash) as usize;
-                match self.moves[want].pop_front() {
-                    Some(job) => (job, false),
-                    None => {
-                        let job = self.moves[want ^ 1].pop_front().expect("non-empty");
-                        if waste_budget > 0 {
-                            waste_budget -= 1;
-                            (job, false) // copy-back; place_with_parity wastes one page
-                        } else {
-                            (job, true) // external copy; no parity rule
+        for class in [BlockClass::Data, BlockClass::Translation] {
+            let moves = &mut self.moves[class as usize];
+            while moves.iter().any(|q| !q.is_empty()) {
+                let (job, forced_external) = if self.copyback {
+                    let want = alloc.next_parity(plane, class, ctx.flash) as usize;
+                    match moves[want].pop_front() {
+                        Some(job) => (job, false),
+                        None => {
+                            let job = moves[want ^ 1].pop_front().expect("non-empty");
+                            if waste_budget > 0 {
+                                waste_budget -= 1;
+                                (job, false) // copy-back; place_with_parity wastes one page
+                            } else {
+                                (job, true) // external copy; no parity rule
+                            }
                         }
                     }
-                }
-            } else {
-                let q = if self.moves[0].is_empty() { 1 } else { 0 };
-                (self.moves[q].pop_front().expect("non-empty"), true)
-            };
-            let (off, old_ppn, owner) = job;
-            let class = match owner {
-                PageOwner::Translation(_) => BlockClass::Translation,
-                _ => BlockClass::Data,
-            };
-            let step = if forced_external {
-                counters.external_moves += 1;
-                FlashStep::InterPlaneCopy {
-                    src: plane,
-                    dst: plane,
-                }
-            } else {
-                counters.copyback_moves += 1;
-                FlashStep::CopyBack { plane }
-            };
-            ctx.push(step);
-            let new_addr = if forced_external {
-                alloc.place(plane, class, ctx.flash)
-            } else {
-                alloc.place_with_parity(plane, class, off & 1, ctx.flash)
-            };
-            // Failed program attempts repeat the whole move.
-            ctx.drain_failed_programs(step);
-            let new_ppn = ctx.flash.geometry().ppn_of(new_addr);
-            dm.gc_remap(owner, old_ppn, new_ppn, ctx);
-            ctx.flash.invalidate(old_ppn).expect("GC source not valid");
-            ctx.dir.clear(old_ppn);
+                } else {
+                    let q = if moves[0].is_empty() { 1 } else { 0 };
+                    (moves[q].pop_front().expect("non-empty"), true)
+                };
+                let (off, old_ppn, owner) = job;
+                let step = if forced_external {
+                    counters.external_moves += 1;
+                    FlashStep::InterPlaneCopy {
+                        src: plane,
+                        dst: plane,
+                    }
+                } else {
+                    counters.copyback_moves += 1;
+                    FlashStep::CopyBack { plane }
+                };
+                ctx.push(step);
+                let new_addr = if forced_external {
+                    alloc.place(plane, class, ctx.flash)
+                } else {
+                    alloc.place_with_parity(plane, class, off & 1, ctx.flash)
+                };
+                // Failed program attempts repeat the whole move.
+                ctx.drain_failed_programs(step);
+                let new_ppn = ctx.flash.geometry().ppn_of(new_addr);
+                dm.gc_remap(owner, old_ppn, new_ppn, ctx);
+                ctx.flash.invalidate(old_ppn).expect("GC source not valid");
+                ctx.dir.clear(old_ppn);
+            }
         }
     }
 
@@ -230,7 +231,8 @@ impl GcEngine {
         // one go), or in clustered mode, where an intra-plane move would
         // pin translation pages to plane 0 forever while the rewrite path
         // can spill to planes with room.
-        debug_assert!(self.moves.iter().all(|q| q.is_empty()) && self.rewrite_now.is_empty());
+        debug_assert!(self.moves.iter().flatten().all(|q| q.is_empty()));
+        debug_assert!(self.rewrite_now.is_empty());
         for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
             let ppn = ctx.flash.geometry().ppn_of(PageAddr {
                 plane,
@@ -238,12 +240,15 @@ impl GcEngine {
                 page: off,
             });
             let owner = ctx.dir.owner(ppn);
-            match owner {
+            let class = match owner {
                 PageOwner::Translation(tvpn) if dm.pending_count(tvpn) > 0 || !place.spread => {
-                    self.rewrite_now.push(tvpn)
+                    self.rewrite_now.push(tvpn);
+                    continue;
                 }
-                _ => self.moves[(off & 1) as usize].push_back((off, ppn, owner)),
-            }
+                PageOwner::Translation(_) => BlockClass::Translation,
+                _ => BlockClass::Data,
+            };
+            self.moves[class as usize][(off & 1) as usize].push_back((off, ppn, owner));
         }
         self.relocate(plane, dm, &mut place.alloc, counters, ctx);
 
@@ -270,7 +275,9 @@ impl GcEngine {
 mod tests {
     use super::*;
     use crate::ftl::tests::Rig;
+    use crate::ftl::DloopFtl;
     use dloop_ftl_kit::config::SsdConfig;
+    use dloop_ftl_kit::device::audit;
     use dloop_ftl_kit::ftl::Ftl;
 
     #[test]
@@ -345,5 +352,56 @@ mod tests {
         let c = rig.ftl.counters();
         assert!(c.gc_invocations > 0);
         assert!(c.copyback_moves >= c.external_moves * 5);
+    }
+
+    /// A collection spends at most its victim's live pages plus the
+    /// parity-waste budget, even when the victim is a translation block.
+    /// Translation moves land in the translation active block, so taking
+    /// their parity from the data active block — whose write pointer they
+    /// never move — skipped a page before nearly every move, unbudgeted.
+    #[test]
+    fn translation_victim_stays_within_the_waste_budget() {
+        // Enough LPNs that plane 0 is home to a block's worth of
+        // translation pages.
+        let config = SsdConfig {
+            blocks_per_plane_override: Some((400, 8)),
+            ..SsdConfig::micro_gc_test()
+        };
+        let mut rig = Rig::new(&config);
+        let g = rig.flash.geometry().clone();
+        let planes = g.total_planes() as u64;
+        let ppb = g.pages_per_block as u64;
+        let homed: Vec<u64> = (0..ppb).map(|i| i * planes).collect();
+        // One data page fixes the data active block's parity on plane 0.
+        rig.write(0);
+        // Fill a translation block on plane 0, then supersede its first
+        // ten pages: the block is the only collectable one, with 54 live
+        // translation pages of both parities.
+        for &tvpn in homed.iter().chain(&homed[..10]) {
+            rig.op(|ftl, ctx| ftl.dm.rewrite_translation_page(tvpn, ctx, &mut ftl.place));
+        }
+        let budget = ppb / 8;
+        let moves = |rig: &Rig| {
+            let c = rig.ftl.counters();
+            c.copyback_moves + c.external_moves
+        };
+        let before = (moves(&rig), rig.ftl.place.alloc.parity_skips);
+        let (collected, _) = rig.op(|ftl, ctx| {
+            let DloopFtl {
+                gc,
+                dm,
+                place,
+                counters,
+                ..
+            } = ftl;
+            gc.collect_one(0, dm, place, counters, ctx)
+        });
+        assert!(collected);
+        let moved = moves(&rig) - before.0;
+        let skips = rig.ftl.place.alloc.parity_skips - before.1;
+        assert_eq!(moved, ppb - 10, "every live translation page moves");
+        assert!(skips <= budget, "{skips} parity skips, budget {budget}");
+        assert!(moved + skips <= ppb - 10 + budget);
+        audit(&rig.flash, &rig.dir, &rig.ftl).unwrap();
     }
 }

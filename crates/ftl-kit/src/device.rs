@@ -213,12 +213,16 @@ impl RunConfig {
 }
 
 /// Per-replay measurement accumulator shared by every [`ReplayMode`]: the
-/// response-time distribution, page counts and simulated end time that
+/// response-time distribution and its per-op wait/service/GC-block
+/// decomposition, page counts and simulated end time that
 /// [`SsdDevice::finish_report`] folds into the [`RunReport`]. Keeping a
 /// single accumulator (and a single completion path) is what guarantees
 /// the modes count requests identically.
 pub(crate) struct ReplayStats {
     response_ms: OnlineStats,
+    wait_ms: OnlineStats,
+    service_ms: OnlineStats,
+    gc_block_ms: OnlineStats,
     /// µs buckets up to ~2^39 µs.
     hist: Histogram,
     pages_read: u64,
@@ -242,6 +246,9 @@ impl ReplayStats {
     pub(crate) fn with_capacity(requests: usize, units: usize) -> Self {
         ReplayStats {
             response_ms: OnlineStats::new(),
+            wait_ms: OnlineStats::new(),
+            service_ms: OnlineStats::new(),
+            gc_block_ms: OnlineStats::new(),
             hist: Histogram::new(1.0, 40),
             pages_read: 0,
             pages_written: 0,
@@ -269,6 +276,26 @@ impl ReplayStats {
         match op {
             HostOp::Read => self.pages_read += 1,
             HostOp::Write => self.pages_written += 1,
+        }
+    }
+
+    /// Push one played page operation's latency attribution: the wait
+    /// from `since` (admission for the reserving drivers, arrival for the
+    /// queueing ones) to its first flash step, its service span, and —
+    /// unless GC runs in the background — the synchronous-GC time charged
+    /// to it. Every driver folds through here, one op at a time in its
+    /// own canonical order, so each `f64` accumulator sees the same sample
+    /// sequence on every engine.
+    pub(crate) fn fold_played(&mut self, since: SimTime, played: &Played, background_gc: bool) {
+        if played.served {
+            let wait = played.host_start.saturating_since(since);
+            let service = played.host_done.saturating_since(played.host_start);
+            self.wait_ms.push(wait.as_millis_f64());
+            self.service_ms.push(service.as_millis_f64());
+        }
+        if played.collected && !background_gc {
+            let blocked = played.done.saturating_since(played.host_done);
+            self.gc_block_ms.push(blocked.as_millis_f64());
         }
     }
 
@@ -406,9 +433,6 @@ pub struct SsdDevice {
     /// FTL scheme counters at the last measurement reset, so reports cover
     /// only the measured window (like flash totals and media counters).
     ftl_baseline: FtlCounters,
-    wait_ms: OnlineStats,
-    service_ms: OnlineStats,
-    gc_block_ms: OnlineStats,
 }
 
 impl SsdDevice {
@@ -431,9 +455,6 @@ impl SsdDevice {
             baseline: (0, 0, 0),
             media_baseline: MediaCounters::default(),
             ftl_baseline: FtlCounters::default(),
-            wait_ms: OnlineStats::new(),
-            service_ms: OnlineStats::new(),
-            gc_block_ms: OnlineStats::new(),
         }
     }
 
@@ -631,7 +652,14 @@ impl SsdDevice {
     /// and the GC chain is then played on the same resource timelines
     /// (delaying *later* operations on those planes/buses) — the paper's
     /// Fig. 6 invokes GC after serving the write.
-    fn serve_page_op(&mut self, lpn: u64, op: HostOp, issue: SimTime, req: u64) -> SimTime {
+    fn serve_page_op(
+        &mut self,
+        lpn: u64,
+        op: HostOp,
+        issue: SimTime,
+        req: u64,
+        stats: &mut ReplayStats,
+    ) -> SimTime {
         let (host, gc, scan) = self.translate_page_op(lpn, op);
         let played = play_op(
             &mut self.hw,
@@ -648,28 +676,9 @@ impl SsdDevice {
             ScanOrder::BeforeHost,
             self.config.background_gc,
         );
-        self.fold_played(issue, &played);
+        stats.fold_played(issue, &played, self.config.background_gc);
         self.recycle_chains(host, gc, scan);
         played.done
-    }
-
-    /// Push one played page operation's latency attribution: the wait
-    /// from `since` (admission for the reserving drivers, arrival for the
-    /// queueing ones) to its first flash step, its service span, and the
-    /// synchronous-GC time charged to it. Every driver folds through
-    /// here, one op at a time in its own canonical order, so each `f64`
-    /// accumulator sees the same sample sequence on every engine.
-    pub(crate) fn fold_played(&mut self, since: SimTime, played: &Played) {
-        if played.served {
-            let wait = played.host_start.saturating_since(since);
-            let service = played.host_done.saturating_since(played.host_start);
-            self.wait_ms.push(wait.as_millis_f64());
-            self.service_ms.push(service.as_millis_f64());
-        }
-        if played.collected && !self.config.background_gc {
-            let blocked = played.done.saturating_since(played.host_done);
-            self.gc_block_ms.push(blocked.as_millis_f64());
-        }
     }
 
     /// Hand played-out chains back so the next
@@ -784,7 +793,7 @@ impl SsdDevice {
         let QosCandidate {
             tenant, arrival, ..
         } = op.cand;
-        self.fold_played(arrival, &played);
+        stats.fold_played(arrival, &played, background_gc);
         let Played {
             done,
             scan_release,
@@ -1154,9 +1163,9 @@ impl SsdDevice {
             sim_end: stats.sim_end,
             plane_busy_ns: self.hw.plane_busy_ns().to_vec(),
             channel_busy_ns: self.hw.channel_busy_ns().to_vec(),
-            wait_ms: self.wait_ms.clone(),
-            service_ms: self.service_ms.clone(),
-            gc_block_ms: self.gc_block_ms.clone(),
+            wait_ms: stats.wait_ms,
+            service_ms: stats.service_ms,
+            gc_block_ms: stats.gc_block_ms,
             media: self.media_delta(),
             retry_ns: self.hw.retry_ns(),
             completions: stats.completions,
@@ -1204,9 +1213,6 @@ impl SsdDevice {
         );
         self.media_baseline = self.flash.media_counters().cloned().unwrap_or_default();
         self.ftl_baseline = self.ftl.counters();
-        self.wait_ms = OnlineStats::new();
-        self.service_ms = OnlineStats::new();
-        self.gc_block_ms = OnlineStats::new();
     }
 
     /// Deep cross-layer audit of the device's state ([`audit`]).
@@ -1303,7 +1309,9 @@ impl CommandSession<'_> {
         }
         let mut req_done = issue;
         for lpn in req.wrapped_page_ops(self.lpn_space) {
-            let done = self.device.serve_page_op(lpn, req.op, issue, id);
+            let done = self
+                .device
+                .serve_page_op(lpn, req.op, issue, id, &mut self.stats);
             req_done = req_done.max(done);
             self.stats.count_page(req.op);
         }
@@ -1587,6 +1595,20 @@ mod tests {
         assert_eq!(report.hw.writes, 0);
         assert_eq!(report.hw.reads, 1);
         assert_eq!(report.plane_request_counts.iter().sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn latency_samples_cover_only_their_own_run() {
+        // A second replay on one device reports its own wait and service
+        // samples beside its own responses, not the first run's as well.
+        let mut d = device();
+        let first = d.run_with(&[write_req(0, 1, 1), write_req(0, 2, 1)], RunConfig::open());
+        assert_eq!(first.wait_ms.count(), 2);
+        let second = d.run_with(&[read_req(10_000, 1, 1)], RunConfig::open());
+        assert_eq!(second.response_ms.count(), 1);
+        assert_eq!(second.wait_ms.count(), 1);
+        assert_eq!(second.service_ms.count(), 1);
+        assert_eq!(second.gc_block_ms.count(), 0);
     }
 
     #[test]

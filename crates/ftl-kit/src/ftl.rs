@@ -14,60 +14,7 @@
 use crate::dir::PageDirectory;
 use dloop_nand::{BlockAddr, FlashState, Lpn, MediaOutcome, PlaneId, Ppn};
 
-/// One timed flash operation within a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlashStep {
-    /// Page read on `plane` (array + bus out).
-    Read {
-        /// Target plane.
-        plane: PlaneId,
-    },
-    /// Page program on `plane` (bus in + array).
-    Write {
-        /// Target plane.
-        plane: PlaneId,
-    },
-    /// Block erase on `plane`.
-    Erase {
-        /// Target plane.
-        plane: PlaneId,
-    },
-    /// Page read on `plane` that needed `steps` read-retry ladder steps
-    /// (each re-senses the array and re-runs soft ECC decode; the plane
-    /// stays busy for the extra time but the bus transfers once).
-    ReadRetry {
-        /// Target plane.
-        plane: PlaneId,
-        /// Retry ladder steps charged on top of the base read (≥ 1).
-        steps: u32,
-    },
-    /// Intra-plane copy-back on `plane` — no bus traffic.
-    CopyBack {
-        /// Target plane.
-        plane: PlaneId,
-    },
-    /// Traditional inter-plane copy.
-    InterPlaneCopy {
-        /// Source plane.
-        src: PlaneId,
-        /// Destination plane.
-        dst: PlaneId,
-    },
-}
-
-impl FlashStep {
-    /// Planes this step loads (both ends of an inter-plane copy).
-    pub fn planes(&self) -> (PlaneId, Option<PlaneId>) {
-        match *self {
-            FlashStep::Read { plane }
-            | FlashStep::ReadRetry { plane, .. }
-            | FlashStep::Write { plane }
-            | FlashStep::Erase { plane }
-            | FlashStep::CopyBack { plane } => (plane, None),
-            FlashStep::InterPlaneCopy { src, dst } => (src, Some(dst)),
-        }
-    }
-}
+pub use dloop_nand::FlashStep;
 
 /// The ordered steps serving one page-level host operation.
 #[derive(Debug, Clone, Default)]
@@ -378,14 +325,5 @@ mod tests {
         );
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn step_planes() {
-        assert_eq!(FlashStep::CopyBack { plane: 3 }.planes(), (3, None));
-        assert_eq!(
-            FlashStep::InterPlaneCopy { src: 1, dst: 4 }.planes(),
-            (1, Some(4))
-        );
     }
 }

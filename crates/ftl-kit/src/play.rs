@@ -4,10 +4,10 @@
 //! Every driver plays through here — the reserving loop and the
 //! incremental session (`SsdDevice::serve_page_op`), the queueing
 //! scheduler (`SsdDevice::issue_queued_op`) and the plane-local shard
-//! workers — so a [`FlashStep`] is turned into its `exec_*` call in
-//! exactly one place, [`play_chain`].
+//! workers — so every [`FlashStep`](crate::ftl::FlashStep) is booked in
+//! exactly one place, [`play_chain`], through [`HardwareModel::exec`].
 
-use crate::ftl::{FlashStep, OpChain};
+use crate::ftl::OpChain;
 use dloop_nand::HardwareModel;
 use dloop_simkit::trace::SpanPhase;
 use dloop_simkit::SimTime;
@@ -123,14 +123,7 @@ fn play_chain(
     let mut first_start: Option<SimTime> = None;
     for step in chain.steps() {
         let issue = if chained { t } else { at };
-        let completion = match *step {
-            FlashStep::Read { plane } => model.exec_read(plane, issue),
-            FlashStep::ReadRetry { plane, steps } => model.exec_read_retry(plane, issue, steps),
-            FlashStep::Write { plane } => model.exec_write(plane, issue),
-            FlashStep::Erase { plane } => model.exec_erase(plane, issue),
-            FlashStep::CopyBack { plane } => model.exec_copyback(plane, issue),
-            FlashStep::InterPlaneCopy { src, dst } => model.exec_interplane_copy(src, dst, issue),
-        };
+        let completion = model.exec(*step, issue);
         first_start = Some(match first_start {
             Some(f) => f.min(completion.start),
             None => completion.start,

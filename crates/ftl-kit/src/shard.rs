@@ -465,7 +465,7 @@ pub(crate) fn run_plane_local(
                 .as_ref()
                 .expect("job routed to empty shard");
             let played = &run.outs[k as usize].played;
-            dev.fold_played(entry.arrival, played);
+            stats.fold_played(entry.arrival, played, dev.config.background_gc);
             req_done = req_done.max(played.done);
         }
         stats

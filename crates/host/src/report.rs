@@ -246,7 +246,7 @@ impl HostRunReport {
             h.write(s.lpn.map(|l| l + 1).unwrap_or(0));
             h.write(s.req.map(|r| r + 1).unwrap_or(0));
             h.write(s.issue.as_nanos());
-            h.write(s.start.as_nanos());
+            h.write(s.start().as_nanos());
             h.write(s.end.as_nanos());
         }
         h.finish()

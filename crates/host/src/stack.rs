@@ -808,12 +808,7 @@ fn host_span(
         plane: 0,
         dst_plane: None,
         issue: start,
-        start,
         end,
-        cell_ns: 0,
-        bus_ns: 0,
-        plane_wait_ns: 0,
-        channel_wait_ns: 0,
         retry_ns: 0,
         retry_steps: 0,
         segs: [None, None, None, None],

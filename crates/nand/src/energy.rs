@@ -2,10 +2,11 @@
 //!
 //! The paper motivates flash SSDs partly by "low energy-consumption"
 //! (§I) but does not evaluate energy. This module adds the standard
-//! component model used by FlashSim-family simulators: each operation
-//! charges a fixed energy derived from its active power and duration,
-//! letting the harness compare FTLs by Joules as well as milliseconds —
-//! copy-back wins twice, once on time and once by never driving the bus.
+//! component model used by FlashSim-family simulators: every phase of an
+//! operation draws the active power of the resource it holds (array or
+//! bus) for as long as it holds it, letting the harness compare FTLs by
+//! Joules as well as milliseconds — copy-back wins twice, once on time and
+//! once by never driving the bus.
 //!
 //! ## Fixed-point rules
 //!
@@ -27,16 +28,18 @@
 //! overflow-checked (`checked_mul`/`checked_add`) so silent wraparound is
 //! impossible.
 //!
-//! Because a plane's array draws power exactly while the plane timeline
-//! is reserved, and a channel's bus exactly while the channel timeline is
-//! reserved, total energy is a *pure function* of the hardware model's
-//! per-plane/per-channel busy-nanosecond counters (and, per span, of the
-//! recorder's `cell/retry/bus` buckets). No separate energy accumulator
-//! exists to drift out of sync.
-//!
-//! The millijoule helper [`EnergyConfig::total_mj`] survives as a thin
-//! `f64` converter over the integer core, for display only.
+//! A plane's array draws power exactly while the plane timeline is
+//! reserved, and a channel's bus exactly while the channel timeline is
+//! reserved, so total energy is a *pure function* of the hardware model's
+//! per-plane/per-channel busy-nanosecond counters
+//! ([`EnergyConfig::busy_totals`]). No separate energy accumulator exists
+//! to drift out of sync. The energy of one operation
+//! ([`EnergyConfig::step_totals`]) prices the same phase list
+//! ([`FlashStep::phases`]) the hardware model books, so it is what
+//! booking that operation alone adds to the busy counters — bus command
+//! cycles included, and only those the operation actually holds.
 
+use crate::step::FlashStep;
 use crate::timing::TimingConfig;
 
 /// Energy parameters, as integer active-power draws in microwatts.
@@ -75,90 +78,17 @@ impl EnergyConfig {
         }
     }
 
-    /// Energy of one page read (array + command/data bus), in fJ.
-    fn read_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
-        fj_add(
-            fj(
-                self.array_active_uw,
-                (t.command_overhead + t.page_read).as_nanos(),
-            ),
-            fj(self.bus_active_uw, t.page_transfer(page_size).as_nanos()),
-        )
-    }
-
-    /// Energy of one page program (command/data bus + array), in fJ.
-    fn write_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
-        fj_add(
-            fj(
-                self.bus_active_uw,
-                (t.command_overhead + t.page_transfer(page_size)).as_nanos(),
-            ),
-            fj(self.array_active_uw, t.page_program.as_nanos()),
-        )
-    }
-
-    /// Energy of one block erase, in fJ.
-    fn erase_fj(&self, t: &TimingConfig) -> u64 {
-        fj(
-            self.array_active_uw,
-            (t.command_overhead + t.block_erase).as_nanos(),
-        )
-    }
-
-    /// Energy of one intra-plane copy-back, in fJ — no bus component at
-    /// all: the page moves register-to-register inside the plane.
-    pub fn copyback_fj(&self, t: &TimingConfig) -> u64 {
-        fj(self.array_active_uw, t.copyback_service().as_nanos())
-    }
-
-    /// Energy of one traditional inter-plane copy (read out + program
-    /// back in, both crossing the bus), in fJ.
-    pub fn interplane_copy_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
-        fj_add(self.read_fj(t, page_size), self.write_fj(t, page_size))
-    }
-
-    /// Bus energy of one inter-plane copy, in fJ — the component a
-    /// copy-back avoids *entirely*, which is why copy-back's bus-energy
-    /// saving (100%) beats even its §III.A time saving.
-    pub fn interplane_bus_fj(&self, t: &TimingConfig, page_size: u32) -> u64 {
-        fj(
-            self.bus_active_uw,
-            fj_add(
-                t.page_transfer(page_size).as_nanos() * 2,
-                t.command_overhead.as_nanos() * 2,
-            ),
-        )
-    }
-
-    /// Total energy of an operation mix (including retry-ladder steps),
-    /// in fJ.
-    fn counters_fj(
-        &self,
-        t: &TimingConfig,
-        page_size: u32,
-        counters: &crate::hardware::OpCounters,
-    ) -> u64 {
-        let mut total = fj_mul_count(self.read_fj(t, page_size), counters.reads);
-        total = fj_add(
-            total,
-            fj_mul_count(self.write_fj(t, page_size), counters.writes),
-        );
-        total = fj_add(total, fj_mul_count(self.erase_fj(t), counters.erases));
-        total = fj_add(total, fj_mul_count(self.copyback_fj(t), counters.copybacks));
-        total = fj_add(
-            total,
-            fj_mul_count(
-                self.interplane_copy_fj(t, page_size),
-                counters.interplane_copies,
-            ),
-        );
-        fj_add(
-            total,
-            fj_mul_count(
-                fj(self.array_active_uw, t.read_retry_overhead(1).as_nanos()),
-                counters.read_retry_steps,
-            ),
-        )
+    /// Energy of one `step` on its own, in integer femtojoules: its phase
+    /// list priced by the same array/bus split [`Self::busy_totals`]
+    /// applies to the hardware model's busy counters. A copy-back has no
+    /// bus component at all — the page moves register-to-register inside
+    /// the plane.
+    pub fn step_totals(&self, step: &FlashStep, t: &TimingConfig, page_size: u32) -> EnergyTotals {
+        let (array, bus) = step.phases(t, page_size).busy();
+        EnergyTotals {
+            array_fj: fj(self.array_active_uw, array.as_nanos()),
+            bus_fj: fj(self.bus_active_uw, bus.as_nanos()),
+        }
     }
 
     /// Total energy implied by per-plane and per-channel busy time, in
@@ -176,25 +106,6 @@ impl EnergyConfig {
         }
         t
     }
-
-    // ---- thin f64 display converters over the integer core ----
-
-    /// Total energy of an operation mix, in display mJ.
-    pub fn total_mj(
-        &self,
-        t: &TimingConfig,
-        page_size: u32,
-        counters: &crate::hardware::OpCounters,
-    ) -> f64 {
-        self.counters_fj(t, page_size, counters) as f64 / 1e12
-    }
-}
-
-/// Multiply a per-operation energy by an operation count, checked.
-fn fj_mul_count(per_op_fj: u64, count: u64) -> u64 {
-    per_op_fj
-        .checked_mul(count)
-        .expect("energy overflow: per-op fJ * count exceeds u64")
 }
 
 impl Default for EnergyConfig {
@@ -245,7 +156,6 @@ impl EnergyTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hardware::OpCounters;
     use dloop_simkit::check::{self, Checker};
     use dloop_simkit::check_assert_eq;
 
@@ -253,11 +163,15 @@ mod tests {
         (EnergyConfig::paper_default(), TimingConfig::paper_default())
     }
 
+    fn totals(step: FlashStep, page_size: u32) -> EnergyTotals {
+        let (e, t) = cfg();
+        e.step_totals(&step, &t, page_size)
+    }
+
     #[test]
     fn copyback_saves_energy_over_interplane() {
-        let (e, t) = cfg();
-        let cb = e.copyback_fj(&t) as f64;
-        let inter = e.interplane_copy_fj(&t, 2048) as f64;
+        let cb = totals(FlashStep::CopyBack { plane: 0 }, 2048).total_fj() as f64;
+        let inter = totals(FlashStep::InterPlaneCopy { src: 0, dst: 1 }, 2048).total_fj() as f64;
         assert!(cb < inter, "copy-back {cb} fJ vs inter-plane {inter} fJ");
         // The array current dominates, so the energy saving is real but
         // smaller than the latency saving (no bus energy at all).
@@ -269,62 +183,44 @@ mod tests {
         let (e, t) = cfg();
         // The intra-plane path never drives the bus, so its bus-energy
         // saving is total — strictly larger than the §III.A time saving.
-        assert!(e.interplane_bus_fj(&t, 2048) > 0);
+        assert_eq!(totals(FlashStep::CopyBack { plane: 0 }, 2048).bus_fj, 0);
+        let inter = totals(FlashStep::InterPlaneCopy { src: 0, dst: 1 }, 2048);
+        // Two page transfers and no command cycle: the command is issued
+        // with the source read, inside the array phase.
+        assert_eq!(
+            inter.bus_fj,
+            fj(e.bus_active_uw, 2 * t.page_transfer(2048).as_nanos())
+        );
         let bus_saving = 1.0; // 100% by construction
         assert!(bus_saving > t.copyback_saving(2048));
     }
 
     #[test]
     fn energy_scales_with_duration() {
-        let (e, t) = cfg();
-        assert!(e.erase_fj(&t) > e.write_fj(&t, 2048));
-        assert!(e.write_fj(&t, 2048) > e.read_fj(&t, 2048));
-    }
-
-    #[test]
-    fn total_mix() {
-        let (e, t) = cfg();
-        let counters = OpCounters {
-            reads: 10,
-            writes: 5,
-            erases: 1,
-            copybacks: 2,
-            interplane_copies: 1,
-            read_retry_steps: 0,
-        };
-        let total = e.total_mj(&t, 2048, &counters);
-        let by_hand = (10 * e.read_fj(&t, 2048)
-            + 5 * e.write_fj(&t, 2048)
-            + e.erase_fj(&t)
-            + 2 * e.copyback_fj(&t)
-            + e.interplane_copy_fj(&t, 2048)) as f64
-            / 1e12;
-        assert!((total - by_hand).abs() < 1e-12);
+        let fj_of = |step| totals(step, 2048).total_fj();
+        let erase = fj_of(FlashStep::Erase { plane: 0 });
+        let write = fj_of(FlashStep::Write { plane: 0 });
+        assert!(erase > write);
+        assert!(write > fj_of(FlashStep::Read { plane: 0 }));
     }
 
     #[test]
     fn bigger_pages_cost_more_bus_energy() {
-        let (e, t) = cfg();
-        assert!(e.read_fj(&t, 16 * 1024) > e.read_fj(&t, 2 * 1024));
+        let read = FlashStep::Read { plane: 0 };
+        assert!(totals(read, 16 * 1024).bus_fj > totals(read, 2 * 1024).bus_fj);
         // Copy-back is page-size independent (register to register).
-        assert_eq!(e.copyback_fj(&t), e.copyback_fj(&t));
+        let cb = FlashStep::CopyBack { plane: 0 };
+        assert_eq!(totals(cb, 16 * 1024), totals(cb, 2 * 1024));
     }
 
     #[test]
     fn retry_steps_cost_array_energy() {
         let (e, t) = cfg();
-        let quiet = OpCounters {
-            reads: 1,
-            ..OpCounters::default()
-        };
-        let retried = OpCounters {
-            reads: 1,
-            read_retry_steps: 3,
-            ..OpCounters::default()
-        };
-        let delta = e.counters_fj(&t, 2048, &retried) - e.counters_fj(&t, 2048, &quiet);
+        let quiet = totals(FlashStep::Read { plane: 0 }, 2048);
+        let retried = totals(FlashStep::ReadRetry { plane: 0, steps: 3 }, 2048);
+        assert_eq!(retried.bus_fj, quiet.bus_fj);
         assert_eq!(
-            delta,
+            retried.array_fj - quiet.array_fj,
             3 * fj(e.array_active_uw, t.read_retry_overhead(1).as_nanos())
         );
     }

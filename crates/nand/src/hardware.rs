@@ -2,28 +2,25 @@
 //! finish, given contention on channels, planes and (optionally) dies.
 //!
 //! Each channel's external bus and each plane's cell array is a *timeline*
-//! (`busy until t`). An operation is a short sequence of phases, each
-//! holding one resource:
-//!
-//! * page read     — `[plane: cmd+t_read] [channel: t_xfer]`
-//! * page program  — `[channel: cmd+t_xfer] [plane: t_prog]`
-//! * block erase   — `[plane: cmd+t_erase]`
-//! * **copy-back** — `[plane: cmd+t_read+t_prog]` — *no channel phase*, which
-//!   is the entire point of DLOOP: GC traffic stays inside the plane and the
-//!   external bus remains free for host requests (§III.A);
-//! * inter-plane copy — `[plane_src] [channel_src] [channel_dst] [plane_dst]`.
-//!
-//! Phases of one operation run back-to-back, each waiting for its resource;
-//! operations on distinct planes/channels proceed in parallel. This
+//! (`busy until t`). What an operation holds, in which order and for how
+//! long is its phase list ([`FlashStep::phases`]); [`HardwareModel::exec`]
+//! books any operation by walking that list, each phase waiting for its
+//! resource and starting once the previous phase released its own.
+//! Operations on distinct planes/channels proceed in parallel. This
 //! reproduces FlashSim's priority-list behaviour (ready ops on free
 //! resources run immediately; blocked ops queue FIFO per resource) while
 //! staying deterministic.
+//!
+//! The holds a booking made are also its trace [`Span`]: the span stores
+//! them and derives its wait and occupancy buckets from them, so nothing
+//! here re-derives an operation's timing by hand.
 //!
 //! A config switch (`die_serialized`) additionally serialises the planes of
 //! one die, for the ablation that measures how much DLOOP relies on planes
 //! being independently operable via multi-plane/copy-back commands.
 
 use crate::geometry::{Geometry, PlaneId};
+use crate::step::{FlashStep, Hold};
 use crate::timing::TimingConfig;
 use dloop_simkit::trace::{Resource, Seg, Span, SpanKind, SpanPhase, TraceSink};
 use dloop_simkit::{SimDuration, SimTime};
@@ -206,26 +203,13 @@ impl HardwareModel {
         self.sink.as_deref_mut()
     }
 
-    /// Tag spans emitted by subsequent `exec_*` calls with a phase, the
+    /// Tag spans emitted by subsequent [`Self::exec`] calls with a phase, the
     /// triggering LPN, and the stable host-request id. Cheap enough to
     /// call unconditionally; ignored while no sink is attached.
     pub fn set_span_context(&mut self, phase: SpanPhase, lpn: Option<u64>, req: Option<u64>) {
         self.span_phase = phase;
         self.span_lpn = lpn;
         self.span_req = req;
-    }
-
-    /// Record `span` if tracing is enabled, first asserting the emitter
-    /// kept the attribution invariant (buckets tile residence).
-    fn record_span(&mut self, span: Span) {
-        debug_assert_eq!(
-            span.buckets_ns(),
-            span.residence_ns(),
-            "span attribution buckets must tile the residence time"
-        );
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&span);
-        }
     }
 
     fn channel_of(&self, plane: PlaneId) -> usize {
@@ -277,223 +261,102 @@ impl HardwareModel {
         self.channel_avail[self.channel_of(plane)]
     }
 
-    /// Host/GC page read on `plane` at `at` (array read, then bus out).
-    pub fn exec_read(&mut self, plane: PlaneId, at: SimTime) -> Completion {
-        self.exec_read_retry(plane, at, 0)
-    }
-
-    /// Page read on `plane` at `at` that needed `steps` read-retry ladder
-    /// steps before the ECC converged: the plane is additionally held for
-    /// each step's re-sense + soft decode before the bus transfer. With
-    /// `steps == 0` this is exactly [`HardwareModel::exec_read`], so
-    /// perfect media pays nothing for the fault machinery.
-    pub fn exec_read_retry(&mut self, plane: PlaneId, at: SimTime, steps: u32) -> Completion {
-        self.counters.reads += 1;
-        self.counters.read_retry_steps += steps as u64;
-        let extra = self.timing.read_retry_overhead(steps);
-        self.retry_ns += extra.as_nanos();
-        let cell = self.timing.command_overhead + self.timing.page_read;
-        let xfer = self.timing.page_transfer(self.page_size);
-        let (start, after_read) = self.hold_plane(plane, at, cell + extra);
-        let (bus_start, end) = self.hold_channel(plane, after_read, xfer);
-        if self.sink.is_some() {
-            self.record_span(Span {
-                kind: if steps == 0 {
-                    SpanKind::Read
-                } else {
-                    SpanKind::ReadRetry
-                },
+    /// Book `step` no earlier than `at`: hold each of its phases in turn,
+    /// each starting once its resource is free and the previous phase has
+    /// released its own. Bumps the step's counter and, while a sink is
+    /// attached, records the holds as one span.
+    pub fn exec(&mut self, step: FlashStep, at: SimTime) -> Completion {
+        let phases = step.phases(&self.timing, self.page_size);
+        let c = &mut self.counters;
+        let (count, kind, retry_steps) = match step {
+            FlashStep::Read { .. } | FlashStep::ReadRetry { steps: 0, .. } => {
+                (&mut c.reads, SpanKind::Read, 0)
+            }
+            FlashStep::ReadRetry { steps, .. } => (&mut c.reads, SpanKind::ReadRetry, steps),
+            FlashStep::Write { .. } => (&mut c.writes, SpanKind::Write, 0),
+            FlashStep::Erase { .. } => (&mut c.erases, SpanKind::Erase, 0),
+            FlashStep::CopyBack { .. } => (&mut c.copybacks, SpanKind::CopyBack, 0),
+            FlashStep::InterPlaneCopy { .. } => {
+                (&mut c.interplane_copies, SpanKind::InterPlaneCopy, 0)
+            }
+        };
+        *count += 1;
+        c.read_retry_steps += retry_steps as u64;
+        self.retry_ns += phases.retry.as_nanos();
+        let mut holds = [(at, at); 4];
+        let mut end = at;
+        for (hold, phase) in holds.iter_mut().zip(phases.iter()) {
+            *hold = match phase.hold {
+                Hold::Array(plane) => self.hold_plane(plane, end, phase.dur),
+                Hold::Bus(plane) => self.hold_channel(plane, end, phase.dur),
+            };
+            end = hold.1;
+        }
+        let start = holds[0].0;
+        let per_channel = self.planes_per_channel;
+        if let Some(sink) = self.sink.as_mut() {
+            let mut segs = [None; 4];
+            for ((seg, &(start, end)), phase) in segs.iter_mut().zip(&holds).zip(phases.iter()) {
+                let resource = match phase.hold {
+                    Hold::Array(plane) => Resource::Plane(plane),
+                    Hold::Bus(plane) => Resource::Channel(plane / per_channel),
+                };
+                *seg = Some(Seg {
+                    resource,
+                    start,
+                    end,
+                });
+            }
+            let (plane, dst_plane) = step.planes();
+            sink.record(&Span {
+                kind,
                 phase: self.span_phase,
                 lpn: self.span_lpn,
                 req: self.span_req,
                 plane,
-                dst_plane: None,
+                dst_plane,
                 issue: at,
-                start,
                 end,
-                cell_ns: cell.as_nanos(),
-                bus_ns: xfer.as_nanos(),
-                plane_wait_ns: start.saturating_since(at).as_nanos(),
-                channel_wait_ns: bus_start.saturating_since(after_read).as_nanos(),
-                retry_ns: extra.as_nanos(),
-                retry_steps: steps,
-                segs: [
-                    Some(Seg {
-                        resource: Resource::Plane(plane),
-                        start,
-                        end: after_read,
-                    }),
-                    Some(Seg {
-                        resource: Resource::Channel(self.channel_of(plane) as u32),
-                        start: bus_start,
-                        end,
-                    }),
-                    None,
-                    None,
-                ],
+                retry_ns: phases.retry.as_nanos(),
+                retry_steps,
+                segs,
             });
         }
         Completion { start, end }
+    }
+
+    /// Host/GC page read on `plane` at `at` (array read, then bus out).
+    pub fn exec_read(&mut self, plane: PlaneId, at: SimTime) -> Completion {
+        self.exec(FlashStep::Read { plane }, at)
+    }
+
+    /// Page read on `plane` at `at` that needed `steps` read-retry ladder
+    /// steps: the plane is additionally held for each step's re-sense and
+    /// soft decode before the bus transfer.
+    pub fn exec_read_retry(&mut self, plane: PlaneId, at: SimTime, steps: u32) -> Completion {
+        self.exec(FlashStep::ReadRetry { plane, steps }, at)
     }
 
     /// Host/GC page program on `plane` at `at` (bus in, then array program).
     pub fn exec_write(&mut self, plane: PlaneId, at: SimTime) -> Completion {
-        self.counters.writes += 1;
-        let xfer = self.timing.command_overhead + self.timing.page_transfer(self.page_size);
-        let (start, after_xfer) = self.hold_channel(plane, at, xfer);
-        let (cell_start, end) = self.hold_plane(plane, after_xfer, self.timing.page_program);
-        if self.sink.is_some() {
-            self.record_span(Span {
-                kind: SpanKind::Write,
-                phase: self.span_phase,
-                lpn: self.span_lpn,
-                req: self.span_req,
-                plane,
-                dst_plane: None,
-                issue: at,
-                start,
-                end,
-                cell_ns: self.timing.page_program.as_nanos(),
-                bus_ns: xfer.as_nanos(),
-                plane_wait_ns: cell_start.saturating_since(after_xfer).as_nanos(),
-                channel_wait_ns: start.saturating_since(at).as_nanos(),
-                retry_ns: 0,
-                retry_steps: 0,
-                segs: [
-                    Some(Seg {
-                        resource: Resource::Channel(self.channel_of(plane) as u32),
-                        start,
-                        end: after_xfer,
-                    }),
-                    Some(Seg {
-                        resource: Resource::Plane(plane),
-                        start: cell_start,
-                        end,
-                    }),
-                    None,
-                    None,
-                ],
-            });
-        }
-        Completion { start, end }
+        self.exec(FlashStep::Write { plane }, at)
     }
 
     /// Block erase on `plane` at `at`.
     pub fn exec_erase(&mut self, plane: PlaneId, at: SimTime) -> Completion {
-        self.counters.erases += 1;
-        let dur = self.timing.command_overhead + self.timing.block_erase;
-        let (start, end) = self.hold_plane(plane, at, dur);
-        if self.sink.is_some() {
-            self.record_plane_only_span(SpanKind::Erase, plane, at, start, end, dur);
-        }
-        Completion { start, end }
+        self.exec(FlashStep::Erase { plane }, at)
     }
 
     /// Intra-plane copy-back on `plane` at `at`: read into the plane data
     /// register and program back — the external channel is never touched.
     pub fn exec_copyback(&mut self, plane: PlaneId, at: SimTime) -> Completion {
-        self.counters.copybacks += 1;
-        let dur = self.timing.copyback_service();
-        let (start, end) = self.hold_plane(plane, at, dur);
-        if self.sink.is_some() {
-            self.record_plane_only_span(SpanKind::CopyBack, plane, at, start, end, dur);
-        }
-        Completion { start, end }
-    }
-
-    /// Emit the span of an operation that held exactly one plane.
-    fn record_plane_only_span(
-        &mut self,
-        kind: SpanKind,
-        plane: PlaneId,
-        issue: SimTime,
-        start: SimTime,
-        end: SimTime,
-        dur: SimDuration,
-    ) {
-        self.record_span(Span {
-            kind,
-            phase: self.span_phase,
-            lpn: self.span_lpn,
-            req: self.span_req,
-            plane,
-            dst_plane: None,
-            issue,
-            start,
-            end,
-            cell_ns: dur.as_nanos(),
-            bus_ns: 0,
-            plane_wait_ns: start.saturating_since(issue).as_nanos(),
-            channel_wait_ns: 0,
-            retry_ns: 0,
-            retry_steps: 0,
-            segs: [
-                Some(Seg {
-                    resource: Resource::Plane(plane),
-                    start,
-                    end,
-                }),
-                None,
-                None,
-                None,
-            ],
-        });
+        self.exec(FlashStep::CopyBack { plane }, at)
     }
 
     /// Traditional inter-plane copy from `src` to `dst` at `at`: the page
     /// travels source plane → bus → controller → bus → destination plane.
     pub fn exec_interplane_copy(&mut self, src: PlaneId, dst: PlaneId, at: SimTime) -> Completion {
-        self.counters.interplane_copies += 1;
-        let read = self.timing.command_overhead + self.timing.page_read;
-        let xfer = self.timing.page_transfer(self.page_size);
-        let (start, t0) = self.hold_plane(src, at, read);
-        let (b1, t1) = self.hold_channel(src, t0, xfer);
-        let (b2, t2) = self.hold_channel(dst, t1, xfer);
-        let (cell_start, end) = self.hold_plane(dst, t2, self.timing.page_program);
-        if self.sink.is_some() {
-            self.record_span(Span {
-                kind: SpanKind::InterPlaneCopy,
-                phase: self.span_phase,
-                lpn: self.span_lpn,
-                req: self.span_req,
-                plane: src,
-                dst_plane: Some(dst),
-                issue: at,
-                start,
-                end,
-                cell_ns: (read + self.timing.page_program).as_nanos(),
-                bus_ns: (xfer + xfer).as_nanos(),
-                plane_wait_ns: start.saturating_since(at).as_nanos()
-                    + cell_start.saturating_since(t2).as_nanos(),
-                channel_wait_ns: b1.saturating_since(t0).as_nanos()
-                    + b2.saturating_since(t1).as_nanos(),
-                retry_ns: 0,
-                retry_steps: 0,
-                segs: [
-                    Some(Seg {
-                        resource: Resource::Plane(src),
-                        start,
-                        end: t0,
-                    }),
-                    Some(Seg {
-                        resource: Resource::Channel(self.channel_of(src) as u32),
-                        start: b1,
-                        end: t1,
-                    }),
-                    Some(Seg {
-                        resource: Resource::Channel(self.channel_of(dst) as u32),
-                        start: b2,
-                        end: t2,
-                    }),
-                    Some(Seg {
-                        resource: Resource::Plane(dst),
-                        start: cell_start,
-                        end,
-                    }),
-                ],
-            });
-        }
-        Completion { start, end }
+        self.exec(FlashStep::InterPlaneCopy { src, dst }, at)
     }
 
     /// Busy nanoseconds accumulated per plane.
@@ -514,11 +377,10 @@ impl HardwareModel {
 
     /// Integer energy totals implied by the busy timelines under `energy`.
     ///
-    /// Every plane reservation is array-active (reads, programs, erases,
-    /// copy-backs, and the retry ladder all run inside the private
-    /// `hold_plane` reservation helper) and every channel reservation is
-    /// bus-active, so the busy counters
-    /// *are* the energy accumulators: no separate accrual exists to drift.
+    /// Every array phase [`Self::exec`] books is array-active (reads,
+    /// programs, erases, copy-backs and the retry ladder alike) and every
+    /// bus phase is bus-active, so the busy counters *are* the energy
+    /// accumulators: no separate accrual exists to drift.
     /// Because [`Self::shard_clone`] zeroes the busy counters and
     /// [`Self::absorb_activity`] adds them back as integer deltas, sharded
     /// and sequential replays produce bit-identical totals (claim C15).
@@ -571,6 +433,44 @@ mod tests {
         assert!((c.latency().as_micros_f64() - 327.6).abs() < 1e-9);
         // Planes 0 and 1 share channel 0; its bus was held twice.
         assert!(h.channel_ready_at(0) > SimTime::ZERO);
+    }
+
+    /// Every step kind, booked alone on an idle model, takes exactly the
+    /// sum of its phases and adds exactly its priced energy to the busy
+    /// counters — for both timing models and every Fig. 9 page size.
+    #[test]
+    fn each_step_books_its_phase_list_and_its_energy() {
+        let energy = crate::energy::EnergyConfig::paper_default();
+        let steps = [
+            FlashStep::Read { plane: 1 },
+            FlashStep::ReadRetry { plane: 1, steps: 2 },
+            FlashStep::Write { plane: 1 },
+            FlashStep::Erase { plane: 1 },
+            FlashStep::CopyBack { plane: 1 },
+            FlashStep::InterPlaneCopy { src: 1, dst: 9 },
+        ];
+        for timing in [
+            TimingConfig::paper_default(),
+            TimingConfig::paper_fixed_transfer(),
+        ] {
+            for page_kb in [2u32, 4, 8, 16] {
+                let g = Geometry {
+                    page_size: page_kb * 1024,
+                    ..Geometry::paper_default()
+                };
+                for step in steps {
+                    let mut h = HardwareModel::new(&g, timing.clone(), false);
+                    let c = h.exec(step, SimTime::ZERO);
+                    let phases = step.phases(&timing, g.page_size);
+                    assert_eq!(c.latency(), phases.service(), "{step:?} @ {page_kb} KB");
+                    assert_eq!(
+                        h.energy_totals(&energy),
+                        energy.step_totals(&step, &timing, g.page_size),
+                        "{step:?} @ {page_kb} KB"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -697,10 +597,11 @@ mod tests {
         assert_eq!(spans[0].phase, SpanPhase::Host);
         // The read queued behind the write on plane 0: its wait is visible.
         assert_eq!(spans[1].kind, SpanKind::Read);
-        assert!(spans[1].plane_wait_ns + spans[1].channel_wait_ns > 0);
+        let wait = spans[1].attribution();
+        assert!(wait.plane_wait_ns + wait.channel_wait_ns > 0);
         // Copy-back never touches a channel.
         assert_eq!(spans[2].phase, SpanPhase::Gc);
-        assert_eq!(spans[2].bus_ns, 0);
+        assert_eq!(spans[2].attribution().bus_ns, 0);
         assert!(spans[2]
             .segments()
             .all(|seg| matches!(seg.resource, Resource::Plane(1))));

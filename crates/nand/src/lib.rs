@@ -12,10 +12,13 @@
 //!   transitions and audit routines.
 //! * **Timing** ([`hardware::HardwareModel`], [`timing::TimingConfig`]) —
 //!   when operations start and finish under contention for channels,
-//!   planes, and optionally dies. Includes the advanced commands the paper
-//!   relies on: **intra-plane copy-back** (no bus traffic), with
-//!   multi-plane parallelism arising naturally from independent plane
-//!   timelines, and an optional die-serialisation mode for ablations.
+//!   planes, and optionally dies. Every operation is a [`step::FlashStep`]
+//!   whose phase list ([`step::FlashStep::phases`]) says what it holds and
+//!   for how long; booking, energy and the §III.A copy costs all read that
+//!   one list. Includes the advanced commands the paper relies on:
+//!   **intra-plane copy-back** (no bus traffic), with multi-plane
+//!   parallelism arising naturally from independent plane timelines, and an
+//!   optional die-serialisation mode for ablations.
 //!
 //! [`geometry::Geometry`] ties the two together with the full
 //! channel/package/chip/die/plane/block/page hierarchy of the paper's
@@ -26,7 +29,7 @@
 //! makes programs/reads/erases return deterministic [`MediaOutcome`]s
 //! (program-status failures, read-retry ladders, uncorrectable reads,
 //! grown bad blocks) and the timing model charges the read-retry ladder
-//! through [`hardware::HardwareModel::exec_read_retry`].
+//! through [`step::FlashStep::ReadRetry`].
 
 pub mod block;
 pub mod energy;
@@ -35,6 +38,7 @@ pub mod geometry;
 pub mod hardware;
 pub mod plane;
 pub mod state;
+pub mod step;
 pub mod timing;
 
 pub use block::PageState;
@@ -44,4 +48,5 @@ pub use error::{MediaError, NandError};
 pub use geometry::{BlockAddr, ChannelId, DieId, Geometry, Lpn, PageAddr, PlaneId, Ppn};
 pub use hardware::{Completion, HardwareModel, OpCounters};
 pub use state::{FlashState, ProgramAttempt};
+pub use step::{FlashStep, Hold, Phase, Phases};
 pub use timing::TimingConfig;

@@ -1,4 +1,4 @@
-//! NAND operation latencies (Table I of the paper) and derived costs.
+//! NAND operation latencies (Table I of the paper).
 //!
 //! | parameter | value |
 //! |---|---|
@@ -8,21 +8,27 @@
 //! | bus transfer | 0.025 µs / byte (≈ 50 µs for a 2 KB page) |
 //! | command/address cycle | 0.2 µs (the paper calls it negligible but we model it) |
 //!
-//! §III.A works these into the two copy costs the whole paper hinges on:
-//! an **inter-plane copy** is read + transfer-out + transfer-in + program
-//! (≈ 325 µs at 2 KB) while an **intra-plane copy-back** is read + program
-//! only (225 µs), a 30.7 % saving that also leaves the external bus free.
+//! These are parameters only. How an operation spends them — which
+//! resource each phase holds, in what order — is written once, in
+//! [`FlashStep::phases`]; §III.A's two copy costs are sums over those
+//! lists. An **inter-plane copy** is read + transfer-out + transfer-in +
+//! program (≈ 325 µs at 2 KB) while an **intra-plane copy-back** is
+//! read + program only (225 µs), a 30.7 % saving
+//! ([`TimingConfig::copyback_saving`]) that also leaves the external bus
+//! free.
 
+use crate::step::FlashStep;
 use dloop_simkit::SimDuration;
 
 /// Device latency parameters.
 ///
 /// ```
-/// use dloop_nand::TimingConfig;
+/// use dloop_nand::{FlashStep, TimingConfig};
 ///
 /// let t = TimingConfig::paper_default();
 /// // SIII.A: copy-back 225 us vs inter-plane ~327 us at 2 KB pages.
-/// assert_eq!(t.copyback_service().as_micros_f64(), 225.2);
+/// let cb = FlashStep::CopyBack { plane: 0 }.phases(&t, 2048);
+/// assert_eq!(cb.service().as_micros_f64(), 225.2);
 /// assert!(t.copyback_saving(2048) > 0.28);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,27 +100,12 @@ impl TimingConfig {
         )
     }
 
-    /// Service time of an intra-plane copy-back: read into the plane data
-    /// register, program back out — no bus traffic (§III.A: 225 µs).
-    pub fn copyback_service(&self) -> SimDuration {
-        self.command_overhead + self.page_read + self.page_program
-    }
-
-    /// Service time of a traditional inter-plane copy: the page travels up
-    /// to the controller and back down (§III.A: 325 µs at 2 KB).
-    fn interplane_copy_service(&self, page_size: u32) -> SimDuration {
-        self.command_overhead
-            + self.page_read
-            + self.page_transfer(page_size)
-            + self.page_transfer(page_size)
-            + self.page_program
-    }
-
     /// Fractional saving of copy-back over inter-plane copy (≈ 0.307 at
     /// 2 KB pages with Table-I latencies).
     pub fn copyback_saving(&self, page_size: u32) -> f64 {
-        let inter = self.interplane_copy_service(page_size).as_nanos() as f64;
-        let intra = self.copyback_service().as_nanos() as f64;
+        let service = |step: FlashStep| step.phases(self, page_size).service().as_nanos() as f64;
+        let inter = service(FlashStep::InterPlaneCopy { src: 0, dst: 1 });
+        let intra = service(FlashStep::CopyBack { plane: 0 });
         (inter - intra) / inter
     }
 }
@@ -130,14 +121,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_service_times() {
+    fn paper_transfer_time() {
         let t = TimingConfig::paper_default();
         // 2 KB transfer = 2048 * 25 ns = 51.2 us (the paper rounds to 50).
         assert_eq!(t.page_transfer(2048).as_nanos(), 51_200);
-        // Copy-back = 25 + 200 (+0.2 cmd) us.
-        assert_eq!(t.copyback_service().as_micros_f64(), 225.2);
-        // Inter-plane = 25 + 51.2 + 51.2 + 200 (+0.2) us.
-        assert!((t.interplane_copy_service(2048).as_micros_f64() - 327.6).abs() < 1e-9);
     }
 
     #[test]
@@ -164,10 +151,8 @@ mod tests {
         assert_eq!(t.page_transfer(2048), t.page_transfer(16 * 1024));
         assert_eq!(t.page_transfer(2048).as_micros_f64(), 50.0);
         // Copy-back is unaffected (no bus phase).
-        assert_eq!(
-            t.copyback_service(),
-            TimingConfig::paper_default().copyback_service()
-        );
+        let cb = |t: &TimingConfig| FlashStep::CopyBack { plane: 0 }.phases(t, 2048);
+        assert_eq!(cb(&t), cb(&TimingConfig::paper_default()));
     }
 
     #[test]

@@ -151,10 +151,12 @@ pub struct Seg {
 
 /// One flash operation, as reserved on the hardware timelines.
 ///
-/// Invariant (checked by the emitter): for an operation whose phases run
-/// back-to-back, `plane_wait_ns + channel_wait_ns + cell_ns + bus_ns +
-/// retry_ns == end - issue`, i.e. the attribution buckets exactly tile the
-/// residence time.
+/// The span stores its holds (`segs`) and derives everything else from
+/// them: when it started, how long it waited for each resource class and
+/// how long it held each. Each hold's wait runs from the previous hold's
+/// release (or `issue`), so for an operation whose holds run back to back
+/// the attribution buckets tile the residence time by construction:
+/// `plane_wait + channel_wait + cell + bus + retry == end - issue`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Operation kind.
@@ -175,19 +177,10 @@ pub struct Span {
     pub dst_plane: Option<u32>,
     /// When the operation was handed to the hardware.
     pub issue: SimTime,
-    /// When the first resource was actually acquired.
-    pub start: SimTime,
     /// When the last resource was released.
     pub end: SimTime,
-    /// Nanoseconds of cell-array occupancy (excluding retry-ladder time).
-    pub cell_ns: u64,
-    /// Nanoseconds of external-bus occupancy.
-    pub bus_ns: u64,
-    /// Nanoseconds spent waiting for a busy plane (or serialized die).
-    pub plane_wait_ns: u64,
-    /// Nanoseconds spent waiting for a busy channel.
-    pub channel_wait_ns: u64,
-    /// Nanoseconds of read-retry ladder work on the plane.
+    /// Nanoseconds of read-retry ladder work, carved out of the plane
+    /// holds.
     pub retry_ns: u64,
     /// Read-retry ladder steps executed.
     pub retry_steps: u32,
@@ -201,11 +194,46 @@ impl Span {
         self.end.saturating_since(self.issue).as_nanos()
     }
 
+    /// When the first resource was acquired (`issue` for a span that held
+    /// none).
+    pub fn start(&self) -> SimTime {
+        self.segments().next().map_or(self.issue, |seg| seg.start)
+    }
+
+    /// This span's latency attribution, as a one-span row: each hold's
+    /// wait since the previous release (or `issue`) is charged to the
+    /// class of the resource held and the hold itself to cell or bus
+    /// time, with the retry ladder carved out of the cell share.
+    pub fn attribution(&self) -> AttributionRow {
+        let mut row = AttributionRow {
+            spans: 1,
+            retry_ns: self.retry_ns,
+            residence_ns: self.residence_ns(),
+            ..AttributionRow::default()
+        };
+        let mut prev = self.issue;
+        for seg in self.segments() {
+            let wait = seg.start.saturating_since(prev).as_nanos();
+            let hold = seg.end.saturating_since(seg.start).as_nanos();
+            let (waited, held) = match seg.resource {
+                Resource::Plane(_) => (&mut row.plane_wait_ns, &mut row.cell_ns),
+                Resource::Channel(_) => (&mut row.channel_wait_ns, &mut row.bus_ns),
+            };
+            *waited += wait;
+            *held += hold;
+            prev = seg.end;
+        }
+        row.cell_ns = row.cell_ns.saturating_sub(self.retry_ns);
+        row
+    }
+
     /// Sum of the attribution buckets; equals [`Span::residence_ns`] for
-    /// spans whose phases ran back-to-back (all emitters in this
-    /// workspace).
+    /// spans whose holds ran back to back (every device span in this
+    /// workspace). A host-stack span holds nothing, so its buckets are
+    /// zero.
     pub fn buckets_ns(&self) -> u64 {
-        self.plane_wait_ns + self.channel_wait_ns + self.cell_ns + self.bus_ns + self.retry_ns
+        let a = self.attribution();
+        a.plane_wait_ns + a.channel_wait_ns + a.cell_ns + a.bus_ns + a.retry_ns
     }
 
     /// The resource-hold segments actually present.
@@ -363,6 +391,7 @@ impl TraceSink for RingSink {
 /// JSON library.
 pub fn span_jsonl(s: &Span) -> String {
     let mut out = String::with_capacity(256);
+    let a = s.attribution();
     let opt = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
     let _ = write!(
         out,
@@ -376,12 +405,12 @@ pub fn span_jsonl(s: &Span) -> String {
         s.plane,
         opt(s.dst_plane.map(u64::from)),
         s.issue.as_nanos(),
-        s.start.as_nanos(),
+        s.start().as_nanos(),
         s.end.as_nanos(),
-        s.cell_ns,
-        s.bus_ns,
-        s.plane_wait_ns,
-        s.channel_wait_ns,
+        a.cell_ns,
+        a.bus_ns,
+        a.plane_wait_ns,
+        a.channel_wait_ns,
         s.retry_ns,
         s.retry_steps,
     );
@@ -423,13 +452,14 @@ pub struct AttributionRow {
 
 impl AttributionRow {
     fn add(&mut self, s: &Span) {
-        self.spans += 1;
-        self.plane_wait_ns += s.plane_wait_ns;
-        self.channel_wait_ns += s.channel_wait_ns;
-        self.bus_ns += s.bus_ns;
-        self.cell_ns += s.cell_ns;
-        self.retry_ns += s.retry_ns;
-        self.residence_ns += s.residence_ns();
+        let a = s.attribution();
+        self.spans += a.spans;
+        self.plane_wait_ns += a.plane_wait_ns;
+        self.channel_wait_ns += a.channel_wait_ns;
+        self.bus_ns += a.bus_ns;
+        self.cell_ns += a.cell_ns;
+        self.retry_ns += a.retry_ns;
+        self.residence_ns += a.residence_ns;
     }
 }
 
@@ -529,6 +559,7 @@ fn push_json_event(
     dur_ns: u64,
     span: &Span,
 ) {
+    let wait = span.attribution();
     let lpn = span
         .lpn
         .map(|l| l.to_string())
@@ -546,7 +577,7 @@ fn push_json_event(
         dur_ns as f64 / 1e3,
         span.retry_steps,
         span.issue.as_micros_f64(),
-        (span.plane_wait_ns + span.channel_wait_ns) as f64 / 1e3,
+        (wait.plane_wait_ns + wait.channel_wait_ns) as f64 / 1e3,
     );
 }
 
@@ -1300,12 +1331,7 @@ mod tests {
             plane,
             dst_plane: None,
             issue: start,
-            start,
             end,
-            cell_ns: end.saturating_since(start).as_nanos(),
-            bus_ns: 0,
-            plane_wait_ns: 0,
-            channel_wait_ns: 0,
             retry_ns: 0,
             retry_steps: 0,
             segs: [
@@ -1511,7 +1537,6 @@ mod tests {
             start: SimTime::from_micros(7),
             end: SimTime::from_micros(11),
         });
-        with_bus.bus_ns = 4_000;
         with_bus.end = SimTime::from_micros(11);
         rec.push(with_bus);
         rec

@@ -46,6 +46,11 @@ fi
 # EXPERIMENTS.md, at any depth. Other docs (the changelog, the roadmap,
 # task notes) name items that are gone or not yet built, so they do not
 # count.
+#
+# The gate matches bare names, not paths: an item counts as called when
+# any other file names any item of the same name. Two methods that share
+# a name therefore shield each other — `EnergyConfig::total_mj` outlived
+# its last caller because `EnergyTotals::total_mj` is still called.
 check_dead_pub() {
     find "$1" \( -name target -o -name .git \) -prune -o -type f \
         \( -name '*.rs' -o -name README.md -o -name DESIGN.md -o -name EXPERIMENTS.md \) \
@@ -276,16 +281,14 @@ cargo test -q --release --offline --test replay_modes plane_local_fast_path_enga
 cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_identical
 cargo test -q --release --offline --test replay_modes sharded_requests_that_fall_back_name_their_guard
 
-echo "==> committed results regenerate (every table but fig9 at default flags, byte-equal)"
-# Between them fig8, fig10 and ablation run every FTL (DLOOP, DFTL, FAST
-# and the ablation variants, IDEAL among them as DLOOP over a CMT that
-# holds every entry) on the paper's traces, so any change that moves a
-# simulated number shows up as a CSV diff here; params, traces, copyback,
-# striping and channels take seconds. One process runs
-# them all, so headline and verify's C2-C6 and C8 read the cells fig8 and
-# fig10 ran, and claims_0.csv costs only C7 and C9-C16. Only
-# fig9_pagesize_*.csv is not regenerated here: it reproduces with no known
-# flags (EXPERIMENTS.md).
+echo "==> committed results regenerate (every table at default flags, byte-equal)"
+# Between them fig8, fig9, fig10 and ablation run every FTL (DLOOP, DFTL,
+# FAST and the ablation variants, IDEAL among them as DLOOP over a CMT
+# that holds every entry) on the paper's traces, so any change that moves
+# a simulated number shows up as a CSV diff here; params, traces,
+# copyback, striping and channels take seconds. One process runs them
+# all, so headline and verify's C2-C6 and C8 read the cells fig8 and
+# fig10 ran, and claims_0.csv costs only C7 and C9-C16.
 check_regenerates() {
     local results="$1"
     shift
@@ -297,7 +300,7 @@ check_regenerates() {
     rm -rf "$regen_out"
     return "$status"
 }
-check_regenerates results fig8 fig10 headline verify ablation params traces copyback \
+check_regenerates results fig8 fig9 fig10 headline verify ablation params traces copyback \
     striping channels
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
