@@ -305,10 +305,10 @@ fn check_gc_blocked_share_on(
         device.attach_sink(Box::new(RingSink::new(1 << 20)));
         let report = device.run_with(&gc_trace.requests, ReplayMode::Open.into());
         let rec = device.take_trace().expect("ring sink was attached");
-        (report, attribution(&rec))
+        (report, attribution(&rec), rec.dropped())
     };
-    let (rep_sync, attr_sync) = run_gc_mode(false);
-    let (rep_bg, _) = run_gc_mode(true);
+    let (rep_sync, attr_sync, dropped) = run_gc_mode(false);
+    let (rep_bg, _, _) = run_gc_mode(true);
     let (share_sync, share_bg) = (rep_sync.gc_blocked_share(), rep_bg.gc_blocked_share());
     let gc_row = attr_sync.row(SpanPhase::Gc);
     ClaimResult {
@@ -319,12 +319,13 @@ fn check_gc_blocked_share_on(
             && gc_row.spans > 0
             && share_sync > share_bg,
         detail: format!(
-            "sync GC-blocked {:.1} ms ({:.4}% of response) vs background {:.1} ms ({:.4}%); {} GC spans attributed",
+            "sync GC-blocked {:.1} ms ({:.4}% of response) vs background {:.1} ms ({:.4}%); {} GC spans attributed; {} dropped by the ring",
             rep_sync.gc_block_ms.sum(),
             share_sync * 100.0,
             rep_bg.gc_block_ms.sum(),
             share_bg * 100.0,
             gc_row.spans,
+            dropped,
         ),
     }
 }
@@ -1315,6 +1316,12 @@ mod tests {
         let config = dloop_ftl_kit::config::SsdConfig::micro_gc_test();
         let r = check_gc_blocked_share_on(&opts, config, 2_000);
         assert!(r.pass, "C10 failed: {}", r.detail);
+        // The evidence says whether the ring kept every span it attributes.
+        assert!(
+            r.detail.ends_with("; 0 dropped by the ring"),
+            "{}",
+            r.detail
+        );
     }
 
     #[test]

@@ -362,13 +362,17 @@ impl MediaCounters {
         self.retry_hist.iter().sum::<u64>() + self.uncorrectable_reads
     }
 
-    /// Counter deltas since `baseline` (for measurement windows that start
-    /// after a warm-up phase).
+    /// Counter deltas since `baseline`: a measurement window is the
+    /// difference of two snapshots. Factory-bad blocks are the exception:
+    /// they are retired when the media is attached, before any window
+    /// opens, so every window reports the device's count as it stands
+    /// (like a report's wear summary) rather than a difference that is
+    /// always zero.
     pub fn since(&self, baseline: &MediaCounters) -> MediaCounters {
         MediaCounters {
             program_fails: self.program_fails - baseline.program_fails,
             grown_bad_blocks: self.grown_bad_blocks - baseline.grown_bad_blocks,
-            factory_bad_blocks: self.factory_bad_blocks - baseline.factory_bad_blocks,
+            factory_bad_blocks: self.factory_bad_blocks,
             uncorrectable_reads: self.uncorrectable_reads - baseline.uncorrectable_reads,
             read_retry_steps: self.read_retry_steps - baseline.read_retry_steps,
             retry_hist: self
@@ -608,6 +612,7 @@ mod tests {
     #[test]
     fn counters_since_baseline() {
         let mut m = MediaModel::new(FaultPlan::new(FaultConfig::storm(17)), 1024);
+        m.note_factory_bad();
         for ppn in 0..512u64 {
             m.read(ppn, 1);
         }
@@ -620,6 +625,9 @@ mod tests {
             delta.retry_hist.iter().sum::<u64>() + delta.uncorrectable_reads,
             512
         );
+        // Factory-bad blocks are a level: retired before the window opened,
+        // still reported in it.
+        assert_eq!(delta.factory_bad_blocks, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::metrics::{RunReport, ShardGuard, ShardOutcome};
 use crate::play::{play_op, PageOp, Played, ScanOrder};
 use crate::request::{HostOp, HostRequest};
 use crate::sched::{QosCandidate, QosPolicy, QosSpec, WindowFifoPolicy};
-use dloop_nand::{FlashState, HardwareModel, MediaCounters, PageState};
+use dloop_nand::{FlashState, HardwareModel, HwActivity, MediaCounters, PageState};
 use dloop_simkit::trace::{QueueDepthProbe, RingSink, TraceSink};
 use dloop_simkit::{ArrivalOrder, EventQueue, Histogram, OnlineStats, SimTime};
 use std::cmp::Reverse;
@@ -212,13 +212,44 @@ impl RunConfig {
     }
 }
 
+/// Every cumulative counter a [`RunReport`] reads, at one instant: the
+/// hardware's activity, the FTL's counters, the flash totals and the
+/// media counters. All of them only grow, so a run's report is its end
+/// snapshot minus its start snapshot ([`DeviceCounters::since`]),
+/// whatever ran on the device before.
+#[derive(Debug, Clone)]
+pub(crate) struct DeviceCounters {
+    pub(crate) hw: HwActivity,
+    ftl: FtlCounters,
+    erases: u64,
+    programs: u64,
+    skips: u64,
+    media: MediaCounters,
+}
+
+impl DeviceCounters {
+    /// The counts accumulated since the snapshot `start` of the same device.
+    fn since(&self, start: &DeviceCounters) -> DeviceCounters {
+        DeviceCounters {
+            hw: self.hw.since(&start.hw),
+            ftl: self.ftl.since(&start.ftl),
+            erases: self.erases - start.erases,
+            programs: self.programs - start.programs,
+            skips: self.skips - start.skips,
+            media: self.media.since(&start.media),
+        }
+    }
+}
+
 /// Per-replay measurement accumulator shared by every [`ReplayMode`]: the
-/// response-time distribution and its per-op wait/service/GC-block
-/// decomposition, page counts and simulated end time that
-/// [`SsdDevice::finish_report`] folds into the [`RunReport`]. Keeping a
-/// single accumulator (and a single completion path) is what guarantees
-/// the modes count requests identically.
+/// device's counters when the run began, the response-time distribution
+/// and its per-op wait/service/GC-block decomposition, page counts and
+/// simulated end time that [`SsdDevice::finish_report`] folds into the
+/// [`RunReport`]. Keeping a single accumulator (and a single completion
+/// path) is what guarantees the modes count requests identically.
 pub(crate) struct ReplayStats {
+    /// The device's counters when the run began.
+    pub(crate) start: DeviceCounters,
     response_ms: OnlineStats,
     wait_ms: OnlineStats,
     service_ms: OnlineStats,
@@ -241,10 +272,12 @@ pub(crate) struct ReplayStats {
 }
 
 impl ReplayStats {
-    /// An empty accumulator with its two per-run logs sized up front: one
-    /// completion record per request, `units` queue-probe records.
-    pub(crate) fn with_capacity(requests: usize, units: usize) -> Self {
+    /// An empty accumulator for a run starting from the counters `start`,
+    /// with its two per-run logs sized up front: one completion record per
+    /// request, `units` queue-probe records.
+    pub(crate) fn with_capacity(start: DeviceCounters, requests: usize, units: usize) -> Self {
         ReplayStats {
+            start,
             response_ms: OnlineStats::new(),
             wait_ms: OnlineStats::new(),
             service_ms: OnlineStats::new(),
@@ -266,9 +299,9 @@ impl ReplayStats {
 
     /// Sized for a queueing driver, whose probe tracks page operations
     /// (and one instant record per zero-page request).
-    fn for_queued(requests: &[HostRequest]) -> Self {
+    fn for_queued(start: DeviceCounters, requests: &[HostRequest]) -> Self {
         let units = requests.iter().map(|r| r.pages.max(1) as usize).sum();
-        Self::with_capacity(requests.len(), units)
+        Self::with_capacity(start, requests.len(), units)
     }
 
     /// Count one page operation of kind `op`.
@@ -421,18 +454,9 @@ pub struct SsdDevice {
     pub(crate) dir: PageDirectory,
     pub(crate) hw: HardwareModel,
     pub(crate) ftl: Box<dyn Ftl>,
-    pub(crate) plane_counts: Vec<u64>,
     /// Played-out chains whose allocations the next
     /// [`SsdDevice::translate_page_op`] reuses.
     free_chains: Vec<OpChain>,
-    /// Flash totals at the last measurement reset, so reports cover only
-    /// the measured window (warm-up traffic is excluded).
-    baseline: (u64, u64, u64),
-    /// Media reliability counters at the last measurement reset.
-    media_baseline: MediaCounters,
-    /// FTL scheme counters at the last measurement reset, so reports cover
-    /// only the measured window (like flash totals and media counters).
-    ftl_baseline: FtlCounters,
 }
 
 impl SsdDevice {
@@ -443,18 +467,13 @@ impl SsdDevice {
         flash.attach_media(&config.fault);
         let dir = PageDirectory::new(&geometry);
         let hw = HardwareModel::new(&geometry, config.timing.clone(), config.die_serialized);
-        let planes = geometry.total_planes() as usize;
         SsdDevice {
             config,
             flash,
             dir,
             hw,
             ftl,
-            plane_counts: vec![0; planes],
             free_chains: Vec::new(),
-            baseline: (0, 0, 0),
-            media_baseline: MediaCounters::default(),
-            ftl_baseline: FtlCounters::default(),
         }
     }
 
@@ -512,13 +531,17 @@ impl SsdDevice {
         self.ftl.as_ref()
     }
 
-    /// Media reliability counters accumulated since the last measurement
-    /// reset (all zero for a device without an attached fault plan).
-    fn media_delta(&self) -> MediaCounters {
-        self.flash
-            .media_counters()
-            .map(|c| c.since(&self.media_baseline))
-            .unwrap_or_default()
+    /// Every counter a report reads, now (the media counters are all zero
+    /// for a device without an attached fault plan).
+    pub(crate) fn counters(&self) -> DeviceCounters {
+        DeviceCounters {
+            hw: self.hw.activity().clone(),
+            ftl: self.ftl.counters(),
+            erases: self.flash.total_erases(),
+            programs: self.flash.total_programs(),
+            skips: self.flash.total_skips(),
+            media: self.flash.media_counters().cloned().unwrap_or_default(),
+        }
     }
 
     /// Replay `requests` as described by `config` — the single
@@ -663,8 +686,6 @@ impl SsdDevice {
         let (host, gc, scan) = self.translate_page_op(lpn, op);
         let played = play_op(
             &mut self.hw,
-            &mut self.plane_counts,
-            0,
             &PageOp {
                 req,
                 lpn,
@@ -774,8 +795,6 @@ impl SsdDevice {
         let background_gc = self.config.background_gc;
         let played = play_op(
             &mut self.hw,
-            &mut self.plane_counts,
-            0,
             &PageOp {
                 req: op.req as u64,
                 lpn: op.lpn,
@@ -910,9 +929,9 @@ impl SsdDevice {
         let planes = self.flash.geometry().total_planes() as usize;
         let mut clock = WakeClock::new(requests);
         // The wake-event contract also binds busy intervals booked before
-        // this run: a device that was not reset still carries them, and no
-        // completion of this run ends them with a wake. (None lie ahead on
-        // a fresh or reset device.)
+        // this run: a device that ran without a warm-up's rewind still
+        // carries them, and no completion of this run ends them with a
+        // wake. (None lie ahead on a fresh or warmed-up device.)
         for plane in 0..planes as dloop_nand::PlaneId {
             for busy_until in [
                 self.hw.plane_ready_at(plane),
@@ -945,7 +964,7 @@ impl SsdDevice {
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
         let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
 
-        let mut stats = ReplayStats::for_queued(requests);
+        let mut stats = ReplayStats::for_queued(self.counters(), requests);
         let mut ticked: Option<SimTime> = None;
 
         while let Some((now, arrived)) = clock.pop() {
@@ -1131,21 +1150,24 @@ impl SsdDevice {
     /// included (the degeneracy leg of claim C13 rides on this).
     pub fn begin_commands(&mut self) -> CommandSession<'_> {
         let lpn_space = self.flash.geometry().user_pages();
+        let stats = ReplayStats::with_capacity(self.counters(), 0, 0);
         CommandSession {
             device: self,
             lpn_space,
-            stats: ReplayStats::with_capacity(0, 0),
+            stats,
             submitted: 0,
             last_issue: SimTime::ZERO,
         }
     }
 
     /// Assemble the [`RunReport`] for a finished replay from the per-run
-    /// accumulator plus the device-resident state (hardware counters,
-    /// flash totals, latency decompositions) relative to the measurement
-    /// baseline. Shared by every replay mode, so all reports are built
-    /// identically.
+    /// accumulator and the device's counters since the run began (energy
+    /// is priced from the run's busy time). Shared by every replay mode,
+    /// so all reports are built identically.
     pub(crate) fn finish_report(&self, requests_completed: u64, stats: ReplayStats) -> RunReport {
+        let run = self.counters().since(&stats.start);
+        let energy = self.config.energy.as_ref().map(|e| run.hw.energy(e));
+        let hw = run.hw;
         RunReport {
             ftl_name: self.ftl.name(),
             requests_completed,
@@ -1153,66 +1175,40 @@ impl SsdDevice {
             pages_written: stats.pages_written,
             response_ms: stats.response_ms,
             response_hist_us: stats.hist,
-            plane_request_counts: self.plane_counts.clone(),
-            hw: self.hw.counters,
-            ftl: self.ftl.counters().since(&self.ftl_baseline),
-            total_erases: self.flash.total_erases() - self.baseline.0,
-            total_programs: self.flash.total_programs() - self.baseline.1,
-            total_skips: self.flash.total_skips() - self.baseline.2,
+            plane_request_counts: hw.plane_requests,
+            hw: hw.ops,
+            ftl: run.ftl,
+            total_erases: run.erases,
+            total_programs: run.programs,
+            total_skips: run.skips,
             wear: self.flash.wear_summary(),
             sim_end: stats.sim_end,
-            plane_busy_ns: self.hw.plane_busy_ns().to_vec(),
-            channel_busy_ns: self.hw.channel_busy_ns().to_vec(),
+            plane_busy_ns: hw.plane_busy_ns,
+            channel_busy_ns: hw.channel_busy_ns,
             wait_ms: stats.wait_ms,
             service_ms: stats.service_ms,
             gc_block_ms: stats.gc_block_ms,
-            media: self.media_delta(),
-            retry_ns: self.hw.retry_ns(),
+            media: run.media,
+            retry_ns: hw.retry_ns,
             completions: stats.completions,
             queue_log: stats.queue,
             shard_timing: None,
             shard_outcome: ShardOutcome::NotRequested,
-            energy: self
-                .config
-                .energy
-                .as_ref()
-                .map(|e| self.hw.energy_totals(e)),
+            energy,
         }
     }
 
-    /// Age the device: replay `requests` with full state effects but throw
-    /// away all timing and statistics afterwards. Used to reach GC steady
-    /// state before measuring, like running a trace against a filled SSD.
+    /// Age the device: replay `requests` with full state effects, then
+    /// rewind the clock to time 0 and clear the attached sink. Used to
+    /// reach GC steady state before measuring, like running a trace
+    /// against a filled SSD. No counter is touched: the next run's report
+    /// covers that run alone, as every report does.
     pub fn warm_up(&mut self, requests: &[HostRequest]) {
         let _ = self.run_with(requests, ReplayMode::Open.into());
-        self.reset_measurements();
-    }
-
-    /// Forget timing and counters but keep flash/FTL state.
-    fn reset_measurements(&mut self) {
-        // Carry the sink across the hardware rebuild: warm-up spans are
-        // measurements too, so the sink is reset (a ring clears).
-        let sink = self.hw.detach_sink();
-        let geometry = self.flash.geometry().clone();
-        self.hw = HardwareModel::new(
-            &geometry,
-            self.config.timing.clone(),
-            self.config.die_serialized,
-        );
-        if let Some(mut sink) = sink {
+        self.hw.rewind();
+        if let Some(sink) = self.hw.sink_mut() {
             sink.reset();
-            self.hw.attach_sink(sink);
         }
-        for c in &mut self.plane_counts {
-            *c = 0;
-        }
-        self.baseline = (
-            self.flash.total_erases(),
-            self.flash.total_programs(),
-            self.flash.total_skips(),
-        );
-        self.media_baseline = self.flash.media_counters().cloned().unwrap_or_default();
-        self.ftl_baseline = self.ftl.counters();
     }
 
     /// Deep cross-layer audit of the device's state ([`audit`]).
@@ -1609,6 +1605,10 @@ mod tests {
         assert_eq!(second.wait_ms.count(), 1);
         assert_eq!(second.service_ms.count(), 1);
         assert_eq!(second.gc_block_ms.count(), 0);
+        // So are its counters: one read, none of the first run's writes.
+        assert_eq!((second.hw.reads, second.hw.writes), (1, 0));
+        assert_eq!(second.total_programs, 0);
+        assert_eq!(second.plane_request_counts.iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -1787,7 +1787,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_measurements_baselines_every_report_field() {
+    fn every_report_field_covers_only_its_own_run() {
         // Contract: after a warm-up, every RunReport field covers only the
         // measured window — hardware counters, FTL scheme counters, flash
         // totals, and the latency decompositions alike.
@@ -1799,7 +1799,7 @@ mod tests {
         );
         assert_eq!(report.hw.writes, 1);
         assert_eq!(report.hw.reads, 1);
-        // Not 3: the two warm-up writes are excluded by the baseline.
+        // Not 3: the two warm-up writes are not in this run's window.
         assert_eq!(report.ftl.translation_writes, 1);
         assert_eq!(report.total_programs, 1);
         assert_eq!(report.wait_ms.count(), 2);
@@ -1807,9 +1807,9 @@ mod tests {
         assert_eq!(report.gc_block_ms.count(), 0);
         assert_eq!(report.response_ms.count(), 2);
         assert_eq!(report.plane_request_counts.iter().sum::<u64>(), 2);
-        // A second reset starts the window fresh again.
-        d.reset_measurements();
-        let report = d.run_with(&[read_req(0, 3, 1)], RunConfig::open());
+        // A second run is a window of its own, with or without a warm-up
+        // in between.
+        let report = d.run_with(&[read_req(2000, 3, 1)], RunConfig::open());
         assert_eq!(report.ftl.translation_writes, 0);
         assert_eq!(report.hw.reads, 1);
         assert_eq!(report.total_programs, 0);
@@ -1827,8 +1827,8 @@ mod tests {
             d.sink().unwrap().recorded(),
             report.hw.reads + report.hw.writes
         );
-        // A measurement reset discards warm-up spans too.
-        d.reset_measurements();
+        // A warm-up discards its spans and everything recorded before it.
+        d.warm_up(&[read_req(0, 1, 1)]);
         assert_eq!(d.sink().unwrap().recorded(), 0);
         d.run_with(&[read_req(0, 1, 1)], RunConfig::open());
         // Taking the ring hands back the spans and stops tracing.
@@ -1996,7 +1996,7 @@ mod tests {
         let mut next_seq = 0u64;
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
         let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
-        let mut stats = ReplayStats::for_queued(requests);
+        let mut stats = ReplayStats::for_queued(d.counters(), requests);
         let mut ticked = None;
         while let Some((now, arrived)) = clock.pop() {
             if let Some(i) = arrived {

@@ -57,8 +57,9 @@ pub struct RunReport {
     /// Synchronous-GC blocking charged to triggering operations.
     pub gc_block_ms: OnlineStats,
     /// Media reliability counters over the measured window (all zero when
-    /// no fault plan is attached): recovered program failures, grown/factory
-    /// bad blocks, uncorrectable reads, and the read-retry histogram.
+    /// no fault plan is attached): recovered program failures, grown bad
+    /// blocks, uncorrectable reads, and the read-retry histogram, plus the
+    /// device's factory-bad block count.
     pub media: MediaCounters,
     /// Plane-busy nanoseconds added by read-retry ladders (the latency
     /// price of the raw bit-error rate).

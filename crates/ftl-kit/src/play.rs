@@ -64,28 +64,25 @@ pub(crate) struct Played {
 /// timelines already serialise same-resource steps in chain order),
 /// chained and charged to the triggering op otherwise (FlashSim
 /// semantics, which is what makes FAST's full merges so visible in
-/// Figs. 8-10). `counts` is the plane-op histogram slice starting at
-/// plane `base`.
+/// Figs. 8-10).
 pub(crate) fn play_op(
     model: &mut HardwareModel,
-    counts: &mut [u64],
-    base: usize,
     op: &PageOp<'_>,
     at: SimTime,
     order: ScanOrder,
     background_gc: bool,
 ) -> Played {
     let (lpn, req) = (Some(op.lpn), Some(op.req));
-    let play_scan = |model: &mut HardwareModel, counts: &mut [u64]| {
+    let play_scan = |model: &mut HardwareModel| {
         model.set_span_context(SpanPhase::Scan, lpn, req);
-        play_chain(model, counts, base, op.scan, at, false).1
+        play_chain(model, op.scan, at, false).1
     };
-    let scan_before = (order == ScanOrder::BeforeHost).then(|| play_scan(model, counts));
+    let scan_before = (order == ScanOrder::BeforeHost).then(|| play_scan(model));
     model.set_span_context(SpanPhase::Host, lpn, req);
-    let (host_start, host_done) = play_chain(model, counts, base, op.host, at, true);
-    let scan_release = scan_before.unwrap_or_else(|| play_scan(model, counts));
+    let (host_start, host_done) = play_chain(model, op.host, at, true);
+    let scan_release = scan_before.unwrap_or_else(|| play_scan(model));
     model.set_span_context(SpanPhase::Gc, lpn, req);
-    let gc_release = play_chain(model, counts, base, op.gc, host_done, !background_gc).1;
+    let gc_release = play_chain(model, op.gc, host_done, !background_gc).1;
     Played {
         host_start,
         host_done,
@@ -112,8 +109,6 @@ pub(crate) fn play_op(
 /// chain returns `(at, at)`.
 fn play_chain(
     model: &mut HardwareModel,
-    counts: &mut [u64],
-    base: usize,
     chain: &OpChain,
     at: SimTime,
     chained: bool,
@@ -128,11 +123,6 @@ fn play_chain(
             Some(f) => f.min(completion.start),
             None => completion.start,
         });
-        let (p, q) = step.planes();
-        counts[p as usize - base] += 1;
-        if let Some(q) = q {
-            counts[q as usize - base] += 1;
-        }
         t = completion.end;
         last = last.max(completion.end);
     }

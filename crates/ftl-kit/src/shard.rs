@@ -43,11 +43,12 @@
 //! * **Folding order** is canonical: wait/service/GC-block samples,
 //!   queue-probe entries and completions are pushed per op / per request
 //!   in routing order once the workers finish, so every order-sensitive
-//!   float accumulation matches the sequential run bit-for-bit. Per-shard
-//!   activity deltas (op counters, busy time) are summed into the parent
-//!   model ([`HardwareModel::absorb_activity`]) — each op executed exactly
-//!   once, so the totals are exact, and the final availability timelines
-//!   are imported per plane from their owning shard.
+//!   float accumulation matches the sequential run bit-for-bit. Each
+//!   shard's activity since the fork (op counters, busy time) is added to
+//!   the parent model ([`HardwareModel::absorb_activity`]) — each op
+//!   executed exactly once, so the totals are exact, and the final
+//!   availability timelines are imported per plane from their owning
+//!   shard.
 //! * **Spans** are recorded into a per-shard never-evicting [`RingSink`];
 //!   each job keeps only its span count, and one cursor per shard forwards
 //!   them to the device's real sink in routing order, reproducing the
@@ -136,7 +137,6 @@ struct ShardRun {
     dir: PageDirectory,
     ftl: Box<dyn Ftl + Send>,
     model: HardwareModel,
-    counts: Vec<u64>,
     outs: Vec<PlaneOut>,
     /// The request whose job violated plane-locality, if one did: the
     /// fork is garbage past that job and the whole run must fall back.
@@ -171,9 +171,7 @@ fn run_plane_worker(
     let mut host = OpChain::new();
     let mut gc = OpChain::new();
     let mut scan = OpChain::new();
-    let mut counts = vec![0u64; planes.len()];
     let mut outs = Vec::with_capacity(jobs.len());
-    let base = planes.start;
     let mut impure_at = None;
     for job in jobs {
         host.clear();
@@ -201,8 +199,6 @@ fn run_plane_worker(
         let span_from = recorded_spans(&model);
         let played = play_op(
             &mut model,
-            &mut counts,
-            base,
             &PageOp {
                 req: job.req,
                 lpn: job.lpn,
@@ -224,7 +220,6 @@ fn run_plane_worker(
         dir,
         ftl,
         model,
-        counts,
         outs,
         impure_at,
     }
@@ -282,7 +277,7 @@ pub(crate) fn run_plane_local(
     // Route every page op to its home shard, preserving canonical order
     // within each shard; `job_refs` remembers each op's (shard, slot) so
     // the fold can walk results in global canonical order.
-    let mut stats = ReplayStats::with_capacity(requests.len(), requests.len());
+    let mut stats = ReplayStats::with_capacity(dev.counters(), requests.len(), requests.len());
     let mut shard_jobs: Vec<Vec<PlaneJob>> = (0..nshards).map(|_| Vec::new()).collect();
     let mut job_refs: Vec<(u32, u32)> = Vec::new();
     let mut entries: Vec<Entry> = Vec::with_capacity(requests.len());
@@ -411,8 +406,8 @@ pub(crate) fn run_plane_local(
 
     // Commit: adopt each worker's owned planes across every state layer
     // (plane-major PPN layout makes the directory range contiguous), and
-    // add activity deltas — forks were counter-zeroed, so each op is
-    // counted exactly once.
+    // add each worker's activity since the fork, so each op is counted
+    // exactly once.
     for (s, run) in runs.iter().enumerate() {
         let Some(run) = run else { continue };
         let Range { start: lo, end: hi } = map.planes(s);
@@ -425,10 +420,8 @@ pub(crate) fn run_plane_local(
         for p in lo as PlaneId..hi as PlaneId {
             dev.hw.sync_plane_state_from(&run.model, p);
         }
-        dev.hw.absorb_activity(&run.model);
-        for (off, c) in run.counts.iter().enumerate() {
-            dev.plane_counts[lo + off] += c;
-        }
+        dev.hw
+            .absorb_activity(&run.model.activity().since(&stats.start.hw));
     }
 
     // Forward spans in canonical job order — the sequential span stream.

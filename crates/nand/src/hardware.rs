@@ -58,6 +58,94 @@ pub struct OpCounters {
     pub read_retry_steps: u64,
 }
 
+impl OpCounters {
+    /// Combine two counter sets field by field.
+    fn zip(self, other: OpCounters, f: impl Fn(u64, u64) -> u64) -> OpCounters {
+        OpCounters {
+            reads: f(self.reads, other.reads),
+            writes: f(self.writes, other.writes),
+            erases: f(self.erases, other.erases),
+            copybacks: f(self.copybacks, other.copybacks),
+            interplane_copies: f(self.interplane_copies, other.interplane_copies),
+            read_retry_steps: f(self.read_retry_steps, other.read_retry_steps),
+        }
+    }
+}
+
+/// Everything a [`HardwareModel`] accumulates while it books work: the
+/// operation counters and the busy time of every resource. Activity only
+/// grows, so a measurement window is the difference of two snapshots
+/// ([`HwActivity::since`]) and a shard's work is one delta
+/// ([`HwActivity::add`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HwActivity {
+    /// Operation counters.
+    pub ops: OpCounters,
+    /// Operations booked on each plane: a two-plane step counts once on
+    /// each of its planes.
+    pub plane_requests: Vec<u64>,
+    /// Busy nanoseconds per plane (array occupancy).
+    pub plane_busy_ns: Vec<u64>,
+    /// Busy nanoseconds per channel (bus occupancy).
+    pub channel_busy_ns: Vec<u64>,
+    /// Plane-array nanoseconds spent purely on read-retry ladders (the
+    /// added latency of correctable media errors).
+    pub retry_ns: u64,
+}
+
+impl HwActivity {
+    fn idle(planes: usize, channels: usize) -> Self {
+        HwActivity {
+            ops: OpCounters::default(),
+            plane_requests: vec![0; planes],
+            plane_busy_ns: vec![0; planes],
+            channel_busy_ns: vec![0; channels],
+            retry_ns: 0,
+        }
+    }
+
+    /// The activity accumulated since the snapshot `start` of the same
+    /// model.
+    pub fn since(&self, start: &HwActivity) -> HwActivity {
+        let minus = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(a, b)| a - b).collect();
+        HwActivity {
+            ops: self.ops.zip(start.ops, |a, b| a - b),
+            plane_requests: minus(&self.plane_requests, &start.plane_requests),
+            plane_busy_ns: minus(&self.plane_busy_ns, &start.plane_busy_ns),
+            channel_busy_ns: minus(&self.channel_busy_ns, &start.channel_busy_ns),
+            retry_ns: self.retry_ns - start.retry_ns,
+        }
+    }
+
+    /// Add the activity `delta` (a [`HwActivity::since`] of a model with
+    /// the same geometry).
+    pub fn add(&mut self, delta: &HwActivity) {
+        self.ops = self.ops.zip(delta.ops, |a, b| a + b);
+        for (mine, theirs) in [
+            (&mut self.plane_requests, &delta.plane_requests),
+            (&mut self.plane_busy_ns, &delta.plane_busy_ns),
+            (&mut self.channel_busy_ns, &delta.channel_busy_ns),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+        self.retry_ns += delta.retry_ns;
+    }
+
+    /// Integer energy totals implied by the busy time under `energy`.
+    ///
+    /// Every array phase [`HardwareModel::exec`] books is array-active
+    /// (reads, programs, erases, copy-backs and the retry ladder alike)
+    /// and every bus phase is bus-active, so the busy counters *are* the
+    /// energy accumulators: no separate accrual exists to drift. Busy time
+    /// is an integer, so the energy of a window, of a shard's delta and of
+    /// a whole run all come from exact differences and sums (claim C15).
+    pub fn energy(&self, energy: &crate::energy::EnergyConfig) -> crate::energy::EnergyTotals {
+        energy.busy_totals(&self.plane_busy_ns, &self.channel_busy_ns)
+    }
+}
+
 /// The contention/timing model.
 #[derive(Debug)]
 pub struct HardwareModel {
@@ -69,10 +157,7 @@ pub struct HardwareModel {
     channel_avail: Vec<SimTime>,
     plane_avail: Vec<SimTime>,
     die_avail: Vec<SimTime>,
-    channel_busy_ns: Vec<u64>,
-    plane_busy_ns: Vec<u64>,
-    retry_ns: u64,
-    pub counters: OpCounters,
+    activity: HwActivity,
     /// Opt-in span sink; `None` (the default) records nothing and leaves
     /// every execution path identical to the pre-trace model.
     sink: Option<Box<dyn TraceSink>>,
@@ -99,10 +184,7 @@ impl HardwareModel {
             channel_avail: vec![SimTime::ZERO; channels],
             plane_avail: vec![SimTime::ZERO; planes],
             die_avail: vec![SimTime::ZERO; dies],
-            channel_busy_ns: vec![0; channels],
-            plane_busy_ns: vec![0; planes],
-            retry_ns: 0,
-            counters: OpCounters::default(),
+            activity: HwActivity::idle(planes, channels),
             sink: None,
             span_phase: SpanPhase::Host,
             span_lpn: None,
@@ -116,11 +198,11 @@ impl HardwareModel {
     }
 
     /// Fork a worker-model for one shard of a parallel replay: identical
-    /// timing, geometry derivations and **resource timelines** (so work
-    /// already booked keeps delaying the shard's future work), but zeroed
-    /// activity (counters, busy accounting, retry time) and no sink — the
-    /// shard's activity is a *delta* that the coordinator folds back into
-    /// the parent via [`HardwareModel::absorb_activity`].
+    /// timing, geometry derivations, **resource timelines** (so work
+    /// already booked keeps delaying the shard's future work) and
+    /// activity, but no sink. The shard's own work is its activity since
+    /// the fork, which the coordinator adds back to the parent through
+    /// [`HardwareModel::absorb_activity`].
     pub fn shard_clone(&self) -> HardwareModel {
         HardwareModel {
             timing: self.timing.clone(),
@@ -131,10 +213,7 @@ impl HardwareModel {
             channel_avail: self.channel_avail.clone(),
             plane_avail: self.plane_avail.clone(),
             die_avail: self.die_avail.clone(),
-            channel_busy_ns: vec![0; self.channel_busy_ns.len()],
-            plane_busy_ns: vec![0; self.plane_busy_ns.len()],
-            retry_ns: 0,
-            counters: OpCounters::default(),
+            activity: self.activity.clone(),
             sink: None,
             span_phase: SpanPhase::Host,
             span_lpn: None,
@@ -156,25 +235,30 @@ impl HardwareModel {
         self.die_avail[d] = other.die_avail[d];
     }
 
-    /// Fold a shard model's activity delta — operation counters, per-plane
-    /// and per-channel busy time, retry time — into `self`. Availability
-    /// timelines are *not* touched: each shard owns its resources' final
-    /// state, which the coordinator imports separately through
-    /// [`HardwareModel::sync_plane_state_from`].
-    pub fn absorb_activity(&mut self, other: &HardwareModel) {
-        self.counters.reads += other.counters.reads;
-        self.counters.writes += other.counters.writes;
-        self.counters.erases += other.counters.erases;
-        self.counters.copybacks += other.counters.copybacks;
-        self.counters.interplane_copies += other.counters.interplane_copies;
-        self.counters.read_retry_steps += other.counters.read_retry_steps;
-        for (a, b) in self.channel_busy_ns.iter_mut().zip(&other.channel_busy_ns) {
-            *a += b;
+    /// Add a shard's activity delta (its [`HwActivity::since`] the fork)
+    /// to `self`. Availability timelines are *not* touched: each shard
+    /// owns its resources' final state, which the coordinator imports
+    /// separately through [`HardwareModel::sync_plane_state_from`].
+    pub fn absorb_activity(&mut self, delta: &HwActivity) {
+        self.activity.add(delta);
+    }
+
+    /// Everything booked so far: operation counts, per plane and in
+    /// total, and busy time.
+    pub fn activity(&self) -> &HwActivity {
+        &self.activity
+    }
+
+    /// Rewind every resource timeline to time 0, keeping the activity: the
+    /// model's clock restarts, its counters do not.
+    pub fn rewind(&mut self) {
+        for avail in [
+            &mut self.channel_avail,
+            &mut self.plane_avail,
+            &mut self.die_avail,
+        ] {
+            avail.fill(SimTime::ZERO);
         }
-        for (a, b) in self.plane_busy_ns.iter_mut().zip(&other.plane_busy_ns) {
-            *a += b;
-        }
-        self.retry_ns += other.retry_ns;
     }
 
     /// Attach `sink` as the destination for emitted spans, replacing any
@@ -231,12 +315,12 @@ impl HardwareModel {
             let end = start + dur;
             self.die_avail[d] = end;
             self.plane_avail[p] = end;
-            self.plane_busy_ns[p] += dur.as_nanos();
+            self.activity.plane_busy_ns[p] += dur.as_nanos();
             return (start, end);
         }
         let end = start + dur;
         self.plane_avail[p] = end;
-        self.plane_busy_ns[p] += dur.as_nanos();
+        self.activity.plane_busy_ns[p] += dur.as_nanos();
         (start, end)
     }
 
@@ -247,7 +331,7 @@ impl HardwareModel {
         let start = t.max(self.channel_avail[c]);
         let end = start + dur;
         self.channel_avail[c] = end;
-        self.channel_busy_ns[c] += dur.as_nanos();
+        self.activity.channel_busy_ns[c] += dur.as_nanos();
         (start, end)
     }
 
@@ -263,11 +347,11 @@ impl HardwareModel {
 
     /// Book `step` no earlier than `at`: hold each of its phases in turn,
     /// each starting once its resource is free and the previous phase has
-    /// released its own. Bumps the step's counter and, while a sink is
+    /// released its own. Bumps the step's counters and, while a sink is
     /// attached, records the holds as one span.
     pub fn exec(&mut self, step: FlashStep, at: SimTime) -> Completion {
         let phases = step.phases(&self.timing, self.page_size);
-        let c = &mut self.counters;
+        let c = &mut self.activity.ops;
         let (count, kind, retry_steps) = match step {
             FlashStep::Read { .. } | FlashStep::ReadRetry { steps: 0, .. } => {
                 (&mut c.reads, SpanKind::Read, 0)
@@ -282,7 +366,12 @@ impl HardwareModel {
         };
         *count += 1;
         c.read_retry_steps += retry_steps as u64;
-        self.retry_ns += phases.retry.as_nanos();
+        let (plane, dst_plane) = step.planes();
+        self.activity.plane_requests[plane as usize] += 1;
+        if let Some(dst) = dst_plane {
+            self.activity.plane_requests[dst as usize] += 1;
+        }
+        self.activity.retry_ns += phases.retry.as_nanos();
         let mut holds = [(at, at); 4];
         let mut end = at;
         for (hold, phase) in holds.iter_mut().zip(phases.iter()) {
@@ -307,7 +396,6 @@ impl HardwareModel {
                     end,
                 });
             }
-            let (plane, dst_plane) = step.planes();
             sink.record(&Span {
                 kind,
                 phase: self.span_phase,
@@ -358,38 +446,6 @@ impl HardwareModel {
     pub fn exec_interplane_copy(&mut self, src: PlaneId, dst: PlaneId, at: SimTime) -> Completion {
         self.exec(FlashStep::InterPlaneCopy { src, dst }, at)
     }
-
-    /// Busy nanoseconds accumulated per plane.
-    pub fn plane_busy_ns(&self) -> &[u64] {
-        &self.plane_busy_ns
-    }
-
-    /// Plane-array nanoseconds spent purely on read-retry ladders (the
-    /// added latency of correctable media errors).
-    pub fn retry_ns(&self) -> u64 {
-        self.retry_ns
-    }
-
-    /// Busy nanoseconds accumulated per channel.
-    pub fn channel_busy_ns(&self) -> &[u64] {
-        &self.channel_busy_ns
-    }
-
-    /// Integer energy totals implied by the busy timelines under `energy`.
-    ///
-    /// Every array phase [`Self::exec`] books is array-active (reads,
-    /// programs, erases, copy-backs and the retry ladder alike) and every
-    /// bus phase is bus-active, so the busy counters *are* the energy
-    /// accumulators: no separate accrual exists to drift.
-    /// Because [`Self::shard_clone`] zeroes the busy counters and
-    /// [`Self::absorb_activity`] adds them back as integer deltas, sharded
-    /// and sequential replays produce bit-identical totals (claim C15).
-    pub fn energy_totals(
-        &self,
-        energy: &crate::energy::EnergyConfig,
-    ) -> crate::energy::EnergyTotals {
-        energy.busy_totals(&self.plane_busy_ns, &self.channel_busy_ns)
-    }
 }
 
 #[cfg(test)]
@@ -414,7 +470,7 @@ mod tests {
         let c = h.exec_read(0, SimTime::ZERO);
         // cmd 0.2 + read 25 + xfer 51.2 us.
         assert_eq!(c.latency().as_nanos(), 200 + 25_000 + 51_200);
-        assert_eq!(h.counters.reads, 1);
+        assert_eq!(h.activity().ops.reads, 1);
     }
 
     #[test]
@@ -464,7 +520,7 @@ mod tests {
                     let phases = step.phases(&timing, g.page_size);
                     assert_eq!(c.latency(), phases.service(), "{step:?} @ {page_kb} KB");
                     assert_eq!(
-                        h.energy_totals(&energy),
+                        h.activity().energy(&energy),
                         energy.step_totals(&step, &timing, g.page_size),
                         "{step:?} @ {page_kb} KB"
                     );
@@ -553,10 +609,9 @@ mod tests {
         let ca = a.exec_read(0, SimTime::ZERO);
         let cb = b.exec_read_retry(0, SimTime::ZERO, 0);
         assert_eq!(ca, cb);
-        assert_eq!(a.plane_busy_ns(), b.plane_busy_ns());
-        assert_eq!(a.channel_busy_ns(), b.channel_busy_ns());
-        assert_eq!(b.retry_ns(), 0);
-        assert_eq!(b.counters.read_retry_steps, 0);
+        assert_eq!(a.activity(), b.activity());
+        assert_eq!(b.activity().retry_ns, 0);
+        assert_eq!(b.activity().ops.read_retry_steps, 0);
     }
 
     #[test]
@@ -567,10 +622,10 @@ mod tests {
         let retried = h2.exec_read_retry(0, SimTime::ZERO, 3).latency();
         let extra = h2.timing().read_retry_overhead(3);
         assert_eq!(retried.as_nanos(), base.as_nanos() + extra.as_nanos());
-        assert_eq!(h2.counters.read_retry_steps, 3);
-        assert_eq!(h2.retry_ns(), extra.as_nanos());
+        assert_eq!(h2.activity().ops.read_retry_steps, 3);
+        assert_eq!(h2.activity().retry_ns, extra.as_nanos());
         // The bus phase is identical — retries live inside the plane.
-        assert_eq!(h.channel_busy_ns(), h2.channel_busy_ns());
+        assert_eq!(h.activity().channel_busy_ns, h2.activity().channel_busy_ns);
     }
 
     #[test]
@@ -627,10 +682,7 @@ mod tests {
         let a = ops(&mut plain);
         let b = ops(&mut traced);
         assert_eq!(a, b, "tracing must not change completions");
-        assert_eq!(plain.counters, traced.counters);
-        assert_eq!(plain.plane_busy_ns(), traced.plane_busy_ns());
-        assert_eq!(plain.channel_busy_ns(), traced.channel_busy_ns());
-        assert_eq!(plain.retry_ns(), traced.retry_ns());
+        assert_eq!(plain.activity(), traced.activity());
         assert_eq!(traced.sink().unwrap().recorded(), 5);
     }
 
@@ -693,52 +745,67 @@ mod tests {
     }
 
     #[test]
-    fn shard_clone_copies_timelines_but_not_activity() {
+    fn shard_clone_copies_timelines_and_activity_but_not_the_sink() {
         let mut h = hw();
+        h.attach_sink(Box::new(RingSink::new(8)));
         h.exec_write(0, SimTime::ZERO);
         h.exec_read(9, SimTime::ZERO);
         let s = h.shard_clone();
         // Timelines carry over: booked work still delays the shard.
         assert_eq!(s.plane_ready_at(0), h.plane_ready_at(0));
         assert_eq!(s.channel_ready_at(9), h.channel_ready_at(9));
-        // Activity does not: the shard accumulates a delta from zero.
-        assert_eq!(s.counters, OpCounters::default());
-        assert!(s.plane_busy_ns().iter().all(|&b| b == 0));
-        assert!(s.channel_busy_ns().iter().all(|&b| b == 0));
-        assert_eq!(s.retry_ns(), 0);
+        // So does activity: the shard's own work is its delta since now.
+        assert_eq!(s.activity(), h.activity());
         assert!(s.sink().is_none());
+    }
+
+    #[test]
+    fn rewind_restarts_the_clock_and_keeps_the_activity() {
+        let mut h = hw();
+        h.exec_write(0, SimTime::ZERO);
+        let booked = h.activity().clone();
+        h.rewind();
+        assert_eq!(h.plane_ready_at(0), SimTime::ZERO);
+        assert_eq!(h.channel_ready_at(0), SimTime::ZERO);
+        assert_eq!(h.activity(), &booked);
+        // Work books from time 0 again, and adds to the activity.
+        let again = h.exec_write(0, SimTime::ZERO);
+        assert_eq!(again.start, SimTime::ZERO);
+        assert_eq!(h.activity().since(&booked).ops.writes, 1);
     }
 
     #[test]
     fn split_playback_with_absorb_matches_sequential() {
         // Play two independent-plane op sequences sequentially on one
-        // model, and split across two shard clones folded back — the
-        // paradigm the sharded replay engine relies on. Planes 0 and 8 are
-        // on different channels, so the sequences never interact.
+        // model, and split across two shard clones whose deltas are added
+        // back — the paradigm the sharded replay engine relies on. Planes
+        // 0 and 8 are on different channels, so the sequences never
+        // interact. The base has booked work already, so the deltas are
+        // not the clones' whole activity.
         let mut seq = hw();
+        seq.exec_erase(16, SimTime::ZERO);
+        let mut base = hw();
+        base.exec_erase(16, SimTime::ZERO);
+        let start = base.activity().clone();
         seq.exec_write(0, SimTime::ZERO);
         seq.exec_read(0, SimTime::ZERO);
         seq.exec_write(8, SimTime::ZERO);
         seq.exec_copyback(8, SimTime::ZERO);
 
-        let base = hw();
         let mut a = base.shard_clone();
         let mut b = base.shard_clone();
         a.exec_write(0, SimTime::ZERO);
         a.exec_read(0, SimTime::ZERO);
         b.exec_write(8, SimTime::ZERO);
         b.exec_copyback(8, SimTime::ZERO);
-        let mut merged = base.shard_clone();
+        let mut merged = base;
         for m in [&a, &b] {
-            merged.absorb_activity(m);
+            merged.absorb_activity(&m.activity().since(&start));
         }
         merged.sync_plane_state_from(&a, 0);
         merged.sync_plane_state_from(&b, 8);
 
-        assert_eq!(merged.counters, seq.counters);
-        assert_eq!(merged.plane_busy_ns(), seq.plane_busy_ns());
-        assert_eq!(merged.channel_busy_ns(), seq.channel_busy_ns());
-        assert_eq!(merged.retry_ns(), seq.retry_ns());
+        assert_eq!(merged.activity(), seq.activity());
         assert_eq!(merged.plane_ready_at(0), seq.plane_ready_at(0));
         assert_eq!(merged.plane_ready_at(8), seq.plane_ready_at(8));
         assert_eq!(merged.channel_ready_at(0), seq.channel_ready_at(0));
@@ -746,12 +813,13 @@ mod tests {
 
         // Energy is a pure function of the busy counters, so the shard
         // fold reproduces the sequential totals bit-for-bit — and summing
-        // the per-shard totals in either order matches too.
+        // the per-shard deltas' totals in either order matches too.
         let e = crate::energy::EnergyConfig::paper_default();
-        assert_eq!(merged.energy_totals(&e), seq.energy_totals(&e));
-        let mut folded = a.energy_totals(&e);
-        folded.absorb(&b.energy_totals(&e));
-        assert_eq!(folded, seq.energy_totals(&e));
+        assert_eq!(merged.activity().energy(&e), seq.activity().energy(&e));
+        let mut folded = start.energy(&e);
+        folded.absorb(&a.activity().since(&start).energy(&e));
+        folded.absorb(&b.activity().since(&start).energy(&e));
+        assert_eq!(folded, seq.activity().energy(&e));
     }
 
     #[test]

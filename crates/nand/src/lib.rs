@@ -46,7 +46,7 @@ pub use dloop_faults::{FaultConfig, FaultPlan, MediaCounters, MediaModel, MediaO
 pub use energy::{EnergyConfig, EnergyTotals};
 pub use error::{MediaError, NandError};
 pub use geometry::{BlockAddr, ChannelId, DieId, Geometry, Lpn, PageAddr, PlaneId, Ppn};
-pub use hardware::{Completion, HardwareModel, OpCounters};
+pub use hardware::{Completion, HardwareModel, HwActivity, OpCounters};
 pub use state::{FlashState, ProgramAttempt};
 pub use step::{FlashStep, Hold, Phase, Phases};
 pub use timing::TimingConfig;

@@ -201,6 +201,21 @@ echo "==> queued-scheduler oracle (indexed window vs naive scan, 256 random trac
 SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-ftl-kit --lib \
     queued_scheduler_matches_naive_oracle
 
+echo "==> one measurement window (counters additive over consecutive runs, 256 random splits)"
+# A run of A then B on one device reports A's counters and B's; a twin
+# that runs A++B at once must report their sum, field by field, for every
+# FTL, open and closed(8), energy on, with and without a fault plan.
+# `cargo test` above runs 24 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline --test properties \
+    counters_are_additive_over_consecutive_runs
+
+echo "==> net reclaim (every move-based collection frees more than it spends, 256 devices)"
+# Nearly full micro devices (fill 0.9-1.0): a relocation's moves plus its
+# parity skips stay below the victim's page count. `cargo test` above
+# runs 16 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop --lib \
+    move_based_collections_free_more_than_they_spend
+
 echo "==> host-stack smoke (host subcommand, coalescing + dirty-ratio + depth sweeps)"
 # One pass of all three host-stack sweeps through the CLI: five
 # coalescing settings, five dirty ratios, and the interleaved SQ-window

@@ -15,7 +15,9 @@
 //!   translation directory, the SSD device controller, the QoS scheduling
 //!   policies over the NCQ window, and metrics.
 //! * [`dloop`] — the paper's contribution: the DLOOP FTL.
-//! * [`baselines`] — DFTL, FAST and an ideal page-mapping FTL.
+//! * [`baselines`] — DFTL and FAST, the paper's baselines. (The
+//!   ablation's IDEAL bound is DLOOP over a CMT that holds every entry,
+//!   built by `dloop_bench::ideal_config`.)
 //! * [`workloads`] — synthetic enterprise workload generators (Table II),
 //!   multi-tenant composition for the QoS claims, and trace-file
 //!   parsers.

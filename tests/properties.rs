@@ -9,11 +9,14 @@
 //! Failures print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
 
 use dloop_bench::{build_ftl, ftl_cases};
+use dloop_repro::faults::FaultConfig;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{audit, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::dir::{PageDirectory, PageOwner};
 use dloop_repro::ftl_kit::ftl::{FtlContext, OpChain, Phase};
+use dloop_repro::ftl_kit::metrics::RunReport;
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
+use dloop_repro::nand::energy::EnergyConfig;
 use dloop_repro::nand::{FlashState, Lpn, PageState, Ppn};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::SimTime;
@@ -197,6 +200,130 @@ fn report_accounting_is_exact() {
         check_assert!(report.mean_response_time_ms().is_finite());
         check_assert!(report.mean_response_time_ms() >= 0.0);
         check_assert!(report.sim_end.as_nanos() < u64::MAX / 2);
+        Ok(())
+    });
+}
+
+/// Every additive counter of a report, labelled: the hardware, FTL and
+/// flash totals, per-plane requests and busy time, per-channel busy time,
+/// retry time, energy and the media counters. (Factory-bad blocks are a
+/// level, not a count, and are checked apart.)
+fn additive_counters(r: &RunReport) -> Vec<(String, u64)> {
+    let hw = r.hw;
+    let f = r.ftl;
+    let m = &r.media;
+    let energy = r.energy.expect("energy accounting is on");
+    let mut out: Vec<(String, u64)> = [
+        ("hw.reads", hw.reads),
+        ("hw.writes", hw.writes),
+        ("hw.erases", hw.erases),
+        ("hw.copybacks", hw.copybacks),
+        ("hw.interplane_copies", hw.interplane_copies),
+        ("hw.read_retry_steps", hw.read_retry_steps),
+        ("ftl.gc_invocations", f.gc_invocations),
+        ("ftl.copyback_moves", f.copyback_moves),
+        ("ftl.external_moves", f.external_moves),
+        ("ftl.parity_skips", f.parity_skips),
+        ("ftl.translation_reads", f.translation_reads),
+        ("ftl.translation_writes", f.translation_writes),
+        ("ftl.full_merges", f.full_merges),
+        ("ftl.partial_merges", f.partial_merges),
+        ("ftl.switch_merges", f.switch_merges),
+        ("total_erases", r.total_erases),
+        ("total_programs", r.total_programs),
+        ("total_skips", r.total_skips),
+        ("retry_ns", r.retry_ns),
+        ("energy.array_fj", energy.array_fj),
+        ("energy.bus_fj", energy.bus_fj),
+        ("media.program_fails", m.program_fails),
+        ("media.grown_bad_blocks", m.grown_bad_blocks),
+        ("media.uncorrectable_reads", m.uncorrectable_reads),
+        ("media.read_retry_steps", m.read_retry_steps),
+    ]
+    .map(|(name, v)| (name.to_string(), v))
+    .into();
+    let series: [(&str, &[u64]); 4] = [
+        ("plane_request_counts", &r.plane_request_counts),
+        ("plane_busy_ns", &r.plane_busy_ns),
+        ("channel_busy_ns", &r.channel_busy_ns),
+        ("media.retry_hist", &m.retry_hist),
+    ];
+    for (name, values) in series {
+        out.extend(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (format!("{name}[{i}]"), v)),
+        );
+    }
+    out
+}
+
+/// A report covers its own run and nothing else: on a fresh device, run A
+/// and then B (every arrival of B after every arrival of A); a fresh twin
+/// that runs A++B at once reports exactly A's counters plus B's, field by
+/// field, for every FTL, in open and closed mode, with energy accounting
+/// on and with and without a media-fault plan.
+#[test]
+fn counters_are_additive_over_consecutive_runs() {
+    let gen = (check::vec_of(op_gen(1500), 1..150), check::u64s(0..1 << 20));
+    Checker::new().cases(24).run(&gen, |(ops, cut)| {
+        let reqs: Vec<HostRequest> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| {
+                let (lpn, pages, op) = match *op {
+                    Op::Write { lpn, pages } => (lpn, pages, HostOp::Write),
+                    Op::Read { lpn, pages } => (lpn, pages, HostOp::Read),
+                };
+                HostRequest {
+                    arrival: SimTime::from_micros(i as u64 * 100),
+                    lpn,
+                    pages: pages as u32,
+                    op,
+                    ..HostRequest::default()
+                }
+            })
+            .collect();
+        let (a, b) = reqs.split_at(*cut as usize % (reqs.len() + 1));
+        let lit = SsdConfig::micro_gc_test().with_energy(EnergyConfig::paper_default());
+        let faulty = lit.clone().with_fault(FaultConfig::light(*cut));
+        for (label, base) in [("energy", &lit), ("energy+faults", &faulty)] {
+            for (name, kind, config) in ftl_cases(base) {
+                let runs: [fn() -> RunConfig; 2] = [RunConfig::open, || RunConfig::closed(8)];
+                for run in runs {
+                    let fresh = || SsdDevice::new(config.clone(), build_ftl(kind, &config));
+                    let mut split = fresh();
+                    let ra = split.run_with(a, run());
+                    let rb = split.run_with(b, run());
+                    let rab = fresh().run_with(&reqs, run());
+                    let whole = additive_counters(&rab);
+                    let parts = additive_counters(&ra)
+                        .into_iter()
+                        .zip(additive_counters(&rb));
+                    for ((field, ab), ((_, x), (_, y))) in whole.into_iter().zip(parts) {
+                        check_assert_eq!(
+                            x + y,
+                            ab,
+                            "{} {} {:?}: {} of A plus B is not A++B's",
+                            label,
+                            name,
+                            run(),
+                            field
+                        );
+                    }
+                    for r in [&ra, &rb] {
+                        check_assert_eq!(
+                            r.media.factory_bad_blocks,
+                            rab.media.factory_bad_blocks,
+                            "{} {}: every window reports the device's factory-bad blocks",
+                            label,
+                            name
+                        );
+                    }
+                }
+            }
+        }
         Ok(())
     });
 }

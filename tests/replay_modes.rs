@@ -542,7 +542,9 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
 /// closed admission, a queueing scheduler, a 4 096-entry CMT over a larger
 /// map (the FTL cannot attest plane-local translation), a media-fault
 /// plan, a single-channel device, and a worker finding its home plane
-/// below the GC threshold mid-run (full-space overwrites: GC hell).
+/// below the GC threshold mid-run (GC hell: a resident-map device that
+/// collects only at its last free block, under overwrites of 90 % of its
+/// space).
 #[test]
 fn sharded_requests_that_fall_back_name_their_guard() {
     use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
@@ -577,13 +579,22 @@ fn sharded_requests_that_fall_back_name_their_guard() {
         ..wide.clone()
     };
     let faulty = resident.clone().with_fault(FaultConfig::light(11));
+    let gc_hell = {
+        let mut config = SsdConfig {
+            blocks_per_plane_override: Some((16, 5)),
+            gc_threshold: 1,
+            ..wide.clone()
+        };
+        config.cmt_capacity = config.geometry().user_pages() as usize;
+        config
+    };
     let legs: [(&str, SsdConfig, f64, fn() -> RunConfig); 6] = [
         ("closed(8)", resident.clone(), 0.9, || RunConfig::closed(8)),
         ("ncq(8)", resident.clone(), 0.9, || RunConfig::ncq(8)),
         ("4096-entry CMT", small_cmt, 0.9, RunConfig::open),
         ("fault plan", faulty, 0.3, RunConfig::open),
         ("one channel", one_channel, 0.3, RunConfig::open),
-        ("gc hell", resident.clone(), 1.0, RunConfig::open),
+        ("gc hell", gc_hell, 0.9, RunConfig::open),
     ];
     for (name, config, share, run) in legs {
         let pages = config.geometry().user_pages();
