@@ -585,7 +585,6 @@ fn check_host_stack_on(
     let modes = [
         ReplayMode::Open,
         ReplayMode::Gated,
-        ReplayMode::Closed { queue_depth: 16 },
         ReplayMode::Qos {
             queue_depth: dloop_ftl_kit::DEFAULT_NCQ_DEPTH,
             policy: QosSpec::Ncq,
@@ -803,8 +802,8 @@ fn check_sq_windows_on(
 
 /// C15 — the sharded playback engine is an implementation detail: for
 /// every replay mode, `RunConfig::shards(n)` must leave the full report
-/// fingerprint bit-identical to the sequential engine. Closed mode, the
-/// globally coupled schedulers (gated/NCQ/QoS) and an open run whose map
+/// fingerprint bit-identical to the sequential engine. The globally
+/// coupled schedulers (gated/NCQ/QoS) and an open run whose map
 /// outgrows the CMT all fall back to the sequential engine, so for them
 /// the check pins the fallback; the open run over a resident map is the
 /// anchor that must engage the worker threads
@@ -835,10 +834,9 @@ fn check_shard_identity_on(
         ..config.clone()
     };
     // (label, run, on the resident-map device — which must engage).
-    let modes: [(&str, fn() -> RunConfig, bool); 6] = [
+    let modes: [(&str, fn() -> RunConfig, bool); 5] = [
         ("open", RunConfig::open, false),
         ("gated", RunConfig::gated, false),
-        ("closed(8)", || RunConfig::closed(8), false),
         ("ncq(8)", || RunConfig::ncq(8), false),
         (
             "qos(window-fifo,8)",
@@ -880,7 +878,7 @@ fn check_shard_identity_on(
         pass,
         detail: if pass {
             format!(
-                "{checked} sharded runs matched their sequential fingerprint across 5 modes, \
+                "{checked} sharded runs matched their sequential fingerprint across 4 modes, \
                  {engaged} of them served by the plane-local engine"
             )
         } else {

@@ -49,8 +49,6 @@ pub enum TraceMode {
     Open,
     /// FlashSim's FIFO-with-skipping priority list.
     Gated,
-    /// fio-style bounded host queue.
-    Closed,
     /// NCQ-style bounded reordering.
     Ncq,
 }
@@ -61,7 +59,6 @@ impl TraceMode {
         match s {
             "open" => Some(TraceMode::Open),
             "gated" => Some(TraceMode::Gated),
-            "closed" => Some(TraceMode::Closed),
             "ncq" => Some(TraceMode::Ncq),
             _ => None,
         }
@@ -72,7 +69,6 @@ impl TraceMode {
         match self {
             TraceMode::Open => "open",
             TraceMode::Gated => "gated",
-            TraceMode::Closed => "closed",
             TraceMode::Ncq => "ncq",
         }
     }
@@ -100,7 +96,7 @@ pub struct ExpOptions {
     /// `trace` subcommand — the figure experiments replay open-arrival
     /// like the paper).
     pub mode: TraceMode,
-    /// Host queue depth for the bounded modes (`--depth`).
+    /// NCQ reorder-window size for `--mode ncq` (`--depth`).
     pub queue_depth: usize,
     /// The cells already run in this process, shared by every command
     /// (and every clone of these options).
@@ -129,9 +125,6 @@ impl ExpOptions {
         match self.mode {
             TraceMode::Open => ReplayMode::Open,
             TraceMode::Gated => ReplayMode::Gated,
-            TraceMode::Closed => ReplayMode::Closed {
-                queue_depth: self.queue_depth,
-            },
             TraceMode::Ncq => ReplayMode::Qos {
                 queue_depth: self.queue_depth,
                 policy: QosSpec::Ncq,

@@ -17,7 +17,7 @@
 //! recorder ever drifts from the hardware counters.
 //!
 //! The replay admission policy follows `--mode` (open by default; gated,
-//! closed or NCQ with `--depth`), and alongside the span artifacts the
+//! or NCQ with `--depth`), and alongside the span artifacts the
 //! command emits `trace_queue_depth.csv` — the host-queue occupancy
 //! timeline every replay driver records through its `QueueDepthProbe`
 //! (in-flight / pending counts plus admitted / completed deltas per

@@ -36,8 +36,8 @@
 //!   --fill F       pre-fill fraction 0..1 (default 0)
 //!   --out DIR      CSV output directory (default results/; "none" disables)
 //!   --mode M       replay admission policy for `trace`:
-//!                  open|gated|closed|ncq (default open)
-//!   --depth N      host queue depth for closed/ncq modes (default 32)
+//!                  open|gated|ncq (default open)
+//!   --depth N      NCQ reorder-window size for ncq mode (default 32)
 //!   --quick        shorthand for --requests 20000
 //! ```
 
@@ -55,7 +55,7 @@ fn usage() -> ExitCode {
 
 const HELP: &str = "usage: dloop-experiments <params|traces|copyback|fig8|fig9|fig10|headline|ablation|striping|channels|trace|host|verify|all>... \
 [--scale N] [--requests N] [--seed N] [--workers N] [--fill F] [--out DIR] \
-[--mode open|gated|closed|ncq] [--depth N] [--quick]";
+[--mode open|gated|ncq] [--depth N] [--quick]";
 
 /// Parse `v` into `field`; false (a usage error) when it does not parse.
 fn set<T: std::str::FromStr>(field: &mut T, v: &str) -> bool {

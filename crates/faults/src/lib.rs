@@ -9,8 +9,9 @@
 //! a **pure function** of `(plan seed, physical address, op kind, op
 //! index)` — never of wall-clock simulation time or request interleaving.
 //! The same seed therefore produces the *identical* fault sequence under
-//! all three replay modes (open-loop, issue-gated, closed-loop), which is
-//! what makes fault runs regression-testable.
+//! every replay mode (open-loop, issue-gated, NCQ/QoS) and behind the host
+//! stack's bounded queues, which is what makes fault runs
+//! regression-testable.
 //!
 //! ## Determinism contract
 //!

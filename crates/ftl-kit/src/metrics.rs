@@ -72,8 +72,8 @@ pub struct RunReport {
     /// times).
     pub completions: Vec<(u64, SimTime, SimTime)>,
     /// Host-queue occupancy log: one `(arrival, issue, done)` triple per
-    /// admitted unit of work (requests in the arrival-reserving modes,
-    /// page operations in the gated/NCQ modes). Every replay mode records
+    /// admitted unit of work (requests in open replay and under the host
+    /// stack, page operations in the gated/NCQ modes). Every replay mode records
     /// it; render with [`RunReport::queue_depth_csv`].
     pub queue_log: QueueDepthProbe,
     /// Wall-clock breakdown of the plane-local parallel engine, when it
@@ -133,7 +133,7 @@ pub enum ShardOutcome {
     FellBack(ShardGuard),
 }
 
-/// Why a sharded request ran sequentially. The first five are decided
+/// Why a sharded request ran sequentially. The first four are decided
 /// from the configuration before any work; the last two by the FTL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardGuard {
@@ -142,8 +142,6 @@ pub enum ShardGuard {
     /// A die would straddle a shard boundary, aliasing one die timeline
     /// across two workers.
     DieStraddlesShard,
-    /// Closed-loop admission depends on completions in global order.
-    ClosedMode,
     /// The gated/NCQ/QoS schedulers decide globally at every instant.
     QueueingMode,
     /// A media-fault model makes read outcomes depend on the global op

@@ -1,8 +1,8 @@
 //! Chain playback: booking a translated page operation's three
 //! [`OpChain`]s on a [`HardwareModel`]'s plane/channel/die timelines.
 //!
-//! Every driver plays through here — the reserving loop and the
-//! incremental session (`SsdDevice::serve_page_op`), the queueing
+//! Every driver plays through here — the command session behind open
+//! replay and the host stack (`SsdDevice::serve_page_op`), the queueing
 //! scheduler (`SsdDevice::issue_queued_op`) and the plane-local shard
 //! workers — so every [`FlashStep`](crate::ftl::FlashStep) is booked in
 //! exactly one place, [`play_chain`], through [`HardwareModel::exec`].
@@ -28,7 +28,7 @@ pub(crate) struct PageOp<'a> {
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScanOrder {
     /// Housekeeping for unrelated planes books before the host chain
-    /// (the arrival-reserving drivers and the shard workers).
+    /// (the command session and the shard workers).
     BeforeHost,
     /// The host chain books first (the queueing scheduler, whose op was
     /// selected *because* its first host step's resources are idle).

@@ -1,6 +1,6 @@
 //! Parallel channel-group replay engine behind [`RunConfig::shards`].
 //!
-//! The sequential arrival-reserving loop ([`SsdDevice::run_reserving`])
+//! The sequential open-replay loop ([`SsdDevice::run_open`])
 //! interleaves three kinds of work per page operation: FTL *translation*
 //! (flash/directory state effects), timeline *playback* (booking the
 //! chain's steps on plane/channel/die availabilities), and *stats folding*

@@ -25,9 +25,11 @@ pub struct HostConfig {
     /// only when its queue has a free slot, and an interrupt delivery
     /// frees a slot and admits the next backlogged command — `queues`
     /// truly independent windows, with a full SQ delaying the
-    /// syscall-visible `submit` instant. Already-bounded replay modes
-    /// (`Gated`/`Closed`/`Ncq`/`Qos`) keep their own device window; a
-    /// depth configured there is surfaced on
+    /// syscall-visible `submit` instant. This is the one model of a
+    /// closed loop: on a pass-through stack, depth `d` keeps at most `d`
+    /// requests outstanding. The device-queued replay modes
+    /// (`Gated`/`Qos`) keep their own device window; a depth configured
+    /// there is surfaced on
     /// [`HostRunReport::depth_enforced`](crate::report::HostRunReport::depth_enforced)
     /// rather than silently dropped. Neutral = `None` (unbounded).
     pub queue_depth: Option<u32>,

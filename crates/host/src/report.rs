@@ -131,9 +131,11 @@ pub struct HostRunReport {
     /// unbounded), echoed so no mode can silently drop it.
     pub queue_depth: Option<u32>,
     /// Whether the driver actually enforced `queue_depth` as per-queue SQ
-    /// windows (the interleaved open-mode event loop). `false` means the
-    /// run used a device-queued replay mode whose own window is the only
-    /// bound — the configured host depth was *surfaced but not applied*.
+    /// windows (the interleaved open-mode event loop, the workspace's one
+    /// closed-loop model). `false` means either no depth was configured
+    /// or the run used a device-queued replay mode (`Gated`/`Qos`) whose
+    /// own window is the only bound — the configured host depth was
+    /// *surfaced but not applied*.
     pub depth_enforced: bool,
     /// Host-side SQ occupancy probe, one record per forwarded command:
     /// tenant tag = submission-queue index, `arrival` = doorbell ring,

@@ -19,11 +19,15 @@
 //!    admits a command only when its queue has a free slot, and a
 //!    delivered completion frees a slot and immediately admits the next
 //!    backlogged command — true per-queue windows, with SQ backpressure
-//!    delaying the syscall-visible `submit` instant. Device-queued modes
-//!    (`Gated`/`Closed`/`Ncq`/`Qos`) run the staged pipeline instead:
-//!    one ordinary [`SsdDevice::run_with`] over the forwarded stream (their
-//!    own window is the only bound; the configured host depth is
-//!    surfaced on the report, never silently dropped).
+//!    delaying the syscall-visible `submit` instant. This window is the
+//!    workspace's one model of a closed loop: a pass-through stack of
+//!    depth `d` is an fio-style bound of `d` outstanding requests. A
+//!    zero-page command takes no slot but keeps its FIFO place behind
+//!    backlogged work. Device-queued modes (`Gated`/`Qos`) run the staged
+//!    pipeline instead: one ordinary [`SsdDevice::run_with`] over the
+//!    forwarded stream (their own window is the only bound; the
+//!    configured host depth is surfaced on the report, never silently
+//!    dropped).
 //! 5. **Completion queues** — completions aggregate under interrupt
 //!    coalescing into per-command delivery times. In the interleaved
 //!    loop the coalescer's timeout is a scheduled timer event, so a
@@ -115,8 +119,11 @@ impl HostStack {
     /// interleaved: a finite [`HostConfig::queue_depth`] is enforced as
     /// `queues` independent per-queue windows, with completions (via the
     /// CQ coalescer) freeing slots and triggering the next submission.
-    /// Device-queued modes run the staged pipeline; their configured
-    /// host depth is surfaced on [`HostRunReport::depth_enforced`].
+    /// This is how a closed-loop replay is spelled: a pass-through stack
+    /// with `queue_depth: Some(d)` under `ReplayMode::Open` keeps at most
+    /// `d` requests outstanding. Device-queued modes run the staged
+    /// pipeline; their configured host depth is surfaced on
+    /// [`HostRunReport::depth_enforced`].
     /// Requests must be arrival-sorted (every composer in this workspace
     /// produces sorted traces).
     pub fn run(
@@ -557,9 +564,9 @@ impl HostStack {
         // The SQ occupancy log, in canonical `(deliver, command)` order so
         // the staged and interleaved drivers log identical runs
         // identically (delivery *processing* order differs between them;
-        // the records do not). Zero-page commands occupy no slot — like
-        // the bounded device drivers they pass the window through — so
-        // they are omitted and the per-queue gauge is the slot count.
+        // the records do not). Zero-page commands occupy no slot — they
+        // pass the window through — so they are omitted and the per-queue
+        // gauge is the slot count.
         let mut sq_log = QueueDepthProbe::new();
         let mut order: Vec<usize> = (0..forwarded.len()).collect();
         order.sort_by_key(|&i| (deliver_of[i], i));
@@ -742,9 +749,9 @@ impl InterleavedLoop<'_, '_> {
     fn admit(&mut self, q: usize, now: SimTime) {
         while let Some(&cmd) = self.backlog[q].front() {
             let c = &self.forwarded[cmd as usize];
-            // Zero-page commands do no flash work: like the bounded
-            // device drivers, they pass through without occupying a slot
-            // (but still FIFO behind backlogged work).
+            // Zero-page commands do no flash work: they pass through
+            // without occupying a slot, but still FIFO behind backlogged
+            // work.
             let takes_slot = c.req.pages > 0;
             if takes_slot {
                 if let Some(d) = self.depth {

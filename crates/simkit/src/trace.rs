@@ -903,8 +903,9 @@ pub fn power_csv(
 }
 
 /// Host-queue occupancy probe: one `(tenant, arrival, issue, done)` record
-/// per tracked unit of work (a host request in the closed-loop driver, a
-/// page operation in the gated and NCQ/QoS drivers).
+/// per tracked unit of work (a host request in open replay and behind the
+/// host stack's SQ windows, a page operation in the gated and NCQ/QoS
+/// drivers).
 ///
 /// The replay drivers record into the probe as they admit and complete
 /// work; [`QueueDepthProbe::csv`] then renders the queue-depth-over-time

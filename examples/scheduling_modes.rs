@@ -1,8 +1,11 @@
-//! The four replay modes side by side on one bursty workload:
+//! The three device replay modes, and a closed loop through the host
+//! stack, side by side on one bursty workload:
 //!
 //! * **open loop** — trace arrivals, unbounded outstanding requests
 //!   (DiskSim-style replay; backlog can grow without limit);
-//! * **closed loop** — at most QD requests outstanding (fio-style);
+//! * **closed loop** — at most QD requests outstanding (fio-style): open
+//!   replay behind a pass-through host stack whose one submission queue
+//!   holds QD commands;
 //! * **issue-gated** — FlashSim's priority list: operations wait until
 //!   their plane and channel are idle, FIFO with skipping;
 //! * **NCQ** — bounded reordering: any of the oldest QD pending ops may
@@ -53,9 +56,13 @@ fn main() {
     print_row("open loop", &r);
     d.audit().unwrap();
 
-    for qd in [1usize, 8, 32] {
+    for qd in [1u32, 8, 32] {
         let mut d = fresh(&config);
-        let r = d.run_with(&trace.requests, RunConfig::closed(qd));
+        let window = HostStack::new(HostConfig {
+            queue_depth: Some(qd),
+            ..HostConfig::passthrough()
+        });
+        let r = window.run(&mut d, &trace.requests, ReplayMode::Open).device;
         print_row(&format!("closed loop QD={qd}"), &r);
         d.audit().unwrap();
     }

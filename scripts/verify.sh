@@ -204,7 +204,7 @@ SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-ftl-kit --lib 
 echo "==> one measurement window (counters additive over consecutive runs, 256 random splits)"
 # A run of A then B on one device reports A's counters and B's; a twin
 # that runs A++B at once must report their sum, field by field, for every
-# FTL, open and closed(8), energy on, with and without a fault plan.
+# FTL, open and ncq(8), energy on, with and without a fault plan.
 # `cargo test` above runs 24 cases.
 SIMKIT_CHECK_CASES=256 cargo test -q --release --offline --test properties \
     counters_are_additive_over_consecutive_runs

@@ -249,8 +249,8 @@ fn page_cache_hits_misses_evictions_and_flushes_do_not_allocate() {
     assert_eq!(allocated, 0, "heap allocations inside the page cache");
 }
 
-// `CommandSession::submit` is the body of every arrival-reserving replay
-// (`run_with` open/closed, the host stack's interleaved driver): once the
+// `CommandSession::submit` is the body of open replay and of the host
+// stack's interleaved driver (every closed loop included): once the
 // session is reserved, the chain free list has filled and the collector's
 // scratch has grown, a command — two page ops, collections included — is
 // served without touching the allocator.

@@ -4,8 +4,10 @@
 
 use dloop_bench::{build_ftl, ftl_cases, ideal_config};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
-use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
+use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
+use dloop_repro::ftl_kit::metrics::RunReport;
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
+use dloop_repro::host::{HostConfig, HostStack};
 use dloop_repro::simkit::{SimRng, SimTime};
 use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
 use dloop_repro::workloads::WorkloadProfile;
@@ -18,6 +20,16 @@ fn w(at_us: u64, lpn: u64, pages: u32) -> HostRequest {
         op: HostOp::Write,
         ..HostRequest::default()
     }
+}
+
+/// Closed-loop replay: open replay behind a pass-through host stack whose
+/// one submission queue holds at most `depth` requests.
+fn closed_loop(device: &mut SsdDevice, reqs: &[HostRequest], depth: u32) -> RunReport {
+    let window = HostStack::new(HostConfig {
+        queue_depth: Some(depth),
+        ..HostConfig::passthrough()
+    });
+    window.run(device, reqs, ReplayMode::Open).device
 }
 
 fn r(at_us: u64, lpn: u64, pages: u32) -> HostRequest {
@@ -228,8 +240,8 @@ fn dloop_wear_is_balanced() {
     );
 }
 
-/// Closed-loop replay bounds the number of outstanding requests: under a
-/// bursty trace the open-loop backlog grows without limit while QD=1
+/// Closed-loop replay (the host stack's SQ window) bounds the number of
+/// outstanding requests: under a bursty trace the open-loop backlog grows without limit while QD=1
 /// serialises, and state effects are identical either way.
 #[test]
 fn closed_loop_bounds_queueing() {
@@ -241,7 +253,7 @@ fn closed_loop_bounds_queueing() {
     let open = open_dev.run_with(&burst, RunConfig::open());
 
     let mut closed_dev = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-    let closed = closed_dev.run_with(&burst, RunConfig::closed(4));
+    let closed = closed_loop(&mut closed_dev, &burst, 4);
 
     // Same state trajectory (issue order identical).
     assert_eq!(open.total_programs, closed.total_programs);
@@ -263,7 +275,7 @@ fn closed_loop_qd1_serialises() {
     // Ten writes to the same plane, all arriving at once.
     let planes = config.geometry().total_planes() as u64;
     let burst: Vec<_> = (0..10u64).map(|i| w(0, i * planes, 1)).collect();
-    let report = device.run_with(&burst, RunConfig::closed(1));
+    let report = closed_loop(&mut device, &burst, 1);
     // Each write: 0.2 cmd + 51.2 xfer + 200 program = 251.4 us, QD1 means
     // the next one starts only after the previous completed.
     let expect_ms = 10.0 * 0.2514;
@@ -360,8 +372,9 @@ fn latency_breakdown_is_populated() {
     assert!(report.wait_ms.mean() <= report.response_ms.mean() + 1e-9);
 }
 
-/// All three replay modes run every FTL cleanly and agree on state
-/// trajectories (issue order is arrival order in all of them).
+/// Open, closed-loop (a depth-16 host window) and gated replay run every
+/// FTL cleanly and agree on state trajectories (issue order is arrival
+/// order in all of them).
 #[test]
 fn replay_modes_agree_on_state_for_all_ftls() {
     for (name, kind, config) in ftl_cases(&SsdConfig::micro_gc_test()) {
@@ -373,7 +386,7 @@ fn replay_modes_agree_on_state_for_all_ftls() {
         let mut open = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let a = open.run_with(&reqs, RunConfig::open());
         let mut closed = SsdDevice::new(config.clone(), build_ftl(kind, &config));
-        let b = closed.run_with(&reqs, RunConfig::closed(16));
+        let b = closed_loop(&mut closed, &reqs, 16);
         let mut gated = SsdDevice::new(config.clone(), build_ftl(kind, &config));
         let c = gated.run_with(&reqs, RunConfig::gated());
 

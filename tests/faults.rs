@@ -141,8 +141,8 @@ fn fault_sequences_are_reproducible() {
     });
 }
 
-/// The three replay modes interleave requests differently but apply state
-/// effects in the same per-op order, so the per-op-count fault keying
+/// Open, gated and NCQ(8) replay interleave requests differently but
+/// apply state effects in the same per-op order, so the per-op-count fault keying
 /// must produce identical reliability counters (timing may differ).
 #[test]
 fn replay_modes_agree_on_fault_outcomes() {
@@ -156,7 +156,7 @@ fn replay_modes_agree_on_fault_outcomes() {
             let report = match mode {
                 0 => device.run_with(&reqs, RunConfig::open()),
                 1 => device.run_with(&reqs, RunConfig::gated()),
-                _ => device.run_with(&reqs, RunConfig::closed(8)),
+                _ => device.run_with(&reqs, RunConfig::ncq(8)),
             };
             device
                 .audit()
@@ -164,7 +164,7 @@ fn replay_modes_agree_on_fault_outcomes() {
             counters.push(report.media.clone());
         }
         check_assert_eq!(counters[0], counters[1], "open vs gated");
-        check_assert_eq!(counters[0], counters[2], "open vs closed");
+        check_assert_eq!(counters[0], counters[2], "open vs ncq(8)");
         Ok(())
     });
 }

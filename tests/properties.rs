@@ -262,8 +262,10 @@ fn additive_counters(r: &RunReport) -> Vec<(String, u64)> {
 /// A report covers its own run and nothing else: on a fresh device, run A
 /// and then B (every arrival of B after every arrival of A); a fresh twin
 /// that runs A++B at once reports exactly A's counters plus B's, field by
-/// field, for every FTL, in open and closed mode, with energy accounting
-/// on and with and without a media-fault plan.
+/// field, for every FTL, in open replay and through an NCQ(8) window,
+/// with energy accounting on and with and without a media-fault plan.
+/// Translation runs in arrival order in both modes, so no counter depends
+/// on admission.
 #[test]
 fn counters_are_additive_over_consecutive_runs() {
     let gen = (check::vec_of(op_gen(1500), 1..150), check::u64s(0..1 << 20));
@@ -290,7 +292,7 @@ fn counters_are_additive_over_consecutive_runs() {
         let faulty = lit.clone().with_fault(FaultConfig::light(*cut));
         for (label, base) in [("energy", &lit), ("energy+faults", &faulty)] {
             for (name, kind, config) in ftl_cases(base) {
-                let runs: [fn() -> RunConfig; 2] = [RunConfig::open, || RunConfig::closed(8)];
+                let runs: [fn() -> RunConfig; 2] = [RunConfig::open, || RunConfig::ncq(8)];
                 for run in runs {
                     let fresh = || SsdDevice::new(config.clone(), build_ftl(kind, &config));
                     let mut split = fresh();

@@ -1,18 +1,17 @@
 //! Replay-mode agreement, tracing-purity, and QoS-policy properties.
 //!
-//! The device offers five replay modes — open arrivals, the FlashSim
-//! priority list (gated), a bounded host queue (closed), NCQ-style
-//! bounded reordering and the QoS-policy window — all selected through
-//! the builder-style `RunConfig` consumed by `SsdDevice::run_with` (with
-//! `run(requests, ReplayMode)` as its enum spelling, pinned against it
-//! below). They model different host-side scheduling, but all of them
-//! translate the same requests in
-//! the same order, so they must agree on everything *stateful*: pages
-//! served, flash page states, per-block erase counts, and the
-//! cross-layer audit. With an unbounded queue the closed mode
-//! degenerates to open arrivals exactly, report and all — zero-page
-//! requests included, which is the regression gate for the closed
-//! driver's freed-slot drain.
+//! The device offers three replay modes — open arrivals, the FlashSim
+//! priority list (gated) and the QoS-policy window (NCQ-style bounded
+//! reordering under a selection policy) — all selected through the
+//! builder-style `RunConfig` consumed by `SsdDevice::run_with` (with a
+//! bare `ReplayMode` converted by `.into()` as its enum spelling, pinned
+//! against it below). A closed loop, a bound on outstanding requests, is
+//! the host stack's SQ window: open replay behind a pass-through
+//! `HostStack` with a finite `queue_depth` (`closed_loop` below). Every
+//! one of them models different host-side scheduling, but all translate
+//! the same requests in the same order, so they must agree on everything
+//! *stateful*: pages served, flash page states, per-block erase counts,
+//! and the cross-layer audit.
 //!
 //! Every mode additionally carries the sharded-engine identity (claim
 //! C15): `RunConfig::shards(n)` must leave the full report fingerprint
@@ -49,6 +48,7 @@ use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{QosCandidate, QosPolicy, QosSpec};
+use dloop_repro::host::{HostConfig, HostStack};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::{attribution, RingSink};
 use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
@@ -111,9 +111,6 @@ fn requests(ops: &[Op]) -> Vec<HostRequest> {
 enum Mode {
     Open,
     Gated,
-    /// Bounded host queue at the given depth (`usize::MAX` = unbounded,
-    /// which must degenerate to open arrivals).
-    Closed(usize),
     /// NCQ-style bounded reordering at the given queue depth.
     Ncq(usize),
 }
@@ -122,7 +119,6 @@ fn run_config(mode: Mode) -> RunConfig {
     match mode {
         Mode::Open => RunConfig::open(),
         Mode::Gated => RunConfig::gated(),
-        Mode::Closed(depth) => RunConfig::closed(depth),
         Mode::Ncq(depth) => RunConfig::ncq(depth),
     }
 }
@@ -140,6 +136,16 @@ fn run_mode(
     }
     let report = device.run_with(reqs, run_config(mode));
     (device, report)
+}
+
+/// Closed-loop replay: open replay behind a pass-through host stack whose
+/// one submission queue holds at most `depth` requests.
+fn closed_loop(device: &mut SsdDevice, reqs: &[HostRequest], depth: u32) -> RunReport {
+    let window = HostStack::new(HostConfig {
+        queue_depth: Some(depth),
+        ..HostConfig::passthrough()
+    });
+    window.run(device, reqs, ReplayMode::Open).device
 }
 
 /// Everything stateful about the flash array, as one comparable string:
@@ -240,13 +246,11 @@ fn hw_op_total(r: &RunReport) -> u64 {
     r.hw.reads + r.hw.writes + r.hw.erases + r.hw.copybacks + r.hw.interplane_copies
 }
 
-/// All four replay modes agree on what was *done*: request/page
-/// accounting, flash page states, erase counts, and a passing audit.
-/// Closed replay with an unbounded queue is bit-identical to open replay
-/// (the generator mixes in zero-page requests, so this also locks the
-/// closed driver's freed-slot drain: a stale `in_flight` count would
-/// shift issue times and break the bit-identity). A depth-1 closed queue
-/// serialises issue but must not change any flash state.
+/// Open, gated and NCQ replay and a closed loop agree on what was *done*:
+/// request/page accounting, flash page states, erase counts, and a
+/// passing audit. The closed loop is a depth-1 host window, which
+/// serialises issue but must not change any flash state; the generator
+/// mixes in zero-page requests, which wait their FIFO turn there.
 #[test]
 fn replay_modes_agree_on_served_work_and_flash_state() {
     let gen = check::vec_of(op_gen(800), 1..200);
@@ -256,13 +260,11 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
         for kind in [FtlKind::Dloop, FtlKind::Dftl] {
             let (d_open, r_open) = run_mode(kind, &config, &reqs, Mode::Open, false);
             let (d_gated, r_gated) = run_mode(kind, &config, &reqs, Mode::Gated, false);
-            let (d_closed, r_closed) =
-                run_mode(kind, &config, &reqs, Mode::Closed(usize::MAX), false);
-            let (d_serial, r_serial) = run_mode(kind, &config, &reqs, Mode::Closed(1), false);
+            let mut d_serial = SsdDevice::new(config.clone(), build_ftl(kind, &config));
+            let r_serial = closed_loop(&mut d_serial, &reqs, 1);
             let (d_ncq, r_ncq) = run_mode(kind, &config, &reqs, Mode::Ncq(4), false);
             for (mode, r) in [
                 ("gated", &r_gated),
-                ("closed", &r_closed),
                 ("closed(1)", &r_serial),
                 ("ncq", &r_ncq),
             ] {
@@ -288,7 +290,6 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
             }
             let digest = flash_digest(&d_open);
             check_assert_eq!(digest, flash_digest(&d_gated), "{:?} gated digest", kind);
-            check_assert_eq!(digest, flash_digest(&d_closed), "{:?} closed digest", kind);
             check_assert_eq!(
                 digest,
                 flash_digest(&d_serial),
@@ -296,17 +297,9 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
                 kind
             );
             check_assert_eq!(digest, flash_digest(&d_ncq), "{:?} ncq digest", kind);
-            for d in [&d_open, &d_gated, &d_closed, &d_serial, &d_ncq] {
+            for d in [&d_open, &d_gated, &d_serial, &d_ncq] {
                 d.audit().map_err(|e| format!("{kind:?}: {e}"))?;
             }
-            // Unbounded closed queue == open arrivals, field for field —
-            // including the queue probe, which both record per request.
-            check_assert_eq!(
-                fingerprint(&r_open),
-                fingerprint(&r_closed),
-                "{:?}: closed(∞) must degenerate to open replay",
-                kind
-            );
         }
         Ok(())
     });
@@ -325,14 +318,9 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
         let fresh = || SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
         let depth = 8usize;
 
-        let modes: [(&str, ReplayMode, RunConfig); 4] = [
+        let modes: [(&str, ReplayMode, RunConfig); 3] = [
             ("open", ReplayMode::Open, RunConfig::open()),
             ("gated", ReplayMode::Gated, RunConfig::gated()),
-            (
-                "closed",
-                ReplayMode::Closed { queue_depth: depth },
-                RunConfig::closed(depth),
-            ),
             (
                 "ncq",
                 ReplayMode::Qos {
@@ -395,7 +383,7 @@ fn legacy_entry_points_match_their_run_config_equivalents() {
 /// the flash digest bit-identical to the sequential engine. The config
 /// here has four channels so a 4-shard run could fan out; with its
 /// 64-entry CMT the open runs fall back as soon as the map outgrows the
-/// cache, and the closed and queueing modes fall back by design — every
+/// cache, and the queueing modes fall back by design — every
 /// run that does must be identical trivially, and must say it fell back.
 #[test]
 fn sharded_replay_is_bit_identical_to_sequential() {
@@ -408,10 +396,8 @@ fn sharded_replay_is_bit_identical_to_sequential() {
         let reqs = requests(ops);
         for kind in [FtlKind::Dloop, FtlKind::Dftl] {
             let fresh = || SsdDevice::new(config.clone(), build_ftl(kind, &config));
-            let configs: [(&str, fn() -> RunConfig); 6] = [
+            let configs: [(&str, fn() -> RunConfig); 4] = [
                 ("open", RunConfig::open),
-                ("closed(3)", || RunConfig::closed(3)),
-                ("closed(64)", || RunConfig::closed(64)),
                 ("gated", RunConfig::gated),
                 ("ncq(4)", || RunConfig::ncq(4)),
                 ("qos(fifo)", || RunConfig::qos(QosSpec::WindowFifo)),
@@ -539,7 +525,7 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
 /// A sharded request that does not engage is not silent: the report names
 /// the guard that sent it to the sequential engine, and equals the
 /// sequential report. One leg per guard a configuration can reach here:
-/// closed admission, a queueing scheduler, a 4 096-entry CMT over a larger
+/// a queueing scheduler, a 4 096-entry CMT over a larger
 /// map (the FTL cannot attest plane-local translation), a media-fault
 /// plan, a single-channel device, and a worker finding its home plane
 /// below the GC threshold mid-run (GC hell: a resident-map device that
@@ -588,8 +574,7 @@ fn sharded_requests_that_fall_back_name_their_guard() {
         config.cmt_capacity = config.geometry().user_pages() as usize;
         config
     };
-    let legs: [(&str, SsdConfig, f64, fn() -> RunConfig); 6] = [
-        ("closed(8)", resident.clone(), 0.9, || RunConfig::closed(8)),
+    let legs: [(&str, SsdConfig, f64, fn() -> RunConfig); 5] = [
         ("ncq(8)", resident.clone(), 0.9, || RunConfig::ncq(8)),
         ("4096-entry CMT", small_cmt, 0.9, RunConfig::open),
         ("fault plan", faulty, 0.3, RunConfig::open),
@@ -613,8 +598,7 @@ fn sharded_requests_that_fall_back_name_their_guard() {
             panic!("{name}: expected a fallback, got {:?}", par.shard_outcome);
         };
         match (name, guard) {
-            ("closed(8)", ShardGuard::ClosedMode)
-            | ("ncq(8)", ShardGuard::QueueingMode)
+            ("ncq(8)", ShardGuard::QueueingMode)
             | ("4096-entry CMT", ShardGuard::TranslationNotReady)
             | ("fault plan", ShardGuard::MediaModel)
             | ("one channel", ShardGuard::SingleChannel) => {}
@@ -690,7 +674,6 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
         let modes = [
             ReplayMode::Open,
             ReplayMode::Gated,
-            ReplayMode::Closed { queue_depth: 8 },
             ReplayMode::Qos {
                 queue_depth: 4,
                 policy: QosSpec::Ncq,
@@ -792,6 +775,57 @@ fn interleaved_sq_windows_bound_occupancy_per_queue() {
     });
 }
 
+/// The zero-page rule of a bounded queue: a request with no pages does no
+/// flash work and takes no slot, but it keeps its FIFO place behind the
+/// backlog. Through a depth-1 window, write A (0 µs) holds the slot, B
+/// (5 µs) waits for it, the zero-page request Z (10 µs) waits behind B
+/// and completes the instant B is admitted — not at its own arrival — and
+/// C (20 µs) is admitted when B is delivered, exactly as if Z were absent.
+#[test]
+fn a_bounded_queue_holds_zero_page_requests_in_fifo_order_without_a_slot() {
+    let us = SimTime::from_micros;
+    let zero = HostRequest {
+        pages: 0,
+        ..page_req(us(10), 9, HostOp::Write)
+    };
+    let with_zero = [
+        page_req(us(0), 0, HostOp::Write),
+        page_req(us(5), 4, HostOp::Write),
+        zero,
+        page_req(us(20), 8, HostOp::Write),
+    ];
+    let without_zero = [with_zero[0], with_zero[1], with_zero[3]];
+    let config = SsdConfig::micro_gc_test();
+    let run = |reqs: &[HostRequest]| {
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+        let host = HostStack::new(HostConfig {
+            queue_depth: Some(1),
+            ..HostConfig::passthrough()
+        })
+        .run(&mut device, reqs, ReplayMode::Open);
+        device.audit().expect("audit");
+        host
+    };
+    let host = run(&with_zero);
+    let [a, b, z, c] = [0, 1, 2, 3].map(|i| host.requests[i]);
+    assert!(
+        b.submit > us(10),
+        "B must wait for A's slot past Z's arrival"
+    );
+    assert_eq!(b.submit, a.deliver, "B takes the slot A frees");
+    assert_eq!(
+        (z.submit, z.done),
+        (b.submit, b.submit),
+        "Z completes as B is admitted"
+    );
+    assert_eq!(c.submit, b.deliver, "C takes the slot B frees: Z held none");
+    assert_eq!(host.device.requests_completed, 4);
+    assert_eq!(host.device.response_ms.count(), 4, "Z is counted");
+    let alone = run(&without_zero);
+    assert_eq!(alone.requests[2].submit, c.submit, "Z moved C's admission");
+    assert_eq!(alone.requests[2].done, c.done);
+}
+
 /// With an unbounded depth the interleaved event loop degenerates to the
 /// staged reference pipeline *bit-for-bit*: the full host report
 /// fingerprint (request timelines, SQ occupancy log, spans, counters)
@@ -859,12 +893,7 @@ fn tracing_never_perturbs_reports() {
         let plain = SsdConfig::micro_gc_test();
         let faulty = SsdConfig::micro_gc_test().with_fault(FaultConfig::light(0x7A11));
         for (label, config) in [("fault-free", &plain), ("faulty", &faulty)] {
-            for mode in [
-                Mode::Open,
-                Mode::Gated,
-                Mode::Closed(usize::MAX),
-                Mode::Ncq(8),
-            ] {
+            for mode in [Mode::Open, Mode::Gated, Mode::Ncq(8)] {
                 let (_, off) = run_mode(FtlKind::Dloop, config, &reqs, mode, false);
                 let (mut traced, on) = run_mode(FtlKind::Dloop, config, &reqs, mode, true);
                 check_assert_eq!(
@@ -1182,11 +1211,17 @@ fn single_plane_burst() -> Vec<HostRequest> {
         .collect()
 }
 
+/// One golden replay: a fresh device over its trace.
+type Replay = fn(&mut SsdDevice, &[HostRequest]) -> RunReport;
+
 /// The golden corpus: `(label, report_fingerprint, fnv(flash_digest))` of
 /// two traces × every admission discipline on micro devices. The rows
 /// were recorded at the commit *before* the replay drivers moved from a
 /// pre-loaded event heap to an arrival cursor merged with a wake-only
-/// heap; a scheduler rewrite must leave every one of them unchanged.
+/// heap; a scheduler rewrite must leave every one of them unchanged. The
+/// `closed4` rows were recorded from a device-level closed-loop driver
+/// and now replay through a depth-4 host window, which must reproduce
+/// them.
 fn golden_rows() -> Vec<(String, u64, u64)> {
     use dloop_repro::host::report_fingerprint;
     use dloop_repro::nand::energy::EnergyConfig;
@@ -1200,87 +1235,68 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
     ];
     let mut rows = Vec::new();
     for (tname, reqs) in &traces {
-        // `lanes` replaces the run's policy with a caller-owned one.
-        let mut row = |label: String,
-                       config: &SsdConfig,
-                       run: RunConfig,
-                       lanes: Option<&mut dyn QosPolicy>| {
-            let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
-            // The micro device has too few spares to survive a fault plan
-            // for the whole trace; a third of it retires blocks already.
-            let reqs = match config.fault.is_null() {
-                true => &reqs[..],
-                false => &reqs[..reqs.len() / 3],
+        let mut row =
+            |label: String,
+             config: &SsdConfig,
+             replay: &dyn Fn(&mut SsdDevice, &[HostRequest]) -> RunReport| {
+                let mut d = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, config));
+                // The micro device has too few spares to survive a fault plan
+                // for the whole trace; a third of it retires blocks already.
+                let reqs = match config.fault.is_null() {
+                    true => &reqs[..],
+                    false => &reqs[..reqs.len() / 3],
+                };
+                let r = replay(&mut d, reqs);
+                d.audit().expect("audit");
+                rows.push((
+                    format!("{tname}/{label}"),
+                    report_fingerprint(&r),
+                    fnv(&flash_digest(&d)),
+                ));
             };
-            let r = match lanes {
-                Some(policy) => d.run_with_policy(reqs, run, policy),
-                None => d.run_with(reqs, run),
-            };
-            d.audit().expect("audit");
-            rows.push((
-                format!("{tname}/{label}"),
-                report_fingerprint(&r),
-                fnv(&flash_digest(&d)),
-            ));
+        let modes: [(&str, Replay); 6] = [
+            ("open", |d, r| d.run_with(r, RunConfig::open())),
+            ("gated", |d, r| d.run_with(r, RunConfig::gated())),
+            ("closed4", |d, r| closed_loop(d, r, 4)),
+            ("ncq1", |d, r| d.run_with(r, RunConfig::ncq(1))),
+            ("ncq4", |d, r| d.run_with(r, RunConfig::ncq(4))),
+            ("ncq32", |d, r| d.run_with(r, RunConfig::ncq(32))),
+        ];
+        // The deadline-keyed lanes replace the run's policy with a
+        // caller-owned one.
+        let deadline: Replay = |d, r| d.run_with_policy(r, RunConfig::ncq(8), &mut DeadlineLanes);
+        let power_cap: Replay = |d, r| {
+            let cap = QosSpec::PowerCap { budget_uw: 200_000 };
+            d.run_with(r, RunConfig::qos(cap).queue_depth(8))
         };
-        let modes = || {
-            [
-                ("open", RunConfig::open()),
-                ("gated", RunConfig::gated()),
-                ("closed4", RunConfig::closed(4)),
-                ("ncq1", RunConfig::ncq(1)),
-                ("ncq4", RunConfig::ncq(4)),
-                ("ncq32", RunConfig::ncq(32)),
-            ]
-        };
-        for (mode, run) in modes() {
-            row(format!("fg/{mode}"), &base, run, None);
+        for (mode, replay) in modes {
+            row(format!("fg/{mode}"), &base, &replay);
         }
         let lit = base.clone().with_energy(EnergyConfig::paper_default());
         for spec in QosSpec::all() {
-            row(
-                format!("fg/qos8/{}", spec.name()),
-                &base,
-                RunConfig::qos(spec).queue_depth(8),
-                None,
-            );
+            row(format!("fg/qos8/{}", spec.name()), &base, &|d, r| {
+                d.run_with(r, RunConfig::qos(spec).queue_depth(8))
+            });
         }
-        row(
-            "fg/qos8/deadline".into(),
-            &base,
-            RunConfig::ncq(8),
-            Some(&mut DeadlineLanes),
-        );
-        let cap = QosSpec::PowerCap { budget_uw: 200_000 };
-        row(
-            "fg/qos8/power-cap".into(),
-            &lit,
-            RunConfig::qos(cap).queue_depth(8),
-            None,
-        );
+        row("fg/qos8/deadline".into(), &base, &deadline);
+        row("fg/qos8/power-cap".into(), &lit, &power_cap);
         let bg = SsdConfig {
             background_gc: true,
             ..base.clone()
         };
-        for (mode, run) in modes() {
-            row(format!("bg/{mode}"), &bg, run, None);
+        for (mode, replay) in modes {
+            row(format!("bg/{mode}"), &bg, &replay);
         }
         let bg_lit = bg.clone().with_energy(EnergyConfig::paper_default());
-        row(
-            "bg/qos8/power-cap".into(),
-            &bg_lit,
-            RunConfig::qos(cap).queue_depth(8),
-            None,
-        );
-        row(
-            "bg/qos8/deadline".into(),
-            &bg,
-            RunConfig::ncq(8),
-            Some(&mut DeadlineLanes),
-        );
+        row("bg/qos8/power-cap".into(), &bg_lit, &power_cap);
+        row("bg/qos8/deadline".into(), &bg, &deadline);
         let faulty = base.clone().with_fault(FaultConfig::light(11));
-        row("fault/gated".into(), &faulty, RunConfig::gated(), None);
-        row("fault/ncq32".into(), &faulty, RunConfig::ncq(32), None);
+        row("fault/gated".into(), &faulty, &|d, r| {
+            d.run_with(r, RunConfig::gated())
+        });
+        row("fault/ncq32".into(), &faulty, &|d, r| {
+            d.run_with(r, RunConfig::ncq(32))
+        });
     }
     rows
 }
@@ -1409,7 +1425,9 @@ fn an_arrival_coinciding_with_a_wake_fires_first() {
 /// Equal arrivals fire in slice order, and an unsorted slice replays in
 /// `(arrival, index)` order: the same requests shuffled — ties keeping
 /// their relative order — produce the sorted slice's report, with only the
-/// request indices of the completion log permuted.
+/// request indices of the completion log permuted. The closed loop (a
+/// depth-2 host window) keeps slice order among ties too; the host stack
+/// takes arrival-sorted traces only, so it has no shuffled leg.
 #[test]
 fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
     use dloop_repro::host::report_fingerprint;
@@ -1431,17 +1449,36 @@ fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
     // slice; equal-arrival requests keep their relative order.
     let perm = [5usize, 0, 6, 4, 1, 7, 2, 8, 3];
     let shuffled: Vec<HostRequest> = perm.iter().map(|&k| sorted[k]).collect();
-    for (name, run, golden) in [
+    let closed2 = |reqs: &[HostRequest]| {
+        let config = SsdConfig::micro_gc_test();
+        let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+        let report = closed_loop(&mut device, reqs, 2);
+        device.audit().expect("audit");
+        report
+    };
+    let legs: [(&str, fn(&[HostRequest]) -> RunReport, u64, bool); 4] = [
         (
             "gated",
-            RunConfig::gated as fn() -> RunConfig,
+            |r| run_dloop_micro(r, RunConfig::gated()),
             GOLDEN_TIES[0],
+            true,
         ),
-        ("ncq4", || RunConfig::ncq(4), GOLDEN_TIES[1]),
-        ("open", RunConfig::open, GOLDEN_TIES[2]),
-        ("closed2", || RunConfig::closed(2), GOLDEN_TIES[3]),
-    ] {
-        let want = run_dloop_micro(&sorted, run());
+        (
+            "ncq4",
+            |r| run_dloop_micro(r, RunConfig::ncq(4)),
+            GOLDEN_TIES[1],
+            true,
+        ),
+        (
+            "open",
+            |r| run_dloop_micro(r, RunConfig::open()),
+            GOLDEN_TIES[2],
+            true,
+        ),
+        ("closed2", closed2, GOLDEN_TIES[3], false),
+    ];
+    for (name, run, golden, sorts) in legs {
+        let want = run(&sorted);
         // Slice order among ties: one plane serves the four writes (and
         // the four reads) strictly in index order.
         for w in [[0, 1], [1, 2], [2, 3], [5, 6], [6, 7], [7, 8]] {
@@ -1453,7 +1490,10 @@ fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
             );
         }
         assert_eq!(report_fingerprint(&want), golden, "{name}: sorted slice");
-        let got = run_dloop_micro(&shuffled, run());
+        if !sorts {
+            continue;
+        }
+        let got = run(&shuffled);
         assert_eq!(got.csv_row(), want.csv_row(), "{name}");
         assert_eq!(got.queue_log, want.queue_log, "{name}");
         let mapped: Vec<_> = got

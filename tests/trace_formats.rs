@@ -57,9 +57,10 @@ fn disksim_trace_replays_end_to_end() {
 /// the exact header, one row per requested bucket, five integer-or-time
 /// columns. Its counters obey conservation — every tracked unit is
 /// admitted exactly once and completed exactly once, and both gauges
-/// drain to zero by the final bucket. Checked for a closed-loop and an
-/// NCQ replay of the same parsed SPC trace: the two drivers track
-/// different units (requests vs page ops), but the laws are the same.
+/// drain to zero by the final bucket. Checked for a closed-loop replay (a
+/// depth-4 host window) and an NCQ replay of the same parsed SPC trace:
+/// the two drivers track different units (requests vs page ops), but the
+/// laws are the same.
 #[test]
 fn queue_depth_csv_shape_and_conservation() {
     let mut text = String::new();
@@ -71,18 +72,16 @@ fn queue_depth_csv_shape_and_conservation() {
     let config = SsdConfig::micro_gc_test();
     let trace = parse_spc(&text, "mini-spc", config.geometry().page_size, Some(0)).unwrap();
 
-    for (label, mode) in [
-        ("closed", ReplayMode::Closed { queue_depth: 4 }),
-        (
-            "ncq",
-            ReplayMode::Qos {
-                queue_depth: 4,
-                policy: QosSpec::Ncq,
-            },
-        ),
-    ] {
-        let mut device = SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
-        let report = device.run_with(&trace.requests, mode.into());
+    let fresh = || SsdDevice::new(config.clone(), Box::new(DloopFtl::new(&config)));
+    let window = HostStack::new(HostConfig {
+        queue_depth: Some(4),
+        ..HostConfig::passthrough()
+    });
+    let closed = window
+        .run(&mut fresh(), &trace.requests, ReplayMode::Open)
+        .device;
+    let ncq = fresh().run_with(&trace.requests, RunConfig::ncq(4));
+    for (label, report) in [("closed", closed), ("ncq", ncq)] {
         let buckets = 32;
         let csv = report.queue_depth_csv(buckets);
         let mut lines = csv.lines();
