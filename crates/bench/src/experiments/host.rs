@@ -58,7 +58,7 @@ const DIRTY_HEADER: [&str; 7] = [
 ];
 
 /// Locked column schema of the queue-depth sweep (`host_2.csv`); depth
-/// `0` is the unbounded (staged-equivalent) row.
+/// `0` is the unbounded row.
 const DEPTH_HEADER: [&str; 7] = [
     "depth",
     "e2e_ms",

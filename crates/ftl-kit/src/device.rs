@@ -14,11 +14,11 @@
 //!
 //! There is one implementation of each job here. Open replay submits
 //! each request through [`CommandSession::submit`] at its arrival;
-//! queueing replay (gated, NCQ, QoS) is one scheduler loop, `run_queued`,
+//! queueing replay (gated, NCQ, QoS) is one scheduler, [`QueuedSession`],
 //! under two disciplines; and every chain any of them plays goes through
 //! the one player in `play.rs`. A cap on outstanding requests is a host
 //! property, modelled once, by the `dloop-host` stack's per-queue SQ
-//! windows in front of a [`CommandSession`].
+//! windows in front of either session.
 
 use crate::config::SsdConfig;
 use crate::dir::{PageDirectory, PageOwner};
@@ -82,12 +82,19 @@ pub enum ReplayMode {
 }
 
 impl ReplayMode {
-    /// The reorder-window size of the QoS mode, the one mode with a
-    /// queue depth.
-    fn queue_depth(self) -> Option<usize> {
+    /// How a device-queued mode runs the scheduler: the window depth,
+    /// policy and `fifo` flag [`SsdDevice::begin_queued`] takes, or `None`
+    /// for open replay, which queues nothing. FlashSim's priority list
+    /// (§IV.B), the gated mode, is the scheduler with no window and arrival
+    /// order as its only preference.
+    pub fn discipline(self) -> Option<(usize, Box<dyn QosPolicy>, bool)> {
         match self {
-            ReplayMode::Open | ReplayMode::Gated => None,
-            ReplayMode::Qos { queue_depth, .. } => Some(queue_depth),
+            ReplayMode::Open => None,
+            ReplayMode::Gated => Some((usize::MAX, Box::new(WindowFifoPolicy), true)),
+            ReplayMode::Qos {
+                queue_depth,
+                policy,
+            } => Some((queue_depth, policy.build(), false)),
         }
     }
 }
@@ -278,17 +285,11 @@ impl ReplayStats {
         }
     }
 
-    /// Make room for `units` more completion and queue-probe records.
-    fn reserve(&mut self, units: usize) {
-        self.completions.reserve(units);
+    /// Make room for `requests` more completion records and `units` more
+    /// queue-probe records.
+    fn reserve(&mut self, requests: usize, units: usize) {
+        self.completions.reserve(requests);
         self.queue.reserve(units);
-    }
-
-    /// Sized for a queueing driver, whose probe tracks page operations
-    /// (and one instant record per zero-page request).
-    fn for_queued(start: DeviceCounters, requests: &[HostRequest]) -> Self {
-        let units = requests.iter().map(|r| r.pages.max(1) as usize).sum();
-        Self::with_capacity(start, requests.len(), units)
     }
 
     /// Count one page operation of kind `op`.
@@ -331,74 +332,73 @@ impl ReplayStats {
 }
 
 /// One translated page operation waiting in the queueing scheduler: the
-/// chains the FTL produced at arrival time, the policy's view of the op,
-/// and the bookkeeping needed to finish its host request. Its arrival
-/// sequence number is `cand.seq`, which is also its slot in the
-/// scheduler's slab (offset by the slab's base).
+/// chains the FTL produced at submission, the policy's view of the op
+/// (`cand.seq` is its slot in the session's ops; `cand.arrival` the
+/// command's admission, which its wait is measured from) and its command.
 struct QueuedOp {
-    req: usize,
+    /// The command's slot in the session's commands.
+    cmd: u64,
     lpn: u64,
     host: OpChain,
     gc: OpChain,
     scan: OpChain,
-    /// Built at arrival. Its tenant and arrival also feed the queue probe
-    /// and the completion log; its plane is the op's lane (`0`, and unused,
+    /// Built at submission; its plane is the op's lane (`0`, and unused,
     /// for a chain-less op).
     cand: QosCandidate,
-    /// `policy.lane_key(&cand)`, taken at arrival (`0`, and never asked
+    /// `policy.lane_key(&cand)`, taken at submission (`0`, and never asked
     /// for, for a chain-less op).
     key: u64,
 }
 
-/// The event source of the queueing schedulers: a cursor over the trace in
-/// canonical `(arrival, index)` order, merged with a heap that holds
-/// *only* wakes — a handful of entries however long the trace is.
-struct WakeClock<'a> {
-    requests: &'a [HostRequest],
-    order: ArrivalOrder,
-    /// Position in `order` of the next arrival.
-    next: usize,
-    /// Resource-release instants still ahead (no payload: a wake only
-    /// says "look again").
-    wakes: EventQueue<()>,
-    now: SimTime,
+/// A submitted command of a [`QueuedSession`] with ops still unissued.
+struct Pending {
+    /// The caller's id for the completion log.
+    id: u64,
+    /// `HostRequest::arrival`, which the logs keep.
+    arrival: SimTime,
+    /// The latest completion among its issued ops.
+    done: SimTime,
+    ops_left: u32,
 }
 
-impl<'a> WakeClock<'a> {
-    fn new(requests: &'a [HostRequest]) -> Self {
-        WakeClock {
-            requests,
-            order: ArrivalOrder::new(requests, |r| r.arrival),
-            next: 0,
-            wakes: EventQueue::new(),
-            now: SimTime::ZERO,
+/// Records numbered in push order, held until taken: record `seq` sits at
+/// `slots[seq - base]`, and the holes taken records leave at the front are
+/// popped, so the deque spans only the oldest held record to the newest.
+struct Slab<T> {
+    slots: VecDeque<Option<T>>,
+    base: u64,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: VecDeque::new(),
+            base: 0,
         }
     }
 
-    /// The next event: `(instant, Some(request index))` for an arrival,
-    /// `(instant, None)` for *all* wakes due at that instant, retired
-    /// together — after the first scheduler pass at an instant nothing has
-    /// changed for a second one to act on. At equal instants arrivals fire
-    /// first (in canonical order, one event each), then the wakes.
-    fn pop(&mut self) -> Option<(SimTime, Option<usize>)> {
-        let arrival = self.order.get(self.next);
-        let arrival_at = arrival.map(|i| self.requests[i].arrival);
-        let wake_at = self.wakes.peek_time();
-        let at = match (arrival_at, wake_at) {
-            (Some(a), Some(w)) => a.min(w),
-            (a, w) => a.or(w)?,
-        };
-        // The wake heap's own past-check never sees arrivals.
-        debug_assert!(at >= self.now, "clock ran backwards: {at} < {}", self.now);
-        self.now = at;
-        if arrival_at == Some(at) {
-            self.next += 1;
-            return Some((at, arrival));
+    /// The number the next pushed record gets.
+    fn next_seq(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    fn push(&mut self, item: T) -> u64 {
+        self.slots.push_back(Some(item));
+        self.next_seq() - 1
+    }
+
+    fn get(&mut self, seq: u64) -> &mut T {
+        let slot = &mut self.slots[(seq - self.base) as usize];
+        slot.as_mut().expect("a held record")
+    }
+
+    fn take(&mut self, seq: u64) -> T {
+        let item = self.slots[(seq - self.base) as usize].take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
         }
-        while self.wakes.peek_time() == Some(at) {
-            self.wakes.pop();
-        }
-        Some((at, None))
+        item.expect("a held record")
     }
 }
 
@@ -558,19 +558,11 @@ impl SsdDevice {
                 Err(guard) => outcome = ShardOutcome::FellBack(guard),
             }
         }
-        assert!(
-            mode.queue_depth() != Some(0),
-            "queue depth must be at least 1"
-        );
-        let mut report = match mode {
-            ReplayMode::Open => self.run_open(requests),
-            // FlashSim's priority list (§IV.B) is the queueing scheduler
-            // with no window and arrival order as its only preference.
-            ReplayMode::Gated => self.run_queued(requests, usize::MAX, &mut WindowFifoPolicy, true),
-            ReplayMode::Qos {
-                queue_depth,
-                policy,
-            } => self.run_queued(requests, queue_depth, policy.build().as_mut(), false),
+        let mut report = match mode.discipline() {
+            None => self.run_open(requests),
+            Some((depth, mut policy, fifo)) => self
+                .begin_queued(depth, policy.as_mut(), fifo)
+                .replay(requests, QueuedSession::pass),
         };
         report.shard_outcome = outcome;
         report
@@ -595,9 +587,13 @@ impl SsdDevice {
         if let Some(sink) = sink {
             self.attach_sink(sink);
         }
-        let queue_depth = mode.queue_depth().unwrap_or(DEFAULT_NCQ_DEPTH);
-        assert!(queue_depth >= 1, "queue depth must be at least 1");
-        let mut report = self.run_queued(requests, queue_depth, policy, false);
+        let queue_depth = match mode {
+            ReplayMode::Qos { queue_depth, .. } => queue_depth,
+            ReplayMode::Open | ReplayMode::Gated => DEFAULT_NCQ_DEPTH,
+        };
+        let mut report = self
+            .begin_queued(queue_depth, policy, false)
+            .replay(requests, QueuedSession::pass);
         if shards > 1 {
             report.shard_outcome = ShardOutcome::FellBack(ShardGuard::QueueingMode);
         }
@@ -691,105 +687,6 @@ impl SsdDevice {
         (host, gc, scan)
     }
 
-    /// The end-of-trace check of the queueing scheduler: with no event
-    /// left, nothing may still be pending. An op stuck here means some
-    /// resource-busy interval ended without a wake (the wake-event
-    /// contract below), so the message names what the first stuck op was
-    /// waiting for.
-    fn assert_drained(&self, slab: &VecDeque<Option<QueuedOp>>, now: SimTime) {
-        let Some(op) = slab.iter().flatten().next() else {
-            return;
-        };
-        let stuck = slab.iter().flatten().count();
-        let waiting_on = match op.host.steps().first().map(|s| s.planes().0) {
-            Some(p) => format!(
-                "plane {p} (plane ready at {}, channel ready at {})",
-                self.hw.plane_ready_at(p),
-                self.hw.channel_ready_at(p)
-            ),
-            None => "no resource (chain-less op)".to_string(),
-        };
-        panic!(
-            "{stuck} ops left unissued at end of trace: first is request {} lpn {} waiting on \
-             {waiting_on}; final now = {now}",
-            op.req, op.lpn
-        );
-    }
-
-    /// Issue one queued page operation at `now`: play its chains (host
-    /// gates the response; scan and GC only contend), record latency
-    /// attribution and the queue probe, finish the request when this was
-    /// its last op, and schedule wakes.
-    ///
-    /// Wake-event contract (DESIGN.md): **every resource-busy interval
-    /// ends with a scheduled wake.** The host chain's resources are free
-    /// by `done`, which gets a wake below; scan and background-GC chains
-    /// keep planes and channels busy *past* `done`, so each gets its own
-    /// wake at its resource-release time. (Historically only `done` was
-    /// woken, so ops gated on a scanned/collected plane stalled until the
-    /// next trace arrival — or tripped the end-of-trace assert when no
-    /// arrival came.)
-    ///
-    /// Returns the instant the op's *last* resource hold ends (the
-    /// latest of host completion, scan release, and GC release) — the
-    /// horizon a throttling policy must track the op's power draw until.
-    fn issue_queued_op(
-        &mut self,
-        op: QueuedOp,
-        now: SimTime,
-        stats: &mut ReplayStats,
-        req_done: &mut [SimTime],
-        req_ops_left: &mut [u32],
-        wakes: &mut EventQueue<()>,
-    ) -> SimTime {
-        let background_gc = self.config.background_gc;
-        let played = play_op(
-            &mut self.hw,
-            &PageOp {
-                req: op.req as u64,
-                lpn: op.lpn,
-                host: &op.host,
-                gc: &op.gc,
-                scan: &op.scan,
-            },
-            now,
-            ScanOrder::AfterHost,
-            background_gc,
-        );
-        // Queueing delay spans arrival → first flash step (the
-        // pending-queue wait plus any residual resource wait), mirroring
-        // the command session's decomposition.
-        let QosCandidate {
-            tenant, arrival, ..
-        } = op.cand;
-        stats.fold_played(arrival, &played, background_gc);
-        let Played {
-            done,
-            scan_release,
-            gc_release,
-            ..
-        } = played;
-        if scan_release > now {
-            wakes.push(scan_release, ());
-        }
-        // Synchronous GC ends at `done`, which is woken below.
-        if background_gc && gc_release > now {
-            wakes.push(gc_release, ());
-        }
-        stats.queue.track(tenant, arrival, now, done);
-        req_done[op.req] = req_done[op.req].max(done);
-        req_ops_left[op.req] -= 1;
-        if req_ops_left[op.req] == 0 {
-            stats.complete(op.req as u64, arrival, req_done[op.req]);
-        }
-        // Wake the scheduler when this op's work completes.
-        if done > now {
-            wakes.push(done, ());
-        }
-        self.recycle_chains(op.host, op.gc, op.scan);
-        scan_release.max(gc_release).max(done)
-    }
-
     /// Upper bound on one queued op's instantaneous power draw, in µW,
     /// from its prepared chains — zero when energy accounting is off.
     ///
@@ -817,287 +714,62 @@ impl SsdDevice {
         chained(host) + unchained(scan) + gc_uw
     }
 
-    /// The queueing scheduler — one loop, two disciplines. Page operations
-    /// are translated on arrival (state effects are immediate, as in
-    /// FlashSim) and wait, in arrival (`seq`) order, in a slab indexed by
-    /// `seq − base`; the scheduler may issue *any* of the oldest
-    /// `queue_depth` pending ops — the reorder window — whose first host
-    /// step's plane and channel are idle now; nothing holds a resource
-    /// before its work begins. Selection runs over a readiness index that
-    /// holds the window and nothing else: one lane per plane, keyed by the
-    /// first host step's primary plane, plus one lane for chain-less ops
-    /// such as unmapped reads. An op enters its lane when it enters the
-    /// window, oldest first, as older ops issue. The window only grows at
-    /// its young end, so each lane's head is its best in-window candidate
-    /// and a scheduling decision visits one head per non-empty lane:
-    /// O(planes), never O(pending).
-    ///
-    /// * **Policy / windowed** (`fifo: false`; NCQ and QoS). The policy
-    ///   shapes exactly two things (see [`crate::sched`]): within-lane
-    ///   order — lanes are kept sorted by `(policy.lane_key, seq)`, the key
-    ///   taken once at arrival — and the cross-lane choice, ranked by
-    ///   `(policy.rank, plane_ready_at, seq)` among the heads whose
-    ///   resources are idle and which `policy.admit` lets through. With
-    ///   [`crate::sched::NcqPolicy`] (constant rank, FIFO lanes): among issuable
-    ///   in-window ops, prefer the op whose target plane has been idle
-    ///   longest, ties by arrival order. Chain-less ops occupy no
-    ///   resources: the oldest one inside the window always issues first,
-    ///   bypassing the policy entirely (they are not ranked and not charged
-    ///   by `on_issue`).
-    /// * **FIFO / unbounded** (`fifo: true`, `queue_depth: usize::MAX`,
-    ///   [`WindowFifoPolicy`]; gated) — the literal FlashSim priority list
-    ///   (§IV.B): "If the targeting channel and plane of the request are
-    ///   available, it will be immediately handed to the hardware module
-    ///   … Otherwise, [the scheduler] processes other requests until the
-    ///   channel and the plane turn to be free". The one rule it keeps of
-    ///   its own: a chain-less op issues at its queue position — after
-    ///   every older op that is ready at this instant, not before — since
-    ///   the completion and probe logs record issue order.
-    ///
-    /// Policy note: lanes are head-of-line in *key* order — each lane
-    /// offers only its head as a candidate, so an op blocked on its
-    /// *secondary* resource (e.g. the far plane of an inter-plane copy)
-    /// also blocks lower-ranked ops on the same lane, under both
-    /// disciplines. (No shipped FTL starts a host chain with a two-plane
-    /// step, so for them the gated FIFO skips exactly as the priority list
-    /// does; `tests/replay_modes.rs` pins that against fingerprints
-    /// recorded from the former stand-alone gated loop.) Reordering
-    /// happens *across* planes, which is where the idle parallelism
-    /// DLOOP's allocation creates actually lives; within a plane, the
-    /// single sorted candidate is what keeps selection cheap,
-    /// deterministic, and (for a deadline-keyed lane) inversion-free. The
-    /// `#[cfg(test)]` oracle at the bottom of this file implements the
-    /// same rule by scanning the window naively.
-    fn run_queued(
-        &mut self,
-        requests: &[HostRequest],
+    /// Begin a queueing session: the scheduler of gated, NCQ and QoS
+    /// replay ([`QueuedSession`]), fed one command at a time, with its
+    /// window depth, policy and discipline ([`ReplayMode::discipline`]).
+    pub fn begin_queued<'d>(
+        &'d mut self,
         queue_depth: usize,
-        policy: &mut dyn QosPolicy,
+        policy: &'d mut dyn QosPolicy,
         fifo: bool,
-    ) -> RunReport {
-        let lpn_space = self.flash.geometry().user_pages();
+    ) -> QueuedSession<'d> {
+        assert!(queue_depth >= 1, "queue depth must be at least 1");
         let planes = self.flash.geometry().total_planes() as usize;
-        let mut clock = WakeClock::new(requests);
         // The wake-event contract also binds busy intervals booked before
         // this run: a device that ran without a warm-up's rewind still
         // carries them, and no completion of this run ends them with a
         // wake. (None lie ahead on a fresh or warmed-up device.)
+        let mut wakes = EventQueue::new();
         for plane in 0..planes as dloop_nand::PlaneId {
             for busy_until in [
                 self.hw.plane_ready_at(plane),
                 self.hw.channel_ready_at(plane),
             ] {
-                if busy_until > clock.now {
-                    clock.wakes.push(busy_until, ());
+                if busy_until > SimTime::ZERO {
+                    wakes.push(busy_until, ());
                 }
             }
         }
-
-        // Every pending op, oldest first: op `seq` sits at `slab[seq -
-        // base]` until it issues, leaving a hole; holes at the front are
-        // popped, so `base` is the oldest pending op's `seq` and
-        // `base + slab.len()` the next op's.
-        let mut slab: VecDeque<Option<QueuedOp>> = VecDeque::new();
-        let mut base = 0u64;
-        // The window is the pending ops with `seq < admitted`:
-        // `in_window` of them, at most `queue_depth`.
-        let mut admitted = 0u64;
-        let mut in_window = 0usize;
-        // Readiness index over the window: lane `p` holds `(lane_key,
-        // seq)` of the in-window ops whose first host step starts on plane
-        // `p`, sorted; `live` marks the non-empty lanes; `chainless` holds
-        // the in-window ops with no host steps, which need no resources.
-        let mut lanes: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); planes];
-        let mut live = PlaneSet::new(planes);
-        let mut chainless: VecDeque<u64> = VecDeque::new();
-
-        let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
-        let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
-
-        let mut stats = ReplayStats::for_queued(self.counters(), requests);
-        let mut ticked: Option<SimTime> = None;
-
-        while let Some((now, arrived)) = clock.pop() {
-            if let Some(i) = arrived {
-                let req = &requests[i];
-                if req.pages == 0 {
-                    // No page operations to queue: the request completes
-                    // instantly at arrival with a zero response sample,
-                    // exactly as the command session counts it (the
-                    // per-op completion in `issue_queued_op` would
-                    // otherwise never fire and the request would vanish
-                    // from the stats).
-                    stats
-                        .queue
-                        .track(req.tenant, req.arrival, req.arrival, req.arrival);
-                    stats.complete(i as u64, req.arrival, req.arrival);
-                    continue;
-                }
-                for lpn in req.wrapped_page_ops(lpn_space) {
-                    let (host, gc, scan) = self.translate_page_op(lpn, req.op);
-                    stats.count_page(req.op);
-                    let first = host.steps().first();
-                    let cand = QosCandidate {
-                        seq: base + slab.len() as u64,
-                        tenant: req.tenant,
-                        deadline: req.deadline,
-                        arrival: req.arrival,
-                        plane: first.map_or(0, |step| step.planes().0),
-                        draw_uw: self.op_draw_uw(&host, &gc, &scan),
-                    };
-                    let key = match first {
-                        Some(_) => policy.lane_key(&cand),
-                        None => 0,
-                    };
-                    slab.push_back(Some(QueuedOp {
-                        req: i,
-                        lpn,
-                        host,
-                        gc,
-                        scan,
-                        cand,
-                        key,
-                    }));
-                }
-            }
-
-            if ticked != Some(now) {
-                ticked = Some(now);
-                policy.tick(now);
-            }
-            // Issue every selectable op.
-            loop {
-                // Top the window up, oldest first: an issue has shrunk it,
-                // or arrivals have queued behind it.
-                while in_window < queue_depth && admitted < base + slab.len() as u64 {
-                    let op = slab[(admitted - base) as usize]
-                        .as_ref()
-                        .expect("an op outside the window is pending");
-                    if op.host.is_empty() {
-                        chainless.push_back(admitted);
-                    } else {
-                        let plane = op.cand.plane as usize;
-                        let lane = &mut lanes[plane];
-                        if lane.is_empty() {
-                            live.insert(plane);
-                        }
-                        let entry = (op.key, admitted);
-                        lane.insert(lane.partition_point(|&e| e < entry), entry);
-                    }
-                    admitted += 1;
-                    in_window += 1;
-                }
-                if in_window == 0 {
-                    break;
-                }
-                // Each live lane offers its head if the first step's
-                // resources are all idle now and the policy admits it;
-                // among the offers, pick the lowest `(rank,
-                // plane_ready_at, seq)`. Lanes are visited in plane order
-                // and keys are totally ordered, so selection is
-                // deterministic. `best` remembers the winner's plane.
-                let mut best: Option<((u64, u64, SimTime, u64), usize)> = None;
-                // A windowed policy never gets to outrank a chain-less op,
-                // so the lanes sit that decision out.
-                if fifo || chainless.is_empty() {
-                    let free = |plane| {
-                        self.hw.plane_ready_at(plane) <= now
-                            && self.hw.channel_ready_at(plane) <= now
-                    };
-                    for plane in live.iter() {
-                        // The lane is the head's primary plane, so a busy
-                        // one is skipped before the op is looked up.
-                        let p = plane as dloop_nand::PlaneId;
-                        if !free(p) {
-                            continue;
-                        }
-                        let (_, seq) = lanes[plane][0];
-                        let op = slab[(seq - base) as usize]
-                            .as_ref()
-                            .expect("a lane entry is pending");
-                        if !op.host.steps()[0].planes().1.is_none_or(free) {
-                            continue;
-                        }
-                        if !policy.admit(now, &op.cand) {
-                            continue;
-                        }
-                        let (r0, r1) = policy.rank(now, &op.cand);
-                        let key = (r0, r1, self.hw.plane_ready_at(p), seq);
-                        if best.is_none_or(|(k, _)| key < k) {
-                            best = Some((key, plane));
-                        }
-                    }
-                }
-                // Under the FIFO discipline the chain-less op waits its
-                // turn behind an older op that is ready now. A chain-less
-                // op issues unseen by the policy; a lane's op is charged
-                // to it.
-                let chainless_wins = chainless
-                    .front()
-                    .copied()
-                    .filter(|&seq| best.is_none_or(|(key, _)| seq < key.3));
-                let (seq, charged) = match (chainless_wins, best) {
-                    (Some(seq), _) => {
-                        chainless.pop_front();
-                        (seq, false)
-                    }
-                    (None, Some((_, plane))) => {
-                        let lane = &mut lanes[plane];
-                        let (_, seq) = lane.pop_front().expect("the winner heads its lane");
-                        if lane.is_empty() {
-                            live.remove(plane);
-                        }
-                        (seq, true)
-                    }
-                    (None, None) => break,
-                };
-                let op = slab[(seq - base) as usize]
-                    .take()
-                    .expect("selected op is pending");
-                while let Some(None) = slab.front() {
-                    slab.pop_front();
-                    base += 1;
-                }
-                in_window -= 1;
-                let cand = op.cand;
-                if charged {
-                    policy.on_issue(now, &cand);
-                }
-                let release = self.issue_queued_op(
-                    op,
-                    now,
-                    &mut stats,
-                    &mut req_done,
-                    &mut req_ops_left,
-                    &mut clock.wakes,
-                );
-                // Throttling policies track the committed draw until its
-                // last resource hold ends (the release wake scheduled by
-                // `issue_queued_op` guarantees a `tick` retires it).
-                if charged {
-                    policy.note_release(now, &cand, release);
-                }
-            }
+        QueuedSession {
+            lpn_space: self.flash.geometry().user_pages(),
+            stats: ReplayStats::with_capacity(self.counters(), 0, 0),
+            device: self,
+            policy,
+            queue_depth,
+            fifo,
+            wakes,
+            now: SimTime::ZERO,
+            ticked: None,
+            ops: Slab::new(),
+            admitted: 0,
+            in_window: 0,
+            lanes: vec![VecDeque::new(); planes],
+            live: PlaneSet::new(planes),
+            chainless: VecDeque::new(),
+            commands: Slab::new(),
+            finished: Vec::new(),
+            submitted: 0,
         }
-        self.assert_drained(&slab, clock.now);
-
-        self.finish_report(requests.len() as u64, stats)
     }
 
-    /// Begin an incremental-submission session: the host/device
-    /// interleaving surface. Instead of handing the device a complete
-    /// request slice, a driver (the `dloop-host` event loop) feeds
-    /// commands one at a time via [`CommandSession::submit`] and learns
-    /// each command's completion instant immediately, so its own
-    /// admission decisions (per-queue windows, completion-driven
-    /// writeback) can react to completions before deciding what to
-    /// submit next.
-    ///
-    /// Each submitted command books its flash work at its `issue` time,
-    /// exactly as [`ReplayMode::Open`] books work at arrival — feeding an
-    /// arrival-sorted slice with `issue == arrival` reproduces
-    /// `run_with(requests, RunConfig::open())` bit-for-bit, report fingerprint
-    /// included (the degeneracy leg of claim C13 rides on this).
+    /// Begin an incremental-submission session for open replay: a driver
+    /// (the `dloop-host` event loop) feeds commands one at a time via
+    /// [`CommandSession::submit`] and learns each one's completion instant
+    /// at once, so its admission decisions can react to completions. Each
+    /// command books its flash work at its `issue` time, as
+    /// [`ReplayMode::Open`] books work at arrival — an arrival-sorted feed
+    /// with `issue == arrival` reproduces `run_with(requests,
+    /// RunConfig::open())` bit-for-bit (the degeneracy leg of claim C13).
     pub fn begin_commands(&mut self) -> CommandSession<'_> {
         let lpn_space = self.flash.geometry().user_pages();
         let stats = ReplayStats::with_capacity(self.counters(), 0, 0);
@@ -1202,18 +874,15 @@ pub fn audit(flash: &FlashState, dir: &PageDirectory, ftl: &dyn Ftl) -> Result<(
 }
 
 /// An in-progress incremental-submission run over an [`SsdDevice`]
-/// (see [`SsdDevice::begin_commands`]). The session owns the per-run
-/// measurement accumulator; [`CommandSession::finish`] assembles the
-/// same [`RunReport`] every batch replay mode produces.
+/// (see [`SsdDevice::begin_commands`]). [`CommandSession::finish`]
+/// assembles the same [`RunReport`] every replay mode produces.
 ///
-/// The driver is responsible for feeding commands in nondecreasing
-/// `issue` order — the session books each command's work at its issue
-/// instant, so it must see work in time order, and the report's
-/// completion/occupancy logs are recorded in submission order so that an
-/// arrival-order feed matches [`ReplayMode::Open`] record-for-record.
-/// [`SsdDevice::run_with`] itself is such a driver for open replay, and
-/// the `dloop-host` stack's interleaved loop is one that holds commands
-/// back behind full SQ windows.
+/// The driver feeds commands in nondecreasing `issue` order: the session
+/// books each command's work at its issue instant, and its logs record
+/// submission order, so an arrival-order feed matches
+/// [`ReplayMode::Open`] record-for-record. [`SsdDevice::run_with`] is
+/// such a driver, and the `dloop-host` stack's interleaved loop one that
+/// holds commands back behind full SQ windows.
 pub struct CommandSession<'d> {
     device: &'d mut SsdDevice,
     lpn_space: u64,
@@ -1227,7 +896,7 @@ impl CommandSession<'_> {
     /// submissions, so a driver that knows its command count up front
     /// (the batch replay loop, the host stack) grows neither log mid-run.
     pub fn reserve(&mut self, commands: usize) {
-        self.stats.reserve(commands);
+        self.stats.reserve(commands, commands);
     }
 
     /// Submit one command (`id` is the caller's index for the completion
@@ -1274,6 +943,418 @@ impl CommandSession<'_> {
     /// construction to the batch replay drivers).
     pub fn finish(self) -> RunReport {
         self.device.finish_report(self.submitted, self.stats)
+    }
+}
+
+/// An in-progress queueing run over an [`SsdDevice`] (see
+/// [`SsdDevice::begin_queued`]), the queued counterpart of
+/// [`CommandSession`]. [`QueuedSession::submit`] and
+/// [`QueuedSession::wake`] each run one scheduler pass at their instant,
+/// and the commands a pass finishes wait in
+/// [`QueuedSession::drain_finished`]. The driver keeps time order: before
+/// submitting at `at` it wakes the session at every wake strictly before
+/// `at`, and before [`QueuedSession::finish`] it wakes it until
+/// [`QueuedSession::next_wake`] is `None`.
+///
+/// One scheduler, two disciplines. Page operations are translated on
+/// submission (state effects are immediate, as in FlashSim) and wait in
+/// submission (`seq`) order; the scheduler may issue *any* of the oldest
+/// `queue_depth` pending ops — the reorder window — whose first host
+/// step's plane and channel are idle now; nothing holds a resource before
+/// its work begins. Selection runs over a readiness index of the window:
+/// one lane per plane plus one for chain-less ops (unmapped reads), which
+/// ops enter oldest first as older ones issue. The window only grows at
+/// its young end, so each lane's head is its best candidate and a
+/// decision visits one head per non-empty lane: O(planes), never
+/// O(pending).
+///
+/// * **Policy / windowed** (`fifo: false`; NCQ and QoS). The policy
+///   shapes exactly two things (see [`crate::sched`]): within-lane order —
+///   lanes are kept sorted by `(policy.lane_key, seq)`, the key taken once
+///   at submission — and the cross-lane choice, ranked by `(policy.rank,
+///   plane_ready_at, seq)` among the heads whose resources are idle and
+///   which `policy.admit` lets through. With [`crate::sched::NcqPolicy`]
+///   (constant rank, FIFO lanes): among issuable in-window ops, prefer the
+///   op whose target plane has been idle longest, ties by arrival order.
+///   Chain-less ops occupy no resources: the oldest one inside the window
+///   always issues first, bypassing the policy entirely (they are not
+///   ranked and not charged by `on_issue`).
+/// * **FIFO / unbounded** (`fifo: true`, `queue_depth: usize::MAX`,
+///   [`WindowFifoPolicy`]; gated) — the literal FlashSim priority list
+///   (§IV.B): "If the targeting channel and plane of the request are
+///   available, it will be immediately handed to the hardware module …
+///   Otherwise, [the scheduler] processes other requests until the channel
+///   and the plane turn to be free". The one rule it keeps of its own: a
+///   chain-less op issues at its queue position — after every older op
+///   that is ready at this instant, not before — since the completion and
+///   probe logs record issue order.
+///
+/// Policy note: lanes are head-of-line in *key* order — each lane offers
+/// only its head as a candidate, so an op blocked on its *secondary*
+/// resource (e.g. the far plane of an inter-plane copy) also blocks
+/// lower-ranked ops on the same lane, under both disciplines. (No shipped
+/// FTL starts a host chain with a two-plane step.) Reordering happens
+/// *across* planes, where DLOOP's idle parallelism lives; within a plane,
+/// the single sorted candidate keeps selection cheap, deterministic, and
+/// (for a deadline-keyed lane) inversion-free. The `#[cfg(test)]` oracle
+/// at the bottom of this file applies the same rule by scanning the
+/// window naively.
+///
+/// Wake-event contract (DESIGN.md): **every resource-busy interval ends
+/// with a scheduled wake.** An issued op's host chain frees its resources
+/// by its completion, which gets a wake; scan and background-GC chains
+/// keep planes and channels busy *past* it, so each gets its own wake at
+/// its resource-release time.
+pub struct QueuedSession<'d> {
+    device: &'d mut SsdDevice,
+    policy: &'d mut dyn QosPolicy,
+    queue_depth: usize,
+    fifo: bool,
+    lpn_space: u64,
+    /// Resource-release instants ahead (a wake only says "look again").
+    wakes: EventQueue<()>,
+    /// The instant of the latest submission or wake.
+    now: SimTime,
+    /// The instant the policy was last ticked at.
+    ticked: Option<SimTime>,
+    /// Every pending op, at its `seq`.
+    ops: Slab<QueuedOp>,
+    /// The window is the pending ops with `seq < admitted`: `in_window`
+    /// of them, at most `queue_depth`.
+    admitted: u64,
+    in_window: usize,
+    /// The readiness index: lane `p` holds `(lane_key, seq)` of the
+    /// in-window ops whose first host step starts on plane `p`, sorted;
+    /// `live` marks the non-empty lanes.
+    lanes: Vec<VecDeque<(u64, u64)>>,
+    live: PlaneSet,
+    /// The in-window chain-less ops (no resource needed), oldest first.
+    chainless: VecDeque<u64>,
+    commands: Slab<Pending>,
+    /// `(id, done)` of the commands finished since the last drain.
+    finished: Vec<(u64, SimTime)>,
+    stats: ReplayStats,
+    submitted: u64,
+}
+
+impl QueuedSession<'_> {
+    /// Submit one command (`id` indexes the completion log) reaching the
+    /// scheduler at `at`, and run a pass. As in [`CommandSession::submit`],
+    /// its ops' wait is measured from `at` and the logs keep
+    /// `req.arrival`. A zero-page command finishes at `at`, with no pass.
+    pub fn submit(&mut self, req: &HostRequest, id: u64, at: SimTime) {
+        if self.enqueue(req, id, at) {
+            self.pass();
+        }
+    }
+
+    /// The next instant the scheduler wants to look again, if any.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        self.wakes.peek_time()
+    }
+
+    /// Retire every wake due at the next wake's instant and run one pass
+    /// there (a second pass would find nothing changed).
+    pub fn wake(&mut self) {
+        if self.take_wakes() {
+            self.pass();
+        }
+    }
+
+    /// `(id, done)` of every command finished since the last drain, in
+    /// completion-log order.
+    pub fn drain_finished(&mut self) -> std::vec::Drain<'_, (u64, SimTime)> {
+        self.finished.drain(..)
+    }
+
+    /// End the session and assemble the [`RunReport`].
+    pub fn finish(mut self) -> RunReport {
+        self.assert_drained();
+        self.device.finish_report(self.submitted, self.stats)
+    }
+
+    /// The batch driver of [`SsdDevice::run_with`]'s queueing modes: for
+    /// each request in `(arrival, index)` order, every wake strictly before
+    /// its arrival, then the request at its arrival; then the wakes left.
+    /// At one instant arrivals thus fire first, one pass each, then one
+    /// pass for its wakes. `pass` is [`QueuedSession::pass`], or the test
+    /// oracle's. The finished commands are dropped after each step, so
+    /// the drain never grows per request.
+    fn replay(mut self, requests: &[HostRequest], pass: fn(&mut Self)) -> RunReport {
+        let units = requests.iter().map(|r| r.pages.max(1) as usize).sum();
+        self.stats.reserve(requests.len(), units);
+        let order = ArrivalOrder::new(requests, |r| r.arrival);
+        let mut arrivals = order.iter().peekable();
+        loop {
+            let wake = self.next_wake();
+            let arrival = arrivals.next_if(|&i| wake.is_none_or(|w| requests[i].arrival <= w));
+            let due = match arrival {
+                Some(i) => self.enqueue(&requests[i], i as u64, requests[i].arrival),
+                None if self.take_wakes() => true,
+                None => break,
+            };
+            if due {
+                pass(&mut self);
+            }
+            self.finished.clear();
+        }
+        self.finish()
+    }
+
+    /// Queue the command's page ops at `at`, translated now; returns
+    /// whether a pass is due.
+    fn enqueue(&mut self, req: &HostRequest, id: u64, at: SimTime) -> bool {
+        debug_assert!(
+            req.arrival <= at && self.now <= at && self.next_wake().is_none_or(|w| at <= w),
+            "submission at {at} out of time order (arrival {}, now {}, next wake {:?})",
+            req.arrival,
+            self.now,
+            self.next_wake()
+        );
+        self.now = at;
+        self.submitted += 1;
+        if req.pages == 0 {
+            self.stats.queue.track(req.tenant, req.arrival, at, at);
+            self.stats.complete(id, req.arrival, at);
+            self.finished.push((id, at));
+            return false;
+        }
+        let cmd = self.commands.push(Pending {
+            id,
+            arrival: req.arrival,
+            done: at,
+            ops_left: req.pages,
+        });
+        for lpn in req.wrapped_page_ops(self.lpn_space) {
+            let (host, gc, scan) = self.device.translate_page_op(lpn, req.op);
+            self.stats.count_page(req.op);
+            let first = host.steps().first();
+            let cand = QosCandidate {
+                seq: self.ops.next_seq(),
+                tenant: req.tenant,
+                deadline: req.deadline,
+                arrival: at,
+                plane: first.map_or(0, |step| step.planes().0),
+                draw_uw: self.device.op_draw_uw(&host, &gc, &scan),
+            };
+            let key = match first {
+                Some(_) => self.policy.lane_key(&cand),
+                None => 0,
+            };
+            let op = QueuedOp {
+                cmd,
+                lpn,
+                host,
+                gc,
+                scan,
+                cand,
+                key,
+            };
+            self.ops.push(op);
+        }
+        true
+    }
+
+    /// Retire every wake due at the next wake's instant and move the
+    /// clock there; `false` when no wake is left.
+    fn take_wakes(&mut self) -> bool {
+        let Some(at) = self.next_wake() else {
+            return false;
+        };
+        while self.wakes.peek_time() == Some(at) {
+            self.wakes.pop();
+        }
+        self.now = at;
+        true
+    }
+
+    /// Tell the policy the time, once per instant.
+    fn tick(&mut self) {
+        if self.ticked != Some(self.now) {
+            self.ticked = Some(self.now);
+            self.policy.tick(self.now);
+        }
+    }
+
+    /// One scheduler pass at `now`: issue every selectable op.
+    fn pass(&mut self) {
+        self.tick();
+        let now = self.now;
+        loop {
+            // Top the window up, oldest first: an issue has shrunk it, or
+            // submissions have queued behind it.
+            while self.in_window < self.queue_depth && self.admitted < self.ops.next_seq() {
+                let op = self.ops.get(self.admitted);
+                if op.host.is_empty() {
+                    self.chainless.push_back(self.admitted);
+                } else {
+                    let plane = op.cand.plane as usize;
+                    let lane = &mut self.lanes[plane];
+                    if lane.is_empty() {
+                        self.live.insert(plane);
+                    }
+                    let entry = (op.key, self.admitted);
+                    lane.insert(lane.partition_point(|&e| e < entry), entry);
+                }
+                self.admitted += 1;
+                self.in_window += 1;
+            }
+            if self.in_window == 0 {
+                break;
+            }
+            // Each live lane offers its head if the first step's resources
+            // are all idle now and the policy admits it; among the offers,
+            // pick the lowest `(rank, plane_ready_at, seq)`. Lanes are
+            // visited in plane order and keys are totally ordered, so
+            // selection is deterministic. `best` remembers the winner's
+            // plane.
+            let mut best: Option<((u64, u64, SimTime, u64), usize)> = None;
+            // A windowed policy never gets to outrank a chain-less op, so
+            // the lanes sit that decision out.
+            if self.fifo || self.chainless.is_empty() {
+                let hw = &self.device.hw;
+                let free = |p| hw.plane_ready_at(p) <= now && hw.channel_ready_at(p) <= now;
+                for plane in self.live.iter() {
+                    // The lane is the head's primary plane, so a busy one
+                    // is skipped before the op is looked up.
+                    let p = plane as dloop_nand::PlaneId;
+                    if !free(p) {
+                        continue;
+                    }
+                    let (_, seq) = self.lanes[plane][0];
+                    let op = self.ops.get(seq);
+                    if !op.host.steps()[0].planes().1.is_none_or(free) {
+                        continue;
+                    }
+                    if !self.policy.admit(now, &op.cand) {
+                        continue;
+                    }
+                    let (r0, r1) = self.policy.rank(now, &op.cand);
+                    let key = (r0, r1, hw.plane_ready_at(p), seq);
+                    if best.is_none_or(|(k, _)| key < k) {
+                        best = Some((key, plane));
+                    }
+                }
+            }
+            // Under the FIFO discipline the chain-less op waits its turn
+            // behind an older op that is ready now. A chain-less op issues
+            // unseen by the policy; a lane's op is charged to it.
+            let chainless_wins = self
+                .chainless
+                .front()
+                .copied()
+                .filter(|&seq| best.is_none_or(|(key, _)| seq < key.3));
+            let (seq, charged) = match (chainless_wins, best) {
+                (Some(seq), _) => {
+                    self.chainless.pop_front();
+                    (seq, false)
+                }
+                (None, Some((_, plane))) => {
+                    let lane = &mut self.lanes[plane];
+                    let (_, seq) = lane.pop_front().expect("the winner heads its lane");
+                    if lane.is_empty() {
+                        self.live.remove(plane);
+                    }
+                    (seq, true)
+                }
+                (None, None) => break,
+            };
+            self.in_window -= 1;
+            self.issue(seq, charged);
+        }
+    }
+
+    /// Issue pending op `seq` at `now`: play its chains (host gates the
+    /// response; scan and GC only contend), record its attribution and
+    /// probe, finish its command after its last op, and schedule the
+    /// contract's wakes. A `charged` op is charged to the policy, which
+    /// tracks its draw until its last resource hold ends (a wake there
+    /// guarantees a `tick` retires it).
+    fn issue(&mut self, seq: u64, charged: bool) {
+        let now = self.now;
+        let op = self.ops.take(seq);
+        if charged {
+            self.policy.on_issue(now, &op.cand);
+        }
+        let background_gc = self.device.config.background_gc;
+        let command = self.commands.get(op.cmd);
+        let played = play_op(
+            &mut self.device.hw,
+            &PageOp {
+                req: command.id,
+                lpn: op.lpn,
+                host: &op.host,
+                gc: &op.gc,
+                scan: &op.scan,
+            },
+            now,
+            ScanOrder::AfterHost,
+            background_gc,
+        );
+        // Queueing delay spans admission → first flash step (the
+        // pending-queue wait plus any residual resource wait), mirroring
+        // the command session's decomposition.
+        let QosCandidate {
+            tenant, arrival, ..
+        } = op.cand;
+        self.stats.fold_played(arrival, &played, background_gc);
+        let Played {
+            done,
+            scan_release,
+            gc_release,
+            ..
+        } = played;
+        if scan_release > now {
+            self.wakes.push(scan_release, ());
+        }
+        // Synchronous GC ends at `done`, which is woken below.
+        if background_gc && gc_release > now {
+            self.wakes.push(gc_release, ());
+        }
+        self.stats.queue.track(tenant, command.arrival, now, done);
+        command.done = command.done.max(done);
+        command.ops_left -= 1;
+        if command.ops_left == 0 {
+            let finished = self.commands.take(op.cmd);
+            self.stats
+                .complete(finished.id, finished.arrival, finished.done);
+            self.finished.push((finished.id, finished.done));
+        }
+        if done > now {
+            self.wakes.push(done, ());
+        }
+        if charged {
+            let release = scan_release.max(gc_release).max(done);
+            self.policy.note_release(now, &op.cand, release);
+        }
+        self.device.recycle_chains(op.host, op.gc, op.scan);
+    }
+
+    /// The end-of-run check: with no wake left, nothing may still be
+    /// pending. An op stuck here means some resource-busy interval ended
+    /// without a wake (the wake-event contract), so the message names what
+    /// the first stuck op was waiting for.
+    fn assert_drained(&mut self) {
+        let stuck = self.ops.slots.iter().flatten().count();
+        let Some(op) = self.ops.slots.iter().flatten().next() else {
+            return;
+        };
+        let hw = &self.device.hw;
+        let waiting_on = match op.host.steps().first().map(|s| s.planes().0) {
+            Some(p) => format!(
+                "plane {p} (plane ready at {}, channel ready at {})",
+                hw.plane_ready_at(p),
+                hw.channel_ready_at(p)
+            ),
+            None => "no resource (chain-less op)".to_string(),
+        };
+        panic!(
+            "{stuck} ops left unissued at end of trace: first is request {} lpn {} waiting on \
+             {waiting_on}; final now = {}",
+            self.commands.get(op.cmd).id,
+            op.lpn,
+            self.now
+        );
     }
 }
 
@@ -1558,35 +1639,18 @@ mod tests {
     #[test]
     fn a_stuck_gated_op_names_what_it_waits_for() {
         // No replay strands an op any more (busy intervals booked outside
-        // the run are woken too), so the end-of-trace check is driven
-        // directly.
+        // the run are woken too), so the end-of-run check is driven
+        // directly: a session that never wakes past plane 0's busy time.
         let mut d = device();
         let held = d.hw.exec_write(0, SimTime::from_millis(5));
-        let (host, gc, scan) = d.translate_page_op(42, HostOp::Write);
-        let op = QueuedOp {
-            req: 0,
-            lpn: 42,
-            host,
-            gc,
-            scan,
-            cand: QosCandidate {
-                seq: 0,
-                tenant: TenantId::default(),
-                deadline: None,
-                arrival: SimTime::from_micros(7),
-                plane: 0,
-                draw_uw: 0,
-            },
-            key: 0,
-        };
-        let slab = VecDeque::from([Some(op)]);
-        let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.assert_drained(&slab, SimTime::from_micros(7))
-        }))
-        .expect_err("a pending op must trip the end-of-trace check");
-        let message = stuck.downcast_ref::<String>().expect("formatted panic");
         let channel_free = d.hw.channel_ready_at(0);
         assert_ne!(channel_free, held.end);
+        let mut fifo = WindowFifoPolicy;
+        let mut session = d.begin_queued(usize::MAX, &mut fifo, true);
+        session.submit(&write_req(7, 42, 1), 0, SimTime::from_micros(7));
+        let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.finish()))
+            .expect_err("a pending op must trip the end-of-run check");
+        let message = stuck.downcast_ref::<String>().expect("formatted panic");
         for part in [
             "1 ops left unissued".to_string(),
             "request 0 lpn 42".to_string(),
@@ -1881,126 +1945,55 @@ mod tests {
     /// The queued rule with no index at all: every pass scans the first
     /// `min(pending, queue_depth)` pending ops, takes per plane the one
     /// with the least `(lane_key, seq)`, and applies the resource, `admit`,
-    /// `rank`, chain-less and `fifo` rules of [`SsdDevice::run_queued`]'s
-    /// rustdoc to those, through the same `translate_page_op` and
-    /// `issue_queued_op`.
-    fn run_queued_naive(
-        d: &mut SsdDevice,
-        requests: &[HostRequest],
-        queue_depth: usize,
-        policy: &mut dyn QosPolicy,
-        fifo: bool,
-    ) -> RunReport {
-        let lpn_space = d.flash.geometry().user_pages();
-        let planes = d.flash.geometry().total_planes() as usize;
-        let mut clock = WakeClock::new(requests);
-        let mut pending: Vec<QueuedOp> = Vec::new();
-        let mut next_seq = 0u64;
-        let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
-        let mut req_ops_left: Vec<u32> = requests.iter().map(|r| r.pages).collect();
-        let mut stats = ReplayStats::for_queued(d.counters(), requests);
-        let mut ticked = None;
-        while let Some((now, arrived)) = clock.pop() {
-            if let Some(i) = arrived {
-                let req = &requests[i];
-                if req.pages == 0 {
-                    let at = req.arrival;
-                    stats.queue.track(req.tenant, at, at, at);
-                    stats.complete(i as u64, at, at);
+    /// `rank`, chain-less and `fifo` rules of [`QueuedSession`]'s rustdoc
+    /// to those. It replays through the same session, clock and `issue`;
+    /// only the pass differs.
+    fn naive_pass(s: &mut QueuedSession<'_>) {
+        s.tick();
+        let now = s.now;
+        let planes = s.lanes.len();
+        loop {
+            let mut heads: Vec<Option<&QueuedOp>> = vec![None; planes];
+            let mut chainless = None;
+            for op in s.ops.slots.iter().flatten().take(s.queue_depth) {
+                if op.host.is_empty() {
+                    chainless = chainless.or(Some(op.cand.seq));
                     continue;
                 }
-                for lpn in req.wrapped_page_ops(lpn_space) {
-                    let (host, gc, scan) = d.translate_page_op(lpn, req.op);
-                    stats.count_page(req.op);
-                    let cand = QosCandidate {
-                        seq: next_seq,
-                        tenant: req.tenant,
-                        deadline: req.deadline,
-                        arrival: req.arrival,
-                        plane: host.steps().first().map_or(0, |s| s.planes().0),
-                        draw_uw: d.op_draw_uw(&host, &gc, &scan),
-                    };
-                    let key = if host.is_empty() {
-                        0
-                    } else {
-                        policy.lane_key(&cand)
-                    };
-                    next_seq += 1;
-                    pending.push(QueuedOp {
-                        req: i,
-                        lpn,
-                        host,
-                        gc,
-                        scan,
-                        cand,
-                        key,
-                    });
+                let head = &mut heads[op.cand.plane as usize];
+                if head.is_none_or(|h| (op.key, op.cand.seq) < (h.key, h.cand.seq)) {
+                    *head = Some(op);
                 }
             }
-            if ticked != Some(now) {
-                ticked = Some(now);
-                policy.tick(now);
-            }
-            loop {
-                let window = &pending[..pending.len().min(queue_depth)];
-                let mut heads: Vec<Option<&QueuedOp>> = vec![None; planes];
-                let mut chainless = None;
-                for op in window {
-                    if op.host.is_empty() {
-                        chainless = chainless.or(Some(op.cand.seq));
+            let mut best: Option<((u64, u64, SimTime, u64), QosCandidate)> = None;
+            if s.fifo || chainless.is_none() {
+                let hw = &s.device.hw;
+                for op in heads.into_iter().flatten() {
+                    let (p, p2) = op.host.steps()[0].planes();
+                    let free = |plane| {
+                        hw.plane_ready_at(plane) <= now && hw.channel_ready_at(plane) <= now
+                    };
+                    if !free(p) || !p2.is_none_or(free) || !s.policy.admit(now, &op.cand) {
                         continue;
                     }
-                    let head = &mut heads[op.cand.plane as usize];
-                    if head.is_none_or(|h| (op.key, op.cand.seq) < (h.key, h.cand.seq)) {
-                        *head = Some(op);
+                    let (r0, r1) = s.policy.rank(now, &op.cand);
+                    let key = (r0, r1, hw.plane_ready_at(p), op.cand.seq);
+                    if best.is_none_or(|(k, _)| key < k) {
+                        best = Some((key, op.cand));
                     }
-                }
-                let mut best: Option<((u64, u64, SimTime, u64), QosCandidate)> = None;
-                if fifo || chainless.is_none() {
-                    for op in heads.into_iter().flatten() {
-                        let (p, p2) = op.host.steps()[0].planes();
-                        let free = |plane| {
-                            d.hw.plane_ready_at(plane) <= now && d.hw.channel_ready_at(plane) <= now
-                        };
-                        if !free(p) || !p2.is_none_or(free) || !policy.admit(now, &op.cand) {
-                            continue;
-                        }
-                        let (r0, r1) = policy.rank(now, &op.cand);
-                        let key = (r0, r1, d.hw.plane_ready_at(p), op.cand.seq);
-                        if best.is_none_or(|(k, _)| key < k) {
-                            best = Some((key, op.cand));
-                        }
-                    }
-                }
-                // A chain-less op goes first unless the FIFO discipline
-                // finds an older op ready.
-                let charged = match (chainless, best) {
-                    (Some(seq), Some((_, cand))) if cand.seq < seq => Some(cand),
-                    (Some(_), _) => None,
-                    (None, Some((_, cand))) => Some(cand),
-                    (None, None) => break,
-                };
-                let seq = charged.map_or_else(|| chainless.unwrap(), |c| c.seq);
-                let at = pending.iter().position(|op| op.cand.seq == seq).unwrap();
-                let op = pending.remove(at);
-                if let Some(cand) = &charged {
-                    policy.on_issue(now, cand);
-                }
-                let release = d.issue_queued_op(
-                    op,
-                    now,
-                    &mut stats,
-                    &mut req_done,
-                    &mut req_ops_left,
-                    &mut clock.wakes,
-                );
-                if let Some(cand) = &charged {
-                    policy.note_release(now, cand, release);
                 }
             }
+            // A chain-less op goes first unless the FIFO discipline
+            // finds an older op ready.
+            let charged = match (chainless, best) {
+                (Some(seq), Some((_, cand))) if cand.seq < seq => Some(cand),
+                (Some(_), _) => None,
+                (None, Some((_, cand))) => Some(cand),
+                (None, None) => break,
+            };
+            let seq = charged.map_or_else(|| chainless.unwrap(), |c| c.seq);
+            s.issue(seq, charged.is_some());
         }
-        assert!(pending.is_empty(), "the naive scheduler stranded an op");
-        d.finish_report(requests.len() as u64, stats)
     }
 
     /// Earliest deadline first, in the lanes as well as across them: no
@@ -2022,7 +2015,7 @@ mod tests {
         }
     }
 
-    /// `run_queued` and the naive scan agree, report field for report
+    /// The indexed pass and the naive scan agree, report field for report
     /// field and completion record for completion record, on random
     /// traces (unmapped reads, multi-page and zero-page requests, three
     /// tenants, deadlines) under every discipline: gated (`WindowFifo`,
@@ -2092,10 +2085,13 @@ mod tests {
                         let device =
                             || SsdDevice::new(config.clone(), Box::new(SprayFtl::new(&config)));
                         let mut indexed = device();
-                        let got = indexed.run_queued(reqs, depth, policy().as_mut(), fifo);
+                        let got = indexed
+                            .begin_queued(depth, policy().as_mut(), fifo)
+                            .replay(reqs, QueuedSession::pass);
                         let mut naive = device();
-                        let want =
-                            run_queued_naive(&mut naive, reqs, depth, policy().as_mut(), fifo);
+                        let want = naive
+                            .begin_queued(depth, policy().as_mut(), fifo)
+                            .replay(reqs, naive_pass);
                         let case = format!("{name} depth {depth} background GC {background_gc}");
                         dloop_simkit::check_assert_eq!(got.completions, want.completions, "{case}");
                         dloop_simkit::check_assert_eq!(

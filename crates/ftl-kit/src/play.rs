@@ -3,7 +3,7 @@
 //!
 //! Every driver plays through here — the command session behind open
 //! replay and the host stack (`SsdDevice::serve_page_op`), the queueing
-//! scheduler (`SsdDevice::issue_queued_op`) and the plane-local shard
+//! scheduler (`QueuedSession::issue`) and the plane-local shard
 //! workers — so every [`FlashStep`](crate::ftl::FlashStep) is booked in
 //! exactly one place, [`play_chain`], through [`HardwareModel::exec`].
 

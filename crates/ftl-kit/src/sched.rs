@@ -66,7 +66,8 @@ pub struct QosCandidate {
     pub tenant: TenantId,
     /// Absolute completion deadline, if the request carries one.
     pub deadline: Option<SimTime>,
-    /// Trace arrival time of the parent request.
+    /// When the parent request reached the scheduler: its trace arrival,
+    /// or its later admission behind a host window.
     pub arrival: SimTime,
     /// Primary plane of the operation's first flash step.
     pub plane: u32,

@@ -19,19 +19,17 @@ pub struct HostConfig {
     /// Submission/completion queue pairs. Commands land on queue
     /// `tenant % queues`; neutral = `1` (everything on one pair).
     pub queues: u32,
-    /// Per-queue depth bound. Under the open replay mode the host and
-    /// device event loops interleave: each submission queue holds at
+    /// Per-queue depth bound, held in every replay mode: the host and
+    /// device event loops interleave, each submission queue holds at
     /// most this many in-flight commands, a doorbell ring is admitted
     /// only when its queue has a free slot, and an interrupt delivery
     /// frees a slot and admits the next backlogged command — `queues`
     /// truly independent windows, with a full SQ delaying the
     /// syscall-visible `submit` instant. This is the one model of a
     /// closed loop: on a pass-through stack, depth `d` keeps at most `d`
-    /// requests outstanding. The device-queued replay modes
-    /// (`Gated`/`Qos`) keep their own device window; a depth configured
-    /// there is surfaced on
-    /// [`HostRunReport::depth_enforced`](crate::report::HostRunReport::depth_enforced)
-    /// rather than silently dropped. Neutral = `None` (unbounded).
+    /// requests outstanding. Under the device-queued replay modes
+    /// (`Gated`/`Qos`) the device's own window orders what the host
+    /// admitted. Neutral = `None` (unbounded).
     pub queue_depth: Option<u32>,
     /// Ring the doorbell after this many submissions on a queue
     /// (batching amortizes MMIO writes at the price of submission

@@ -15,15 +15,15 @@
 //!            (a delivery frees an SQ slot: the loops interleave)
 //! ```
 //!
-//! The entry point is [`HostStack::run`]. Under the open replay mode the
-//! host and device event loops are *interleaved*: each submission queue
-//! holds at most [`HostConfig::queue_depth`] in-flight commands, a
-//! doorbell ring admits a command only when its queue has a free slot,
-//! and an interrupt delivery (via the CQ coalescer) frees a slot and
-//! triggers the next submission — backpressure from a full SQ delays the
-//! syscall-visible `submit` instant. Device-queued modes run the staged
-//! pipeline over one [`SsdDevice::run_with`](dloop_ftl_kit::device::SsdDevice::run_with).
-//! Either way the result is a [`HostRunReport`]: the wrapped device
+//! The entry point is [`HostStack::run`]. In every replay mode the host
+//! and device event loops are *interleaved*: each submission queue holds
+//! at most [`HostConfig::queue_depth`] in-flight commands, a doorbell
+//! ring admits a command only when its queue has a free slot, and an
+//! interrupt delivery (via the CQ coalescer) frees a slot and triggers
+//! the next submission — backpressure from a full SQ delays the
+//! syscall-visible `submit` instant. Open replay books an admitted
+//! command at once; the device-queued modes queue it in the device's
+//! scheduler. The result is a [`HostRunReport`]: the wrapped device
 //! report plus a five-instant timeline per host request
 //! (`arrival ≤ cache_done ≤ submit ≤ done ≤ deliver`) whose phase
 //! differences tile end-to-end residence exactly, cache / host-queue /
@@ -41,9 +41,8 @@
 //! - **Exact phase tiling** — per request, `cache + host_queue + device
 //!   + completion == end_to_end` in integer nanoseconds.
 //! - **Windows hold** — per-queue in-flight occupancy never exceeds the
-//!   configured depth at any instant of the SQ occupancy log, and an
-//!   unbounded depth reproduces the staged pipeline bit-for-bit
-//!   ([`HostStack::run_staged`]).
+//!   configured depth at any instant of the SQ occupancy log, in every
+//!   replay mode.
 //!
 //! Determinism: the stack holds no global state, iterates no hash map,
 //! and derives every decision from the (config, trace) pair — equal

@@ -96,11 +96,10 @@ impl DoorbellQueue {
 
 /// One completion-side interrupt coalescer (one per completion queue).
 /// Timeout expiries are *timers* the caller schedules: the interleaved
-/// event loop (`HostStack::run` under the open replay mode) puts them on
-/// its event heap, because learning an expiry passed only when a later
-/// completion arrives is too late when the freed SQ slot should have
-/// admitted a command at the expiry instant; the staged pipeline fires
-/// an armed timer before the first completion at or after its expiry.
+/// event loop (`HostStack::run`) puts them on its event heap, because
+/// learning an expiry passed only when a later completion arrives is too
+/// late when the freed SQ slot should have admitted a command at the
+/// expiry instant.
 #[derive(Debug)]
 pub struct CqState {
     threshold: usize,

@@ -110,8 +110,11 @@ impl QueueStats {
 /// Everything a [`HostStack::run`](crate::HostStack::run) measures.
 #[derive(Debug, Clone)]
 pub struct HostRunReport {
-    /// The wrapped device report (exactly what `SsdDevice::run_with` returned
-    /// for the forwarded command stream).
+    /// The wrapped device report: the session's report over the
+    /// forwarded command stream. Its completion ids index the forwarded
+    /// commands, in `(arrival, index)` staging order — on a pass-through
+    /// stack, exactly what `SsdDevice::run_with` returns for the trace
+    /// sorted that way.
     pub device: RunReport,
     /// One timeline per host request, trace order.
     pub requests: Vec<HostRequestLog>,
@@ -127,16 +130,9 @@ pub struct HostRunReport {
     pub merged_commands: u64,
     /// Background write-back commands the cache emitted.
     pub writeback_commands: u64,
-    /// The per-queue depth bound this run was configured with (`None` =
-    /// unbounded), echoed so no mode can silently drop it.
+    /// The per-queue depth bound this run enforced (`None` = unbounded),
+    /// in every replay mode.
     pub queue_depth: Option<u32>,
-    /// Whether the driver actually enforced `queue_depth` as per-queue SQ
-    /// windows (the interleaved open-mode event loop, the workspace's one
-    /// closed-loop model). `false` means either no depth was configured
-    /// or the run used a device-queued replay mode (`Gated`/`Qos`) whose
-    /// own window is the only bound — the configured host depth was
-    /// *surfaced but not applied*.
-    pub depth_enforced: bool,
     /// Host-side SQ occupancy probe, one record per forwarded command:
     /// tenant tag = submission-queue index, `arrival` = doorbell ring,
     /// `issue` = device admission, `done` = interrupt delivery (the
@@ -230,7 +226,9 @@ impl HostRunReport {
             self.merged_commands,
             self.writeback_commands,
             self.queue_depth.map(|d| d as u64 + 1).unwrap_or(0),
-            self.depth_enforced as u64,
+            // Redundant with the slot above, but kept: it holds every
+            // recorded digest of an open-mode or unbounded run.
+            self.queue_depth.is_some() as u64,
             self.sq_log.len() as u64,
             self.host_spans.len() as u64,
         ] {

@@ -13,8 +13,8 @@
 //!    adjacent commands of one doorbell batch merge.
 //! 3. **Submission queues** — commands land on `tenant % queues`;
 //!    doorbell batching sets each command's doorbell-ring time.
-//! 4. **Device** — under the open replay mode, an *interleaved* event
-//!    loop ([`HostStack::run`]): each SQ holds at most
+//! 4. **Device** — an *interleaved* host/device event loop
+//!    ([`HostStack::run`]), in every replay mode: each SQ holds at most
 //!    [`HostConfig::queue_depth`] in-flight commands, a doorbell ring
 //!    admits a command only when its queue has a free slot, and a
 //!    delivered completion frees a slot and immediately admits the next
@@ -23,32 +23,27 @@
 //!    workspace's one model of a closed loop: a pass-through stack of
 //!    depth `d` is an fio-style bound of `d` outstanding requests. A
 //!    zero-page command takes no slot but keeps its FIFO place behind
-//!    backlogged work. Device-queued modes (`Gated`/`Qos`) run the staged
-//!    pipeline instead: one ordinary [`SsdDevice::run_with`] over the
-//!    forwarded stream (their own window is the only bound; the
-//!    configured host depth is surfaced on the report, never silently
-//!    dropped).
+//!    backlogged work. Open replay books an admitted command at once
+//!    ([`CommandSession`]); the device-queued modes (`Gated`/`Qos`) queue
+//!    it in the device's scheduler ([`QueuedSession`]), whose wakes are
+//!    the loop's third event source.
 //! 5. **Completion queues** — completions aggregate under interrupt
-//!    coalescing into per-command delivery times. In the interleaved
-//!    loop the coalescer's timeout is a scheduled timer event, so a
-//!    delivery can wake a stalled submission queue at the exact expiry
-//!    instant.
+//!    coalescing into per-command delivery times. The coalescer's timeout
+//!    is a scheduled timer event, so a delivery can wake a stalled
+//!    submission queue at the exact expiry instant.
 //!
 //! Every stage is an exact identity under its neutral configuration, so
 //! [`HostConfig::passthrough`] forwards the input trace bit-for-bit —
 //! there is deliberately **no** pass-through shortcut branch; the
 //! identity falls out of the generic pipeline (the interleaved loop
-//! included), which is what claim C13 verifies. With an unbounded depth
-//! the interleaved loop reproduces the staged pipeline's report
-//! fingerprint bit-for-bit (`tests/replay_modes.rs` pins this against
-//! [`HostStack::run_staged`]).
+//! included), which is what claim C13 verifies in every replay mode.
 
 use crate::block::{merge_adjacent, split, writeback_runs, Command};
 use crate::cache::{CacheStats, PageCache, Writeback};
 use crate::config::HostConfig;
 use crate::queue::{CqState, DoorbellQueue, Ring};
 use crate::report::{HostRequestLog, HostRunReport, QueueStats};
-use dloop_ftl_kit::device::{CommandSession, ReplayMode, RunConfig, SsdDevice};
+use dloop_ftl_kit::device::{CommandSession, QueuedSession, ReplayMode, SsdDevice};
 use dloop_ftl_kit::metrics::RunReport;
 use dloop_ftl_kit::request::{HostOp, HostRequest};
 use dloop_simkit::trace::{QueueDepthProbe, Span, SpanKind, SpanPhase};
@@ -83,8 +78,8 @@ struct Staging {
     doorbells: u64,
 }
 
-/// What a device driver (staged or interleaved) reports per forwarded
-/// command, plus the wrapped device report.
+/// What the host loop reports per forwarded command, plus the wrapped
+/// device report.
 struct DeviceOutcome {
     report: RunReport,
     /// Device admission instant (doorbell ring, or later under SQ
@@ -96,8 +91,6 @@ struct DeviceOutcome {
     deliver_of: Vec<SimTime>,
     interrupts: u64,
     depth_stalls: u64,
-    /// Whether the driver enforced per-queue windows (interleaved loop).
-    interleaved: bool,
 }
 
 impl HostStack {
@@ -113,19 +106,18 @@ impl HostStack {
         &self.config
     }
 
-    /// Drive `requests` through the host path and the device.
+    /// Drive `requests` through the host path and the device, in any
+    /// replay mode, with the host and device event loops interleaved: a
+    /// finite [`HostConfig::queue_depth`] holds as `queues` independent
+    /// per-queue windows, completions (via the CQ coalescer) freeing slots
+    /// and admitting the next command. A pass-through stack with
+    /// `queue_depth: Some(d)` is thus a closed loop of `d` outstanding
+    /// requests.
     ///
-    /// Under [`ReplayMode::Open`] the host and device event loops are
-    /// interleaved: a finite [`HostConfig::queue_depth`] is enforced as
-    /// `queues` independent per-queue windows, with completions (via the
-    /// CQ coalescer) freeing slots and triggering the next submission.
-    /// This is how a closed-loop replay is spelled: a pass-through stack
-    /// with `queue_depth: Some(d)` under `ReplayMode::Open` keeps at most
-    /// `d` requests outstanding. Device-queued modes run the staged
-    /// pipeline; their configured host depth is surfaced on
-    /// [`HostRunReport::depth_enforced`].
-    /// Requests must be arrival-sorted (every composer in this workspace
-    /// produces sorted traces).
+    /// Requests may be in any order: they are staged in `(arrival, index)`
+    /// order, and the logs keep slice order. The device report's
+    /// completion ids index the forwarded commands (see
+    /// [`HostRunReport::device`]).
     pub fn run(
         &self,
         device: &mut SsdDevice,
@@ -133,41 +125,19 @@ impl HostStack {
         mode: ReplayMode,
     ) -> HostRunReport {
         let staging = self.stage(requests);
-        let outcome = match mode {
-            ReplayMode::Open => self.drive_interleaved(device, &staging.forwarded),
-            _ => self.drive_staged(device, &staging.forwarded, mode),
-        };
-        self.assemble(requests, staging, outcome)
-    }
-
-    /// The staged oracle for [`HostStack::run`]: stage the whole trace,
-    /// run the device once in `mode`, coalesce completions after the
-    /// fact. It enforces no host window, so with an unbounded
-    /// [`HostConfig::queue_depth`] `run` must reproduce its fingerprint
-    /// bit-for-bit (`tests/replay_modes.rs`).
-    pub fn run_staged(
-        &self,
-        device: &mut SsdDevice,
-        requests: &[HostRequest],
-        mode: ReplayMode,
-    ) -> HostRunReport {
-        let staging = self.stage(requests);
-        let outcome = self.drive_staged(device, &staging.forwarded, mode);
+        let outcome = self.drive(device, &staging.forwarded, mode);
         self.assemble(requests, staging, outcome)
     }
 
     /// Stages 1–3: cache, block-layer split, doorbell batching.
     fn stage(&self, requests: &[HostRequest]) -> Staging {
         let cfg = &self.config;
-        debug_assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "host stack expects an arrival-sorted trace"
-        );
 
         // Stage 1+2: cache, then block-layer split, producing the command
-        // arena in deterministic trace order. DRAM cost is per page: an
-        // N-page hit (or absorbed write) acknowledges after N copies, and
-        // the hit pages of a partial miss delay its miss commands.
+        // arena in deterministic `(arrival, index)` order. DRAM cost is
+        // per page: an N-page hit (or absorbed write) acknowledges after N
+        // copies, and the hit pages of a partial miss delay its miss
+        // commands.
         let page_cost =
             |pages: u64| SimDuration::from_nanos(cfg.cache_hit_ns.saturating_mul(pages));
         let mut cache = PageCache::new(cfg.cache_pages, cfg.dirty_ratio);
@@ -182,17 +152,23 @@ impl HostStack {
             *split_commands += split(cmd, cfg.split_pages, &mut scratch);
             staged.append(&mut scratch);
         };
+        // Write-backs are bare commands stamped at `arrival`.
+        let writebacks = |wb: &mut Vec<Writeback>, arrival| {
+            let at = HostRequest {
+                arrival,
+                ..HostRequest::default()
+            };
+            writeback_runs(std::mem::take(wb), at)
+        };
         let mut wb: Vec<Writeback> = Vec::new();
         let mut misses: Vec<u64> = Vec::new();
-        for (i, r) in requests.iter().enumerate() {
+        for i in ArrivalOrder::new(requests, |r| r.arrival).iter() {
+            let r = &requests[i];
             wb.clear();
             if r.pages == 0 || !cache.enabled() {
                 // Bare commands and the cache-less path forward verbatim.
-                push_split(
-                    Command::for_host(*r, i as u32),
-                    &mut staged,
-                    &mut split_commands,
-                );
+                let cmd = Command::for_host(*r, i as u32);
+                push_split(cmd, &mut staged, &mut split_commands);
                 continue;
             }
             match r.op {
@@ -215,57 +191,22 @@ impl HostStack {
                     cache_done[i] = r.arrival + page_cost(hits);
                     if misses.is_empty() {
                         cache_served[i] = true;
-                    } else {
-                        // Contiguous miss runs become read commands,
-                        // staged after the hit pages' DRAM copies.
-                        let base = HostRequest {
+                    }
+                    // Contiguous miss runs become read commands, staged
+                    // after the hit pages' DRAM copies.
+                    for run in misses.chunk_by(|a, b| *b == *a + 1) {
+                        let miss = HostRequest {
                             arrival: cache_done[i],
+                            lpn: run[0],
+                            pages: run.len() as u32,
                             ..*r
                         };
-                        let mut run_start = misses[0];
-                        let mut run_len = 1u32;
-                        for &lpn in &misses[1..] {
-                            if lpn == run_start + run_len as u64 {
-                                run_len += 1;
-                            } else {
-                                push_split(
-                                    Command::for_host(
-                                        HostRequest {
-                                            lpn: run_start,
-                                            pages: run_len,
-                                            ..base
-                                        },
-                                        i as u32,
-                                    ),
-                                    &mut staged,
-                                    &mut split_commands,
-                                );
-                                run_start = lpn;
-                                run_len = 1;
-                            }
-                        }
-                        push_split(
-                            Command::for_host(
-                                HostRequest {
-                                    lpn: run_start,
-                                    pages: run_len,
-                                    ..base
-                                },
-                                i as u32,
-                            ),
-                            &mut staged,
-                            &mut split_commands,
-                        );
+                        let cmd = Command::for_host(miss, i as u32);
+                        push_split(cmd, &mut staged, &mut split_commands);
                     }
                 }
             }
-            for cmd in writeback_runs(
-                std::mem::take(&mut wb),
-                HostRequest {
-                    arrival: r.arrival,
-                    ..HostRequest::default()
-                },
-            ) {
+            for cmd in writebacks(&mut wb, r.arrival) {
                 writeback_commands += 1;
                 push_split(cmd, &mut staged, &mut split_commands);
             }
@@ -273,14 +214,8 @@ impl HostStack {
         if cfg.drain_cache && cache.enabled() {
             wb.clear();
             cache.drain(&mut wb);
-            let end = requests.last().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
-            for cmd in writeback_runs(
-                std::mem::take(&mut wb),
-                HostRequest {
-                    arrival: end,
-                    ..HostRequest::default()
-                },
-            ) {
+            let end = requests.iter().map(|r| r.arrival).max();
+            for cmd in writebacks(&mut wb, end.unwrap_or(SimTime::ZERO)) {
                 writeback_commands += 1;
                 push_split(cmd, &mut staged, &mut split_commands);
             }
@@ -354,72 +289,30 @@ impl HostStack {
         }
     }
 
-    /// Stages 4–6, staged flavour: one batch [`SsdDevice::run_with`] over the
-    /// forwarded stream, then interrupt coalescing over the completion log
-    /// in `(done, command)` order.
-    fn drive_staged(
+    /// Stages 4–6: the host event loop feeds the device one command at a
+    /// time, enforcing at most `queue_depth` in-flight commands per SQ,
+    /// through a [`CommandSession`] under open replay and a
+    /// [`QueuedSession`] under the device-queued modes.
+    fn drive(
         &self,
         device: &mut SsdDevice,
         forwarded: &[Command],
         mode: ReplayMode,
     ) -> DeviceOutcome {
         let cfg = &self.config;
-        let nq = cfg.queues as usize;
-        let fwd_reqs: Vec<HostRequest> = forwarded.iter().map(|c| c.req).collect();
-        let report = device.run_with(&fwd_reqs, RunConfig::from(mode));
-
-        let mut done_of: Vec<SimTime> = vec![SimTime::ZERO; forwarded.len()];
-        let mut seen = vec![false; forwarded.len()];
-        for &(req, _arrival, done) in &report.completions {
-            done_of[req as usize] = done;
-            seen[req as usize] = true;
-        }
-        debug_assert!(seen.iter().all(|&s| s), "every command completed once");
-
-        let mut order: Vec<usize> = (0..forwarded.len()).collect();
-        order.sort_by_key(|&i| (done_of[i], i));
-        let mut cqs: Vec<CqState> = (0..nq)
-            .map(|_| CqState::new(cfg.coalesce_threshold, cfg.coalesce_timeout))
-            .collect();
-        // Per queue: the armed `(expiry, epoch)` timer, fired before the
-        // first completion at or after its expiry (a stale epoch no-ops).
-        let mut timers: Vec<Option<(SimTime, u64)>> = vec![None; nq];
-        let mut delivered: Vec<(u64, SimTime)> = Vec::new();
-        for i in order {
-            let q = forwarded[i].req.tenant as usize % nq;
-            if let Some((expiry, epoch)) = timers[q].filter(|&(at, _)| at <= done_of[i]) {
-                cqs[q].timer(expiry, epoch, &mut delivered);
-            }
-            if let Some(timer) = cqs[q].push(done_of[i], i as u64, &mut delivered) {
-                timers[q] = Some(timer);
-            }
-        }
-        for cq in &mut cqs {
-            cq.flush(&mut delivered);
-        }
-        let mut deliver_of: Vec<SimTime> = vec![SimTime::ZERO; forwarded.len()];
-        for (id, at) in delivered {
-            deliver_of[id as usize] = at;
-        }
-
-        DeviceOutcome {
-            report,
-            submit_of: forwarded.iter().map(|c| c.req.arrival).collect(),
-            done_of,
-            deliver_of,
-            interrupts: cqs.iter().map(|c| c.interrupts).sum(),
-            depth_stalls: 0,
-            interleaved: false,
-        }
-    }
-
-    /// Stages 4–6, interleaved flavour: the host event loop feeds the
-    /// device one command at a time through a [`CommandSession`],
-    /// enforcing at most `queue_depth` in-flight commands per SQ.
-    fn drive_interleaved(&self, device: &mut SsdDevice, forwarded: &[Command]) -> DeviceOutcome {
-        let cfg = &self.config;
         let n = forwarded.len();
         let nq = cfg.queues as usize;
+        let mut discipline = mode.discipline();
+        let session = match &mut discipline {
+            None => {
+                let mut session = device.begin_commands();
+                session.reserve(n);
+                Session::Open(session)
+            }
+            Some((depth, policy, fifo)) => {
+                Session::Queued(device.begin_queued(*depth, policy.as_mut(), *fifo))
+            }
+        };
         let mut lp = InterleavedLoop {
             forwarded,
             nq,
@@ -436,20 +329,21 @@ impl HostStack {
             done_of: vec![SimTime::ZERO; n],
             deliver_of: vec![SimTime::ZERO; n],
             depth_stalls: 0,
-            session: device.begin_commands(),
+            session,
             delivered: Vec::new(),
             now_max: SimTime::ZERO,
         };
-        lp.session.reserve(n);
         lp.run();
         DeviceOutcome {
             interrupts: lp.cqs.iter().map(|c| c.interrupts).sum(),
-            report: lp.session.finish(),
+            report: match lp.session {
+                Session::Open(session) => session.finish(),
+                Session::Queued(session) => session.finish(),
+            },
             submit_of: lp.submit_of,
             done_of: lp.done_of,
             deliver_of: lp.deliver_of,
             depth_stalls: lp.depth_stalls,
-            interleaved: true,
         }
     }
 
@@ -480,7 +374,6 @@ impl HostStack {
             deliver_of,
             interrupts,
             depth_stalls,
-            interleaved,
         } = outcome;
 
         // Per host request: the earliest submit and the latest done and
@@ -526,45 +419,23 @@ impl HostStack {
                 HostOp::Read => SpanKind::Read,
                 HostOp::Write => SpanKind::Write,
             };
-            if log.cache_ns() > 0 {
-                host_spans.push(host_span(
-                    kind,
-                    SpanPhase::Cache,
-                    r,
-                    i,
-                    log.arrival,
-                    log.cache_done,
-                ));
-            }
-            if !log.cache_served {
-                if log.host_queue_ns() > 0 {
-                    host_spans.push(host_span(
-                        kind,
-                        SpanPhase::HostQueue,
-                        r,
-                        i,
-                        log.cache_done,
-                        log.submit,
-                    ));
-                }
-                if log.completion_ns() > 0 {
-                    host_spans.push(host_span(
-                        kind,
-                        SpanPhase::Completion,
-                        r,
-                        i,
-                        log.done,
-                        log.deliver,
-                    ));
+            // A cache-served request has only a cache phase: its other
+            // instants all equal `cache_done`.
+            for (phase, start, end) in [
+                (SpanPhase::Cache, log.arrival, log.cache_done),
+                (SpanPhase::HostQueue, log.cache_done, log.submit),
+                (SpanPhase::Completion, log.done, log.deliver),
+            ] {
+                if end > start {
+                    host_spans.push(host_span(kind, phase, r, i, start, end));
                 }
             }
             logs.push(log);
         }
 
-        // The SQ occupancy log, in canonical `(deliver, command)` order so
-        // the staged and interleaved drivers log identical runs
-        // identically (delivery *processing* order differs between them;
-        // the records do not). Zero-page commands occupy no slot — they
+        // The SQ occupancy log, in canonical `(deliver, command)` order, so
+        // equal runs log identically whatever order the loop processed
+        // their deliveries in. Zero-page commands occupy no slot — they
         // pass the window through — so they are omitted and the per-queue
         // gauge is the slot count.
         let mut sq_log = QueueDepthProbe::new();
@@ -598,7 +469,6 @@ impl HostStack {
             merged_commands,
             writeback_commands,
             queue_depth: cfg.queue_depth,
-            depth_enforced: interleaved && cfg.queue_depth.is_some(),
             sq_log,
             host_spans,
         }
@@ -607,12 +477,13 @@ impl HostStack {
 
 /// Events of the interleaved host/device loop. The derived order is the
 /// firing order at equal times: CQ timers deliver before same-instant
-/// completions (as the staged pipeline fires a timer with `expiry <= done`
-/// before the push), completions free slots before same-instant doorbell
-/// rings claim them, and each variant breaks remaining ties by its
+/// completions (a timer with `expiry <= done` fires before the push),
+/// completions free slots before same-instant doorbell rings claim them,
+/// device wakes come last, and each variant breaks remaining ties by its
 /// payload, so the order is total and the loop deterministic. Only timers
-/// and completions live in the heap; doorbell rings are known up front
-/// and come from a cursor over the commands in `(arrival, cmd)` order.
+/// and completions live in the heap; doorbell rings are known up front and
+/// come from a cursor over the commands in `(arrival, cmd)` order, and
+/// wakes from the device's own clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A CQ coalescing timeout armed in `epoch` expires.
@@ -621,9 +492,20 @@ enum Ev {
     Done { cmd: u32 },
     /// Forwarded command `cmd`'s doorbell rings (it becomes admissible).
     Ready { cmd: u32 },
+    /// The device's queueing scheduler looks again.
+    Wake,
 }
 
-/// The interleaved host/device event loop (see `drive_interleaved`).
+/// The device side of the host loop, one per run (so its variants'
+/// sizes do not matter): open replay books each admitted command at once,
+/// the device-queued modes queue it in the scheduler, which has wakes.
+#[allow(clippy::large_enum_variant)]
+enum Session<'d> {
+    Open(CommandSession<'d>),
+    Queued(QueuedSession<'d>),
+}
+
+/// The interleaved host/device event loop (see `HostStack::drive`).
 ///
 /// Invariants: events pop in nondecreasing time; a command is admitted
 /// (submitted to the device session) the instant its queue first has a
@@ -638,7 +520,7 @@ struct InterleavedLoop<'a, 'd> {
     /// The commands in doorbell-ring order, and the cursor's position.
     rings: ArrivalOrder,
     next_ring: usize,
-    /// Pending `Done` and `CqTimer` events (never `Ready`).
+    /// Pending `Done` and `CqTimer` events (never `Ready` or `Wake`).
     heap: BinaryHeap<Reverse<(SimTime, Ev)>>,
     /// Per queue: commands rung but not yet admitted, ring order.
     backlog: Vec<VecDeque<u32>>,
@@ -649,7 +531,7 @@ struct InterleavedLoop<'a, 'd> {
     done_of: Vec<SimTime>,
     deliver_of: Vec<SimTime>,
     depth_stalls: u64,
-    session: CommandSession<'d>,
+    session: Session<'d>,
     /// Scratch for coalescer output, drained by `settle_and_admit`.
     delivered: Vec<(u64, SimTime)>,
     /// Latest event time popped so far (the simulation clock).
@@ -661,18 +543,41 @@ impl InterleavedLoop<'_, '_> {
         self.forwarded[cmd].req.tenant as usize % self.nq
     }
 
-    /// The next event in `(time, Ev)` order: the earlier of the next
-    /// doorbell ring and the heap's top, the heap winning ties (timers and
-    /// completions sort before rings).
+    /// The next event in `(time, Ev)` order: the earliest of the next
+    /// doorbell ring, the heap's top and the device's next wake. The heap
+    /// wins ties with the ring (timers and completions sort before rings),
+    /// and a wake loses ties to both, so a submission at an instant reaches
+    /// the device before that instant's wakes, as arrivals do in
+    /// `SsdDevice::run_with`.
     fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        if let Some(cmd) = self.rings.get(self.next_ring) {
-            let at = self.forwarded[cmd].req.arrival;
-            if self.heap.peek().is_none_or(|&Reverse((top, _))| at < top) {
-                self.next_ring += 1;
-                return Some((at, Ev::Ready { cmd: cmd as u32 }));
+        let top = self.heap.peek().map(|&Reverse((at, _))| at);
+        let ring = self
+            .rings
+            .get(self.next_ring)
+            .map(|cmd| (self.forwarded[cmd].req.arrival, cmd))
+            .filter(|&(at, _)| top.is_none_or(|top| at < top));
+        let host = ring.map(|(at, _)| at).or(top);
+        if let Session::Queued(session) = &self.session {
+            if let Some(wake) = session.next_wake().filter(|&w| host.is_none_or(|h| w < h)) {
+                return Some((wake, Ev::Wake));
             }
         }
+        if let Some((at, cmd)) = ring {
+            self.next_ring += 1;
+            return Some((at, Ev::Ready { cmd: cmd as u32 }));
+        }
         self.heap.pop().map(|Reverse(ev)| ev)
+    }
+
+    /// Queue a `Done` event for every command the queued session finished.
+    fn collect_finished(&mut self) {
+        if let Session::Queued(session) = &mut self.session {
+            self.heap.extend(
+                session
+                    .drain_finished()
+                    .map(|(cmd, done)| Reverse((done, Ev::Done { cmd: cmd as u32 }))),
+            );
+        }
     }
 
     fn run(&mut self) {
@@ -687,6 +592,7 @@ impl InterleavedLoop<'_, '_> {
                         self.admit(q, now);
                     }
                     Ev::Done { cmd } => {
+                        self.done_of[cmd as usize] = now;
                         let q = self.queue_of(cmd as usize);
                         if let Some((expiry, epoch)) =
                             self.cqs[q].push(now, cmd as u64, &mut self.delivered)
@@ -705,6 +611,12 @@ impl InterleavedLoop<'_, '_> {
                         let q = queue as usize;
                         self.cqs[q].timer(now, epoch, &mut self.delivered);
                         self.settle_and_admit(q, now);
+                    }
+                    Ev::Wake => {
+                        if let Session::Queued(session) = &mut self.session {
+                            session.wake();
+                        }
+                        self.collect_finished();
                     }
                 }
             }
@@ -736,8 +648,7 @@ impl InterleavedLoop<'_, '_> {
         }
         // End of run: aggregates still pending (only possible without a
         // coalesce timeout — a timer would have fired otherwise) deliver
-        // at their natural flush instant, exactly like the staged
-        // pipeline's final flush. Nothing is left to admit.
+        // at their natural flush instant. Nothing is left to admit.
         for q in 0..self.nq {
             self.cqs[q].flush(&mut self.delivered);
             self.settle_and_admit(q, self.now_max);
@@ -765,12 +676,19 @@ impl InterleavedLoop<'_, '_> {
                 self.depth_stalls += 1;
             }
             self.submit_of[cmd as usize] = now;
-            let done = self.session.submit(&c.req, cmd as u64, now);
-            self.done_of[cmd as usize] = done;
             if takes_slot {
                 self.in_flight[q] += 1;
             }
-            self.heap.push(Reverse((done, Ev::Done { cmd })));
+            match &mut self.session {
+                Session::Open(session) => {
+                    let done = session.submit(&c.req, cmd as u64, now);
+                    self.heap.push(Reverse((done, Ev::Done { cmd })));
+                }
+                Session::Queued(session) => {
+                    session.submit(&c.req, cmd as u64, now);
+                    self.collect_finished();
+                }
+            }
         }
     }
 

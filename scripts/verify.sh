@@ -195,11 +195,19 @@ echo "==> background-GC gated soak (10k-op GC-heavy tail, wake-event contract)"
 cargo test -q --release --offline --test replay_modes gated_background_gc_soak
 
 echo "==> queued-scheduler oracle (indexed window vs naive scan, 256 random traces)"
-# run_queued against a naive selector that rescans the whole window on
-# every pass: every gated/NCQ/QoS discipline, window depths 1, 2, 3, 8 and
-# unbounded, background GC off and on. `cargo test` above runs 24 cases.
+# The queued session's indexed pass against a naive selector that rescans
+# the whole window on every pass: every gated/NCQ/QoS discipline, window
+# depths 1, 2, 3, 8 and unbounded, background GC off and on. `cargo test` above runs 24 cases.
 SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-ftl-kit --lib \
     queued_scheduler_matches_naive_oracle
+
+echo "==> host SQ windows hold in every replay mode (256 random traces)"
+# A host stack of depth d keeps at most d commands in flight per
+# submission queue under open, gated, ncq(4) and window-FIFO(4) replay,
+# across coalescing corners (the deadlock rescue included), and the
+# five-instant timeline tiles exactly. `cargo test` above runs 8 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline --test replay_modes \
+    interleaved_sq_windows_bound_occupancy_per_queue
 
 echo "==> one measurement window (counters additive over consecutive runs, 256 random splits)"
 # A run of A then B on one device reports A's counters and B's; a twin

@@ -48,10 +48,11 @@ use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::metrics::{RunReport, ShardGuard, ShardOutcome};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{QosCandidate, QosPolicy, QosSpec};
-use dloop_repro::host::{HostConfig, HostStack};
+use dloop_repro::host::{HostConfig, HostRunReport, HostStack};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::{attribution, RingSink};
 use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
+use dloop_repro::workloads::host_mix;
 use dloop_repro::{check_assert, check_assert_eq};
 use std::fmt::Write as _;
 
@@ -140,12 +141,12 @@ fn run_mode(
 
 /// Closed-loop replay: open replay behind a pass-through host stack whose
 /// one submission queue holds at most `depth` requests.
-fn closed_loop(device: &mut SsdDevice, reqs: &[HostRequest], depth: u32) -> RunReport {
+fn closed_loop(device: &mut SsdDevice, reqs: &[HostRequest], depth: u32) -> HostRunReport {
     let window = HostStack::new(HostConfig {
         queue_depth: Some(depth),
         ..HostConfig::passthrough()
     });
-    window.run(device, reqs, ReplayMode::Open).device
+    window.run(device, reqs, ReplayMode::Open)
 }
 
 /// Everything stateful about the flash array, as one comparable string:
@@ -261,7 +262,7 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
             let (d_open, r_open) = run_mode(kind, &config, &reqs, Mode::Open, false);
             let (d_gated, r_gated) = run_mode(kind, &config, &reqs, Mode::Gated, false);
             let mut d_serial = SsdDevice::new(config.clone(), build_ftl(kind, &config));
-            let r_serial = closed_loop(&mut d_serial, &reqs, 1);
+            let r_serial = closed_loop(&mut d_serial, &reqs, 1).device;
             let (d_ncq, r_ncq) = run_mode(kind, &config, &reqs, Mode::Ncq(4), false);
             for (mode, r) in [
                 ("gated", &r_gated),
@@ -716,12 +717,14 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
     });
 }
 
-/// The interleaved driver's per-queue windows hold at every instant: no
-/// submission queue ever has more than `queue_depth` commands in flight
-/// (admission → interrupt delivery), across coalescing corners including
-/// the one the window can never fill on its own (threshold > total
-/// window with no timeout — the deadlock-rescue path), and the
-/// five-instant timeline keeps tiling exactly under backpressure.
+/// The host stack's per-queue windows hold at every instant, in every
+/// replay mode: no submission queue ever has more than `queue_depth`
+/// commands in flight (admission → interrupt delivery), across coalescing
+/// corners including the one the window can never fill on its own
+/// (threshold > total window with no timeout — the deadlock-rescue path),
+/// and the five-instant timeline keeps tiling exactly under backpressure.
+/// The device-queued modes hold the window too: the host admits a command
+/// to the device's scheduler only when its queue has a free slot.
 #[test]
 fn interleaved_sq_windows_bound_occupancy_per_queue() {
     use dloop_repro::host::{HostConfig, HostStack};
@@ -731,6 +734,18 @@ fn interleaved_sq_windows_bound_occupancy_per_queue() {
         check::u8s(1..5),
         check::u8s(1..4),
     );
+    let modes = [
+        ReplayMode::Open,
+        ReplayMode::Gated,
+        ReplayMode::Qos {
+            queue_depth: 4,
+            policy: QosSpec::Ncq,
+        },
+        ReplayMode::Qos {
+            queue_depth: 4,
+            policy: QosSpec::WindowFifo,
+        },
+    ];
     Checker::new().cases(8).run(&gen, |(ops, depth, queues)| {
         let reqs = tag_tenants(requests(ops), *queues as u16);
         let config = SsdConfig::micro_gc_test();
@@ -739,36 +754,42 @@ fn interleaved_sq_windows_bound_occupancy_per_queue() {
             (3, Some(SimDuration::from_micros(40))),
             (16, None),
         ];
-        for (threshold, timeout) in corners {
-            let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-            let host = HostStack::new(HostConfig {
-                queues: *queues as u32,
-                queue_depth: Some(*depth as u32),
-                coalesce_threshold: threshold,
-                coalesce_timeout: timeout,
-                ..HostConfig::passthrough()
-            })
-            .run(&mut device, &reqs, ReplayMode::Open);
-            check_assert!(host.depth_enforced, "driver did not enforce the window");
-            check_assert_eq!(host.queue_depth, Some(*depth as u32), "depth surfaced");
-            for q in 0..*queues as u16 {
-                let occ = host.sq_log.tenant_max_in_flight(q);
-                check_assert!(
-                    occ <= *depth as u64,
-                    "SQ {} held {} in-flight commands at depth {} (threshold {})",
-                    q,
-                    occ,
-                    depth,
-                    threshold
-                );
-            }
-            for (i, log) in host.requests.iter().enumerate() {
-                check_assert_eq!(
-                    log.host_queue_ns() + log.cache_ns() + log.device_ns() + log.completion_ns(),
-                    log.end_to_end_ns(),
-                    "request {} phases do not tile under backpressure",
-                    i
-                );
+        for mode in modes {
+            for (threshold, timeout) in corners {
+                let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+                let host = HostStack::new(HostConfig {
+                    queues: *queues as u32,
+                    queue_depth: Some(*depth as u32),
+                    coalesce_threshold: threshold,
+                    coalesce_timeout: timeout,
+                    ..HostConfig::passthrough()
+                })
+                .run(&mut device, &reqs, mode);
+                check_assert_eq!(host.queue_depth, Some(*depth as u32), "depth surfaced");
+                for q in 0..*queues as u16 {
+                    let occ = host.sq_log.tenant_max_in_flight(q);
+                    check_assert!(
+                        occ <= *depth as u64,
+                        "{:?}: SQ {} held {} in-flight commands at depth {} (threshold {})",
+                        mode,
+                        q,
+                        occ,
+                        depth,
+                        threshold
+                    );
+                }
+                for (i, log) in host.requests.iter().enumerate() {
+                    check_assert_eq!(
+                        log.host_queue_ns()
+                            + log.cache_ns()
+                            + log.device_ns()
+                            + log.completion_ns(),
+                        log.end_to_end_ns(),
+                        "{:?}: request {} phases do not tile under backpressure",
+                        mode,
+                        i
+                    );
+                }
             }
         }
         Ok(())
@@ -826,60 +847,84 @@ fn a_bounded_queue_holds_zero_page_requests_in_fifo_order_without_a_slot() {
     assert_eq!(alone.requests[2].done, c.done);
 }
 
-/// With an unbounded depth the interleaved event loop degenerates to the
-/// staged reference pipeline *bit-for-bit*: the full host report
-/// fingerprint (request timelines, SQ occupancy log, spans, counters)
-/// matches `run_staged` on an identical device, with every host stage —
+/// The buffered host stack of the golden host rows: every host stage —
 /// cache, split/merge, doorbell batching, interrupt coalescing — turned
-/// on. Both drive the same `CqState` coalescer, the staged pipeline firing
-/// armed timers in `(done, cmd)` order and the loop from its event heap.
-/// This is the regression gate that lets the interleaved driver replace
-/// the staged one as the open-mode default.
-#[test]
-fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
-    use dloop_repro::host::{HostConfig, HostStack};
-
-    let gen = (check::vec_of(op_gen(600), 1..100), check::u8s(1..4));
-    Checker::new().cases(8).run(&gen, |(ops, queues)| {
-        let reqs = tag_tenants(requests(ops), *queues as u16);
-        let config = SsdConfig::micro_gc_test();
-        let host_cfg = HostConfig {
-            queues: *queues as u32,
-            queue_depth: None,
-            doorbell_batch: 3,
-            doorbell_timeout: Some(SimDuration::from_micros(25)),
-            coalesce_threshold: 3,
-            coalesce_timeout: Some(SimDuration::from_micros(60)),
-            cache_pages: 96,
-            dirty_ratio: 0.5,
-            cache_hit_ns: 900,
-            split_pages: 2,
-            merge: true,
-            drain_cache: true,
-        };
-        let mut d_live = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        let live = HostStack::new(host_cfg.clone()).run(&mut d_live, &reqs, ReplayMode::Open);
-        let mut d_staged = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        let staged = HostStack::new(host_cfg).run_staged(&mut d_staged, &reqs, ReplayMode::Open);
-        check_assert!(!live.depth_enforced, "no window to enforce at depth None");
-        check_assert_eq!(
-            live.fingerprint(),
-            staged.fingerprint(),
-            "unbounded interleaved run diverged from the staged pipeline"
-        );
-        check_assert_eq!(
-            fingerprint(&live.device),
-            fingerprint(&staged.device),
-            "device reports diverged underneath"
-        );
-        check_assert_eq!(
-            flash_digest(&d_live),
-            flash_digest(&d_staged),
-            "flash state diverged underneath"
-        );
-        Ok(())
-    });
+/// on, behind an unbounded window.
+fn buffered_host(queues: u32) -> HostConfig {
+    HostConfig {
+        queues,
+        queue_depth: None,
+        doorbell_batch: 3,
+        doorbell_timeout: Some(SimDuration::from_micros(25)),
+        coalesce_threshold: 3,
+        coalesce_timeout: Some(SimDuration::from_micros(60)),
+        cache_pages: 96,
+        dirty_ratio: 0.5,
+        cache_hit_ns: 900,
+        split_pages: 2,
+        merge: true,
+        drain_cache: true,
+    }
 }
+
+/// The host stack's full fingerprint (request timelines, SQ occupancy log,
+/// spans, counters, the wrapped device report) on the three-tenant host
+/// mix, buffered and unbounded, in every replay mode at one and three
+/// queue pairs. The device-queued rows were recorded from the staged
+/// pipeline that ran those modes before the interleaved loop drove them
+/// all; the open rows from the interleaved loop itself.
+#[test]
+fn golden_host_rows_hold_in_every_replay_mode() {
+    let config = SsdConfig::micro_gc_test();
+    let geometry = config.geometry();
+    let footprint = geometry.user_pages() * geometry.page_size as u64 / 2;
+    let reqs = host_mix(42, geometry.page_size, 250, footprint).requests;
+    let modes = [
+        ("open", ReplayMode::Open),
+        ("gated", ReplayMode::Gated),
+        (
+            "ncq4",
+            ReplayMode::Qos {
+                queue_depth: 4,
+                policy: QosSpec::Ncq,
+            },
+        ),
+        (
+            "fifo4",
+            ReplayMode::Qos {
+                queue_depth: 4,
+                policy: QosSpec::WindowFifo,
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for queues in [1u32, 3] {
+        for (name, mode) in modes {
+            let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
+            let host = HostStack::new(buffered_host(queues)).run(&mut device, &reqs, mode);
+            device.audit().expect("audit");
+            rows.push((queues, name, host.fingerprint()));
+        }
+    }
+    let golden: Vec<_> = GOLDEN_HOST.iter().map(|&(q, n, fp)| (q, n, fp)).collect();
+    if rows != golden {
+        for &(queues, name, fp) in &rows {
+            eprintln!("    ({queues}, \"{name}\", {fp:#018x}),");
+        }
+        panic!("host fingerprints moved (fresh rows above)");
+    }
+}
+
+const GOLDEN_HOST: [(u32, &str, u64); 8] = [
+    (1, "open", 0x170c_8921_5262_7d4a),
+    (1, "gated", 0x5341_34fb_3e98_267b),
+    (1, "ncq4", 0xd02c_7484_53a6_d400),
+    (1, "fifo4", 0x1423_5ae2_6fa9_ba88),
+    (3, "open", 0x465e_a6aa_95a1_2182),
+    (3, "gated", 0x54fb_d8d2_75e8_e4c7),
+    (3, "ncq4", 0x8143_964a_b7f3_10f0),
+    (3, "fifo4", 0x87b4_68ed_5aca_0d8e),
+];
 
 /// The flight recorder is pure observation: with tracing enabled every
 /// report field stays bit-identical, in every replay mode, with and
@@ -1257,7 +1302,7 @@ fn golden_rows() -> Vec<(String, u64, u64)> {
         let modes: [(&str, Replay); 6] = [
             ("open", |d, r| d.run_with(r, RunConfig::open())),
             ("gated", |d, r| d.run_with(r, RunConfig::gated())),
-            ("closed4", |d, r| closed_loop(d, r, 4)),
+            ("closed4", |d, r| closed_loop(d, r, 4).device),
             ("ncq1", |d, r| d.run_with(r, RunConfig::ncq(1))),
             ("ncq4", |d, r| d.run_with(r, RunConfig::ncq(4))),
             ("ncq32", |d, r| d.run_with(r, RunConfig::ncq(32))),
@@ -1426,8 +1471,10 @@ fn an_arrival_coinciding_with_a_wake_fires_first() {
 /// `(arrival, index)` order: the same requests shuffled — ties keeping
 /// their relative order — produce the sorted slice's report, with only the
 /// request indices of the completion log permuted. The closed loop (a
-/// depth-2 host window) keeps slice order among ties too; the host stack
-/// takes arrival-sorted traces only, so it has no shuffled leg.
+/// depth-2 host window) keeps slice order among ties too, and stages a
+/// shuffled slice in the same order: its device sees the sorted slice
+/// (the completion ids index the forwarded commands), and its host logs,
+/// kept in slice order, are the sorted run's through the permutation.
 #[test]
 fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
     use dloop_repro::host::report_fingerprint;
@@ -1452,47 +1499,45 @@ fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
     let closed2 = |reqs: &[HostRequest]| {
         let config = SsdConfig::micro_gc_test();
         let mut device = SsdDevice::new(config.clone(), build_ftl(FtlKind::Dloop, &config));
-        let report = closed_loop(&mut device, reqs, 2);
+        let host = closed_loop(&mut device, reqs, 2);
         device.audit().expect("audit");
-        report
+        host
     };
-    let legs: [(&str, fn(&[HostRequest]) -> RunReport, u64, bool); 4] = [
+    let legs: [(&str, fn(&[HostRequest]) -> RunReport, u64); 3] = [
         (
             "gated",
             |r| run_dloop_micro(r, RunConfig::gated()),
             GOLDEN_TIES[0],
-            true,
         ),
         (
             "ncq4",
             |r| run_dloop_micro(r, RunConfig::ncq(4)),
             GOLDEN_TIES[1],
-            true,
         ),
         (
             "open",
             |r| run_dloop_micro(r, RunConfig::open()),
             GOLDEN_TIES[2],
-            true,
         ),
-        ("closed2", closed2, GOLDEN_TIES[3], false),
     ];
-    for (name, run, golden, sorts) in legs {
-        let want = run(&sorted);
+    let want_closed = closed2(&sorted);
+    let got_closed = closed2(&shuffled);
+    let closed_leg = ("closed2", want_closed.device.clone(), GOLDEN_TIES[3]);
+    let device_legs = legs.map(|(name, run, golden)| (name, run(&sorted), golden));
+    for (name, want, golden) in device_legs.iter().chain([&closed_leg]) {
         // Slice order among ties: one plane serves the four writes (and
         // the four reads) strictly in index order.
         for w in [[0, 1], [1, 2], [2, 3], [5, 6], [6, 7], [7, 8]] {
             assert!(
-                done_of(&want, w[0]) < done_of(&want, w[1]),
+                done_of(want, w[0]) < done_of(want, w[1]),
                 "{name}: request {} must finish before {}",
                 w[0],
                 w[1]
             );
         }
-        assert_eq!(report_fingerprint(&want), golden, "{name}: sorted slice");
-        if !sorts {
-            continue;
-        }
+        assert_eq!(report_fingerprint(want), *golden, "{name}: sorted slice");
+    }
+    for ((name, run, _), (_, want, _)) in legs.iter().zip(&device_legs) {
         let got = run(&shuffled);
         assert_eq!(got.csv_row(), want.csv_row(), "{name}");
         assert_eq!(got.queue_log, want.queue_log, "{name}");
@@ -1502,6 +1547,14 @@ fn equal_arrivals_fire_in_slice_order_and_unsorted_slices_are_stably_sorted() {
             .map(|&(r, a, d)| (perm[r as usize] as u64, a, d))
             .collect();
         assert_eq!(mapped, want.completions, "{name}");
+    }
+    assert_eq!(
+        report_fingerprint(&got_closed.device),
+        GOLDEN_TIES[3],
+        "closed2: shuffled slice"
+    );
+    for (k, log) in got_closed.requests.iter().enumerate() {
+        assert_eq!(*log, want_closed.requests[perm[k]], "closed2: request {k}");
     }
 }
 
@@ -1522,8 +1575,8 @@ const GOLDEN_TIES: [u64; 4] = [
 /// that older op first and the read at its queue position; the windowed
 /// policies issue the chain-less op first. The logs record issue order,
 /// so the fingerprints below — recorded from the stand-alone gated loop
-/// at the commit before it was folded into `run_queued` — hold only if
-/// the one loop keeps the gated rule.
+/// at the commit before it was folded into the queueing scheduler — hold
+/// only if the one scheduler keeps the gated rule.
 #[test]
 fn gated_issues_chainless_ops_at_their_queue_position() {
     use dloop_repro::host::report_fingerprint;
