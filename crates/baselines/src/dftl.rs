@@ -32,6 +32,12 @@ pub struct DftlFtl {
     /// indices and its fully-invalid blocks.
     excluded: Vec<u32>,
     sweep: Vec<u32>,
+    /// `collect_one`'s victim split: live pages to copy as `(ppn, owner)`,
+    /// and translation pages to rewrite instead. Kept between collections
+    /// so that, once grown to a block's worth, a collection allocates
+    /// nothing.
+    moves: Vec<(Ppn, PageOwner)>,
+    rewrites: Vec<u64>,
 }
 
 /// DFTL's two write streams: one global data active block, rotating
@@ -44,9 +50,14 @@ struct Streams {
 }
 
 impl Streams {
-    /// Both active blocks, which GC must leave alone.
-    fn exclusions(&self) -> Vec<BlockAddr> {
-        self.data.iter().chain(&self.translation).copied().collect()
+    /// Both active blocks, which GC must leave alone. A stream without an
+    /// active block repeats the other's, so the pair is a fixed array
+    /// (`None` while neither stream has one).
+    fn exclusions(&self) -> Option<[BlockAddr; 2]> {
+        Some([
+            self.data.or(self.translation)?,
+            self.translation.or(self.data)?,
+        ])
     }
 
     /// Program the next page of one stream, rolling to a new block when
@@ -84,8 +95,8 @@ impl Streams {
     /// Program the next translation page (an emergency reclaim may take a
     /// dead translation block, never the data block).
     fn program_translation(&mut self, flash: &mut FlashState) -> Ppn {
-        let exclude: Vec<BlockAddr> = self.data.into_iter().collect();
-        self.program(true, &exclude, flash)
+        let data = self.data;
+        self.program(true, data.as_slice(), flash)
     }
 }
 
@@ -122,6 +133,8 @@ impl DftlFtl {
             gc_threshold_total: config.gc_threshold as u64 * planes as u64,
             excluded: Vec::new(),
             sweep: Vec::new(),
+            moves: Vec::new(),
+            rewrites: Vec::new(),
             geometry,
         }
     }
@@ -141,6 +154,7 @@ impl DftlFtl {
 
     fn collect_one(&mut self, ctx: &mut FtlContext<'_>) -> bool {
         let exclude = self.streams.exclusions();
+        let exclude = exclude.as_slice().as_flattened();
         // One scan per plane: erase its fully-invalid blocks at once and
         // fold its most-invalid block into the device-wide choice (the
         // lowest plane wins ties).
@@ -176,26 +190,24 @@ impl DftlFtl {
 
         // Pages with deferred updates are persisted (and thereby relocated)
         // by a read-modify-write instead of a copy.
-        let block = ctx.flash.plane(victim.plane).block(victim.index);
-        let (rewrites, moves): (Vec<_>, Vec<_>) = block
-            .valid_offsets()
-            .map(|page| {
-                let (plane, block) = (victim.plane, victim.index);
-                let ppn = self.geometry.ppn_of(PageAddr { plane, block, page });
-                (ppn, ctx.dir.owner(ppn))
-            })
-            .partition(|&(_, owner)| {
-                matches!(owner, PageOwner::Translation(t) if self.dm.pending_count(t) > 0)
-            });
-        for (old_ppn, owner) in moves {
-            self.gc_move(victim.plane, old_ppn, owner, ctx);
-        }
-        // Rewrites reading the in-victim copy happen before the erase.
-        for (_, owner) in rewrites {
-            if let PageOwner::Translation(tvpn) = owner {
-                self.dm
-                    .rewrite_translation_page(tvpn, ctx, &mut self.streams);
+        debug_assert!(self.moves.is_empty() && self.rewrites.is_empty());
+        let (plane, block) = (victim.plane, victim.index);
+        for page in ctx.flash.plane(plane).block(block).valid_offsets() {
+            let ppn = self.geometry.ppn_of(PageAddr { plane, block, page });
+            match ctx.dir.owner(ppn) {
+                PageOwner::Translation(t) if self.dm.pending_count(t) > 0 => self.rewrites.push(t),
+                owner => self.moves.push((ppn, owner)),
             }
+        }
+        let mut moves = std::mem::take(&mut self.moves);
+        for (old_ppn, owner) in moves.drain(..) {
+            self.gc_move(plane, old_ppn, owner, ctx);
+        }
+        self.moves = moves;
+        // Rewrites reading the in-victim copy happen before the erase.
+        for tvpn in self.rewrites.drain(..) {
+            self.dm
+                .rewrite_translation_page(tvpn, ctx, &mut self.streams);
         }
         // A failed victim erase retires the block (capacity shrinks), but
         // the collection itself completed: the valid pages moved out.
@@ -216,7 +228,8 @@ impl DftlFtl {
             self.streams.program_translation(ctx.flash)
         } else {
             let exclude = self.streams.exclusions();
-            self.streams.program(false, &exclude, ctx.flash)
+            let exclude = exclude.as_slice().as_flattened();
+            self.streams.program(false, exclude, ctx.flash)
         };
         self.counters.external_moves += 1;
         let copy = FlashStep::InterPlaneCopy {
@@ -247,8 +260,10 @@ impl Ftl for DftlFtl {
 
     fn write(&mut self, lpn: Lpn, ctx: &mut FtlContext<'_>) {
         let old = self.dm.ensure_cached(lpn, ctx, &mut self.streams);
-        let exclude: Vec<BlockAddr> = self.streams.translation.into_iter().collect();
-        let new_ppn = self.streams.program(false, &exclude, ctx.flash);
+        let translation = self.streams.translation;
+        let new_ppn = self
+            .streams
+            .program(false, translation.as_slice(), ctx.flash);
         ctx.push_program(self.geometry.plane_of_ppn(new_ppn));
         if let Some(old_ppn) = old {
             ctx.flash

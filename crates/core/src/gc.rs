@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 
 /// The per-plane collector.
 ///
-/// The three work lists of a pass are kept between passes, so once they
+/// The four work lists of a pass are kept between passes, so once they
 /// have grown to a block's worth a collection allocates nothing.
 #[derive(Debug, Clone)]
 pub struct GcEngine {
@@ -47,6 +47,9 @@ pub struct GcEngine {
     moves: [[VecDeque<(u32, Ppn, PageOwner)>; 2]; 2],
     /// Translation pages in the victim that are rewritten instead of moved.
     rewrite_now: Vec<u64>,
+    /// Moves done on flash whose remaps are still to apply, as `(owner,
+    /// old ppn, new ppn)` in move order.
+    remaps: Vec<(PageOwner, Ppn, Ppn)>,
 }
 
 impl GcEngine {
@@ -59,6 +62,7 @@ impl GcEngine {
             sweep: Vec::new(),
             moves: Default::default(),
             rewrite_now: Vec::new(),
+            remaps: Vec::new(),
         }
     }
 
@@ -99,8 +103,8 @@ impl GcEngine {
     }
 
     /// Move every queued page into `plane`'s active blocks in parity
-    /// order, wasting at most `waste_budget` pages on parity, and telling
-    /// the map about each move before the source is invalidated.
+    /// order, wasting at most `waste_budget` pages on parity, then tell
+    /// the map about every move, in the same order.
     fn relocate(
         &mut self,
         plane: PlaneId,
@@ -165,10 +169,23 @@ impl GcEngine {
                 // Failed program attempts repeat the whole move.
                 ctx.drain_failed_programs(step);
                 let new_ppn = ctx.flash.geometry().ppn_of(new_addr);
-                dm.gc_remap(owner, old_ppn, new_ppn, ctx);
                 ctx.flash.invalidate(old_ppn).expect("GC source not valid");
                 ctx.dir.clear(old_ppn);
+                self.remaps.push((owner, old_ppn, new_ppn));
             }
+        }
+        // The remaps follow the moves rather than interleave with them.
+        // Each remap stores into the page map (or the GTD) at a random
+        // index, and the next move's step would otherwise be reloaded
+        // while that store still sits in the store buffer; batched, the
+        // moves run back to back. Deferring is safe because nothing a move
+        // does reads the map, the GTD or a directory entry a remap writes:
+        // placement reads only the block states and the pool, the source
+        // owners were read before the first move, and a directory set
+        // lands on a fresh destination page while a clear empties a victim
+        // page, so the two never meet.
+        for (owner, old_ppn, new_ppn) in self.remaps.drain(..) {
+            dm.gc_remap(owner, old_ppn, new_ppn, ctx);
         }
     }
 
@@ -237,7 +254,7 @@ impl GcEngine {
         // pin translation pages to plane 0 forever while the rewrite path
         // can spill to planes with room.
         debug_assert!(self.moves.iter().flatten().all(|q| q.is_empty()));
-        debug_assert!(self.rewrite_now.is_empty());
+        debug_assert!(self.rewrite_now.is_empty() && self.remaps.is_empty());
         for off in ctx.flash.plane(plane).block(victim).valid_offsets() {
             let ppn = ctx.flash.geometry().ppn_of(PageAddr {
                 plane,

@@ -25,15 +25,43 @@
 //! bit per LPN records whether its entry has been loaded, which is all the
 //! hit/miss accounting and the deferred-update rule depend on. The choice
 //! is made once, from the capacity, and is invisible in every result.
+//!
+//! The authoritative map is one `u32` per LPN, with `u32::MAX` standing
+//! for [`UNMAPPED`]; every PPN it hands out or takes in is a `u64` like
+//! everywhere else. GC moves store into it at random, so at 4 bytes per
+//! LPN (8 before) those stores spread over half the memory. A device with
+//! more physical pages than fit below `u32::MAX` is refused at
+//! construction.
 
 use crate::cmt::CachedMappingTable;
-use crate::dir::{PageDirectory, PageOwner};
+use crate::dir::{check_u32_geometry, PageDirectory, PageOwner};
 use crate::ftl::FtlContext;
 use crate::gtd::Gtd;
 use dloop_nand::{FlashState, Geometry, Lpn, PageState, Ppn};
 
 /// Sentinel for "no physical page mapped".
 pub const UNMAPPED: Ppn = Ppn::MAX;
+
+/// [`UNMAPPED`] as the page map stores it.
+const STORED_UNMAPPED: u32 = u32::MAX;
+
+/// A PPN as the page map stores it.
+fn narrow(ppn: Ppn) -> u32 {
+    debug_assert!(
+        ppn < STORED_UNMAPPED as Ppn,
+        "ppn {ppn} does not fit the map"
+    );
+    ppn as u32
+}
+
+/// A stored map entry as a PPN ([`UNMAPPED`] included).
+fn widen(stored: u32) -> Ppn {
+    if stored == STORED_UNMAPPED {
+        UNMAPPED
+    } else {
+        stored as Ppn
+    }
+}
 
 /// Where a scheme writes its translation pages.
 pub trait TranslationPlacement {
@@ -70,7 +98,9 @@ pub struct DemandCounters {
 /// the translation stream dwarfs the host stream.
 #[derive(Debug, Clone)]
 pub struct DemandMap {
-    map: Vec<Ppn>,
+    /// LPN → PPN, 4 bytes per LPN: [`DemandMap::new`] refuses a device
+    /// whose PPNs do not fit below [`STORED_UNMAPPED`].
+    map: Vec<u32>,
     cache: Cache,
     gtd: Gtd,
     pending: std::collections::BTreeMap<u64, u32>,
@@ -138,8 +168,9 @@ impl Loaded {
 impl DemandMap {
     /// Build for a geometry with a CMT of `cmt_capacity` entries. A
     /// capacity that covers every LPN selects the resident regime (module
-    /// docs).
+    /// docs). Panics on a geometry too large for the 32-bit map.
     pub fn new(geometry: &Geometry, cmt_capacity: usize) -> Self {
+        check_u32_geometry(geometry);
         let lpns = geometry.user_pages() as usize;
         let cache = if cmt_capacity >= lpns {
             Cache::Resident(Loaded::new(lpns))
@@ -150,7 +181,7 @@ impl DemandMap {
             ))
         };
         DemandMap {
-            map: vec![UNMAPPED; lpns],
+            map: vec![STORED_UNMAPPED; lpns],
             cache,
             gtd: Gtd::new(geometry),
             pending: std::collections::BTreeMap::new(),
@@ -163,7 +194,7 @@ impl DemandMap {
     /// The authoritative mapping for `lpn` (no traffic, no cache effects).
     pub fn mapped(&self, lpn: Lpn) -> Option<Ppn> {
         let p = self.map[lpn as usize];
-        (p != UNMAPPED).then_some(p)
+        (p != STORED_UNMAPPED).then_some(p as Ppn)
     }
 
     /// The translation page covering `lpn`.
@@ -259,7 +290,7 @@ impl DemandMap {
                     return self.mapped(lpn);
                 }
                 // Miss: insert (evicting if full).
-                cmt.insert(lpn, self.map[lpn as usize], false)
+                cmt.insert(lpn, widen(self.map[lpn as usize]), false)
             }
         };
         // Write back a dirty victim.
@@ -279,7 +310,7 @@ impl DemandMap {
     /// Commit a host write: `lpn` now lives at `new_ppn`. The entry must be
     /// cached (callers run [`Self::ensure_cached`] first).
     pub fn commit_write(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        self.map[lpn as usize] = new_ppn;
+        self.map[lpn as usize] = narrow(new_ppn);
         match &mut self.cache {
             Cache::Resident(loaded) => {
                 debug_assert!(loaded.contains(lpn), "update of uncached mapping")
@@ -293,7 +324,7 @@ impl DemandMap {
     /// dirty eviction), otherwise the update lands in the pending buffer
     /// for a batched flush.
     pub fn gc_move(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        self.map[lpn as usize] = new_ppn;
+        self.map[lpn as usize] = narrow(new_ppn);
         let cached = match &mut self.cache {
             Cache::Resident(loaded) => loaded.contains(lpn),
             Cache::Lru(cmt) => cmt.update_in_place(lpn, new_ppn),
@@ -399,8 +430,8 @@ impl DemandMap {
         self.map
             .iter()
             .enumerate()
-            .filter(|(_, &p)| p != UNMAPPED)
-            .map(|(l, &p)| (l as Lpn, p))
+            .filter(|(_, &p)| p != STORED_UNMAPPED)
+            .map(|(l, &p)| (l as Lpn, p as Ppn))
     }
 
     /// Iterate every materialised translation page as a (tvpn, ppn) pair —
@@ -447,7 +478,7 @@ impl DemandMap {
             Cache::Resident(loaded) => {
                 for (word, (chunk, &bits)) in self.map.chunks(64).zip(&loaded.bits).enumerate() {
                     for (bit, &ppn) in chunk.iter().enumerate() {
-                        if ppn != UNMAPPED && bits & (1 << bit) == 0 {
+                        if ppn != STORED_UNMAPPED && bits & (1 << bit) == 0 {
                             let lpn = word * 64 + bit;
                             return Err(format!("lpn {lpn} mapped at ppn {ppn} but never loaded"));
                         }
@@ -461,7 +492,7 @@ impl DemandMap {
         // Every cached entry must equal the authoritative mapping (we keep
         // them in lock-step; dirtiness only describes the on-flash copy).
         for (lpn, ppn, _) in cmt.iter_entries() {
-            let authoritative = self.map.get(lpn as usize).copied();
+            let authoritative = self.map.get(lpn as usize).copied().map(widen);
             if authoritative != Some(ppn) {
                 return Err(format!(
                     "lpn {lpn} cached at ppn {ppn}, authoritative map says {authoritative:?}"
@@ -547,7 +578,7 @@ mod tests {
             let mut other = self.map.len() as Lpn;
             while gone.iter().any(|&l| self.lru().peek(l).is_some()) {
                 other -= 1;
-                let ppn = self.map[other as usize];
+                let ppn = widen(self.map[other as usize]);
                 let cmt = self.lru();
                 if cmt.lookup(other).is_none() {
                     let evicted = cmt.insert(other, ppn, false);
@@ -947,5 +978,40 @@ mod tests {
         assert_eq!(rig.dm.mapped(9), Some(51));
         assert_eq!(rig.dm.lru().peek(9), Some((51, true)));
         rig.dm.check().unwrap();
+    }
+
+    #[test]
+    fn the_map_holds_four_bytes_per_lpn() {
+        let dm = DemandMap::new(&geometry(), 4);
+        assert_eq!(dm.map.len() as u64, geometry().user_pages());
+        assert_eq!(std::mem::size_of_val(&dm.map[..]), 4 * dm.map.len());
+    }
+
+    /// One plane of `blocks` blocks, the first of them the only user-visible
+    /// one: a physical page space as large as a test likes, for a map of 64
+    /// LPNs.
+    fn wide(blocks: u32) -> Geometry {
+        let mut g = dloop_nand::Geometry::build_with_hierarchy(1, 2, 5.0, 1, 1, 1, 1, 1);
+        g.blocks_per_plane = blocks;
+        g.data_blocks_per_plane = 1;
+        g
+    }
+
+    #[test]
+    fn the_highest_ppn_below_the_bound_maps_and_unmapped_stays_none() {
+        let g = wide((1 << 26) - 1);
+        let top = g.total_physical_pages() - 1;
+        assert_eq!(top, u32::MAX as u64 - 64);
+        let mut dm = DemandMap::new(&g, g.user_pages() as usize);
+        dm.gc_move(0, top);
+        assert_eq!(dm.mapped(0), Some(top));
+        assert_eq!(dm.mapped(1), None);
+        assert_eq!(dm.iter_mapped().collect::<Vec<_>>(), vec![(0, top)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PPNs must stay below u32::MAX")]
+    fn a_device_one_block_past_the_ppn_bound_is_refused() {
+        DemandMap::new(&wide(1 << 26), 64);
     }
 }

@@ -9,6 +9,10 @@
 //!   erased (erase-before-write);
 //! * a free page may be deliberately *skipped* (marked invalid without a
 //!   program) — DLOOP does this to satisfy the copy-back same-parity rule.
+//!
+//! A page at or past the write pointer is free; one before it is valid iff
+//! its bit in a 64-bit live mask is set. So a block is one inline 24-byte
+//! record with no per-page storage, and holds at most 64 pages.
 
 /// Lifecycle state of one physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,18 +29,23 @@ pub enum PageState {
 /// One physical block.
 #[derive(Debug, Clone)]
 pub struct Block {
-    states: Box<[PageState]>,
-    /// Next programmable page offset; `== len` when the block is full.
+    /// Bit `i` set: page `i` holds live data.
+    live: u64,
+    pages: u32,
+    /// Next programmable page offset; `== pages` when the block is full.
     write_ptr: u32,
+    /// Set bits in `live`.
     valid: u32,
     erase_count: u32,
 }
 
 impl Block {
-    /// A freshly erased block with `pages` pages.
+    /// A freshly erased block with `pages` pages (at most 64).
     pub fn new(pages: u32) -> Self {
+        assert!(pages <= 64, "a block holds at most 64 pages, not {pages}");
         Block {
-            states: vec![PageState::Free; pages as usize].into_boxed_slice(),
+            live: 0,
+            pages,
             write_ptr: 0,
             valid: 0,
             erase_count: 0,
@@ -45,12 +54,12 @@ impl Block {
 
     /// Pages per block.
     pub fn len(&self) -> u32 {
-        self.states.len() as u32
+        self.pages
     }
 
     /// A block always has pages; provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.pages == 0
     }
 
     /// True when no page has been programmed or skipped since erase.
@@ -60,7 +69,7 @@ impl Block {
 
     /// True when the write pointer has reached the end.
     pub fn is_full(&self) -> bool {
-        self.write_ptr == self.len()
+        self.write_ptr == self.pages
     }
 
     /// Offset the next program will land on (`None` if full).
@@ -70,7 +79,7 @@ impl Block {
 
     /// Remaining programmable pages.
     pub fn free_pages(&self) -> u32 {
-        self.len() - self.write_ptr
+        self.pages - self.write_ptr
     }
 
     /// Live pages.
@@ -90,22 +99,30 @@ impl Block {
 
     /// State of page `offset`.
     pub fn state(&self, offset: u32) -> PageState {
-        self.states[offset as usize]
+        debug_assert!(offset < self.pages, "page {offset} out of range");
+        if offset >= self.write_ptr {
+            PageState::Free
+        } else if self.live & (1 << offset) != 0 {
+            PageState::Valid
+        } else {
+            PageState::Invalid
+        }
     }
 
     /// Offsets of all valid pages, in ascending order.
-    pub fn valid_offsets(&self) -> impl Iterator<Item = u32> + '_ {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == PageState::Valid)
-            .map(|(i, _)| i as u32)
+    pub fn valid_offsets(&self) -> impl Iterator<Item = u32> {
+        let mut live = self.live;
+        std::iter::from_fn(move || {
+            let off = live.trailing_zeros();
+            live &= live.wrapping_sub(1);
+            (off < 64).then_some(off)
+        })
     }
 
     /// Program the next sequential page, returning its offset.
     pub fn program_next(&mut self) -> Option<u32> {
         let off = self.next_free_page()?;
-        self.states[off as usize] = PageState::Valid;
+        self.live |= 1 << off;
         self.write_ptr += 1;
         self.valid += 1;
         Some(off)
@@ -116,7 +133,6 @@ impl Block {
     /// offset.
     pub fn skip_next(&mut self) -> Option<u32> {
         let off = self.next_free_page()?;
-        self.states[off as usize] = PageState::Invalid;
         self.write_ptr += 1;
         Some(off)
     }
@@ -124,11 +140,10 @@ impl Block {
     /// Invalidate a previously valid page. Returns false if the page was
     /// not valid (caller turns that into an error).
     pub fn invalidate(&mut self, offset: u32) -> bool {
-        let s = &mut self.states[offset as usize];
-        if *s != PageState::Valid {
+        if self.state(offset) != PageState::Valid {
             return false;
         }
-        *s = PageState::Invalid;
+        self.live &= !(1 << offset);
         self.valid -= 1;
         true
     }
@@ -137,47 +152,26 @@ impl Block {
     /// wear increments. Any remaining valid pages are destroyed — callers
     /// must have relocated them (GC asserts this).
     pub fn erase(&mut self) {
-        for s in self.states.iter_mut() {
-            *s = PageState::Free;
-        }
+        self.live = 0;
         self.write_ptr = 0;
         self.valid = 0;
         self.erase_count += 1;
     }
 
-    /// Internal consistency check: counters must match the state array.
+    /// Internal consistency check: the write pointer lies within the
+    /// block, no page at or past it is live, and the valid count matches
+    /// the mask.
     pub fn check(&self) -> Result<(), String> {
-        let valid = self
-            .states
-            .iter()
-            .filter(|s| **s == PageState::Valid)
-            .count() as u32;
-        let free = self
-            .states
-            .iter()
-            .filter(|s| **s == PageState::Free)
-            .count() as u32;
-        if valid != self.valid {
-            return Err(format!("valid count {} != actual {}", self.valid, valid));
-        }
-        if free != self.len() - self.write_ptr {
+        let (ptr, live) = (self.write_ptr, self.live);
+        if ptr > self.pages || live.checked_shr(ptr).unwrap_or(0) != 0 {
             return Err(format!(
-                "write_ptr {} inconsistent with {} free pages",
-                self.write_ptr, free
+                "write_ptr {ptr} of {} pages, live mask {live:#x}",
+                self.pages
             ));
         }
-        // Sequential programming: no free page may precede the write ptr.
-        for (i, s) in self.states.iter().enumerate() {
-            let before_ptr = (i as u32) < self.write_ptr;
-            if before_ptr && *s == PageState::Free {
-                return Err(format!("free page {i} before write_ptr {}", self.write_ptr));
-            }
-            if !before_ptr && *s != PageState::Free {
-                return Err(format!(
-                    "non-free page {i} at/after write_ptr {}",
-                    self.write_ptr
-                ));
-            }
+        if live.count_ones() != self.valid {
+            let n = live.count_ones();
+            return Err(format!("valid count {} != {n} live pages", self.valid));
         }
         Ok(())
     }
@@ -264,11 +258,44 @@ mod tests {
     }
 
     #[test]
-    fn check_catches_corruption() {
+    fn check_rejects_a_count_that_disagrees_with_the_mask() {
         let mut b = Block::new(4);
         b.program_next();
         // Simulate corruption through direct state poking.
         b.valid = 2;
-        assert!(b.check().is_err());
+        let err = b.check().unwrap_err();
+        assert!(err.contains("valid count 2"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_live_bit_at_or_after_the_write_pointer() {
+        for stray in [2, 3] {
+            let mut b = Block::new(4);
+            b.program_next();
+            b.program_next();
+            b.live |= 1 << stray;
+            b.valid += 1;
+            let err = b.check().unwrap_err();
+            assert!(err.contains("write_ptr 2 of 4"), "bit {stray}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_block_is_one_inline_24_byte_record() {
+        assert!(std::mem::size_of::<Block>() <= 24);
+    }
+
+    #[test]
+    fn full_64_page_block_round_trips_every_offset() {
+        let mut b = Block::new(64);
+        while b.program_next().is_some() {}
+        assert!(b.is_full());
+        assert!(b.invalidate(63));
+        assert!(b.invalidate(0));
+        assert_eq!(b.state(63), PageState::Invalid);
+        assert_eq!(b.valid_offsets().count(), 62);
+        assert_eq!(b.valid_offsets().next(), Some(1));
+        assert_eq!(b.valid_offsets().last(), Some(62));
+        b.check().unwrap();
     }
 }

@@ -224,6 +224,20 @@ echo "==> net reclaim (every move-based collection frees more than it spends, 25
 SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop --lib \
     move_based_collections_free_more_than_they_spend
 
+echo "==> bitmap blocks (Block against a per-page model, 256 random op sequences)"
+# Program/skip/invalidate/erase on blocks of 1-64 pages: every return
+# value, page state, valid offset and counter agrees with a Vec<PageState>
+# model after each step. `cargo test` above runs 64 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline -p dloop-nand --test block_model \
+    block_agrees_with_a_per_page_model
+
+echo "==> deferred GC remaps under faults (every FTL audits clean, 256 fault plans)"
+# Program failures and retirements land between a collection's moves and
+# its remaps; every FTL's map, directory and flash must still agree.
+# `cargo test` above runs 16 cases.
+SIMKIT_CHECK_CASES=256 cargo test -q --release --offline --test faults \
+    any_fault_plan_keeps_every_ftl_consistent
+
 echo "==> host-stack smoke (host subcommand, coalescing + dirty-ratio + depth sweeps)"
 # One pass of all three host-stack sweeps through the CLI: five
 # coalescing settings, five dirty ratios, and the interleaved SQ-window

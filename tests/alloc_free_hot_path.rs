@@ -1,5 +1,6 @@
 //! Zero-allocation witness for the per-op hot paths: a DLOOP page write
-//! (translation, placement, copy-back collection), a CMT miss with a dirty
+//! (translation, placement, copy-back collection), a DFTL page write (its
+//! device-wide collection over the external bus), a CMT miss with a dirty
 //! eviction, a whole command through a pre-reserved `CommandSession`
 //! (translation, the shared chain player, the latency fold, both logs), and
 //! the host page cache's hits, evictions and dirty-ratio flushes. A
@@ -9,12 +10,13 @@
 //! scheduler grows its buffers inside the run, must allocate about as
 //! often for a long steady stream as for a short one.
 
+use dloop_repro::baselines::DftlFtl;
 use dloop_repro::dloop_ftl::DloopFtl;
 use dloop_repro::ftl_kit::cmt::CachedMappingTable;
 use dloop_repro::ftl_kit::config::SsdConfig;
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::dir::PageDirectory;
-use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, OpChain, Phase};
+use dloop_repro::ftl_kit::ftl::{FlashStep, Ftl, FtlContext, FtlCounters, OpChain, Phase};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::host::{PageCache, Writeback};
 use dloop_repro::nand::FlashState;
@@ -84,32 +86,78 @@ fn roomy_chain(steps: usize) -> OpChain {
 
 // Parent commit (`BTreeSet` dirty index, per-pass and per-op vectors):
 // 7 037 allocations inside `Ftl::write` over the same measured window.
-// Run twice: with the configured 64-entry segmented LRU, and with a CMT
-// that holds every LPN (the resident map).
 #[test]
 fn dloop_writes_with_copyback_collections_do_not_allocate() {
+    writes_do_not_allocate(DloopFtl::new, |warm, measured, cmt_capacity| {
+        assert!(warm.gc_invocations > 0 && warm.copyback_moves > 0);
+        // Every branch of the shared relocation loop: parity-matched
+        // copy-backs, deliberate parity waste, and the external copy once
+        // the waste budget is spent.
+        assert!(
+            measured.copyback_moves > 0 && measured.parity_skips > 0 && measured.external_moves > 0,
+            "the measured window must cover the whole relocation loop \
+             (CMT of {cmt_capacity} entries): {measured:?}"
+        );
+    });
+}
+
+// Parent commit (an exclusion `Vec` per GC move and per host write, two
+// partition `Vec`s per collection): 7 429 allocations inside `Ftl::write`
+// over the measured window with the configured CMT.
+#[test]
+fn dftl_writes_with_external_collections_do_not_allocate() {
+    writes_do_not_allocate(DftlFtl::new, |warm, measured, cmt_capacity| {
+        assert!(warm.gc_invocations > 0, "the warm-up must collect");
+        assert!(
+            measured.gc_invocations > 0 && measured.external_moves > 0,
+            "the measured window must move live pages (CMT of {cmt_capacity} entries): \
+             {measured:?}"
+        );
+    });
+}
+
+/// Run `allocations_inside_writes` on a fresh FTL from `new_ftl` twice: with
+/// the configured 64-entry segmented LRU, and with a CMT that holds every
+/// LPN (the resident map). `covers` checks the warm-up's and the measured
+/// window's counters (and is told the CMT capacity); the measured window
+/// must not allocate.
+fn writes_do_not_allocate<F: Ftl>(
+    new_ftl: impl Fn(&SsdConfig) -> F,
+    covers: impl Fn(&FtlCounters, &FtlCounters, usize),
+) {
     let config = SsdConfig::micro_gc_test();
     let resident = config.geometry().user_pages() as usize;
     for cmt_capacity in [config.cmt_capacity, resident] {
-        dloop_writes_do_not_allocate(&SsdConfig {
+        let config = SsdConfig {
             cmt_capacity,
             ..config.clone()
-        });
+        };
+        let (warm, measured, allocated) = allocations_inside_writes(&mut new_ftl(&config), &config);
+        covers(&warm, &measured, cmt_capacity);
+        assert_eq!(
+            allocated, 0,
+            "heap allocations inside Ftl::write (CMT of {cmt_capacity} entries)"
+        );
     }
 }
 
-fn dloop_writes_do_not_allocate(config: &SsdConfig) {
+/// Age a fresh device with `ftl` by random overwrites, then count the heap
+/// allocations inside `Ftl::write` over a further stretch of them; returns
+/// the warm-up's counters, that stretch's counters and the count.
+fn allocations_inside_writes(
+    ftl: &mut dyn Ftl,
+    config: &SsdConfig,
+) -> (FtlCounters, FtlCounters, u64) {
     let geometry = config.geometry();
     let mut flash = FlashState::new(geometry.clone());
     let mut dir = PageDirectory::new(&geometry);
-    let mut ftl = DloopFtl::new(config);
     let mut chains = [roomy_chain(4096), roomy_chain(4096), roomy_chain(4096)];
 
     // Overwrite two thirds of the LPN space in random order, so the victims
-    // GC picks still hold live pages it has to copy back.
+    // GC picks still hold live pages it has to move.
     let span = geometry.user_pages() * 2 / 3;
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-    let mut write_some = |ftl: &mut DloopFtl, writes: u64| -> u64 {
+    let mut write_some = |ftl: &mut dyn Ftl, writes: u64| -> u64 {
         let mut inside_write = 0;
         for _ in 0..writes {
             // xorshift64
@@ -136,26 +184,10 @@ fn dloop_writes_do_not_allocate(config: &SsdConfig) {
         inside_write
     };
 
-    write_some(&mut ftl, 6 * span);
+    write_some(ftl, 6 * span);
     let warm = ftl.counters();
-    assert!(warm.gc_invocations > 0 && warm.copyback_moves > 0);
-
-    let allocated = write_some(&mut ftl, 2 * span);
-    let measured = ftl.counters().since(&warm);
-    // Every branch of the shared relocation loop: parity-matched
-    // copy-backs, deliberate parity waste, and the external copy once the
-    // waste budget is spent.
-    assert!(
-        measured.copyback_moves > 0 && measured.parity_skips > 0 && measured.external_moves > 0,
-        "the measured window must cover the whole relocation loop \
-         (CMT of {} entries): {measured:?}",
-        config.cmt_capacity
-    );
-    assert_eq!(
-        allocated, 0,
-        "heap allocations inside Ftl::write (CMT of {} entries)",
-        config.cmt_capacity
-    );
+    let allocated = write_some(ftl, 2 * span);
+    (warm, ftl.counters().since(&warm), allocated)
 }
 
 // Parent commit, with `flush_translation_page` standing in for the new
